@@ -7,11 +7,11 @@ one ``is not None`` comparison per write when no sanitizer is active
 (docs/static_analysis.md, "Effect analysis & AccSan").  This script
 enforces the contract on a Reduce-heavy workload:
 
-1. keeps a verbatim *unsanitized* copy of the Map-phase statement
-   interpreter (``_run_accum_statements`` with the AccSan touchpoints
-   removed) in this file,
-2. interleaves timed blocks of the instrumented interpreter (sanitizer
-   off) with the reference copy over the diamond-chain edge workload,
+1. keeps a verbatim *unsanitized* copy of the Map kernel's accumulator
+   write (``repro.compile.lowering._compile_accum_update`` with the
+   AccSan touchpoint removed) in this file,
+2. interleaves timed blocks of the shipped kernel (sanitizer off) with
+   the reference copy over the diamond-chain edge workload,
 3. asserts the median overhead is below the threshold (default 5%), and
 4. cross-checks correctness: sanitizer off and the reference agree on
    every accumulator value, and a run *with* a sanitizer records one
@@ -30,46 +30,101 @@ import time
 
 from repro import accsan
 from repro.accum import MaxAccum, SumAccum
+from repro.compile import CompileStats
+from repro.compile.exprc import compile_closure
+from repro.compile.lowering import _compile_acc_statement, compile_accum_clause
 from repro.core import QueryContext
 from repro.core.context import GLOBAL, VERTEX, AccumDecl
 from repro.core.exprs import EvalEnv, Literal, NameRef
 from repro.core.pattern import (
     EngineMode, Pattern, chain, evaluate_pattern, hop,
 )
-from repro.core.stmts import (
-    AccumIf, AccumTarget, AccumUpdate, InputBuffer, LocalAssign,
-    _run_accum_foreach, run_map_phase,
-)
+from repro.core.stmts import AccumTarget, AccumUpdate, InputBuffer, LocalAssign
 from repro.errors import QueryRuntimeError
 from repro.graph import builders
+from repro.graph.elements import Vertex
 
 
-def reference_map_phase(statements, env, buffer, multiplicity):
-    """Verbatim copy of run_map_phase/_run_accum_statements with the
-    AccSan touchpoint removed — the baseline an ideal zero-cost
-    sanitizer hook matches."""
-    env.locals.clear()
-    _reference_statements(statements, env, buffer, multiplicity)
+def shipped_kernel(statements):
+    return compile_accum_clause(statements, {}, CompileStats())
 
 
-def _reference_statements(statements, env, buffer, multiplicity):
-    for stmt in statements:
-        if isinstance(stmt, LocalAssign):
-            env.locals[stmt.name] = stmt.expr.eval(env)
-        elif isinstance(stmt, AccumUpdate):
-            value = stmt.expr.eval(env)
-            acc = stmt.target.resolve(env)
-            if stmt.op == "+=":
-                buffer.add(acc, value, multiplicity)
+def reference_kernel(statements):
+    """The shipped kernel with every accumulator write replaced by
+    :func:`_reference_accum_update` — the baseline an ideal zero-cost
+    sanitizer hook matches.  Other statement kinds go through the
+    shipped binders, so the copy cannot silently drift."""
+    stats = CompileStats()
+    binders = [
+        _reference_accum_update(stmt, stats)
+        if isinstance(stmt, AccumUpdate)
+        else _compile_acc_statement(stmt, {}, stats)
+        for stmt in statements
+    ]
+
+    def bind(ctx, buffer):
+        runs = [b(ctx, buffer) for b in binders]
+
+        def run_all(env, multiplicity):
+            env.locals.clear()
+            for run in runs:
+                run(env, multiplicity)
+
+        return run_all
+
+    return bind
+
+
+def _reference_accum_update(stmt, stats):
+    """Verbatim copy of ``_compile_accum_update`` with the AccSan
+    touchpoint removed."""
+    name = stmt.target.name
+    is_add = stmt.op == "+="
+    value_fn, _ = compile_closure(stmt.expr, stats)
+
+    if stmt.target.is_global:
+        def bind_global(ctx, buffer):
+            add = buffer.add
+            set_ = buffer.set
+
+            def run(env, multiplicity, _cell=[]):
+                value = value_fn(env)
+                if not _cell:
+                    _cell.append(ctx.global_accum(name))
+                acc = _cell[0]
+                if is_add:
+                    add(acc, value, multiplicity)
+                else:
+                    set_(acc, value)
+
+            return run
+
+        return bind_global
+
+    base_fn, _ = compile_closure(stmt.target.base, stats)
+
+    def bind_vertex(ctx, buffer):
+        add = buffer.add
+        set_ = buffer.set
+        resolve = ctx.vertex_accum_resolver(name)
+
+        def run(env, multiplicity):
+            value = value_fn(env)
+            vertex = base_fn(env)
+            if not isinstance(vertex, Vertex):
+                raise QueryRuntimeError(
+                    f"accumulator @{name} addressed through non-vertex "
+                    f"{type(vertex).__name__}"
+                )
+            acc = resolve(vertex.vid)
+            if is_add:
+                add(acc, value, multiplicity)
             else:
-                buffer.set(acc, value)
-        elif isinstance(stmt, AccumIf):
-            branch = stmt.then if bool(stmt.cond.eval(env)) else stmt.otherwise
-            _reference_statements(branch, env, buffer, multiplicity)
-        else:
-            # Remaining statement kinds are not exercised by this
-            # workload; delegate so the copy cannot silently drift.
-            _run_accum_foreach(stmt, env, buffer, multiplicity)
+                set_(acc, value)
+
+        return run
+
+    return bind_vertex
 
 
 def build_workload(n):
@@ -87,13 +142,19 @@ def build_workload(n):
     return ctx, rows, statements
 
 
-def run_once(map_phase, ctx, rows, statements):
+def run_map(bind, ctx, rows):
+    """One Map phase the way a SELECT block drives it: bind the kernel
+    once, run it per row; returns the buffer holding the inputs."""
     buffer = InputBuffer()
+    kernel = bind(ctx, buffer)
     locals_ = {}
     for row in rows:
-        map_phase(statements, EvalEnv(ctx, row.bindings, locals_), buffer,
-                  row.multiplicity)
-    buffer.flush()
+        kernel(EvalEnv(ctx, row.bindings, locals_), row.multiplicity)
+    return buffer
+
+
+def run_once(bind, ctx, rows):
+    run_map(bind, ctx, rows).flush()
 
 
 def timed_block(fn, calls):
@@ -119,9 +180,11 @@ def main(argv=None) -> int:
 
     # --- correctness: sanitizer-off == reference ------------------------
     ctx_off, rows, statements = build_workload(args.n)
-    run_once(run_map_phase, ctx_off, rows, statements)
+    shipped = shipped_kernel(statements)
+    reference_bind = reference_kernel(statements)
+    run_once(shipped, ctx_off, rows)
     ctx_ref, _, _ = build_workload(args.n)
-    run_once(reference_map_phase, ctx_ref, rows, statements)
+    run_once(reference_bind, ctx_ref, rows)
     if ctx_off.global_accum("total").value != ctx_ref.global_accum("total").value:
         print("FAIL: sanitizer-off Map phase diverges from the reference",
               file=sys.stderr)
@@ -130,12 +193,8 @@ def main(argv=None) -> int:
     # --- correctness: sanitizer-on records and verifies -----------------
     ctx_on, _, _ = build_workload(args.n)
     with accsan.sanitize(schedules=4) as san:
-        buffer = InputBuffer()
-        locals_ = {}
-        for row in rows:
-            run_map_phase(statements, EvalEnv(ctx_on, row.bindings, locals_),
-                          buffer, row.multiplicity)
-        # SelectBlock._execute hands the sanitizer the buffer right
+        buffer = run_map(shipped, ctx_on, rows)
+        # The block executor hands the sanitizer the buffer right
         # before the flush; this workload drives the phase by hand, so
         # do the same (block=None: divergences would be detections).
         san.check_flush(None, buffer)
@@ -155,8 +214,8 @@ def main(argv=None) -> int:
 
     # --- overhead: interleaved medians, sanitizer off -------------------
     ctx, rows, statements = build_workload(args.n)
-    instrumented = lambda: run_once(run_map_phase, ctx, rows, statements)  # noqa: E731
-    reference = lambda: run_once(reference_map_phase, ctx, rows, statements)  # noqa: E731
+    instrumented = lambda: run_once(shipped, ctx, rows)  # noqa: E731
+    reference = lambda: run_once(reference_bind, ctx, rows)  # noqa: E731
     timed_block(instrumented, args.calls_per_block)  # warm caches
     timed_block(reference, args.calls_per_block)
 

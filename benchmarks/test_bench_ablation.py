@@ -28,7 +28,9 @@ from repro.core import (
 )
 from repro.core.context import GLOBAL, VERTEX, AccumDecl
 from repro.core.pattern import Pattern
-from repro.core.stmts import InputBuffer, run_map_phase
+from repro.compile import CompileStats, compile_expr
+from repro.compile.lowering import compile_accum_clause
+from repro.core.stmts import InputBuffer
 from repro.graph import builders
 
 #: Large enough that the uncompressed table hurts, small enough for CI.
@@ -45,7 +47,14 @@ def kleene_pattern():
 
 
 def pin_source(var="s", name="v0"):
-    return {var: [Binary("==", AttrRef(NameRef(var), "name"), Literal(name))]}
+    pin = Binary("==", AttrRef(NameRef(var), "name"), Literal(name))
+    return {var: [compile_expr(pin)]}  # lowered once, as a SELECT block would
+
+
+def count_kernel(ctx, buffer):
+    """The Map kernel of ``ACCUM @@n += 1`` bound to ``ctx``/``buffer``."""
+    statements = [AccumUpdate(AccumTarget("n"), "+=", Literal(1))]
+    return compile_accum_clause(statements, {}, CompileStats())(ctx, buffer)
 
 
 def total_paths_compressed(graph):
@@ -56,9 +65,9 @@ def total_paths_compressed(graph):
         ctx, kleene_pattern(), EngineMode.counting(), pin_source()
     ).rows
     buffer = InputBuffer()
-    statements = [AccumUpdate(AccumTarget("n"), "+=", Literal(1))]
+    kernel = count_kernel(ctx, buffer)
     for row in rows:
-        run_map_phase(statements, EvalEnv(ctx, row.bindings), buffer, row.multiplicity)
+        kernel(EvalEnv(ctx, row.bindings), row.multiplicity)
     buffer.flush()
     return ctx.global_accum("n").value
 
@@ -72,10 +81,10 @@ def total_paths_uncompressed(graph):
         ctx, kleene_pattern(), EngineMode.counting(), pin_source()
     ).rows
     buffer = InputBuffer()
-    statements = [AccumUpdate(AccumTarget("n"), "+=", Literal(1))]
+    kernel = count_kernel(ctx, buffer)
     for row in rows:
         for _ in range(row.multiplicity):
-            run_map_phase(statements, EvalEnv(ctx, row.bindings), buffer, 1)
+            kernel(EvalEnv(ctx, row.bindings), 1)
     buffer.flush()
     return ctx.global_accum("n").value
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from ..accum import MapAccum, MinAccum, OrAccum, SumAccum
+from ..compile import compile_block
 from ..core.block import SelectBlock
 from ..core.context import GLOBAL, VERTEX, QueryContext
 from ..core.exprs import Literal, Method, NameRef, VertexAccumRef
@@ -63,8 +64,9 @@ def label_propagation(
         hops = [edge_type]
     else:
         hops = [f"{edge_type}>", f"<{edge_type}"]
+    # Lowered once here: the blocks below run every iteration.
     vote_blocks = [
-        SelectBlock(
+        compile_block(SelectBlock(
             pattern=Pattern([Chain(VertexSpec("AllV", "v"), [hop(h, "AllV", "n")])]),
             select_var="n",
             accum=[
@@ -74,7 +76,7 @@ def label_propagation(
                     _pair(VertexAccumRef(NameRef("v"), "label"), Literal(1)),
                 )
             ],
-        )
+        ))
         for h in hops
     ]
 

@@ -2,9 +2,9 @@
 
 Subcommands::
 
-    python -m repro run QUERY.gsql --graph graph.json [--param k=5] [--no-compile] ...
-    python -m repro explain QUERY.gsql [--no-compile]
-    python -m repro profile QUERY.gsql --graph graph.json [--format json] [--no-compile]
+    python -m repro run QUERY.gsql --graph graph.json [--param k=5] ...
+    python -m repro explain QUERY.gsql
+    python -m repro profile QUERY.gsql --graph graph.json [--format json]
     python -m repro lint PATH... [--graph graph.json] [--format json]
     python -m repro check PATH... [--graph graph.json] [--format json] [--dot cfg.dot] [--effects]
     python -m repro generate-snb out.json --scale 0.5 --seed 42
@@ -15,19 +15,15 @@ Subcommands::
 
 ``run`` executes a ``CREATE QUERY`` file against a JSON graph (see
 ``repro.graph.io``), prints PRINT output and result tables, and can
-switch engines with ``--engine counting|nre|nrv|asp-enum``.  By default
-the query goes through :mod:`repro.compile` — the process-wide plan
-cache plus closure-compiled execution — which is result-identical to
-the interpreter; ``--no-compile`` is the escape hatch back to the
-interpreted path.
+switch engines with ``--engine counting|nre|nrv|asp-enum``.  The query
+is lowered by :mod:`repro.compile` on its first run (``explain`` prints
+the lowered plan's summary).
 
 ``profile`` is EXPLAIN ANALYZE: it runs the query under the
 :mod:`repro.obs` collector and renders the span tree (per-block,
 per-hop timings with binding-table rows/multiplicity) plus the engine
 counter table, as text or JSON (``--output`` also writes the JSON trace
-to a file for offline analysis).  The report's ``execution`` line/field
-says whether the compiled or interpreted path ran and whether the plan
-cache hit.
+to a file for offline analysis).
 
 ``lint`` runs the :mod:`repro.analysis` rule set over ``.gsql`` files,
 Python files embedding GSQL in triple-quoted strings, or directories of
@@ -162,33 +158,6 @@ def _recover_graph_or_exit(wal_dir: str, base: Any):
     return graph
 
 
-def _load_runnable(path: str, graph: Any, no_compile: bool, fresh: bool = False):
-    """The runnable for ``run``/``profile``: the interpreted query under
-    ``--no-compile``, else the compiled plan from the process-wide plan
-    cache (a cold CLI process always misses; ``repro serve`` is where
-    the cache pays off across requests).  The miss path lowers the
-    query object :func:`_load_query` returns, so anything stamped on it
-    (certificates, test fixtures) reaches the compiled plan.
-
-    ``fresh=True`` skips the cache lookup (the new plan still replaces
-    the cached entry): sanitized runs cross-examine the certificates
-    stamped on *this* invocation's parsed query, so they must never
-    reuse a plan carrying another invocation's stamps."""
-    if no_compile:
-        return _load_query(path)
-    from .compile import compile_query, plan_cache
-
-    text = _read_source(path)
-    schema = getattr(graph, "schema", None)
-    cache = plan_cache()
-    plan = None if fresh else cache.lookup(text, schema=schema)
-    if plan is None:
-        plan = compile_query(_load_query(path), schema=schema)
-        plan.cache_status = "miss"
-        cache.insert(text, plan, schema=schema)
-    return plan
-
-
 def _print_value(value: Any) -> str:
     if isinstance(value, Table):
         lines = ["  " + " | ".join(value.columns)]
@@ -215,13 +184,12 @@ def _build_governor(args: argparse.Namespace, graph: Any = None, query: Any = No
         from .core.tractable import attach_cost_certificates
         from .graph.stats import stats_snapshot
 
-        target = getattr(query, "query", query)  # unwrap CompiledQuery
         attach_cost_certificates(
-            target, schema=getattr(graph, "schema", None),
+            query, schema=getattr(graph, "schema", None),
             stats=stats_snapshot(graph),
         )
         auto = ExecutionGovernor.from_certificate(
-            target.cost_certificate, headroom=args.headroom
+            query.cost_certificate, headroom=args.headroom
         ).budget
 
     def pick(explicit, slot):
@@ -261,9 +229,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     if args.wal_dir:
         graph = _recover_graph_or_exit(args.wal_dir, graph)
-    query = _load_runnable(
-        args.query_file, graph, args.no_compile, fresh=args.sanitize
-    )
+    query = _load_query(args.query_file)
     mode = _ENGINES[args.engine]()
     params = dict(args.param or [])
     governor = _build_governor(args, graph=graph, query=query)
@@ -315,11 +281,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
     for block_fact, cert in cost.blocks:
         at = f"L{block_fact.span.line}" if block_fact.span else "block"
         print(f"COST {at}: {cert.describe()}")
-    if not args.no_compile:
-        from .compile import compile_query
+    from .compile import compile_query
 
-        print()
-        print(compile_query(query).describe())
+    print()
+    print(compile_query(query).describe())
     issues = validate_query(query)
     if issues:
         print("\nvalidation issues:")
@@ -333,7 +298,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from .obs import profile_query
 
     graph = _load_graph(args.graph)
-    query = _load_runnable(args.query_file, graph, args.no_compile)
+    query = _load_query(args.query_file)
     mode = _ENGINES[args.engine]()
     params = dict(args.param or [])
     governor = _build_governor(args, graph=graph, query=query)
@@ -343,8 +308,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from .graph.stats import stats_snapshot
 
     attach_cost_certificates(
-        getattr(query, "query", query),
-        schema=getattr(graph, "schema", None), stats=stats_snapshot(graph),
+        query, schema=getattr(graph, "schema", None),
+        stats=stats_snapshot(graph),
     )
     report = profile_query(query, graph, mode=mode, governor=governor, **params)
     if args.output:
@@ -738,7 +703,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             retry=RetryPolicy(
                 max_attempts=args.max_attempts, seed=args.retry_seed
             ),
-            compile_enabled=not args.no_compile,
             wal_dir=args.wal_dir,
             wal_fsync=not args.no_fsync,
         )
@@ -874,9 +838,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_no_compile_flag(p: argparse.ArgumentParser, help_text: str) -> None:
-        p.add_argument("--no-compile", action="store_true", help=help_text)
-
     def add_governor_flags(p: argparse.ArgumentParser) -> None:
         gov = p.add_argument_group(
             "execution governor",
@@ -942,11 +903,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sanitize-schedules", type=int, default=8, metavar="K",
         help="number of permuted schedules per Reduce phase (default 8)",
     )
-    add_no_compile_flag(
-        run_p,
-        "execute through the interpreter instead of the plan cache + "
-        "compiled path (result-identical; see docs/compilation.md)",
-    )
     add_governor_flags(run_p)
     run_p.set_defaults(fn=cmd_run)
 
@@ -956,9 +912,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--graph", default=None,
         help="JSON graph whose statistics turn the COST lines from "
              "structural bounds into closed-form predictions",
-    )
-    add_no_compile_flag(
-        explain_p, "omit the COMPILED plan summary from the output"
     )
     explain_p.set_defaults(fn=cmd_explain)
 
@@ -977,11 +930,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile_p.add_argument(
         "--output", default=None, metavar="PATH",
         help="also write the JSON trace to PATH",
-    )
-    add_no_compile_flag(
-        profile_p,
-        "profile the interpreted path instead of the compiled one "
-        "(the report's execution field says which ran)",
     )
     add_governor_flags(profile_p)
     profile_p.set_defaults(fn=cmd_profile)
@@ -1079,11 +1027,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-fsync", action="store_true",
         help="skip fsync on WAL commit (faster, loses the power-failure "
              "guarantee; process-crash durability is unaffected)",
-    )
-    add_no_compile_flag(
-        serve_p,
-        "disable the worker-side plan cache + compiled execution for "
-        "every request (requests cannot re-enable it)",
     )
     serve_p.set_defaults(fn=cmd_serve)
 

@@ -3,14 +3,13 @@
 The lowering pass (:mod:`repro.compile.lowering`) turns an analyzed
 :class:`~repro.core.query.Query` into a :class:`CompiledQuery` of
 specialized closures — compiled expressions, fused ACCUM map kernels
-with pre-resolved combines, compile-time filter pushdown, and a baked
-``EngineMode.auto()`` tier — semantically identical to the interpreter
-and instrumented through the same obs/governor/AccSan checkpoints.
+with pre-resolved combines and a lowering-time filter pushdown — the
+one form the engine executes (``Query.run`` lowers on first use).
 The plan cache (:mod:`repro.compile.cache`) makes repeat executions of
 the same text skip parse/analyze/lowering entirely.
 
-See ``docs/compilation.md`` for the pipeline, cache keying rules, the
-kernel catalog, and the benchmark-enforced speedup contract.
+See ``docs/compilation.md`` for the pipeline, cache keying rules and
+the kernel catalog.
 """
 
 from .cache import (
@@ -23,7 +22,6 @@ from .cache import (
 from .exprc import CompiledExpr, CompileStats, compile_expr
 from .lowering import (
     CompiledBlock,
-    CompiledInputBuffer,
     CompiledQuery,
     compile_block,
     compile_query,
@@ -33,7 +31,6 @@ __all__ = [
     "CompileStats",
     "CompiledBlock",
     "CompiledExpr",
-    "CompiledInputBuffer",
     "CompiledQuery",
     "DEFAULT_CAPACITY",
     "PlanCache",

@@ -1,74 +1,30 @@
-"""Closure compilation of expression trees.
+"""Lowering expression trees: closures built once, constants folded.
 
-The interpreter walks an :class:`~repro.core.exprs.Expr` tree per
-evaluation: every node re-dispatches through ``eval`` virtual calls,
-re-resolves operators from the ``_BINARY_OPS`` table and re-lowercases
-function names.  This module lowers a tree **once** into a nest of plain
-Python closures — one ``fn(env) -> value`` per node, with operator
-functions, guard predicates and branch lists resolved at compile time —
-and wraps the result in :class:`CompiledExpr`, an ``Expr`` subclass
-whose ``eval`` simply invokes the closure.  Everything that consumes
-expressions through ``.eval(env)`` (the pattern matcher's pushed-down
-filters, ORDER BY keys, PRINT items, control-flow conditions) accepts a
-``CompiledExpr`` unchanged.
+Each :class:`~repro.core.exprs.Expr` node defines its semantics as a
+closure builder (:meth:`Expr.closure`).  This module builds a tree's
+closure **once** per plan, folds constant subtrees, and wraps the result
+in :class:`CompiledExpr` — an ``Expr`` whose ``eval`` invokes the
+prebuilt closure, so everything that consumes expressions through
+``.eval(env)`` (the pattern matcher's pushed-down filters, ORDER BY
+keys, PRINT items, control-flow conditions) runs it unchanged.
 
-Two invariants the compiler keeps, pinned by ``tests/test_compile.py``:
+``CompiledExpr.walk()`` yields the original subtree, so
+``referenced_names`` / ``primed_accum_names`` / ``contains_aggregate``
+keep working on lowered clauses.
 
-* **Semantic equivalence** — every closure reproduces the interpreter's
-  behavior exactly, including evaluation order, NULL guards, error
-  wrapping (``QueryRuntimeError`` with the same messages) and the
-  late-bound function registry (``register_function`` after compilation
-  still takes effect, because the registry probe stays per call — only
-  the name normalization and argument closures are hoisted).
-* **Analyzability** — ``CompiledExpr.walk()`` yields the original
-  subtree, so ``referenced_names`` / ``primed_accum_names`` /
-  ``contains_aggregate`` keep working on lowered clauses.
-
-Aggregate-bearing expressions are *not* compiled: the SELECT executor
-evaluates them structurally (``_eval_in_group`` folds :class:`AggCall`
-nodes over group rows), so :func:`compile_expr` returns them unchanged.
-
-Constant folding is conservative: only ``Binary`` / ``Unary`` /
-``CaseExpr`` / ``TupleExpr`` nodes whose operands are all compile-time
-constants fold, by evaluating the interpreter's own ``eval`` once at
-compile time.  A fold that *raises* is abandoned — the unfolded closure
-keeps raising at evaluation time, exactly like the interpreter.  Calls
-never fold (UDFs are registerable at runtime) and accumulator/name
-references are runtime state by definition.
+Constant folding is conservative: a subtree folds only when its builder
+reports every operand constant, by running the closure once at lowering
+time.  A fold that *raises* is abandoned — the unfolded closure keeps
+raising at evaluation time.  Calls never fold (UDFs are registerable at
+runtime) and accumulator/name references are runtime state by
+definition.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional, Tuple
 
-from ..core.exprs import (
-    _BINARY_OPS,
-    _FUNCTIONS,
-    _run_subquery,
-    ArrowExpr,
-    AttrRef,
-    Binary,
-    Call,
-    CaseExpr,
-    EvalEnv,
-    Expr,
-    GlobalAccumRef,
-    Literal,
-    Method,
-    NameRef,
-    TupleExpr,
-    Unary,
-    VertexAccumRef,
-    contains_aggregate,
-)
-from ..accum.mapaccum import MapAccum
-from ..accum.tuples import TupleValue
-from ..errors import QueryRuntimeError
-from ..graph.elements import Edge, Vertex
-from ..core.values import VertexSet
-
-#: Operators that refuse NULL operands (mirrors ``Binary.eval``).
-_NUMERIC_OPS = frozenset(("+", "-", "*", "/", "%", "<", "<=", ">", ">="))
+from ..core.exprs import EvalEnv, Expr, Literal
 
 
 class CompileStats:
@@ -81,7 +37,6 @@ class CompileStats:
         "blocks",
         "kernels",
         "combines_preresolved",
-        "engines_baked",
         "catalog",
     )
 
@@ -92,7 +47,6 @@ class CompileStats:
         self.blocks = 0
         self.kernels = 0
         self.combines_preresolved = 0
-        self.engines_baked = 0
         #: Per-block kernel descriptions for ``CompiledQuery.describe()``.
         self.catalog: list = []
 
@@ -104,16 +58,14 @@ class CompileStats:
             "blocks": self.blocks,
             "kernels": self.kernels,
             "combines_preresolved": self.combines_preresolved,
-            "engines_baked": self.engines_baked,
         }
 
 
 class CompiledExpr(Expr):
-    """An expression specialized to a closure.
+    """An expression with its closure prebuilt.
 
-    Drop-in for the interpreter's ``Expr`` wherever only ``.eval`` is
-    called; ``walk()`` exposes the *original* subtree so the static
-    helpers keep seeing the real node structure.
+    ``walk()`` exposes the *original* subtree so the static helpers keep
+    seeing the real node structure.
     """
 
     __slots__ = ("fn", "original")
@@ -125,6 +77,9 @@ class CompiledExpr(Expr):
             self.span = original.span
         except AttributeError:
             pass
+
+    def closure(self):
+        return self.fn, False
 
     def eval(self, env: EvalEnv) -> Any:
         return self.fn(env)
@@ -141,15 +96,9 @@ class CompiledExpr(Expr):
 
 
 def compile_expr(expr: Expr, stats: Optional[CompileStats] = None) -> Expr:
-    """Lower one expression tree; aggregate-bearing trees pass through.
-
-    Returns a :class:`CompiledExpr` (or the input unchanged when it
-    contains :class:`AggCall` nodes, which the SELECT executor must fold
-    structurally, or when it is already compiled).
-    """
+    """Lower one expression tree to a :class:`CompiledExpr` (an already
+    compiled input is returned unchanged)."""
     if isinstance(expr, CompiledExpr):
-        return expr
-    if contains_aggregate(expr):
         return expr
     fn, _ = compile_closure(expr, stats)
     if stats is not None:
@@ -162,12 +111,11 @@ def compile_closure(
 ) -> Tuple[Callable[[EvalEnv], Any], bool]:
     """``expr -> (fn, is_const)``: the raw closure plus a constness flag.
 
-    ``is_const`` marks subtrees whose value cannot depend on the
-    environment; such subtrees are evaluated once here and replaced by a
-    constant closure (unless the evaluation raises, in which case the
-    dynamic closure is kept so the error keeps surfacing at run time).
+    A constant subtree is evaluated once here and replaced by a constant
+    closure (unless the evaluation raises, in which case the dynamic
+    closure is kept so the error keeps surfacing at run time).
     """
-    fn, const = _compile(expr)
+    fn, const = expr.closure()
     if const and not isinstance(expr, Literal):
         try:
             value = fn(_EMPTY_ENV)
@@ -182,343 +130,6 @@ def compile_closure(
 #: Environment handed to compile-time constant folds.  Constant subtrees
 #: never touch it; anything that does raises and aborts the fold.
 _EMPTY_ENV = EvalEnv(None)  # type: ignore[arg-type]
-
-
-def _compile(expr: Expr) -> Tuple[Callable[[EvalEnv], Any], bool]:
-    if isinstance(expr, CompiledExpr):
-        return expr.fn, False
-    if isinstance(expr, Literal):
-        value = expr.value
-        return (lambda env: value), True
-    if isinstance(expr, NameRef):
-        return _compile_name(expr.name), False
-    if isinstance(expr, AttrRef):
-        return _compile_attr(expr), False
-    if isinstance(expr, GlobalAccumRef):
-        return _compile_global_accum(expr), False
-    if isinstance(expr, VertexAccumRef):
-        return _compile_vertex_accum(expr), False
-    if isinstance(expr, Binary):
-        return _compile_binary(expr)
-    if isinstance(expr, Unary):
-        return _compile_unary(expr)
-    if isinstance(expr, Call):
-        return _compile_call(expr), False
-    if isinstance(expr, Method):
-        return _compile_method(expr), False
-    if isinstance(expr, TupleExpr):
-        fns = tuple(_compile(item) for item in expr.items)
-        item_fns = tuple(fn for fn, _ in fns)
-        const = all(c for _, c in fns)
-        return (lambda env: tuple(fn(env) for fn in item_fns)), const
-    if isinstance(expr, ArrowExpr):
-        key_fns = tuple(_compile(k)[0] for k in expr.keys)
-        value_fns = tuple(_compile(v)[0] for v in expr.values)
-        return (
-            lambda env: (
-                tuple(fn(env) for fn in key_fns),
-                tuple(fn(env) for fn in value_fns),
-            ),
-            False,
-        )
-    if isinstance(expr, CaseExpr):
-        return _compile_case(expr)
-    # AggCall (eval raises by design) and unknown extension nodes fall
-    # back to the interpreter's own bound eval — still usable inside a
-    # compiled parent, with interpreter-identical behavior.
-    return expr.eval, False
-
-
-def _compile_name(name: str) -> Callable[[EvalEnv], Any]:
-    def run(env: EvalEnv) -> Any:
-        if name in env.locals:
-            return env.locals[name]
-        if name in env.row:
-            return env.row[name]
-        ctx = env.ctx
-        if name in ctx.params:
-            return ctx.params[name]
-        if name in ctx.vertex_sets:
-            return ctx.vertex_sets[name]
-        if name in ctx.tables:
-            return ctx.tables[name]
-        raise QueryRuntimeError(f"unknown name {name!r} in expression")
-
-    return run
-
-
-def _compile_attr(expr: AttrRef) -> Callable[[EvalEnv], Any]:
-    base_fn, _ = _compile(expr.base)
-    attr = expr.attr
-
-    def run(env: EvalEnv) -> Any:
-        base = base_fn(env)
-        if isinstance(base, (Vertex, Edge)):
-            if attr in base:
-                return base[attr]
-            raise QueryRuntimeError(f"{base!r} has no attribute {attr!r}")
-        if isinstance(base, TupleValue):
-            return base.get(attr)
-        if isinstance(base, dict):
-            try:
-                return base[attr]
-            except KeyError:
-                raise QueryRuntimeError(f"map has no key {attr!r}") from None
-        raise QueryRuntimeError(
-            f"cannot read attribute {attr!r} of {type(base).__name__}"
-        )
-
-    return run
-
-
-def _compile_global_accum(expr: GlobalAccumRef) -> Callable[[EvalEnv], Any]:
-    name = expr.name
-    if expr.primed:
-        key = "@@" + name
-
-        def run_primed(env: EvalEnv) -> Any:
-            snap = env.primed.get(key)
-            if snap is None:
-                raise QueryRuntimeError(
-                    f"no snapshot for @@{name}' (primed reads are only "
-                    f"valid inside a query block)"
-                )
-            return snap.get(None)
-
-        return run_primed
-
-    def run(env: EvalEnv) -> Any:
-        return env.ctx.global_accum(name).value
-
-    return run
-
-
-def _compile_vertex_accum(expr: VertexAccumRef) -> Callable[[EvalEnv], Any]:
-    base_fn, _ = _compile(expr.base)
-    name = expr.name
-    if expr.primed:
-
-        def run_primed(env: EvalEnv) -> Any:
-            vertex = base_fn(env)
-            if not isinstance(vertex, Vertex):
-                raise QueryRuntimeError(
-                    f"@{name} must be read through a vertex variable, "
-                    f"got {type(vertex).__name__}"
-                )
-            snap = env.primed.get(name)
-            if snap is None:
-                raise QueryRuntimeError(
-                    f"no snapshot for @{name}' (the block never "
-                    f"captured one)"
-                )
-            if vertex.vid in snap:
-                return snap[vertex.vid]
-            return env.ctx.declaration(name).factory().value
-
-        return run_primed
-
-    def run(env: EvalEnv) -> Any:
-        vertex = base_fn(env)
-        if not isinstance(vertex, Vertex):
-            raise QueryRuntimeError(
-                f"@{name} must be read through a vertex variable, "
-                f"got {type(vertex).__name__}"
-            )
-        return env.ctx.vertex_accum(name, vertex.vid).value
-
-    return run
-
-
-def _contains(item: Any, container: Any) -> bool:
-    if isinstance(container, VertexSet):
-        return item in container
-    if isinstance(container, MapAccum):
-        return item in container
-    try:
-        return item in container
-    except TypeError:
-        raise QueryRuntimeError(
-            f"right side of IN is not a collection: {container!r}"
-        ) from None
-
-
-def _compile_binary(expr: Binary) -> Tuple[Callable[[EvalEnv], Any], bool]:
-    op = expr.op
-    left_fn, left_const = _compile(expr.left)
-    right_fn, right_const = _compile(expr.right)
-    const = left_const and right_const
-    if op == "AND":
-        return (lambda env: bool(left_fn(env)) and bool(right_fn(env))), const
-    if op == "OR":
-        return (lambda env: bool(left_fn(env)) or bool(right_fn(env))), const
-    if op == "IN":
-        return (lambda env: _contains(left_fn(env), right_fn(env))), const
-    if op == "NOT IN":
-        return (lambda env: not _contains(left_fn(env), right_fn(env))), const
-    fn = _BINARY_OPS.get(op)
-    if fn is None:
-        def run_unknown(env: EvalEnv) -> Any:
-            left_fn(env)
-            right_fn(env)
-            raise QueryRuntimeError(f"unknown operator {op!r}")
-
-        return run_unknown, False
-    if op in _NUMERIC_OPS:
-        def run_guarded(env: EvalEnv) -> Any:
-            left = left_fn(env)
-            right = right_fn(env)
-            if left is None or right is None:
-                raise QueryRuntimeError(
-                    f"operator {op!r} applied to NULL operand "
-                    f"({left!r} {op} {right!r})"
-                )
-            try:
-                return fn(left, right)
-            except ZeroDivisionError:
-                raise QueryRuntimeError(
-                    f"division by zero: {left!r} {op} {right!r}"
-                ) from None
-            except TypeError as exc:
-                raise QueryRuntimeError(
-                    f"type error in {left!r} {op} {right!r}: {exc}"
-                ) from None
-
-        return run_guarded, const
-
-    def run(env: EvalEnv) -> Any:
-        left = left_fn(env)
-        right = right_fn(env)
-        try:
-            return fn(left, right)
-        except ZeroDivisionError:
-            raise QueryRuntimeError(
-                f"division by zero: {left!r} {op} {right!r}"
-            ) from None
-        except TypeError as exc:
-            raise QueryRuntimeError(
-                f"type error in {left!r} {op} {right!r}: {exc}"
-            ) from None
-
-    return run, const
-
-
-def _compile_unary(expr: Unary) -> Tuple[Callable[[EvalEnv], Any], bool]:
-    op = expr.op
-    operand_fn, const = _compile(expr.operand)
-    if op == "NOT":
-        return (lambda env: not bool(operand_fn(env))), const
-    if op == "-":
-        def run_neg(env: EvalEnv) -> Any:
-            value = operand_fn(env)
-            if value is None:
-                raise QueryRuntimeError("unary minus applied to NULL")
-            return -value
-
-        return run_neg, const
-    if op == "+":
-        return operand_fn, const
-
-    def run_unknown(env: EvalEnv) -> Any:
-        operand_fn(env)
-        raise QueryRuntimeError(f"unknown unary operator {op!r}")
-
-    return run_unknown, False
-
-
-def _compile_call(expr: Call) -> Callable[[EvalEnv], Any]:
-    # The registry probe stays per call on purpose: register_function()
-    # may add or replace UDFs after compilation, and names not in the
-    # registry resolve through the context's *runtime* subquery table.
-    name = expr.name
-    lname = name.lower()
-    lookup = _FUNCTIONS.get
-    arg_fns = tuple(_compile(arg)[0] for arg in expr.args)
-
-    def run(env: EvalEnv) -> Any:
-        fn = lookup(lname)
-        values = [f(env) for f in arg_fns]
-        if fn is None:
-            subquery = env.ctx.subqueries.get(name)
-            if subquery is None:
-                raise QueryRuntimeError(
-                    f"unknown function or subquery {name!r}"
-                )
-            return _run_subquery(env.ctx, subquery, values)
-        try:
-            return fn(*values)
-        except (ValueError, TypeError) as exc:
-            raise QueryRuntimeError(
-                f"error in {name}({', '.join(map(repr, values))}): {exc}"
-            ) from None
-
-    return run
-
-
-def _compile_method(expr: Method) -> Callable[[EvalEnv], Any]:
-    base_fn, _ = _compile(expr.base)
-    arg_fns = tuple(_compile(arg)[0] for arg in expr.args)
-    raw_name = expr.name
-    name = raw_name.lower()
-
-    def run(env: EvalEnv) -> Any:
-        base = base_fn(env)
-        args = [f(env) for f in arg_fns]
-        if isinstance(base, Vertex):
-            if name == "outdegree":
-                return env.ctx.graph.outdegree(base.vid, *args)
-            if name == "indegree":
-                return env.ctx.graph.indegree(base.vid, *args)
-            if name == "id":
-                return base.vid
-            if name == "type":
-                return base.type
-            raise QueryRuntimeError(f"vertices have no method {raw_name!r}")
-        if isinstance(base, Edge) and name == "type":
-            return base.type
-        if name == "size":
-            try:
-                return len(base)
-            except TypeError:
-                raise QueryRuntimeError(
-                    f".size() on non-collection {base!r}"
-                ) from None
-        if name == "contains":
-            return args[0] in base
-        if name == "get":
-            if isinstance(base, dict):
-                return base.get(*args)
-            raise QueryRuntimeError(f".get() on non-map {base!r}")
-        if name == "top":
-            items = base if isinstance(base, tuple) else tuple(base)
-            return items[0] if items else None
-        raise QueryRuntimeError(
-            f"unknown method {raw_name!r} on {type(base).__name__}"
-        )
-
-    return run
-
-
-def _compile_case(expr: CaseExpr) -> Tuple[Callable[[EvalEnv], Any], bool]:
-    whens = tuple(
-        (_compile(cond), _compile(result)) for cond, result in expr.whens
-    )
-    when_fns = tuple((c[0], r[0]) for c, r in whens)
-    const = all(c[1] and r[1] for c, r in whens)
-    if expr.default is not None:
-        default_fn, default_const = _compile(expr.default)
-        const = const and default_const
-    else:
-        default_fn = None
-
-    def run(env: EvalEnv) -> Any:
-        for cond_fn, result_fn in when_fns:
-            if cond_fn(env):
-                return result_fn(env)
-        if default_fn is not None:
-            return default_fn(env)
-        return None
-
-    return run, const
 
 
 __all__ = ["CompiledExpr", "CompileStats", "compile_expr", "compile_closure"]

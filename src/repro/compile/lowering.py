@@ -1,30 +1,21 @@
-"""Lowering: analyzed queries to specialized executable form.
+"""Lowering: analyzed queries to their executable form.
 
 :func:`compile_query` turns a parsed (and certificate-stamped) ``Query``
-into a :class:`CompiledQuery`: a parallel statement tree in which
+into a :class:`CompiledQuery` — the one form the engine executes
+(``Query.run`` lowers on first use and runs the result).  In it
 
 * every expression is a :class:`~repro.compile.exprc.CompiledExpr`
-  closure (constant subtrees folded at compile time);
+  closure (constant subtrees folded at lowering time);
 * every SELECT block is a :class:`CompiledBlock` that precomputes, once,
-  what the interpreter recomputes per execution — the filter-pushdown
-  split, the primed-snapshot name set, the POST_ACCUM per-statement
-  dependency lists, and a **fused ACCUM map kernel**: a two-stage
-  closure (``bind(ctx, buffer) -> row_fn(env, μ)``) whose bind stage
-  resolves accumulator instances and buffer methods once per block
-  execution instead of once per row;
-* a conclusive tractability certificate bakes the ``EngineMode.auto()``
-  resolution into the plan (the planner's *compiled tier* — see
-  :func:`repro.core.planner.compile_time_engine`), leaving only
-  UNKNOWN-certificate blocks to the runtime probe.
+  the filter-pushdown split, the primed-snapshot name set, the
+  POST_ACCUM per-statement dependency lists, and a **fused ACCUM map
+  kernel**: a two-stage closure (``bind(ctx, buffer) -> row_fn(env, μ)``)
+  whose bind stage resolves accumulator instances and buffer methods
+  once per block execution instead of once per row.
 
-The lowered form is **behavior-identical** to the interpreter and runs
-through the same obs / governor / AccSan / fault-injection checkpoints
-in the same order — ``CompiledBlock._execute`` mirrors
-``SelectBlock._execute`` span for span and counter for counter (the
-only intentional deltas are listed in ``docs/compilation.md``).  The
-original ``Query`` object is left untouched and remains the target of
-static analysis; the lowered clone never aliases mutable clause lists
-with it.
+The original ``Query`` object is left untouched and remains the target
+of static analysis; the lowered statements never alias mutable clause
+lists with it.
 """
 
 from __future__ import annotations
@@ -37,7 +28,7 @@ from ..core.block import OutputColumn, OutputFragment, SelectBlock
 from ..core.context import QueryContext
 from ..core.exprs import EvalEnv, Expr, primed_accum_names
 from ..core.pattern import EngineMode, evaluate_pattern
-from ..core.planner import and_all, compile_time_engine, push_down_filters, select_engine
+from ..core.planner import and_all, push_down_filters, select_engine
 from ..core.query import (
     DeclareAccum,
     Foreach,
@@ -47,6 +38,7 @@ from ..core.query import (
     PrintItem,
     PrintSetProjection,
     Query,
+    QueryResult,
     Return,
     RunBlock,
     SetAssign,
@@ -62,10 +54,9 @@ from ..core.stmts import (
     AttributeUpdate,
     InputBuffer,
     LocalAssign,
-    _distinct_projections,
-    _run_accum_statements,
-    _run_post_statement,
     collect_primed_names,
+    foreach_items,
+    run_post_accum,
 )
 from ..errors import QueryRuntimeError
 from ..governor import faults as _faults
@@ -75,34 +66,6 @@ from ..obs import metrics as _obs
 from .exprc import CompileStats, compile_closure, compile_expr
 
 
-class CompiledInputBuffer(InputBuffer):
-    """An :class:`InputBuffer` whose Reduce phase pre-resolves combines.
-
-    The interpreter's flush looks ``combine_weighted`` up on every
-    buffered input; here the bound method is fetched once per run of
-    consecutive inputs to the same accumulator instance (the dominant
-    shape: one global accumulator, or per-vertex inputs grouped by row
-    order).  Counters and ordering are identical to the parent.
-    """
-
-    def flush(self) -> None:
-        col = _obs._ACTIVE
-        if col is not None and (self._sets or self._adds):
-            col.count("accum.assigns", len(self._sets))
-            col.count("accum.combine_weighted", len(self._adds))
-        for acc, value in self._sets:
-            acc.assign(value)
-        last_acc = None
-        combine = None
-        for acc, value, multiplicity in self._adds:
-            if acc is not last_acc:
-                combine = acc.combine_weighted
-                last_acc = acc
-            combine(value, multiplicity)
-        self._adds.clear()
-        self._sets.clear()
-
-
 # ----------------------------------------------------------------------
 # ACCUM map kernel
 # ----------------------------------------------------------------------
@@ -110,7 +73,10 @@ class CompiledInputBuffer(InputBuffer):
 # once: ``compile_accum_clause`` runs at compile time and returns a
 # *binder*; the block calls ``binder(ctx, buffer)`` once per execution,
 # which resolves accumulator instances / family factories / buffer
-# methods and returns the per-row function ``run(env, μ)``.
+# methods and returns the per-row function ``run(env, μ)``.  The bind
+# stage only needs ``global_accum`` / ``vertex_accum_resolver`` from its
+# first argument and ``add`` / ``set`` from its second, which is how
+# ``parallel_accum`` points the same kernel at a worker's private scratch.
 
 _Binder = Callable[[QueryContext, InputBuffer], Callable[[EvalEnv, int], None]]
 
@@ -193,17 +159,7 @@ def _compile_acc_statement(
             body_runs = [b(ctx, buffer) for b in body_binders]
 
             def run(env: EvalEnv, multiplicity: int) -> None:
-                value = coll_fn(env)
-                if isinstance(value, dict):
-                    items = list(value.items())
-                else:
-                    try:
-                        items = list(value)
-                    except TypeError:
-                        raise QueryRuntimeError(
-                            f"FOREACH needs an iterable, got "
-                            f"{type(value).__name__}"
-                        ) from None
+                items = foreach_items(coll_fn(env))
                 locals_ = env.locals
                 had_prior = var in locals_
                 prior = locals_.get(var)
@@ -222,26 +178,20 @@ def _compile_acc_statement(
 
         return bind_foreach
     if isinstance(stmt, AttributeUpdate):
-        def bind_attr(ctx, buffer):
-            def run(env: EvalEnv, multiplicity: int) -> None:
-                raise QueryRuntimeError(
-                    "attribute assignments are only allowed in POST_ACCUM "
-                    "(in ACCUM, acc-executions for the same vertex would race)"
-                )
+        message = (
+            "attribute assignments are only allowed in POST_ACCUM "
+            "(in ACCUM, acc-executions for the same vertex would race)"
+        )
+    else:
+        message = f"unknown ACCUM statement {stmt!r}"
 
-            return run
-
-        return bind_attr
-
-    # Unknown extension statement: interpret it (full parity by
-    # construction; nothing to specialize).
-    def bind_fallback(ctx, buffer):
+    def bind_reject(ctx, buffer):
         def run(env: EvalEnv, multiplicity: int) -> None:
-            _run_accum_statements([stmt], env, buffer, multiplicity)
+            raise QueryRuntimeError(message)
 
         return run
 
-    return bind_fallback
+    return bind_reject
 
 
 def _compile_accum_update(
@@ -318,8 +268,8 @@ def _compile_accum_update(
 # ----------------------------------------------------------------------
 
 def _clone_acc_statement(stmt: AccStatement, stats: CompileStats) -> AccStatement:
-    """A structural clone with compiled expressions (same classes, so the
-    interpreter's POST_ACCUM dispatcher keeps working on it)."""
+    """A structural clone with compiled expressions (same classes, so
+    the POST_ACCUM dispatcher runs it)."""
     if isinstance(stmt, LocalAssign):
         return LocalAssign(stmt.name, compile_expr(stmt.expr, stats), stmt.type_name)
     if isinstance(stmt, AccumUpdate):
@@ -353,19 +303,16 @@ def _clone_acc_statement(stmt: AccStatement, stats: CompileStats) -> AccStatemen
 # ----------------------------------------------------------------------
 
 class CompiledBlock(SelectBlock):
-    """A SELECT block specialized by the lowering pass.
+    """The executable form of a SELECT block.
 
-    Execution mirrors :meth:`SelectBlock._execute` checkpoint for
-    checkpoint — governor tick, AUTO resolution, degradation ladder,
-    tractability check, primed capture, pattern span, residual filter,
-    acc-execution charge, per-row fault site, Map/Reduce spans, AccSan
-    replay, POST_ACCUM, memory check, fragments, vertex-set result —
-    with the per-execution planning (pushdown split, primed-name
-    collection, POST_ACCUM dependency analysis, AUTO certificate
-    reading) hoisted to compile time.
+    One execution runs, in order: governor tick, AUTO resolution,
+    degradation ladder, tractability check, primed capture, pattern
+    span, residual filter, acc-execution charge, per-row fault site,
+    Map/Reduce spans, AccSan replay, POST_ACCUM, memory check,
+    fragments, vertex-set result.  The planning that does not depend on
+    the execution (pushdown split, primed-name collection, POST_ACCUM
+    dependency analysis) happens here, once, at lowering time.
     """
-
-    compiled = True
 
     def __init__(self, original: SelectBlock, decl_types: Dict[str, Any],
                  stats: CompileStats):
@@ -411,8 +358,8 @@ class CompiledBlock(SelectBlock):
         self.cost_certificate = original.cost_certificate
 
         pattern_vars = set(original.pattern.variables())
-        # Pushdown split, once.  (The planner.pushdown_* counters are
-        # charged here, at compile time, instead of per execution.)
+        # Pushdown split, once (so the planner.pushdown_* counters are
+        # charged per lowering, not per execution).
         var_filters, residual_conjuncts = push_down_filters(
             original.where, pattern_vars
         )
@@ -430,10 +377,10 @@ class CompiledBlock(SelectBlock):
                 continue
             kept.append(compile_expr(conjunct, stats))
         residual = and_all(kept)
-        self._residual_fn = residual.eval if residual is not None else None
+        self._residual_fn = (
+            residual.closure()[0] if residual is not None else None
+        )
 
-        # Primed-snapshot names, once (the interpreter re-collects them
-        # per execution in _capture_primed).
         names = collect_primed_names(original.accum) | collect_primed_names(
             original.post_accum
         )
@@ -445,8 +392,7 @@ class CompiledBlock(SelectBlock):
         self._map_bind = compile_accum_clause(original.accum, decl_types, stats)
 
         # POST_ACCUM: compiled statement clones with their dependency
-        # variable lists precomputed (the interpreter sorts them per
-        # execution).
+        # variable lists.
         self._post_stmts: List[Tuple[AccStatement, List[str]]] = [
             (
                 _clone_acc_statement(stmt, stats),
@@ -457,13 +403,6 @@ class CompiledBlock(SelectBlock):
             for stmt in original.post_accum
         ]
 
-        # The compiled tier of EngineMode.auto(): a conclusive
-        # certificate resolves the engine now; None keeps the runtime
-        # probe.
-        self._auto_engine = compile_time_engine(original)
-        if self._auto_engine is not None:
-            stats.engines_baked += 1
-
         stats.blocks += 1
         stats.catalog.append({
             "pattern": repr(original.pattern),
@@ -473,10 +412,8 @@ class CompiledBlock(SelectBlock):
             "map_kernel": bool(self._map_bind),
             "post_accum_statements": len(self._post_stmts),
             "primed_snapshots": sorted(self._primed_names),
-            "auto_engine": self._auto_engine,
         })
 
-    # -- overridden hooks ----------------------------------------------
     def _capture_primed(self, ctx: QueryContext) -> Dict[str, Dict[Any, Any]]:
         snapshots: Dict[str, Dict[Any, Any]] = {}
         for name in self._primed_names:
@@ -491,9 +428,7 @@ class CompiledBlock(SelectBlock):
         if col is None:
             return self._execute(ctx, mode, None)
         span = col.span(
-            "select_block",
-            label=f"SELECT  FROM {self.pattern!r}",
-            compiled=True,
+            "select_block", label=f"SELECT  FROM {self.pattern!r}"
         )
         try:
             return self._execute(ctx, mode, col)
@@ -507,11 +442,7 @@ class CompiledBlock(SelectBlock):
         if self.semantics is not None:
             mode = mode.for_semantics(self.semantics)
         if mode.kind == EngineMode.AUTO:
-            baked = self._auto_engine
-            if baked is None:
-                mode = select_engine(self, ctx, mode)
-            else:
-                mode = self._baked_mode(baked, mode, col)
+            mode = select_engine(self, ctx, mode)
             if col is not None:
                 col.count(f"block.engine.{mode.kind}")
         if gov is not None:
@@ -528,6 +459,8 @@ class CompiledBlock(SelectBlock):
                 col.close(pattern_span)
         rows = table.rows
         if col is not None:
+            # Appendix A in two numbers: compressed size vs. the
+            # conceptual (path-weighted) size it stands in for.
             pattern_span.set(
                 rows=len(rows), multiplicity=table.total_multiplicity()
             )
@@ -546,10 +479,12 @@ class CompiledBlock(SelectBlock):
 
         if self._map_bind is not None:
             if gov is not None:
+                # One acc-execution per compressed row — charged up front
+                # so a breached cap aborts before any Map work runs.
                 gov.charge_acc_executions(len(rows))
             if col is not None:
                 map_span = col.span("accum_map", statements=len(self.accum))
-            buffer = CompiledInputBuffer()
+            buffer = InputBuffer()
             locals_: Dict[str, Any] = {}
             kernel = self._map_bind(ctx, buffer)
             try:
@@ -569,6 +504,8 @@ class CompiledBlock(SelectBlock):
                             )
                 finally:
                     if col is not None:
+                        # One acc-execution per *compressed* row — the count
+                        # that stays flat while path multiplicities explode.
                         map_span.set(acc_executions=len(rows))
                         col.count("block.acc_executions", len(rows))
                         col.close(map_span)
@@ -578,12 +515,18 @@ class CompiledBlock(SelectBlock):
                     if _faults._PLAN is not None:
                         _faults.fire("block.reduce")
                     if _accsan._ACTIVE is not None:
+                        # Replay the buffered inputs under permuted
+                        # schedules *before* the real flush mutates the
+                        # live accumulators.
                         _accsan._ACTIVE.check_flush(self, buffer)
                     buffer.flush()
                 finally:
                     if col is not None:
                         col.close(reduce_span)
             except BaseException:
+                # Any failure between Map start and Reduce end releases
+                # the scratch partials: snapshot semantics means the live
+                # accumulators were untouched until flush() completed.
                 buffer.clear()
                 raise
 
@@ -595,7 +538,7 @@ class CompiledBlock(SelectBlock):
                     "post_accum", statements=len(self.post_accum)
                 )
             try:
-                self._run_post_accum(ctx, rows, primed, col)
+                run_post_accum(self._post_stmts, ctx, rows, primed)
             finally:
                 if col is not None:
                     col.close(post_span)
@@ -610,45 +553,26 @@ class CompiledBlock(SelectBlock):
             return self._vertex_set_result(ctx, rows, primed)
         return None
 
-    def _baked_mode(self, baked: str, mode: EngineMode, col) -> EngineMode:
-        """Apply the compile-time AUTO resolution, preserving the
-        interpreter path's planner counter surface (with the source
-        labelled ``compiled``)."""
-        if col is not None:
-            effect = self.effect_certificate
-            if effect is not None:
-                col.count(f"planner.effects.{effect.status.value}")
-                if effect.delta_maintainable:
-                    col.count("planner.effects.delta_maintainable")
-            col.count(f"planner.auto_{baked}")
-            col.count("planner.auto_source.compiled")
-        if baked == "enumeration":
-            return EngineMode.enumeration(
-                mode.semantics, budget=mode.budget, max_length=mode.max_length
-            )
-        return EngineMode.counting(
-            max_length=mode.max_length, semantics=mode.semantics
-        )
-
-    def _run_post_accum(self, ctx, rows, primed, col) -> None:
-        buffer = CompiledInputBuffer()
-        for stmt, deps in self._post_stmts:
-            executions = _distinct_projections(rows, deps)
-            if col is not None:
-                col.count("block.post_accum_executions", len(executions))
-            locals_: Dict[str, Any] = {}
-            for binding in executions:
-                env = EvalEnv(ctx, binding, locals_, primed)
-                locals_.clear()
-                _run_post_statement(stmt, ctx, env, buffer)
-        if _accsan._ACTIVE is not None:
-            _accsan._ACTIVE.check_flush(None, buffer)
-        buffer.flush()
-
 
 # ----------------------------------------------------------------------
 # Statement lowering
 # ----------------------------------------------------------------------
+
+def _lower_statements(
+    statements: List[Statement], decl_types: Dict[str, Any], stats: CompileStats
+) -> List[Statement]:
+    """Lower a statement list, flattening the parser's statement groups
+    (one source statement that produced several: a declaration list, a
+    SELECT with set aliases) so their members are lowered too."""
+    out: List[Statement] = []
+    for stmt in statements:
+        members = getattr(stmt, "statements", None)
+        if members is not None:
+            out.extend(_lower_statements(members, decl_types, stats))
+        else:
+            out.append(_lower_statement(stmt, decl_types, stats))
+    return out
+
 
 def _lower_statement(
     stmt: Statement, decl_types: Dict[str, Any], stats: CompileStats
@@ -680,7 +604,7 @@ def _lower_statement(
     elif isinstance(stmt, While):
         new = While(
             compile_expr(stmt.cond, stats),
-            [_lower_statement(s, decl_types, stats) for s in stmt.body],
+            _lower_statements(stmt.body, decl_types, stats),
             limit=(
                 compile_expr(stmt.limit, stats)
                 if stmt.limit is not None
@@ -692,13 +616,13 @@ def _lower_statement(
         new = Foreach(
             stmt.var,
             compile_expr(stmt.collection, stats),
-            [_lower_statement(s, decl_types, stats) for s in stmt.body],
+            _lower_statements(stmt.body, decl_types, stats),
         )
     elif isinstance(stmt, If):
         new = If(
             compile_expr(stmt.cond, stats),
-            [_lower_statement(s, decl_types, stats) for s in stmt.then],
-            [_lower_statement(s, decl_types, stats) for s in stmt.otherwise],
+            _lower_statements(stmt.then, decl_types, stats),
+            _lower_statements(stmt.otherwise, decl_types, stats),
         )
     elif isinstance(stmt, Print):
         items: List[Any] = []
@@ -732,11 +656,14 @@ def _lower_statement(
 
 def _collect_decl_types(statements: List[Statement]) -> Dict[str, Any]:
     """name -> AccumTypeInfo for every DeclareAccum, recursing into
-    control flow (feeds the op-algebra lookup of the map kernel)."""
+    control flow and statement groups (feeds the op-algebra lookup of
+    the map kernel)."""
     out: Dict[str, Any] = {}
     for stmt in statements:
         if isinstance(stmt, DeclareAccum):
             out[stmt.name] = stmt.type_info
+        elif getattr(stmt, "statements", None) is not None:
+            out.update(_collect_decl_types(stmt.statements))
         elif isinstance(stmt, While):
             out.update(_collect_decl_types(stmt.body))
         elif isinstance(stmt, Foreach):
@@ -756,26 +683,22 @@ class CompiledQuery:
 
     ``query`` is the original parsed :class:`~repro.core.query.Query`
     (the analysis target — certificates, cached model, diagnostics);
-    ``lowered`` is the specialized clone that actually executes.  The
-    epoch captured at compile time makes the plan *stale* as soon as
-    ``query.invalidate_analysis()`` runs — the plan cache drops stale
-    entries on lookup.
+    ``statements`` is the lowered statement list that executes.  The
+    epoch captured at lowering time makes the plan *stale* as soon as
+    ``query.invalidate_analysis()`` runs — ``Query.run`` re-lowers and
+    the plan cache drops stale entries on lookup.
     """
-
-    #: Class-level marker so callers holding "a runnable" (Query or
-    #: CompiledQuery) can report which execution path they are on.
-    compiled = True
 
     def __init__(
         self,
         query: Query,
-        lowered: Query,
+        statements: List[Statement],
         stats: CompileStats,
         flags: Tuple[str, ...] = (),
         schema=None,
     ):
         self.query = query
-        self.lowered = lowered
+        self.statements = statements
         self.stats = stats
         self.flags = tuple(flags)
         self.schema = schema
@@ -830,11 +753,54 @@ class CompiledQuery:
     def stale(self) -> bool:
         return self.query._analysis_epoch != self._epoch
 
-    def run(self, graph, mode=None, tables=None, subqueries=None, **params):
-        """Execute the lowered form (same signature as ``Query.run``)."""
-        return self.lowered.run(
-            graph, mode=mode, tables=tables, subqueries=subqueries, **params
+    def run(self, graph, mode=None, tables=None, subqueries=None, **param_values):
+        """Execute against ``graph``.
+
+        ``mode`` selects the evaluation engine; the default is the paper's
+        counting engine under all-shortest-paths semantics.  ``tables``
+        registers relational input tables, scannable from FROM clauses
+        (the Figure 1 graph-table join).  Parameter values are keyword
+        arguments matching the declared parameters.
+        """
+        mode = mode or EngineMode.counting()
+        query = self.query
+        resolved: Dict[str, Any] = {}
+        declared = {p.name for p in query.params}
+        for key in param_values:
+            if key not in declared:
+                raise QueryRuntimeError(
+                    f"query {query.name!r} has no parameter {key!r}"
+                )
+        for param in query.params:
+            if param.name in param_values:
+                resolved[param.name] = param.resolve(graph, param_values[param.name])
+            elif param.default is not None:
+                resolved[param.name] = param.resolve(graph, param.default)
+            else:
+                raise QueryRuntimeError(
+                    f"missing required parameter {param.name!r} of query "
+                    f"{query.name!r}"
+                )
+        ctx = QueryContext(graph, resolved)
+        if tables:
+            ctx.tables.update(tables)
+        if subqueries:
+            ctx.subqueries.update(subqueries)
+        col = _obs._ACTIVE
+        if col is None:
+            for stmt in self.statements:
+                stmt.execute(ctx, mode)
+            return QueryResult(ctx)
+        span = col.span(
+            "query", label=f"QUERY {query.name}", engine=mode.kind,
+            semantics=mode.semantics.value,
         )
+        try:
+            for stmt in self.statements:
+                stmt.execute(ctx, mode)
+        finally:
+            col.close(span)
+        return QueryResult(ctx)
 
     def report(self) -> dict:
         """Lowering statistics (what got specialized)."""
@@ -854,12 +820,10 @@ class CompiledQuery:
             ),
             (
                 f"  {s.kernels} map kernel(s), {s.combines_preresolved} "
-                f"combine(s) pre-resolved from the op-algebra table, "
-                f"{s.engines_baked} AUTO engine choice(s) baked"
+                f"combine(s) pre-resolved from the op-algebra table"
             ),
         ]
         for entry in s.catalog:
-            auto = entry["auto_engine"] or "runtime probe"
             lines.append(f"  BLOCK FROM {entry['pattern']}")
             lines.append(
                 f"    pushdown -> {entry['pushdown_vars'] or 'none'}; "
@@ -872,8 +836,7 @@ class CompiledQuery:
             )
             lines.append(
                 f"    map kernel: {'fused' if entry['map_kernel'] else 'none'}; "
-                f"post-accum stmts: {entry['post_accum_statements']}; "
-                f"auto tier: {auto}"
+                f"post-accum stmts: {entry['post_accum_statements']}"
             )
         return "\n".join(lines)
 
@@ -906,14 +869,7 @@ def compile_query(
             pass
         stats = CompileStats()
         decl_types = _collect_decl_types(query.statements)
-        lowered_statements = [
-            _lower_statement(stmt, decl_types, stats) for stmt in query.statements
-        ]
-        lowered = Query(
-            query.name, lowered_statements, query.params, query.graph_name
-        )
-        lowered.source = query.source
-        lowered.compiled = True
+        statements = _lower_statements(query.statements, decl_types, stats)
         if col is not None:
             col.count("compile.blocks", stats.blocks)
             col.count("compile.exprs", stats.exprs)
@@ -925,22 +881,20 @@ def compile_query(
                 col.count(
                     "compile.combines_preresolved", stats.combines_preresolved
                 )
-            if stats.engines_baked:
-                col.count("compile.engines_baked", stats.engines_baked)
-        return CompiledQuery(query, lowered, stats, flags=flags, schema=schema)
+        return CompiledQuery(query, statements, stats, flags=flags, schema=schema)
     finally:
         if span is not None:
             col.close(span)
 
 
 def compile_block(block: SelectBlock) -> CompiledBlock:
-    """Lower a single programmatic SELECT block (test/tooling helper)."""
+    """Lower a single programmatic SELECT block (what
+    ``SelectBlock.execute`` runs)."""
     return CompiledBlock(block, {}, CompileStats())
 
 
 __all__ = [
     "CompiledBlock",
-    "CompiledInputBuffer",
     "CompiledQuery",
     "compile_accum_clause",
     "compile_block",

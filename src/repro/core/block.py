@@ -1,6 +1,9 @@
 """The SELECT query block: FROM / WHERE / ACCUM / POST_ACCUM / outputs.
 
-Execution follows the declarative semantics of Section 4 exactly:
+:class:`SelectBlock` is the clause AST plus the engine-choice checks and
+output materialization; the executor is its lowered form
+(:class:`repro.compile.lowering.CompiledBlock`), which follows the
+declarative semantics of Section 4 exactly:
 
 1. capture block-entry snapshots for accumulators read with a prime;
 2. evaluate the FROM pattern to the compressed binding table;
@@ -17,35 +20,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .. import accsan as _accsan
 from ..errors import QueryRuntimeError, TractabilityError
-from ..governor import faults as _faults
-from ..governor import governor as _gov
 from ..graph.elements import Vertex
-from ..obs import metrics as _obs
 from ..paths.semantics import PathSemantics
 from .context import QueryContext
-from .exprs import (
-    AggCall,
-    Binary,
-    Call,
-    CaseExpr,
-    EvalEnv,
-    Expr,
-    Literal,
-    TupleExpr,
-    Unary,
-    contains_aggregate,
-    primed_accum_names,
-)
-from .pattern import BindingRow, EngineMode, Pattern, evaluate_pattern
-from .stmts import (
-    AccStatement,
-    InputBuffer,
-    collect_primed_names,
-    run_map_phase,
-    run_post_accum,
-)
+from .exprs import EvalEnv, Expr, contains_aggregate
+from .pattern import BindingRow, EngineMode, Pattern
+from .stmts import AccStatement
 from .values import Table, VertexSet
 
 
@@ -135,135 +116,12 @@ class SelectBlock:
 
     # ------------------------------------------------------------------
     def execute(self, ctx: QueryContext, mode: EngineMode) -> Optional[VertexSet]:
-        col = _obs._ACTIVE
-        if col is None:
-            return self._execute(ctx, mode, None)
-        span = col.span(
-            "select_block", label=f"SELECT  FROM {self.pattern!r}"
-        )
-        try:
-            return self._execute(ctx, mode, col)
-        finally:
-            col.close(span)
+        """Lower this block and run it (blocks inside a ``Query`` are
+        lowered once with the query; this serves programmatic blocks
+        executed directly against a context)."""
+        from ..compile.lowering import compile_block
 
-    def _execute(
-        self, ctx: QueryContext, mode: EngineMode, col
-    ) -> Optional[VertexSet]:
-        from .planner import and_all, push_down_filters, select_engine
-
-        gov = _gov._ACTIVE
-        if gov is not None:
-            gov.tick()  # cancellation/deadline checkpoint per block
-        if self.semantics is not None:
-            mode = mode.for_semantics(self.semantics)
-        if mode.kind == EngineMode.AUTO:
-            mode = select_engine(self, ctx, mode)
-            if col is not None:
-                col.count(f"block.engine.{mode.kind}")
-        if gov is not None:
-            mode = self._maybe_downgrade(mode, gov, col)
-        self._check_tractability(ctx, mode)
-        primed = self._capture_primed(ctx)
-
-        # Filter pushdown: single-variable WHERE conjuncts apply while the
-        # pattern binds (restricting seeds/targets); the rest stays here.
-        var_filters, residual_conjuncts = push_down_filters(
-            self.where, set(self.pattern.variables())
-        )
-        residual = and_all(residual_conjuncts)
-        if col is not None:
-            pattern_span = col.span("pattern")
-        try:
-            table = evaluate_pattern(ctx, self.pattern, mode, var_filters)
-        finally:
-            if col is not None:
-                col.close(pattern_span)
-        rows = table.rows
-        if col is not None:
-            # Appendix A in two numbers: compressed size vs. the
-            # conceptual (path-weighted) size it stands in for.
-            pattern_span.set(
-                rows=len(rows), multiplicity=table.total_multiplicity()
-            )
-            col.count("block.binding_rows", len(rows))
-            col.count("block.binding_multiplicity", table.total_multiplicity())
-        if residual is not None:
-            before = len(rows)
-            rows = [
-                row
-                for row in rows
-                if residual.eval(EvalEnv(ctx, row.bindings, None, primed))
-            ]
-            if col is not None:
-                col.count("block.rows_filtered_residual", before - len(rows))
-
-        if self.accum:
-            if gov is not None:
-                # One acc-execution per compressed row — charged up front
-                # so a breached cap aborts before any Map work runs.
-                gov.charge_acc_executions(len(rows))
-            if col is not None:
-                map_span = col.span("accum_map", statements=len(self.accum))
-            buffer = InputBuffer()
-            locals_: Dict[str, Any] = {}
-            try:
-                try:
-                    for row in rows:
-                        if _faults._PLAN is not None:
-                            _faults.fire("block.accum_map")
-                        env = EvalEnv(ctx, row.bindings, locals_, primed)
-                        run_map_phase(self.accum, env, buffer, row.multiplicity)
-                finally:
-                    if col is not None:
-                        # One acc-execution per *compressed* row — the count
-                        # that stays flat while path multiplicities explode.
-                        map_span.set(acc_executions=len(rows))
-                        col.count("block.acc_executions", len(rows))
-                        col.close(map_span)
-                if col is not None:
-                    reduce_span = col.span("accum_reduce", inputs=len(buffer))
-                try:
-                    if _faults._PLAN is not None:
-                        _faults.fire("block.reduce")
-                    if _accsan._ACTIVE is not None:
-                        # Replay the buffered inputs under permuted
-                        # schedules *before* the real flush mutates the
-                        # live accumulators.
-                        _accsan._ACTIVE.check_flush(self, buffer)
-                    buffer.flush()
-                finally:
-                    if col is not None:
-                        col.close(reduce_span)
-            except BaseException:
-                # Any failure between Map start and Reduce end releases
-                # the scratch partials: snapshot semantics means the live
-                # accumulators were untouched until flush() completed.
-                buffer.clear()
-                raise
-
-        if self.post_accum:
-            if _faults._PLAN is not None:
-                _faults.fire("block.post_accum")
-            pattern_vars = set(self.pattern.variables())
-            if col is not None:
-                post_span = col.span(
-                    "post_accum", statements=len(self.post_accum)
-                )
-            try:
-                run_post_accum(self.post_accum, ctx, rows, pattern_vars, primed)
-            finally:
-                if col is not None:
-                    col.close(post_span)
-
-        if gov is not None:
-            gov.check_memory(ctx)
-
-        for fragment in self.fragments:
-            self._emit_fragment(ctx, fragment, rows, primed)
-
-        if self.select_var is not None:
-            return self._vertex_set_result(ctx, rows, primed)
-        return None
+        return compile_block(self).execute(ctx, mode)
 
     # ------------------------------------------------------------------
     def _maybe_downgrade(self, mode: EngineMode, gov, col) -> EngineMode:
@@ -345,20 +203,6 @@ class SelectBlock:
                     f"or drop the order-dependent accumulator"
                 )
 
-    def _capture_primed(self, ctx: QueryContext) -> Dict[str, Dict[Any, Any]]:
-        names = collect_primed_names(self.accum) | collect_primed_names(
-            self.post_accum
-        )
-        for expr in self._all_output_exprs():
-            names.update(primed_accum_names(expr))
-        snapshots: Dict[str, Dict[Any, Any]] = {}
-        for name in names:
-            if name.startswith("@@"):
-                snapshots[name] = {None: ctx.snapshot_global_accum(name[2:])}
-            else:
-                snapshots[name] = ctx.snapshot_vertex_accum(name)
-        return snapshots
-
     def _all_output_exprs(self):
         if self.where is not None:
             yield self.where
@@ -407,7 +251,7 @@ class SelectBlock:
             vertices.sort(key=sort_key)
         if self.limit is not None:
             env = EvalEnv(ctx, {}, None, primed)
-            vertices = vertices[: int(self.limit.eval(env))]
+            vertices = vertices[: limit_count(self.limit.eval(env))]
         return VertexSet(ctx.graph, vertices)
 
     # ------------------------------------------------------------------
@@ -431,7 +275,7 @@ class SelectBlock:
             out.append(row)
         if self.limit is not None:
             env = EvalEnv(ctx, {}, None, primed)
-            out.truncate(int(self.limit.eval(env)))
+            out.truncate(limit_count(self.limit.eval(env)))
         ctx.tables[fragment.into] = out
 
     def _plain_rows(self, ctx, fragment, rows, primed):
@@ -463,34 +307,39 @@ class SelectBlock:
         return out
 
     def _aggregate_rows(self, ctx, fragment, rows, primed):
-        """SQL-style grouped aggregation over the (weighted) binding table."""
+        """SQL-style grouped aggregation over the (weighted) binding table.
+
+        Each group evaluates HAVING / the output columns / ORDER BY in an
+        environment carrying the group's rows: aggregate calls fold over
+        them, everything else reads the first row as the representative
+        (well-defined for group keys, which are constant within a group).
+        """
         groups: Dict[Tuple, List[BindingRow]] = {}
-        order: List[Tuple] = []
         for row in rows:
             env = EvalEnv(ctx, row.bindings, None, primed)
             key = tuple(expr.eval(env) for expr in self.group_by)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
+            groups.setdefault(key, []).append(row)
         out = []
-        for key in order:
-            group = groups[key]
-            rep_env = EvalEnv(ctx, group[0].bindings, None, primed)
-            if self.having is not None and not _eval_in_group(
-                self.having, ctx, group, rep_env, primed
-            ):
+        for group in groups.values():
+            env = EvalEnv(ctx, group[0].bindings, None, primed, group)
+            if self.having is not None and not self.having.eval(env):
                 continue
-            projected = tuple(
-                _eval_in_group(col.expr, ctx, group, rep_env, primed)
-                for col in fragment.columns
-            )
+            projected = tuple(col.expr.eval(env) for col in fragment.columns)
             sort_key = tuple(
-                _OrderKey(_eval_in_group(expr, ctx, group, rep_env, primed), desc)
-                for expr, desc in self.order_by
+                _OrderKey(expr.eval(env), desc) for expr, desc in self.order_by
             )
             out.append((sort_key, projected))
         return out
+
+
+def limit_count(value: Any) -> int:
+    """A LIMIT clause's value as a row count."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise QueryRuntimeError(
+            f"LIMIT needs an integer, got {value!r}"
+        ) from None
 
 
 class _OrderKey:
@@ -514,58 +363,6 @@ class _OrderKey:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _OrderKey) and self.value == other.value
-
-
-def _eval_in_group(
-    expr: Expr,
-    ctx: QueryContext,
-    group: List[BindingRow],
-    rep_env: EvalEnv,
-    primed: Dict[str, Dict[Any, Any]],
-) -> Any:
-    """Evaluate an expression in a GROUP BY group.
-
-    Aggregate calls fold over the group's rows with their multiplicities
-    (SQL bag semantics over the conceptual uncompressed table); everything
-    else evaluates against a representative row — well-defined for group
-    keys, which are constant within a group.
-    """
-    if not contains_aggregate(expr):
-        return expr.eval(rep_env)
-    if isinstance(expr, AggCall):
-        weighted: List[Tuple[Any, int]] = []
-        for row in group:
-            env = EvalEnv(ctx, row.bindings, None, primed)
-            value = expr.arg.eval(env) if expr.arg is not None else 1
-            weighted.append((value, row.multiplicity))
-        return expr.apply(weighted)
-    if isinstance(expr, Binary):
-        left = _eval_in_group(expr.left, ctx, group, rep_env, primed)
-        right = _eval_in_group(expr.right, ctx, group, rep_env, primed)
-        return Binary(expr.op, Literal(left), Literal(right)).eval(rep_env)
-    if isinstance(expr, Unary):
-        inner = _eval_in_group(expr.operand, ctx, group, rep_env, primed)
-        return Unary(expr.op, Literal(inner)).eval(rep_env)
-    if isinstance(expr, Call):
-        args = [
-            Literal(_eval_in_group(a, ctx, group, rep_env, primed))
-            for a in expr.args
-        ]
-        return Call(expr.name, args).eval(rep_env)
-    if isinstance(expr, TupleExpr):
-        return tuple(
-            _eval_in_group(item, ctx, group, rep_env, primed) for item in expr.items
-        )
-    if isinstance(expr, CaseExpr):
-        for cond, result in expr.whens:
-            if _eval_in_group(cond, ctx, group, rep_env, primed):
-                return _eval_in_group(result, ctx, group, rep_env, primed)
-        if expr.default is not None:
-            return _eval_in_group(expr.default, ctx, group, rep_env, primed)
-        return None
-    raise QueryRuntimeError(
-        f"aggregates may not appear under {type(expr).__name__} expressions"
-    )
 
 
 __all__ = ["OutputColumn", "OutputFragment", "SelectBlock"]

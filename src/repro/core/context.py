@@ -126,11 +126,11 @@ class QueryContext:
     def vertex_accum_resolver(self, name: str) -> Callable[[Any], Accumulator]:
         """A ``vid -> instance`` closure with the family lookup hoisted.
 
-        The compiled Map kernel resolves instances once per row; this
-        pre-binds the per-name dict and factory so the per-row path is
-        one dict probe.  Undeclared or wrongly-scoped names return a
-        delegating closure instead of raising here, so a zero-row block
-        errors (or not) exactly like the interpreter.
+        The Map kernel resolves instances once per row; this pre-binds
+        the per-name dict and factory so the per-row path is one dict
+        probe.  Undeclared or wrongly-scoped names return a delegating
+        closure instead of raising here, so a zero-row block does not
+        error on a name it never touches.
         """
         family = self._vertex_accums.get(name)
         if family is None:

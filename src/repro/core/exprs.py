@@ -1,9 +1,15 @@
-"""Expression AST and evaluator for the query engine.
+"""Expression AST and its evaluation semantics for the query engine.
 
 Expressions appear in WHERE/HAVING conditions, ACCUM/POST_ACCUM statement
 right-hand sides, SELECT output lists, ORDER BY keys and control-flow
 conditions.  The same AST is produced by the GSQL parser and by the
 programmatic query-builder API.
+
+Each node defines its semantics exactly once, in :meth:`Expr.closure`:
+a plain ``fn(env) -> value`` built over its children's closures, with
+operators, guards and branch lists resolved when the closure is built.
+Lowering (:mod:`repro.compile`) builds every closure once per plan;
+:meth:`Expr.eval` is the convenience one-shot over the same builder.
 
 Name resolution is dynamic and follows GSQL's scoping: ACCUM-local
 variables shadow pattern variables, which shadow query parameters, which
@@ -15,12 +21,10 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..accum.mapaccum import MapAccum
 from ..accum.tuples import TupleValue
 from ..errors import QueryRuntimeError
 from ..graph.elements import Edge, Vertex
 from .context import QueryContext
-from .values import VertexSet
 
 
 class EvalEnv:
@@ -28,10 +32,13 @@ class EvalEnv:
 
     ``row`` holds the pattern-variable bindings of the current binding-table
     row; ``locals`` the ACCUM-local variables; ``primed`` the block-entry
-    snapshots backing ``v.@acc'`` reads.
+    snapshots backing ``v.@acc'`` reads; ``group`` the binding rows of the
+    current GROUP BY group (None outside a grouped SELECT output), which
+    :class:`AggCall` folds over while everything else reads ``row`` — the
+    group's representative.
     """
 
-    __slots__ = ("ctx", "row", "locals", "primed")
+    __slots__ = ("ctx", "row", "locals", "primed", "group")
 
     def __init__(
         self,
@@ -39,11 +46,13 @@ class EvalEnv:
         row: Optional[Dict[str, Any]] = None,
         locals_: Optional[Dict[str, Any]] = None,
         primed: Optional[Dict[str, Dict[Any, Any]]] = None,
+        group: Optional[List[Any]] = None,
     ):
         self.ctx = ctx
         self.row = row or {}
         self.locals = locals_ if locals_ is not None else {}
         self.primed = primed or {}
+        self.group = group
 
     def child_with_locals(self) -> "EvalEnv":
         return EvalEnv(self.ctx, self.row, dict(self.locals), self.primed)
@@ -59,8 +68,14 @@ class Expr:
 
     __slots__ = ("span",)
 
-    def eval(self, env: EvalEnv) -> Any:
+    def closure(self) -> Tuple[Callable[[EvalEnv], Any], bool]:
+        """``(fn, is_const)``: this node as a closure over its children's
+        closures.  ``is_const`` marks subtrees whose value cannot depend
+        on the environment (lowering folds those)."""
         raise NotImplementedError
+
+    def eval(self, env: EvalEnv) -> Any:
+        return self.closure()[0](env)
 
     def children(self) -> Iterator["Expr"]:
         return iter(())
@@ -77,8 +92,9 @@ class Literal(Expr):
     def __init__(self, value: Any):
         self.value = value
 
-    def eval(self, env: EvalEnv) -> Any:
-        return self.value
+    def closure(self):
+        value = self.value
+        return (lambda env: value), True
 
     def __repr__(self) -> str:
         return repr(self.value)
@@ -92,18 +108,24 @@ class NameRef(Expr):
     def __init__(self, name: str):
         self.name = name
 
-    def eval(self, env: EvalEnv) -> Any:
-        if self.name in env.locals:
-            return env.locals[self.name]
-        if self.name in env.row:
-            return env.row[self.name]
-        if self.name in env.ctx.params:
-            return env.ctx.params[self.name]
-        if self.name in env.ctx.vertex_sets:
-            return env.ctx.vertex_sets[self.name]
-        if self.name in env.ctx.tables:
-            return env.ctx.tables[self.name]
-        raise QueryRuntimeError(f"unknown name {self.name!r} in expression")
+    def closure(self):
+        name = self.name
+
+        def run(env: EvalEnv) -> Any:
+            if name in env.locals:
+                return env.locals[name]
+            if name in env.row:
+                return env.row[name]
+            ctx = env.ctx
+            if name in ctx.params:
+                return ctx.params[name]
+            if name in ctx.vertex_sets:
+                return ctx.vertex_sets[name]
+            if name in ctx.tables:
+                return ctx.tables[name]
+            raise QueryRuntimeError(f"unknown name {name!r} in expression")
+
+        return run, False
 
     def __repr__(self) -> str:
         return self.name
@@ -121,26 +143,28 @@ class AttrRef(Expr):
     def children(self) -> Iterator[Expr]:
         yield self.base
 
-    def eval(self, env: EvalEnv) -> Any:
-        base = self.base.eval(env)
-        if isinstance(base, (Vertex, Edge)):
-            if self.attr in base:
-                return base[self.attr]
+    def closure(self):
+        base_fn, _ = self.base.closure()
+        attr = self.attr
+
+        def run(env: EvalEnv) -> Any:
+            base = base_fn(env)
+            if isinstance(base, (Vertex, Edge)):
+                if attr in base:
+                    return base[attr]
+                raise QueryRuntimeError(f"{base!r} has no attribute {attr!r}")
+            if isinstance(base, TupleValue):
+                return base.get(attr)
+            if isinstance(base, dict):
+                try:
+                    return base[attr]
+                except KeyError:
+                    raise QueryRuntimeError(f"map has no key {attr!r}") from None
             raise QueryRuntimeError(
-                f"{base!r} has no attribute {self.attr!r}"
+                f"cannot read attribute {attr!r} of {type(base).__name__}"
             )
-        if isinstance(base, TupleValue):
-            return base.get(self.attr)
-        if isinstance(base, dict):
-            try:
-                return base[self.attr]
-            except KeyError:
-                raise QueryRuntimeError(
-                    f"map has no key {self.attr!r}"
-                ) from None
-        raise QueryRuntimeError(
-            f"cannot read attribute {self.attr!r} of {type(base).__name__}"
-        )
+
+        return run, False
 
     def __repr__(self) -> str:
         return f"{self.base!r}.{self.attr}"
@@ -159,16 +183,22 @@ class GlobalAccumRef(Expr):
         self.name = name
         self.primed = primed
 
-    def eval(self, env: EvalEnv) -> Any:
-        if self.primed:
-            snap = env.primed.get("@@" + self.name)
+    def closure(self):
+        name = self.name
+        if not self.primed:
+            return (lambda env: env.ctx.global_accum(name).value), False
+        key = "@@" + name
+
+        def run_primed(env: EvalEnv) -> Any:
+            snap = env.primed.get(key)
             if snap is None:
                 raise QueryRuntimeError(
-                    f"no snapshot for @@{self.name}' (primed reads are only "
+                    f"no snapshot for @@{name}' (primed reads are only "
                     f"valid inside a query block)"
                 )
             return snap.get(None)
-        return env.ctx.global_accum(self.name).value
+
+        return run_primed, False
 
     def __repr__(self) -> str:
         return f"@@{self.name}" + ("'" if self.primed else "")
@@ -188,37 +218,36 @@ class VertexAccumRef(Expr):
     def children(self) -> Iterator[Expr]:
         yield self.base
 
-    def eval(self, env: EvalEnv) -> Any:
-        vertex = self.base.eval(env)
-        if not isinstance(vertex, Vertex):
-            raise QueryRuntimeError(
-                f"@{self.name} must be read through a vertex variable, "
-                f"got {type(vertex).__name__}"
-            )
-        if self.primed:
-            snap = env.primed.get(self.name)
+    def closure(self):
+        base_fn, _ = self.base.closure()
+        name = self.name
+        primed = self.primed
+
+        def run(env: EvalEnv) -> Any:
+            vertex = base_fn(env)
+            if not isinstance(vertex, Vertex):
+                raise QueryRuntimeError(
+                    f"@{name} must be read through a vertex variable, "
+                    f"got {type(vertex).__name__}"
+                )
+            if not primed:
+                return env.ctx.vertex_accum(name, vertex.vid).value
+            snap = env.primed.get(name)
             if snap is None:
                 raise QueryRuntimeError(
-                    f"no snapshot for @{self.name}' (the block never "
+                    f"no snapshot for @{name}' (the block never "
                     f"captured one)"
                 )
             # A vertex whose accumulator was never materialized reads the
             # declared default.
             if vertex.vid in snap:
                 return snap[vertex.vid]
-            return env.ctx.declaration(self.name).factory().value
-        return env.ctx.vertex_accum(self.name, vertex.vid).value
+            return env.ctx.declaration(name).factory().value
+
+        return run, False
 
     def __repr__(self) -> str:
         return f"{self.base!r}.@{self.name}" + ("'" if self.primed else "")
-
-
-def _numeric_guard(op: str, left: Any, right: Any) -> None:
-    if left is None or right is None:
-        raise QueryRuntimeError(
-            f"operator {op!r} applied to NULL operand "
-            f"({left!r} {op} {right!r})"
-        )
 
 
 _BINARY_OPS: Dict[str, Callable[[Any, Any], Any]] = {
@@ -234,6 +263,18 @@ _BINARY_OPS: Dict[str, Callable[[Any, Any], Any]] = {
     ">": lambda a, b: a > b,
     ">=": lambda a, b: a >= b,
 }
+
+#: Operators that refuse NULL operands.
+_NUMERIC_OPS = frozenset(("+", "-", "*", "/", "%", "<", "<=", ">", ">="))
+
+
+def _contains(item: Any, container: Any) -> bool:
+    try:
+        return item in container
+    except TypeError:
+        raise QueryRuntimeError(
+            f"right side of IN is not a collection: {container!r}"
+        ) from None
 
 
 class Binary(Expr):
@@ -253,44 +294,49 @@ class Binary(Expr):
         yield self.left
         yield self.right
 
-    def eval(self, env: EvalEnv) -> Any:
-        if self.op == "AND":
-            return bool(self.left.eval(env)) and bool(self.right.eval(env))
-        if self.op == "OR":
-            return bool(self.left.eval(env)) or bool(self.right.eval(env))
-        left = self.left.eval(env)
-        right = self.right.eval(env)
-        if self.op in ("IN", "NOT IN"):
-            contained = self._contains(left, right)
-            return contained if self.op == "IN" else not contained
-        fn = _BINARY_OPS.get(self.op)
+    def closure(self):
+        op = self.op
+        left_fn, left_const = self.left.closure()
+        right_fn, right_const = self.right.closure()
+        const = left_const and right_const
+        if op == "AND":
+            return (lambda env: bool(left_fn(env)) and bool(right_fn(env))), const
+        if op == "OR":
+            return (lambda env: bool(left_fn(env)) or bool(right_fn(env))), const
+        if op == "IN":
+            return (lambda env: _contains(left_fn(env), right_fn(env))), const
+        if op == "NOT IN":
+            return (lambda env: not _contains(left_fn(env), right_fn(env))), const
+        fn = _BINARY_OPS.get(op)
         if fn is None:
-            raise QueryRuntimeError(f"unknown operator {self.op!r}")
-        if self.op in ("+", "-", "*", "/", "%", "<", "<=", ">", ">="):
-            _numeric_guard(self.op, left, right)
-        try:
-            return fn(left, right)
-        except ZeroDivisionError:
-            raise QueryRuntimeError(
-                f"division by zero: {left!r} {self.op} {right!r}"
-            ) from None
-        except TypeError as exc:
-            raise QueryRuntimeError(
-                f"type error in {left!r} {self.op} {right!r}: {exc}"
-            ) from None
+            def run_unknown(env: EvalEnv) -> Any:
+                left_fn(env)
+                right_fn(env)
+                raise QueryRuntimeError(f"unknown operator {op!r}")
 
-    @staticmethod
-    def _contains(item: Any, container: Any) -> bool:
-        if isinstance(container, VertexSet):
-            return item in container
-        if isinstance(container, MapAccum):
-            return item in container
-        try:
-            return item in container
-        except TypeError:
-            raise QueryRuntimeError(
-                f"right side of IN is not a collection: {container!r}"
-            ) from None
+            return run_unknown, False
+        guarded = op in _NUMERIC_OPS
+
+        def run(env: EvalEnv) -> Any:
+            left = left_fn(env)
+            right = right_fn(env)
+            if guarded and (left is None or right is None):
+                raise QueryRuntimeError(
+                    f"operator {op!r} applied to NULL operand "
+                    f"({left!r} {op} {right!r})"
+                )
+            try:
+                return fn(left, right)
+            except ZeroDivisionError:
+                raise QueryRuntimeError(
+                    f"division by zero: {left!r} {op} {right!r}"
+                ) from None
+            except TypeError as exc:
+                raise QueryRuntimeError(
+                    f"type error in {left!r} {op} {right!r}: {exc}"
+                ) from None
+
+        return run, const
 
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
@@ -306,17 +352,27 @@ class Unary(Expr):
     def children(self) -> Iterator[Expr]:
         yield self.operand
 
-    def eval(self, env: EvalEnv) -> Any:
-        value = self.operand.eval(env)
-        if self.op == "NOT":
-            return not bool(value)
-        if self.op == "-":
-            if value is None:
-                raise QueryRuntimeError("unary minus applied to NULL")
-            return -value
-        if self.op == "+":
-            return value
-        raise QueryRuntimeError(f"unknown unary operator {self.op!r}")
+    def closure(self):
+        op = self.op
+        operand_fn, const = self.operand.closure()
+        if op == "NOT":
+            return (lambda env: not bool(operand_fn(env))), const
+        if op == "+":
+            return operand_fn, const
+        if op == "-":
+            def run_neg(env: EvalEnv) -> Any:
+                value = operand_fn(env)
+                if value is None:
+                    raise QueryRuntimeError("unary minus applied to NULL")
+                return -value
+
+            return run_neg, const
+
+        def run_unknown(env: EvalEnv) -> Any:
+            operand_fn(env)
+            raise QueryRuntimeError(f"unknown unary operator {op!r}")
+
+        return run_unknown, False
 
     def __repr__(self) -> str:
         return f"({self.op} {self.operand!r})"
@@ -392,22 +448,34 @@ class Call(Expr):
     def children(self) -> Iterator[Expr]:
         yield from self.args
 
-    def eval(self, env: EvalEnv) -> Any:
-        fn = _FUNCTIONS.get(self.name.lower())
-        values = [arg.eval(env) for arg in self.args]
-        if fn is None:
-            subquery = env.ctx.subqueries.get(self.name)
-            if subquery is None:
+    def closure(self):
+        # Calls never fold, and the registry probe stays per call:
+        # register_function() may add or replace UDFs after a plan was
+        # lowered, and names not in the registry resolve through the
+        # context's *runtime* subquery table.
+        name = self.name
+        lname = name.lower()
+        lookup = _FUNCTIONS.get
+        arg_fns = tuple(arg.closure()[0] for arg in self.args)
+
+        def run(env: EvalEnv) -> Any:
+            fn = lookup(lname)
+            values = [f(env) for f in arg_fns]
+            if fn is None:
+                subquery = env.ctx.subqueries.get(name)
+                if subquery is None:
+                    raise QueryRuntimeError(
+                        f"unknown function or subquery {name!r}"
+                    )
+                return _run_subquery(env.ctx, subquery, values)
+            try:
+                return fn(*values)
+            except (ValueError, TypeError) as exc:
                 raise QueryRuntimeError(
-                    f"unknown function or subquery {self.name!r}"
-                )
-            return _run_subquery(env.ctx, subquery, values)
-        try:
-            return fn(*values)
-        except (ValueError, TypeError) as exc:
-            raise QueryRuntimeError(
-                f"error in {self.name}({', '.join(map(repr, values))}): {exc}"
-            ) from None
+                    f"error in {name}({', '.join(map(repr, values))}): {exc}"
+                ) from None
+
+        return run, False
 
     def __repr__(self) -> str:
         return f"{self.name}({', '.join(map(repr, self.args))})"
@@ -432,41 +500,59 @@ class Method(Expr):
         yield self.base
         yield from self.args
 
-    def eval(self, env: EvalEnv) -> Any:
-        base = self.base.eval(env)
-        args = [arg.eval(env) for arg in self.args]
-        name = self.name.lower()
-        if isinstance(base, Vertex):
-            if name == "outdegree":
-                return env.ctx.graph.outdegree(base.vid, *args)
-            if name == "indegree":
-                return env.ctx.graph.indegree(base.vid, *args)
-            if name == "id":
-                return base.vid
-            if name == "type":
-                return base.type
-            raise QueryRuntimeError(f"vertices have no method {self.name!r}")
-        if isinstance(base, Edge) and name == "type":
-            return base.type
-        if name == "size":
-            try:
-                return len(base)
-            except TypeError:
+    def closure(self):
+        base_fn, _ = self.base.closure()
+        arg_fns = tuple(arg.closure()[0] for arg in self.args)
+        raw_name = self.name
+        name = raw_name.lower()
+
+        def arity(lo: int, hi: int, args: List[Any]) -> None:
+            if not lo <= len(args) <= hi:
+                takes = str(lo) if lo == hi else f"{lo} to {hi}"
                 raise QueryRuntimeError(
-                    f".size() on non-collection {base!r}"
-                ) from None
-        if name == "contains":
-            return args[0] in base
-        if name == "get":
-            if isinstance(base, dict):
-                return base.get(*args)
-            raise QueryRuntimeError(f".get() on non-map {base!r}")
-        if name == "top":
-            items = base if isinstance(base, tuple) else tuple(base)
-            return items[0] if items else None
-        raise QueryRuntimeError(
-            f"unknown method {self.name!r} on {type(base).__name__}"
-        )
+                    f".{raw_name}() takes {takes} argument(s), got {len(args)}"
+                )
+
+        def run(env: EvalEnv) -> Any:
+            base = base_fn(env)
+            args = [f(env) for f in arg_fns]
+            if isinstance(base, Vertex):
+                if name == "outdegree":
+                    arity(0, 1, args)
+                    return env.ctx.graph.outdegree(base.vid, *args)
+                if name == "indegree":
+                    arity(0, 1, args)
+                    return env.ctx.graph.indegree(base.vid, *args)
+                if name == "id":
+                    return base.vid
+                if name == "type":
+                    return base.type
+                raise QueryRuntimeError(f"vertices have no method {raw_name!r}")
+            if isinstance(base, Edge) and name == "type":
+                return base.type
+            if name == "size":
+                try:
+                    return len(base)
+                except TypeError:
+                    raise QueryRuntimeError(
+                        f".size() on non-collection {base!r}"
+                    ) from None
+            if name == "contains":
+                arity(1, 1, args)
+                return args[0] in base
+            if name == "get":
+                if isinstance(base, dict):
+                    arity(1, 2, args)
+                    return base.get(*args)
+                raise QueryRuntimeError(f".get() on non-map {base!r}")
+            if name == "top":
+                items = base if isinstance(base, tuple) else tuple(base)
+                return items[0] if items else None
+            raise QueryRuntimeError(
+                f"unknown method {raw_name!r} on {type(base).__name__}"
+            )
+
+        return run, False
 
     def __repr__(self) -> str:
         return f"{self.base!r}.{self.name}({', '.join(map(repr, self.args))})"
@@ -483,8 +569,11 @@ class TupleExpr(Expr):
     def children(self) -> Iterator[Expr]:
         yield from self.items
 
-    def eval(self, env: EvalEnv) -> Tuple[Any, ...]:
-        return tuple(item.eval(env) for item in self.items)
+    def closure(self):
+        built = tuple(item.closure() for item in self.items)
+        item_fns = tuple(fn for fn, _ in built)
+        const = all(c for _, c in built)
+        return (lambda env: tuple(fn(env) for fn in item_fns)), const
 
     def __repr__(self) -> str:
         return f"({', '.join(map(repr, self.items))})"
@@ -503,10 +592,15 @@ class ArrowExpr(Expr):
         yield from self.keys
         yield from self.values
 
-    def eval(self, env: EvalEnv) -> Tuple[Tuple[Any, ...], Tuple[Any, ...]]:
+    def closure(self):
+        key_fns = tuple(k.closure()[0] for k in self.keys)
+        value_fns = tuple(v.closure()[0] for v in self.values)
         return (
-            tuple(k.eval(env) for k in self.keys),
-            tuple(v.eval(env) for v in self.values),
+            lambda env: (
+                tuple(fn(env) for fn in key_fns),
+                tuple(fn(env) for fn in value_fns),
+            ),
+            False,
         )
 
     def __repr__(self) -> str:
@@ -531,13 +625,26 @@ class CaseExpr(Expr):
         if self.default is not None:
             yield self.default
 
-    def eval(self, env: EvalEnv) -> Any:
-        for cond, result in self.whens:
-            if cond.eval(env):
-                return result.eval(env)
+    def closure(self):
+        built = tuple(
+            (cond.closure(), result.closure()) for cond, result in self.whens
+        )
+        when_fns = tuple((c[0], r[0]) for c, r in built)
+        const = all(c[1] and r[1] for c, r in built)
+        default_fn = None
         if self.default is not None:
-            return self.default.eval(env)
-        return None
+            default_fn, default_const = self.default.closure()
+            const = const and default_const
+
+        def run(env: EvalEnv) -> Any:
+            for cond_fn, result_fn in when_fns:
+                if cond_fn(env):
+                    return result_fn(env)
+            if default_fn is not None:
+                return default_fn(env)
+            return None
+
+        return run, const
 
     def __repr__(self) -> str:
         body = " ".join(f"WHEN {c!r} THEN {r!r}" for c, r in self.whens)
@@ -548,8 +655,10 @@ class CaseExpr(Expr):
 class AggCall(Expr):
     """A SQL aggregate (count/sum/min/max/avg) inside a SELECT output.
 
-    Never evaluated directly — the SELECT executor groups rows and feeds
-    them through :meth:`apply`.  ``arg`` is None for ``count(*)``.
+    Folds its argument over ``env.group`` — the rows of the current
+    GROUP BY group, with their multiplicities (SQL bag semantics over
+    the conceptual uncompressed table).  ``arg`` is None for
+    ``count(*)``.
     """
 
     FUNCS = ("count", "sum", "min", "max", "avg")
@@ -568,10 +677,26 @@ class AggCall(Expr):
         if self.arg is not None:
             yield self.arg
 
-    def eval(self, env: EvalEnv) -> Any:
-        raise QueryRuntimeError(
-            f"aggregate {self.func}() used outside a SELECT output clause"
-        )
+    def closure(self):
+        func = self.func
+        apply = self.apply
+        arg_fn = self.arg.closure()[0] if self.arg is not None else None
+
+        def run(env: EvalEnv) -> Any:
+            group = env.group
+            if group is None:
+                raise QueryRuntimeError(
+                    f"aggregate {func}() used outside a SELECT output clause"
+                )
+            if arg_fn is None:
+                return apply([(1, row.multiplicity) for row in group])
+            ctx, primed = env.ctx, env.primed
+            return apply([
+                (arg_fn(EvalEnv(ctx, row.bindings, None, primed)), row.multiplicity)
+                for row in group
+            ])
+
+        return run, False
 
     def apply(self, weighted_values: List[Tuple[Any, int]]) -> Any:
         """Fold ``(value, multiplicity)`` pairs per SQL bag semantics."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import accsan as _accsan
 from ..accum.base import Accumulator
@@ -28,15 +28,19 @@ from ..obs import metrics as _obs
 from .context import QueryContext
 from .exprs import EvalEnv
 from .pattern import BindingRow
-from .stmts import AccStatement, AccumUpdate, LocalAssign
+from .stmts import AccStatement, AccumUpdate
 
 
 class _Partial:
     """One worker's private accumulation state.
 
-    Keyed the way the final merge needs it: global accumulators by name,
-    vertex accumulators by (name, vertex id).  Instances are created from
-    the context's declared factories, so defaults/initializers match.
+    It is what the ACCUM Map kernel binds against in place of the live
+    context and input buffer: accumulator lookups hand out fresh private
+    instances (created from the context's declared factories, so
+    defaults/initializers match), and a buffered input folds straight
+    into its private instance — the worker-local Reduce.  Keyed the way
+    the final merge needs it: global accumulators by name, vertex
+    accumulators by (name, vertex id).
     """
 
     def __init__(self, ctx: QueryContext):
@@ -44,25 +48,37 @@ class _Partial:
         self.globals: Dict[str, Accumulator] = {}
         self.vertex: Dict[Tuple[str, Any], Accumulator] = {}
 
-    def accumulator_for(self, target, env: EvalEnv) -> Accumulator:
-        if target.is_global:
-            acc = self.globals.get(target.name)
-            if acc is None:
-                acc = self.ctx.declaration(target.name).factory()
-                self.globals[target.name] = acc
-            return acc
-        vertex = target.base.eval(env)
-        key = (target.name, vertex.vid)
-        acc = self.vertex.get(key)
+    def global_accum(self, name: str) -> Accumulator:
+        acc = self.globals.get(name)
         if acc is None:
-            acc = self.ctx.declaration(target.name).factory()
-            self.vertex[key] = acc
+            acc = self.globals[name] = self.ctx.declaration(name).factory()
         return acc
+
+    def vertex_accum_resolver(self, name: str) -> Callable[[Any], Accumulator]:
+        def resolve(vid: Any) -> Accumulator:
+            key = (name, vid)
+            acc = self.vertex.get(key)
+            if acc is None:
+                acc = self.vertex[key] = self.ctx.declaration(name).factory()
+            return acc
+
+        return resolve
+
+    @staticmethod
+    def add(acc: Accumulator, value: Any, multiplicity: int) -> None:
+        acc.combine_weighted(value, multiplicity)
+
+    @staticmethod
+    def set(acc: Accumulator, value: Any) -> None:
+        raise QueryRuntimeError(
+            "parallel ACCUM supports only += statements "
+            "(plain assignment is inherently a race)"
+        )
 
 
 def _run_partition(
     ctx: QueryContext,
-    statements: List[AccStatement],
+    bind: Callable,
     rows: List[BindingRow],
     primed: Dict[str, Dict[Any, Any]],
     abort: Optional[threading.Event] = None,
@@ -70,6 +86,7 @@ def _run_partition(
     if _faults._PLAN is not None:
         _faults.fire("parallel.worker")
     partial = _Partial(ctx)
+    kernel = bind(partial, partial)
     locals_: Dict[str, Any] = {}
     for row in rows:
         if abort is not None and abort.is_set():
@@ -77,29 +94,13 @@ def _run_partition(
             # partial is discarded by the caller, so stopping early is
             # safe under snapshot semantics.
             break
-        env = EvalEnv(ctx, row.bindings, locals_, primed)
-        locals_.clear()
-        for stmt in statements:
-            if isinstance(stmt, LocalAssign):
-                locals_[stmt.name] = stmt.expr.eval(env)
-            elif isinstance(stmt, AccumUpdate):
-                if stmt.op != "+=":
-                    raise QueryRuntimeError(
-                        "parallel ACCUM supports only += statements "
-                        "(plain assignment is inherently a race)"
-                    )
-                value = stmt.expr.eval(env)
-                partial.accumulator_for(stmt.target, env).combine_weighted(
-                    value, row.multiplicity
-                )
-            else:
-                raise QueryRuntimeError(f"unknown ACCUM statement {stmt!r}")
+        kernel(EvalEnv(ctx, row.bindings, locals_, primed), row.multiplicity)
     return partial
 
 
 def _run_threaded(
     ctx: QueryContext,
-    statements: List[AccStatement],
+    bind: Callable,
     chunks: List[List[BindingRow]],
     primed: Dict[str, Dict[Any, Any]],
 ) -> List[_Partial]:
@@ -115,7 +116,7 @@ def _run_threaded(
     abort = threading.Event()
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
         futures = [
-            pool.submit(_run_partition, ctx, statements, chunk, primed, abort)
+            pool.submit(_run_partition, ctx, bind, chunk, primed, abort)
             for chunk in chunks
         ]
         wait(futures, return_when=FIRST_EXCEPTION)
@@ -217,13 +218,21 @@ def parallel_accum(
                         f"@{stmt.target.name} is order-dependent; parallel "
                         f"execution would be nondeterministic (Section 4.3)"
                     )
+    if not statements:
+        return
+    from ..compile.exprc import CompileStats
+    from ..compile.lowering import compile_accum_clause
+
+    # The Map kernel every SELECT block runs, bound per partition to a
+    # private scratch instead of the live context and buffer.
+    bind = compile_accum_clause(statements, {}, CompileStats())
     partitions = max(1, min(partitions, len(rows) or 1))
     chunks = [rows[i::partitions] for i in range(partitions)]
 
     if use_threads and partitions > 1:
-        partials = _run_threaded(ctx, statements, chunks, primed)
+        partials = _run_threaded(ctx, bind, chunks, primed)
     else:
-        partials = [_run_partition(ctx, statements, chunk, primed) for chunk in chunks]
+        partials = [_run_partition(ctx, bind, chunk, primed) for chunk in chunks]
 
     if _accsan._ACTIVE is not None:
         _check_merge_schedules(ctx, partials, certificate)

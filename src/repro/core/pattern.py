@@ -122,10 +122,7 @@ class EngineMode:
         tractable (falling back to a runtime probe of the declarations
         when no certificate is attached), and to the enumeration engine
         under the same all-shortest-paths semantics otherwise — see
-        :func:`repro.core.planner.select_engine`.  Compiled plans
-        (:mod:`repro.compile`) bake this choice at compile time via
-        :func:`repro.core.planner.compile_time_engine` when a
-        certificate is present.
+        :func:`repro.core.planner.select_engine`.
         """
         return cls(cls.AUTO, semantics, budget=budget, max_length=max_length)
 

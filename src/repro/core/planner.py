@@ -180,27 +180,6 @@ def select_engine(block, ctx, mode: EngineMode) -> EngineMode:
     )
 
 
-def compile_time_engine(block) -> Optional[str]:
-    """The *compiled tier* of ``EngineMode.auto()``.
-
-    When a block carries a conclusive tractability certificate, the AUTO
-    resolution is a pure function of the certificate — so the lowering
-    pass (:mod:`repro.compile`) bakes the choice into the plan and the
-    per-execution path skips :func:`select_engine` entirely.  Returns
-    ``"counting"`` / ``"enumeration"``, or None when the certificate is
-    missing or UNKNOWN (the compiled block then falls back to the same
-    runtime declaration probe the interpreter uses).
-    """
-    cert = getattr(block, "certificate", None)
-    if cert is None:
-        return None
-    if cert.status is TractabilityStatus.ENUMERATION_REQUIRED:
-        return "enumeration"
-    if cert.status is TractabilityStatus.TRACTABLE:
-        return "counting"
-    return None
-
-
 def reverse_darpe(node: DarpeNode) -> DarpeNode:
     """The DARPE matching exactly the reversals of the original's paths.
 
@@ -232,5 +211,4 @@ __all__ = [
     "and_all",
     "reverse_darpe",
     "select_engine",
-    "compile_time_engine",
 ]

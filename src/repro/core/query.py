@@ -18,10 +18,11 @@ from ..governor import governor as _gov
 from ..graph.elements import Vertex
 from ..graph.graph import Graph
 from ..obs import metrics as _obs
-from .block import SelectBlock
+from .block import SelectBlock, limit_count
 from .context import AccumDecl, QueryContext
 from .exprs import EvalEnv, Expr
 from .pattern import EngineMode
+from .stmts import foreach_items
 from .values import Table, VertexSet
 
 #: Iteration ceiling for WHILE loops without an explicit LIMIT, so a
@@ -224,7 +225,7 @@ class While(Statement):
     def execute(self, ctx: QueryContext, mode: EngineMode) -> None:
         gov = _gov._ACTIVE
         if self.limit is not None:
-            ceiling = int(self.limit.eval(EvalEnv(ctx)))
+            ceiling = limit_count(self.limit.eval(EvalEnv(ctx)))
         else:
             ceiling = DEFAULT_WHILE_CEILING
         # Degradation ladder, second rung: a soft iteration cap stops the
@@ -289,16 +290,7 @@ class Foreach(Statement):
         self.body = body
 
     def execute(self, ctx: QueryContext, mode: EngineMode) -> None:
-        value = self.collection.eval(EvalEnv(ctx))
-        if isinstance(value, dict):
-            items = list(value.items())
-        else:
-            try:
-                items = list(value)
-            except TypeError:
-                raise QueryRuntimeError(
-                    f"FOREACH needs an iterable, got {type(value).__name__}"
-                ) from None
+        items = foreach_items(self.collection.eval(EvalEnv(ctx)))
         had_prior = self.var in ctx.params
         prior = ctx.params.get(self.var)
         gov = _gov._ACTIVE
@@ -449,11 +441,6 @@ class QueryResult:
 class Query:
     """A parsed query, runnable against any compatible graph."""
 
-    #: True on the lowered clone produced by :func:`repro.compile.
-    #: compile_query` — execution traces carry it so profiles are
-    #: attributable to the compiled or interpreted path.
-    compiled = False
-
     def __init__(
         self,
         name: str,
@@ -480,6 +467,10 @@ class Query:
         #: the epoch at lowering time, so a bump makes every plan built
         #: from this query *stale* and the plan cache drops it on lookup.
         self._analysis_epoch: int = 0
+        #: The plan :meth:`run` executes through, lowered on first use
+        #: and re-lowered once stale.  Unlocked on purpose: concurrent
+        #: first runs may each lower, every plan is valid, one is kept.
+        self._plan = None
 
     def invalidate_analysis(self) -> None:
         """Drop the cached analysis model and invalidate compiled plans
@@ -495,54 +486,17 @@ class Query:
         subqueries: Optional[Dict[str, "Query"]] = None,
         **param_values: Any,
     ) -> QueryResult:
-        """Execute against ``graph``.
-
-        ``mode`` selects the evaluation engine; the default is the paper's
-        counting engine under all-shortest-paths semantics.  ``tables``
-        registers relational input tables, scannable from FROM clauses
-        (the Figure 1 graph-table join).  Parameter values are keyword
-        arguments matching the declared parameters.
+        """Execute against ``graph`` through this query's lowered plan
+        (see :meth:`repro.compile.CompiledQuery.run` for the arguments).
         """
-        mode = mode or EngineMode.counting()
-        resolved: Dict[str, Any] = {}
-        declared = {p.name for p in self.params}
-        for key in param_values:
-            if key not in declared:
-                raise QueryRuntimeError(
-                    f"query {self.name!r} has no parameter {key!r}"
-                )
-        for param in self.params:
-            if param.name in param_values:
-                resolved[param.name] = param.resolve(graph, param_values[param.name])
-            elif param.default is not None:
-                resolved[param.name] = param.resolve(graph, param.default)
-            else:
-                raise QueryRuntimeError(
-                    f"missing required parameter {param.name!r} of query "
-                    f"{self.name!r}"
-                )
-        ctx = QueryContext(graph, resolved)
-        if tables:
-            ctx.tables.update(tables)
-        if subqueries:
-            ctx.subqueries.update(subqueries)
-        col = _obs._ACTIVE
-        if col is None:
-            for stmt in self.statements:
-                stmt.execute(ctx, mode)
-            return QueryResult(ctx)
-        span = col.span(
-            "query", label=f"QUERY {self.name}", engine=mode.kind,
-            semantics=mode.semantics.value,
+        plan = self._plan
+        if plan is None or plan.stale:
+            from ..compile.lowering import compile_query
+
+            plan = self._plan = compile_query(self)
+        return plan.run(
+            graph, mode=mode, tables=tables, subqueries=subqueries, **param_values
         )
-        if self.compiled:
-            span.set(compiled=True)
-        try:
-            for stmt in self.statements:
-                stmt.execute(ctx, mode)
-        finally:
-            col.close(span)
-        return QueryResult(ctx)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         params = ", ".join(f"{p.type_name} {p.name}" for p in self.params)

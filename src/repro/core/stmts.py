@@ -4,10 +4,13 @@ The ACCUM clause executes once per binding-table row under **snapshot
 semantics** (Section 4.3): every execution reads the accumulator values as
 they were at block entry (the Map phase merely *generates inputs*), and
 the generated inputs are folded into the accumulators only after all
-executions finished (the Reduce phase).  This module implements the input
-buffer and the two phases; the weighted variant of the Reduce phase is the
-Appendix A trick that turns a row with multiplicity μ into a single
-``combine_weighted(value, μ)`` call.
+executions finished (the Reduce phase).  This module holds the clause
+AST, the input buffer whose :meth:`~InputBuffer.flush` is the Reduce
+phase (the weighted variant is the Appendix A trick that turns a row
+with multiplicity μ into a single ``combine_weighted(value, μ)`` call)
+and the POST_ACCUM executor; the Map phase is the kernel
+:func:`repro.compile.lowering.compile_accum_clause` builds from the
+clause.
 """
 
 from __future__ import annotations
@@ -221,8 +224,16 @@ class InputBuffer:
             col.count("accum.combine_weighted", len(self._adds))
         for acc, value in self._sets:
             acc.assign(value)
+        # The bound method is fetched once per run of consecutive inputs
+        # to one accumulator instance (the dominant shape: one global
+        # accumulator, or per-vertex inputs grouped by row order).
+        last_acc = None
+        combine = None
         for acc, value, multiplicity in self._adds:
-            acc.combine_weighted(value, multiplicity)
+            if acc is not last_acc:
+                combine = acc.combine_weighted
+                last_acc = acc
+            combine(value, multiplicity)
         self._adds.clear()
         self._sets.clear()
 
@@ -241,93 +252,31 @@ class InputBuffer:
         return len(self._adds) + len(self._sets)
 
 
-def run_map_phase(
-    statements: List[AccStatement],
-    env: EvalEnv,
-    buffer: InputBuffer,
-    multiplicity: int,
-) -> None:
-    """Execute one acc-execution (one binding-table row) of an ACCUM
-    clause, buffering its accumulator inputs.
-
-    Local variables live for the duration of the one execution; the
-    Appendix A simulation applies: an input generated by a row with
-    multiplicity μ is buffered once with weight μ instead of μ times.
-    """
-    env.locals.clear()
-    _run_accum_statements(statements, env, buffer, multiplicity)
-
-
-def _run_accum_statements(
-    statements: List[AccStatement],
-    env: EvalEnv,
-    buffer: InputBuffer,
-    multiplicity: int,
-) -> None:
-    for stmt in statements:
-        if isinstance(stmt, LocalAssign):
-            env.locals[stmt.name] = stmt.expr.eval(env)
-        elif isinstance(stmt, AccumUpdate):
-            value = stmt.expr.eval(env)
-            acc = stmt.target.resolve(env)
-            if _accsan._ACTIVE is not None:
-                _accsan._ACTIVE.record("accum", stmt.target, acc, stmt.op, value)
-            if stmt.op == "+=":
-                buffer.add(acc, value, multiplicity)
-            else:
-                buffer.set(acc, value)
-        elif isinstance(stmt, AccumIf):
-            branch = stmt.then if bool(stmt.cond.eval(env)) else stmt.otherwise
-            _run_accum_statements(branch, env, buffer, multiplicity)
-        elif isinstance(stmt, AccumForeach):
-            _run_accum_foreach(stmt, env, buffer, multiplicity)
-        elif isinstance(stmt, AttributeUpdate):
-            raise QueryRuntimeError(
-                "attribute assignments are only allowed in POST_ACCUM "
-                "(in ACCUM, acc-executions for the same vertex would race)"
-            )
-        else:
-            raise QueryRuntimeError(f"unknown ACCUM statement {stmt!r}")
-
-
-def _run_accum_foreach(
-    stmt: AccumForeach, env: EvalEnv, buffer: InputBuffer, multiplicity: int
-) -> None:
-    value = stmt.collection.eval(env)
+def foreach_items(value: Any) -> List[Any]:
+    """The elements a FOREACH iterates: a map's (key, value) pairs, or
+    any iterable's items."""
     if isinstance(value, dict):
-        items = list(value.items())
-    else:
-        try:
-            items = list(value)
-        except TypeError:
-            raise QueryRuntimeError(
-                f"FOREACH needs an iterable, got {type(value).__name__}"
-            ) from None
-    had_prior = stmt.var in env.locals
-    prior = env.locals.get(stmt.var)
+        return list(value.items())
     try:
-        for item in items:
-            env.locals[stmt.var] = item
-            _run_accum_statements(stmt.body, env, buffer, multiplicity)
-    finally:
-        if had_prior:
-            env.locals[stmt.var] = prior
-        else:
-            env.locals.pop(stmt.var, None)
+        return list(value)
+    except TypeError:
+        raise QueryRuntimeError(
+            f"FOREACH needs an iterable, got {type(value).__name__}"
+        ) from None
 
 
 def run_post_accum(
-    statements: List[AccStatement],
+    statements: List[Tuple[AccStatement, List[str]]],
     ctx: QueryContext,
     rows: List,
-    pattern_vars: set,
     primed: Dict[str, Dict[Any, Any]],
 ) -> None:
-    """Execute a POST_ACCUM clause.
+    """Execute a POST_ACCUM clause of ``(statement, dependency vars)``
+    pairs — the pattern variables each statement references, sorted.
 
-    Statement-major, once per *distinct* binding of the vertex variables
-    each statement references (GSQL's POST-ACCUM is per-vertex, not
-    per-row — multiplicities do not apply).  Plain assignments take effect
+    Statement-major, once per *distinct* binding of those variables
+    (GSQL's POST-ACCUM is per-vertex, not per-row — multiplicities do
+    not apply).  Plain assignments take effect
     immediately (so later statements observe them, as PageRank's
     ``v.@score = ...`` / ``abs(v.@score - v.@score')`` sequence requires);
     ``+=`` inputs are buffered and folded in after the whole clause, which
@@ -335,10 +284,7 @@ def run_post_accum(
     """
     col = _obs._ACTIVE
     buffer = InputBuffer()
-    for stmt in statements:
-        deps = sorted(
-            {name for name in stmt.referenced_names() if name in pattern_vars}
-        )
+    for stmt, deps in statements:
         executions = _distinct_projections(rows, deps)
         if col is not None:
             col.count("block.post_accum_executions", len(executions))
@@ -370,8 +316,7 @@ def _run_post_statement(
             _run_post_statement(inner, ctx, env, buffer)
         return
     if isinstance(stmt, AccumForeach):
-        value = stmt.collection.eval(env)
-        items = list(value.items()) if isinstance(value, dict) else list(value)
+        items = foreach_items(stmt.collection.eval(env))
         had_prior = stmt.var in env.locals
         prior = env.locals.get(stmt.var)
         try:
@@ -473,7 +418,7 @@ __all__ = [
     "AccumForeach",
     "AttributeUpdate",
     "InputBuffer",
-    "run_map_phase",
+    "foreach_items",
     "run_post_accum",
     "collect_primed_names",
     "walk_acc_statements",

@@ -24,9 +24,7 @@ class ProfileReport:
     ``governor`` is the :class:`~repro.governor.ExecutionGovernor` the
     run executed under, or None for ungoverned profiling; ``result`` is
     None when the governed run aborted (the abort lives on
-    ``governor.aborted``).  ``execution`` records which execution path
-    ran — ``{"path": "compiled"|"interpreted"}`` plus ``"cache":
-    "hit"|"miss"`` when the plan came through the plan cache.
+    ``governor.aborted``).
     """
 
     def __init__(
@@ -37,7 +35,6 @@ class ProfileReport:
         collector: Collector,
         result: Any,
         governor: Optional[Any] = None,
-        execution: Optional[Dict[str, Any]] = None,
         cost: Optional[Dict[str, Any]] = None,
     ):
         self.query_name = query_name
@@ -46,7 +43,6 @@ class ProfileReport:
         self.collector = collector
         self.result = result
         self.governor = governor
-        self.execution = execution
         #: Predicted-vs-observed cost comparison (see ``cost_comparison``),
         #: present when the profiled query carried a CostCertificate.
         self.cost = cost
@@ -58,8 +54,6 @@ class ProfileReport:
         doc["query"] = self.query_name
         doc["engine"] = self.engine
         doc["wall_ms"] = round(self.wall_seconds * 1000, 4)
-        if self.execution is not None:
-            doc["execution"] = dict(self.execution)
         if self.governor is not None:
             doc["governor"] = self.governor.report_dict()
         if self.cost is not None:
@@ -73,11 +67,6 @@ class ProfileReport:
             f"[engine={self.engine}]  "
             f"total {_fmt_ms(self.wall_seconds)}"
         ]
-        if self.execution is not None:
-            parts = [f"path={self.execution.get('path', '?')}"]
-            if self.execution.get("cache"):
-                parts.append(f"cache={self.execution['cache']}")
-            lines.append("execution: " + " ".join(parts))
         for root in self.collector.roots:
             _render_span(root, lines, indent=1)
         counters = self.collector.counters
@@ -119,23 +108,12 @@ def profile_query(
     and the report gains a ``GovernorReport`` line / ``governor`` JSON
     field.  The run happens under a fresh :class:`Collector`; the
     returned report carries both the ordinary :class:`QueryResult` and
-    the trace.
-
-    ``query`` may be a parsed :class:`~repro.core.query.Query` or a
-    :class:`~repro.compile.CompiledQuery` — the report's ``execution``
-    field records which path ran (and the plan-cache hit/miss status
-    when the compiled plan came through the cache).
+    the trace.  ``query`` may be a parsed
+    :class:`~repro.core.query.Query` or a
+    :class:`~repro.compile.CompiledQuery`.
     """
     from ..errors import QueryAbortedError
     from ..governor import govern
-
-    execution: Dict[str, Any] = {
-        "path": "compiled" if getattr(query, "compiled", False)
-        else "interpreted"
-    }
-    cache_status = getattr(query, "cache_status", None)
-    if cache_status:
-        execution["cache"] = cache_status
 
     collector = Collector()
     start = time.perf_counter()
@@ -156,7 +134,7 @@ def profile_query(
     cost = cost_comparison(cert, collector.counters) if cert is not None else None
     return ProfileReport(
         query.name, engine, wall, collector, result, governor=governor,
-        execution=execution, cost=cost,
+        cost=cost,
     )
 
 

@@ -6,7 +6,7 @@ framework, no dependency) exposing three endpoints:
 ``POST /query``
     JSON body ``{"query": "...", "graph": "...", "params": {...},
     "tenant": "...", "class": "...", "deadline_seconds": ...,
-    "engine": "...", "compile": true}``.  The response body is the
+    "engine": "..."}``.  The response body is the
     outcome document from
     :func:`repro.server.protocol.outcome`; the HTTP status is its
     ``http_status`` field, and shed responses carry ``Retry-After``.
@@ -67,9 +67,6 @@ def parse_request_body(doc: Any) -> QueryRequest:
     for key in ("graph", "tenant", "class", "engine", "request_id"):
         if key in doc and not isinstance(doc[key], str):
             raise ValueError(f'"{key}" must be a string')
-    compile_flag = doc.get("compile", True)
-    if not isinstance(compile_flag, bool):
-        raise ValueError('"compile" must be a boolean')
     return QueryRequest(
         query_text=query_text,
         graph=doc.get("graph", "default"),
@@ -79,7 +76,6 @@ def parse_request_body(doc: Any) -> QueryRequest:
         deadline_seconds=float(deadline) if deadline is not None else None,
         engine=doc.get("engine", "counting"),
         request_id=doc.get("request_id", ""),
-        compile=compile_flag,
     )
 
 

@@ -91,7 +91,6 @@ def execute_job(job: Job, graphs: Dict[str, Any]) -> Dict[str, Any]:
     kind-specific payload, the query's obs counters and elapsed time.
     """
     from ..analysis import analyze
-    from ..gsql import parse_query
     from ..obs.metrics import collect
 
     started = time.perf_counter()
@@ -144,31 +143,23 @@ def execute_job(job: Job, graphs: Dict[str, Any]) -> Dict[str, Any]:
     # analysis re-entry.
     with collect() as col:
         # parse + static analysis (the "check" stage): error-severity
-        # diagnostics reject the query before any execution work.  With
-        # compilation on (the default), both stages run through the plan
-        # cache: a warm hit skips them entirely, reusing the stashed
-        # analysis verdict.
+        # diagnostics reject the query before any execution work.  Both
+        # stages run through the plan cache: a warm hit skips them
+        # entirely, reusing the stashed analysis verdict.
         try:
-            if job.compile:
-                from ..compile import plan_cache
+            from ..compile import plan_cache
 
-                runnable = plan_cache().get_or_compile(
-                    job.query_text, schema=getattr(graph, "schema", None)
-                )
-                if runnable.lint_errors is None:
-                    diagnostics = analyze(
-                        runnable.query, schema=None, source=job.query_text
-                    )
-                    runnable.lint_errors = [
-                        d.to_dict() for d in diagnostics if d.is_error
-                    ]
-                diag_errors = runnable.lint_errors
-            else:
-                runnable = parse_query(job.query_text)
+            runnable = plan_cache().get_or_compile(
+                job.query_text, schema=getattr(graph, "schema", None)
+            )
+            if runnable.lint_errors is None:
                 diagnostics = analyze(
-                    runnable, schema=None, source=job.query_text
+                    runnable.query, schema=None, source=job.query_text
                 )
-                diag_errors = [d.to_dict() for d in diagnostics if d.is_error]
+                runnable.lint_errors = [
+                    d.to_dict() for d in diagnostics if d.is_error
+                ]
+            diag_errors = runnable.lint_errors
         except (GSQLSyntaxError, QueryCompileError) as exc:
             return reply(
                 OutcomeKind.LINT_ERROR,

@@ -127,9 +127,6 @@ class QueryRequest(NamedTuple):
     deadline_seconds: Optional[float] = None
     engine: str = "counting"
     request_id: str = ""
-    #: False opts this request out of the worker-side plan cache +
-    #: compiled execution (the ``--no-compile`` escape hatch).
-    compile: bool = True
 
 
 class Job(NamedTuple):
@@ -142,7 +139,6 @@ class Job(NamedTuple):
     engine: str
     budget: Dict[str, Any]
     attempt: int = 1
-    compile: bool = True
     #: The epoch pinned at admission when the graph lives in a
     #: :class:`~repro.graph.mutation.GraphStore`: the worker runs
     #: against exactly this version, so a batch committing mid-query

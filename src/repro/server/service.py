@@ -56,7 +56,6 @@ class QueryService:
         retry: Optional[RetryPolicy] = None,
         clock=time.monotonic,
         sleep=time.sleep,
-        compile_enabled: bool = True,
         cost_screen_enabled: bool = True,
         wal_dir: Optional[str] = None,
         wal_fsync: bool = True,
@@ -107,10 +106,6 @@ class QueryService:
             graph_paths=graph_paths,
         )
         self.retry = retry if retry is not None else RetryPolicy()
-        #: Service-wide master switch for the worker-side plan cache +
-        #: compiled execution (``repro serve --no-compile`` clears it);
-        #: per-request ``"compile": false`` still opts out individually.
-        self.compile_enabled = compile_enabled
         #: Static cost screen: before dispatching, predict the query's
         #: cost against its graph's statistics and refuse requests whose
         #: *provable* upper bound already exceeds the class budget
@@ -425,20 +420,12 @@ class QueryService:
         try:
             from ..analysis.cost import budget_breaches
 
-            if self.compile_enabled and request.compile:
-                # Warm path: the plan cache stashes the certificate per
-                # statistics fingerprint, so repeat traffic screens
-                # without re-parsing or re-estimating.
-                from ..compile import compile_query_text
+            from ..compile import compile_query_text
 
-                cert = compile_query_text(request.query_text).cost_for(stats)
-            else:
-                from ..core.tractable import attach_cost_certificates
-                from ..gsql import parse_query
-
-                query = parse_query(request.query_text)
-                attach_cost_certificates(query, stats=stats)
-                cert = query.cost_certificate
+            # The plan cache stashes the certificate per statistics
+            # fingerprint, so repeat traffic screens without re-parsing
+            # or re-estimating.
+            cert = compile_query_text(request.query_text).cost_for(stats)
         except Exception:  # noqa: BLE001 - worker owns parse diagnostics
             return None
         if cert is None:
@@ -501,7 +488,6 @@ class QueryService:
                         budget, deadline_seconds=max(remaining, 0.001)
                     ),
                     attempt=attempt,
-                    compile=request.compile and self.compile_enabled,
                     graph_epoch=pin.epoch if pin is not None else None,
                 )
                 if not dispatched:

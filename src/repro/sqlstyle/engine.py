@@ -44,11 +44,13 @@ def materialize_match_table(
     table = evaluate_pattern(ctx, pattern, mode)
     out = MatchTable()
     total = 0
+    where_fn = where.closure()[0] if where is not None else None
+    column_fns = [(name, expr.closure()[0]) for name, expr in columns.items()]
     for binding_row in table:
         env = EvalEnv(ctx, binding_row.bindings)
-        if where is not None and not where.eval(env):
+        if where_fn is not None and not where_fn(env):
             continue
-        row: Row = {name: expr.eval(env) for name, expr in columns.items()}
+        row: Row = {name: fn(env) for name, fn in column_fns}
         total += binding_row.multiplicity
         if max_rows is not None and total > max_rows:
             raise EvaluationBudgetExceeded(

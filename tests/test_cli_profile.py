@@ -58,7 +58,7 @@ class TestProfile:
         assert doc["query"] == "Qn"
         assert doc["counters"]["block.acc_executions"] == 1
         assert doc["counters"]["block.binding_multiplicity"] == 64
-        assert doc["spans"][0]["name"] == "query"
+        assert [span["name"] for span in doc["spans"]] == ["compile", "query"]
 
     def test_output_file_written(self, capsys, tmp_path, diamond_json, qn_file):
         trace = tmp_path / "trace.json"

@@ -1,9 +1,6 @@
-"""Tests for repro.compile: closure compilation, lowering, equivalence.
-
-The contract under test is *observational identity*: a compiled plan
-must produce exactly the interpreter's results, raise the interpreter's
-errors, and pass through the same governor/AccSan/fault checkpoints —
-it is only allowed to be faster.
+"""Tests for repro.compile: closure compilation, lowering, the single
+execution entry (``Query.run`` lowers once and runs the plan), and the
+governor/AccSan/fault checkpoints of the lowered block.
 """
 
 import pytest
@@ -76,12 +73,8 @@ def canonical(result):
     }
 
 
-def run_both(text, graph, mode=None, **params):
-    """(interpreted, compiled) canonical results for the same execution."""
-    interp = parse_query(text).run(graph, mode=mode, **params)
-    plan = compile_query(parse_query(text))
-    comp = plan.run(graph, mode=mode, **params)
-    return canonical(interp), canonical(comp)
+def run(text, graph, mode=None, **params):
+    return canonical(parse_query(text).run(graph, mode=mode, **params))
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +93,11 @@ class TestExprCompile:
             ("CASE WHEN 1 < 2 THEN \"y\" ELSE \"n\" END", "y"),
         ],
     )
-    def test_constant_parity(self, text, expected):
+    def test_constant_values(self, text, expected):
         expr = _expr(text)
         env = EvalEnv(QueryContext(builders.diamond_chain(2)))
-        compiled = compile_expr(expr)
-        assert expr.eval(env) == compiled.eval(env) == expected
+        assert compile_expr(expr).eval(env) == expected
+        assert expr.eval(env) == expected  # the one-shot over the same builder
 
     def test_constant_folding_counted(self):
         stats = CompileStats()
@@ -137,58 +130,139 @@ class TestExprCompile:
         compiled = compile_expr(_expr("x + 1"))
         assert compile_expr(compiled) is compiled
 
-    def test_error_parity_unknown_name(self):
+    def test_unknown_name_raises_at_evaluation(self):
         expr = _expr("nosuch + 1")
         env = EvalEnv(QueryContext(builders.diamond_chain(2)))
-        with pytest.raises(QueryRuntimeError) as interp_err:
-            expr.eval(env)
-        with pytest.raises(QueryRuntimeError) as comp_err:
-            compile_expr(expr).eval(env)
-        assert str(interp_err.value) == str(comp_err.value)
+        compiled = compile_expr(expr)  # lowering succeeds: names are runtime state
+        with pytest.raises(QueryRuntimeError, match="unknown name 'nosuch'"):
+            compiled.eval(env)
+
+    def test_aggregate_outside_a_group_raises(self):
+        env = EvalEnv(QueryContext(builders.diamond_chain(2)))
+        with pytest.raises(QueryRuntimeError, match="outside a SELECT output"):
+            compile_expr(_expr("count(*) + 1")).eval(env)
 
 
 # ---------------------------------------------------------------------------
-# Whole-query equivalence
+# Whole-query results through Query.run
 # ---------------------------------------------------------------------------
-class TestEquivalence:
+class TestQueryResults:
+    @staticmethod
+    def qn_answer(target, count):
+        return {
+            "printed": [{"R": [{"name": target, "pathCount": count}]}],
+            "tables": {},
+            "returned": None,
+        }
+
     def test_qn_counting(self):
-        graph = builders.diamond_chain(8)
-        interp, comp = run_both(
-            QN, graph, mode=EngineMode.counting(),
+        got = run(
+            QN, builders.diamond_chain(8), mode=EngineMode.counting(),
             srcName="v0", tgtName="v8",
         )
-        assert interp == comp
-        assert "'pathCount': 256" in str(interp) or comp["printed"]
+        assert got == self.qn_answer("v8", 256)
 
     def test_qn_auto(self):
-        graph = builders.diamond_chain(6)
-        interp, comp = run_both(
-            QN, graph, mode=EngineMode.auto(), srcName="v0", tgtName="v6"
+        got = run(
+            QN, builders.diamond_chain(6), mode=EngineMode.auto(),
+            srcName="v0", tgtName="v6",
         )
-        assert interp == comp
+        assert got == self.qn_answer("v6", 64)
 
     def test_qn_enumeration(self):
         from repro.paths import PathSemantics
 
-        graph = builders.diamond_chain(4)
-        interp, comp = run_both(
-            QN, graph,
+        got = run(
+            QN, builders.diamond_chain(4),
             mode=EngineMode.enumeration(PathSemantics.NO_REPEATED_EDGE),
             srcName="v0", tgtName="v4",
         )
-        assert interp == comp
+        assert got == self.qn_answer("v4", 16)
 
     def test_order_dependent_trace(self):
-        # Both paths fold the binding table in the same order, so even
-        # an ORDER_DEPENDENT ListAccum trace must match exactly.
-        graph = builders.diamond_chain(4)
-        interp, comp = run_both(ORDER_TRACE, graph)
-        assert interp == comp
+        # The Reduce folds the binding table in row order, so even an
+        # ORDER_DEPENDENT ListAccum trace is one fixed list.
+        got = run(ORDER_TRACE, builders.diamond_chain(4))
+        assert got["printed"] == [
+            {"visitTrace": [
+                "v0", "v0", "v1", "v1", "v2", "v2", "v3", "v3",
+                "d0t", "d0b", "d1t", "d1b", "d2t", "d2b", "d3t", "d3b",
+            ]},
+            {"edgeCount": 16},
+        ]
 
     def test_group_by_having_order_limit(self):
-        graph = builders.diamond_chain(5)
-        interp, comp = run_both(AGGREGATED, graph)
-        assert interp == comp
+        got = run(AGGREGATED, builders.diamond_chain(5))
+        table = {
+            "columns": ["src", "fanout"],
+            "rows": [[f"v{i}", 2] for i in range(5)],
+        }
+        assert got == {"printed": [], "tables": {"T": table}, "returned": table}
+
+
+# ---------------------------------------------------------------------------
+# The single entry: Query.run lowers once, plans never re-lower
+# ---------------------------------------------------------------------------
+class TestSingleEntry:
+    ARGS = {"srcName": "v0", "tgtName": "v4"}
+
+    def test_run_twice_lowers_once_until_invalidated(self):
+        query = parse_query(QN)
+        graph = builders.diamond_chain(4)
+        col = Collector()
+        with collect(col):
+            query.run(graph, **self.ARGS)
+            query.run(graph, **self.ARGS)
+        assert col.counters["compile.blocks"] == 1
+        assert [s.name for s in col.roots] == ["compile", "query", "query"]
+        query.invalidate_analysis()
+        with collect(col):
+            query.run(graph, **self.ARGS)
+        assert col.counters["compile.blocks"] == 2
+
+    def test_cold_cache_plan_lowers_exactly_once(self):
+        from repro.compile import PlanCache
+
+        col = Collector()
+        with collect(col):
+            plan = PlanCache().get_or_compile(QN)
+            plan.run(builders.diamond_chain(4), **self.ARGS)
+            plan.run(builders.diamond_chain(4), **self.ARGS)
+        assert plan.cache_status == "miss"
+        assert col.counters["compile.blocks"] == 1
+        assert [s.name for s in col.roots].count("compile") == 1
+
+    def test_eight_threads_on_one_fresh_query_agree(self):
+        import sys
+        import threading
+
+        query = parse_query(QN)
+        graph = builders.diamond_chain(6)
+        results, errors = [], []
+        start = threading.Barrier(8)
+
+        def worker():
+            try:
+                start.wait(timeout=10)
+                results.append(
+                    canonical(query.run(graph, srcName="v0", tgtName="v6"))
+                )
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert results == [TestQueryResults.qn_answer("v6", 64)] * 8
 
 
 # ---------------------------------------------------------------------------
@@ -212,24 +286,11 @@ class TestCompiledQuery:
         text = plan.describe()
         assert text.startswith("COMPILED Qn")
         assert "map kernel" in text
-        assert "auto tier: counting" in text
-
-    def test_run_span_marks_compiled(self):
-        plan = compile_query(parse_query(QN))
-        graph = builders.diamond_chain(4)
-        col = Collector()
-        with collect(col):
-            plan.run(graph, srcName="v0", tgtName="v4")
-        root = col.roots[0]
-        assert root.attrs.get("compiled") is True
-        select = [s for s in root.children if s.name == "select_block"]
-        assert select and select[0].attrs.get("compiled") is True
 
     def test_name_and_params_delegate(self):
         plan = compile_query(parse_query(QN))
         assert plan.name == "Qn"
         assert [p.name for p in plan.params] == ["srcName", "tgtName"]
-        assert plan.compiled is True
 
     def test_stale_after_invalidate_analysis(self):
         query = parse_query(QN)
@@ -240,65 +301,54 @@ class TestCompiledQuery:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint parity: governor, AccSan, faults
+# Checkpoints: governor, AccSan, faults
 # ---------------------------------------------------------------------------
-class TestCheckpointParity:
-    def test_governor_abort_parity(self):
-        # ORDER_TRACE charges one acc-execution per edge (16 on the
-        # 8-diamond chain), so a budget of 2 aborts in the Map loop on
-        # both paths.
-        graph = builders.diamond_chain(8)
-        budget = Budget(max_acc_executions=2)
+class TestCheckpoints:
+    def test_governor_abort_before_map(self):
+        # ORDER_TRACE charges one acc-execution per edge (32 on the
+        # 8-diamond chain) up front, so a budget of 2 aborts before any
+        # Map work runs.
+        gov = ExecutionGovernor(Budget(max_acc_executions=2))
+        with pytest.raises(QueryAbortedError) as err:
+            with govern(gov):
+                parse_query(ORDER_TRACE).run(
+                    builders.diamond_chain(8), mode=EngineMode.counting()
+                )
+        assert (err.value.limit_name, err.value.limit_value) == (
+            "max_acc_executions", 2
+        )
 
-        def aborts(runnable):
-            gov = ExecutionGovernor(budget)
-            with pytest.raises(QueryAbortedError) as err:
-                with govern(gov):
-                    runnable.run(graph, mode=EngineMode.counting())
-            return err.value.limit_name, err.value.limit_value
-
-        interp = aborts(parse_query(ORDER_TRACE))
-        comp = aborts(compile_query(parse_query(ORDER_TRACE)))
-        assert interp == comp
-
-    def test_accsan_replays_compiled_reduce(self):
-        # AccSan sees the same event stream from both paths: same event
-        # count, same verified-phase count, and the ORDER_DEPENDENT
-        # trace is detected on the compiled path too.
+    def test_accsan_replays_the_reduce(self):
+        # Two accumulator writes per edge (20 edges), one verified
+        # SumAccum phase, and the ORDER_DEPENDENT trace is detected.
         from repro import accsan
 
-        graph = builders.diamond_chain(5)
+        with accsan.sanitize(schedules=4) as sanitizer:
+            parse_query(ORDER_TRACE).run(builders.diamond_chain(5))
+        report = sanitizer.report()
+        assert report.splitlines()[0] == (
+            "AccSan: 40 events, 1 reduce phases verified under 4 schedules, "
+            "1 order-dependence detections, 0 unreplayable"
+        )
+        assert "DETECTED @@visitTrace" in report
 
-        def summary(runnable):
-            with accsan.sanitize(schedules=4) as sanitizer:
-                runnable.run(graph)
-            report = sanitizer.report()
-            return report.splitlines()[0], "DETECTED @@visitTrace" in report
-
-        interp = summary(parse_query(ORDER_TRACE))
-        comp = summary(compile_query(parse_query(ORDER_TRACE)))
-        assert interp == comp
-        assert comp[1]  # the order-dependence detection fired
-
-    def test_fault_injection_fires_in_compiled_kernel(self):
+    def test_fault_injection_fires_in_map_kernel(self):
         from repro.errors import InjectedFault
         from repro.governor.faults import FaultPlan, inject_faults
 
         graph = builders.diamond_chain(4)
-        plan = compile_query(parse_query(QN))
         with inject_faults(FaultPlan().inject("block.accum_map", at=0)):
             with pytest.raises(InjectedFault):
-                plan.run(graph, srcName="v0", tgtName="v4")
+                parse_query(QN).run(graph, srcName="v0", tgtName="v4")
 
-    def test_fault_injection_fires_in_compiled_reduce(self):
+    def test_fault_injection_fires_in_reduce(self):
         from repro.errors import InjectedFault
         from repro.governor.faults import FaultPlan, inject_faults
 
         graph = builders.diamond_chain(4)
-        plan = compile_query(parse_query(QN))
         with inject_faults(FaultPlan().inject("block.reduce", at=0)):
             with pytest.raises(InjectedFault):
-                plan.run(graph, srcName="v0", tgtName="v4")
+                parse_query(QN).run(graph, srcName="v0", tgtName="v4")
 
 
 # ---------------------------------------------------------------------------
@@ -321,28 +371,17 @@ class TestCliCompile:
 
     PARAMS = ["--param", "srcName=v0", "--param", "tgtName=v6"]
 
-    def test_run_no_compile_matches_default(
-        self, capsys, diamond_json, qn_file
-    ):
+    def test_run_prints_the_path_count(self, capsys, diamond_json, qn_file):
         assert main_run(
             ["run", qn_file, "--graph", diamond_json] + self.PARAMS
         ) == 0
-        default_out = capsys.readouterr().out
-        assert main_run(
-            ["run", qn_file, "--graph", diamond_json, "--no-compile"]
-            + self.PARAMS
-        ) == 0
-        assert capsys.readouterr().out == default_out
-        assert "'pathCount': 64" in default_out
+        assert "'pathCount': 64" in capsys.readouterr().out
 
     def test_explain_appends_compiled_plan(self, capsys, qn_file):
         assert main_run(["explain", qn_file]) == 0
-        out = capsys.readouterr().out
-        assert "COMPILED Qn" in out
-        assert main_run(["explain", qn_file, "--no-compile"]) == 0
-        assert "COMPILED" not in capsys.readouterr().out
+        assert "COMPILED Qn" in capsys.readouterr().out
 
-    def test_profile_reports_execution_path(
+    def test_profile_shows_lowering_then_the_query(
         self, capsys, diamond_json, qn_file
     ):
         import json
@@ -352,14 +391,16 @@ class TestCliCompile:
             + self.PARAMS
         ) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["execution"]["path"] == "compiled"
-        assert doc["execution"]["cache"] in ("hit", "miss")
-        assert main_run(
-            ["profile", qn_file, "--graph", diamond_json, "--format", "json",
-             "--no-compile"] + self.PARAMS
-        ) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["execution"] == {"path": "interpreted"}
+        assert [span["name"] for span in doc["spans"]] == ["compile", "query"]
+        assert "execution" not in doc
+
+    @pytest.mark.parametrize(
+        "argv", [["run", "q.gsql"], ["explain", "q.gsql"], ["profile", "q.gsql"], ["serve"]]
+    )
+    def test_no_compile_flag_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main_run(argv + ["--graph", "g.json", "--no-compile"])
+        assert "unrecognized arguments: --no-compile" in capsys.readouterr().err
 
 
 def main_run(argv):

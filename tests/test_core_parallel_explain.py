@@ -52,18 +52,25 @@ def _sales_setup():
     return ctx, rows, statements
 
 
-def _serial_reference():
-    from repro.core.stmts import InputBuffer, run_map_phase
+def _run_serial(ctx, rows, statements):
+    """The Map kernel bound to the live context + one InputBuffer, then
+    the Reduce — what a SELECT block does with an ACCUM clause."""
+    from repro.compile import CompileStats
+    from repro.compile.lowering import compile_accum_clause
     from repro.core.exprs import EvalEnv
+    from repro.core.stmts import InputBuffer
 
-    ctx, rows, statements = _sales_setup()
     buffer = InputBuffer()
+    kernel = compile_accum_clause(statements, {}, CompileStats())(ctx, buffer)
     locals_ = {}
     for row in rows:
-        run_map_phase(statements, EvalEnv(ctx, row.bindings, locals_), buffer,
-                      row.multiplicity)
+        kernel(EvalEnv(ctx, row.bindings, locals_), row.multiplicity)
     buffer.flush()
     return ctx
+
+
+def _serial_reference():
+    return _run_serial(*_sales_setup())
 
 
 class TestParallelAccum:
@@ -105,6 +112,76 @@ class TestParallelAccum:
         statements = [AccumUpdate(AccumTarget("total"), "=", Literal(1.0))]
         with pytest.raises(QueryRuntimeError, match="race"):
             parallel_accum(ctx, statements, rows, partitions=2)
+
+    CERTIFIED_IF = """
+    CREATE QUERY q() {
+      SumAccum<int> @c;
+      R = SELECT t FROM V:s -(E>)- V:t
+          ACCUM IF s.name == "v0" THEN t.@c += 1 ELSE t.@c += 10 END;
+    }"""
+    CERTIFIED_FOREACH = """
+    CREATE QUERY q() {
+      SumAccum<int> @c;
+      SumAccum<int> @@n;
+      R = SELECT t FROM V:s -(E>)- V:t
+          ACCUM FOREACH w IN (1, 2, 3) DO t.@c += w, @@n += 1 END;
+    }"""
+
+    @staticmethod
+    def _certified(text):
+        """(ctx factory, rows, ACCUM statements, certificate) of the one
+        SELECT block in ``text``, declared the way its query declares."""
+        from repro.gsql import parse_query
+
+        query = parse_query(text)
+        block = query.statements[-1].block
+        assert block.effect_certificate.commutative
+
+        def fresh_ctx():
+            ctx = QueryContext(builders.diamond_chain(5))
+            for stmt in query.statements[:-1]:
+                for decl in getattr(stmt, "statements", [stmt]):
+                    decl.execute(ctx, EngineMode.counting())
+            return ctx
+
+        rows = evaluate_pattern(
+            fresh_ctx(), block.pattern, EngineMode.counting()
+        ).rows
+        return fresh_ctx, rows, block.accum, block.effect_certificate
+
+    @pytest.mark.parametrize("use_threads", [False, True])
+    @pytest.mark.parametrize("partitions", [2, 4])
+    @pytest.mark.parametrize(
+        "text", [CERTIFIED_IF, CERTIFIED_FOREACH], ids=["if", "foreach"]
+    )
+    def test_certified_control_flow_matches_serial(
+        self, text, partitions, use_threads
+    ):
+        fresh_ctx, rows, statements, cert = self._certified(text)
+        serial = _run_serial(fresh_ctx(), rows, statements)
+        ctx = fresh_ctx()
+        parallel_accum(
+            ctx, statements, rows, partitions=partitions,
+            use_threads=use_threads, certificate=cert,
+        )
+        expected = dict(serial.vertex_accum_values("c"))
+        assert expected and any(expected.values())
+        assert dict(ctx.vertex_accum_values("c")) == expected
+        if ctx.has_accum("n"):
+            assert ctx.global_accum("n").value == serial.global_accum("n").value
+
+    @pytest.mark.parametrize("use_threads", [False, True])
+    def test_assignment_under_control_flow_still_rejected(self, use_threads):
+        from repro.core.stmts import AccumIf
+
+        ctx, rows, _ = _sales_setup()
+        statements = [
+            AccumIf(Literal(True), [AccumUpdate(AccumTarget("total"), "=", Literal(1.0))])
+        ]
+        with pytest.raises(QueryRuntimeError, match="only \\+="):
+            parallel_accum(
+                ctx, statements, rows, partitions=2, use_threads=use_threads
+            )
 
     @settings(max_examples=20, deadline=None)
     @given(partitions=st.integers(1, 16))

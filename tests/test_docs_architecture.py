@@ -57,11 +57,27 @@ class TestCompilationDocs:
         for needle in (
             "plan cache",
             "CompiledQuery",
-            "--no-compile",
+            "Query.run",
             "compile.cache.hit",
-            "check_compile_speedup",
+            "BENCH_12.json",
         ):
             assert needle in text, f"docs/compilation.md lost {needle!r}"
+
+    def test_docs_describe_one_execution_path(self):
+        """The interpreter twin and its opt-outs are gone; no page may
+        keep advertising them."""
+        pages = [REPO / "README.md", *sorted(DOCS.glob("*.md"))]
+        for page in pages:
+            text = page.read_text()
+            for gone in (
+                "--no-compile",
+                '"compile": false',
+                "compile_enabled",
+                "check_compile_speedup",
+                "planner.auto_source.compiled",
+                "execution: path=",
+            ):
+                assert gone not in text, f"{page.name} still mentions {gone!r}"
 
     def test_cross_links(self):
         assert "compilation.md" in (DOCS / "architecture.md").read_text()

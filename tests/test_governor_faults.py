@@ -343,9 +343,12 @@ class TestParallelWorkerFaults:
         gov = ExecutionGovernor(Budget(max_acc_executions=0))
 
         class _AbortingExpr:
-            def eval(self, env):
-                gov.charge_acc_executions(1)
-                return 1
+            def closure(self):
+                def run(env):
+                    gov.charge_acc_executions(1)
+                    return 1
+
+                return run, False
 
         from repro.core.stmts import AccumTarget, AccumUpdate
 

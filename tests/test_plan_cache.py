@@ -262,13 +262,12 @@ class TestServerIntegration:
             }
         return TestServerIntegration.GRAPHS
 
-    def job(self, request_id, compile=True):
+    def job(self, request_id):
         from repro.server.protocol import Job
 
         return Job(
             request_id, QN, "default",
             {"srcName": "v0", "tgtName": "v6"}, "counting", {},
-            compile=compile,
         )
 
     def test_warm_hit_skips_parse_and_analysis(self):
@@ -289,34 +288,13 @@ class TestServerIntegration:
         )
         assert warm["result"] == cold["result"]
 
-    def test_compile_false_takes_interpreted_path(self):
-        from repro.server.pool import execute_job
+    def test_compile_request_field_is_ignored_like_any_unknown_key(self):
+        from repro.server.app import parse_request_body
 
-        reply = execute_job(self.job("r3", compile=False), self.graphs())
-        assert reply["outcome"] == "ok"
-        assert not any(
-            k.startswith("compile.") for k in reply["counters"]
-        )
-
-    def test_service_no_compile_master_switch(self):
-        from repro.server import QueryRequest, QueryService, RetryPolicy
-
-        service = QueryService(
-            graphs=self.graphs(), pool_size=1, pool_mode="thread",
-            retry=RetryPolicy(max_attempts=1), compile_enabled=False,
-        )
-        try:
-            doc = service.submit(
-                QueryRequest(
-                    QN, params={"srcName": "v0", "tgtName": "v6"},
-                    request_id="svc-1",
-                )
-            )
-            assert doc["outcome"] == "ok"
-            counters = service.metrics_dict()["counters"]
-            assert not any(k.startswith("compile.") for k in counters)
-        finally:
-            service.shutdown(grace=5.0)
+        plain = parse_request_body({"query": QN})
+        assert parse_request_body({"query": QN, "compile": False}) == plain
+        assert parse_request_body({"query": QN, "compile": "no"}) == plain
+        assert not hasattr(plain, "compile")
 
     def test_lint_error_unaffected_by_cache(self):
         from repro.server.pool import execute_job

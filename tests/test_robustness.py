@@ -88,6 +88,64 @@ CREATE QUERY q() {
 }""")
 
 
+#: Query texts that used to escape as bare Python errors (TypeError,
+#: IndexError, ValueError) from inside the engine.
+RAW_ERROR_TEXTS = {
+    "post_accum_foreach_over_scalar": ("""
+CREATE QUERY q() {
+  SumAccum<int> @n;
+  S = SELECT c FROM Customer:c -(Bought>)- Product:p
+      POST_ACCUM FOREACH x IN 5 DO c.@n += 1 END;
+}""", "FOREACH needs an iterable"),
+    "contains_without_argument": ("""
+CREATE QUERY q() {
+  SetAccum<int> @@s;
+  @@s += 1;
+  PRINT @@s.contains();
+}""", "contains.. takes 1 argument"),
+    "get_without_argument": ("""
+CREATE QUERY q() {
+  MapAccum<int, int> @@m;
+  @@m += (1, 2);
+  PRINT @@m.get();
+}""", "get.. takes 1 to 2 argument"),
+    "limit_not_a_number": ("""
+CREATE QUERY q() {
+  S = SELECT c FROM Customer:c -(Bought>)- Product:p LIMIT "x";
+}""", "LIMIT needs an integer"),
+    "outdegree_two_arguments": ("""
+CREATE QUERY q() {
+  SumAccum<int> @@d;
+  S = SELECT c FROM Customer:c -(Bought>)- Product:p
+      ACCUM @@d += c.outdegree("Bought", "Bought");
+}""", "outdegree.. takes 0 to 1 argument"),
+}
+
+
+class TestRawErrorsAreStructured:
+    @pytest.fixture(scope="class")
+    def service(self):
+        from repro.server import QueryService, RetryPolicy
+
+        service = QueryService(
+            graphs={"default": builders.sales_graph()}, pool_size=1,
+            pool_mode="thread", retry=RetryPolicy(max_attempts=1),
+        )
+        yield service
+        service.shutdown(grace=5.0)
+
+    @pytest.mark.parametrize("name", sorted(RAW_ERROR_TEXTS))
+    def test_query_run_and_service_report_a_runtime_error(self, name, service):
+        from repro.server import QueryRequest
+
+        text, message = RAW_ERROR_TEXTS[name]
+        with pytest.raises(QueryRuntimeError, match=message):
+            run(text)
+        doc = service.submit(QueryRequest(text, request_id=name))
+        assert (doc["outcome"], doc["http_status"]) == ("runtime-error", 422)
+        assert doc["error"]["kind"] == "QueryRuntimeError"
+
+
 class TestSyntaxErrorQuality:
     @pytest.mark.parametrize(
         "text,needle",
