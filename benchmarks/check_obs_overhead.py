@@ -29,19 +29,24 @@ import time
 from collections import defaultdict
 
 from repro.algorithms.traversal import path_count_query
-from repro.darpe.automaton import CompiledDarpe, LazyDFA
+from repro.darpe.automaton import CompiledDarpe
 from repro.graph import builders
 from repro.obs import Collector, collect, profile_query
 from repro.paths import single_source_sdmc
-from repro.paths.sdmc import SdmcResult
+from repro.paths.sdmc import SdmcResult, bucket_expander
 
 
-def reference_sdmc(graph, source, darpe):
-    """Verbatim copy of single_source_sdmc's BFS with every obs touchpoint
-    removed — the baseline an ideal zero-cost instrumentation matches."""
+def reference_sdmc(graph, source, darpe, targets=None, max_length=None):
+    """Verbatim copy of single_source_sdmc — the same per-bucket BFS,
+    through the shipped ``bucket_expander`` (which has no touchpoint of
+    its own) — with every obs/governor/fault touchpoint removed: the
+    baseline an ideal zero-cost instrumentation matches.  Returns the
+    results and the number of product states visited."""
     graph.vertex(source)
     dfa = darpe.new_dfa()
+    expand = bucket_expander(graph, dfa)
     results = {}
+    remaining = set(targets) if targets is not None else None
 
     start = (source, dfa.start)
     level = 0
@@ -56,23 +61,30 @@ def reference_sdmc(graph, source, darpe):
         for vid, count in per_vertex.items():
             if vid not in results:
                 results[vid] = SdmcResult(level, count)
+                if remaining is not None:
+                    remaining.discard(vid)
 
     record_level(frontier)
     while frontier:
+        if remaining is not None and not remaining:
+            break
+        if max_length is not None and level >= max_length:
+            break
         next_frontier = defaultdict(int)
         for (vid, q), count in frontier.items():
-            for step in graph.steps(vid):
-                q2 = dfa.step(q, (step.edge.type, step.direction))
-                if q2 == LazyDFA.DEAD:
-                    continue
-                ps = (step.neighbor, q2)
-                if ps in visited:
-                    continue
-                next_frontier[ps] += count
+            for q2, bucket in expand(vid, q):
+                for step in bucket:
+                    ps = (step.neighbor, q2)
+                    if ps in visited:
+                        continue
+                    next_frontier[ps] += count
         level += 1
         visited.update(next_frontier)
         record_level(next_frontier)
         frontier = next_frontier
+
+    if targets is not None:
+        results = {vid: res for vid, res in results.items() if vid in targets}
     return results, len(visited)
 
 

@@ -359,7 +359,9 @@ class CompiledBlock(SelectBlock):
 
         pattern_vars = set(original.pattern.variables())
         # Pushdown split, once (so the planner.pushdown_* counters are
-        # charged per lowering, not per execution).
+        # charged per lowering, not per execution).  The per-variable
+        # filters keep their closures prebuilt: the hop kernel's bind
+        # stage (repro.core.pattern) takes them as they are.
         var_filters, residual_conjuncts = push_down_filters(
             original.where, pattern_vars
         )

@@ -25,7 +25,7 @@ Two evaluation engines share this module:
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..darpe.ast import Symbol, contains_kleene
 from ..darpe.automaton import CompiledDarpe
@@ -37,6 +37,7 @@ from ..paths.sdmc import single_source_sdmc
 from ..paths.semantics import PathSemantics
 from ..enumeration.engine import match_counts
 from .context import QueryContext
+from .exprs import EvalEnv
 
 _hidden_counter = itertools.count()
 
@@ -149,29 +150,26 @@ class VertexSpec:
         """The vertices this spec allows as a chain *source*."""
         pinned = self._pinned_vertex(ctx)
         if pinned is not None:
-            if not self._allows_no_pin(ctx, pinned):
-                return []
-            return [pinned]
+            member = self.membership(ctx)
+            return [pinned] if member is None or member(pinned) else []
         return list(self._candidates(ctx))
 
-    def allows(self, ctx: QueryContext, vertex: Vertex) -> bool:
-        """Is ``vertex`` admissible in this position (as a hop target)?"""
-        pinned = self._pinned_vertex(ctx)
-        if pinned is not None and vertex.vid != pinned.vid:
-            return False
-        return self._allows_no_pin(ctx, vertex)
+    def membership(self, ctx: QueryContext) -> Optional[Callable[[Vertex], bool]]:
+        """The position's vertex-set-or-type test, with ``name`` resolved
+        once: a vertex -> bool callable, or None for the wildcard (every
+        vertex is admissible).  The pin is separate — see
+        :meth:`_pinned_vertex`."""
+        name = self.name
+        if name in ("_", "ANY"):
+            return None
+        vset = ctx.vertex_sets.get(name)
+        if vset is not None:
+            return vset.__contains__
+        return lambda vertex: vertex.type == name
 
     def _pinned_vertex(self, ctx: QueryContext) -> Optional[Vertex]:
         value = ctx.params.get(self.var)
         return value if isinstance(value, Vertex) else None
-
-    def _allows_no_pin(self, ctx: QueryContext, vertex: Vertex) -> bool:
-        if self.name in ("_", "ANY"):
-            return True
-        vset = ctx.vertex_sets.get(self.name)
-        if vset is not None:
-            return vertex in vset
-        return vertex.type == self.name
 
     def _candidates(self, ctx: QueryContext) -> Iterable[Vertex]:
         if self.name in ("_", "ANY"):
@@ -340,6 +338,77 @@ class BindingTable:
 # ----------------------------------------------------------------------
 # Evaluation
 # ----------------------------------------------------------------------
+# A hop runs as a two-stage kernel, like the ACCUM map kernel of
+# ``repro.compile.lowering``: everything that cannot change while the hop
+# executes — the pinned vertex, the vertex-set-or-type test, the
+# pushed-down filters' closures and the one ``EvalEnv`` they run under —
+# is resolved once by the bind stage (``_bind_filters``, ``_Acceptor``);
+# the per-row loops then only look verdicts up and extend rows.
+
+def _bind_filters(
+    ctx: QueryContext, var: str, filters: Optional[List[Any]]
+) -> Optional[Callable[[Any], bool]]:
+    """Bind stage of one variable's pushed-down filters: ``passes(value)``
+    for a vertex, an edge or a relational-table row, or None when the
+    variable has no filters.
+
+    Each filter's closure is taken once (lowered filters carry theirs
+    prebuilt) and all of them run under one reused ``EvalEnv`` whose
+    single binding is overwritten per call — a pushed-down conjunct reads
+    no other variable.
+    """
+    if not filters:
+        return None
+    fns = [f.closure()[0] for f in filters]
+    env = EvalEnv(ctx, {var: None})
+    row = env.row
+
+    def passes(value: Any) -> bool:
+        row[var] = value
+        for fn in fns:
+            if not fn(env):
+                return False
+        return True
+
+    return passes
+
+
+class _Acceptor(dict):
+    """Bind stage of a hop's target position: ``acceptor[vid]`` is the
+    target :class:`Vertex` when it is admissible — the pin, the
+    vertex-set-or-type test and the pushed-down filters all hold — and
+    None otherwise, decided once per distinct vertex of one hop execution.
+
+    Memoising is sound because a pushed-down conjunct reads only its own
+    variable plus state that is fixed while the pattern is evaluated
+    (attributes, parameters, accumulator values as of block entry), and
+    pushdown already made *how often* a filter runs unobservable.  A
+    filter that raises stores nothing: the error surfaces on the first
+    encounter of its vertex.
+    """
+
+    __slots__ = ("_vertex", "_pinned", "_member", "_passes")
+
+    def __init__(
+        self, ctx: QueryContext, spec: VertexSpec, filters: Optional[List[Any]]
+    ):
+        self._vertex = ctx.graph.vertex
+        pinned = spec._pinned_vertex(ctx)
+        self._pinned = None if pinned is None else pinned.vid
+        self._member = spec.membership(ctx)
+        self._passes = _bind_filters(ctx, spec.var, filters)
+
+    def __missing__(self, vid: Any) -> Optional[Vertex]:
+        vertex: Optional[Vertex] = self._vertex(vid)
+        if (
+            (self._pinned is not None and vid != self._pinned)
+            or (self._member is not None and not self._member(vertex))
+            or (self._passes is not None and not self._passes(vertex))
+        ):
+            vertex = None
+        self[vid] = vertex
+        return vertex
+
 
 def _hop_counts(
     graph, source_vid: Any, hop: Hop, mode: EngineMode, reverse: bool = False
@@ -372,29 +441,6 @@ def _hop_counts(
     )
 
 
-def _expand_single_symbol(
-    graph, source_vid: Any, symbol: Symbol
-) -> Iterable[Tuple[Any, Any]]:
-    """(edge, neighbor vid) pairs for a one-edge hop."""
-    etype = symbol.edge_type
-    for step in graph.steps(source_vid, direction=symbol.direction, etype=etype):
-        yield step.edge, step.neighbor
-
-
-def _passes_filters(
-    ctx: QueryContext, var: str, value: Any, var_filters: Dict[str, List[Any]]
-) -> bool:
-    """Evaluate a variable's pushed-down filters against one binding
-    (a vertex, an edge, or a relational-table row)."""
-    filters = var_filters.get(var)
-    if not filters:
-        return True
-    from .exprs import EvalEnv  # local import to avoid a cycle at load time
-
-    env = EvalEnv(ctx, {var: value})
-    return all(f.eval(env) for f in filters)
-
-
 def evaluate_chain(
     ctx: QueryContext,
     chain: Chain,
@@ -404,12 +450,13 @@ def evaluate_chain(
     graph = ctx.graph
     var_filters = var_filters or {}
     col = _obs._ACTIVE
-    rows: List[BindingRow] = [
-        BindingRow({chain.source.var: v}, 1)
-        for v in chain.source.seed(ctx)
-        if _passes_filters(ctx, chain.source.var, v, var_filters)
-    ]
     current_var = chain.source.var
+    passes = _bind_filters(ctx, current_var, var_filters.get(current_var))
+    rows: List[BindingRow] = [
+        BindingRow({current_var: v}, 1)
+        for v in chain.source.seed(ctx)
+        if passes is None or passes(v)
+    ]
     if col is not None:
         # Seed width after pushdown: the Qn query of Section 7.1 seeds
         # from 1 vertex instead of all 91 thanks to the planner.
@@ -449,77 +496,103 @@ def _evaluate_hop(
     current_var: str,
     col,
 ) -> Tuple[List[BindingRow], str]:
-    """Expand one hop; returns (new rows, plan label for observability)."""
+    """Expand one hop; returns (new rows, plan label for observability).
+
+    Every plan extends a row the same way: the target (and edge) binding
+    is added to a copy of the row's bindings, and a target variable the
+    row already binds acts as a join condition — the new binding must be
+    that same vertex or the extension is dropped.
+    """
     new_rows: List[BindingRow] = []
+    append = new_rows.append
     target_var = hop.target.var
     if hop.is_single_symbol:
-        # One-edge hops expand directly over the adjacency index and
-        # can bind an edge variable.
+        # One-edge hops read the adjacency bucket(s) of their symbol
+        # directly and can bind an edge variable.
         plan = "adjacency"
-        for row in rows:
-            source_vertex = row.bindings[current_var]
-            for edge, nbr in _expand_single_symbol(
-                graph, source_vertex.vid, hop.darpe.ast
-            ):
-                target_vertex = graph.vertex(nbr)
-                if not hop.target.allows(ctx, target_vertex):
-                    continue
-                if not _passes_filters(ctx, target_var, target_vertex, var_filters):
-                    continue
-                if hop.edge_var is not None and not _passes_filters(
-                    ctx, hop.edge_var, edge, var_filters
-                ):
-                    continue
-                new_rows.extend(
-                    _bind(row, hop, target_vertex, edge, 1)
-                )
-    else:
-        reverse_targets = _reverse_targets(
-            ctx, hop, rows, mode, var_filters, current_var
+        symbol = hop.darpe.ast
+        acceptor = _Acceptor(ctx, hop.target, var_filters.get(target_var))
+        edge_var = hop.edge_var
+        # Edges are per-row bindings: their filters run per crossing.
+        edge_passes = (
+            _bind_filters(ctx, edge_var, var_filters.get(edge_var))
+            if edge_var is not None
+            else None
         )
-        if reverse_targets is not None:
-            # Pinned-target hop: expand from the (smaller) target side
-            # over the reversed DARPE — the plan shape whose cost the
-            # paper's Table 1 measures on Neo4j.
-            plan = f"{mode.kind}-reversed"
-            if col is not None:
-                col.count("planner.hops_reversed")
-            counts_by_target = {
-                t.vid: _hop_counts(graph, t.vid, hop, mode, reverse=True)
-                for t in reverse_targets
-            }
-            for row in rows:
-                source_vid = row.bindings[current_var].vid
-                for target in reverse_targets:
-                    mult = counts_by_target[target.vid].get(source_vid, 0)
-                    if mult:
-                        new_rows.extend(_bind(row, hop, target, None, mult))
-        else:
-            # Forward expansion; the per-source result is cached since
-            # many rows share a source vertex.
-            plan = (
-                "sdmc-counting"
-                if mode.kind == EngineMode.COUNTING
-                else "enumeration"
-            )
-            if col is not None:
-                col.count("planner.hops_forward")
-            cache: Dict[Any, Dict[Any, int]] = {}
-            for row in rows:
-                source_vertex = row.bindings[current_var]
-                counts = cache.get(source_vertex.vid)
-                if counts is None:
-                    counts = _hop_counts(graph, source_vertex.vid, hop, mode)
-                    cache[source_vertex.vid] = counts
-                for target_vid, mult in counts.items():
-                    target_vertex = graph.vertex(target_vid)
-                    if not hop.target.allows(ctx, target_vertex):
+        direction, etype = symbol.direction, symbol.edge_type
+        for bindings, multiplicity in rows:
+            joined = bindings.get(target_var)
+            by_type = graph.buckets(bindings[current_var].vid)[direction]
+            # the symbol's one bucket, or every bucket for the wildcard
+            buckets = by_type.values() if etype is None else (by_type.get(etype, ()),)
+            for bucket in buckets:
+                for step in bucket:
+                    target = acceptor[step.neighbor]
+                    if target is None:
                         continue
-                    if not _passes_filters(
-                        ctx, target_var, target_vertex, var_filters
-                    ):
+                    if edge_passes is not None and not edge_passes(step.edge):
                         continue
-                    new_rows.extend(_bind(row, hop, target_vertex, None, mult))
+                    if joined is not None and joined.vid != target.vid:
+                        continue
+                    extended = dict(bindings)
+                    extended[target_var] = target
+                    if edge_var is not None:
+                        extended[edge_var] = step.edge
+                    append(BindingRow(extended, multiplicity))
+        return new_rows, plan
+
+    reverse_targets = _reverse_targets(
+        ctx, hop, rows, mode, var_filters, current_var
+    )
+    if reverse_targets is not None:
+        # Pinned-target hop: expand from the (smaller) target side
+        # over the reversed DARPE — the plan shape whose cost the
+        # paper's Table 1 measures on Neo4j.
+        plan = f"{mode.kind}-reversed"
+        if col is not None:
+            col.count("planner.hops_reversed")
+        counts_by_target = [
+            (t, _hop_counts(graph, t.vid, hop, mode, reverse=True))
+            for t in reverse_targets
+        ]
+        for bindings, multiplicity in rows:
+            joined = bindings.get(target_var)
+            source_vid = bindings[current_var].vid
+            for target, counts in counts_by_target:
+                mult = counts.get(source_vid, 0)
+                if not mult:
+                    continue
+                if joined is not None and joined.vid != target.vid:
+                    continue
+                extended = dict(bindings)
+                extended[target_var] = target
+                append(BindingRow(extended, multiplicity * mult))
+        return new_rows, plan
+
+    # Forward expansion; the per-source result — already restricted to
+    # admissible targets — is cached since many rows share a source.
+    plan = "sdmc-counting" if mode.kind == EngineMode.COUNTING else "enumeration"
+    if col is not None:
+        col.count("planner.hops_forward")
+    acceptor = _Acceptor(ctx, hop.target, var_filters.get(target_var))
+    cache: Dict[Any, List[Tuple[Vertex, int]]] = {}
+    for bindings, multiplicity in rows:
+        source_vid = bindings[current_var].vid
+        admitted = cache.get(source_vid)
+        if admitted is None:
+            counts = _hop_counts(graph, source_vid, hop, mode)
+            admitted = cache[source_vid] = [
+                (target, mult)
+                for vid, mult in counts.items()
+                if (target := acceptor[vid]) is not None
+            ]
+        joined = bindings.get(target_var)
+        for target, mult in admitted:
+            if joined is not None and joined.vid != target.vid:
+                continue
+            extended = dict(bindings)
+            extended[target_var] = target
+            append(BindingRow(extended, multiplicity * mult))
     return new_rows, plan
 
 
@@ -541,42 +614,14 @@ def _reverse_targets(
     """
     if mode.kind != EngineMode.ENUMERATION:
         return None
-    if not var_filters.get(hop.target.var):
+    passes = _bind_filters(ctx, hop.target.var, var_filters.get(hop.target.var))
+    if passes is None or not rows:
         return None
-    if not rows:
-        return None
-    targets = [
-        v
-        for v in hop.target.candidates(ctx)
-        if _passes_filters(ctx, hop.target.var, v, var_filters)
-    ]
+    targets = [v for v in hop.target.candidates(ctx) if passes(v)]
     distinct_sources = {row.bindings[current_var].vid for row in rows}
     if len(targets) <= len(distinct_sources):
         return targets
     return None
-
-
-def _bind(
-    row: BindingRow,
-    hop: Hop,
-    target_vertex: Vertex,
-    edge: Any,
-    mult: int,
-) -> Iterable[BindingRow]:
-    """Extend a row with a hop's target (and edge) binding.
-
-    A repeated variable acts as a join condition: the new binding must
-    agree with the existing one or the row is dropped.
-    """
-    var = hop.target.var
-    existing = row.bindings.get(var)
-    if existing is not None and existing.vid != target_vertex.vid:
-        return
-    bindings = dict(row.bindings)
-    bindings[var] = target_vertex
-    if hop.edge_var is not None:
-        bindings[hop.edge_var] = edge
-    yield BindingRow(bindings, row.multiplicity * mult)
 
 
 def _join(left: List[BindingRow], right: List[BindingRow]) -> List[BindingRow]:
@@ -624,24 +669,20 @@ def evaluate_pattern(
     rows: Optional[List[BindingRow]] = None
     filters = var_filters or {}
     for chain in pattern.chains:
-        if isinstance(chain, TableSource):
-            chain_rows = [
-                BindingRow({chain.var: row}, 1)
-                for row in chain.rows(ctx)
-                if _passes_filters(ctx, chain.var, row, filters)
-            ]
-        elif _is_table_conjunct(ctx, chain):
+        if not isinstance(chain, TableSource) and _is_table_conjunct(ctx, chain):
             # A hop-free conjunct naming a registered relational table
             # (and not a vertex set/type) scans that table — the paper's
             # Figure 1 "Employee" conjunct.
-            source = TableSource(chain.source.name, chain.source.var)
+            chain = TableSource(chain.source.name, chain.source.var)
+        if isinstance(chain, TableSource):
+            passes = _bind_filters(ctx, chain.var, filters.get(chain.var))
             chain_rows = [
-                BindingRow({source.var: row}, 1)
-                for row in source.rows(ctx)
-                if _passes_filters(ctx, source.var, row, filters)
+                BindingRow({chain.var: row}, 1)
+                for row in chain.rows(ctx)
+                if passes is None or passes(row)
             ]
         else:
-            chain_rows = evaluate_chain(ctx, chain, mode, var_filters)
+            chain_rows = evaluate_chain(ctx, chain, mode, filters)
         rows = chain_rows if rows is None else _join(rows, chain_rows)
     assert rows is not None
     return BindingTable(pattern.variables(), rows)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..graph.elements import Step
+from ..graph.elements import FORWARD, REVERSE, UNDIRECTED, Step
 from .ast import Alt, Concat, DarpeNode, Epsilon, Star, Symbol, normalize
 from .parser import parse_darpe
 
@@ -209,9 +209,19 @@ class LazyDFA:
         self._trans[key] = state_id
         return state_id
 
-    def step_over(self, state: int, step: Step) -> int:
-        """Convenience: advance over a graph traversal step."""
-        return self.step(state, (step.edge.type, step.direction))
+    def directions(self, state: int) -> Tuple[str, ...]:
+        """The crossing directions in which ``state`` has any transition,
+        in the graph's expansion order ``>``, ``<``, ``-``.  A caller
+        expanding a vertex skips every adjacency bucket of the other
+        directions without stepping the automaton."""
+        if state == self.DEAD:
+            return ()
+        live = {
+            label_dir
+            for q in self._sets[state]
+            for (_, label_dir, _) in self._nfa.transitions[q]
+        }
+        return tuple(d for d in (FORWARD, REVERSE, UNDIRECTED) if d in live)
 
     @property
     def num_materialized_states(self) -> int:
@@ -236,8 +246,10 @@ class CompiledDarpe:
         return cls(parse_darpe(text), text)
 
     def new_dfa(self) -> LazyDFA:
-        """A fresh lazy DFA (DFAs memoize per-graph transitions, so each
-        evaluation should use its own)."""
+        """A fresh lazy DFA.  Transitions are memoized per adorned symbol
+        (edge type, direction) — nothing in a DFA depends on the graph —
+        and each evaluation takes its own, so evaluations on different
+        threads never share the mutable memo."""
         return LazyDFA(self.nfa)
 
     def matches_word(self, word: List[AdornedSymbol]) -> bool:

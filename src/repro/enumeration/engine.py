@@ -21,14 +21,14 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Set
 
-from ..darpe.automaton import CompiledDarpe, LazyDFA
+from ..darpe.automaton import CompiledDarpe
 from ..errors import EvaluationBudgetExceeded, QueryRuntimeError
 from ..governor import faults as _faults
 from ..governor import governor as _gov
 from ..graph.elements import Edge
 from ..graph.graph import Graph
 from ..obs import metrics as _obs
-from ..paths.sdmc import single_source_sdmc
+from ..paths.sdmc import bucket_expander, single_source_sdmc
 from ..paths.semantics import PathSemantics
 
 
@@ -153,6 +153,7 @@ def _enumerate_dfs(
 ) -> Iterator[PathMatch]:
     """Backtracking DFS for the unrestricted/simple-path/trail flavors."""
     dfa = darpe.new_dfa()
+    expand = bucket_expander(graph, dfa)
     path: List[Edge] = []
     path_vertices: List[Any] = [source]
     used_edges: Set[int] = set()
@@ -166,26 +167,24 @@ def _enumerate_dfs(
             yield _emit(source, vid, path, path_vertices)
         if max_length is not None and len(path) >= max_length:
             return
-        for step in graph.steps(vid):
-            if forbid_edge and step.edge.eid in used_edges:
-                continue
-            if forbid_vertex and step.neighbor in used_vertices:
-                continue
-            next_state = dfa.step(state, (step.edge.type, step.direction))
-            if next_state == LazyDFA.DEAD:
-                continue
-            path.append(step.edge)
-            path_vertices.append(step.neighbor)
-            used_edges.add(step.edge.eid)
-            added_vertex = step.neighbor not in used_vertices
-            if added_vertex:
-                used_vertices.add(step.neighbor)
-            yield from dfs(step.neighbor, next_state)
-            path.pop()
-            path_vertices.pop()
-            used_edges.discard(step.edge.eid)
-            if added_vertex:
-                used_vertices.discard(step.neighbor)
+        for next_state, bucket in expand(vid, state):
+            for step in bucket:
+                if forbid_edge and step.edge.eid in used_edges:
+                    continue
+                if forbid_vertex and step.neighbor in used_vertices:
+                    continue
+                path.append(step.edge)
+                path_vertices.append(step.neighbor)
+                used_edges.add(step.edge.eid)
+                added_vertex = step.neighbor not in used_vertices
+                if added_vertex:
+                    used_vertices.add(step.neighbor)
+                yield from dfs(step.neighbor, next_state)
+                path.pop()
+                path_vertices.pop()
+                used_edges.discard(step.edge.eid)
+                if added_vertex:
+                    used_vertices.discard(step.neighbor)
 
     yield from dfs(source, dfa.start)
 
@@ -216,6 +215,7 @@ def _enumerate_shortest(
         return
     horizon = max(distances.values())
     dfa = darpe.new_dfa()
+    expand = bucket_expander(graph, dfa)
     path: List[Edge] = []
     path_vertices: List[Any] = [source]
 
@@ -229,15 +229,13 @@ def _enumerate_shortest(
             yield _emit(source, vid, path, path_vertices)
         if len(path) >= horizon:
             return
-        for step in graph.steps(vid):
-            next_state = dfa.step(state, (step.edge.type, step.direction))
-            if next_state == LazyDFA.DEAD:
-                continue
-            path.append(step.edge)
-            path_vertices.append(step.neighbor)
-            yield from dfs(step.neighbor, next_state)
-            path.pop()
-            path_vertices.pop()
+        for next_state, bucket in expand(vid, state):
+            for step in bucket:
+                path.append(step.edge)
+                path_vertices.append(step.neighbor)
+                yield from dfs(step.neighbor, next_state)
+                path.pop()
+                path_vertices.pop()
 
     yield from dfs(source, dfa.start)
 

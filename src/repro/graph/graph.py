@@ -12,7 +12,17 @@ integers assigned by the graph.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..errors import GraphError, SchemaError
 from .elements import FORWARD, REVERSE, UNDIRECTED, Edge, Step, Vertex
@@ -332,6 +342,22 @@ class Graph:
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
+    def buckets(self, vid: Any) -> Mapping[str, Mapping[str, Sequence[Step]]]:
+        """The adjacency of ``vid`` as its buckets: crossing direction ->
+        edge type -> the steps of that direction and type, each level in
+        insertion order.
+
+        This is the one seam the engine reads adjacency through — the
+        automaton is stepped once per bucket and the bucket's steps are
+        then a plain loop — so a different storage layout (CSR row
+        slices) only has to answer this call.  The result is a read-only
+        view of live storage; every direction key is present.
+        """
+        try:
+            return self._adjacency[vid]
+        except KeyError:
+            raise GraphError(f"unknown vertex id {vid!r}") from None
+
     def steps(
         self,
         vid: Any,

@@ -20,16 +20,37 @@ of the counts of all accepting product states at that level.
 The product has at most ``|V| * 2^|NFA|`` states, but the DFA part is
 built lazily and in practice stays tiny (it is bounded by the query, not
 the data, giving the polynomial *data* complexity the theorems claim).
+
+The unit of automaton work is the adjacency *bucket*, not the edge: every
+step of one ``(direction, edge type)`` bucket spells the same adorned
+symbol, so :func:`bucket_expander` steps the DFA once per
+``(state, direction, edge type)`` and the searches then run a plain loop
+over the bucket's steps — and never look at a bucket the state cannot
+cross (PathFinder expands the product graph the same way, per automaton
+transition over label-indexed adjacency).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..darpe.automaton import CompiledDarpe, LazyDFA
 from ..governor import faults as _faults
 from ..governor import governor as _gov
+from ..graph.elements import Step
 from ..graph.graph import Graph
 from ..obs import metrics as _obs
 
@@ -40,6 +61,43 @@ class SdmcResult(NamedTuple):
 
     distance: int
     count: int
+
+
+def bucket_expander(
+    graph: Graph, dfa: LazyDFA
+) -> Callable[[Any, int], List[Tuple[int, Sequence[Step]]]]:
+    """``expand(vid, q)``: the product-graph successors of ``(vid, q)`` as
+    ``(q2, steps)`` pairs — one per adjacency bucket of ``vid`` the DFA
+    can cross from ``q``, every step of which leads to state ``q2``.
+
+    The DFA is stepped once per ``(q, direction, edge type)`` for the
+    lifetime of the expander (one search), and directions ``q`` has no
+    transition in are skipped whole.  Pairs come direction-major in the
+    order ``>``, ``<``, ``-`` with buckets in insertion order: the order
+    :meth:`Graph.steps` yields, minus the dead buckets.
+    """
+    buckets = graph.buckets
+    step = dfa.step
+    dead = LazyDFA.DEAD
+    # q -> [(direction, {edge type: q2})] for the directions q can cross
+    plans: Dict[int, List[Tuple[str, Dict[str, int]]]] = {}
+
+    def expand(vid: Any, q: int) -> List[Tuple[int, Sequence[Step]]]:
+        plan = plans.get(q)
+        if plan is None:
+            plan = plans[q] = [(d, {}) for d in dfa.directions(q)]
+        live = []
+        by_direction = buckets(vid)
+        for direction, successor in plan:
+            for etype, bucket in by_direction[direction].items():
+                q2 = successor.get(etype)
+                if q2 is None:
+                    q2 = successor[etype] = step(q, (etype, direction))
+                if q2 != dead:
+                    live.append((q2, bucket))
+        return live
+
+    return expand
 
 
 def single_source_sdmc(
@@ -71,6 +129,7 @@ def single_source_sdmc(
     """
     graph.vertex(source)  # validate early, with a clear error
     dfa = darpe.new_dfa()
+    expand = bucket_expander(graph, dfa)
     results: Dict[Any, SdmcResult] = {}
     remaining = set(targets) if targets is not None else None
 
@@ -95,6 +154,7 @@ def single_source_sdmc(
     if gov is not None:
         gov.charge_product_states(1)  # the start state
     peak_frontier = 1
+    edges_scanned = 0
     record_level(frontier)
     try:
         while frontier:
@@ -104,14 +164,14 @@ def single_source_sdmc(
                 break
             next_frontier: Dict[Tuple[Any, int], int] = defaultdict(int)
             for (vid, q), count in frontier.items():
-                for step in graph.steps(vid):
-                    q2 = dfa.step(q, (step.edge.type, step.direction))
-                    if q2 == LazyDFA.DEAD:
-                        continue
-                    ps = (step.neighbor, q2)
-                    if ps in visited:
-                        continue
-                    next_frontier[ps] += count
+                for q2, bucket in expand(vid, q):
+                    if col is not None:
+                        edges_scanned += len(bucket)
+                    for step in bucket:
+                        ps = (step.neighbor, q2)
+                        if ps in visited:
+                            continue
+                        next_frontier[ps] += count
             level += 1
             visited.update(next_frontier)
             record_level(next_frontier)
@@ -133,6 +193,7 @@ def single_source_sdmc(
             col.count("sdmc.calls")
             col.count("sdmc.product_states", len(visited))
             col.count("sdmc.bfs_levels", level)
+            col.count("sdmc.edges_scanned", edges_scanned)
             col.record_max("sdmc.frontier_peak", peak_frontier)
 
     if targets is not None:
@@ -235,11 +296,13 @@ def shortest_path_dag(
 ) -> ShortestPathDag:
     """Build the shortest-satisfying-path DAG from ``source``.
 
-    Same BFS as :func:`single_source_sdmc`, but retaining parent pointers
-    so witness paths can be reconstructed.
+    Same BFS as :func:`single_source_sdmc` over the same
+    :func:`bucket_expander`, but retaining parent pointers so witness
+    paths can be reconstructed.
     """
     graph.vertex(source)
     dfa = darpe.new_dfa()
+    expand = bucket_expander(graph, dfa)
     start = (source, dfa.start)
     distances: Dict[Tuple[Any, int], int] = {start: 0}
     parents: Dict[Tuple[Any, int], List[Tuple[Tuple[Any, int], Any]]] = {}
@@ -264,20 +327,17 @@ def shortest_path_dag(
             break
         next_frontier: List[Tuple[Any, int]] = []
         for ps in frontier:
-            vid, q = ps
-            for step in graph.steps(vid):
-                q2 = dfa.step(q, (step.edge.type, step.direction))
-                if q2 == LazyDFA.DEAD:
-                    continue
-                child = (step.neighbor, q2)
-                known = distances.get(child)
-                if known is None:
-                    distances[child] = level + 1
-                    parents[child] = [(ps, step.edge)]
-                    next_frontier.append(child)
-                    note_accepting(child, level + 1)
-                elif known == level + 1:
-                    parents[child].append((ps, step.edge))
+            for q2, bucket in expand(*ps):
+                for step in bucket:
+                    child = (step.neighbor, q2)
+                    known = distances.get(child)
+                    if known is None:
+                        distances[child] = level + 1
+                        parents[child] = [(ps, step.edge)]
+                        next_frontier.append(child)
+                        note_accepting(child, level + 1)
+                    elif known == level + 1:
+                        parents[child].append((ps, step.edge))
         level += 1
         frontier = next_frontier
         if gov is not None and frontier:
@@ -306,6 +366,7 @@ def enumerate_shortest_paths(
 
 __all__ = [
     "SdmcResult",
+    "bucket_expander",
     "single_source_sdmc",
     "single_pair_sdmc",
     "all_paths_sdmc",

@@ -4,10 +4,12 @@ multiplicities, the two engine modes."""
 import pytest
 
 from repro.core import EngineMode, QueryContext, chain, evaluate_pattern, hop
+from repro.core.exprs import _FUNCTIONS, Call, NameRef
 from repro.core.pattern import Chain, Pattern, VertexSpec
 from repro.core.values import VertexSet
 from repro.errors import QueryCompileError, QueryRuntimeError
-from repro.graph import Graph, builders
+from repro.graph import Graph, Vertex, builders
+from repro.obs import collect
 from repro.paths import PathSemantics
 
 
@@ -215,3 +217,159 @@ class TestEngineModes:
     def test_pattern_has_kleene(self):
         assert Pattern([chain("V", "s", hop("E>*", "V", "t"))]).has_kleene()
         assert not Pattern([chain("V", "s", hop("E>", "V", "t"))]).has_kleene()
+
+
+class TestHopKernel:
+    """The bind-once hop kernel: the target position's pin, set-or-type
+    test and pushed-down filters are resolved once per hop execution and
+    decided once per distinct target vertex; edges stay per row."""
+
+    @staticmethod
+    def counting_filter(monkeypatch, var, verdict=lambda v: True):
+        """A pushed-down ``seen(var)`` filter plus the log of its calls."""
+        calls = []
+
+        def seen(value):
+            calls.append(value.vid if isinstance(value, Vertex) else value.eid)
+            return verdict(value)
+
+        monkeypatch.setitem(_FUNCTIONS, "seen", seen)
+        return Call("seen", [NameRef(var)]), calls
+
+    @staticmethod
+    def triples(table, *names):
+        return [
+            tuple(r.bindings[n].vid for n in names) + (r.multiplicity,)
+            for r in table.rows
+        ]
+
+    def test_target_filter_runs_once_per_distinct_vertex(self, monkeypatch):
+        g = builders.sales_graph()
+        pattern = Pattern([chain("Customer", "c", hop("Bought>", "Product", "p"))])
+        keep, calls = self.counting_filter(
+            monkeypatch, "p", lambda v: v["category"] == "toy"
+        )
+        ctx = QueryContext(g)
+        filtered = evaluate_pattern(
+            ctx, pattern, EngineMode.counting(), var_filters={"p": [keep]}
+        )
+        plain = evaluate_pattern(ctx, pattern, EngineMode.counting())
+        assert len(plain) == 9
+        # nine crossings, five products: one verdict each, first-seen order
+        assert calls == ["p0", "p1", "p3", "p2", "p4"]
+        assert self.triples(filtered, "c", "p") == [
+            t for t in self.triples(plain, "c", "p") if t[1] != "p3"
+        ]
+
+    def test_kleene_target_filter_runs_once_per_distinct_vertex(self, monkeypatch):
+        g = builders.diamond_chain(3)
+        pattern = Pattern([chain("V", "s", hop("E>*", "V", "t"))])
+        keep, calls = self.counting_filter(monkeypatch, "t")
+        ctx = QueryContext(g)
+        filtered = evaluate_pattern(
+            ctx, pattern, EngineMode.counting(), var_filters={"t": [keep]}
+        )
+        plain = evaluate_pattern(ctx, pattern, EngineMode.counting())
+        assert self.triples(filtered, "s", "t") == self.triples(plain, "s", "t")
+        assert len(plain) > g.num_vertices
+        assert sorted(calls) == sorted(g.vertex_ids())
+
+    def test_param_pins_target(self):
+        g = builders.sales_graph()
+        pattern = Pattern([chain("Customer", "c", hop("Bought>", "Product", "p"))])
+        _, table = table_for(g, pattern, params={"p": g.vertex("p0")})
+        assert self.triples(table, "c", "p") == [("c0", "p0", 1), ("c2", "p0", 1)]
+
+    def test_set_variable_target(self):
+        g = builders.sales_graph()
+        pattern = Pattern([chain("Customer", "c", hop("Bought>", "S", "p"))])
+        _, table = table_for(
+            g, pattern, vertex_sets={"S": [g.vertex("p1"), g.vertex("p4")]}
+        )
+        assert self.triples(table, "c", "p") == [
+            ("c0", "p1", 1), ("c1", "p1", 1), ("c2", "p4", 1),
+        ]
+
+    @pytest.mark.parametrize("wildcard", ["ANY", "_"])
+    def test_wildcard_target(self, wildcard):
+        g = builders.sales_graph()
+        typed = Pattern([chain("Customer", "c", hop("Bought>", "Product", "p"))])
+        anyp = Pattern([chain("Customer", "c", hop("Bought>", wildcard, "p"))])
+        _, want = table_for(g, typed)
+        _, got = table_for(g, anyp)
+        assert self.triples(got, "c", "p") == self.triples(want, "c", "p")
+
+    def test_repeated_variable_joins_a_kleene_hop(self):
+        """x -(E>*)- y -(E>*)- x on a directed 3-cycle: every (x, y) pair
+        closes, and the second hop never rebinds x to another vertex."""
+        g = builders.cycle_graph(3)
+        pattern = Pattern(
+            [Chain(VertexSpec("V", "x"), [hop("E>*", "V", "y"), hop("E>*", "V", "x")])]
+        )
+        _, table = table_for(g, pattern)
+        assert sorted(self.triples(table, "x", "y")) == [
+            (x, y, 1) for x in range(3) for y in range(3)
+        ]
+
+    def test_edge_filter_runs_per_crossing(self, monkeypatch):
+        """Edges are per-row bindings: the same Bought edge crossed from
+        three rows is filtered three times."""
+        g = builders.sales_graph()
+        pattern = Pattern([chain(
+            "Product", "p",
+            hop("<Bought", "Customer", "c"),
+            hop("Bought>", "Product", "q", edge_var="b"),
+        )])
+        keep, calls = self.counting_filter(
+            monkeypatch, "b", lambda e: e["quantity"] > 1
+        )
+        ctx = QueryContext(g)
+        table = evaluate_pattern(
+            ctx, pattern, EngineMode.counting(), var_filters={"b": [keep]}
+        )
+        bought = {c: g.outdegree(c, "Bought") for c in ("c0", "c1", "c2", "c3")}
+        assert len(calls) == sum(d * d for d in bought.values()) == 21
+        assert len(set(calls)) == 9
+        assert table.rows and all(r.bindings["b"]["quantity"] > 1 for r in table.rows)
+
+    def test_raising_filter_surfaces_on_first_encounter(self, monkeypatch):
+        g = builders.sales_graph()
+        pattern = Pattern([chain("Customer", "c", hop("Bought>", "Product", "p"))])
+
+        def verdict(v):
+            if v.vid == "p3":
+                raise ValueError("no verdict for p3")
+            return True
+
+        keep, calls = self.counting_filter(monkeypatch, "p", verdict)
+        ctx = QueryContext(g)
+        for _ in range(2):  # a failure is never remembered as a verdict
+            del calls[:]
+            with pytest.raises(QueryRuntimeError, match="no verdict for p3"):
+                evaluate_pattern(
+                    ctx, pattern, EngineMode.counting(), var_filters={"p": [keep]}
+                )
+            assert calls == ["p0", "p1", "p3"]
+
+    def test_reversed_plan_extends_rows_the_same_way(self, monkeypatch):
+        """Enumeration with a pinned target expands from the target side;
+        rows, order and multiplicities match the forward counting plan."""
+        g = builders.diamond_chain(4)
+        pattern = Pattern([chain("V", "s", hop("E>*", "V", "t"))])
+        keep, _ = self.counting_filter(
+            monkeypatch, "t", lambda v: v.vid in ("v2", "v4")
+        )
+        ctx = QueryContext(g)
+        forward = evaluate_pattern(
+            ctx, pattern, EngineMode.counting(), var_filters={"t": [keep]}
+        )
+        with collect() as col:
+            reversed_ = evaluate_pattern(
+                ctx,
+                pattern,
+                EngineMode.enumeration(PathSemantics.ALL_SHORTEST),
+                var_filters={"t": [keep]},
+            )
+        assert col.counter("planner.hops_reversed") == 1
+        assert self.triples(reversed_, "s", "t") == self.triples(forward, "s", "t")
+        assert ("v0", "v4", 16) in self.triples(forward, "s", "t")

@@ -97,6 +97,33 @@ class TestCompilationDocs:
                 f"docs/observability.md is missing the {counter} counter"
             )
 
+    def test_docs_name_the_hop_kernel_and_the_bucket_view(self):
+        """The FROM clause's lowering is documented where each layer is:
+        the hop kernel with what it memoises and why that is sound, the
+        bucket view as the adjacency seam, the unchanged sdmc.* counters."""
+        compilation = (DOCS / "compilation.md").read_text()
+        for needle in (
+            "**Hop kernel**",
+            "acceptor",
+            "memoised per distinct vertex",
+            "one reused `EvalEnv`",
+            "Memoising is sound because",
+            "Edge-variable filters are **not** memoised",
+        ):
+            assert needle in compilation, f"docs/compilation.md lost {needle!r}"
+        architecture = (DOCS / "architecture.md").read_text()
+        for needle in ("hop kernel", "`Graph.buckets(vid)`", "`bucket_expander`"):
+            assert needle in architecture, f"docs/architecture.md lost {needle!r}"
+        observability = (DOCS / "observability.md").read_text()
+        for needle in ("`sdmc.edges_scanned`", "unchanged in meaning and value"):
+            assert needle in observability, (
+                f"docs/observability.md lost {needle!r}"
+            )
+        for page in [REPO / "README.md", *sorted(DOCS.glob("*.md"))]:
+            text = page.read_text()
+            for gone in ("_passes_filters", "step_over", "VertexSpec.allows"):
+                assert gone not in text, f"{page.name} still mentions {gone!r}"
+
     def test_readme_mentions_speed(self):
         text = (REPO / "README.md").read_text()
         assert "How fast is it?" in text

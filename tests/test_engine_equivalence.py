@@ -11,7 +11,17 @@ queries) to pin the equivalence down.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import EngineMode, QueryContext, chain, evaluate_pattern, hop
+from repro.core import (
+    AttrRef,
+    Binary,
+    EngineMode,
+    Literal,
+    NameRef,
+    QueryContext,
+    chain,
+    evaluate_pattern,
+    hop,
+)
 from repro.core.pattern import Pattern
 from repro.graph import Graph
 from repro.gsql import parse_query
@@ -68,6 +78,36 @@ class TestPatternLevelEquivalence:
             darpe="E>*1..3",
         )
         assert counted == enumerated
+
+    @settings(max_examples=40, deadline=None)
+    @given(edges=edges_strategy, kept=st.sets(st.integers(0, 5)))
+    def test_two_hop_chain_with_filtered_second_hop(self, edges, kept):
+        """s -(E>*)- m -(E>*1..2)- t with ``t.name IN kept`` pushed down
+        onto the second hop: the counting matcher decides the filter once
+        per distinct target, the enumeration matcher may plan the hop from
+        the target side — the multiplicities must still agree."""
+        graph = build_graph(edges)
+        pattern = Pattern(
+            [chain("V", "s", hop("E>*", "V", "m"), hop("E>*1..2", "V", "t"))]
+        )
+        names = Literal([str(i) for i in sorted(kept)])
+        keep = Binary("IN", AttrRef(NameRef("t"), "name"), names)
+
+        def triple_counts(mode):
+            table = evaluate_pattern(
+                QueryContext(graph), pattern, mode, var_filters={"t": [keep]}
+            )
+            out = {}
+            for row in table.rows:
+                key = tuple(row.bindings[v].vid for v in ("s", "m", "t"))
+                out[key] = out.get(key, 0) + row.multiplicity
+            return out
+
+        counted = triple_counts(EngineMode.counting())
+        assert counted == triple_counts(
+            EngineMode.enumeration(PathSemantics.ALL_SHORTEST)
+        )
+        assert all(t in kept for (_, _, t) in counted)
 
     @settings(max_examples=30, deadline=None)
     @given(edges=edges_strategy)

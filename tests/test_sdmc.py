@@ -2,14 +2,19 @@
 against enumeration, and the shortest-path DAG."""
 
 import math
+from collections import defaultdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.darpe import CompiledDarpe
+from repro.darpe.automaton import LazyDFA
 from repro.enumeration import enumerate_matches
+from repro.governor import ExecutionGovernor, govern
 from repro.graph import Graph, builders
+from repro.ldbc import generate_snb_graph
+from repro.obs import collect
 from repro.paths import (
     PathSemantics,
     all_paths_sdmc,
@@ -18,6 +23,7 @@ from repro.paths import (
     single_pair_sdmc,
     single_source_sdmc,
 )
+from repro.paths.sdmc import SdmcResult
 
 E_STAR = CompiledDarpe.parse("E>*")
 
@@ -176,3 +182,168 @@ class TestPropertyCountsMatchEnumeration:
         ):
             enumerated[match.target] = enumerated.get(match.target, 0) + 1
         assert {t: r.count for t, r in counted.items()} == enumerated
+
+
+# ----------------------------------------------------------------------
+# Differential: the per-bucket kernel against the edge-at-a-time BFS
+# ----------------------------------------------------------------------
+
+def _edge_at_a_time_sdmc(graph, source, darpe, targets=None, max_length=None):
+    """The BFS ``single_source_sdmc`` ran before it expanded per bucket:
+    every incidence of every frontier vertex, one DFA step per edge.
+    Kept here as the reference the shipped kernel is compared against.
+    Returns (results, product states, levels, frontier peak, product
+    states charged to the governor)."""
+    dfa = darpe.new_dfa()
+    results = {}
+    remaining = set(targets) if targets is not None else None
+    start = (source, dfa.start)
+    level = 0
+    visited = {start}
+    frontier = {start: 1}
+    charged = 1
+    peak = 1
+
+    def record_level(states):
+        per_vertex = defaultdict(int)
+        for (vid, q), count in states.items():
+            if dfa.is_accepting(q):
+                per_vertex[vid] += count
+        for vid, count in per_vertex.items():
+            if vid not in results:
+                results[vid] = SdmcResult(level, count)
+                if remaining is not None:
+                    remaining.discard(vid)
+
+    record_level(frontier)
+    while frontier:
+        if remaining is not None and not remaining:
+            break
+        if max_length is not None and level >= max_length:
+            break
+        next_frontier = defaultdict(int)
+        for (vid, q), count in frontier.items():
+            for step in graph.steps(vid):
+                q2 = dfa.step(q, (step.edge.type, step.direction))
+                if q2 == LazyDFA.DEAD:
+                    continue
+                ps = (step.neighbor, q2)
+                if ps in visited:
+                    continue
+                next_frontier[ps] += count
+        level += 1
+        visited.update(next_frontier)
+        record_level(next_frontier)
+        frontier = next_frontier
+        peak = max(peak, len(frontier))
+        charged += len(frontier)
+    if targets is not None:
+        results = {vid: res for vid, res in results.items() if vid in targets}
+    return results, len(visited), level, peak, charged
+
+
+#: Directed types A, B; undirected types U, W.
+_TYPED_EDGES = st.lists(
+    st.tuples(
+        st.integers(0, 4), st.integers(0, 4), st.sampled_from(["A", "B", "U", "W"])
+    ),
+    max_size=14,
+)
+
+_DARPES = [
+    # one direction per state
+    "A>*", "<A*", "U*", "_>*", "<_*", "_*", "(A>|_>)*", "(U|_)*",
+    "A>.<B", "A>*1..3", "U*1..2", "(A>|B>)*.U", "(A>.U)*", "W*..2.A>",
+    # several directions live in one state: expansion order decides key order
+    "(A>|<A|U)*", "(_>|<_|_)*", "(<A|U|A>)*1..3", "(B>|<A|W|U)*", "(_>|<_)*",
+    "(A>|<_|U)*", "_>.(U|W)*.<_", "(<B|_)*1..2",
+]
+
+
+def _typed_graph(edges):
+    """Five vertices; A/B directed, U/W undirected, self-loops allowed."""
+    g = Graph()
+    for i in range(5):
+        g.add_vertex(i, "V")
+    for source, target, etype in edges:
+        g.add_edge(source, target, etype, directed=etype in ("A", "B"))
+    return g
+
+
+class TestBucketKernelMatchesEdgeAtATime:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        edges=_TYPED_EDGES,
+        darpe_text=st.sampled_from(_DARPES),
+        source=st.integers(0, 4),
+        targets=st.none() | st.sets(st.integers(0, 4), max_size=3),
+        max_length=st.none() | st.integers(0, 4),
+    )
+    @example(
+        edges=[(0, 1, "A"), (2, 0, "A"), (0, 3, "U"), (0, 0, "U"), (4, 0, "B")],
+        darpe_text="(A>|<A|U)*", source=0, targets=None, max_length=None,
+    )
+    def test_same_results_counters_and_charges(
+        self, edges, darpe_text, source, targets, max_length
+    ):
+        g = _typed_graph(edges)
+        darpe = CompiledDarpe.parse(darpe_text)
+        want, states, levels, peak, charged = _edge_at_a_time_sdmc(
+            g, source, darpe, targets, max_length
+        )
+        with govern(ExecutionGovernor()) as governor, collect() as col:
+            got = single_source_sdmc(
+                g, source, darpe, targets=targets, max_length=max_length
+            )
+        assert got == want
+        assert list(got) == list(want)  # same key order, not just same items
+        assert col.counter("sdmc.product_states") == states
+        assert col.counter("sdmc.bfs_levels") == levels
+        assert col.counters["sdmc.frontier_peak"] == peak
+        assert governor.product_states == charged
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        edges=_TYPED_EDGES,
+        darpe_text=st.sampled_from(_DARPES),
+        source=st.integers(0, 4),
+    )
+    def test_dag_and_enumeration_walk_the_same_expansion(
+        self, edges, darpe_text, source
+    ):
+        """``shortest_path_dag`` and the all-shortest enumeration share the
+        expander: their path multisets must match the kernel's counts."""
+        g = _typed_graph(edges)
+        darpe = CompiledDarpe.parse(darpe_text)
+        counted = single_source_sdmc(g, source, darpe, max_length=4)
+        dag = shortest_path_dag(g, source, darpe, max_length=4)
+        for target, res in counted.items():
+            assert len(list(dag.paths_to(target))) == res.count
+        enumerated = {}
+        for match in enumerate_matches(
+            g, source, darpe, PathSemantics.ALL_SHORTEST, max_length=4
+        ):
+            enumerated[match.target] = enumerated.get(match.target, 0) + 1
+        assert enumerated == {t: r.count for t, r in counted.items()}
+
+
+class TestEdgesScanned:
+    def test_knows_hops_scan_only_the_knows_buckets(self):
+        """The work pin for the per-bucket kernel, as a count: on SNB
+        ``Knows*1..2`` from a fixed Person iterates exactly the Knows
+        incidences of the product states it expands — the source and its
+        distinct friends — and none of their comments, posts, likes or
+        memberships."""
+        g = generate_snb_graph(scale_factor=0.1, seed=42)
+        source = "person:3"
+        friends = []
+        for step in g.steps(source, etype="Knows"):
+            if step.neighbor not in friends:
+                friends.append(step.neighbor)
+        expanded = [source] + friends  # the states that still have a transition
+        knows = sum(len(list(g.steps(v, etype="Knows"))) for v in expanded)
+        every = sum(len(list(g.steps(v))) for v in expanded)
+
+        with collect() as col:
+            single_source_sdmc(g, source, CompiledDarpe.parse("Knows*1..2"))
+        assert friends and col.counter("sdmc.edges_scanned") == knows < every
