@@ -347,7 +347,7 @@ def _run_post_statement(
                     f"{stmt.attr!r}"
                 )
             decl.validate(value)
-        vertex.set(stmt.attr, value)
+        ctx.graph.set_vertex_attr(vertex, stmt.attr, value)
         return
     if not isinstance(stmt, AccumUpdate):
         raise QueryRuntimeError(f"unknown POST_ACCUM statement {stmt!r}")

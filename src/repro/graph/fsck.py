@@ -5,10 +5,11 @@ graph is *internally consistent*: every edge indexed from both ends,
 no step pointing at a vertex or edge that no longer exists, degree
 arithmetic that re-derives from the edge list, and an epoch that
 matches what the WAL says was committed.  :func:`fsck_graph` checks
-exactly that — it re-derives the adjacency index and type index from
-the primary vertex/edge maps and diffs them against the maintained
-ones, so any drift introduced by a mutation bug or a bad replay shows
-up as a named violation.
+exactly that — it re-derives the adjacency index, the type index and
+(when the graph carries them) the statistics from the primary
+vertex/edge maps and diffs them against the maintained ones, so any
+drift introduced by a mutation bug, a stale copy-on-write copy or a bad
+replay shows up as a named violation.
 
 The chaos recovery sweep (``tests/test_wal_recovery.py``) runs this
 after every simulated crash point, and ``repro fsck`` exposes it on the
@@ -24,6 +25,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 from ..obs import metrics as _obs
 from .elements import FORWARD, REVERSE, UNDIRECTED
 from .graph import Graph
+from .stats import GraphStats
 from .wal import scan_wal
 
 PathLike = Union[str, Path]
@@ -37,12 +39,19 @@ CHECKS: Dict[str, str] = {
         "the adjacency index holds exactly one step per crossable "
         "orientation of each edge (directed: forward at the source and "
         "reverse at the target; undirected: one at each distinct "
-        "endpoint) and no step for any other edge"
+        "endpoint) and no step for any other edge, and every step "
+        "points at the very edge object registered under its id (not a "
+        "stale copy left behind by a copy-on-write attribute update)"
     ),
     "degree-reconciliation": (
         "outdegree/indegree of every vertex re-derived from the edge "
         "list match the adjacency index, and their totals reconcile "
         "with the edge count"
+    ),
+    "stats-reconciliation": (
+        "the statistics a graph version carries (its snapshot, and the "
+        "counts the next commit would advance) equal statistics rebuilt "
+        "from scratch over the same vertices and edges"
     ),
     "type-index": (
         "the vertex type index lists every vertex exactly once under "
@@ -148,12 +157,22 @@ def fsck_graph(graph: Graph, wal_dir: Optional[PathLike] = None) -> FsckReport:
                 bucket = actual.setdefault((vid, direction, etype), {})
                 for step in steps:
                     bucket[step.edge.eid] = bucket.get(step.edge.eid, 0) + 1
-                    if step.edge.eid not in graph._edges:
+                    registered = graph._edges.get(step.edge.eid)
+                    if registered is None:
                         violations.append(
                             FsckViolation(
                                 "adjacency-symmetry",
                                 f"vertex {vid!r} holds a step for deleted "
                                 f"edge {step.edge.eid} ({etype}, {direction})",
+                            )
+                        )
+                    elif registered is not step.edge:
+                        violations.append(
+                            FsckViolation(
+                                "adjacency-symmetry",
+                                f"vertex {vid!r} holds a step for a stale "
+                                f"copy of edge {step.edge.eid} ({etype}, "
+                                f"{direction})",
                             )
                         )
     for vid in graph._vertices:
@@ -180,19 +199,19 @@ def fsck_graph(graph: Graph, wal_dir: Optional[PathLike] = None) -> FsckReport:
             )
 
     # degree-reconciliation --------------------------------------------
+    derived_outs: Dict[Any, int] = {}
+    derived_ins: Dict[Any, int] = {}
+    for (vid, direction, _etype), bucket in expected.items():
+        steps = sum(bucket.values())
+        if direction != REVERSE:
+            derived_outs[vid] = derived_outs.get(vid, 0) + steps
+        if direction != FORWARD:
+            derived_ins[vid] = derived_ins.get(vid, 0) + steps
     total_out = 0
     total_in = 0
     for vid in graph._vertices:
-        derived_out = sum(
-            sum(bucket.values())
-            for (v, d, _t), bucket in expected.items()
-            if v == vid and d in (FORWARD, UNDIRECTED)
-        )
-        derived_in = sum(
-            sum(bucket.values())
-            for (v, d, _t), bucket in expected.items()
-            if v == vid and d in (REVERSE, UNDIRECTED)
-        )
+        derived_out = derived_outs.get(vid, 0)
+        derived_in = derived_ins.get(vid, 0)
         try:
             out = graph.outdegree(vid)
             ind = graph.indegree(vid)
@@ -229,6 +248,28 @@ def fsck_graph(graph: Graph, wal_dir: Optional[PathLike] = None) -> FsckReport:
                 f"{undirected_inc} undirected incidences",
             )
         )
+
+    # stats-reconciliation ---------------------------------------------
+    carried = graph._stats
+    if carried is not None:
+        rebuilt = GraphStats(graph).snapshot()
+        views = [("snapshot", carried.snapshot)]
+        if carried.counts is not None:
+            views.append(("counts", carried.counts.snapshot()))
+        for what, snapshot in views:
+            if snapshot != rebuilt:
+                fields = [
+                    name
+                    for name, have, want in zip(rebuilt._fields, snapshot, rebuilt)
+                    if have != want
+                ]
+                violations.append(
+                    FsckViolation(
+                        "stats-reconciliation",
+                        f"carried {what} differs from a rebuild in "
+                        f"{', '.join(fields)}",
+                    )
+                )
 
     # type-index -------------------------------------------------------
     seen: Dict[Any, str] = {}

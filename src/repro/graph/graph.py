@@ -21,12 +21,35 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
 from ..errors import GraphError, SchemaError
 from .elements import FORWARD, REVERSE, UNDIRECTED, Edge, Step, Vertex
 from .schema import GraphSchema
+
+
+class _Ownership:
+    """What a graph has made private since :meth:`Graph.clone` last left
+    it sharing every element with another version.
+
+    ``vertices`` / ``edges`` hold the ids this graph has written —
+    copied for an attribute update, inserted, or deleted — so they
+    double as the change set the mutation layer diffs two versions by.
+    ``adjacency`` holds the vertex ids whose bucket map is private and
+    ``types`` the vertex types whose id list is.  ``copied`` counts the
+    shared elements that had to be copied before a write.
+    """
+
+    __slots__ = ("vertices", "edges", "adjacency", "types", "copied")
+
+    def __init__(self) -> None:
+        self.vertices: Set[Any] = set()
+        self.edges: Set[int] = set()
+        self.adjacency: Set[Any] = set()
+        self.types: Set[str] = set()
+        self.copied = 0
 
 
 class Graph:
@@ -60,6 +83,13 @@ class Graph:
         self._by_type: Dict[str, List[Any]] = defaultdict(list)
         # edge type -> directedness actually observed (for schema-free mode)
         self._edge_type_directed: Dict[str, bool] = {}
+        # None until the first clone(): every element is this graph's own
+        # and mutators write in place.  After a clone, the record of what
+        # has been made private again (copy-on-write).
+        self._own: Optional[_Ownership] = None
+        # Statistics carried by this version (repro.graph.stats owns the
+        # shape); every mutator drops them.
+        self._stats: Any = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -72,8 +102,15 @@ class Graph:
             vt = self.schema.vertex_type(vtype)
             attrs = vt.validate_attrs(attrs)
         vertex = Vertex(vid, vtype, attrs)
+        self._stats = None
         self._vertices[vid] = vertex
-        self._by_type[vtype].append(vid)
+        own = self._own
+        if own is None:
+            self._by_type[vtype].append(vid)
+        else:
+            own.vertices.add(vid)
+            own.adjacency.add(vid)
+            self._writable_type_list(vtype).append(vid)
         self._adjacency[vid] = {
             FORWARD: defaultdict(list),
             REVERSE: defaultdict(list),
@@ -118,7 +155,13 @@ class Graph:
         eid = self._next_eid
         self._next_eid += 1
         edge = Edge(eid, etype, source, target, directed, attrs)
+        self._stats = None
         self._edges[eid] = edge
+        own = self._own
+        if own is not None:
+            own.edges.add(eid)
+            self._writable_buckets(source)
+            self._writable_buckets(target)
         if directed:
             self._adjacency[source][FORWARD][etype].append(Step(edge, FORWARD, target))
             self._adjacency[target][REVERSE][etype].append(Step(edge, REVERSE, source))
@@ -156,6 +199,7 @@ class Graph:
                     vt = self.schema.vertex_type(existing.type)
                     validated = vt.validate_attrs(attrs)
                     attrs = {key: validated[key] for key in attrs}
+                existing = self._writable_vertex(existing)
                 existing.attrs.update(attrs)
             return existing, False
         if vtype is None:
@@ -194,6 +238,7 @@ class Graph:
                     et = self.schema.edge_type(etype)
                     validated = et.validate_attrs(attrs)
                     attrs = {key: validated[key] for key in attrs}
+                edge = self._writable_edge(edge)
                 edge.attrs.update(attrs)
             return edge, False
         return self.add_edge(source, target, etype, directed=directed, **attrs), True
@@ -201,7 +246,13 @@ class Graph:
     def delete_edge(self, eid: int) -> Edge:
         """Remove one edge by id; returns the removed edge."""
         edge = self.edge(eid)
+        self._stats = None
         del self._edges[eid]
+        own = self._own
+        if own is not None:
+            own.edges.add(eid)
+            self._writable_buckets(edge.source)
+            self._writable_buckets(edge.target)
         if edge.directed:
             self._drop_step(edge.source, FORWARD, edge.type, eid)
             self._drop_step(edge.target, REVERSE, edge.type, eid)
@@ -221,10 +272,13 @@ class Graph:
         cascaded = sorted({step.edge.eid for step in self.steps(vid)})
         for eid in cascaded:
             self.delete_edge(eid)
+        self._stats = None
         del self._adjacency[vid]
         del self._vertices[vid]
-        ids = self._by_type.get(vertex.type)
-        if ids is not None:
+        if self._own is not None:
+            self._own.vertices.add(vid)
+        if vertex.type in self._by_type:
+            ids = self._writable_type_list(vertex.type)
             ids.remove(vid)
             if not ids:
                 del self._by_type[vertex.type]
@@ -238,49 +292,99 @@ class Graph:
             if not bucket:
                 del buckets[etype]
 
+    def set_vertex_attr(self, vertex: Vertex, name: str, value: Any) -> None:
+        """The query-side attribute write-back (POST_ACCUM ``v.attr =
+        expr``): writes the :class:`Vertex` object in place — unlogged,
+        and visible in every version that shares the object — and drops
+        the statistics this graph carries, which the write may have
+        made stale."""
+        self._stats = None
+        vertex.attrs[name] = value
+
+    # -- copy-on-write: make one shared element private before a write --
+    def _writable_vertex(self, vertex: Vertex) -> Vertex:
+        self._stats = None
+        own = self._own
+        if own is not None and vertex.vid not in own.vertices:
+            own.vertices.add(vertex.vid)
+            own.copied += 1
+            vertex = Vertex(vertex.vid, vertex.type, vertex.attrs)
+            self._vertices[vertex.vid] = vertex
+        return vertex
+
+    def _writable_edge(self, edge: Edge) -> Edge:
+        """The edge's private copy — and, because a :class:`Step` points
+        at its edge, a fresh step in its place in every bucket that
+        crosses it."""
+        self._stats = None
+        own = self._own
+        if own is None or edge.eid in own.edges:
+            return edge
+        own.edges.add(edge.eid)
+        own.copied += 1
+        fresh = Edge(
+            edge.eid, edge.type, edge.source, edge.target, edge.directed, edge.attrs
+        )
+        self._edges[edge.eid] = fresh
+        if edge.directed:
+            crossings = ((edge.source, FORWARD), (edge.target, REVERSE))
+        elif edge.source != edge.target:
+            crossings = ((edge.source, UNDIRECTED), (edge.target, UNDIRECTED))
+        else:
+            crossings = ((edge.source, UNDIRECTED),)
+        for vid, direction in crossings:
+            bucket = self._writable_buckets(vid)[direction][edge.type]
+            for index, step in enumerate(bucket):
+                if step.edge is edge:
+                    bucket[index] = Step(fresh, direction, step.neighbor)
+        return fresh
+
+    def _writable_buckets(self, vid: Any) -> Dict[str, Dict[str, List[Step]]]:
+        buckets = self._adjacency[vid]
+        own = self._own
+        if own is not None and vid not in own.adjacency:
+            own.adjacency.add(vid)
+            own.copied += 1
+            buckets = self._adjacency[vid] = {
+                direction: defaultdict(
+                    list, {etype: list(steps) for etype, steps in by_type.items()}
+                )
+                for direction, by_type in buckets.items()
+            }
+        return buckets
+
+    def _writable_type_list(self, vtype: str) -> List[Any]:
+        own = self._own
+        if own is not None and vtype not in own.types:
+            own.types.add(vtype)
+            if vtype in self._by_type:
+                own.copied += 1
+                self._by_type[vtype] = list(self._by_type[vtype])
+        return self._by_type[vtype]
+
     def clone(self) -> "Graph":
-        """A structurally independent copy: fresh vertex/edge/adjacency
-        objects (attribute maps copied one level deep), shared schema,
-        same edge ids and epoch.  This is the copy-on-write publish step
-        of the mutation layer: mutating the clone never perturbs readers
-        of the original."""
+        """A new version of this graph that shares every vertex, edge,
+        bucket map and type list with it: only the four top-level id
+        maps are copied (same positions, same edge ids, same epoch,
+        shared schema).  Mutating either graph never perturbs readers of
+        the other — from here on each side copies the one element a
+        mutator is about to write before writing it, tracked by a fresh
+        ownership record on both.  This is the publish step of the
+        mutation layer: a commit costs what its batch touches, not what
+        the graph holds."""
         other = Graph.__new__(Graph)
         other.schema = self.schema
         other.name = self.name
         other.epoch = self.epoch
-        other._vertices = {}
-        other._edges = {}
+        other._vertices = self._vertices.copy()
+        other._edges = self._edges.copy()
         other._next_eid = self._next_eid
-        other._adjacency = {}
-        other._by_type = defaultdict(list)
-        for vtype, ids in self._by_type.items():
-            other._by_type[vtype] = list(ids)
-        other._edge_type_directed = dict(self._edge_type_directed)
-        for v in self._vertices.values():
-            other._vertices[v.vid] = Vertex(v.vid, v.type, v.attrs)
-            other._adjacency[v.vid] = {
-                FORWARD: defaultdict(list),
-                REVERSE: defaultdict(list),
-                UNDIRECTED: defaultdict(list),
-            }
-        for e in self._edges.values():
-            edge = Edge(e.eid, e.type, e.source, e.target, e.directed, e.attrs)
-            other._edges[e.eid] = edge
-            if edge.directed:
-                other._adjacency[edge.source][FORWARD][edge.type].append(
-                    Step(edge, FORWARD, edge.target)
-                )
-                other._adjacency[edge.target][REVERSE][edge.type].append(
-                    Step(edge, REVERSE, edge.source)
-                )
-            else:
-                other._adjacency[edge.source][UNDIRECTED][edge.type].append(
-                    Step(edge, UNDIRECTED, edge.target)
-                )
-                if edge.source != edge.target:
-                    other._adjacency[edge.target][UNDIRECTED][edge.type].append(
-                        Step(edge, UNDIRECTED, edge.source)
-                    )
+        other._adjacency = self._adjacency.copy()
+        other._by_type = self._by_type.copy()
+        other._edge_type_directed = self._edge_type_directed.copy()
+        other._stats = None
+        other._own = _Ownership()
+        self._own = _Ownership()
         return other
 
     # ------------------------------------------------------------------

@@ -16,9 +16,14 @@ The write path has three layers:
     live graph under a bumped epoch.  Readers never observe a partial
     batch: :meth:`GraphStore.pin` freezes the epoch current at call time
     and the pinned :class:`Graph` object is immutable from then on —
-    later commits publish fresh clones.  That is the snapshot-isolation
-    contract the query service relies on (pin at admission, run the job
-    against ``view(epoch)``).
+    a later commit publishes a new version that shares every element
+    its batch did not change and holds private copies of the few it
+    did (:meth:`Graph.clone`), so a commit costs what it changes.  That
+    is the snapshot-isolation contract the query service relies on (pin
+    at admission, run the job against ``view(epoch)``).  The statistics
+    a version carries (:func:`~repro.graph.stats.stats_snapshot`) are
+    advanced from the batch on the way, after the record is durable and
+    in a way that cannot fail the commit.
 
 :func:`recover_graph`
     Crash recovery: scan the WAL (healing a torn tail), replay every
@@ -55,6 +60,7 @@ from ..governor import faults as _faults
 from ..obs import metrics as _obs
 from .graph import Graph
 from .schema import GraphSchema
+from .stats import CarriedStats
 from .wal import DEFAULT_SEGMENT_MAX_BYTES, WriteAheadLog, scan_wal
 
 PathLike = Union[str, Path]
@@ -236,6 +242,27 @@ def validate_batch(graph: Graph, batch: Union[MutationBatch, Iterable[Dict[str, 
     return apply_ops(graph.clone(), ops)
 
 
+def _carry_stats(base: Graph, new: Graph) -> None:
+    """Hand the statistics ``base`` carries on to ``new``, the version
+    a commit is about to publish over it, advanced by exactly what the
+    batch changed (``new``'s ownership record names the ids; the
+    elements are diffed base against new).  ``base`` keeps its
+    immutable snapshot.  Runs after the WAL commit and must not fail
+    it: counts that turn out not to describe ``base`` are dropped, and
+    the next :func:`~repro.graph.stats.stats_snapshot` rebuilds them."""
+    carried = base._stats
+    if carried is None or carried.counts is None:
+        return
+    counts = carried.counts
+    base._stats = carried._replace(counts=None)
+    try:
+        counts.advance(base, new, new._own.vertices, new._own.edges)
+        new._stats = CarriedStats(counts.snapshot(), counts)
+    except Exception:  # noqa: BLE001 - statistics never fail a commit
+        new._stats = None
+        _count("mutation.stats_dropped")
+
+
 class CommitResult(NamedTuple):
     """What one :meth:`GraphStore.apply` commit produced."""
 
@@ -251,7 +278,7 @@ class Pin:
     Context manager::
 
         with store.pin() as pin:
-            run_query(pin.graph)   # immutable — commits publish clones
+            run_query(pin.graph)   # immutable — commits publish new versions
 
     ``release()`` (or context exit) drops the hold; the store frees the
     retained version once its last pin is gone.
@@ -430,9 +457,11 @@ class GraphStore:
                 )
                 _count("mutation.poisoned")
                 raise
+            _carry_stats(self._live, clone)
             self._live = clone
             _count("mutation.batches")
             _count("mutation.ops", len(ops))
+            _count("mutation.copied_elements", clone._own.copied)
             return CommitResult(
                 epoch=new_epoch, ops=len(ops), durable=self._wal is not None
             )

@@ -9,8 +9,8 @@ how the SNB KNOWS network is analyzed.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
-from typing import Any, Dict, NamedTuple, Optional, Set, Tuple
+from collections import Counter, deque
+from typing import Any, Dict, Iterable, NamedTuple, Optional, Set, Tuple
 
 from .graph import Graph
 
@@ -249,76 +249,224 @@ class GraphStatsSnapshot(NamedTuple):
         }
 
 
-def stats_snapshot(graph: Graph) -> GraphStatsSnapshot:
-    """Profile ``graph`` into a :class:`GraphStatsSnapshot`.
+class _Tally:
+    """``key -> positive count`` with a count-of-counts table beside it
+    (``sizes[c]`` = how many keys currently have count ``c``), so the
+    maximum count is kept in O(1) under decrements as well: a count
+    moves by one, so when the last key leaves the top size the new
+    maximum is the size just below it."""
 
-    One pass over vertices and one over edges — O(V + E) — so computing
-    a snapshot is never the expensive part of admission or planning.
+    __slots__ = ("counts", "sizes", "max")
+
+    def __init__(self, counts: Optional[Dict[Any, int]] = None) -> None:
+        self.counts: Dict[Any, int] = counts if counts is not None else {}
+        self.sizes: Dict[int, int] = dict(Counter(self.counts.values()))
+        self.max = max(self.sizes, default=0)
+
+    def bump(self, key: Any, step: int) -> None:
+        """Count ``key`` once more (``step`` +1) or once less (-1).
+        Taking from a key that was never counted raises ``KeyError`` —
+        the caller's signal that the counts no longer describe the
+        graph."""
+        old = self.counts[key] if step < 0 else self.counts.get(key, 0)
+        new = old + step
+        if new:
+            self.counts[key] = new
+        else:
+            del self.counts[key]
+        sizes = self.sizes
+        if old:
+            if sizes[old] == 1:
+                del sizes[old]
+                if old == self.max:
+                    self.max = new
+            else:
+                sizes[old] -= 1
+        if new:
+            sizes[new] = sizes.get(new, 0) + 1
+            if new > self.max:
+                self.max = new
+
+
+def _hashable(value: Any) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _bump(table: Dict[str, int], key: str, step: int) -> None:
+    """``table[key] += step``, keeping no zero rows; taking from a row
+    that is not there raises ``KeyError``."""
+    count = (table[key] if step < 0 else table.get(key, 0)) + step
+    if count:
+        table[key] = count
+    else:
+        del table[key]
+
+
+class GraphStats:
+    """The counts behind a :class:`GraphStatsSnapshot`, in a form that
+    can follow a graph through mutations: built once by one pass over
+    vertices and one over edges, then advanced element by element
+    (:meth:`advance`) — O(changed elements), never a rescan.
+
+    Out-/in-degree follow the edge list (an edge counts once at its
+    ``source`` and once at its ``target``, whatever its kind), as the
+    cost analysis expects.
     """
-    vertex_counts: Dict[str, int] = {}
-    attr_freq: Dict[Tuple[str, str], Dict[Any, int]] = {}
-    for v in graph.vertices():
-        vertex_counts[v.type] = vertex_counts.get(v.type, 0) + 1
-        for attr, value in (v.attrs or {}).items():
-            try:
-                hash(value)
-            except TypeError:
-                continue
-            bucket = attr_freq.setdefault((v.type, attr), {})
-            bucket[value] = bucket.get(value, 0) + 1
 
-    edge_counts: Dict[str, int] = {}
-    outdeg: Dict[str, Dict[Any, int]] = {}
-    indeg: Dict[str, Dict[Any, int]] = {}
-    for e in graph.edges():
-        edge_counts[e.type] = edge_counts.get(e.type, 0) + 1
-        per_src = outdeg.setdefault(e.type, {})
-        per_src[e.source] = per_src.get(e.source, 0) + 1
-        per_tgt = indeg.setdefault(e.type, {})
-        per_tgt[e.target] = per_tgt.get(e.target, 0) + 1
+    __slots__ = ("vertex_counts", "edge_counts", "out", "into", "total_out", "attrs")
 
-    out_degree = {
-        etype: (max(per.values(), default=0), sum(per.values()))
-        for etype, per in outdeg.items()
-    }
-    in_degree = {
-        etype: (max(per.values(), default=0), sum(per.values()))
-        for etype, per in indeg.items()
-    }
-    hist: Dict[int, int] = {}
-    total_out: Dict[Any, int] = {}
-    for per in outdeg.values():
-        for src, d in per.items():
-            total_out[src] = total_out.get(src, 0) + d
-    for v in graph.vertices():
-        d = total_out.get(v.vid, 0)
-        hist[d] = hist.get(d, 0) + 1
+    def __init__(self, graph: Graph) -> None:
+        vertex_counts: Dict[str, int] = {}
+        attr_freq: Dict[Tuple[str, str], Dict[Any, int]] = {}
+        for v in graph.vertices():
+            vertex_counts[v.type] = vertex_counts.get(v.type, 0) + 1
+            for attr, value in v.attrs.items():
+                if _hashable(value):
+                    bucket = attr_freq.setdefault((v.type, attr), {})
+                    bucket[value] = bucket.get(value, 0) + 1
+        edge_counts: Dict[str, int] = {}
+        outdeg: Dict[str, Dict[Any, int]] = {}
+        indeg: Dict[str, Dict[Any, int]] = {}
+        total_out: Dict[Any, int] = {}
+        for e in graph.edges():
+            edge_counts[e.type] = edge_counts.get(e.type, 0) + 1
+            per_src = outdeg.setdefault(e.type, {})
+            per_src[e.source] = per_src.get(e.source, 0) + 1
+            per_tgt = indeg.setdefault(e.type, {})
+            per_tgt[e.target] = per_tgt.get(e.target, 0) + 1
+            total_out[e.source] = total_out.get(e.source, 0) + 1
+        #: vertex type -> vertices of it / edge type -> edges of it
+        self.vertex_counts = vertex_counts
+        self.edge_counts = edge_counts
+        #: edge type -> tally of source (``out``) / target (``into``) ids
+        self.out = {etype: _Tally(per) for etype, per in outdeg.items()}
+        self.into = {etype: _Tally(per) for etype, per in indeg.items()}
+        #: tally of source ids over all edge types; its count-of-counts
+        #: table *is* the out-degree histogram above degree 0
+        self.total_out = _Tally(total_out)
+        #: (vertex type, attribute) -> tally of the hashable values
+        self.attrs = {key: _Tally(bucket) for key, bucket in attr_freq.items()}
 
-    attr_max = {
-        key: max(bucket.values(), default=0) for key, bucket in attr_freq.items()
-    }
+    # -- one element in or out -----------------------------------------
+    def _vertex(self, v: Any, step: int) -> None:
+        _bump(self.vertex_counts, v.type, step)
+        for attr, value in v.attrs.items():
+            if _hashable(value):
+                self._tally(self.attrs, (v.type, attr), value, step)
 
-    digest = hashlib.blake2b(digest_size=12)
-    for part in (
-        sorted(vertex_counts.items()),
-        sorted(edge_counts.items()),
-        sorted(out_degree.items()),
-        sorted(in_degree.items()),
-        sorted(hist.items()),
-        sorted(attr_max.items()),
-    ):
-        digest.update(repr(part).encode())
-    return GraphStatsSnapshot(
-        vertex_counts=tuple(sorted(vertex_counts.items())),
-        edge_counts=tuple(sorted(edge_counts.items())),
-        total_vertices=graph.num_vertices,
-        total_edges=graph.num_edges,
-        out_degree=tuple(sorted(out_degree.items())),
-        in_degree=tuple(sorted(in_degree.items())),
-        degree_histogram=tuple(sorted(hist.items())),
-        attr_max_freq=tuple(sorted(attr_max.items())),
-        fingerprint=digest.hexdigest(),
-    )
+    def _edge(self, e: Any, step: int) -> None:
+        _bump(self.edge_counts, e.type, step)
+        self._tally(self.out, e.type, e.source, step)
+        self._tally(self.into, e.type, e.target, step)
+        self.total_out.bump(e.source, step)
+
+    @staticmethod
+    def _tally(table: Dict[Any, _Tally], name: Any, key: Any, step: int) -> None:
+        """Bump ``key`` in ``table[name]``, keeping no empty tallies."""
+        tally = table.get(name)
+        if tally is None:
+            if step < 0:
+                raise KeyError(name)
+            tally = table[name] = _Tally()
+        tally.bump(key, step)
+        if not tally.counts:
+            del table[name]
+
+    def advance(
+        self,
+        base: Graph,
+        new: Graph,
+        vertex_ids: Iterable[Any],
+        edge_ids: Iterable[int],
+    ) -> None:
+        """Move the counts from describing ``base`` to describing
+        ``new``, given the ids under which the two may differ: each id's
+        element in ``base`` is taken out and its element in ``new`` put
+        in (either may be absent; the same object on both sides is no
+        change).  A ``KeyError`` means the counts did not describe
+        ``base`` — they are then unusable and the caller drops them."""
+        for ids, old_of, new_of, move in (
+            (vertex_ids, base._vertices, new._vertices, self._vertex),
+            (edge_ids, base._edges, new._edges, self._edge),
+        ):
+            for ident in ids:
+                old = old_of.get(ident)
+                cur = new_of.get(ident)
+                if old is cur:
+                    continue
+                if old is not None:
+                    move(old, -1)
+                if cur is not None:
+                    move(cur, +1)
+
+    # -- reading -------------------------------------------------------
+    def snapshot(self) -> GraphStatsSnapshot:
+        total_vertices = sum(self.vertex_counts.values())
+        edge_counts = self.edge_counts
+        vertex_counts = sorted(self.vertex_counts.items())
+        edge_rows = sorted(edge_counts.items())
+        out_degree = sorted(
+            (etype, (tally.max, edge_counts[etype]))
+            for etype, tally in self.out.items()
+        )
+        in_degree = sorted(
+            (etype, (tally.max, edge_counts[etype]))
+            for etype, tally in self.into.items()
+        )
+        hist = dict(self.total_out.sizes)
+        isolated = total_vertices - len(self.total_out.counts)
+        if isolated:
+            hist[0] = isolated
+        histogram = sorted(hist.items())
+        attr_max = sorted((key, tally.max) for key, tally in self.attrs.items())
+
+        digest = hashlib.blake2b(digest_size=12)
+        for part in (
+            vertex_counts, edge_rows, out_degree, in_degree, histogram, attr_max
+        ):
+            digest.update(repr(part).encode())
+        return GraphStatsSnapshot(
+            vertex_counts=tuple(vertex_counts),
+            edge_counts=tuple(edge_rows),
+            total_vertices=total_vertices,
+            total_edges=sum(edge_counts.values()),
+            out_degree=tuple(out_degree),
+            in_degree=tuple(in_degree),
+            degree_histogram=tuple(histogram),
+            attr_max_freq=tuple(attr_max),
+            fingerprint=digest.hexdigest(),
+        )
+
+
+class CarriedStats(NamedTuple):
+    """What a graph version carries in ``Graph._stats``: its immutable
+    snapshot, and — on the newest version of a lineage only — the
+    mutable counts the next commit advances (``None`` once they have
+    moved on to a later version)."""
+
+    snapshot: GraphStatsSnapshot
+    counts: Optional[GraphStats]
+
+
+def stats_snapshot(graph: Graph) -> GraphStatsSnapshot:
+    """The :class:`GraphStatsSnapshot` of ``graph``.
+
+    A version that carries its statistics — every version a
+    :class:`~repro.graph.mutation.GraphStore` publishes once its
+    lineage has been profiled, and any graph profiled before — answers
+    in O(1).  Otherwise the counts are built from scratch (one pass over
+    vertices, one over edges), the snapshot is read off them, and both
+    ride on the graph until a mutator drops them.
+    """
+    carried = graph._stats
+    if carried is None:
+        counts = GraphStats(graph)
+        carried = graph._stats = CarriedStats(counts.snapshot(), counts)
+    return carried.snapshot
 
 
 __all__ = [
@@ -331,5 +479,7 @@ __all__ = [
     "distance_histogram",
     "describe",
     "GraphStatsSnapshot",
+    "GraphStats",
+    "CarriedStats",
     "stats_snapshot",
 ]

@@ -25,10 +25,11 @@ import os
 import threading
 import time
 import uuid
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..errors import InjectedFault, MutationConflictError, MutationError
 from ..graph.mutation import GraphStore, MutationBatch
+from ..graph.stats import stats_snapshot
 from ..obs.metrics import Collector
 from .admission import AdmissionController, BudgetClass, Ticket
 from .pool import WorkerPool
@@ -111,13 +112,10 @@ class QueryService:
         #: *provable* upper bound already exceeds the class budget
         #: (``repro serve --no-cost-screen`` clears it).
         self.cost_screen_enabled = cost_screen_enabled
-        self._graphs: Dict[str, Any] = dict(managed) if managed else {}
         self._graph_paths = dict(graph_paths) if graph_paths else {}
-        # Statistics cache keyed by (graph name, epoch): a committed
-        # batch bumps the epoch, so the cost screen re-derives stats for
-        # the new version instead of screening against stale counts.
-        self._stats_cache: Dict[Tuple[str, int], Any] = {}
-        self._stats_lock = threading.Lock()
+        # Statistics of graphs only the process workers hold (loaded
+        # from graph_paths once); a held graph's version carries its own.
+        self._path_stats: Dict[str, Any] = {}
         self._clock = clock
         self._sleep = sleep
         self._draining = False
@@ -366,37 +364,27 @@ class QueryService:
 
     # -- the static cost screen ----------------------------------------
     def _graph_stats(self, name: str):
-        """Lazily computed :class:`~repro.graph.stats.GraphStatsSnapshot`
-        per ``(graph name, epoch)`` (cached; ``None`` when the graph is
-        unknown or statistics cannot be gathered).  A committed mutation
-        batch bumps the epoch, which both misses the cache and evicts
-        the superseded entry — the screen never reads stale statistics."""
-        store = self._stores.get(name)
-        graph = store.live if store is not None else self._graphs.get(name)
-        epoch = getattr(graph, "epoch", 0) if graph is not None else 0
-        key = (name, epoch)
-        with self._stats_lock:
-            if key in self._stats_cache:
-                return self._stats_cache[key]
-        stats = None
+        """The :class:`~repro.graph.stats.GraphStatsSnapshot` the cost
+        screen prices against (``None`` when the graph is unknown or
+        statistics cannot be gathered).  A held graph's live version
+        carries its own snapshot — advanced by every commit, so the
+        screen never reads stale statistics and the service keeps
+        nothing.  A graph only the process workers hold is loaded from
+        ``graph_paths`` once, for its statistics alone."""
         try:
-            from ..graph.stats import stats_snapshot
-
-            if graph is None and name in self._graph_paths:
+            store = self._stores.get(name)
+            if store is not None:
+                return stats_snapshot(store.live)
+            if name in self._graph_paths and name not in self._path_stats:
                 from ..graph.io import load_graph_json
 
-                graph = load_graph_json(self._graph_paths[name])
-            if graph is not None:
-                stats = stats_snapshot(graph)
+                self._path_stats[name] = None  # one attempt, even a failed one
+                self._path_stats[name] = stats_snapshot(
+                    load_graph_json(self._graph_paths[name])
+                )
         except Exception:  # noqa: BLE001 - screen is best-effort
-            stats = None
-        with self._stats_lock:
-            for stale in [
-                k for k in self._stats_cache if k[0] == name and k != key
-            ]:
-                del self._stats_cache[stale]
-            self._stats_cache[key] = stats
-        return stats
+            return None
+        return self._path_stats.get(name)
 
     def _cost_screen(
         self, request: QueryRequest, ticket: Ticket

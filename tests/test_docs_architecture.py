@@ -178,12 +178,29 @@ class TestDurabilityDocs:
                 f"docs/robustness.md durability section lost {needle!r}"
             )
 
+    def test_epoch_lifecycle_describes_sharing_and_carried_statistics(self):
+        section = " ".join(self._section().split())  # re-wrap proof
+        for needle in (
+            "**What a version shares.**", "**What a commit copies.**",
+            "**Where statistics are advanced.**", "`epoch.publish` fault site",
+            "cannot fail or poison a commit", "`Graph.set_vertex_attr`",
+            "lost on recovery", "cyclic garbage collector",
+            "`mutation.copied_elements`",
+        ):
+            assert needle in section, (
+                f"docs/robustness.md durability section lost {needle!r}"
+            )
+        architecture = (DOCS / "architecture.md").read_text()
+        for needle in ("`Graph.clone` is copy-on-write", "advanced per commit"):
+            assert needle in architecture, f"docs/architecture.md lost {needle!r}"
+
     def test_observability_lists_durability_counters(self):
         text = (DOCS / "observability.md").read_text()
         for counter in (
             "wal.appends", "wal.bytes", "wal.fsyncs", "wal.rotations",
             "wal.truncated_bytes", "mutation.batches", "mutation.ops",
             "mutation.conflicts", "mutation.poisoned",
+            "mutation.copied_elements", "mutation.stats_dropped",
             "mutation.recovered_records", "fsck.runs", "fsck.violations",
             "server.ingest.batches", "server.ingest.ops",
             "server.ingest.conflicts",

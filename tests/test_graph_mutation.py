@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import MutationConflictError, MutationError
 from repro.graph import Graph
+from repro.graph.fsck import fsck_graph
 from repro.graph.mutation import (
     GraphStore,
     MutationBatch,
@@ -18,6 +19,8 @@ from repro.graph.mutation import (
     recover_graph,
     validate_batch,
 )
+from repro.ldbc import generate_snb_graph
+from repro.obs import collect
 
 
 def people_graph():
@@ -137,6 +140,95 @@ class TestGraphStoreCommit:
         result = store.apply([{"op": "delete_vertex", "id": "london"}])
         assert result.epoch == 1
         assert not store.live.has_vertex("london")
+
+
+class TestCopyOnWrite:
+    """A published version shares what its batch did not change and
+    holds private copies of what it did (docs/robustness.md, "Epoch
+    lifecycle")."""
+
+    def test_untouched_elements_are_shared_written_ones_copied(self):
+        store = GraphStore(people_graph())
+        v0 = store.live
+        store.apply(MutationBatch()
+                    .upsert_vertex("ada", born=1816)
+                    .upsert_vertex("mary", "Person")
+                    .upsert_edge("mary", "london", "LivesIn"))
+        v1 = store.live
+        assert v1.vertex("charles") is v0.vertex("charles")
+        assert v1.buckets("charles") is v0.buckets("charles")
+        assert v1.edge(0) is v0.edge(0)
+        assert v1.vertex("ada") is not v0.vertex("ada")
+        assert (v0.vertex("ada")["born"], v1.vertex("ada")["born"]) == (1815, 1816)
+        assert v1.buckets("london") is not v0.buckets("london")
+        assert v0.indegree("london") == 1 and v1.indegree("london") == 2
+        assert list(v0.vertex_ids("Person")) == ["ada", "charles"]
+        assert list(v1.vertex_ids("Person")) == ["ada", "charles", "mary"]
+
+    def test_edge_attribute_upsert_repoints_every_step(self):
+        g = people_graph()
+        g.add_edge("ada", "ada", "Knows")  # a self-loop: two steps, one vertex
+        store = GraphStore(g)
+        v0 = store.live
+        store.apply(MutationBatch()
+                    .upsert_edge("ada", "charles", "Knows", since=1840)
+                    .upsert_edge("ada", "ada", "Knows", since=1841))
+        v1 = store.live
+        for graph, since in ((v0, (1833, None)), (v1, (1840, 1841))):
+            assert (graph.edge(0).get("since"), graph.edge(2).get("since")) == since
+            for vid in ("ada", "charles"):
+                for step in graph.steps(vid):
+                    assert step.edge is graph.edge(step.edge.eid)
+            assert fsck_graph(graph).ok
+        assert v1.edge(1) is v0.edge(1)
+
+    def test_mutating_the_original_after_a_clone_does_not_show_through(self):
+        g = people_graph()
+        snapshot = g.clone()
+        g.upsert_vertex("ada", born=1900)
+        g.upsert_edge("ada", "charles", "Knows", since=1900)
+        g.add_vertex("mary", "Person")
+        g.add_edge("mary", "ada", "Knows")
+        g.delete_vertex("london")
+        assert snapshot.vertex("ada")["born"] == 1815
+        assert snapshot.edge(0)["since"] == 1833
+        assert not snapshot.has_vertex("mary") and snapshot.has_vertex("london")
+        assert snapshot.indegree("ada") == 0 and snapshot.outdegree("ada") == 2
+        assert list(snapshot.vertex_ids("City")) == ["london"]
+        assert fsck_graph(snapshot).ok and fsck_graph(g).ok
+
+    def test_commit_work_is_proportional_to_the_batch_not_the_graph(self):
+        # One fixed ten-op batch, all four kinds, touching ids both
+        # scales have: it must copy the SAME number of elements on a
+        # graph nine times the size — a deterministic stand-in for
+        # "commit latency does not grow with the graph".
+        ops = (
+            MutationBatch()
+            .upsert_vertex("pin:a", "Person", firstName="Pin")
+            .upsert_vertex("pin:b", "Person", firstName="Pin")
+            .upsert_edge("pin:a", "person:0", "Knows")
+            .upsert_edge("pin:a", "person:1", "Knows")
+            .upsert_edge("pin:b", "person:2", "Knows")
+            .upsert_vertex("person:3", browserUsed="Lynx")
+            .upsert_vertex("person:4", browserUsed="Lynx")
+            .upsert_edge("person:0", "person:1", "Knows", creationDate=20120601)
+            .delete_edge("pin:b", "person:2", "Knows")
+            .delete_vertex("pin:b")
+        ).ops
+        assert len(ops) == 10
+        copied = {}
+        for scale in (0.1, 1.0):
+            graph = generate_snb_graph(scale, seed=1)
+            assert graph.find_edges("person:0", "person:1", "Knows")
+            store = GraphStore(graph)
+            with collect() as col:
+                store.apply(ops)
+            copied[scale] = col.counters["mutation.copied_elements"]
+            assert store.live.num_vertices == graph.num_vertices + 1
+        # The Person id list, three endpoints' bucket maps, two
+        # attribute-upserted vertices, one attribute-upserted edge.
+        assert copied == {0.1: 7, 1.0: 7}
+        assert copied[1.0] <= 2 * len(ops)
 
 
 class TestSnapshotIsolation:

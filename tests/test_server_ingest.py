@@ -6,16 +6,19 @@ write-path faults retry within the deadline, a poisoned store reports
 INTERNAL, and the ``server.requests == sum(server.outcome.*)`` ledger
 holds for mixed query+ingest traffic.  The final class is the PR's
 snapshot-isolation acceptance test at the service level, plus the
-``(graph, epoch)`` stats-cache satellite.
+cost screen's view of statistics across commits.
 """
 
+import gc
 import threading
+import weakref
 
 import pytest
 
 from repro.governor.faults import FaultPlan, inject_faults
 from repro.graph import Graph, builders
 from repro.server import IngestRequest, QueryRequest, QueryService, RetryPolicy
+from repro.server.admission import BudgetClass
 from repro.server.app import parse_ingest_body
 from repro.server.protocol import (
     HTTP_STATUS,
@@ -293,37 +296,80 @@ class TestSnapshotIsolationAcceptance:
 
 class TestStatsCacheSatellite:
     def test_stats_cache_keyed_by_epoch(self, service):
+        store = service._stores["default"]
+        superseded = weakref.ref(store.live)
         stats0 = service._graph_stats("default")
         assert stats0 is not None
-        assert ("default", 0) in service._stats_cache
-        # Same epoch -> same cached object.
+        # Same epoch -> the very snapshot the live version carries.
         assert service._graph_stats("default") is stats0
+        assert store.live._stats.snapshot is stats0
         service.ingest(_ingest())
         stats1 = service._graph_stats("default")
         assert stats1 is not stats0
         assert stats1.total_vertices == stats0.total_vertices + 1
-        # The superseded entry is evicted, not hoarded.
-        assert ("default", 0) not in service._stats_cache
-        assert ("default", 1) in service._stats_cache
+        assert store.live._stats.snapshot is stats1
+        # The superseded version — and with it its snapshot — is not
+        # hoarded: the service keeps no statistics of its own for a
+        # graph it holds, so nothing outlives the last pin.
+        assert service._path_stats == {}
+        gc.collect()
+        assert superseded() is None
 
     def test_cost_screen_sees_fresh_stats_after_ingest(self):
-        # The bounded class's screen uses per-epoch statistics: growing
-        # the graph via ingest must change the screen's prediction
-        # inputs (pinned indirectly through the stats cache key).
+        # A class whose cap is exactly the pre-ingest vertex count: the
+        # screen admits the scan at epoch 0 and, one vertex later,
+        # refuses it against epoch 1's counts (closed-form: the
+        # prediction is the count itself).
+        graph = builders.diamond_chain(6)
+        cap = graph.num_vertices
         svc = QueryService(
-            graphs={"default": builders.diamond_chain(6)},
+            graphs={"default": graph},
             pool_size=1, pool_mode="thread",
+            classes={"tight": BudgetClass(
+                "tight", budget={"max_acc_executions": cap})},
         )
+        scan = QueryRequest(budget_class="tight", query_text="""
+            CREATE QUERY CountV() {
+              SumAccum<int> @@n;
+              R = SELECT v FROM V:v ACCUM @@n += 1;
+              PRINT @@n;
+            }
+        """)
         try:
-            assert svc._graph_stats("default").total_vertices > 0
-            svc.ingest(IngestRequest(ops=[
+            assert svc.submit(scan)["outcome"] == "ok"
+            svc.ingest(IngestRequest(budget_class="tight", ops=[
                 {"op": "upsert_vertex", "id": "extra", "type": "V"},
             ]))
-            # The next screen recomputes for the new epoch and evicts
-            # the stale entry.
-            assert svc._graph_stats("default").total_vertices > 0
-            keys = list(svc._stats_cache)
-            assert keys == [("default", 1)]
+            doc = svc.submit(scan)
+            assert doc["outcome"] == "predicted-over-budget"
+            assert doc["predicted"]["breaches"] == [{
+                "metric": "acc_executions",
+                "predicted_max": cap + 1, "cap": cap,
+            }]
+            assert svc.collector.counters["server.cost.screened"] == 2
+            assert svc.collector.counters["server.cost.rejections"] == 1
+        finally:
+            svc.shutdown(grace=5.0)
+
+    def test_path_only_graph_is_profiled_once(self, tmp_path):
+        # Process workers load their graphs from graph_paths; the
+        # service then holds no version to carry statistics, so it
+        # loads the file once for them and memoises the snapshot.
+        from repro.graph.io import save_graph_json
+
+        path = tmp_path / "g.json"
+        save_graph_json(builders.diamond_chain(3), path)
+        svc = QueryService(
+            graph_paths={"default": str(path)}, pool_size=1,
+            pool_mode="process",
+        )
+        try:
+            first = svc._graph_stats("default")
+            assert first.total_vertices == 10
+            path.unlink()
+            assert svc._graph_stats("default") is first
+            assert svc._graph_stats("nope") is None
+            assert list(svc._path_stats) == ["default"]
         finally:
             svc.shutdown(grace=5.0)
 
