@@ -709,13 +709,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except (OSError, ValueError, GraphError, WalCorruptionError) as exc:
         print(f"serve: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(
-        f"repro serve: {args.pool_mode} pool x{args.workers} on "
-        f"http://{args.host}:{args.port} "
-        f"(graphs: {', '.join(sorted(graph_paths))})",
-        file=sys.stderr,
-    )
-    serve(service, host=args.host, port=args.port)
+
+    def banner(server) -> None:
+        # Printed once the socket is bound: --port 0 shows the real port.
+        print(
+            f"repro serve: {args.pool_mode} pool x{args.workers} on "
+            f"http://{server.host}:{server.port} "
+            f"(graphs: {', '.join(sorted(graph_paths))})",
+            file=sys.stderr,
+            flush=True,
+        )
+
+    serve(service, host=args.host, port=args.port, on_listening=banner)
     return EXIT_OK
 
 

@@ -697,13 +697,11 @@ class CompiledQuery:
         statements: List[Statement],
         stats: CompileStats,
         flags: Tuple[str, ...] = (),
-        schema=None,
     ):
         self.query = query
         self.statements = statements
         self.stats = stats
         self.flags = tuple(flags)
-        self.schema = schema
         self.source = query.source
         self._epoch = query._analysis_epoch
         #: Error-severity diagnostics from the service's analyze pass,
@@ -741,6 +739,11 @@ class CompiledQuery:
         estimate against the new snapshot (the per-model memo keyed by
         fingerprint makes re-stamping with a previously seen snapshot
         free as well).
+
+        The estimate runs over the schema-free model — the one the
+        parser stamped its structural certificates from and the one
+        ``benchmarks/check_cost_calibration.py`` pins — so a bound does
+        not depend on the schema the plan happens to be cached under.
         """
         fingerprint = None if stats is None else stats.fingerprint
         cert = self.query.cost_certificate
@@ -748,7 +751,7 @@ class CompiledQuery:
             return cert
         from ..core.tractable import attach_cost_certificates
 
-        attach_cost_certificates(self.query, schema=self.schema, stats=stats)
+        attach_cost_certificates(self.query, stats=stats)
         return self.query.cost_certificate
 
     @property
@@ -883,7 +886,7 @@ def compile_query(
                 col.count(
                     "compile.combines_preresolved", stats.combines_preresolved
                 )
-        return CompiledQuery(query, statements, stats, flags=flags, schema=schema)
+        return CompiledQuery(query, statements, stats, flags=flags)
     finally:
         if span is not None:
             col.close(span)

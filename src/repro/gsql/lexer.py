@@ -11,10 +11,24 @@ Notable lexing decisions:
   string delimiter otherwise (``'Toys'``);
 * ``//``, ``#`` and ``/* ... */`` comments are skipped;
 * keywords are case-insensitive, identifiers preserve case.
+
+The whole lexical grammar is one compiled alternation
+(:data:`_TOKEN`): each match skips the whitespace and comments in front
+of a token and names the token's kind through ``m.lastgroup``, so the
+interpreter runs once per *token*, not once per character.  The
+character loop this replaced lives on as ``tests/reference_lexer.py``,
+the oracle of the differential test: the two agree token for token,
+positions and error messages included.  The two known exceptions are
+inputs the loop got wrong.  A numeric character that is not a decimal
+digit (``²``, ``½``) is an identifier character here, as it always was
+inside a name; the loop lexed ``²`` as a NUMBER that ``int()`` then
+refused.  And ``POST-ACCUM`` after a character whose upper case is
+longer (``ß``) ends where it ends; the loop overshot by the difference.
 """
 
 from __future__ import annotations
 
+import re
 from typing import List, NamedTuple
 
 from ..errors import GSQLSyntaxError
@@ -27,13 +41,6 @@ KEYWORDS = {
     "CASE", "WHEN", "AS", "FOREACH", "USING", "SEMANTICS",
     "UNION", "INTERSECT", "MINUS",
 }
-
-#: Multi-character operators, longest first.
-_OPERATORS = [
-    "+=", "==", "!=", "<>", "<=", ">=", "->", "..",
-    "+", "-", "*", "/", "%", "=", "<", ">", "(", ")", "{", "}", "[", "]",
-    ",", ";", ":", ".", "|",
-]
 
 
 class Token(NamedTuple):
@@ -51,161 +58,119 @@ class Token(NamedTuple):
         return self.kind == "OP" and self.value == op
 
 
+#: Skipped text, then exactly one token.  Alternatives are ordered so
+#: the first that matches is the one the grammar means: ``POST-ACCUM``
+#: (Figure 4's hyphenated spelling, spaces allowed) before NAME, an
+#: unclosed ``/*`` before the ``/`` operator, two-character operators
+#: before their prefixes, ``@@`` before ``@``.  A quote directly after an
+#: identifier or keyword is the PRIME suffix and is taken with it, so a
+#: quote that reaches STRING always opens a string, and one STRING
+#: cannot close is UNTERMINATED as far as it runs.  EOF and the
+#: catch-all make the pattern match at every offset: ``finditer`` never
+#: skips a character, and whatever reaches ``BAD`` is an error.
+_TOKEN = re.compile(
+    r"""
+    (?: [ \t\r\n]+ | \#[^\n]* | //[^\n]* | /\*.*?\*/ )*
+    (?:
+        (?: (?P<POST_ACCUM> (?i:post) [ \t]* - [ \t]* (?i:accum) )
+          | (?P<NAME> [^\W\d]\w* )
+        ) (?P<PRIME> ' )?
+      | (?P<NUMBER> \d+ (?: \.\d+ )? (?: [eE][+-]?\d+ )? )
+      | (?P<UNCLOSED> /\* )
+      | (?P<OP> \+= | == | != | <> | <= | >= | -> | \.\.
+              | [-+*/%=<>(){}\[\],;:.|] )
+      | (?P<STRING> "(?: [^"\\\n] | \\. )*" | '(?: [^'\\\n] | \\. )*' )
+      | (?P<UNTERMINATED> "(?: [^"\\\n] | \\. )* | '(?: [^'\\\n] | \\. )* )
+      | (?P<ATAT> @@ )
+      | (?P<AT> @ )
+      | (?P<EOF> \Z )
+      | (?P<BAD> . )
+    )
+    """,
+    re.X | re.S,
+)
+_ESCAPE = re.compile(r"\\(.)", re.S)
+
+
+def _word(text: str, line: int, column: int, start: int, end: int) -> Token:
+    """The KEYWORD (case-folded) or NAME (case kept) token of one word."""
+    word = text[start:end]
+    upper = word.upper()
+    if upper in KEYWORDS:
+        return Token("KEYWORD", upper, line, column, start, end)
+    return Token("NAME", word, line, column, start, end)
+
+
 def tokenize(text: str) -> List[Token]:
     """Tokenize GSQL source; raises :class:`GSQLSyntaxError` on junk."""
     tokens: List[Token] = []
-    pos = 0
+    append = tokens.append
+    # The newline that ends the current line; a last line without one
+    # ends at ``len(text)``, which the extra newline lets ``find`` say.
+    find = (text + "\n").find
+    next_nl = find("\n")
     line = 1
     line_start = 0
-    n = len(text)
 
-    def error(message: str) -> GSQLSyntaxError:
-        return GSQLSyntaxError(message, line, pos - line_start + 1)
-
-    def push(kind: str, value: str, start: int) -> None:
-        tokens.append(Token(kind, value, line, start - line_start + 1, start, pos))
-
-    while pos < n:
-        ch = text[pos]
-        # -- whitespace --------------------------------------------------
-        if ch in " \t\r":
-            pos += 1
-            continue
-        if ch == "\n":
-            pos += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        start = m.start(kind)
+        end = m.end()
+        while start > next_nl:
             line += 1
-            line_start = pos
-            continue
-        # -- comments ----------------------------------------------------
-        if ch == "#" or text.startswith("//", pos):
-            while pos < n and text[pos] != "\n":
-                pos += 1
-            continue
-        if text.startswith("/*", pos):
-            close = text.find("*/", pos + 2)
-            if close < 0:
-                raise error("unterminated block comment")
-            for i in range(pos, close):
-                if text[i] == "\n":
-                    line += 1
-                    line_start = i + 1
-            pos = close + 2
-            continue
-        # -- strings -------------------------------------------------------
-        if ch == '"' or (ch == "'" and not _prime_context(tokens, pos)):
-            quote = ch
-            start = pos
-            pos += 1
-            chunks: List[str] = []
-            while pos < n and text[pos] != quote:
-                if text[pos] == "\n":
-                    raise error("unterminated string literal")
-                if text[pos] == "\\" and pos + 1 < n:
-                    chunks.append(text[pos + 1])
-                    pos += 2
-                else:
-                    chunks.append(text[pos])
-                    pos += 1
-            if pos >= n:
-                raise error("unterminated string literal")
-            pos += 1
-            push("STRING", "".join(chunks), start)
-            continue
-        # -- prime ---------------------------------------------------------
-        if ch == "'":
-            start = pos
-            pos += 1
-            push("PRIME", "'", start)
-            continue
-        # -- accumulator sigils ---------------------------------------------
-        if text.startswith("@@", pos):
-            start = pos
-            pos += 2
-            push("ATAT", "@@", start)
-            continue
-        if ch == "@":
-            start = pos
-            pos += 1
-            push("AT", "@", start)
-            continue
-        # -- numbers ---------------------------------------------------------
-        if ch.isdigit():
-            start = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            # Only treat '.' as a decimal point when not part of '..'
-            if (
-                pos < n
-                and text[pos] == "."
-                and not text.startswith("..", pos)
-                and pos + 1 < n
-                and text[pos + 1].isdigit()
-            ):
-                pos += 1
-                while pos < n and text[pos].isdigit():
-                    pos += 1
-            if pos < n and text[pos] in "eE":
-                probe = pos + 1
-                if probe < n and text[probe] in "+-":
-                    probe += 1
-                if probe < n and text[probe].isdigit():
-                    pos = probe
-                    while pos < n and text[pos].isdigit():
-                        pos += 1
-            push("NUMBER", text[start:pos], start)
-            continue
-        # -- identifiers / keywords --------------------------------------------
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            word = text[start:pos]
-            upper = word.upper()
-            if upper == "POST" and _peek_hyphen_accum(text, pos):
-                # Figure 4 writes POST-ACCUM with a hyphen; normalize it.
-                pos = text.upper().index("ACCUM", pos) + 5
-                push("KEYWORD", "POST_ACCUM", start)
-                continue
-            if upper in KEYWORDS:
-                push("KEYWORD", upper, start)
+            line_start = next_nl + 1
+            next_nl = find("\n", line_start)
+        column = start - line_start + 1
+        if kind == "OP":
+            append(Token("OP", text[start:end], line, column, start, end))
+        elif kind == "NAME":
+            append(_word(text, line, column, start, end))
+        elif kind == "NUMBER":
+            append(Token("NUMBER", text[start:end], line, column, start, end))
+        elif kind == "AT":
+            append(Token("AT", "@", line, column, start, end))
+        elif kind == "ATAT":
+            append(Token("ATAT", "@@", line, column, start, end))
+        elif kind == "STRING":
+            value = text[start + 1 : end - 1]
+            if "\\" in value:
+                value = _ESCAPE.sub(r"\1", value)
+                # An escaped newline inside a string has never started
+                # a new line for the positions that follow it.
+                while next_nl < end:
+                    next_nl = find("\n", next_nl + 1)
+            append(Token("STRING", value, line, column, start, end))
+        elif kind == "PRIME":
+            # The word the prime is the suffix of comes first.
+            word_start = m.start("NAME")
+            if word_start >= 0:
+                append(_word(text, line, word_start - line_start + 1,
+                             word_start, start))
             else:
-                push("NAME", word, start)
-            continue
-        # -- operators ---------------------------------------------------------
-        for op in _OPERATORS:
-            if text.startswith(op, pos):
-                start = pos
-                pos += len(op)
-                push("OP", op, start)
-                break
+                word_start = m.start("POST_ACCUM")
+                append(Token("KEYWORD", "POST_ACCUM", line,
+                             word_start - line_start + 1, word_start, start))
+            append(Token("PRIME", "'", line, column, start, end))
+        elif kind == "POST_ACCUM":
+            append(Token("KEYWORD", "POST_ACCUM", line, column, start, end))
+        elif kind == "EOF":
+            append(Token("EOF", "", line, column, start, start))
+            return tokens
+        elif kind == "UNCLOSED":
+            raise GSQLSyntaxError("unterminated block comment", line, column)
+        elif kind == "UNTERMINATED":
+            # It ran into an unescaped newline, or else off the end of
+            # the text (where a lone trailing backslash stops the match).
+            if end < len(text) and text[end] != "\n":
+                end = len(text)
+            raise GSQLSyntaxError(
+                "unterminated string literal", line, end - line_start + 1
+            )
         else:
-            raise error(f"unexpected character {ch!r}")
-
-    tokens.append(Token("EOF", "", line, pos - line_start + 1, pos, pos))
-    return tokens
-
-
-def _prime_context(tokens: List[Token], pos: int) -> bool:
-    """A quote directly abutting the previous identifier token is the
-    prime suffix, not a string delimiter."""
-    if not tokens:
-        return False
-    prev = tokens[-1]
-    return prev.end == pos and prev.kind in ("NAME", "KEYWORD")
-
-
-def _peek_hyphen_accum(text: str, pos: int) -> bool:
-    """Is the upcoming text ``-ACCUM`` (possibly with spaces)?"""
-    i = pos
-    n = len(text)
-    while i < n and text[i] in " \t":
-        i += 1
-    if i >= n or text[i] != "-":
-        return False
-    i += 1
-    while i < n and text[i] in " \t":
-        i += 1
-    return text[i : i + 5].upper() == "ACCUM"
+            raise GSQLSyntaxError(
+                f"unexpected character {text[start]!r}", line, column
+            )
+    raise AssertionError("unreachable: _TOKEN matches EOF")  # pragma: no cover
 
 
 __all__ = ["Token", "tokenize", "KEYWORDS"]

@@ -99,10 +99,17 @@ _PY_ELEMENT_TYPES = {
 }
 
 
+#: The furthest any rule looks past the current token (``peek(2)``).
+_LOOKAHEAD = 2
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = tokenize(text)
+        # ``advance`` never moves past EOF, so this many more EOFs behind
+        # it are all ``peek`` needs to index without a bounds check.
+        self.tokens.extend(self.tokens[-1:] * _LOOKAHEAD)
         self.i = 0
         self.tuple_types: Dict[str, TupleType] = {}
 
@@ -110,8 +117,7 @@ class _Parser:
     # Token helpers
     # ------------------------------------------------------------------
     def peek(self, offset: int = 0) -> Token:
-        idx = min(self.i + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        return self.tokens[self.i + offset]
 
     def advance(self) -> Token:
         token = self.tokens[self.i]

@@ -276,9 +276,15 @@ class HttpServer:
             None, lambda: self.service.shutdown(grace=grace)
         )
 
-    async def serve_forever(self) -> None:
-        """Run until SIGINT/SIGTERM, then drain and exit cleanly."""
+    async def serve_forever(self, on_listening=None) -> None:
+        """Run until SIGINT/SIGTERM, then drain and exit cleanly.
+
+        ``on_listening(server)`` is called once the socket is bound —
+        ``self.port`` is the real port by then, also when 0 was asked.
+        """
         await self.start()
+        if on_listening is not None:
+            on_listening(self)
         stop_event = asyncio.Event()
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGINT, signal.SIGTERM):
@@ -293,13 +299,16 @@ class HttpServer:
 
 
 def serve(
-    service: QueryService, host: str = "127.0.0.1", port: int = 8080
+    service: QueryService,
+    host: str = "127.0.0.1",
+    port: int = 8080,
+    on_listening=None,
 ) -> None:
     """Blocking entry point used by ``repro serve``."""
     server = HttpServer(service, host=host, port=port)
 
     async def _main() -> None:
-        await server.serve_forever()
+        await server.serve_forever(on_listening)
 
     try:
         asyncio.run(_main())

@@ -1,9 +1,11 @@
 """The worker pool: isolated pipeline workers, crash detection, drain.
 
 Each worker runs the full existing pipeline per job — parse ->
-analyze -> govern -> execute — and replies with a structured outcome
-plus its obs-counter snapshot.  Two worker transports share one
-dispatch protocol:
+cost screen -> analyze -> govern -> execute — and replies with a
+structured outcome plus its obs-counter snapshot.  The worker is the
+only place a request's text is parsed, certified and lowered: the
+service ships the text and reads the verdict.  Two worker transports
+share one dispatch protocol:
 
 ``process`` (the production default)
     One ``multiprocessing.Process`` per worker with a duplex pipe.
@@ -152,6 +154,13 @@ def execute_job(job: Job, graphs: Dict[str, Any]) -> Dict[str, Any]:
             runnable = plan_cache().get_or_compile(
                 job.query_text, schema=getattr(graph, "schema", None)
             )
+            refusal = _cost_refusal(job, runnable, graph, col)
+            if refusal is not None:
+                return reply(
+                    OutcomeKind.PREDICTED_OVER_BUDGET,
+                    dict(col.counters),
+                    **refusal,
+                )
             if runnable.lint_errors is None:
                 diagnostics = analyze(
                     runnable.query, schema=None, source=job.query_text
@@ -248,6 +257,49 @@ def execute_job(job: Job, graphs: Dict[str, Any]) -> Dict[str, Any]:
                 "soft_stops": governor.soft_stops,
             }
         return reply(OutcomeKind.OK, dict(col.counters), result=payload)
+
+
+def _cost_refusal(job: Job, runnable, graph, col) -> Optional[Dict[str, Any]]:
+    """The static cost screen: the ``predicted`` / ``certificate``
+    payload refusing a job whose *predicted* cost provably exceeds its
+    budget, or ``None`` to let it run.
+
+    The plan is priced against the statistics of the very version about
+    to be executed.  The screen is sound by construction and therefore
+    conservative: it only refuses when a **finite** certificate upper
+    bound beats a configured cap
+    (:func:`~repro.analysis.cost.budget_breaches`).  No caps, no
+    statistics or no certificate means no screen — the governor still
+    enforces the budget at run time.
+    """
+    if not job.cost_screen or not any(
+        cap != "deadline_seconds" for cap in job.budget
+    ):
+        return None
+    from ..analysis.cost import budget_breaches
+    from ..graph.stats import stats_snapshot
+
+    try:
+        cert = runnable.cost_for(stats_snapshot(graph))
+    except Exception:  # noqa: BLE001 - the screen is best-effort
+        return None
+    if cert is None:
+        return None
+    col.count("server.cost.screened")
+    breaches = budget_breaches(cert, job.budget, engine=job.engine)
+    if not breaches:
+        return None
+    col.count("server.cost.rejections")
+    return {
+        "predicted": {
+            "confidence": cert.confidence.value,
+            "breaches": [
+                {"metric": metric, "predicted_max": hi, "cap": cap}
+                for metric, hi, cap in breaches
+            ],
+        },
+        "certificate": cert.to_dict(),
+    }
 
 
 def _reset_worker_globals() -> None:

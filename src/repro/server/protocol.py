@@ -145,6 +145,12 @@ class Job(NamedTuple):
     #: never changes the query's result (snapshot isolation).  ``None``
     #: means "the live version" (plain graphs, process workers).
     graph_epoch: Optional[int] = None
+    #: The service's ``cost_screen_enabled`` switch: when set, the worker
+    #: prices the plan against the version it is about to run and
+    #: refuses a provable budget breach (``PREDICTED_OVER_BUDGET``)
+    #: instead of executing it.  A job built without it runs unscreened
+    #: and leaves its budget to the governor.
+    cost_screen: bool = False
 
 
 class IngestRequest(NamedTuple):

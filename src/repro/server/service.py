@@ -29,7 +29,6 @@ from typing import Any, Dict, Optional
 
 from ..errors import InjectedFault, MutationConflictError, MutationError
 from ..graph.mutation import GraphStore, MutationBatch
-from ..graph.stats import stats_snapshot
 from ..obs.metrics import Collector
 from .admission import AdmissionController, BudgetClass, Ticket
 from .pool import WorkerPool
@@ -107,15 +106,11 @@ class QueryService:
             graph_paths=graph_paths,
         )
         self.retry = retry if retry is not None else RetryPolicy()
-        #: Static cost screen: before dispatching, predict the query's
-        #: cost against its graph's statistics and refuse requests whose
-        #: *provable* upper bound already exceeds the class budget
-        #: (``repro serve --no-cost-screen`` clears it).
+        #: Static cost screen: the worker prices each plan against the
+        #: statistics of the version it is about to run and refuses a
+        #: request whose *provable* upper bound already exceeds the class
+        #: budget.  Read per request, so it may be flipped while serving.
         self.cost_screen_enabled = cost_screen_enabled
-        self._graph_paths = dict(graph_paths) if graph_paths else {}
-        # Statistics of graphs only the process workers hold (loaded
-        # from graph_paths once); a held graph's version carries its own.
-        self._path_stats: Dict[str, Any] = {}
         self._clock = clock
         self._sleep = sleep
         self._draining = False
@@ -362,81 +357,6 @@ class QueryService:
         finally:
             self.admission.release(ticket, dispatched=dispatched)
 
-    # -- the static cost screen ----------------------------------------
-    def _graph_stats(self, name: str):
-        """The :class:`~repro.graph.stats.GraphStatsSnapshot` the cost
-        screen prices against (``None`` when the graph is unknown or
-        statistics cannot be gathered).  A held graph's live version
-        carries its own snapshot — advanced by every commit, so the
-        screen never reads stale statistics and the service keeps
-        nothing.  A graph only the process workers hold is loaded from
-        ``graph_paths`` once, for its statistics alone."""
-        try:
-            store = self._stores.get(name)
-            if store is not None:
-                return stats_snapshot(store.live)
-            if name in self._graph_paths and name not in self._path_stats:
-                from ..graph.io import load_graph_json
-
-                self._path_stats[name] = None  # one attempt, even a failed one
-                self._path_stats[name] = stats_snapshot(
-                    load_graph_json(self._graph_paths[name])
-                )
-        except Exception:  # noqa: BLE001 - screen is best-effort
-            return None
-        return self._path_stats.get(name)
-
-    def _cost_screen(
-        self, request: QueryRequest, ticket: Ticket
-    ) -> Optional[Dict[str, Any]]:
-        """Refuse a request whose *predicted* cost provably exceeds its
-        budget class — before it ever reaches the pool.
-
-        The screen is sound-by-construction and therefore conservative:
-        it only rejects when a **finite** certificate upper bound beats a
-        configured cap (:func:`~repro.analysis.cost.budget_breaches`).
-        Anything that prevents prediction — unknown graph, parse error,
-        missing statistics — skips the screen and lets the worker (which
-        owns those diagnostics) produce the terminal outcome.
-        """
-        cls = ticket.budget_class
-        if not self.cost_screen_enabled or not cls.budget:
-            return None
-        stats = self._graph_stats(request.graph)
-        if stats is None:
-            return None
-        try:
-            from ..analysis.cost import budget_breaches
-
-            from ..compile import compile_query_text
-
-            # The plan cache stashes the certificate per statistics
-            # fingerprint, so repeat traffic screens without re-parsing
-            # or re-estimating.
-            cert = compile_query_text(request.query_text).cost_for(stats)
-        except Exception:  # noqa: BLE001 - worker owns parse diagnostics
-            return None
-        if cert is None:
-            return None
-        self.collector.count("server.cost.screened")
-        breaches = budget_breaches(cert, cls.budget, engine=request.engine)
-        if not breaches:
-            return None
-        self.collector.count("server.cost.rejections")
-        return outcome(
-            OutcomeKind.PREDICTED_OVER_BUDGET,
-            request_id=request.request_id,
-            budget_class=cls.name,
-            predicted={
-                "confidence": cert.confidence.value,
-                "breaches": [
-                    {"metric": metric, "predicted_max": hi, "cap": cap}
-                    for metric, hi, cap in breaches
-                ],
-            },
-            certificate=cert.to_dict(),
-        )
-
     def _run_admitted(
         self, request: QueryRequest, ticket: Ticket
     ) -> Dict[str, Any]:
@@ -452,9 +372,6 @@ class QueryService:
         store = self._stores.get(request.graph)
         pin = store.pin() if store is not None else None
         try:
-            refused = self._cost_screen(request, ticket)
-            if refused is not None:
-                return refused
             while True:
                 attempt += 1
                 remaining = ticket.remaining(self._clock())
@@ -477,6 +394,7 @@ class QueryService:
                     ),
                     attempt=attempt,
                     graph_epoch=pin.epoch if pin is not None else None,
+                    cost_screen=self.cost_screen_enabled,
                 )
                 if not dispatched:
                     self.admission.note_dispatched(ticket)
@@ -528,6 +446,11 @@ class QueryService:
             for k, v in reply.items()
             if k not in ("outcome", "request_id", "counters")
         }
+        if kind is OutcomeKind.PREDICTED_OVER_BUDGET:
+            # Refused before execution: there is no run to time, and
+            # the class is the service's to name.
+            del payload["elapsed_ms"]
+            payload = {"budget_class": request.budget_class, **payload}
         doc = outcome(
             kind,
             request_id=request.request_id,

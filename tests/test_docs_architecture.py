@@ -128,6 +128,7 @@ class TestCompilationDocs:
         text = (REPO / "README.md").read_text()
         assert "How fast is it?" in text
         assert "plan cache" in text
+        assert "parsed once per request" in text
 
 
 class TestDurabilityDocs:

@@ -3,7 +3,13 @@
 import asyncio
 import json
 import http.client
+import os
+import re
+import signal
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -210,3 +216,50 @@ class TestBodyParsing:
     def test_bad_shapes_rejected(self, body):
         with pytest.raises(ValueError):
             parse_request_body(body)
+
+
+class TestServeBanner:
+    def test_port_zero_prints_the_port_it_bound(self, tmp_path):
+        # ``repro serve --port 0`` lets the kernel pick; the banner is
+        # printed once the socket is bound, so it names the real port.
+        from repro.graph.io import save_graph_json
+
+        graph = tmp_path / "g.json"
+        save_graph_json(builders.diamond_chain(3), graph)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--graph", str(graph),
+             "--port", "0", "--workers", "1", "--pool-mode", "thread"],
+            stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            banner = proc.stderr.readline()
+            match = re.fullmatch(
+                r"repro serve: thread pool x1 on http://127\.0\.0\.1:(\d+) "
+                r"\(graphs: default\)\n",
+                banner,
+            )
+            assert match, banner
+            port = int(match.group(1))
+            assert port != 0
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            try:
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["status"] == "ok"
+            finally:
+                conn.close()
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            try:
+                proc.wait(timeout=30)
+            except subprocess.TimeoutExpired:  # pragma: no cover
+                proc.kill()
+                proc.wait(timeout=10)
+            proc.stderr.close()
+        assert proc.returncode == 0

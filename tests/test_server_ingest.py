@@ -10,6 +10,7 @@ cost screen's view of statistics across commits.
 """
 
 import gc
+import os
 import threading
 import weakref
 
@@ -296,22 +297,25 @@ class TestSnapshotIsolationAcceptance:
 
 class TestStatsCacheSatellite:
     def test_stats_cache_keyed_by_epoch(self, service):
+        # The worker screens a request against the statistics of the
+        # very version it pinned (stats_snapshot of the view), so the
+        # snapshot rides on the version and the service keeps none.
         store = service._stores["default"]
         superseded = weakref.ref(store.live)
-        stats0 = service._graph_stats("default")
-        assert stats0 is not None
+        assert store.live._stats is None  # nothing profiled it yet
+        assert service.submit(QueryRequest(query_text=COUNT_Q))["outcome"] == "ok"
+        stats0 = store.live._stats.snapshot
         # Same epoch -> the very snapshot the live version carries.
-        assert service._graph_stats("default") is stats0
+        assert service.submit(QueryRequest(query_text=COUNT_Q))["outcome"] == "ok"
         assert store.live._stats.snapshot is stats0
         service.ingest(_ingest())
-        stats1 = service._graph_stats("default")
+        assert service.submit(QueryRequest(query_text=COUNT_Q))["outcome"] == "ok"
+        stats1 = store.live._stats.snapshot
         assert stats1 is not stats0
         assert stats1.total_vertices == stats0.total_vertices + 1
-        assert store.live._stats.snapshot is stats1
+        assert service.collector.counters["server.cost.screened"] == 3
         # The superseded version — and with it its snapshot — is not
-        # hoarded: the service keeps no statistics of its own for a
-        # graph it holds, so nothing outlives the last pin.
-        assert service._path_stats == {}
+        # hoarded: nothing outlives the last pin.
         gc.collect()
         assert superseded() is None
 
@@ -351,25 +355,51 @@ class TestStatsCacheSatellite:
         finally:
             svc.shutdown(grace=5.0)
 
-    def test_path_only_graph_is_profiled_once(self, tmp_path):
-        # Process workers load their graphs from graph_paths; the
-        # service then holds no version to carry statistics, so it
-        # loads the file once for them and memoises the snapshot.
+    def test_path_only_graph_is_never_loaded_by_the_parent(
+        self, tmp_path, monkeypatch
+    ):
+        # Process workers load their graphs from graph_paths and screen
+        # against their own copy; the parent holds no version, keeps no
+        # statistics and never opens the file.
+        from repro.graph import io
         from repro.graph.io import save_graph_json
 
         path = tmp_path / "g.json"
         save_graph_json(builders.diamond_chain(3), path)
+        parent_pid = os.getpid()
+        loads = []
+        real_load = io.load_graph_json
+
+        def spy(*args, **kwargs):
+            if os.getpid() == parent_pid:
+                loads.append(args)
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(io, "load_graph_json", spy)
         svc = QueryService(
             graph_paths={"default": str(path)}, pool_size=1,
             pool_mode="process",
+            classes={"tight": BudgetClass(
+                "tight", budget={"max_acc_executions": 9})},
         )
+        scan = QueryRequest(budget_class="tight", query_text="""
+            CREATE QUERY CountV() {
+              SumAccum<int> @@n;
+              R = SELECT v FROM V:v ACCUM @@n += 1;
+              PRINT @@n;
+            }
+        """)
         try:
-            first = svc._graph_stats("default")
-            assert first.total_vertices == 10
-            path.unlink()
-            assert svc._graph_stats("default") is first
-            assert svc._graph_stats("nope") is None
-            assert list(svc._path_stats) == ["default"]
+            doc = svc.submit(scan)
+            # Ten vertices against a cap of nine: the worker refused it
+            # from its own statistics.
+            assert doc["outcome"] == "predicted-over-budget"
+            assert doc["predicted"]["breaches"] == [{
+                "metric": "acc_executions", "predicted_max": 10, "cap": 9,
+            }]
+            assert svc.collector.counters["server.cost.screened"] == 1
+            assert svc.collector.counters["server.cost.rejections"] == 1
+            assert loads == []
         finally:
             svc.shutdown(grace=5.0)
 
