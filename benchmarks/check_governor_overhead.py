@@ -2,9 +2,9 @@
 """Guard the governor no-op fast path: budgets must be free when absent.
 
 The execution governor's design contract (docs/robustness.md) mirrors the
-observability layer's: every governed site reads the module-global
-``repro.governor.governor._ACTIVE`` binding once per engine call — per
-SDMC call, per block, per WHILE iteration — and the per-level/per-chunk
+observability layer's: every governed site reads the calling context's
+record once per engine call (``repro._exec.current().gov``) — per SDMC
+call, per block, per WHILE iteration — and the per-level/per-chunk
 charge calls are guarded by that one read.  Running with no governor
 installed must therefore cost nothing measurable, and running under an
 *unlimited* budget must stay within the same few-percent envelope.  This

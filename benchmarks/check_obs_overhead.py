@@ -2,9 +2,9 @@
 """Guard the repro.obs no-op fast path: instrumentation must be free when off.
 
 The observability layer's design contract (docs/observability.md) is that
-every instrumented site reads the module-global collector once per engine
-call — per SDMC call, per hop, per block — and never per row, edge, or
-product state, so running with no collector installed costs nothing
+every instrumented site reads the calling context's record once per engine
+call (``repro._exec.current().col``) — per SDMC call, per hop, per block —
+and never per row, edge, or product state, so running with no collector installed costs nothing
 measurable.  This script enforces that on the E1 counting workload:
 
 1. keeps a verbatim *uninstrumented* copy of the SDMC product-BFS kernel
@@ -39,8 +39,9 @@ from repro.paths.sdmc import SdmcResult, bucket_expander
 def reference_sdmc(graph, source, darpe, targets=None, max_length=None):
     """Verbatim copy of single_source_sdmc — the same per-bucket BFS,
     through the shipped ``bucket_expander`` (which has no touchpoint of
-    its own) — with every obs/governor/fault touchpoint removed: the
-    baseline an ideal zero-cost instrumentation matches.  Returns the
+    its own) — minus its single ``_exec.current()`` read and every
+    obs/governor/fault touchpoint that read guards: the baseline an
+    ideal zero-cost instrumentation matches.  Returns the
     results and the number of product states visited."""
     graph.vertex(source)
     dfa = darpe.new_dfa()

@@ -19,11 +19,13 @@ The same check covers the parallel Reduce: ``parallel_accum`` hands the
 sanitizer its per-partition partials, and merge order is permuted the
 same way.
 
-The hook pattern mirrors :mod:`repro.obs.metrics` exactly: a
-module-global :data:`_ACTIVE` binding plus a guarded no-op fast path at
-every site (``if _accsan._ACTIVE is not None: ...``), so a disabled
-sanitizer costs one global load and one comparison per write — measured
-below 5% end-to-end by ``benchmarks/check_accsan_overhead.py``.
+The hook pattern mirrors :mod:`repro.obs.metrics` exactly: the active
+sanitizer is the ``san`` field of the calling context's
+:class:`repro._exec.ExecCtx`, read once per block phase and held as a
+local, plus a guarded no-op fast path at every write site (``if san is
+not None: ...``), so a disabled sanitizer costs one comparison per
+write — measured below 5% end-to-end by
+``benchmarks/check_accsan_overhead.py``.
 
 Usage::
 
@@ -41,19 +43,9 @@ import copy
 import random
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from ._activation import ActivationState as _ActivationState
+from . import _exec
 from .accum.algebra import digest_value
 from .errors import AccSanViolation
-from .obs import metrics as _obs
-
-#: The active sanitizer, or None.  Write sites guard on this; only
-#: :func:`sanitize` (and tests) should rebind it.
-_ACTIVE: Optional["Sanitizer"] = None
-
-#: Cross-thread ownership guard (see repro/_activation.py): a second
-#: thread activating a sanitizer while one is live would attribute one
-#: query's write events to another's replay — raise instead.
-_GUARD = _ActivationState("accsan")
 
 
 class AccSanEvent(NamedTuple):
@@ -113,7 +105,7 @@ class Sanitizer:
         self.events.append(
             AccSanEvent(site, spelled, type_name, op, digest_value(value))
         )
-        col = _obs._ACTIVE
+        col = _exec.current().col
         if col is not None:
             col.count("accsan.events")
 
@@ -276,7 +268,7 @@ class Sanitizer:
 
     @staticmethod
     def _count(name: str) -> None:
-        col = _obs._ACTIVE
+        col = _exec.current().col
         if col is not None:
             col.count(name)
 
@@ -304,21 +296,16 @@ def sanitize(
     """Install a :class:`Sanitizer` for the duration of the block.
 
     Nested scopes shadow (and then restore) the previous binding, like
-    :func:`repro.obs.metrics.collect`.  Activation from a different
-    thread while a sanitizer is live raises
-    :class:`~repro.errors.ReentrantActivationError` (the binding is
-    process-global — cross-thread re-entry would cross-wire events).
+    :func:`repro.obs.metrics.collect`; the binding is per-context
+    (:mod:`repro._exec`), so concurrent sanitized runs in other threads
+    or tasks keep their own events.
     """
-    global _ACTIVE
     sanitizer = Sanitizer(schedules=schedules, seed=seed)
-    _GUARD.acquire()
-    previous = _ACTIVE
-    _ACTIVE = sanitizer
+    token = _exec.bind(san=sanitizer)
     try:
         yield sanitizer
     finally:
-        _ACTIVE = previous
-        _GUARD.release()
+        _exec.reset(token)
 
 
 __all__ = [

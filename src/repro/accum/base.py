@@ -29,8 +29,8 @@ import copy as _copy
 from abc import ABC, abstractmethod
 from typing import Any
 
+from .. import _exec
 from ..errors import AccumulatorError
-from ..obs import metrics as _obs
 
 
 class Accumulator(ABC):
@@ -72,7 +72,7 @@ class Accumulator(ABC):
         if not self.multiplicity_sensitive:
             self.combine(item)
             return
-        col = _obs._ACTIVE
+        col = _exec.current().col
         if col is not None:
             # O(μ) fallback work: types with a closed form (Sum, Avg,
             # Bag) override this method and never hit the counter —

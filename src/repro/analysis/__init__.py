@@ -31,8 +31,6 @@ from .diagnostics import (
 )
 from .model import QueryModel, build_model, cached_model
 from .rules import (
-    LEGACY_TRACTABLE_KINDS,
-    LEGACY_VALIDATE_KINDS,
     Rule,
     all_rules,
     catalog_codes,
@@ -69,8 +67,6 @@ __all__ = [
     "register",
     "rule_catalog",
     "catalog_codes",
-    "LEGACY_VALIDATE_KINDS",
-    "LEGACY_TRACTABLE_KINDS",
     "TypeEnv",
     "infer_type",
 ]

@@ -1,8 +1,7 @@
 """The analyzer entry point: run every rule over a compiled query.
 
-:func:`analyze` is the programmatic API (the ``repro lint`` CLI and the
-``core.validate``/``core.tractable`` compatibility shims all sit on top
-of it)::
+:func:`analyze` is the programmatic API (the ``repro lint``,
+``validate`` and ``explain`` commands all sit on top of it)::
 
     from repro.analysis import analyze
     diagnostics = analyze(query, schema=schema)
@@ -29,7 +28,7 @@ def run_rules(
     """All diagnostics from ``rules`` (default: the full registry) over a
     prebuilt model, unsorted and unsuppressed.  Each diagnostic's ``seq``
     is the source-order sequence of the fact it anchors to, so sorting by
-    ``seq`` reproduces walk order — the compatibility shims rely on it.
+    ``seq`` reproduces walk order (``repro validate`` prints in it).
     """
     diagnostics: List[Diagnostic] = []
     for rule in rules if rules is not None else all_rules():

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..obs import metrics as _obs
+from .. import _exec
 from ..core.query import (
     Foreach,
     GOVERNED_WHILE_CAP,
@@ -612,7 +612,7 @@ def analyze_cost(model: QueryModel, stats=None) -> CostResult:
     )
 
     cache[fingerprint] = result
-    col = _obs._ACTIVE
+    col = _exec.current().col
     if col is not None:
         col.count("cost.analyses")
         col.count("cost.blocks", len(result.blocks))

@@ -40,9 +40,9 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
+from .. import _exec
 from ..core.exprs import GlobalAccumRef, Literal, NameRef, VertexAccumRef
 from ..core.tractable import DeterminismCertificate, DeterminismStatus
-from ..obs import metrics as _obs
 from .dataflow import AccKey, _decl_key, _fact_key, analyze_dataflow
 from .model import (
     AccumReadFact,
@@ -366,7 +366,7 @@ def analyze_effects(model: QueryModel) -> EffectsResult:
         )
         result.blocks.append((block_fact, summary, cert))
 
-    col = _obs._ACTIVE
+    col = _exec.current().col
     if col is not None:
         col.count("effects.analyses")
         col.count("effects.blocks", len(result.blocks))

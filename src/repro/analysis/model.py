@@ -7,17 +7,18 @@ recording what it sees as flat fact records.  Rules never walk the AST
 themselves — they pattern-match over these facts, which keeps each rule
 a few lines and guarantees all rules agree on scoping.
 
-The walk mirrors the original ``core.validate`` traversal order so the
-compatibility shim reproduces its diagnostics byte-for-byte, and —
-unlike the original — recurses into ``IF``/``FOREACH`` statements nested
-inside ACCUM and POST_ACCUM clauses (:class:`~repro.core.stmts.AccumIf`
-and :class:`~repro.core.stmts.AccumForeach`).
+Every fact carries its source-order sequence number (``seq``), so
+sorting diagnostics by it reproduces walk order; the walk recurses into
+``IF``/``FOREACH`` statements nested inside ACCUM and POST_ACCUM clauses
+(:class:`~repro.core.stmts.AccumIf` and
+:class:`~repro.core.stmts.AccumForeach`).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from .. import _exec
 from ..core.acctypes import AccumTypeInfo
 from ..core.block import SelectBlock
 from ..core.exprs import Expr, GlobalAccumRef, NameRef, VertexAccumRef
@@ -726,22 +727,21 @@ def build_model(query: Query, schema=None) -> QueryModel:
 def cached_model(query: Query, schema=None) -> QueryModel:
     """The model for ``query``, cached on the query object.
 
-    The ``core.validate`` shim, the ``core.tractable`` shim, certificate
-    attachment and ``repro lint``/``repro check`` all want the same
-    model; building it once per (query, schema) pair keeps a CLI
-    invocation at one walk instead of three.  ``Query.invalidate_analysis``
+    Certificate attachment, ``repro validate``/``explain`` and
+    ``repro lint``/``repro check`` all want the same model; building it
+    once per (query, schema) pair keeps a CLI invocation at one walk
+    instead of three.  ``Query.invalidate_analysis``
     drops the cache after a recompile.
     """
     cache = getattr(query, "_analysis_cache", None)
     if cache is not None and cache[0] is schema:
         return cache[1]
-    from ..obs import metrics as _obs
-
-    if _obs._ACTIVE is not None:
+    col = _exec.current().col
+    if col is not None:
         # The plan-cache acceptance contract reads this: a warm cache
         # hit must execute with zero analysis re-entry, i.e. this
         # counter stays absent from the request's counter snapshot.
-        _obs._ACTIVE.count("analysis.model_builds")
+        col.count("analysis.model_builds")
     model = build_model(query, schema)
     try:
         query._analysis_cache = (schema, model)

@@ -111,7 +111,7 @@ def _sigil(is_global: bool) -> str:
 
 
 # ======================================================================
-# Errors ported from core.validate (E001-E006)
+# Name-resolution errors (E001-E006): what ``repro validate`` reports
 # ======================================================================
 @register
 class DuplicateAccumulatorRule(Rule):
@@ -264,7 +264,7 @@ class UnknownEdgeTypeRule(Rule):
 
 
 # ======================================================================
-# Section 7 tractability (ported from core.tractable)
+# Section 7 tractability (W012/E013): what ``repro explain`` reports
 # ======================================================================
 @register
 class OrderDependentAccumulatorRule(Rule):
@@ -920,30 +920,10 @@ class PredictedAccumMemoryRule(Rule):
         )
 
 
-#: Codes whose diagnostics the legacy ``validate_query`` shim reports,
-#: mapped to the original issue kinds.
-LEGACY_VALIDATE_KINDS: Dict[str, str] = {
-    "GSQL-E001": "undeclared-accumulator",
-    "GSQL-E002": "accumulator-scope",
-    "GSQL-E003": "duplicate-accumulator",
-    "GSQL-E004": "unknown-vertex-set",
-    "GSQL-E005": "unknown-vertex-type",
-    "GSQL-E006": "unknown-edge-type",
-}
-
-#: Codes the legacy ``core.tractable`` shim reports, mapped to its kinds.
-LEGACY_TRACTABLE_KINDS: Dict[str, str] = {
-    "GSQL-W012": "order-dependent-accumulator",
-    "GSQL-E013": "kleene-feeds-order-dependent",
-}
-
-
 __all__ = [
     "Rule",
     "register",
     "all_rules",
     "rule_catalog",
     "catalog_codes",
-    "LEGACY_VALIDATE_KINDS",
-    "LEGACY_TRACTABLE_KINDS",
 ]

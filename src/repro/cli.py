@@ -69,7 +69,6 @@ import sys
 from typing import Any, List, Optional, Tuple
 
 from .core.explain import explain_query
-from .core.validate import validate_query
 from .core.pattern import EngineMode
 from .core.values import Table
 from .darpe.automaton import CompiledDarpe
@@ -285,11 +284,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
     print()
     print(compile_query(query).describe())
-    issues = validate_query(query)
+    issues = _validation_errors(query)
     if issues:
         print("\nvalidation issues:")
         for issue in issues:
-            print(f"  {issue}")
+            print(f"  [{issue.rule_name}] {issue.message}")
         return EXIT_USAGE
     return EXIT_OK
 
@@ -326,6 +325,25 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: What ``repro validate`` (and the trailer of ``explain``) reports: the
+#: name-resolution errors, undeclared/duplicate/mis-scoped accumulators
+#: and unknown sets, vertex types and edge types.
+_VALIDATE_CODES = frozenset(f"GSQL-E00{n}" for n in range(1, 7))
+
+
+def _validation_errors(query, schema=None) -> list:
+    # The _VALIDATE_CODES diagnostics of ``query``, in walk order.
+    from .analysis import run_rules
+    from .analysis.model import cached_model
+
+    found = [
+        d for d in run_rules(cached_model(query, schema))
+        if d.code in _VALIDATE_CODES
+    ]
+    found.sort(key=lambda d: d.seq)
+    return found
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     schema = None
     if args.graph:
@@ -341,9 +359,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
             for etype in graph.edge_types():
                 schema.edge(etype)
     query = _load_query(args.query_file)
-    issues = validate_query(query, schema)
+    issues = _validation_errors(query, schema)
     for issue in issues:
-        print(issue)
+        print(f"[{issue.rule_name}] {issue.message}")
     if not issues:
         print("ok")
     return EXIT_USAGE if issues else EXIT_OK

@@ -36,8 +36,8 @@ import threading
 from collections import OrderedDict
 from typing import Optional, Tuple
 
+from .. import _exec
 from ..core.query import Query
-from ..obs import metrics as _obs
 from .lowering import CompiledQuery, compile_query
 
 #: Default number of cached plans; at ~one lowered statement tree per
@@ -46,7 +46,7 @@ DEFAULT_CAPACITY = 128
 
 
 def _count(name: str, value: int = 1) -> None:
-    col = _obs._ACTIVE
+    col = _exec.current().col
     if col is not None:
         col.count(name, value)
 

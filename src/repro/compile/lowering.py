@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .. import accsan as _accsan
+from .. import _exec
 from ..accum.algebra import classify
 from ..core.block import OutputColumn, OutputFragment, SelectBlock
 from ..core.context import QueryContext
@@ -60,9 +60,7 @@ from ..core.stmts import (
 )
 from ..errors import QueryRuntimeError
 from ..governor import faults as _faults
-from ..governor import governor as _gov
 from ..graph.elements import Vertex
-from ..obs import metrics as _obs
 from .exprc import CompileStats, compile_closure, compile_expr
 
 
@@ -218,14 +216,15 @@ def _compile_accum_update(
         def bind_global(ctx, buffer):
             add = buffer.add
             set_ = buffer.set
+            san = _exec.current().san
 
             def run(env: EvalEnv, multiplicity: int, _cell=[]) -> None:
                 value = value_fn(env)
                 if not _cell:
                     _cell.append(ctx.global_accum(name))
                 acc = _cell[0]
-                if _accsan._ACTIVE is not None:
-                    _accsan._ACTIVE.record("accum", target, acc, op, value)
+                if san is not None:
+                    san.record("accum", target, acc, op, value)
                 if is_add:
                     add(acc, value, multiplicity)
                 else:
@@ -241,6 +240,7 @@ def _compile_accum_update(
         add = buffer.add
         set_ = buffer.set
         resolve = ctx.vertex_accum_resolver(name)
+        san = _exec.current().san
 
         def run(env: EvalEnv, multiplicity: int) -> None:
             value = value_fn(env)
@@ -251,8 +251,8 @@ def _compile_accum_update(
                     f"{type(vertex).__name__}"
                 )
             acc = resolve(vertex.vid)
-            if _accsan._ACTIVE is not None:
-                _accsan._ACTIVE.record("accum", target, acc, op, value)
+            if san is not None:
+                san.record("accum", target, acc, op, value)
             if is_add:
                 add(acc, value, multiplicity)
             else:
@@ -426,19 +426,21 @@ class CompiledBlock(SelectBlock):
         return snapshots
 
     def execute(self, ctx: QueryContext, mode: EngineMode):
-        col = _obs._ACTIVE
+        ec = _exec.current()
+        col = ec.col
         if col is None:
-            return self._execute(ctx, mode, None)
+            return self._execute(ctx, mode, ec)
         span = col.span(
             "select_block", label=f"SELECT  FROM {self.pattern!r}"
         )
         try:
-            return self._execute(ctx, mode, col)
+            return self._execute(ctx, mode, ec)
         finally:
             col.close(span)
 
-    def _execute(self, ctx: QueryContext, mode: EngineMode, col):
-        gov = _gov._ACTIVE
+    def _execute(self, ctx: QueryContext, mode: EngineMode, ec):
+        col = ec.col
+        gov = ec.gov
         if gov is not None:
             gov.tick()
         if self.semantics is not None:
@@ -516,11 +518,11 @@ class CompiledBlock(SelectBlock):
                 try:
                     if _faults._PLAN is not None:
                         _faults.fire("block.reduce")
-                    if _accsan._ACTIVE is not None:
+                    if ec.san is not None:
                         # Replay the buffered inputs under permuted
                         # schedules *before* the real flush mutates the
                         # live accumulators.
-                        _accsan._ACTIVE.check_flush(self, buffer)
+                        ec.san.check_flush(self, buffer)
                     buffer.flush()
                 finally:
                     if col is not None:
@@ -791,7 +793,7 @@ class CompiledQuery:
             ctx.tables.update(tables)
         if subqueries:
             ctx.subqueries.update(subqueries)
-        col = _obs._ACTIVE
+        col = _exec.current().col
         if col is None:
             for stmt in self.statements:
                 stmt.execute(ctx, mode)
@@ -860,7 +862,7 @@ def compile_query(
     plan's warm executions never re-enter the analysis layer — the
     ``analysis.model_builds`` counter is charged here, at compile time.
     """
-    col = _obs._ACTIVE
+    col = _exec.current().col
     span = col.span("compile", label=f"COMPILE {query.name}") if col else None
     try:
         try:

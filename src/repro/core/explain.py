@@ -27,7 +27,6 @@ from .query import (
     While,
 )
 from .stmts import AccumUpdate, LocalAssign
-from .tractable import analyze_query
 
 
 def explain_query(query: Query) -> str:
@@ -36,11 +35,23 @@ def explain_query(query: Query) -> str:
     if query.params:
         params = ", ".join(f"{p.type_name} {p.name}" for p in query.params)
         lines.append(f"  parameters: {params}")
-    violations = analyze_query(query)
+    # Imported lazily: repro.analysis imports core submodules.
+    from ..analysis import run_rules
+    from ..analysis.model import cached_model
+
+    # Section 7's class definition: order-dependent declarations (W012)
+    # first, then the blocks a Kleene pattern feeds them from (E013).
+    violations = sorted(
+        (
+            d for d in run_rules(cached_model(query))
+            if d.code in ("GSQL-W012", "GSQL-E013")
+        ),
+        key=lambda d: (d.code == "GSQL-E013", d.seq),
+    )
     if violations:
         lines.append("  tractability: OUTSIDE the Section 7 class")
         for v in violations:
-            lines.append(f"    - {v.kind}: {v.detail}")
+            lines.append(f"    - {v.rule_name}: {v.message}")
     else:
         lines.append("  tractability: tractable (polynomial counting evaluation)")
     _explain_statements(query.statements, lines, indent=1)

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from contextvars import copy_context
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .. import accsan as _accsan
+from .. import _exec
 from ..accum.base import Accumulator
 from ..errors import ParallelSafetyError, QueryAbortedError, QueryRuntimeError
 from ..governor import faults as _faults
-from ..obs import metrics as _obs
 from .context import QueryContext
 from .exprs import EvalEnv
 from .pattern import BindingRow
@@ -115,8 +115,14 @@ def _run_threaded(
     """
     abort = threading.Event()
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        # A pool thread starts with nothing bound: each partition runs
+        # in its own copy of the caller's context, so its kernel reports
+        # to the caller's collector, governor and sanitizer.
         futures = [
-            pool.submit(_run_partition, ctx, bind, chunk, primed, abort)
+            pool.submit(
+                copy_context().run,
+                _run_partition, ctx, bind, chunk, primed, abort,
+            )
             for chunk in chunks
         ]
         wait(futures, return_when=FIRST_EXCEPTION)
@@ -196,7 +202,7 @@ def parallel_accum(
             witnesses = tuple(getattr(certificate, "witnesses", ()))
             if on_uncertified == "serialize":
                 partitions = 1
-                col = _obs._ACTIVE
+                col = _exec.current().col
                 if col is not None:
                     col.count("parallel.serialized_uncertified")
             else:
@@ -234,8 +240,9 @@ def parallel_accum(
     else:
         partials = [_run_partition(ctx, bind, chunk, primed) for chunk in chunks]
 
-    if _accsan._ACTIVE is not None:
-        _check_merge_schedules(ctx, partials, certificate)
+    ec = _exec.current()
+    if ec.san is not None:
+        _check_merge_schedules(ctx, partials, certificate, ec.san)
 
     # Reduce: merge worker partials into the live accumulators, walking
     # the partials in partition-index order (the order `partials` is
@@ -247,18 +254,20 @@ def parallel_accum(
         for (name, vid), acc in partial.vertex.items():
             ctx.vertex_accum(name, vid).merge(acc)
         merges += len(partial.globals) + len(partial.vertex)
-    col = _obs._ACTIVE
+    col = ec.col
     if col is not None:
         col.count("accum.merges", merges)
         col.count("parallel.partitions", len(partials))
 
 
 def _check_merge_schedules(
-    ctx: QueryContext, partials: List[_Partial], certificate: object
+    ctx: QueryContext,
+    partials: List[_Partial],
+    certificate: object,
+    sanitizer: Any,
 ) -> None:
     """Hand AccSan every accumulator's per-partition partials so it can
     permute the merge order before the real Reduce runs."""
-    sanitizer = _accsan._ACTIVE
     by_global: Dict[str, List[Accumulator]] = {}
     by_vertex: Dict[Tuple[str, Any], List[Accumulator]] = {}
     for partial in partials:

@@ -27,12 +27,12 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
+from .. import _exec
 from ..darpe.ast import Symbol, contains_kleene
 from ..darpe.automaton import CompiledDarpe
 from ..darpe.parser import parse_darpe
 from ..errors import QueryCompileError, QueryRuntimeError
 from ..graph.elements import Vertex
-from ..obs import metrics as _obs
 from ..paths.sdmc import single_source_sdmc
 from ..paths.semantics import PathSemantics
 from ..enumeration.engine import match_counts
@@ -449,7 +449,7 @@ def evaluate_chain(
 ) -> List[BindingRow]:
     graph = ctx.graph
     var_filters = var_filters or {}
-    col = _obs._ACTIVE
+    col = _exec.current().col
     current_var = chain.source.var
     passes = _bind_filters(ctx, current_var, var_filters.get(current_var))
     rows: List[BindingRow] = [

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from .. import _exec
 from ..darpe.ast import (
     Alt,
     Concat,
@@ -37,7 +38,6 @@ from ..darpe.ast import (
     Symbol,
 )
 from ..graph.elements import FORWARD, REVERSE
-from ..obs import metrics as _obs
 from .exprs import Binary, Expr, primed_accum_names, referenced_names
 from .pattern import EngineMode
 from .tractable import TractabilityStatus
@@ -73,7 +73,7 @@ def push_down_filters(
             per_var.setdefault(next(iter(free)), []).append(conjunct)
         else:
             residual.append(conjunct)
-    col = _obs._ACTIVE
+    col = _exec.current().col
     if col is not None and (per_var or residual):
         col.count(
             "planner.pushdown_conjuncts", sum(len(f) for f in per_var.values())
@@ -131,7 +131,7 @@ def select_engine(block, ctx, mode: EngineMode) -> EngineMode:
     if status is None or status is TractabilityStatus.UNKNOWN:
         status = _runtime_status(block, ctx)
         source = "runtime-probe"
-    col = _obs._ACTIVE
+    col = _exec.current().col
     effect = getattr(block, "effect_certificate", None)
     if col is not None and effect is not None:
         # Not an engine choice today, but the planner records what the

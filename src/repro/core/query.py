@@ -11,13 +11,12 @@ from __future__ import annotations
 import warnings
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
+from .. import _exec
 from ..accum.base import Accumulator
 from ..errors import QueryCompileError, QueryRuntimeError
 from ..governor import faults as _faults
-from ..governor import governor as _gov
 from ..graph.elements import Vertex
 from ..graph.graph import Graph
-from ..obs import metrics as _obs
 from .block import SelectBlock, limit_count
 from .context import AccumDecl, QueryContext
 from .exprs import EvalEnv, Expr
@@ -223,7 +222,7 @@ class While(Statement):
         self.limit = limit
 
     def execute(self, ctx: QueryContext, mode: EngineMode) -> None:
-        gov = _gov._ACTIVE
+        gov = _exec.current().gov
         if self.limit is not None:
             ceiling = limit_count(self.limit.eval(EvalEnv(ctx)))
         else:
@@ -268,7 +267,7 @@ class While(Statement):
             RuntimeWarning,
             stacklevel=3,
         )
-        col = _obs._ACTIVE
+        col = _exec.current().col
         if col is not None:
             col.count("governor.while_soft_stops")
         if gov is not None:
@@ -293,7 +292,7 @@ class Foreach(Statement):
         items = foreach_items(self.collection.eval(EvalEnv(ctx)))
         had_prior = self.var in ctx.params
         prior = ctx.params.get(self.var)
-        gov = _gov._ACTIVE
+        gov = _exec.current().gov
         try:
             for item in items:
                 if gov is not None:

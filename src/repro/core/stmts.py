@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .. import accsan as _accsan
+from .. import _exec
 from ..accum.base import Accumulator
 from ..errors import QueryCompileError, QueryRuntimeError
 from ..graph.elements import Vertex
-from ..obs import metrics as _obs
 from .context import QueryContext
 from .exprs import EvalEnv, Expr, primed_accum_names, referenced_names
 
@@ -217,7 +216,7 @@ class InputBuffer:
         self._sets.append((acc, value))
 
     def flush(self) -> None:
-        col = _obs._ACTIVE
+        col = _exec.current().col
         if col is not None and (self._sets or self._adds):
             # Batched: one count per Reduce phase, not per input.
             col.count("accum.assigns", len(self._sets))
@@ -282,7 +281,9 @@ def run_post_accum(
     ``+=`` inputs are buffered and folded in after the whole clause, which
     keeps the phase order-invariant.
     """
-    col = _obs._ACTIVE
+    ec = _exec.current()
+    col = ec.col
+    san = ec.san
     buffer = InputBuffer()
     for stmt, deps in statements:
         executions = _distinct_projections(rows, deps)
@@ -292,19 +293,24 @@ def run_post_accum(
         for binding in executions:
             env = EvalEnv(ctx, binding, locals_, primed)
             locals_.clear()
-            _run_post_statement(stmt, ctx, env, buffer)
-    if _accsan._ACTIVE is not None:
+            _run_post_statement(stmt, ctx, env, buffer, san)
+    if san is not None:
         # No block handle here: divergences become detections, never
         # violations (POST_ACCUM += is per-distinct-vertex, so the
         # permuted replay is still meaningful).
-        _accsan._ACTIVE.check_flush(None, buffer)
+        san.check_flush(None, buffer)
     buffer.flush()
 
 
 def _run_post_statement(
-    stmt: AccStatement, ctx: QueryContext, env: EvalEnv, buffer: InputBuffer
+    stmt: AccStatement,
+    ctx: QueryContext,
+    env: EvalEnv,
+    buffer: InputBuffer,
+    san: Any,
 ) -> None:
-    """One POST_ACCUM statement for one distinct-vertex execution."""
+    """One POST_ACCUM statement for one distinct-vertex execution
+    (``san``: the phase's sanitizer, or None)."""
     if isinstance(stmt, LocalAssign):
         raise QueryRuntimeError(
             "local variables are not allowed in POST_ACCUM "
@@ -313,7 +319,7 @@ def _run_post_statement(
     if isinstance(stmt, AccumIf):
         branch = stmt.then if bool(stmt.cond.eval(env)) else stmt.otherwise
         for inner in branch:
-            _run_post_statement(inner, ctx, env, buffer)
+            _run_post_statement(inner, ctx, env, buffer, san)
         return
     if isinstance(stmt, AccumForeach):
         items = foreach_items(stmt.collection.eval(env))
@@ -323,7 +329,7 @@ def _run_post_statement(
             for item in items:
                 env.locals[stmt.var] = item
                 for inner in stmt.body:
-                    _run_post_statement(inner, ctx, env, buffer)
+                    _run_post_statement(inner, ctx, env, buffer, san)
         finally:
             if had_prior:
                 env.locals[stmt.var] = prior
@@ -353,8 +359,8 @@ def _run_post_statement(
         raise QueryRuntimeError(f"unknown POST_ACCUM statement {stmt!r}")
     value = stmt.expr.eval(env)
     acc = stmt.target.resolve(env)
-    if _accsan._ACTIVE is not None:
-        _accsan._ACTIVE.record("post_accum", stmt.target, acc, stmt.op, value)
+    if san is not None:
+        san.record("post_accum", stmt.target, acc, stmt.op, value)
     if stmt.op == "=":
         acc.assign(value)
     else:

@@ -1,4 +1,4 @@
-"""Static tractability analysis — Section 7's "tractable class" (shim).
+"""Static certificates — Section 7's "tractable class" and its kin.
 
 A query is in the tractable class when:
 
@@ -12,11 +12,12 @@ A query is in the tractable class when:
   the compressed binding table.
 
 The checks themselves are rules GSQL-W012 and GSQL-E013 in
-:mod:`repro.analysis`; this module keeps the original
-:func:`analyze_query`/:func:`is_tractable` API on top of them.  The
-engine additionally refuses at runtime the genuinely dangerous
-combination (order-dependent accumulator fed from a Kleene pattern) —
-see :meth:`repro.core.block.SelectBlock._check_tractability`.
+:mod:`repro.analysis`; this module holds the certificate types the
+analyses stamp on SELECT blocks (tractability, determinism, cost) and
+the ``attach_*`` functions the parser calls to stamp them.  The engine
+additionally refuses at runtime the genuinely dangerous combination
+(order-dependent accumulator fed from a Kleene pattern) — see
+:meth:`repro.core.block.SelectBlock._check_tractability`.
 """
 
 from __future__ import annotations
@@ -25,13 +26,6 @@ import enum
 from typing import List, NamedTuple, Optional, Tuple
 
 from .query import Query
-
-
-class TractabilityViolation(NamedTuple):
-    """One reason a query falls outside the tractable class."""
-
-    kind: str
-    detail: str
 
 
 class TractabilityStatus(enum.Enum):
@@ -235,43 +229,6 @@ class CostCertificate(NamedTuple):
         }
 
 
-def analyze_query(query: Query) -> List[TractabilityViolation]:
-    """All tractability violations of a query (empty list = tractable).
-
-    The check is conservative in the paper's direction: *any* use of an
-    order-dependent accumulator is reported, matching Section 7's class
-    definition, even though only the Kleene-fed uses actually blow up.
-    Declaration violations precede block violations, as they always did.
-    """
-    # Imported lazily: repro.analysis imports core submodules, and this
-    # module is itself imported by the core package init.
-    from ..analysis import run_rules
-    from ..analysis.model import cached_model
-    from ..analysis.rules import LEGACY_TRACTABLE_KINDS
-
-    model = cached_model(query)
-    diagnostics = [
-        d for d in run_rules(model) if d.code in LEGACY_TRACTABLE_KINDS
-    ]
-    decls = sorted(
-        (d for d in diagnostics if d.code == "GSQL-W012"),
-        key=lambda d: d.seq,
-    )
-    blocks = sorted(
-        (d for d in diagnostics if d.code == "GSQL-E013"),
-        key=lambda d: d.seq,
-    )
-    return [
-        TractabilityViolation(LEGACY_TRACTABLE_KINDS[d.code], d.message)
-        for d in decls + blocks
-    ]
-
-
-def is_tractable(query: Query) -> bool:
-    """True when the query is in the Section 7 tractable class."""
-    return not analyze_query(query)
-
-
 def certify_query(query: Query, schema=None) -> List[Tuple[object, TractabilityCertificate]]:
     """(block fact, certificate) pairs for every SELECT block of ``query``.
 
@@ -357,7 +314,6 @@ def attach_governor_caps(query: Query, schema=None) -> None:
 
 
 __all__ = [
-    "TractabilityViolation",
     "TractabilityStatus",
     "TractabilityCertificate",
     "DeterminismStatus",
@@ -366,8 +322,6 @@ __all__ = [
     "CostConfidence",
     "CostCertificate",
     "COST_CAP",
-    "analyze_query",
-    "is_tractable",
     "certify_query",
     "attach_certificates",
     "attach_effect_certificates",

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Set
 
+from .. import _exec
 from ..darpe.automaton import CompiledDarpe
 from ..errors import EvaluationBudgetExceeded, QueryRuntimeError
 from ..governor import faults as _faults
-from ..governor import governor as _gov
 from ..graph.elements import Edge
 from ..graph.graph import Graph
-from ..obs import metrics as _obs
 from ..paths.sdmc import bucket_expander, single_source_sdmc
 from ..paths.semantics import PathSemantics
 
@@ -65,12 +64,13 @@ class _Budget:
             )
         if _faults._PLAN is not None:
             _faults.fire("enum.expand")
-        gov = _gov._ACTIVE
-        if gov is not None and not (self.expanded & 0xFF):
+        if not (self.expanded & 0xFF):
             # Deadline/cancellation checkpoint every 256 expanded nodes:
             # frequent enough to abort a blow-up promptly, rare enough to
-            # keep the per-node cost to a global load and a bit test.
-            gov.tick()
+            # keep the per-node cost to a bit test.
+            gov = _exec.current().gov
+            if gov is not None:
+                gov.tick()
 
 
 def enumerate_matches(
@@ -114,8 +114,9 @@ def enumerate_matches(
         inner = _enumerate_dfs(
             graph, source, darpe, semantics, targets, max_length, tracker
         )
-    col = _obs._ACTIVE
-    gov = _gov._ACTIVE
+    ec = _exec.current()
+    col = ec.col
+    gov = ec.gov
     if col is None and gov is None:
         yield from inner
         return

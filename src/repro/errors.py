@@ -8,28 +8,27 @@ compilation/execution errors and accumulator errors.
 
 from __future__ import annotations
 
+from . import _exec
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
 
 
 class ReentrantActivationError(ReproError):
-    """Raised when a module-global engine binding (the :mod:`repro.obs`
-    collector, the :mod:`repro.governor` governor, the
-    :mod:`repro.accsan` sanitizer or the :mod:`repro.governor.faults`
-    plan) is activated from one thread while another thread's
-    activation is still live.
+    """Raised when the :mod:`repro.governor.faults` plan is activated
+    from one thread while another thread's activation is still live.
 
-    Those bindings are process-wide by design (the zero-cost fast path
-    is a single module-global load), so a cross-thread re-activation
-    would silently attribute one query's charges, counters or sanitizer
-    events to another — the exact cross-wiring bug this error makes
-    loud.  Same-thread nesting still stacks cleanly (inner shadows
-    outer, outer restored on exit).
+    The fault plan is the one engine binding that is process-wide by
+    design — one thread arms it, every thread fires it — so a
+    cross-thread re-activation would swap the armed sites out from under
+    a running chaos scenario; this error makes that loud.  Same-thread
+    nesting still stacks cleanly (inner shadows outer, outer restored on
+    exit).  The collector, governor and sanitizer are per-context
+    (:mod:`repro._exec`) and cannot collide, so they never raise this.
 
     ``subsystem``
-        Which binding was contended (``"obs.collector"``,
-        ``"governor"``, ``"accsan"``, ``"governor.faults"``).
+        Which binding was contended (``"governor.faults"``).
     ``owner_thread`` / ``thread``
         The ``threading.get_ident()`` of the thread holding the
         activation and of the thread that attempted to re-activate.
@@ -41,8 +40,9 @@ class ReentrantActivationError(ReproError):
         self.thread = thread
         super().__init__(
             f"{subsystem} is already active on thread {owner_thread}; "
-            f"thread {thread} must not re-activate it (run the query in "
-            "its own worker process, or serialize governed extents)"
+            f"thread {thread} must not re-activate it (arm one plan "
+            "around the threads that fire it, or run the scenario in "
+            "its own worker process)"
         )
 
 
@@ -155,9 +155,7 @@ class QueryRuntimeError(ReproError):
 
 def _snapshot_counters() -> dict:
     """Copy of the active obs collector's counters (at raise time)."""
-    from .obs import metrics as _obs  # lazy: errors loads before obs
-
-    col = _obs._ACTIVE
+    col = _exec.current().col
     return dict(col.counters) if col is not None else {}
 
 

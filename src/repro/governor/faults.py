@@ -17,10 +17,15 @@ context, scratch partials released, ``Query.run`` re-runnable.  For
 randomized sweeps, ``at=None`` draws the hit index from a seeded RNG
 (``FaultPlan(seed=...)``), which is still reproducible per seed.
 
-Like :mod:`repro.obs.metrics` and :mod:`.governor`, the harness is a
-module-global binding (``_PLAN``): sites guard every call with a single
-global load + None check, so an inactive harness costs nothing
-measurable.
+Unlike the collector, governor and sanitizer — per-query state, bound
+per context in :mod:`repro._exec` — the plan is *process-wide* on
+purpose: one thread arms it and every thread fires it (the service's
+dispatcher sites fire in client threads; a chaos test arms one plan
+around a hundred of them).  It is a module-global binding (``_PLAN``):
+sites guard every call with a single global load + None check, so an
+inactive harness costs nothing measurable.  Because the binding is
+shared, only one thread at a time may own the armed plan
+(:class:`_Owner`).
 """
 
 from __future__ import annotations
@@ -29,9 +34,8 @@ import random
 import threading as _threading
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
-from .._activation import ActivationState as _ActivationState
-from ..errors import InjectedFault
-from . import governor as _gov
+from .. import _exec
+from ..errors import InjectedFault, ReentrantActivationError
 
 #: The injection-site catalog: name -> where in the engine it fires.
 #: Sites fire at existing obs span points; one hit is one pass through
@@ -206,7 +210,7 @@ class FaultPlan:
                 return
             self.fired.append(FiredFault(site, hit, arm.action))
         if arm.action == "deadline":
-            gov = _gov._ACTIVE
+            gov = _exec.current().gov
             if gov is not None:
                 gov.expire_deadline()
                 gov.tick()  # aborts through the real deadline path
@@ -223,9 +227,48 @@ class FaultPlan:
 #: with ``if _PLAN is not None`` — the entire inactive cost.
 _PLAN: Optional[FaultPlan] = None
 
-#: Cross-thread ownership guard for plan activation (firing is
-#: thread-safe and unguarded) — see repro/_activation.py.
-_GUARD = _ActivationState("governor.faults")
+
+class _Owner:
+    """Which thread armed the live plan, and how deeply it has nested.
+
+    The plan binding is process-wide, so a second thread activating a
+    plan while the first one's is live would swap the armed sites out
+    from under a running chaos scenario: that raises
+    :class:`~repro.errors.ReentrantActivationError` instead.  The owning
+    thread nests freely.
+    """
+
+    def __init__(self) -> None:
+        self._lock = _threading.Lock()
+        self.owner: Optional[int] = None
+        self._depth = 0
+
+    def acquire(self) -> None:
+        me = _threading.get_ident()
+        with self._lock:
+            if self._depth > 0 and self.owner != me:
+                raise ReentrantActivationError(
+                    "governor.faults", self.owner or 0, me
+                )
+            self.owner = me
+            self._depth += 1
+
+    def release(self) -> None:
+        with self._lock:
+            if self._depth > 0:
+                self._depth -= 1
+            if self._depth == 0:
+                self.owner = None
+
+    def reset(self) -> None:
+        with self._lock:
+            self.owner = None
+            self._depth = 0
+
+
+#: Single-owner check on plan activation (firing is thread-safe and
+#: unguarded).
+_GUARD = _Owner()
 
 
 def active() -> Optional[FaultPlan]:
@@ -276,6 +319,14 @@ class inject_faults:
         _GUARD.release()
 
 
+def disarm() -> None:
+    """Forget the plan and its owner: a forked worker inherits both from
+    a parent thread that does not exist in it."""
+    global _PLAN
+    _PLAN = None
+    _GUARD.reset()
+
+
 def catalog() -> List[Tuple[str, str]]:
     """The (site, description) catalog, sorted — docs and the baseline
     guard (``benchmarks/check_governor_overhead.py``) read this."""
@@ -290,5 +341,6 @@ __all__ = [
     "fire",
     "active",
     "inject_faults",
+    "disarm",
     "catalog",
 ]

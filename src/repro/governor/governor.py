@@ -9,11 +9,13 @@ whichever governor is *active* and abort cooperatively when a
 :class:`~repro.governor.budget.Budget` limit is breached or the
 :class:`CancelToken` trips.
 
-The design mirrors :mod:`repro.obs.metrics` deliberately: a single
-module-level binding (``_ACTIVE``), read once per engine call (never
-per row/edge/product state), is the entire cost when no governor is
-installed — guarded by ``benchmarks/check_governor_overhead.py`` with
-the same <5% bar as the observability layer.
+The design mirrors :mod:`repro.obs.metrics` deliberately: the active
+governor is the ``gov`` field of the calling context's
+:class:`repro._exec.ExecCtx`, and one read of that record per engine
+call (never per row/edge/product state) is the entire cost when no
+governor is installed — guarded by
+``benchmarks/check_governor_overhead.py`` with the same <5% bar as the
+observability layer.
 
 Budget breaches raise :class:`~repro.errors.QueryAbortedError` carrying
 the reason, the breached limit, the partial obs counters and elapsed
@@ -29,9 +31,8 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-from .._activation import ActivationState as _ActivationState
+from .. import _exec
 from ..errors import QueryAbortedError
-from ..obs import metrics as _obs
 from .budget import AbortReason, Budget
 
 
@@ -296,7 +297,7 @@ class ExecutionGovernor:
         limit_value: Any,
         observed: Any,
     ) -> None:
-        col = _obs._ACTIVE
+        col = _exec.current().col
         if col is not None:
             col.count("governor.aborts")
             col.count(f"governor.abort.{reason.value}")
@@ -380,22 +381,10 @@ class ExecutionGovernor:
         return f"ExecutionGovernor({self.budget!r})"
 
 
-#: The active governor, or None (the default: ungoverned execution).
-#: Engine modules read this binding directly — one global load + identity
-#: check per instrumented site is the entire ungoverned cost.
-_ACTIVE: Optional[ExecutionGovernor] = None
-
-#: Cross-thread ownership guard: a second thread activating (even with
-#: ``govern(None)``) while another thread's governed extent is live
-#: raises ReentrantActivationError instead of silently re-attributing
-#: one query's charges to another.  Same-thread nesting stacks.
-_GUARD = _ActivationState("governor")
-
-
 def active() -> Optional[ExecutionGovernor]:
-    """The currently active governor, or None when execution is
+    """The calling context's governor, or None when execution is
     ungoverned."""
-    return _ACTIVE
+    return _exec.current().gov
 
 
 class govern:
@@ -410,27 +399,21 @@ class govern:
     Nesting is allowed; the inner governor shadows the outer one and
     the outer is restored on exit (exception-safe).  Entering with
     ``None`` leaves execution ungoverned for the extent (useful to
-    shield a sub-computation from an outer budget).  Activating from a
-    *different thread* while any governed extent is live raises
-    :class:`~repro.errors.ReentrantActivationError` — the binding is
-    process-global, so that would charge one query's work to another.
+    shield a sub-computation from an outer budget).  The binding is
+    per-context (:mod:`repro._exec`): a governed extent in another
+    thread or asyncio task charges its own governor, never this one.
     """
 
     def __init__(self, governor: Optional[ExecutionGovernor] = None):
         self.governor = governor
-        self._previous: Optional[ExecutionGovernor] = None
+        self._token: Any = None
 
     def __enter__(self) -> Optional[ExecutionGovernor]:
-        global _ACTIVE
-        _GUARD.acquire()
-        self._previous = _ACTIVE
-        _ACTIVE = self.governor
+        self._token = _exec.bind(gov=self.governor)
         return self.governor
 
     def __exit__(self, *exc_info: Any) -> None:
-        global _ACTIVE
-        _ACTIVE = self._previous
-        _GUARD.release()
+        _exec.reset(self._token)
 
 
 __all__ = [

@@ -22,7 +22,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
-from ..obs import metrics as _obs
+from .. import _exec
 from .elements import FORWARD, REVERSE, UNDIRECTED
 from .graph import Graph
 from .stats import GraphStats
@@ -65,7 +65,7 @@ CHECKS: Dict[str, str] = {
 
 
 def _count(name: str, value: int = 1) -> None:
-    col = _obs._ACTIVE
+    col = _exec.current().col
     if col is not None:
         col.count(name, value)
 

@@ -50,6 +50,7 @@ import threading
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Union
 
+from .. import _exec
 from ..errors import (
     GraphError,
     MutationConflictError,
@@ -57,7 +58,6 @@ from ..errors import (
     ReproError,
 )
 from ..governor import faults as _faults
-from ..obs import metrics as _obs
 from .graph import Graph
 from .schema import GraphSchema
 from .stats import CarriedStats
@@ -78,7 +78,7 @@ _REQUIRED_FIELDS = {
 
 
 def _count(name: str, value: int = 1) -> None:
-    col = _obs._ACTIVE
+    col = _exec.current().col
     if col is not None:
         col.count(name, value)
 

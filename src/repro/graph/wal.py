@@ -44,9 +44,9 @@ import zlib
 from pathlib import Path
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
+from .. import _exec
 from ..errors import WalCorruptionError
 from ..governor import faults as _faults
-from ..obs import metrics as _obs
 
 PathLike = Union[str, Path]
 
@@ -68,7 +68,7 @@ _SEGMENT_SUFFIX = ".log"
 
 
 def _count(name: str, value: int = 1) -> None:
-    col = _obs._ACTIVE
+    col = _exec.current().col
     if col is not None:
         col.count(name, value)
 

@@ -12,9 +12,10 @@ report into whichever collector is *active*.
 Design constraints, in priority order:
 
 1. **Instrumentation off must cost nothing measurable.**  The active
-   collector is a single module-level binding (``_ACTIVE``); every
-   instrumented site reads it once per *call* (never per row, per edge,
-   or per product state) and skips all bookkeeping when it is ``None``.
+   collector is the ``col`` field of the calling context's
+   :class:`repro._exec.ExecCtx`; every instrumented site reads that
+   record once per *call* (never per row, per edge, or per product
+   state) and skips all bookkeeping when the field is ``None``.
    Hot loops compute their tallies from state they maintain anyway
    (``len(visited)``, ``len(rows)``) and report them in one batched
    ``count`` after the loop — guarded by `benchmarks/check_obs_overhead.py`.
@@ -30,7 +31,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Iterator, List, Optional
 
-from .._activation import ActivationState as _ActivationState
+from .. import _exec
 
 
 class Span:
@@ -157,21 +158,10 @@ class Collector:
         return f"Collector({len(self.counters)} counters, {len(self.roots)} roots)"
 
 
-#: The active collector, or None (the default: instrumentation off).
-#: Engine modules read this binding directly — one global load + identity
-#: check per instrumented call is the entire off-path cost.
-_ACTIVE: Optional[Collector] = None
-
-#: Cross-thread ownership guard: activating from a second thread while
-#: a first thread's collector is live raises ReentrantActivationError
-#: instead of silently cross-wiring counters (same-thread nesting still
-#: stacks).  See repro/_activation.py.
-_GUARD = _ActivationState("obs.collector")
-
-
 def active() -> Optional[Collector]:
-    """The currently active collector, or None when instrumentation is off."""
-    return _ACTIVE
+    """The calling context's collector, or None when instrumentation is
+    off."""
+    return _exec.current().col
 
 
 class collect:
@@ -184,27 +174,21 @@ class collect:
         col.counter("block.acc_executions")
 
     Nesting is allowed; the inner collector shadows the outer one and the
-    outer is restored on exit (exception-safe).  Activating from a
-    *different thread* while any collector is live raises
-    :class:`~repro.errors.ReentrantActivationError` — the binding is
-    process-global, so that would cross-wire counters between queries.
+    outer is restored on exit (exception-safe).  The binding is
+    per-context (:mod:`repro._exec`): another thread or asyncio task
+    activating its own collector neither sees nor disturbs this one.
     """
 
     def __init__(self, collector: Optional[Collector] = None):
         self.collector = collector if collector is not None else Collector()
-        self._previous: Optional[Collector] = None
+        self._token: Any = None
 
     def __enter__(self) -> Collector:
-        global _ACTIVE
-        _GUARD.acquire()
-        self._previous = _ACTIVE
-        _ACTIVE = self.collector
+        self._token = _exec.bind(col=self.collector)
         return self.collector
 
     def __exit__(self, *exc_info: Any) -> None:
-        global _ACTIVE
-        _ACTIVE = self._previous
-        _GUARD.release()
+        _exec.reset(self._token)
 
 
 __all__ = ["Span", "Collector", "active", "collect"]

@@ -47,12 +47,11 @@ from typing import (
     Tuple,
 )
 
+from .. import _exec
 from ..darpe.automaton import CompiledDarpe, LazyDFA
 from ..governor import faults as _faults
-from ..governor import governor as _gov
 from ..graph.elements import Step
 from ..graph.graph import Graph
-from ..obs import metrics as _obs
 
 
 class SdmcResult(NamedTuple):
@@ -149,8 +148,9 @@ def single_source_sdmc(
                 if remaining is not None:
                     remaining.discard(vid)
 
-    col = _obs._ACTIVE
-    gov = _gov._ACTIVE
+    ec = _exec.current()
+    col = ec.col
+    gov = ec.gov
     if gov is not None:
         gov.charge_product_states(1)  # the start state
     peak_frontier = 1
@@ -317,7 +317,7 @@ def shortest_path_dag(
                 target_distance[vid] = level
 
     note_accepting(start, 0)
-    gov = _gov._ACTIVE
+    gov = _exec.current().gov
     if gov is not None:
         gov.charge_product_states(1)
     frontier = [start]

@@ -8,24 +8,23 @@ service ships the text and reads the verdict.  Two worker transports
 share one dispatch protocol:
 
 ``process`` (the production default)
-    One ``multiprocessing.Process`` per worker with a duplex pipe.
-    Module-global engine bindings (collector / governor / sanitizer)
-    are per-process, so workers are fully isolated: a crash kills one
-    query, never a sibling, and cross-wiring
-    (:class:`~repro.errors.ReentrantActivationError`) is impossible by
-    construction.  Crash detection is real: a dead process or an EOF on
-    its pipe surfaces as :class:`~repro.errors.WorkerCrashed` and the
-    pool respawns a replacement.
+    One ``multiprocessing.Process`` per worker with a duplex pipe: a
+    crash kills one query, never a sibling.  Crash detection is real: a
+    dead process or an EOF on its pipe surfaces as
+    :class:`~repro.errors.WorkerCrashed` and the pool respawns a
+    replacement.  A worker holds no pipe end but its own, so it sees
+    EOF — and exits — the moment the serving process dies, however it
+    dies.
 
 ``thread`` (deterministic in-process mode, used by tests and chaos)
-    One daemon thread per worker.  Because the engine's activation
-    bindings are process-global, governed extents serialize on a module
-    lock — the activation guard then *proves* no cross-wiring instead
-    of assuming it.  "Killing" a thread worker poisons it: the pool
-    stops routing to it immediately, discards any stale reply, and the
-    thread exits after its current job (queries are read-only, so the
-    orphaned execution has no side effects — exactly like an orphaned
-    process killed mid-query).
+    One daemon thread per worker.  A job's collector and governor are
+    bound per context (:mod:`repro._exec`), so thread workers run their
+    jobs concurrently over the shared plan cache and graph stores and
+    each reply carries only its own counters.  "Killing" a thread
+    worker poisons it: the pool stops routing to it immediately,
+    discards any stale reply, and the thread exits after its current
+    job (queries are read-only, so the orphaned execution has no side
+    effects — exactly like an orphaned process killed mid-query).
 
 Service-layer fault sites (``server.dispatch``, ``server.worker.crash``,
 ``server.worker.stall`` — see :mod:`repro.governor.faults`) fire in the
@@ -41,6 +40,7 @@ import queue
 import threading
 import time
 import traceback
+import weakref
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import (
@@ -76,13 +76,6 @@ def _engine_mode(name: str):
         raise ValueError(
             f"unknown engine {name!r}; known: {', '.join(sorted(table))}"
         )
-
-
-#: Serializes governed extents in thread mode: the module-global
-#: collector/governor bindings admit one owning thread at a time (see
-#: repro/_activation.py), so thread workers take this lock around the
-#: parse->govern->execute extent.  Process workers never touch it.
-_ENGINE_LOCK = threading.Lock()
 
 
 def execute_job(job: Job, graphs: Dict[str, Any]) -> Dict[str, Any]:
@@ -303,43 +296,42 @@ def _cost_refusal(job: Job, runnable, graph, col) -> Optional[Dict[str, Any]]:
 
 
 def _reset_worker_globals() -> None:
-    """Clear inherited activation state in a forked worker process.
+    """Start a forked worker from a clean, inactive engine.
 
-    A fork can capture the parent's module-global bindings (and guard
-    ownership held by a parent thread ident that does not exist here);
-    a worker must start from a clean, inactive engine.
+    A fork copies the forking thread's context (whatever collector,
+    governor or sanitizer it had bound), the armed fault plan with an
+    owner thread that does not exist here, and the parent's plan cache
+    (with its lock, possibly held mid-fork by a dispatcher thread).
     """
-    from .. import accsan as _accsan
-    from ..governor import governor as _gov
-    from ..obs import metrics as _obs
-
-    for mod, binding in (
-        (_obs, "_ACTIVE"),
-        (_gov, "_ACTIVE"),
-        (_accsan, "_ACTIVE"),
-        (_faults, "_PLAN"),
-    ):
-        setattr(mod, binding, None)
-        guard = getattr(mod, "_GUARD", None)
-        if guard is not None:
-            guard.reset()
-    # The parent's plan cache (and its lock, possibly held mid-fork by a
-    # dispatcher thread) must not be inherited: start with a fresh one.
+    from .. import _exec
     from ..compile import reset_plan_cache
 
+    _exec.clear()
+    _faults.disarm()
     reset_plan_cache()
+
+
+#: The serving process's end of every worker pipe still open.  A forked
+#: worker inherits all of them — its own and its elder siblings' — and
+#: closes them first thing, or no worker would ever see EOF when the
+#: server dies.  Pipes are made and workers forked under ``_spawn_lock``
+#: so a fork can never capture an end that is not in the set yet.
+_parent_ends: "weakref.WeakSet[Any]" = weakref.WeakSet()
+_spawn_lock = threading.Lock()
 
 
 def _process_worker_main(conn, graph_paths: Dict[str, str]) -> None:
     """Entry point of one pool worker process."""
     from ..graph.io import load_graph_json
 
+    for inherited in list(_parent_ends):
+        inherited.close()
     _reset_worker_globals()
     graphs = {name: load_graph_json(path) for name, path in graph_paths.items()}
     while True:
         try:
             job = conn.recv()
-        except (EOFError, OSError):  # pragma: no cover - parent died
+        except (EOFError, OSError):  # the serving process is gone
             return
         if job is None:  # orderly shutdown
             return
@@ -370,16 +362,18 @@ class _ProcessWorker:
         self._ctx = ctx or multiprocessing.get_context("fork")
         self._graph_paths = graph_paths
         self.name = f"worker-{next(_worker_ids)}"
-        parent, child = self._ctx.Pipe(duplex=True)
-        self._conn = parent
-        self._proc = self._ctx.Process(
-            target=_process_worker_main,
-            args=(child, graph_paths),
-            name=self.name,
-            daemon=True,
-        )
-        self._proc.start()
-        child.close()
+        with _spawn_lock:
+            parent, child = self._ctx.Pipe(duplex=True)
+            _parent_ends.add(parent)
+            self._conn = parent
+            self._proc = self._ctx.Process(
+                target=_process_worker_main,
+                args=(child, graph_paths),
+                name=self.name,
+                daemon=True,
+            )
+            self._proc.start()
+            child.close()
 
     def send(self, job: Job) -> None:
         if not self._proc.is_alive():
@@ -463,10 +457,7 @@ class _ThreadWorker:
             if job is None or self.poisoned:
                 return
             try:
-                # Serialize the governed extent: the activation guard
-                # admits one owning thread at a time per process.
-                with _ENGINE_LOCK:
-                    reply = execute_job(job, self._graphs)
+                reply = execute_job(job, self._graphs)
             except BaseException:  # noqa: BLE001 - worker must answer
                 reply = {
                     "outcome": OutcomeKind.INTERNAL.value,

@@ -7,12 +7,15 @@ drive ``submit`` directly — every robustness property is asserted
 below the socket.
 
 The service owns a private :class:`~repro.obs.metrics.Collector` that is
-**never activated** (no module-global rebinding): service counters are
-charged with explicit ``.count()`` calls, and each worker's per-query
-counter snapshot is merged in on completion.  That keeps the service
-entirely outside the engine's single-owner activation discipline — the
-guard from :mod:`repro._activation` protects the workers; the service
-needs no guard because it never touches the shared bindings.
+**never activated**: service counters are charged with explicit
+``.count()`` calls from whichever client thread is serving the request,
+and each worker's per-query counter snapshot is merged in on
+completion.  A worker binds its own collector and governor per job, in
+its own context (:mod:`repro._exec`), so concurrent requests cannot
+charge one another and the service needs no lock around the engine.
+Queries and ingest share one admission prologue (:meth:`_serve`) and
+one attempt / deadline / backoff loop (:meth:`_attempts`); they differ
+only in the per-attempt action.
 
 Invariant the acceptance smoke pins: **every submitted request reaches
 exactly one terminal outcome** — counted in ``server.requests`` and in
@@ -151,53 +154,8 @@ class QueryService:
     # -- the request lifecycle -----------------------------------------
     def submit(self, request: QueryRequest) -> Dict[str, Any]:
         """Run one request to its terminal outcome.  Never raises."""
-        if not request.request_id:
-            request = request._replace(request_id=uuid.uuid4().hex[:12])
-        self.collector.count("server.requests")
-        self.collector.count(f"server.class.{request.budget_class}.requests")
+        return self._serve(request, self._run_admitted)
 
-        try:
-            ticket, shed = self.admission.try_admit(
-                request, draining=self._draining
-            )
-        except KeyError as exc:
-            return self._finish(
-                request,
-                outcome(
-                    OutcomeKind.BAD_REQUEST,
-                    request_id=request.request_id,
-                    error={"message": str(exc.args[0])},
-                ),
-            )
-        if shed is not None:
-            self.collector.count("server.shed")
-            return self._finish(
-                request,
-                outcome(
-                    shed,
-                    request_id=request.request_id,
-                    retry_after_ms=self.retry.retry_after_ms(
-                        request.request_id, 1
-                    ),
-                ),
-            )
-        try:
-            return self._finish(request, self._run_admitted(request, ticket))
-        except BaseException:  # noqa: BLE001 - submit must not raise
-            self.admission.release(ticket, dispatched=True)
-            self.collector.count("server.internal_errors")
-            import traceback
-
-            return self._finish(
-                request,
-                outcome(
-                    OutcomeKind.INTERNAL,
-                    request_id=request.request_id,
-                    error={"message": traceback.format_exc(limit=4)},
-                ),
-            )
-
-    # -- the mutation path ---------------------------------------------
     def ingest(self, request: IngestRequest) -> Dict[str, Any]:
         """Run one mutation batch to its terminal outcome.  Never raises.
 
@@ -209,10 +167,16 @@ class QueryService:
         non-retryable :data:`~repro.server.protocol.OutcomeKind.CONFLICT`
         (HTTP 409) — resubmitting it unchanged conflicts again.
         """
+        return self._serve(request, self._apply_admitted)
+
+    def _serve(self, request, run_admitted) -> Dict[str, Any]:
+        """Admission, then ``run_admitted(request, ticket)``; every way
+        out is one terminal outcome document."""
         if not request.request_id:
             request = request._replace(request_id=uuid.uuid4().hex[:12])
         self.collector.count("server.requests")
         self.collector.count(f"server.class.{request.budget_class}.requests")
+
         try:
             ticket, shed = self.admission.try_admit(
                 request, draining=self._draining
@@ -239,8 +203,8 @@ class QueryService:
                 ),
             )
         try:
-            return self._finish(request, self._apply_admitted(request, ticket))
-        except BaseException:  # noqa: BLE001 - ingest must not raise
+            return self._finish(request, run_admitted(request, ticket))
+        except BaseException:  # noqa: BLE001 - must not raise
             self.admission.release(ticket, dispatched=True)
             self.collector.count("server.internal_errors")
             import traceback
@@ -254,123 +218,19 @@ class QueryService:
                 ),
             )
 
-    def _apply_admitted(
-        self, request: IngestRequest, ticket: Ticket
-    ) -> Dict[str, Any]:
-        """The commit/retry loop for an admitted ingest request."""
-        dispatched = False
-        attempt = 0
-        try:
-            store = self._stores.get(request.graph)
-            if store is None:
-                return outcome(
-                    OutcomeKind.BAD_REQUEST,
-                    request_id=request.request_id,
-                    error={
-                        "message": f"unknown or immutable graph "
-                                   f"{request.graph!r}; mutable graphs: "
-                                   f"{', '.join(sorted(self._stores)) or 'none'}"
-                    },
-                )
-            try:
-                batch = MutationBatch.from_ops(request.ops)
-            except (ValueError, TypeError) as exc:
-                return outcome(
-                    OutcomeKind.BAD_REQUEST,
-                    request_id=request.request_id,
-                    error={"message": str(exc)},
-                )
-            while True:
-                attempt += 1
-                remaining = ticket.remaining(self._clock())
-                if remaining <= 0:
-                    self.collector.count("server.deadline_at_dispatch")
-                    return outcome(
-                        OutcomeKind.DEADLINE_AT_DISPATCH,
-                        request_id=request.request_id,
-                        attempts=attempt,
-                        deadline_seconds=ticket.deadline_seconds,
-                    )
-                if not dispatched:
-                    self.admission.note_dispatched(ticket)
-                    dispatched = True
-                try:
-                    result = store.apply(batch)
-                except MutationConflictError as exc:
-                    self.collector.count("server.ingest.conflicts")
-                    return outcome(
-                        OutcomeKind.CONFLICT,
-                        request_id=request.request_id,
-                        attempts=attempt,
-                        error={
-                            "message": str(exc),
-                            "op_index": exc.index,
-                            "op": exc.op,
-                        },
-                    )
-                except MutationError as exc:
-                    # The store is poisoned (a crash landed between WAL
-                    # commit and publish): only recovery can help, so
-                    # retrying here would be lying to the client.
-                    return outcome(
-                        OutcomeKind.INTERNAL,
-                        request_id=request.request_id,
-                        attempts=attempt,
-                        error={"message": str(exc)},
-                    )
-                except InjectedFault as exc:
-                    # A fault before the WAL sync is transient: the
-                    # batch never happened (log and memory unchanged),
-                    # so a retry is safe.  A post-sync fault poisons the
-                    # store and the next attempt reports INTERNAL above.
-                    last_doc = outcome(
-                        OutcomeKind.FAULT,
-                        request_id=request.request_id,
-                        attempts=attempt,
-                        error={
-                            "message": str(exc),
-                            "site": exc.site,
-                            "hit": exc.hit,
-                        },
-                    )
-                    if not self.retry.should_retry(OutcomeKind.FAULT, attempt):
-                        return last_doc
-                    delay = self.retry.delay(request.request_id, attempt)
-                    if delay >= ticket.remaining(self._clock()):
-                        return last_doc
-                    self.collector.count("server.retries")
-                    self._sleep(delay)
-                    continue
-                self.collector.count("server.ingest.batches")
-                self.collector.count("server.ingest.ops", result.ops)
-                return outcome(
-                    OutcomeKind.OK,
-                    request_id=request.request_id,
-                    attempts=attempt,
-                    ingest={
-                        "graph": request.graph,
-                        "epoch": result.epoch,
-                        "ops": result.ops,
-                        "durable": result.durable,
-                    },
-                )
-        finally:
-            self.admission.release(ticket, dispatched=dispatched)
+    def _attempts(self, request, ticket: Ticket, attempt_once, pin=None):
+        """The attempt / deadline / backoff loop of an admitted request.
 
-    def _run_admitted(
-        self, request: QueryRequest, ticket: Ticket
-    ) -> Dict[str, Any]:
-        """The dispatch/retry loop for an admitted request."""
-        cls = ticket.budget_class
-        budget = dict(cls.budget)
-        budget["deadline_seconds"] = ticket.deadline_seconds
+        ``attempt_once(attempt, remaining)`` performs one try and
+        returns ``(doc, failure)``: ``failure`` is ``None`` when ``doc``
+        is terminal, else the :class:`OutcomeKind` the retry policy
+        judges — ``doc`` is then what the client gets should the policy,
+        or the deadline, say stop.  ``pin`` (the graph version every
+        attempt reads) and the admission slot are released on the way
+        out, whichever way that is.
+        """
         dispatched = False
         attempt = 0
-        # Pin the graph's epoch for the whole request (retries
-        # included): every attempt runs against this exact version, so
-        # batches committing mid-request never change the result.
-        store = self._stores.get(request.graph)
-        pin = store.pin() if store is not None else None
         try:
             while True:
                 attempt += 1
@@ -383,55 +243,151 @@ class QueryService:
                         attempts=attempt,
                         deadline_seconds=ticket.deadline_seconds,
                     )
-                job = Job(
-                    request_id=request.request_id,
-                    query_text=request.query_text,
-                    graph=request.graph,
-                    params=dict(request.params),
-                    engine=request.engine,
-                    budget=dict(
-                        budget, deadline_seconds=max(remaining, 0.001)
-                    ),
-                    attempt=attempt,
-                    graph_epoch=pin.epoch if pin is not None else None,
-                    cost_screen=self.cost_screen_enabled,
-                )
                 if not dispatched:
                     self.admission.note_dispatched(ticket)
                     dispatched = True
-                result = self.pool.dispatch(
-                    job, queue_wait=remaining, run_wait=remaining
-                )
-                if result.kind is OutcomeKind.OK:
-                    return self._from_reply(
-                        request, result.reply, attempts=attempt
-                    )
-                # A dispatch-layer failure: crashed / straggler /
-                # deadline-at-dispatch / draining.
-                last_doc = outcome(
-                    result.kind,
-                    request_id=request.request_id,
-                    attempts=attempt,
-                    worker=result.worker or None,
-                )
-                if result.kind is OutcomeKind.WORKER_CRASHED:
-                    self.collector.count("server.worker_crashes")
-                elif result.kind is OutcomeKind.STRAGGLER:
-                    self.collector.count("server.stragglers")
-                elif result.kind is OutcomeKind.DEADLINE_AT_DISPATCH:
-                    self.collector.count("server.deadline_at_dispatch")
-                if not self.retry.should_retry(result.kind, attempt):
-                    return last_doc
+                doc, failure = attempt_once(attempt, remaining)
+                if failure is None or not self.retry.should_retry(
+                    failure, attempt
+                ):
+                    return doc
                 delay = self.retry.delay(request.request_id, attempt)
                 if delay >= ticket.remaining(self._clock()):
                     # No budget left to back off and run again.
-                    return last_doc
+                    return doc
                 self.collector.count("server.retries")
                 self._sleep(delay)
         finally:
             if pin is not None:
                 pin.release()
             self.admission.release(ticket, dispatched=dispatched)
+
+    def _apply_admitted(
+        self, request: IngestRequest, ticket: Ticket
+    ) -> Dict[str, Any]:
+        """Commit an admitted batch: one ``GraphStore.apply`` per attempt."""
+        store = self._stores.get(request.graph)
+        problem = None
+        if store is None:
+            problem = (
+                f"unknown or immutable graph {request.graph!r}; mutable "
+                f"graphs: {', '.join(sorted(self._stores)) or 'none'}"
+            )
+        else:
+            try:
+                batch = MutationBatch.from_ops(request.ops)
+            except (ValueError, TypeError) as exc:
+                problem = str(exc)
+        if problem is not None:
+            self.admission.release(ticket, dispatched=False)
+            return outcome(
+                OutcomeKind.BAD_REQUEST,
+                request_id=request.request_id,
+                error={"message": problem},
+            )
+
+        def commit(attempt: int, remaining: float):
+            try:
+                result = store.apply(batch)
+            except MutationConflictError as exc:
+                self.collector.count("server.ingest.conflicts")
+                return outcome(
+                    OutcomeKind.CONFLICT,
+                    request_id=request.request_id,
+                    attempts=attempt,
+                    error={
+                        "message": str(exc),
+                        "op_index": exc.index,
+                        "op": exc.op,
+                    },
+                ), None
+            except MutationError as exc:
+                # The store is poisoned (a crash landed between WAL
+                # commit and publish): only recovery can help, so
+                # retrying here would be lying to the client.
+                return outcome(
+                    OutcomeKind.INTERNAL,
+                    request_id=request.request_id,
+                    attempts=attempt,
+                    error={"message": str(exc)},
+                ), None
+            except InjectedFault as exc:
+                # A fault before the WAL sync is transient: the batch
+                # never happened (log and memory unchanged), so a retry
+                # is safe.  A post-sync fault poisons the store and the
+                # next attempt reports INTERNAL above.
+                return outcome(
+                    OutcomeKind.FAULT,
+                    request_id=request.request_id,
+                    attempts=attempt,
+                    error={
+                        "message": str(exc),
+                        "site": exc.site,
+                        "hit": exc.hit,
+                    },
+                ), OutcomeKind.FAULT
+            self.collector.count("server.ingest.batches")
+            self.collector.count("server.ingest.ops", result.ops)
+            return outcome(
+                OutcomeKind.OK,
+                request_id=request.request_id,
+                attempts=attempt,
+                ingest={
+                    "graph": request.graph,
+                    "epoch": result.epoch,
+                    "ops": result.ops,
+                    "durable": result.durable,
+                },
+            ), None
+
+        return self._attempts(request, ticket, commit)
+
+    def _run_admitted(
+        self, request: QueryRequest, ticket: Ticket
+    ) -> Dict[str, Any]:
+        """Run an admitted query: one pool dispatch per attempt."""
+        budget = dict(ticket.budget_class.budget)
+        # Pin the graph's epoch for the whole request (retries
+        # included): every attempt runs against this exact version, so
+        # batches committing mid-request never change the result.
+        store = self._stores.get(request.graph)
+        pin = store.pin() if store is not None else None
+
+        def dispatch(attempt: int, remaining: float):
+            job = Job(
+                request_id=request.request_id,
+                query_text=request.query_text,
+                graph=request.graph,
+                params=dict(request.params),
+                engine=request.engine,
+                budget=dict(budget, deadline_seconds=max(remaining, 0.001)),
+                attempt=attempt,
+                graph_epoch=pin.epoch if pin is not None else None,
+                cost_screen=self.cost_screen_enabled,
+            )
+            result = self.pool.dispatch(
+                job, queue_wait=remaining, run_wait=remaining
+            )
+            if result.kind is OutcomeKind.OK:
+                return self._from_reply(
+                    request, result.reply, attempts=attempt
+                ), None
+            # A dispatch-layer failure: crashed / straggler /
+            # deadline-at-dispatch / draining.
+            if result.kind is OutcomeKind.WORKER_CRASHED:
+                self.collector.count("server.worker_crashes")
+            elif result.kind is OutcomeKind.STRAGGLER:
+                self.collector.count("server.stragglers")
+            elif result.kind is OutcomeKind.DEADLINE_AT_DISPATCH:
+                self.collector.count("server.deadline_at_dispatch")
+            return outcome(
+                result.kind,
+                request_id=request.request_id,
+                attempts=attempt,
+                worker=result.worker or None,
+            ), result.kind
+
+        return self._attempts(request, ticket, dispatch, pin=pin)
 
     def _from_reply(
         self, request: QueryRequest, reply: Dict[str, Any], attempts: int

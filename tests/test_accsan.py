@@ -12,7 +12,7 @@ import pathlib
 
 import pytest
 
-from repro import accsan
+from repro import _exec, accsan
 from repro.accum import SumAccum
 from repro.cli import main
 from repro.core.tractable import DeterminismCertificate, DeterminismStatus
@@ -50,19 +50,19 @@ def first_block(query):
 
 class TestSanitizeScope:
     def test_binding_installed_and_restored(self):
-        assert accsan._ACTIVE is None
+        assert _exec.current().san is None
         with accsan.sanitize() as san:
-            assert accsan._ACTIVE is san
+            assert _exec.current().san is san
             with accsan.sanitize(schedules=2) as inner:
-                assert accsan._ACTIVE is inner
-            assert accsan._ACTIVE is san
-        assert accsan._ACTIVE is None
+                assert _exec.current().san is inner
+            assert _exec.current().san is san
+        assert _exec.current().san is None
 
     def test_restored_on_exception(self):
         with pytest.raises(RuntimeError):
             with accsan.sanitize():
                 raise RuntimeError("boom")
-        assert accsan._ACTIVE is None
+        assert _exec.current().san is None
 
     def test_rejects_zero_schedules(self):
         with pytest.raises(ValueError):
@@ -72,7 +72,7 @@ class TestSanitizeScope:
         g = builders.diamond_chain(3)
         q = parse_query(COMMUTATIVE_SRC)
         q.run(g)  # no sanitizer active: must not raise, nothing recorded
-        assert accsan._ACTIVE is None
+        assert _exec.current().san is None
 
 
 class TestReplay:

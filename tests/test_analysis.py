@@ -18,7 +18,7 @@ import pytest
 from repro.analysis import Severity, analyze, build_model
 from repro.analysis.diagnostics import caret_excerpt, collect_suppressions
 from repro.analysis.types import TypeEnv, infer_type
-from repro.core import AccumForeach, AccumIf, validate_query
+from repro.core import AccumForeach, AccumIf
 from repro.core.exprs import Literal, Binary
 from repro.graph import Graph
 from repro.gsql import parse_queries, parse_query
@@ -542,7 +542,7 @@ CREATE QUERY t() FOR GRAPH G {
 
 
 # ======================================================================
-# Legacy shim compatibility (core.validate / core.tractable)
+# What the removed core.validate shim pinned, on diagnostic codes
 # ======================================================================
 class TestLegacyShims:
     def test_validate_reports_nested_if_update(self):
@@ -552,15 +552,16 @@ class TestLegacyShims:
       ACCUM IF q.age > 10 THEN @@hidden += 1 END;
   PRINT R;
 }""")
-        kinds = [issue.kind for issue in validate_query(q)]
-        assert kinds == ["undeclared-accumulator"]
+        errors = [d.code for d in analyze(q) if d.is_error]
+        assert errors == ["GSQL-E001"]
 
     def test_validate_ignores_warnings(self):
         q = parse_query("""CREATE QUERY t() FOR GRAPH G {
   SumAccum<int> @@lonely;
   PRINT 1;
 }""")
-        assert validate_query(q) == []
+        found = analyze(q)
+        assert found and not any(d.is_error for d in found)
 
     def test_severity_split(self):
         src = """CREATE QUERY t() FOR GRAPH G {

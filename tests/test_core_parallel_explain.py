@@ -99,6 +99,54 @@ class TestParallelAccum:
         parallel_accum(ctx, statements, rows, partitions=4, use_threads=True)
         assert ctx.global_accum("total").value == serial.global_accum("total").value
 
+    def test_threaded_partitions_report_to_the_callers_observers(self):
+        """A partition thread runs in a copy of the caller's context:
+        the writes it makes are recorded by the caller's sanitizer and
+        counted on the caller's collector, exactly as when the
+        partitions run on the calling thread."""
+        from repro.accsan import sanitize
+        from repro.governor import Budget, ExecutionGovernor, govern
+        from repro.obs import collect
+
+        seen = {}
+        for use_threads in (False, True):
+            ctx, rows, statements = _sales_setup()
+            gov = ExecutionGovernor(Budget(max_acc_executions=10**6))
+            with collect() as col, govern(gov), sanitize() as san:
+                parallel_accum(ctx, statements, rows, partitions=4,
+                               use_threads=use_threads)
+            assert len(san.events) == 4 * len(rows)  # LocalAssign is no write
+            assert col.counters["accsan.events"] == len(san.events)
+            assert col.counters["parallel.partitions"] == 4
+            seen[use_threads] = (
+                sorted(san.events), san.verified, col.counters,
+                ctx.global_accum("total").value,
+            )
+        assert seen[True] == seen[False]
+
+    def test_deadline_fault_in_a_partition_thread_reaches_the_governor(self):
+        """``parallel.worker`` armed with action "deadline" fires inside
+        a pool thread and must find the caller's governor there: the
+        abort is the real DEADLINE, charged to the caller's collector,
+        and no partial reaches the live accumulators."""
+        from repro.errors import QueryAbortedError
+        from repro.governor import Budget, ExecutionGovernor, govern
+        from repro.governor.budget import AbortReason
+        from repro.governor.faults import FaultPlan, inject_faults
+        from repro.obs import collect
+
+        ctx, rows, statements = _sales_setup()
+        gov = ExecutionGovernor(Budget(max_acc_executions=10**6))
+        plan = FaultPlan().inject("parallel.worker", at=1, action="deadline")
+        with collect() as col, govern(gov), inject_faults(plan):
+            with pytest.raises(QueryAbortedError) as info:
+                parallel_accum(ctx, statements, rows, partitions=4,
+                               use_threads=True)
+        assert info.value.reason is AbortReason.DEADLINE
+        assert gov.aborted is info.value
+        assert col.counters["governor.abort.deadline"] == 1
+        assert ctx.global_accum("total").value == 0
+
     def test_order_dependent_rejected(self):
         g = builders.sales_graph()
         ctx = QueryContext(g)

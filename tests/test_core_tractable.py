@@ -1,6 +1,9 @@
-"""Tests for the static tractable-class analyzer (Section 7)."""
+"""Tests for the static tractable-class rules (Section 7): GSQL-W012
+flags every order-dependent accumulator declaration, GSQL-E013 every
+block that feeds one from a Kleene pattern."""
 
 from repro.accum import ListAccum, SetAccum, SumAccum
+from repro.analysis import analyze
 from repro.core import (
     AccumTarget,
     AccumUpdate,
@@ -11,13 +14,23 @@ from repro.core import (
     RunBlock,
     SelectBlock,
     While,
-    analyze_query,
     chain,
     hop,
-    is_tractable,
 )
 from repro.core.context import GLOBAL, VERTEX
 from repro.core.pattern import Pattern
+
+
+ORDER_DEPENDENT = "GSQL-W012"
+KLEENE_FEEDS = "GSQL-E013"
+
+
+def violations(query):
+    """The Section 7 diagnostics of ``query``, in display order."""
+    return [
+        d.code for d in analyze(query)
+        if d.code in (ORDER_DEPENDENT, KLEENE_FEEDS)
+    ]
 
 
 def kleene_block(accum_name):
@@ -36,8 +49,7 @@ def test_sum_from_kleene_is_tractable():
             RunBlock(kleene_block("n")),
         ],
     )
-    assert is_tractable(q)
-    assert analyze_query(q) == []
+    assert violations(q) == []
 
 
 def test_list_accum_flagged():
@@ -45,11 +57,7 @@ def test_list_accum_flagged():
         "q",
         [DeclareAccum("trace", VERTEX, ListAccum), RunBlock(kleene_block("trace"))],
     )
-    violations = analyze_query(q)
-    kinds = {v.kind for v in violations}
-    assert "order-dependent-accumulator" in kinds
-    assert "kleene-feeds-order-dependent" in kinds
-    assert not is_tractable(q)
+    assert set(violations(q)) == {ORDER_DEPENDENT, KLEENE_FEEDS}
 
 
 def test_string_sum_flagged():
@@ -57,7 +65,7 @@ def test_string_sum_flagged():
         "q",
         [DeclareAccum("s", GLOBAL, lambda: SumAccum(element_type=str))],
     )
-    assert not is_tractable(q)
+    assert violations(q) == [ORDER_DEPENDENT]
 
 
 def test_set_accum_fine():
@@ -65,7 +73,7 @@ def test_set_accum_fine():
         "q",
         [DeclareAccum("seen", VERTEX, SetAccum), RunBlock(kleene_block("seen"))],
     )
-    assert is_tractable(q)
+    assert violations(q) == []
 
 
 def test_blocks_inside_control_flow_analyzed():
@@ -76,9 +84,7 @@ def test_blocks_inside_control_flow_analyzed():
             While(Literal(False), [RunBlock(kleene_block("trace"))], Literal(1)),
         ],
     )
-    assert any(
-        v.kind == "kleene-feeds-order-dependent" for v in analyze_query(q)
-    )
+    assert KLEENE_FEEDS in violations(q)
 
 
 def test_kleene_free_list_accum_only_soft_flagged():
@@ -92,5 +98,4 @@ def test_kleene_free_list_accum_only_soft_flagged():
     q = Query(
         "q", [DeclareAccum("trace", VERTEX, ListAccum), RunBlock(block)]
     )
-    kinds = [v.kind for v in analyze_query(q)]
-    assert kinds == ["order-dependent-accumulator"]
+    assert violations(q) == [ORDER_DEPENDENT]

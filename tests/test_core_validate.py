@@ -1,18 +1,21 @@
-"""Tests for the static query validator."""
+"""Tests for the analyzer's name-resolution errors (GSQL-E001..E006):
+undeclared, duplicate and mis-scoped accumulators, unknown vertex sets,
+and — with a schema — unknown vertex and edge types."""
 
 import pytest
 
-from repro.core.validate import validate_query
+from repro.analysis import analyze
 from repro.graph import GraphSchema
 from repro.gsql import parse_query
 
 
 def issues_for(text, schema=None):
-    return validate_query(parse_query(text), schema)
+    # Every error-severity diagnostic of ``text``.
+    return [d for d in analyze(parse_query(text), schema) if d.is_error]
 
 
 def kinds(text, schema=None):
-    return [issue.kind for issue in issues_for(text, schema)]
+    return [issue.code for issue in issues_for(text, schema)]
 
 
 @pytest.fixture
@@ -53,7 +56,7 @@ CREATE QUERY q() {
 
 class TestAccumulatorIssues:
     def test_undeclared_global(self):
-        assert "undeclared-accumulator" in kinds(
+        assert "GSQL-E001" in kinds(
             "CREATE QUERY q() { @@ghost += 1; }"
         )
 
@@ -63,7 +66,7 @@ CREATE QUERY q() {
   S = SELECT c FROM Customer:c -(Bought>)- Product:p
       ACCUM c.@mystery += 1;
 }"""
-        assert "undeclared-accumulator" in kinds(text)
+        assert "GSQL-E001" in kinds(text)
 
     def test_scope_confusion_vertex_used_globally(self):
         text = """
@@ -72,7 +75,7 @@ CREATE QUERY q() {
   S = SELECT c FROM Customer:c -(Bought>)- Product:p
       ACCUM @@perVertex += 1;
 }"""
-        assert "accumulator-scope" in kinds(text)
+        assert "GSQL-E002" in kinds(text)
 
     def test_scope_confusion_global_used_per_vertex(self):
         text = """
@@ -81,7 +84,7 @@ CREATE QUERY q() {
   S = SELECT c FROM Customer:c -(Bought>)- Product:p
       ACCUM c.@total += 1;
 }"""
-        assert "accumulator-scope" in kinds(text)
+        assert "GSQL-E002" in kinds(text)
 
     def test_duplicate_declaration(self):
         text = """
@@ -89,7 +92,7 @@ CREATE QUERY q() {
   SumAccum<int> @@x;
   MaxAccum<int> @@x;
 }"""
-        assert "duplicate-accumulator" in kinds(text)
+        assert "GSQL-E003" in kinds(text)
 
     def test_read_in_where_checked(self):
         text = """
@@ -97,7 +100,7 @@ CREATE QUERY q() {
   S = SELECT c FROM Customer:c -(Bought>)- Product:p
       WHERE c.@nothing > 1;
 }"""
-        assert "undeclared-accumulator" in kinds(text)
+        assert "GSQL-E001" in kinds(text)
 
 
 class TestSetAndSchemaIssues:
@@ -107,10 +110,10 @@ CREATE QUERY q() {
   A = {Customer.*};
   B = A UNION Ghost;
 }"""
-        assert "unknown-vertex-set" in kinds(text)
+        assert "GSQL-E004" in kinds(text)
 
     def test_print_of_undefined_set(self):
-        assert "unknown-vertex-set" in kinds(
+        assert "GSQL-E004" in kinds(
             "CREATE QUERY q() { PRINT Ghost[Ghost.name]; }"
         )
 
@@ -119,14 +122,14 @@ CREATE QUERY q() {
 CREATE QUERY q() {
   S = SELECT x FROM Martian:x -(Bought>)- Product:p;
 }"""
-        assert "unknown-vertex-type" in kinds(text, sales_schema)
+        assert "GSQL-E005" in kinds(text, sales_schema)
 
     def test_unknown_edge_type_with_schema(self, sales_schema):
         text = """
 CREATE QUERY q() {
   S = SELECT p FROM Customer:c -(Teleports>)- Product:p;
 }"""
-        assert "unknown-edge-type" in kinds(text, sales_schema)
+        assert "GSQL-E006" in kinds(text, sales_schema)
 
     def test_wildcards_never_flagged(self, sales_schema):
         text = """
@@ -153,7 +156,7 @@ CREATE QUERY q() {
     @@ghost += 1;
   END;
 }"""
-        assert "undeclared-accumulator" in kinds(text)
+        assert "GSQL-E001" in kinds(text)
 
     def test_issue_inside_foreach_and_if(self):
         text = """
@@ -162,4 +165,4 @@ CREATE QUERY q() {
     IF x > 1 THEN @@boo += x; END
   END;
 }"""
-        assert "undeclared-accumulator" in kinds(text)
+        assert "GSQL-E001" in kinds(text)

@@ -124,6 +124,43 @@ class TestCompilationDocs:
             for gone in ("_passes_filters", "step_over", "VertexSpec.allows"):
                 assert gone not in text, f"{page.name} still mentions {gone!r}"
 
+    def test_docs_describe_per_context_activation(self):
+        """The collector, governor and sanitizer are per-context state in
+        one record; only the fault plan is process-wide; thread workers
+        overlap.  The removed machinery is named nowhere."""
+        def flat(page):  # needles must survive re-wrapping
+            return " ".join(page.read_text().split())
+
+        observability = flat(DOCS / "observability.md")
+        for needle in (
+            "one context read per instrumented call",
+            "`_exec.current()`",
+            "`src/repro/_exec.py`",
+        ):
+            assert needle in observability, (
+                f"docs/observability.md lost {needle!r}"
+            )
+        robustness = flat(DOCS / "robustness.md")
+        for needle in (
+            "### Per-context activation",
+            "per-context by construction",
+            "The fault plan alone is process-wide",
+            "concurrent thread-pool queries",
+            "unlogged POST_ACCUM attribute write-back",
+            "reads EOF and exits",
+        ):
+            assert needle in robustness, f"docs/robustness.md lost {needle!r}"
+        architecture = flat(DOCS / "architecture.md")
+        assert "| `_exec` |" in architecture
+        for page in [REPO / "README.md", *sorted(DOCS.glob("*.md"))]:
+            text = flat(page)
+            for gone in (
+                "_ENGINE_LOCK", "_activation.py", "`_activation`",
+                "repro._activation", "engine lock", "_ACTIVE",
+                "validate_query", "analyze_query",
+            ):
+                assert gone not in text, f"{page.name} still mentions {gone!r}"
+
     def test_readme_mentions_speed(self):
         text = (REPO / "README.md").read_text()
         assert "How fast is it?" in text

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -218,23 +219,31 @@ class TestBodyParsing:
             parse_request_body(body)
 
 
+def _start_serve(tmp_path, *flags):
+    """``python -m repro serve --port 0 <flags>`` on a small graph; the
+    caller reads the banner off ``proc.stderr`` and ends the process."""
+    from repro.graph.io import save_graph_json
+
+    graph = tmp_path / "g.json"
+    save_graph_json(builders.diamond_chain(3), graph)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--graph", str(graph),
+         "--port", "0", *flags],
+        stderr=subprocess.PIPE, text=True, env=env,
+    )
+
+
 class TestServeBanner:
     def test_port_zero_prints_the_port_it_bound(self, tmp_path):
         # ``repro serve --port 0`` lets the kernel pick; the banner is
         # printed once the socket is bound, so it names the real port.
-        from repro.graph.io import save_graph_json
-
-        graph = tmp_path / "g.json"
-        save_graph_json(builders.diamond_chain(3), graph)
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--graph", str(graph),
-             "--port", "0", "--workers", "1", "--pool-mode", "thread"],
-            stderr=subprocess.PIPE, text=True, env=env,
+        proc = _start_serve(
+            tmp_path, "--workers", "1", "--pool-mode", "thread"
         )
         try:
             banner = proc.stderr.readline()
@@ -263,3 +272,54 @@ class TestServeBanner:
                 proc.wait(timeout=10)
             proc.stderr.close()
         assert proc.returncode == 0
+
+
+def _proc_stat(pid):
+    """``(state, parent pid)`` of a live process, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state, ppid = fh.read().rsplit(")", 1)[1].split()[:2]
+    except OSError:
+        return None
+    return state, int(ppid)
+
+
+def _running(pid):
+    stat = _proc_stat(pid)
+    # An orphan nobody reaps lingers as a zombie: it has exited.
+    return stat is not None and stat[0] != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+class TestServeKilled:
+    def test_sigkill_leaves_no_worker_behind(self, tmp_path):
+        # A forked pool worker used to inherit the server's end of its
+        # own pipe and of every elder sibling's, so a SIGKILLed server
+        # never delivered EOF and its workers lived on.
+        proc = _start_serve(
+            tmp_path, "--workers", "2", "--pool-mode", "process"
+        )
+        workers = []
+        try:
+            banner = proc.stderr.readline()
+            assert "process pool x2" in banner, banner
+            workers = [
+                int(entry) for entry in os.listdir("/proc")
+                if entry.isdigit()
+                and (_proc_stat(entry) or ("", -1))[1] == proc.pid
+            ]
+            assert len(workers) == 2, workers
+            proc.kill()  # SIGKILL: no drain, no atexit, no goodbye
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 10.0
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, workers)), workers
+        finally:
+            if proc.poll() is None:  # pragma: no cover - failed early
+                proc.kill()
+                proc.wait(timeout=10)
+            for pid in workers:
+                if _running(pid):  # pragma: no cover - the bug is back
+                    os.kill(pid, signal.SIGKILL)
+            proc.stderr.close()

@@ -236,9 +236,9 @@ class TestProcessPool:
 
     def test_worker_globals_reset_after_fork(self, pool):
         """A job dispatched while the *parent* has active engine scopes
-        must run cleanly: the fork handshake resets inherited bindings
-        (otherwise the worker would raise ReentrantActivationError or
-        charge the parent's collector)."""
+        must run cleanly: the fork handshake clears the context the
+        worker inherited (otherwise it would charge its own copy of the
+        parent's collector, and nest its governor under the parent's)."""
         from repro.obs.metrics import Collector, collect
 
         parent_col = Collector()
