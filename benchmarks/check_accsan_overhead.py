@@ -34,10 +34,12 @@ from repro import accsan
 from repro.accum import MaxAccum, SumAccum
 from repro.compile import CompileStats
 from repro.compile.exprc import compile_closure
-from repro.compile.lowering import _compile_acc_statement, compile_accum_clause
+from repro.compile.lowering import (
+    _clause_scope, _compile_acc_statement, compile_accum_clause,
+)
 from repro.core import QueryContext
 from repro.core.context import GLOBAL, VERTEX, AccumDecl
-from repro.core.exprs import EvalEnv, Literal, NameRef
+from repro.core.exprs import EvalEnv, Literal, NameRef, Scope
 from repro.core.pattern import (
     EngineMode, Pattern, chain, evaluate_pattern, hop,
 )
@@ -47,20 +49,21 @@ from repro.graph import builders
 from repro.graph.elements import Vertex
 
 
-def shipped_kernel(statements):
-    return compile_accum_clause(statements, {}, CompileStats())
+def shipped_kernel(statements, scope):
+    return compile_accum_clause(statements, {}, CompileStats(), scope)
 
 
-def reference_kernel(statements):
+def reference_kernel(statements, scope):
     """The shipped kernel with every accumulator write replaced by
     :func:`_reference_accum_update` — the baseline an ideal zero-cost
     sanitizer hook matches.  Other statement kinds go through the
     shipped binders, so the copy cannot silently drift."""
     stats = CompileStats()
+    scope = _clause_scope(scope, statements)
     binders = [
-        _reference_accum_update(stmt, stats)
+        _reference_accum_update(stmt, stats, scope)
         if isinstance(stmt, AccumUpdate)
-        else _compile_acc_statement(stmt, {}, stats)
+        else _compile_acc_statement(stmt, {}, stats, scope)
         for stmt in statements
     ]
 
@@ -77,12 +80,12 @@ def reference_kernel(statements):
     return bind
 
 
-def _reference_accum_update(stmt, stats):
+def _reference_accum_update(stmt, stats, scope):
     """Verbatim copy of ``_compile_accum_update`` minus the bind stage's
     ``_exec.current()`` read and the per-write sanitizer check."""
     name = stmt.target.name
     is_add = stmt.op == "+="
-    value_fn, _ = compile_closure(stmt.expr, stats)
+    value_fn, _ = compile_closure(stmt.expr, stats, scope)
 
     if stmt.target.is_global:
         def bind_global(ctx, buffer):
@@ -103,7 +106,7 @@ def _reference_accum_update(stmt, stats):
 
         return bind_global
 
-    base_fn, _ = compile_closure(stmt.target.base, stats)
+    base_fn, _ = compile_closure(stmt.target.base, stats, scope)
 
     def bind_vertex(ctx, buffer):
         add = buffer.add
@@ -135,23 +138,25 @@ def build_workload(n):
     ctx.declare(AccumDecl("total", GLOBAL, lambda: SumAccum(0.0)))
     ctx.declare(AccumDecl("deg", VERTEX, MaxAccum))
     pattern = Pattern([chain("V", "s", hop("E>", "V", "t"))])
-    rows = evaluate_pattern(ctx, pattern, EngineMode.counting()).rows
+    table = evaluate_pattern(ctx, pattern, EngineMode.counting())
     statements = [
         LocalAssign("w", Literal(1.0)),
         AccumUpdate(AccumTarget("total"), "+=", NameRef("w")),
         AccumUpdate(AccumTarget("deg", NameRef("t")), "+=", Literal(1)),
     ]
-    return ctx, rows, statements
+    return ctx, table, statements
 
 
 def run_map(bind, ctx, rows):
     """One Map phase the way a SELECT block drives it: bind the kernel
-    once, run it per row; returns the buffer holding the inputs."""
+    once, re-point one environment at each row; returns the buffer
+    holding the inputs."""
     buffer = InputBuffer()
     kernel = bind(ctx, buffer)
-    locals_ = {}
-    for row in rows:
-        kernel(EvalEnv(ctx, row.bindings, locals_), row.multiplicity)
+    env = EvalEnv(ctx)
+    for values, multiplicity in rows:
+        env.row = values
+        kernel(env, multiplicity)
     return buffer
 
 
@@ -179,8 +184,9 @@ def main(argv=None) -> int:
 
     # --- correctness: sanitizer-off == reference ------------------------
     ctx_off, rows, statements = build_workload(args.n)
-    shipped = shipped_kernel(statements)
-    reference_bind = reference_kernel(statements)
+    scope = Scope(rows.variables)
+    shipped = shipped_kernel(statements, scope)
+    reference_bind = reference_kernel(statements, scope)
     run_once(shipped, ctx_off, rows)
     ctx_ref, _, _ = build_workload(args.n)
     run_once(reference_bind, ctx_ref, rows)

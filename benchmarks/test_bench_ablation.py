@@ -27,6 +27,7 @@ from repro.core import (
     hop,
 )
 from repro.core.context import GLOBAL, VERTEX, AccumDecl
+from repro.core.exprs import Scope
 from repro.core.pattern import Pattern
 from repro.compile import CompileStats, compile_expr
 from repro.compile.lowering import compile_accum_clause
@@ -48,13 +49,14 @@ def kleene_pattern():
 
 def pin_source(var="s", name="v0"):
     pin = Binary("==", AttrRef(NameRef(var), "name"), Literal(name))
-    return {var: [compile_expr(pin)]}  # lowered once, as a SELECT block would
+    # lowered once under its one-slot scope, as a SELECT block would
+    return {var: [compile_expr(pin, None, Scope((var,)))]}
 
 
 def count_kernel(ctx, buffer):
     """The Map kernel of ``ACCUM @@n += 1`` bound to ``ctx``/``buffer``."""
     statements = [AccumUpdate(AccumTarget("n"), "+=", Literal(1))]
-    return compile_accum_clause(statements, {}, CompileStats())(ctx, buffer)
+    return compile_accum_clause(statements, {}, CompileStats(), Scope())(ctx, buffer)
 
 
 def total_paths_compressed(graph):
@@ -66,8 +68,10 @@ def total_paths_compressed(graph):
     ).rows
     buffer = InputBuffer()
     kernel = count_kernel(ctx, buffer)
-    for row in rows:
-        kernel(EvalEnv(ctx, row.bindings), row.multiplicity)
+    env = EvalEnv(ctx)
+    for values, multiplicity in rows:
+        env.row = values
+        kernel(env, multiplicity)
     buffer.flush()
     return ctx.global_accum("n").value
 
@@ -82,9 +86,11 @@ def total_paths_uncompressed(graph):
     ).rows
     buffer = InputBuffer()
     kernel = count_kernel(ctx, buffer)
-    for row in rows:
-        for _ in range(row.multiplicity):
-            kernel(EvalEnv(ctx, row.bindings), 1)
+    env = EvalEnv(ctx)
+    for values, multiplicity in rows:
+        env.row = values
+        for _ in range(multiplicity):
+            kernel(env, 1)
     buffer.flush()
     return ctx.global_accum("n").value
 
@@ -125,9 +131,13 @@ class TestPushdownAblation:
             ctx = QueryContext(diamond)
             table = evaluate_pattern(ctx, kleene_pattern(), EngineMode.counting())
             pin = Binary("==", AttrRef(NameRef("s"), "name"), Literal("v0"))
-            return sum(
-                1 for r in table.rows if pin.eval(EvalEnv(ctx, r.bindings))
-            )
+            keep = pin.closure(Scope(table.variables))[0]
+            env = EvalEnv(ctx)
+            kept = 0
+            for values, _ in table.rows:
+                env.row = values
+                kept += bool(keep(env))
+            return kept
 
         assert benchmark(run) == DIAMONDS * 3 + 1
 

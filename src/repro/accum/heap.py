@@ -74,6 +74,11 @@ class HeapAccum(Accumulator):
                 )
             tuple_type.index_of(field)  # validates the field exists
             self.sort_spec.append((field, order))
+        # The sort fields by position: (index into a value tuple, ascending).
+        self._key_spec = [
+            (tuple_type.index_of(field), order == ASC)
+            for field, order in self.sort_spec
+        ]
         # Min-heap of (inverted sort key, insertion-stable full key).  The
         # heap root is the *worst* retained tuple, so a full heap evicts it
         # when a better tuple arrives.
@@ -88,13 +93,12 @@ class HeapAccum(Accumulator):
             parts.append(val if order == ASC else _Reversed(val))
         return tuple(parts)
 
-    def _heap_key(self, item: TupleValue) -> Tuple[Any, ...]:
-        """Inverted key: the heap root is the worst retained element."""
-        parts: List[Any] = []
-        for field, order in self.sort_spec:
-            val = item.get(field)
-            parts.append(_Reversed(val) if order == ASC else val)
-        return tuple(parts)
+    def _heap_key(self, values: Sequence[Any]) -> Tuple[Any, ...]:
+        """Inverted key of a positional value tuple: the heap root is the
+        worst retained element."""
+        return tuple(
+            [_Reversed(values[i]) if asc else values[i] for i, asc in self._key_spec]
+        )
 
     # -- Accumulator interface -------------------------------------------
     @property
@@ -110,23 +114,37 @@ class HeapAccum(Accumulator):
             self.combine(item)
 
     def combine(self, item: Any) -> None:
-        tup = coerce_tuple(self.tuple_type, item)
-        entry = (self._heap_key(tup), tup.values, tup)
-        if len(self._heap) < self.capacity:
-            heapq.heappush(self._heap, entry)
-        else:
-            # Replace the worst retained tuple when the newcomer beats it.
-            worst = self._heap[0]
-            if worst[0] < entry[0]:
-                heapq.heapreplace(self._heap, entry)
+        self.combine_weighted(item, 1)
 
     def combine_weighted(self, item: Any, multiplicity: int) -> None:
         if multiplicity < 0:
             raise AccumulatorError(f"negative multiplicity {multiplicity}")
+        if not multiplicity:
+            return
+        heap = self._heap
+        capacity = self.capacity
+        if (
+            len(heap) >= capacity
+            and type(item) is tuple
+            and len(item) == len(self.tuple_type.field_names)
+            and not heap[0][0] < self._heap_key(item)
+        ):
+            # A positional input that does not beat the worst tuple of a
+            # full heap is dropped on its sort fields alone, before the
+            # TupleValue it would discard is built.
+            return
+        tup = coerce_tuple(self.tuple_type, item)
+        entry = (self._heap_key(tup.values), tup.values, tup)
         # Inserting more copies than the capacity can never change the
         # outcome, so cap the work — this keeps weighted inputs O(capacity).
-        for _ in range(min(multiplicity, self.capacity)):
-            self.combine(item)
+        for _ in range(min(multiplicity, capacity)):
+            if len(heap) < capacity:
+                heapq.heappush(heap, entry)
+            elif heap[0][0] < entry[0]:
+                # Replace the worst retained tuple: the newcomer beats it.
+                heapq.heapreplace(heap, entry)
+            else:
+                break  # nor will any further copy
 
     def merge(self, other: Accumulator) -> None:
         if not isinstance(other, HeapAccum):

@@ -2,11 +2,13 @@
 
 Each :class:`~repro.core.exprs.Expr` node defines its semantics as a
 closure builder (:meth:`Expr.closure`).  This module builds a tree's
-closure **once** per plan, folds constant subtrees, and wraps the result
-in :class:`CompiledExpr` — an ``Expr`` whose ``eval`` invokes the
-prebuilt closure, so everything that consumes expressions through
-``.eval(env)`` (the pattern matcher's pushed-down filters, ORDER BY
-keys, PRINT items, control-flow conditions) runs it unchanged.
+closure **once** per plan under the :class:`~repro.core.exprs.Scope` of
+the clause it sits in (so names are resolved here, not per row), folds
+constant subtrees, and wraps the result in :class:`CompiledExpr` — an
+``Expr`` whose ``eval`` invokes the prebuilt closure, so everything that
+consumes expressions through ``.eval(env)`` (ORDER BY keys, PRINT items,
+control-flow conditions) runs it unchanged, under an environment whose
+row has that scope's layout.
 
 ``CompiledExpr.walk()`` yields the original subtree, so
 ``referenced_names`` / ``primed_accum_names`` / ``contains_aggregate``
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional, Tuple
 
-from ..core.exprs import EvalEnv, Expr, Literal
+from ..core.exprs import NO_SCOPE, EvalEnv, Expr, Literal, Scope
 
 
 class CompileStats:
@@ -62,7 +64,8 @@ class CompileStats:
 
 
 class CompiledExpr(Expr):
-    """An expression with its closure prebuilt.
+    """An expression with its closure prebuilt under one scope (asking
+    for its closure again returns that one, whatever scope is named).
 
     ``walk()`` exposes the *original* subtree so the static helpers keep
     seeing the real node structure.
@@ -78,7 +81,7 @@ class CompiledExpr(Expr):
         except AttributeError:
             pass
 
-    def closure(self):
+    def closure(self, scope):
         return self.fn, False
 
     def eval(self, env: EvalEnv) -> Any:
@@ -95,19 +98,22 @@ class CompiledExpr(Expr):
         return repr(self.original)
 
 
-def compile_expr(expr: Expr, stats: Optional[CompileStats] = None) -> Expr:
-    """Lower one expression tree to a :class:`CompiledExpr` (an already
-    compiled input is returned unchanged)."""
+def compile_expr(
+    expr: Expr, stats: Optional[CompileStats] = None, scope: Scope = NO_SCOPE
+) -> Expr:
+    """Lower one expression tree under ``scope`` to a
+    :class:`CompiledExpr` (an already compiled input is returned
+    unchanged)."""
     if isinstance(expr, CompiledExpr):
         return expr
-    fn, _ = compile_closure(expr, stats)
+    fn, _ = compile_closure(expr, stats, scope)
     if stats is not None:
         stats.exprs += 1
     return CompiledExpr(fn, expr)
 
 
 def compile_closure(
-    expr: Expr, stats: Optional[CompileStats] = None
+    expr: Expr, stats: Optional[CompileStats] = None, scope: Scope = NO_SCOPE
 ) -> Tuple[Callable[[EvalEnv], Any], bool]:
     """``expr -> (fn, is_const)``: the raw closure plus a constness flag.
 
@@ -115,7 +121,7 @@ def compile_closure(
     closure (unless the evaluation raises, in which case the dynamic
     closure is kept so the error keeps surfacing at run time).
     """
-    fn, const = expr.closure()
+    fn, const = expr.closure(scope)
     if const and not isinstance(expr, Literal):
         try:
             value = fn(_EMPTY_ENV)

@@ -5,13 +5,19 @@ into a :class:`CompiledQuery` — the one form the engine executes
 (``Query.run`` lowers on first use and runs the result).  In it
 
 * every expression is a :class:`~repro.compile.exprc.CompiledExpr`
-  closure (constant subtrees folded at lowering time);
+  closure (constant subtrees folded at lowering time) built under the
+  :class:`~repro.core.exprs.Scope` of its clause: a pattern variable is
+  a fixed slot of the binding row (``pattern.variables()`` order), an
+  ACCUM-local or a declared parameter is known as such, and only the
+  rest is looked up by name when a row evaluates it;
 * every SELECT block is a :class:`CompiledBlock` that precomputes, once,
   the filter-pushdown split, the primed-snapshot name set, the
-  POST_ACCUM per-statement dependency lists, and a **fused ACCUM map
+  POST_ACCUM per-statement dependency slots, and a **fused ACCUM map
   kernel**: a two-stage closure (``bind(ctx, buffer) -> row_fn(env, μ)``)
   whose bind stage resolves accumulator instances and buffer methods
-  once per block execution instead of once per row.
+  once per block execution instead of once per row.  Each phase of an
+  execution runs its closures under one ``EvalEnv`` re-pointed at each
+  row.
 
 The original ``Query`` object is left untouched and remains the target
 of static analysis; the lowered statements never alias mutable clause
@@ -26,7 +32,7 @@ from .. import _exec
 from ..accum.algebra import classify
 from ..core.block import OutputColumn, OutputFragment, SelectBlock
 from ..core.context import QueryContext
-from ..core.exprs import EvalEnv, Expr, primed_accum_names
+from ..core.exprs import NO_SCOPE, EvalEnv, Expr, Scope, primed_accum_names
 from ..core.pattern import EngineMode, evaluate_pattern
 from ..core.planner import and_all, push_down_filters, select_engine
 from ..core.query import (
@@ -57,6 +63,7 @@ from ..core.stmts import (
     collect_primed_names,
     foreach_items,
     run_post_accum,
+    walk_acc_statements,
 )
 from ..errors import QueryRuntimeError
 from ..governor import faults as _faults
@@ -79,14 +86,32 @@ from .exprc import CompileStats, compile_closure, compile_expr
 _Binder = Callable[[QueryContext, InputBuffer], Callable[[EvalEnv, int], None]]
 
 
+def _clause_scope(scope: Scope, statements: List[AccStatement]) -> Scope:
+    """``scope`` plus the names the clause's own statements may bind:
+    local assignments and FOREACH variables, at any nesting depth."""
+    names = set()
+    for stmt in walk_acc_statements(statements):
+        if isinstance(stmt, LocalAssign):
+            names.add(stmt.name)
+        elif isinstance(stmt, AccumForeach):
+            names.add(stmt.var)
+    return scope.with_locals(names) if names else scope
+
+
 def compile_accum_clause(
     statements: List[AccStatement],
     decl_types: Dict[str, Any],
     stats: CompileStats,
+    scope: Scope,
 ) -> Optional[_Binder]:
+    """The clause's kernel binder, its expressions lowered under
+    ``scope`` (the row layout the kernel's environments will carry)."""
     if not statements:
         return None
-    binders = [_compile_acc_statement(s, decl_types, stats) for s in statements]
+    scope = _clause_scope(scope, statements)
+    binders = [
+        _compile_acc_statement(s, decl_types, stats, scope) for s in statements
+    ]
     stats.kernels += 1
 
     def bind(ctx: QueryContext, buffer: InputBuffer):
@@ -111,11 +136,12 @@ def compile_accum_clause(
 
 
 def _compile_acc_statement(
-    stmt: AccStatement, decl_types: Dict[str, Any], stats: CompileStats
+    stmt: AccStatement, decl_types: Dict[str, Any], stats: CompileStats,
+    scope: Scope,
 ) -> _Binder:
     if isinstance(stmt, LocalAssign):
         name = stmt.name
-        value_fn, _ = compile_closure(stmt.expr, stats)
+        value_fn, _ = compile_closure(stmt.expr, stats, scope)
 
         def bind_local(ctx, buffer):
             def run(env: EvalEnv, multiplicity: int) -> None:
@@ -125,14 +151,15 @@ def _compile_acc_statement(
 
         return bind_local
     if isinstance(stmt, AccumUpdate):
-        return _compile_accum_update(stmt, decl_types, stats)
+        return _compile_accum_update(stmt, decl_types, stats, scope)
     if isinstance(stmt, AccumIf):
-        cond_fn, _ = compile_closure(stmt.cond, stats)
+        cond_fn, _ = compile_closure(stmt.cond, stats, scope)
         then_binders = [
-            _compile_acc_statement(s, decl_types, stats) for s in stmt.then
+            _compile_acc_statement(s, decl_types, stats, scope) for s in stmt.then
         ]
         else_binders = [
-            _compile_acc_statement(s, decl_types, stats) for s in stmt.otherwise
+            _compile_acc_statement(s, decl_types, stats, scope)
+            for s in stmt.otherwise
         ]
 
         def bind_if(ctx, buffer):
@@ -147,10 +174,10 @@ def _compile_acc_statement(
 
         return bind_if
     if isinstance(stmt, AccumForeach):
-        coll_fn, _ = compile_closure(stmt.collection, stats)
+        coll_fn, _ = compile_closure(stmt.collection, stats, scope)
         var = stmt.var
         body_binders = [
-            _compile_acc_statement(s, decl_types, stats) for s in stmt.body
+            _compile_acc_statement(s, decl_types, stats, scope) for s in stmt.body
         ]
 
         def bind_foreach(ctx, buffer):
@@ -193,7 +220,8 @@ def _compile_acc_statement(
 
 
 def _compile_accum_update(
-    stmt: AccumUpdate, decl_types: Dict[str, Any], stats: CompileStats
+    stmt: AccumUpdate, decl_types: Dict[str, Any], stats: CompileStats,
+    scope: Scope,
 ) -> _Binder:
     """One ``target += expr`` / ``target = expr`` row function.
 
@@ -206,7 +234,7 @@ def _compile_accum_update(
     name = stmt.target.name
     op = stmt.op
     is_add = op == "+="
-    value_fn, _ = compile_closure(stmt.expr, stats)
+    value_fn, _ = compile_closure(stmt.expr, stats, scope)
     algebra = classify(decl_types.get(name))
     if algebra is not None:
         stats.combines_preresolved += 1
@@ -234,7 +262,7 @@ def _compile_accum_update(
 
         return bind_global
 
-    base_fn, _ = compile_closure(stmt.target.base, stats)
+    base_fn, _ = compile_closure(stmt.target.base, stats, scope)
 
     def bind_vertex(ctx, buffer):
         add = buffer.add
@@ -267,33 +295,36 @@ def _compile_accum_update(
 # POST_ACCUM / clause cloning
 # ----------------------------------------------------------------------
 
-def _clone_acc_statement(stmt: AccStatement, stats: CompileStats) -> AccStatement:
-    """A structural clone with compiled expressions (same classes, so
-    the POST_ACCUM dispatcher runs it)."""
+def _clone_acc_statement(
+    stmt: AccStatement, stats: CompileStats, scope: Scope
+) -> AccStatement:
+    """A structural clone with expressions compiled under ``scope`` (same
+    classes, so the POST_ACCUM dispatcher runs it)."""
+
+    def lower(expr: Expr) -> Expr:
+        return compile_expr(expr, stats, scope)
+
     if isinstance(stmt, LocalAssign):
-        return LocalAssign(stmt.name, compile_expr(stmt.expr, stats), stmt.type_name)
+        return LocalAssign(stmt.name, lower(stmt.expr), stmt.type_name)
     if isinstance(stmt, AccumUpdate):
         base = stmt.target.base
         tgt = AccumTarget(
-            stmt.target.name,
-            compile_expr(base, stats) if base is not None else None,
+            stmt.target.name, lower(base) if base is not None else None
         )
-        return AccumUpdate(tgt, stmt.op, compile_expr(stmt.expr, stats))
+        return AccumUpdate(tgt, stmt.op, lower(stmt.expr))
     if isinstance(stmt, AttributeUpdate):
-        return AttributeUpdate(
-            compile_expr(stmt.base, stats), stmt.attr, compile_expr(stmt.expr, stats)
-        )
+        return AttributeUpdate(lower(stmt.base), stmt.attr, lower(stmt.expr))
     if isinstance(stmt, AccumIf):
         return AccumIf(
-            compile_expr(stmt.cond, stats),
-            [_clone_acc_statement(s, stats) for s in stmt.then],
-            [_clone_acc_statement(s, stats) for s in stmt.otherwise],
+            lower(stmt.cond),
+            [_clone_acc_statement(s, stats, scope) for s in stmt.then],
+            [_clone_acc_statement(s, stats, scope) for s in stmt.otherwise],
         )
     if isinstance(stmt, AccumForeach):
         return AccumForeach(
             stmt.var,
-            compile_expr(stmt.collection, stats),
-            [_clone_acc_statement(s, stats) for s in stmt.body],
+            lower(stmt.collection),
+            [_clone_acc_statement(s, stats, scope) for s in stmt.body],
         )
     return stmt
 
@@ -311,15 +342,22 @@ class CompiledBlock(SelectBlock):
     Map/Reduce spans, AccSan replay, POST_ACCUM, memory check,
     fragments, vertex-set result.  The planning that does not depend on
     the execution (pushdown split, primed-name collection, POST_ACCUM
-    dependency analysis) happens here, once, at lowering time.
+    dependency analysis, the slot of every pattern variable) happens
+    here, once, at lowering time.  ``outer`` is the scope around the
+    block — the query's declared parameters; WHERE, ACCUM, POST_ACCUM and
+    the outputs are lowered under it extended with the pattern's slots,
+    a pushed-down filter and the vertex-set ORDER BY under a scope whose
+    one slot is their variable, LIMIT under ``outer`` itself.
     """
 
     def __init__(self, original: SelectBlock, decl_types: Dict[str, Any],
-                 stats: CompileStats):
+                 stats: CompileStats, outer: Scope = NO_SCOPE):
+        variables = original.pattern.variables()
+        scope = outer.over(variables)
         fragments = [
             OutputFragment(
                 [
-                    OutputColumn(compile_expr(c.expr, stats), c.alias)
+                    OutputColumn(compile_expr(c.expr, stats, scope), c.alias)
                     for c in fragment.columns
                 ],
                 fragment.into,
@@ -327,9 +365,10 @@ class CompiledBlock(SelectBlock):
             for fragment in original.fragments
         ]
         order_by = [
-            (compile_expr(expr, stats), desc) for expr, desc in original.order_by
+            (compile_expr(expr, stats, scope), desc)
+            for expr, desc in original.order_by
         ]
-        group_by = [compile_expr(expr, stats) for expr in original.group_by]
+        group_by = [compile_expr(expr, stats, scope) for expr in original.group_by]
         SelectBlock.__init__(
             self,
             original.pattern,
@@ -341,13 +380,13 @@ class CompiledBlock(SelectBlock):
             post_accum=original.post_accum,
             group_by=group_by,
             having=(
-                compile_expr(original.having, stats)
+                compile_expr(original.having, stats, scope)
                 if original.having is not None
                 else None
             ),
             order_by=order_by,
             limit=(
-                compile_expr(original.limit, stats)
+                compile_expr(original.limit, stats, outer)
                 if original.limit is not None
                 else None
             ),
@@ -357,30 +396,43 @@ class CompiledBlock(SelectBlock):
         self.effect_certificate = original.effect_certificate
         self.cost_certificate = original.cost_certificate
 
-        pattern_vars = set(original.pattern.variables())
+        slots = scope.slots
+        self._select_slot = slots.get(original.select_var)
+        # The vertex-set result sorts its distinct vertices, not rows:
+        # its keys see the SELECT variable alone (not counted in the
+        # lowering statistics — the clause was, just above).
+        self._set_order_by: List[Tuple[Expr, bool]] = []
+        if original.select_var is not None and original.order_by:
+            select_scope = outer.over((original.select_var,))
+            self._set_order_by = [
+                (compile_expr(expr, None, select_scope), desc)
+                for expr, desc in original.order_by
+            ]
+
         # Pushdown split, once (so the planner.pushdown_* counters are
         # charged per lowering, not per execution).  The per-variable
-        # filters keep their closures prebuilt: the hop kernel's bind
-        # stage (repro.core.pattern) takes them as they are.
+        # filters keep their closures prebuilt, each under the one-slot
+        # scope the hop kernel's bind stage (repro.core.pattern) runs
+        # them in.
         var_filters, residual_conjuncts = push_down_filters(
-            original.where, pattern_vars
+            original.where, set(variables)
         )
         self._var_filters = {
-            var: [compile_expr(f, stats) for f in filters]
+            var: [compile_expr(f, stats, outer.over((var,))) for f in filters]
             for var, filters in var_filters.items()
         }
         kept: List[Expr] = []
         for conjunct in residual_conjuncts:
-            fn, const = compile_closure(conjunct, stats)
+            fn, const = compile_closure(conjunct, stats, scope)
             if const and fn(None) is True:
                 # A conjunct folded to constant True filters nothing:
                 # drop it from the residual entirely.
                 stats.conjuncts_dropped += 1
                 continue
-            kept.append(compile_expr(conjunct, stats))
+            kept.append(compile_expr(conjunct, stats, scope))
         residual = and_all(kept)
         self._residual_fn = (
-            residual.closure()[0] if residual is not None else None
+            residual.closure(scope)[0] if residual is not None else None
         )
 
         names = collect_primed_names(original.accum) | collect_primed_names(
@@ -391,16 +443,20 @@ class CompiledBlock(SelectBlock):
         self._primed_names = frozenset(names)
 
         # The fused Map kernel.
-        self._map_bind = compile_accum_clause(original.accum, decl_types, stats)
+        self._map_bind = compile_accum_clause(
+            original.accum, decl_types, stats, scope
+        )
 
-        # POST_ACCUM: compiled statement clones with their dependency
-        # variable lists.
-        self._post_stmts: List[Tuple[AccStatement, List[str]]] = [
+        # POST_ACCUM: compiled statement clones with the slots of the
+        # pattern variables each depends on (in variable-name order).
+        post_scope = _clause_scope(scope, original.post_accum)
+        self._post_stmts: List[Tuple[AccStatement, List[int]]] = [
             (
-                _clone_acc_statement(stmt, stats),
-                sorted(
-                    {n for n in stmt.referenced_names() if n in pattern_vars}
-                ),
+                _clone_acc_statement(stmt, stats, post_scope),
+                [
+                    slots[n]
+                    for n in sorted(set(stmt.referenced_names()) & set(slots))
+                ],
             )
             for stmt in original.post_accum
         ]
@@ -465,19 +521,20 @@ class CompiledBlock(SelectBlock):
         if col is not None:
             # Appendix A in two numbers: compressed size vs. the
             # conceptual (path-weighted) size it stands in for.
-            pattern_span.set(
-                rows=len(rows), multiplicity=table.total_multiplicity()
-            )
+            multiplicity = table.total_multiplicity()
+            pattern_span.set(rows=len(rows), multiplicity=multiplicity)
             col.count("block.binding_rows", len(rows))
-            col.count("block.binding_multiplicity", table.total_multiplicity())
+            col.count("block.binding_multiplicity", multiplicity)
         residual_fn = self._residual_fn
         if residual_fn is not None:
             before = len(rows)
-            rows = [
-                row
-                for row in rows
-                if residual_fn(EvalEnv(ctx, row.bindings, None, primed))
-            ]
+            env = EvalEnv(ctx, None, None, primed)
+            kept = []
+            for row in rows:
+                env.row = row[0]
+                if residual_fn(env):
+                    kept.append(row)
+            rows = kept
             if col is not None:
                 col.count("block.rows_filtered_residual", before - len(rows))
 
@@ -489,23 +546,19 @@ class CompiledBlock(SelectBlock):
             if col is not None:
                 map_span = col.span("accum_map", statements=len(self.accum))
             buffer = InputBuffer()
-            locals_: Dict[str, Any] = {}
+            env = EvalEnv(ctx, None, None, primed)
             kernel = self._map_bind(ctx, buffer)
             try:
                 try:
                     if _faults._PLAN is None:
-                        for row in rows:
-                            kernel(
-                                EvalEnv(ctx, row.bindings, locals_, primed),
-                                row.multiplicity,
-                            )
+                        for values, multiplicity in rows:
+                            env.row = values
+                            kernel(env, multiplicity)
                     else:
-                        for row in rows:
+                        for values, multiplicity in rows:
                             _faults.fire("block.accum_map")
-                            kernel(
-                                EvalEnv(ctx, row.bindings, locals_, primed),
-                                row.multiplicity,
-                            )
+                            env.row = values
+                            kernel(env, multiplicity)
                 finally:
                     if col is not None:
                         # One acc-execution per *compressed* row — the count
@@ -554,7 +607,9 @@ class CompiledBlock(SelectBlock):
             self._emit_fragment(ctx, fragment, rows, primed)
 
         if self.select_var is not None:
-            return self._vertex_set_result(ctx, rows, primed)
+            return self._vertex_set_result(
+                ctx, rows, primed, self._select_slot, self._set_order_by
+            )
         return None
 
 
@@ -563,24 +618,30 @@ class CompiledBlock(SelectBlock):
 # ----------------------------------------------------------------------
 
 def _lower_statements(
-    statements: List[Statement], decl_types: Dict[str, Any], stats: CompileStats
+    statements: List[Statement], decl_types: Dict[str, Any], stats: CompileStats,
+    scope: Scope,
 ) -> List[Statement]:
-    """Lower a statement list, flattening the parser's statement groups
-    (one source statement that produced several: a declaration list, a
-    SELECT with set aliases) so their members are lowered too."""
+    """Lower a statement list under the query-level ``scope`` (its
+    declared parameters; no row), flattening the parser's statement
+    groups (one source statement that produced several: a declaration
+    list, a SELECT with set aliases) so their members are lowered too."""
     out: List[Statement] = []
     for stmt in statements:
         members = getattr(stmt, "statements", None)
         if members is not None:
-            out.extend(_lower_statements(members, decl_types, stats))
+            out.extend(_lower_statements(members, decl_types, stats, scope))
         else:
-            out.append(_lower_statement(stmt, decl_types, stats))
+            out.append(_lower_statement(stmt, decl_types, stats, scope))
     return out
 
 
 def _lower_statement(
-    stmt: Statement, decl_types: Dict[str, Any], stats: CompileStats
+    stmt: Statement, decl_types: Dict[str, Any], stats: CompileStats,
+    scope: Scope,
 ) -> Statement:
+    def lower(expr: Expr, under: Scope = scope) -> Expr:
+        return compile_expr(expr, stats, under)
+
     new: Statement
     if isinstance(stmt, DeclareAccum):
         new = DeclareAccum(
@@ -588,7 +649,7 @@ def _lower_statement(
             stmt.scope,
             stmt.base_factory,
             initial=(
-                compile_expr(stmt.initial, stats)
+                lower(stmt.initial)
                 if stmt.initial is not None
                 else None
             ),
@@ -596,21 +657,21 @@ def _lower_statement(
         )
     elif isinstance(stmt, SetAssign):
         if isinstance(stmt.source, SelectBlock):
-            new = SetAssign(stmt.name, CompiledBlock(stmt.source, decl_types, stats))
+            new = SetAssign(stmt.name, CompiledBlock(stmt.source, decl_types, stats, scope))
         else:
             return stmt
     elif isinstance(stmt, RunBlock):
         new = RunBlock(
-            CompiledBlock(stmt.block, decl_types, stats), assign_to=stmt.assign_to
+            CompiledBlock(stmt.block, decl_types, stats, scope), assign_to=stmt.assign_to
         )
     elif isinstance(stmt, GlobalAccumUpdate):
-        new = GlobalAccumUpdate(stmt.name, stmt.op, compile_expr(stmt.expr, stats))
+        new = GlobalAccumUpdate(stmt.name, stmt.op, lower(stmt.expr))
     elif isinstance(stmt, While):
         new = While(
-            compile_expr(stmt.cond, stats),
-            _lower_statements(stmt.body, decl_types, stats),
+            lower(stmt.cond),
+            _lower_statements(stmt.body, decl_types, stats, scope),
             limit=(
-                compile_expr(stmt.limit, stats)
+                lower(stmt.limit)
                 if stmt.limit is not None
                 else None
             ),
@@ -619,35 +680,35 @@ def _lower_statement(
     elif isinstance(stmt, Foreach):
         new = Foreach(
             stmt.var,
-            compile_expr(stmt.collection, stats),
-            _lower_statements(stmt.body, decl_types, stats),
+            lower(stmt.collection),
+            _lower_statements(stmt.body, decl_types, stats, scope),
         )
     elif isinstance(stmt, If):
         new = If(
-            compile_expr(stmt.cond, stats),
-            _lower_statements(stmt.then, decl_types, stats),
-            _lower_statements(stmt.otherwise, decl_types, stats),
+            lower(stmt.cond),
+            _lower_statements(stmt.then, decl_types, stats, scope),
+            _lower_statements(stmt.otherwise, decl_types, stats, scope),
         )
     elif isinstance(stmt, Print):
         items: List[Any] = []
         for item in stmt.items:
             if isinstance(item, PrintSetProjection):
+                # The set name doubles as the per-vertex row variable.
+                per_vertex = scope.over((item.set_name,))
                 items.append(
                     PrintSetProjection(
                         item.set_name,
                         [
-                            PrintItem(compile_expr(c.expr, stats), c.alias)
+                            PrintItem(lower(c.expr, per_vertex), c.alias)
                             for c in item.columns
                         ],
                     )
                 )
             else:
-                items.append(
-                    PrintItem(compile_expr(item.expr, stats), item.alias)
-                )
+                items.append(PrintItem(lower(item.expr), item.alias))
         new = Print(items)
     elif isinstance(stmt, Return):
-        new = Return(compile_expr(stmt.expr, stats))
+        new = Return(lower(stmt.expr))
     else:
         # SetOpAssign, Parameter plumbing, extension statements: nothing
         # expression-heavy to specialize — reuse the original.
@@ -876,7 +937,8 @@ def compile_query(
             pass
         stats = CompileStats()
         decl_types = _collect_decl_types(query.statements)
-        statements = _lower_statements(query.statements, decl_types, stats)
+        scope = Scope(params=[param.name for param in query.params])
+        statements = _lower_statements(query.statements, decl_types, stats, scope)
         if col is not None:
             col.count("compile.blocks", stats.blocks)
             col.count("compile.exprs", stats.exprs)

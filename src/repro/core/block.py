@@ -223,16 +223,22 @@ class SelectBlock:
         ctx: QueryContext,
         rows: List[BindingRow],
         primed: Dict[str, Dict[Any, Any]],
+        slot: Optional[int],
+        order_by: List[Tuple[Expr, bool]],
     ) -> VertexSet:
+        """The distinct bindings of the SELECT variable (row slot
+        ``slot``, None when the pattern does not bind it), ordered by
+        ``order_by`` — the block's ORDER BY lowered under a scope whose
+        only slot is the SELECT variable."""
+        if slot is None and rows:
+            raise QueryRuntimeError(
+                f"SELECT variable {self.select_var!r} is not bound by "
+                f"the FROM pattern"
+            )
         seen = set()
         vertices: List[Vertex] = []
-        for row in rows:
-            vertex = row.bindings.get(self.select_var)
-            if vertex is None:
-                raise QueryRuntimeError(
-                    f"SELECT variable {self.select_var!r} is not bound by "
-                    f"the FROM pattern"
-                )
+        for values, _ in rows:
+            vertex = values[slot]
             if not isinstance(vertex, Vertex):
                 raise QueryRuntimeError(
                     f"SELECT variable {self.select_var!r} binds to a "
@@ -241,16 +247,17 @@ class SelectBlock:
             if vertex.vid not in seen:
                 seen.add(vertex.vid)
                 vertices.append(vertex)
-        if self.order_by:
+        env = EvalEnv(ctx, None, None, primed)
+        if order_by:
             def sort_key(v: Vertex):
-                env = EvalEnv(ctx, {self.select_var: v}, None, primed)
+                env.row = (v,)
                 return tuple(
-                    _OrderKey(expr.eval(env), desc) for expr, desc in self.order_by
+                    _OrderKey(expr.eval(env), desc) for expr, desc in order_by
                 )
 
             vertices.sort(key=sort_key)
         if self.limit is not None:
-            env = EvalEnv(ctx, {}, None, primed)
+            env.row = ()
             vertices = vertices[: limit_count(self.limit.eval(env))]
         return VertexSet(ctx.graph, vertices)
 
@@ -274,7 +281,7 @@ class SelectBlock:
         for _, row in keyed_rows:
             out.append(row)
         if self.limit is not None:
-            env = EvalEnv(ctx, {}, None, primed)
+            env = EvalEnv(ctx, (), None, primed)
             out.truncate(limit_count(self.limit.eval(env)))
         ctx.tables[fragment.into] = out
 
@@ -287,8 +294,9 @@ class SelectBlock:
         """
         seen = set()
         out = []
-        for row in rows:
-            env = EvalEnv(ctx, row.bindings, None, primed)
+        env = EvalEnv(ctx, None, None, primed)
+        for values, _ in rows:
+            env.row = values
             projected = tuple(col.expr.eval(env) for col in fragment.columns)
             try:
                 key = projected
@@ -315,13 +323,15 @@ class SelectBlock:
         (well-defined for group keys, which are constant within a group).
         """
         groups: Dict[Tuple, List[BindingRow]] = {}
+        env = EvalEnv(ctx, None, None, primed)
         for row in rows:
-            env = EvalEnv(ctx, row.bindings, None, primed)
+            env.row = row[0]
             key = tuple(expr.eval(env) for expr in self.group_by)
             groups.setdefault(key, []).append(row)
         out = []
         for group in groups.values():
-            env = EvalEnv(ctx, group[0].bindings, None, primed, group)
+            env.row = group[0][0]
+            env.group = group
             if self.having is not None and not self.having.eval(env):
                 continue
             projected = tuple(col.expr.eval(env) for col in fragment.columns)

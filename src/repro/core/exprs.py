@@ -7,19 +7,25 @@ programmatic query-builder API.
 
 Each node defines its semantics exactly once, in :meth:`Expr.closure`:
 a plain ``fn(env) -> value`` built over its children's closures, with
-operators, guards and branch lists resolved when the closure is built.
-Lowering (:mod:`repro.compile`) builds every closure once per plan;
-:meth:`Expr.eval` is the convenience one-shot over the same builder.
+operators, guards, branch lists and *names* resolved when the closure is
+built.  Lowering (:mod:`repro.compile`) builds every closure once per
+plan; :meth:`Expr.eval` is the convenience one-shot over the same
+builder.
 
-Name resolution is dynamic and follows GSQL's scoping: ACCUM-local
-variables shadow pattern variables, which shadow query parameters, which
-shadow vertex-set variables.
+Name resolution follows GSQL's scoping — ACCUM-local variables shadow
+pattern variables, which shadow query parameters, which shadow
+vertex-set variables, which shadow tables — and is decided against the
+:class:`Scope` a closure is built under: a pattern variable is a fixed
+slot of the binding row, a name no ACCUM statement can assign skips the
+locals probe, and only names the scope does not know walk the
+context's parameters, vertex sets and tables at evaluation time.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+import operator
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..accum.tuples import TupleValue
 from ..errors import QueryRuntimeError
@@ -27,35 +33,86 @@ from ..graph.elements import Edge, Vertex
 from .context import QueryContext
 
 
+class Scope:
+    """What lowering knows about the bare names of one clause.
+
+    ``slots`` maps each pattern variable to its fixed position in the
+    binding row (``Pattern.variables()`` order); ``locals`` are the names
+    an ACCUM-local assignment or FOREACH variable of the clause *may*
+    bind (they shadow everything, but only once assigned, so a reference
+    still probes ``env.locals`` first); ``params`` the declared query
+    parameters.  Every other name is resolved at evaluation time.
+    """
+
+    __slots__ = ("slots", "locals", "params")
+
+    def __init__(
+        self,
+        variables: Iterable[str] = (),
+        locals_: Iterable[str] = (),
+        params: Iterable[str] = (),
+    ):
+        self.slots: Dict[str, int] = {name: i for i, name in enumerate(variables)}
+        self.locals = frozenset(locals_)
+        self.params = frozenset(params)
+
+    def over(self, variables: Iterable[str]) -> "Scope":
+        """The same parameters around another row layout, no locals."""
+        return Scope(variables, (), self.params)
+
+    def with_locals(self, names: Iterable[str]) -> "Scope":
+        """The same slots and parameters, with ``names`` assignable."""
+        return Scope(self.slots, names, self.params)
+
+    def slot_of(self, expr: "Expr") -> Optional[int]:
+        """The row slot ``expr`` reads when it is a bare pattern variable
+        no local can shadow, else None."""
+        if isinstance(expr, NameRef) and expr.name not in self.locals:
+            return self.slots.get(expr.name)
+        return None
+
+
+#: The scope that knows no name: everything resolves at evaluation time.
+NO_SCOPE = Scope()
+
+
 class EvalEnv:
     """One expression-evaluation environment.
 
-    ``row`` holds the pattern-variable bindings of the current binding-table
-    row; ``locals`` the ACCUM-local variables; ``primed`` the block-entry
-    snapshots backing ``v.@acc'`` reads; ``group`` the binding rows of the
-    current GROUP BY group (None outside a grouped SELECT output), which
-    :class:`AggCall` folds over while everything else reads ``row`` — the
-    group's representative.
+    ``row`` holds the current binding-table row's values, one per slot of
+    the scope the running closures were built under; ``locals`` the
+    ACCUM-local variables; ``primed`` the block-entry snapshots backing
+    ``v.@acc'`` reads; ``group`` the binding rows of the current GROUP BY
+    group (None outside a grouped SELECT output), which :class:`AggCall`
+    folds over while everything else reads ``row`` — the group's
+    representative.
+
+    An executor builds one environment per phase and re-points ``row``
+    for each binding row.  ``scope`` only serves the one-shot
+    :meth:`Expr.eval` of an expression that was never lowered: passing
+    ``row`` as a ``{name: value}`` mapping names the slots on the spot.
     """
 
-    __slots__ = ("ctx", "row", "locals", "primed", "group")
+    __slots__ = ("ctx", "row", "locals", "primed", "group", "scope")
 
     def __init__(
         self,
         ctx: QueryContext,
-        row: Optional[Dict[str, Any]] = None,
+        row: Any = None,
         locals_: Optional[Dict[str, Any]] = None,
         primed: Optional[Dict[str, Dict[Any, Any]]] = None,
         group: Optional[List[Any]] = None,
     ):
+        named = isinstance(row, dict)
+        if named or locals_:
+            self.scope = Scope(row if named else (), locals_ or ())
+        else:
+            self.scope = NO_SCOPE
         self.ctx = ctx
-        self.row = row or {}
+        self.row = tuple(row.values()) if named else row
         self.locals = locals_ if locals_ is not None else {}
         self.primed = primed or {}
         self.group = group
-
-    def child_with_locals(self) -> "EvalEnv":
-        return EvalEnv(self.ctx, self.row, dict(self.locals), self.primed)
 
 
 class Expr:
@@ -68,14 +125,16 @@ class Expr:
 
     __slots__ = ("span",)
 
-    def closure(self) -> Tuple[Callable[[EvalEnv], Any], bool]:
+    def closure(self, scope: Scope) -> Tuple[Callable[[EvalEnv], Any], bool]:
         """``(fn, is_const)``: this node as a closure over its children's
-        closures.  ``is_const`` marks subtrees whose value cannot depend
+        closures, with bare names resolved against ``scope`` — so ``fn``
+        must run under an environment whose ``row`` has that scope's
+        layout.  ``is_const`` marks subtrees whose value cannot depend
         on the environment (lowering folds those)."""
         raise NotImplementedError
 
     def eval(self, env: EvalEnv) -> Any:
-        return self.closure()[0](env)
+        return self.closure(env.scope)[0](env)
 
     def children(self) -> Iterator["Expr"]:
         return iter(())
@@ -92,7 +151,7 @@ class Literal(Expr):
     def __init__(self, value: Any):
         self.value = value
 
-    def closure(self):
+    def closure(self, scope):
         value = self.value
         return (lambda env: value), True
 
@@ -108,27 +167,66 @@ class NameRef(Expr):
     def __init__(self, name: str):
         self.name = name
 
-    def closure(self):
+    def closure(self, scope):
         name = self.name
+        slot = scope.slots.get(name)
+        if slot is not None:
+            def resolve(env: EvalEnv) -> Any:
+                return env.row[slot]
+        else:
+            # Nothing below is known before the query runs: a statement
+            # FOREACH binds its variable in ``ctx.params``, vertex sets
+            # and tables are assigned by earlier statements (or later
+            # ones, inside a loop), and an unknown name is only an error
+            # if a row ever evaluates it.
+            def resolve(env: EvalEnv) -> Any:
+                ctx = env.ctx
+                if name in ctx.params:
+                    return ctx.params[name]
+                if name in ctx.vertex_sets:
+                    return ctx.vertex_sets[name]
+                if name in ctx.tables:
+                    return ctx.tables[name]
+                raise QueryRuntimeError(f"unknown name {name!r} in expression")
+
+            if name in scope.params:
+                dynamic = resolve
+
+                def resolve(env: EvalEnv) -> Any:
+                    try:
+                        return env.ctx.params[name]
+                    except KeyError:
+                        return dynamic(env)
+
+        if name not in scope.locals:
+            return resolve, False
 
         def run(env: EvalEnv) -> Any:
-            if name in env.locals:
-                return env.locals[name]
-            if name in env.row:
-                return env.row[name]
-            ctx = env.ctx
-            if name in ctx.params:
-                return ctx.params[name]
-            if name in ctx.vertex_sets:
-                return ctx.vertex_sets[name]
-            if name in ctx.tables:
-                return ctx.tables[name]
-            raise QueryRuntimeError(f"unknown name {name!r} in expression")
+            locals_ = env.locals
+            return locals_[name] if name in locals_ else resolve(env)
 
         return run, False
 
     def __repr__(self) -> str:
         return self.name
+
+
+def _read_attr(base: Any, attr: str) -> Any:
+    """``base.attr`` on a vertex, an edge, a tuple value or a map."""
+    if isinstance(base, (Vertex, Edge)):
+        if attr in base:
+            return base[attr]
+        raise QueryRuntimeError(f"{base!r} has no attribute {attr!r}")
+    if isinstance(base, TupleValue):
+        return base.get(attr)
+    if isinstance(base, dict):
+        try:
+            return base[attr]
+        except KeyError:
+            raise QueryRuntimeError(f"map has no key {attr!r}") from None
+    raise QueryRuntimeError(
+        f"cannot read attribute {attr!r} of {type(base).__name__}"
+    )
 
 
 class AttrRef(Expr):
@@ -143,26 +241,26 @@ class AttrRef(Expr):
     def children(self) -> Iterator[Expr]:
         yield self.base
 
-    def closure(self):
-        base_fn, _ = self.base.closure()
+    def closure(self, scope):
         attr = self.attr
+        slot = scope.slot_of(self.base)
+        if slot is None:
+            base_fn, _ = self.base.closure(scope)
+            return (lambda env: _read_attr(base_fn(env), attr)), False
 
         def run(env: EvalEnv) -> Any:
-            base = base_fn(env)
-            if isinstance(base, (Vertex, Edge)):
-                if attr in base:
-                    return base[attr]
-                raise QueryRuntimeError(f"{base!r} has no attribute {attr!r}")
-            if isinstance(base, TupleValue):
-                return base.get(attr)
-            if isinstance(base, dict):
-                try:
-                    return base[attr]
-                except KeyError:
-                    raise QueryRuntimeError(f"map has no key {attr!r}") from None
-            raise QueryRuntimeError(
-                f"cannot read attribute {attr!r} of {type(base).__name__}"
-            )
+            # ``var.attr`` over a pattern variable: the slot holds a
+            # vertex or an edge (anything else — a relational-table row —
+            # has no ``attrs`` and takes the general path).
+            base = env.row[slot]
+            try:
+                return base.attrs[attr]
+            except KeyError:
+                raise QueryRuntimeError(
+                    f"{base!r} has no attribute {attr!r}"
+                ) from None
+            except AttributeError:
+                return _read_attr(base, attr)
 
         return run, False
 
@@ -183,7 +281,7 @@ class GlobalAccumRef(Expr):
         self.name = name
         self.primed = primed
 
-    def closure(self):
+    def closure(self, scope):
         name = self.name
         if not self.primed:
             return (lambda env: env.ctx.global_accum(name).value), False
@@ -218,8 +316,8 @@ class VertexAccumRef(Expr):
     def children(self) -> Iterator[Expr]:
         yield self.base
 
-    def closure(self):
-        base_fn, _ = self.base.closure()
+    def closure(self, scope):
+        base_fn, _ = self.base.closure(scope)
         name = self.name
         primed = self.primed
 
@@ -251,21 +349,29 @@ class VertexAccumRef(Expr):
 
 
 _BINARY_OPS: Dict[str, Callable[[Any, Any], Any]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "%": lambda a, b: a % b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "%": operator.mod,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 #: Operators that refuse NULL operands.
 _NUMERIC_OPS = frozenset(("+", "-", "*", "/", "%", "<", "<=", ">", ">="))
+
+
+def _operator_error(
+    op: str, left: Any, right: Any, exc: Exception
+) -> QueryRuntimeError:
+    if isinstance(exc, ZeroDivisionError):
+        return QueryRuntimeError(f"division by zero: {left!r} {op} {right!r}")
+    return QueryRuntimeError(f"type error in {left!r} {op} {right!r}: {exc}")
 
 
 def _contains(item: Any, container: Any) -> bool:
@@ -294,10 +400,10 @@ class Binary(Expr):
         yield self.left
         yield self.right
 
-    def closure(self):
+    def closure(self, scope):
         op = self.op
-        left_fn, left_const = self.left.closure()
-        right_fn, right_const = self.right.closure()
+        left_fn, left_const = self.left.closure(scope)
+        right_fn, right_const = self.right.closure(scope)
         const = left_const and right_const
         if op == "AND":
             return (lambda env: bool(left_fn(env)) and bool(right_fn(env))), const
@@ -315,28 +421,32 @@ class Binary(Expr):
                 raise QueryRuntimeError(f"unknown operator {op!r}")
 
             return run_unknown, False
-        guarded = op in _NUMERIC_OPS
 
-        def run(env: EvalEnv) -> Any:
+        if op not in _NUMERIC_OPS:
+            def run(env: EvalEnv) -> Any:
+                left = left_fn(env)
+                right = right_fn(env)
+                try:
+                    return fn(left, right)
+                except (ZeroDivisionError, TypeError) as exc:
+                    raise _operator_error(op, left, right, exc) from None
+
+            return run, const
+
+        def run_guarded(env: EvalEnv) -> Any:
             left = left_fn(env)
             right = right_fn(env)
-            if guarded and (left is None or right is None):
+            if left is None or right is None:
                 raise QueryRuntimeError(
                     f"operator {op!r} applied to NULL operand "
                     f"({left!r} {op} {right!r})"
                 )
             try:
                 return fn(left, right)
-            except ZeroDivisionError:
-                raise QueryRuntimeError(
-                    f"division by zero: {left!r} {op} {right!r}"
-                ) from None
-            except TypeError as exc:
-                raise QueryRuntimeError(
-                    f"type error in {left!r} {op} {right!r}: {exc}"
-                ) from None
+            except (ZeroDivisionError, TypeError) as exc:
+                raise _operator_error(op, left, right, exc) from None
 
-        return run, const
+        return run_guarded, const
 
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
@@ -352,9 +462,9 @@ class Unary(Expr):
     def children(self) -> Iterator[Expr]:
         yield self.operand
 
-    def closure(self):
+    def closure(self, scope):
         op = self.op
-        operand_fn, const = self.operand.closure()
+        operand_fn, const = self.operand.closure(scope)
         if op == "NOT":
             return (lambda env: not bool(operand_fn(env))), const
         if op == "+":
@@ -448,7 +558,7 @@ class Call(Expr):
     def children(self) -> Iterator[Expr]:
         yield from self.args
 
-    def closure(self):
+    def closure(self, scope):
         # Calls never fold, and the registry probe stays per call:
         # register_function() may add or replace UDFs after a plan was
         # lowered, and names not in the registry resolve through the
@@ -456,7 +566,7 @@ class Call(Expr):
         name = self.name
         lname = name.lower()
         lookup = _FUNCTIONS.get
-        arg_fns = tuple(arg.closure()[0] for arg in self.args)
+        arg_fns = tuple(arg.closure(scope)[0] for arg in self.args)
 
         def run(env: EvalEnv) -> Any:
             fn = lookup(lname)
@@ -500,9 +610,9 @@ class Method(Expr):
         yield self.base
         yield from self.args
 
-    def closure(self):
-        base_fn, _ = self.base.closure()
-        arg_fns = tuple(arg.closure()[0] for arg in self.args)
+    def closure(self, scope):
+        base_fn, _ = self.base.closure(scope)
+        arg_fns = tuple(arg.closure(scope)[0] for arg in self.args)
         raw_name = self.name
         name = raw_name.lower()
 
@@ -569,11 +679,11 @@ class TupleExpr(Expr):
     def children(self) -> Iterator[Expr]:
         yield from self.items
 
-    def closure(self):
-        built = tuple(item.closure() for item in self.items)
+    def closure(self, scope):
+        built = tuple(item.closure(scope) for item in self.items)
         item_fns = tuple(fn for fn, _ in built)
         const = all(c for _, c in built)
-        return (lambda env: tuple(fn(env) for fn in item_fns)), const
+        return (lambda env: tuple([fn(env) for fn in item_fns])), const
 
     def __repr__(self) -> str:
         return f"({', '.join(map(repr, self.items))})"
@@ -592,9 +702,9 @@ class ArrowExpr(Expr):
         yield from self.keys
         yield from self.values
 
-    def closure(self):
-        key_fns = tuple(k.closure()[0] for k in self.keys)
-        value_fns = tuple(v.closure()[0] for v in self.values)
+    def closure(self, scope):
+        key_fns = tuple(k.closure(scope)[0] for k in self.keys)
+        value_fns = tuple(v.closure(scope)[0] for v in self.values)
         return (
             lambda env: (
                 tuple(fn(env) for fn in key_fns),
@@ -625,15 +735,16 @@ class CaseExpr(Expr):
         if self.default is not None:
             yield self.default
 
-    def closure(self):
+    def closure(self, scope):
         built = tuple(
-            (cond.closure(), result.closure()) for cond, result in self.whens
+            (cond.closure(scope), result.closure(scope))
+            for cond, result in self.whens
         )
         when_fns = tuple((c[0], r[0]) for c, r in built)
         const = all(c[1] and r[1] for c, r in built)
         default_fn = None
         if self.default is not None:
-            default_fn, default_const = self.default.closure()
+            default_fn, default_const = self.default.closure(scope)
             const = const and default_const
 
         def run(env: EvalEnv) -> Any:
@@ -677,10 +788,10 @@ class AggCall(Expr):
         if self.arg is not None:
             yield self.arg
 
-    def closure(self):
+    def closure(self, scope):
         func = self.func
         apply = self.apply
-        arg_fn = self.arg.closure()[0] if self.arg is not None else None
+        arg_fn = self.arg.closure(scope)[0] if self.arg is not None else None
 
         def run(env: EvalEnv) -> Any:
             group = env.group
@@ -689,12 +800,15 @@ class AggCall(Expr):
                     f"aggregate {func}() used outside a SELECT output clause"
                 )
             if arg_fn is None:
-                return apply([(1, row.multiplicity) for row in group])
-            ctx, primed = env.ctx, env.primed
-            return apply([
-                (arg_fn(EvalEnv(ctx, row.bindings, None, primed)), row.multiplicity)
-                for row in group
-            ])
+                return apply([(1, multiplicity) for _, multiplicity in group])
+            # One environment per fold, re-pointed at each row of the
+            # group (no ``group`` of its own: aggregates do not nest).
+            inner = EvalEnv(env.ctx, None, None, env.primed)
+            weighted = []
+            for values, multiplicity in group:
+                inner.row = values
+                weighted.append((arg_fn(inner), multiplicity))
+            return apply(weighted)
 
         return run, False
 
@@ -789,6 +903,8 @@ def register_function(name: str, fn: Callable[..., Any]) -> None:
 
 
 __all__ = [
+    "Scope",
+    "NO_SCOPE",
     "EvalEnv",
     "Expr",
     "Literal",

@@ -26,8 +26,8 @@ from ..accum.base import Accumulator
 from ..errors import ParallelSafetyError, QueryAbortedError, QueryRuntimeError
 from ..governor import faults as _faults
 from .context import QueryContext
-from .exprs import EvalEnv
-from .pattern import BindingRow
+from .exprs import EvalEnv, Scope
+from .pattern import BindingRow, BindingTable
 from .stmts import AccStatement, AccumUpdate
 
 
@@ -87,14 +87,15 @@ def _run_partition(
         _faults.fire("parallel.worker")
     partial = _Partial(ctx)
     kernel = bind(partial, partial)
-    locals_: Dict[str, Any] = {}
-    for row in rows:
+    env = EvalEnv(ctx, None, None, primed)
+    for values, multiplicity in rows:
         if abort is not None and abort.is_set():
             # A sibling worker failed; bail out cooperatively.  The
             # partial is discarded by the caller, so stopping early is
             # safe under snapshot semantics.
             break
-        kernel(EvalEnv(ctx, row.bindings, locals_, primed), row.multiplicity)
+        env.row = values
+        kernel(env, multiplicity)
     return partial
 
 
@@ -167,15 +168,17 @@ class QueryRuntimeErrorWithPartition(QueryRuntimeError):
 def parallel_accum(
     ctx: QueryContext,
     statements: List[AccStatement],
-    rows: List[BindingRow],
+    table: BindingTable,
     partitions: int = 4,
     primed: Optional[Dict[str, Dict[Any, Any]]] = None,
     use_threads: bool = False,
     certificate: object = None,
     on_uncertified: str = "raise",
 ) -> None:
-    """Execute an ACCUM clause over ``rows`` with a partitioned Map phase
-    and a merge-based Reduce, mutating the context's accumulators.
+    """Execute an ACCUM clause over a binding table (its ``variables``
+    name the slots the clause's expressions are lowered against) with a
+    partitioned Map phase and a merge-based Reduce, mutating the
+    context's accumulators.
 
     Deterministic whenever every target accumulator is order-invariant
     (the engine's guarantee from Section 4.3).  The licence to partition
@@ -231,7 +234,10 @@ def parallel_accum(
 
     # The Map kernel every SELECT block runs, bound per partition to a
     # private scratch instead of the live context and buffer.
-    bind = compile_accum_clause(statements, {}, CompileStats())
+    bind = compile_accum_clause(
+        statements, {}, CompileStats(), Scope(table.variables)
+    )
+    rows = table.rows
     partitions = max(1, min(partitions, len(rows) or 1))
     chunks = [rows[i::partitions] for i in range(partitions)]
 

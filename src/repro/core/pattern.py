@@ -25,7 +25,7 @@ Two evaluation engines share this module:
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .. import _exec
 from ..darpe.ast import Symbol, contains_kleene
@@ -37,7 +37,7 @@ from ..paths.sdmc import single_source_sdmc
 from ..paths.semantics import PathSemantics
 from ..enumeration.engine import match_counts
 from .context import QueryContext
-from .exprs import EvalEnv
+from .exprs import EvalEnv, Scope
 
 _hidden_counter = itertools.count()
 
@@ -150,22 +150,26 @@ class VertexSpec:
         """The vertices this spec allows as a chain *source*."""
         pinned = self._pinned_vertex(ctx)
         if pinned is not None:
-            member = self.membership(ctx)
-            return [pinned] if member is None or member(pinned) else []
+            vtype, vset = self.restriction(ctx)
+            if (vtype is None or pinned.type == vtype) and (
+                vset is None or pinned in vset
+            ):
+                return [pinned]
+            return []
         return list(self._candidates(ctx))
 
-    def membership(self, ctx: QueryContext) -> Optional[Callable[[Vertex], bool]]:
-        """The position's vertex-set-or-type test, with ``name`` resolved
-        once: a vertex -> bool callable, or None for the wildcard (every
-        vertex is admissible).  The pin is separate — see
-        :meth:`_pinned_vertex`."""
+    def restriction(self, ctx: QueryContext) -> Tuple[Optional[str], Any]:
+        """The position's vertex-set-or-type test with ``name`` resolved
+        once, as ``(vertex type, vertex set)``: at most one is set, and
+        neither for the wildcard (every vertex is admissible).  The pin
+        is separate — see :meth:`_pinned_vertex`."""
         name = self.name
         if name in ("_", "ANY"):
-            return None
+            return None, None
         vset = ctx.vertex_sets.get(name)
         if vset is not None:
-            return vset.__contains__
-        return lambda vertex: vertex.type == name
+            return None, vset
+        return name, None
 
     def _pinned_vertex(self, ctx: QueryContext) -> Optional[Vertex]:
         value = ctx.params.get(self.var)
@@ -308,20 +312,31 @@ class Pattern:
         return ", ".join(repr(c) for c in self.chains)
 
 
-class BindingRow(NamedTuple):
-    """One compressed binding-table row: variable bindings plus the count
-    of legal paths witnessing them (Appendix A)."""
-
-    bindings: Dict[str, Any]
-    multiplicity: int
+#: One compressed binding-table row: the values bound to the table's
+#: variables — one per slot, in ``BindingTable.variables`` order — plus the
+#: count of legal paths witnessing them (Appendix A).
+BindingRow = Tuple[Tuple[Any, ...], int]
 
 
 class BindingTable:
-    """The (compressed) match table of Section 4.1."""
+    """The (compressed) match table of Section 4.1: ``variables`` names
+    the slots, each row is ``(values, multiplicity)``.  ``multiplicity``
+    is the rows' multiplicity sum when whoever built the table already
+    took it (the matcher does, for its last hop's span)."""
 
-    def __init__(self, variables: List[str], rows: List[BindingRow]):
+    def __init__(
+        self,
+        variables: List[str],
+        rows: List[BindingRow],
+        multiplicity: Optional[int] = None,
+    ):
         self.variables = variables
         self.rows = rows
+        self._multiplicity = multiplicity
+
+    def slot(self, name: str) -> int:
+        """The position of variable ``name`` in every row's values."""
+        return self.variables.index(name)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -329,7 +344,9 @@ class BindingTable:
     def total_multiplicity(self) -> int:
         """The conceptual (uncompressed) row count — may be astronomically
         large; this is the quantity Table 1's "path count" column reports."""
-        return sum(row.multiplicity for row in self.rows)
+        if self._multiplicity is not None:
+            return self._multiplicity
+        return sum(multiplicity for _, multiplicity in self.rows)
 
     def __iter__(self):
         return iter(self.rows)
@@ -341,9 +358,10 @@ class BindingTable:
 # A hop runs as a two-stage kernel, like the ACCUM map kernel of
 # ``repro.compile.lowering``: everything that cannot change while the hop
 # executes — the pinned vertex, the vertex-set-or-type test, the
-# pushed-down filters' closures and the one ``EvalEnv`` they run under —
-# is resolved once by the bind stage (``_bind_filters``, ``_Acceptor``);
-# the per-row loops then only look verdicts up and extend rows.
+# pushed-down filters' closures and the one ``EvalEnv`` they run under,
+# the slots the hop reads and writes — is resolved once by the bind
+# stage (``_bind_filters``, ``_Acceptor``, ``_bind_slot``); the per-row
+# loops then only look verdicts up and extend rows.
 
 def _bind_filters(
     ctx: QueryContext, var: str, filters: Optional[List[Any]]
@@ -352,19 +370,21 @@ def _bind_filters(
     for a vertex, an edge or a relational-table row, or None when the
     variable has no filters.
 
-    Each filter's closure is taken once (lowered filters carry theirs
-    prebuilt) and all of them run under one reused ``EvalEnv`` whose
-    single binding is overwritten per call — a pushed-down conjunct reads
-    no other variable.
+    A pushed-down conjunct reads no other variable, so it is lowered
+    under a scope whose only slot is ``var``: each filter's closure is
+    taken once (lowered filters carry theirs prebuilt) and all of them
+    run under one reused ``EvalEnv`` whose one-slot row is overwritten
+    per call.
     """
     if not filters:
         return None
-    fns = [f.closure()[0] for f in filters]
-    env = EvalEnv(ctx, {var: None})
-    row = env.row
+    scope = Scope((var,))
+    fns = [f.closure(scope)[0] for f in filters]
+    row = [None]
+    env = EvalEnv(ctx, row)
 
     def passes(value: Any) -> bool:
-        row[var] = value
+        row[0] = value
         for fn in fns:
             if not fn(env):
                 return False
@@ -387,7 +407,7 @@ class _Acceptor(dict):
     encounter of its vertex.
     """
 
-    __slots__ = ("_vertex", "_pinned", "_member", "_passes")
+    __slots__ = ("_vertex", "_pinned", "_type", "_vset", "_passes")
 
     def __init__(
         self, ctx: QueryContext, spec: VertexSpec, filters: Optional[List[Any]]
@@ -395,14 +415,15 @@ class _Acceptor(dict):
         self._vertex = ctx.graph.vertex
         pinned = spec._pinned_vertex(ctx)
         self._pinned = None if pinned is None else pinned.vid
-        self._member = spec.membership(ctx)
+        self._type, self._vset = spec.restriction(ctx)
         self._passes = _bind_filters(ctx, spec.var, filters)
 
     def __missing__(self, vid: Any) -> Optional[Vertex]:
         vertex: Optional[Vertex] = self._vertex(vid)
         if (
-            (self._pinned is not None and vid != self._pinned)
-            or (self._member is not None and not self._member(vertex))
+            (self._type is not None and vertex.type != self._type)
+            or (self._pinned is not None and vid != self._pinned)
+            or (self._vset is not None and vertex not in self._vset)
             or (self._passes is not None and not self._passes(vertex))
         ):
             vertex = None
@@ -446,17 +467,21 @@ def evaluate_chain(
     chain: Chain,
     mode: EngineMode,
     var_filters: Optional[Dict[str, List[Any]]] = None,
-) -> List[BindingRow]:
+) -> BindingTable:
+    """The chain's binding table, laid out over its distinct variables in
+    order of first appearance."""
     graph = ctx.graph
     var_filters = var_filters or {}
     col = _exec.current().col
     current_var = chain.source.var
     passes = _bind_filters(ctx, current_var, var_filters.get(current_var))
     rows: List[BindingRow] = [
-        BindingRow({current_var: v}, 1)
+        ((v,), 1)
         for v in chain.source.seed(ctx)
         if passes is None or passes(v)
     ]
+    layout = [current_var]
+    multiplicity = None
     if col is not None:
         # Seed width after pushdown: the Qn query of Section 7.1 seeds
         # from 1 vertex instead of all 91 thanks to the planner.
@@ -470,20 +495,28 @@ def evaluate_chain(
             )
         try:
             new_rows, plan = _evaluate_hop(
-                ctx, graph, hop, rows, mode, var_filters, current_var, col
+                ctx, graph, hop, rows, mode, var_filters, layout, current_var, col
             )
         finally:
             if col is not None:
                 col.close(hop_span)
         if col is not None:
+            multiplicity = sum([m for _, m in new_rows])
             hop_span.set(
-                plan=plan,
-                rows_out=len(new_rows),
-                multiplicity_out=sum(r.multiplicity for r in new_rows),
+                plan=plan, rows_out=len(new_rows), multiplicity_out=multiplicity
             )
         rows = new_rows
         current_var = hop.target.var
-    return rows
+    return BindingTable(layout, rows, multiplicity)
+
+
+def _bind_slot(layout: List[str], var: str) -> Optional[int]:
+    """The slot ``layout`` already binds ``var`` in, or None after giving
+    it the next one (the caller then appends its value to each row)."""
+    if var in layout:
+        return layout.index(var)
+    layout.append(var)
+    return None
 
 
 def _evaluate_hop(
@@ -493,19 +526,23 @@ def _evaluate_hop(
     rows: List[BindingRow],
     mode: EngineMode,
     var_filters: Dict[str, List[Any]],
+    layout: List[str],
     current_var: str,
     col,
 ) -> Tuple[List[BindingRow], str]:
-    """Expand one hop; returns (new rows, plan label for observability).
+    """Expand one hop over rows laid out as ``layout`` (advanced in
+    place); returns (new rows, plan label for observability).
 
-    Every plan extends a row the same way: the target (and edge) binding
-    is added to a copy of the row's bindings, and a target variable the
-    row already binds acts as a join condition — the new binding must be
-    that same vertex or the extension is dropped.
+    Every plan extends a row the same way: a new variable's value is
+    appended to the row's values (edge before target,
+    ``Chain.variables()`` order), and a target variable the row already
+    binds acts as a join condition — the new binding must be that same
+    vertex, in the slot it already has, or the extension is dropped.
     """
     new_rows: List[BindingRow] = []
     append = new_rows.append
     target_var = hop.target.var
+    current = layout.index(current_var)
     if hop.is_single_symbol:
         # One-edge hops read the adjacency bucket(s) of their symbol
         # directly and can bind an edge variable.
@@ -519,31 +556,47 @@ def _evaluate_hop(
             if edge_var is not None
             else None
         )
+        # An edge variable some earlier hop bound is re-bound in place.
+        rebound = _bind_slot(layout, edge_var) if edge_var is not None else None
+        joined = _bind_slot(layout, target_var)
+        plain = edge_var is None and joined is None
         direction, etype = symbol.direction, symbol.edge_type
-        for bindings, multiplicity in rows:
-            joined = bindings.get(target_var)
-            by_type = graph.buckets(bindings[current_var].vid)[direction]
+        buckets_of = graph.buckets
+        for values, multiplicity in rows:
+            by_type = buckets_of(values[current].vid)[direction]
             # the symbol's one bucket, or every bucket for the wildcard
             buckets = by_type.values() if etype is None else (by_type.get(etype, ()),)
             for bucket in buckets:
+                if plain:
+                    for step in bucket:
+                        target = acceptor[step.neighbor]
+                        if target is not None:
+                            append((values + (target,), multiplicity))
+                    continue
                 for step in bucket:
                     target = acceptor[step.neighbor]
                     if target is None:
                         continue
                     if edge_passes is not None and not edge_passes(step.edge):
                         continue
-                    if joined is not None and joined.vid != target.vid:
+                    if joined is not None and values[joined].vid != target.vid:
                         continue
-                    extended = dict(bindings)
-                    extended[target_var] = target
-                    if edge_var is not None:
-                        extended[edge_var] = step.edge
-                    append(BindingRow(extended, multiplicity))
+                    extended = values
+                    if rebound is not None:
+                        extended = (
+                            values[:rebound] + (step.edge,) + values[rebound + 1:]
+                        )
+                    elif edge_var is not None:
+                        extended += (step.edge,)
+                    if joined is None:
+                        extended += (target,)
+                    append((extended, multiplicity))
         return new_rows, plan
 
     reverse_targets = _reverse_targets(
-        ctx, hop, rows, mode, var_filters, current_var
+        ctx, hop, rows, mode, var_filters, current
     )
+    joined = _bind_slot(layout, target_var)
     if reverse_targets is not None:
         # Pinned-target hop: expand from the (smaller) target side
         # over the reversed DARPE — the plan shape whose cost the
@@ -555,18 +608,16 @@ def _evaluate_hop(
             (t, _hop_counts(graph, t.vid, hop, mode, reverse=True))
             for t in reverse_targets
         ]
-        for bindings, multiplicity in rows:
-            joined = bindings.get(target_var)
-            source_vid = bindings[current_var].vid
+        for values, multiplicity in rows:
+            source_vid = values[current].vid
             for target, counts in counts_by_target:
                 mult = counts.get(source_vid, 0)
                 if not mult:
                     continue
-                if joined is not None and joined.vid != target.vid:
-                    continue
-                extended = dict(bindings)
-                extended[target_var] = target
-                append(BindingRow(extended, multiplicity * mult))
+                if joined is None:
+                    append((values + (target,), multiplicity * mult))
+                elif values[joined].vid == target.vid:
+                    append((values, multiplicity * mult))
         return new_rows, plan
 
     # Forward expansion; the per-source result — already restricted to
@@ -576,8 +627,8 @@ def _evaluate_hop(
         col.count("planner.hops_forward")
     acceptor = _Acceptor(ctx, hop.target, var_filters.get(target_var))
     cache: Dict[Any, List[Tuple[Vertex, int]]] = {}
-    for bindings, multiplicity in rows:
-        source_vid = bindings[current_var].vid
+    for values, multiplicity in rows:
+        source_vid = values[current].vid
         admitted = cache.get(source_vid)
         if admitted is None:
             counts = _hop_counts(graph, source_vid, hop, mode)
@@ -586,13 +637,11 @@ def _evaluate_hop(
                 for vid, mult in counts.items()
                 if (target := acceptor[vid]) is not None
             ]
-        joined = bindings.get(target_var)
         for target, mult in admitted:
-            if joined is not None and joined.vid != target.vid:
-                continue
-            extended = dict(bindings)
-            extended[target_var] = target
-            append(BindingRow(extended, multiplicity * mult))
+            if joined is None:
+                append((values + (target,), multiplicity * mult))
+            elif values[joined].vid == target.vid:
+                append((values, multiplicity * mult))
     return new_rows, plan
 
 
@@ -602,9 +651,10 @@ def _reverse_targets(
     rows: List[BindingRow],
     mode: EngineMode,
     var_filters: Dict[str, List[Any]],
-    current_var: str,
+    current: int,
 ) -> Optional[List[Vertex]]:
-    """Decide whether to evaluate a multi-edge hop from the target side.
+    """Decide whether to evaluate a multi-edge hop from the target side
+    (``current``: the slot holding each row's hop source).
 
     Applies when the hop's target variable carries pushed-down filters
     that pin it to at most as many vertices as there are distinct hop
@@ -618,32 +668,36 @@ def _reverse_targets(
     if passes is None or not rows:
         return None
     targets = [v for v in hop.target.candidates(ctx) if passes(v)]
-    distinct_sources = {row.bindings[current_var].vid for row in rows}
+    distinct_sources = {values[current].vid for values, _ in rows}
     if len(targets) <= len(distinct_sources):
         return targets
     return None
 
 
-def _join(left: List[BindingRow], right: List[BindingRow]) -> List[BindingRow]:
-    """Natural join of two chains' rows on their shared variables,
-    multiplying multiplicities."""
-    if not left or not right:
-        return []
-    shared = sorted(set(left[0].bindings) & set(right[0].bindings))
-
-    def key(row: BindingRow) -> Tuple:
-        return tuple(_join_key(row.bindings[name]) for name in shared)
+def _join(left: BindingTable, right: BindingTable) -> BindingTable:
+    """Natural join of two chains' tables on their shared variables,
+    multiplying multiplicities; laid out as the left variables followed
+    by the right-only ones."""
+    left_vars, right_vars = left.variables, right.variables
+    added = [i for i, name in enumerate(right_vars) if name not in left_vars]
+    variables = left_vars + [right_vars[i] for i in added]
+    if not left.rows or not right.rows:
+        return BindingTable(variables, [])
+    shared = sorted(set(left_vars) & set(right_vars))
+    left_key = [left_vars.index(name) for name in shared]
+    right_key = [right_vars.index(name) for name in shared]
 
     buckets: Dict[Tuple, List[BindingRow]] = {}
-    for row in right:
-        buckets.setdefault(key(row), []).append(row)
+    for values, multiplicity in right.rows:
+        key = tuple([_join_key(values[i]) for i in right_key])
+        extra = tuple([values[i] for i in added])
+        buckets.setdefault(key, []).append((extra, multiplicity))
     out: List[BindingRow] = []
-    for lrow in left:
-        for rrow in buckets.get(key(lrow), ()):
-            bindings = dict(lrow.bindings)
-            bindings.update(rrow.bindings)
-            out.append(BindingRow(bindings, lrow.multiplicity * rrow.multiplicity))
-    return out
+    for values, multiplicity in left.rows:
+        key = tuple([_join_key(values[i]) for i in left_key])
+        for extra, right_multiplicity in buckets.get(key, ()):
+            out.append((values + extra, multiplicity * right_multiplicity))
+    return BindingTable(variables, out)
 
 
 def _join_key(value: Any) -> Any:
@@ -660,13 +714,14 @@ def evaluate_pattern(
     mode: EngineMode,
     var_filters: Optional[Dict[str, List[Any]]] = None,
 ) -> BindingTable:
-    """Evaluate a FROM-clause pattern to its compressed binding table.
+    """Evaluate a FROM-clause pattern to its compressed binding table,
+    laid out over ``pattern.variables()``.
 
     ``var_filters`` maps pattern variables to pushed-down single-variable
     WHERE conjuncts (see :mod:`repro.core.planner`); they are applied as
     each variable is bound.
     """
-    rows: Optional[List[BindingRow]] = None
+    table: Optional[BindingTable] = None
     filters = var_filters or {}
     for chain in pattern.chains:
         if not isinstance(chain, TableSource) and _is_table_conjunct(ctx, chain):
@@ -676,16 +731,19 @@ def evaluate_pattern(
             chain = TableSource(chain.source.name, chain.source.var)
         if isinstance(chain, TableSource):
             passes = _bind_filters(ctx, chain.var, filters.get(chain.var))
-            chain_rows = [
-                BindingRow({chain.var: row}, 1)
-                for row in chain.rows(ctx)
-                if passes is None or passes(row)
-            ]
+            matched = BindingTable(
+                [chain.var],
+                [
+                    ((row,), 1)
+                    for row in chain.rows(ctx)
+                    if passes is None or passes(row)
+                ],
+            )
         else:
-            chain_rows = evaluate_chain(ctx, chain, mode, filters)
-        rows = chain_rows if rows is None else _join(rows, chain_rows)
-    assert rows is not None
-    return BindingTable(pattern.variables(), rows)
+            matched = evaluate_chain(ctx, chain, mode, filters)
+        table = matched if table is None else _join(table, matched)
+    assert table is not None
+    return table
 
 
 def _is_table_conjunct(ctx: QueryContext, chain: Chain) -> bool:

@@ -354,8 +354,11 @@ class Print(Statement):
             if isinstance(item, PrintSetProjection):
                 vset = ctx.vertex_set(item.set_name)
                 rows = []
+                # One environment whose one slot — the set name — is
+                # re-pointed at each vertex.
+                env = EvalEnv(ctx, {item.set_name: None})
                 for vertex in vset:
-                    env = EvalEnv(ctx, {item.set_name: vertex})
+                    env.row = (vertex,)
                     rows.append(
                         {col.alias: col.expr.eval(env) for col in item.columns}
                     )

@@ -265,13 +265,14 @@ def foreach_items(value: Any) -> List[Any]:
 
 
 def run_post_accum(
-    statements: List[Tuple[AccStatement, List[str]]],
+    statements: List[Tuple[AccStatement, List[int]]],
     ctx: QueryContext,
     rows: List,
     primed: Dict[str, Dict[Any, Any]],
 ) -> None:
-    """Execute a POST_ACCUM clause of ``(statement, dependency vars)``
-    pairs — the pattern variables each statement references, sorted.
+    """Execute a POST_ACCUM clause of ``(statement, dependency slots)``
+    pairs — the row slots of the pattern variables each statement
+    references (its expressions are lowered under the block's scope).
 
     Statement-major, once per *distinct* binding of those variables
     (GSQL's POST-ACCUM is per-vertex, not per-row — multiplicities do
@@ -285,13 +286,14 @@ def run_post_accum(
     col = ec.col
     san = ec.san
     buffer = InputBuffer()
+    locals_: Dict[str, Any] = {}
+    env = EvalEnv(ctx, None, locals_, primed)
     for stmt, deps in statements:
         executions = _distinct_projections(rows, deps)
         if col is not None:
             col.count("block.post_accum_executions", len(executions))
-        locals_: Dict[str, Any] = {}
-        for binding in executions:
-            env = EvalEnv(ctx, binding, locals_, primed)
+        for values in executions:
+            env.row = values
             locals_.clear()
             _run_post_statement(stmt, ctx, env, buffer, san)
     if san is not None:
@@ -367,23 +369,27 @@ def _run_post_statement(
         buffer.add(acc, value, 1)
 
 
-def _distinct_projections(rows: List, variables: List[str]) -> List[Dict[str, Any]]:
-    """Distinct projections of binding rows onto some variables.
+def _distinct_projections(rows: List, slots: List[int]) -> List[Tuple[Any, ...]]:
+    """One representative row (its values) per distinct projection of the
+    binding rows onto ``slots`` — the first, in row order.
 
-    With no variables the statement is global and executes exactly once
+    With no slots the statement is global and executes exactly once
     (provided the binding table is non-empty).
     """
-    if not variables:
-        return [{}] if rows else []
+    if not slots:
+        return [rows[0][0]] if rows else []
     seen = set()
-    out: List[Dict[str, Any]] = []
-    for row in rows:
-        bindings = row.bindings
-        key = tuple(_identity(bindings.get(v)) for v in variables)
+    out: List[Tuple[Any, ...]] = []
+    only = slots[0] if len(slots) == 1 else None
+    for values, _ in rows:
+        if only is not None:  # the per-vertex statement: no key tuple
+            key = _identity(values[only])
+        else:
+            key = tuple([_identity(values[slot]) for slot in slots])
         if key in seen:
             continue
         seen.add(key)
-        out.append({v: bindings[v] for v in variables if v in bindings})
+        out.append(values)
     return out
 
 

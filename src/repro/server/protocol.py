@@ -18,7 +18,9 @@ from __future__ import annotations
 import enum
 from typing import Any, Dict, NamedTuple, Optional
 
+from ..core.values import Table, VertexSet
 from ..governor.budget import AbortReason
+from ..graph.elements import Vertex
 
 
 class OutcomeKind(enum.Enum):
@@ -209,9 +211,6 @@ def jsonify(value: Any) -> Any:
     their ``name`` attribute (falling back to the vid), containers
     recurse, everything else unknown falls back to ``str``.
     """
-    from ..core.values import Table, VertexSet
-    from ..graph.elements import Vertex
-
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, Table):

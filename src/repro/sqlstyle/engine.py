@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from ..core.context import QueryContext
-from ..core.exprs import EvalEnv, Expr
+from ..core.exprs import EvalEnv, Expr, Scope
 from ..core.pattern import EngineMode, Pattern, evaluate_pattern
 from ..errors import EvaluationBudgetExceeded
 from ..graph.graph import Graph
@@ -44,21 +44,23 @@ def materialize_match_table(
     table = evaluate_pattern(ctx, pattern, mode)
     out = MatchTable()
     total = 0
-    where_fn = where.closure()[0] if where is not None else None
-    column_fns = [(name, expr.closure()[0]) for name, expr in columns.items()]
-    for binding_row in table:
-        env = EvalEnv(ctx, binding_row.bindings)
+    scope = Scope(table.variables)
+    where_fn = where.closure(scope)[0] if where is not None else None
+    column_fns = [(name, expr.closure(scope)[0]) for name, expr in columns.items()]
+    env = EvalEnv(ctx)
+    for values, multiplicity in table:
+        env.row = values
         if where_fn is not None and not where_fn(env):
             continue
         row: Row = {name: fn(env) for name, fn in column_fns}
-        total += binding_row.multiplicity
+        total += multiplicity
         if max_rows is not None and total > max_rows:
             raise EvaluationBudgetExceeded(
                 f"uncompressed match table exceeds {max_rows} rows; "
                 f"this is the blow-up the compressed binding table avoids",
                 expanded=total,
             )
-        for _ in range(binding_row.multiplicity):
+        for _ in range(multiplicity):
             out.append(dict(row))
     return out
 

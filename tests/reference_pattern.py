@@ -1,0 +1,200 @@
+"""The dict-row pattern matcher the engine ran before binding rows became
+slot tuples, kept as the oracle of ``test_core_pattern_differential.py``.
+
+Rows here are ``(bindings dict, multiplicity)``: a hop extends a row by
+copying its dict, a repeated variable is found by name, chains are joined
+on the names their dicts share.  Everything that is *not* the row
+representation — the bind stage (``_bind_filters``, ``_Acceptor``), the
+per-hop counting (``_hop_counts``), the obs touchpoints — is the shipped
+code, called at the places the old loops called it, so a difference
+between the two matchers is a difference in how rows are built, ordered
+or joined.
+"""
+
+from repro import _exec
+from repro.core.pattern import (
+    EngineMode,
+    TableSource,
+    _Acceptor,
+    _bind_filters,
+    _hop_counts,
+    _is_table_conjunct,
+    _join_key,
+)
+
+
+def evaluate_chain(ctx, chain, mode, var_filters=None):
+    graph = ctx.graph
+    var_filters = var_filters or {}
+    col = _exec.current().col
+    current_var = chain.source.var
+    passes = _bind_filters(ctx, current_var, var_filters.get(current_var))
+    rows = [
+        ({current_var: v}, 1)
+        for v in chain.source.seed(ctx)
+        if passes is None or passes(v)
+    ]
+    if col is not None:
+        col.count("pattern.seed_vertices", len(rows))
+    for hop in chain.hops:
+        if col is not None:
+            hop_span = col.span(
+                "hop",
+                label=f"hop -({hop.darpe.text})- {hop.target!r}",
+                rows_in=len(rows),
+            )
+        try:
+            new_rows, plan = _evaluate_hop(
+                ctx, graph, hop, rows, mode, var_filters, current_var, col
+            )
+        finally:
+            if col is not None:
+                col.close(hop_span)
+        if col is not None:
+            hop_span.set(
+                plan=plan,
+                rows_out=len(new_rows),
+                multiplicity_out=sum(m for _, m in new_rows),
+            )
+        rows = new_rows
+        current_var = hop.target.var
+    return rows
+
+
+def _evaluate_hop(ctx, graph, hop, rows, mode, var_filters, current_var, col):
+    new_rows = []
+    append = new_rows.append
+    target_var = hop.target.var
+    if hop.is_single_symbol:
+        plan = "adjacency"
+        symbol = hop.darpe.ast
+        acceptor = _Acceptor(ctx, hop.target, var_filters.get(target_var))
+        edge_var = hop.edge_var
+        edge_passes = (
+            _bind_filters(ctx, edge_var, var_filters.get(edge_var))
+            if edge_var is not None
+            else None
+        )
+        direction, etype = symbol.direction, symbol.edge_type
+        for bindings, multiplicity in rows:
+            joined = bindings.get(target_var)
+            by_type = graph.buckets(bindings[current_var].vid)[direction]
+            buckets = by_type.values() if etype is None else (by_type.get(etype, ()),)
+            for bucket in buckets:
+                for step in bucket:
+                    target = acceptor[step.neighbor]
+                    if target is None:
+                        continue
+                    if edge_passes is not None and not edge_passes(step.edge):
+                        continue
+                    if joined is not None and joined.vid != target.vid:
+                        continue
+                    extended = dict(bindings)
+                    extended[target_var] = target
+                    if edge_var is not None:
+                        extended[edge_var] = step.edge
+                    append((extended, multiplicity))
+        return new_rows, plan
+
+    reverse_targets = _reverse_targets(
+        ctx, hop, rows, mode, var_filters, current_var
+    )
+    if reverse_targets is not None:
+        plan = f"{mode.kind}-reversed"
+        if col is not None:
+            col.count("planner.hops_reversed")
+        counts_by_target = [
+            (t, _hop_counts(graph, t.vid, hop, mode, reverse=True))
+            for t in reverse_targets
+        ]
+        for bindings, multiplicity in rows:
+            joined = bindings.get(target_var)
+            source_vid = bindings[current_var].vid
+            for target, counts in counts_by_target:
+                mult = counts.get(source_vid, 0)
+                if not mult:
+                    continue
+                if joined is not None and joined.vid != target.vid:
+                    continue
+                extended = dict(bindings)
+                extended[target_var] = target
+                append((extended, multiplicity * mult))
+        return new_rows, plan
+
+    plan = "sdmc-counting" if mode.kind == EngineMode.COUNTING else "enumeration"
+    if col is not None:
+        col.count("planner.hops_forward")
+    acceptor = _Acceptor(ctx, hop.target, var_filters.get(target_var))
+    cache = {}
+    for bindings, multiplicity in rows:
+        source_vid = bindings[current_var].vid
+        admitted = cache.get(source_vid)
+        if admitted is None:
+            counts = _hop_counts(graph, source_vid, hop, mode)
+            admitted = cache[source_vid] = [
+                (target, mult)
+                for vid, mult in counts.items()
+                if (target := acceptor[vid]) is not None
+            ]
+        joined = bindings.get(target_var)
+        for target, mult in admitted:
+            if joined is not None and joined.vid != target.vid:
+                continue
+            extended = dict(bindings)
+            extended[target_var] = target
+            append((extended, multiplicity * mult))
+    return new_rows, plan
+
+
+def _reverse_targets(ctx, hop, rows, mode, var_filters, current_var):
+    if mode.kind != EngineMode.ENUMERATION:
+        return None
+    passes = _bind_filters(ctx, hop.target.var, var_filters.get(hop.target.var))
+    if passes is None or not rows:
+        return None
+    targets = [v for v in hop.target.candidates(ctx) if passes(v)]
+    distinct_sources = {bindings[current_var].vid for bindings, _ in rows}
+    if len(targets) <= len(distinct_sources):
+        return targets
+    return None
+
+
+def _join(left, right):
+    if not left or not right:
+        return []
+    shared = sorted(set(left[0][0]) & set(right[0][0]))
+
+    def key(bindings):
+        return tuple(_join_key(bindings[name]) for name in shared)
+
+    buckets = {}
+    for row in right:
+        buckets.setdefault(key(row[0]), []).append(row)
+    out = []
+    for bindings, multiplicity in left:
+        for right_bindings, right_multiplicity in buckets.get(key(bindings), ()):
+            joined = dict(bindings)
+            joined.update(right_bindings)
+            out.append((joined, multiplicity * right_multiplicity))
+    return out
+
+
+def evaluate_pattern(ctx, pattern, mode, var_filters=None):
+    """``(pattern.variables(), rows)`` with dict rows."""
+    rows = None
+    filters = var_filters or {}
+    for chain in pattern.chains:
+        if not isinstance(chain, TableSource) and _is_table_conjunct(ctx, chain):
+            chain = TableSource(chain.source.name, chain.source.var)
+        if isinstance(chain, TableSource):
+            passes = _bind_filters(ctx, chain.var, filters.get(chain.var))
+            chain_rows = [
+                ({chain.var: row}, 1)
+                for row in chain.rows(ctx)
+                if passes is None or passes(row)
+            ]
+        else:
+            chain_rows = evaluate_chain(ctx, chain, mode, filters)
+        rows = chain_rows if rows is None else _join(rows, chain_rows)
+    assert rows is not None
+    return pattern.variables(), rows

@@ -213,7 +213,7 @@ class TestMergeOrder:
         pattern = Pattern(
             [chain("Customer", "c", hop("Bought>", "Product", "p"))]
         )
-        rows = evaluate_pattern(ctx, pattern, EngineMode.counting()).rows
+        rows = evaluate_pattern(ctx, pattern, EngineMode.counting())
         statements = [AccumUpdate(AccumTarget("total"), "+=", Literal(1.0))]
         cert = DeterminismCertificate(DeterminismStatus.COMMUTATIVE, ("ok",))
         with accsan.sanitize(schedules=4) as san:

@@ -22,7 +22,7 @@ from repro.core import (
 from repro.core.context import GLOBAL, VERTEX, AccumDecl
 from repro.core.explain import explain_query
 from repro.core.parallel import parallel_accum
-from repro.core.pattern import Pattern
+from repro.core.pattern import BindingTable, Pattern
 from repro.errors import QueryRuntimeError
 from repro.graph import builders
 from repro.gsql import parse_query
@@ -38,7 +38,7 @@ def _sales_setup():
     pattern = Pattern(
         [chain("Customer", "c", hop("Bought>", "Product", "p", edge_var="b"))]
     )
-    rows = evaluate_pattern(ctx, pattern, EngineMode.counting()).rows
+    rows = evaluate_pattern(ctx, pattern, EngineMode.counting())
     statements = [
         LocalAssign("amount", Binary("*", AttrRef(NameRef("b"), "quantity"),
                                      AttrRef(NameRef("p"), "price"))),
@@ -52,19 +52,23 @@ def _sales_setup():
     return ctx, rows, statements
 
 
-def _run_serial(ctx, rows, statements):
-    """The Map kernel bound to the live context + one InputBuffer, then
-    the Reduce — what a SELECT block does with an ACCUM clause."""
+def _run_serial(ctx, table, statements):
+    """The Map kernel, lowered against the table's slots, bound to the
+    live context + one InputBuffer, then the Reduce — what a SELECT
+    block does with an ACCUM clause."""
     from repro.compile import CompileStats
     from repro.compile.lowering import compile_accum_clause
-    from repro.core.exprs import EvalEnv
+    from repro.core.exprs import EvalEnv, Scope
     from repro.core.stmts import InputBuffer
 
     buffer = InputBuffer()
-    kernel = compile_accum_clause(statements, {}, CompileStats())(ctx, buffer)
-    locals_ = {}
-    for row in rows:
-        kernel(EvalEnv(ctx, row.bindings, locals_), row.multiplicity)
+    kernel = compile_accum_clause(
+        statements, {}, CompileStats(), Scope(table.variables)
+    )(ctx, buffer)
+    env = EvalEnv(ctx)
+    for values, multiplicity in table.rows:
+        env.row = values
+        kernel(env, multiplicity)
     buffer.flush()
     return ctx
 
@@ -153,7 +157,7 @@ class TestParallelAccum:
         ctx.declare(AccumDecl("trace", GLOBAL, ListAccum))
         statements = [AccumUpdate(AccumTarget("trace"), "+=", Literal(1))]
         with pytest.raises(QueryRuntimeError, match="order-dependent"):
-            parallel_accum(ctx, statements, [], partitions=2)
+            parallel_accum(ctx, statements, BindingTable([], []), partitions=2)
 
     def test_plain_assignment_rejected(self):
         ctx, rows, _ = _sales_setup()
@@ -194,7 +198,7 @@ class TestParallelAccum:
 
         rows = evaluate_pattern(
             fresh_ctx(), block.pattern, EngineMode.counting()
-        ).rows
+        )
         return fresh_ctx, rows, block.accum, block.effect_certificate
 
     @pytest.mark.parametrize("use_threads", [False, True])

@@ -20,6 +20,16 @@ def table_for(graph, pattern, mode=None, params=None, vertex_sets=None):
     return ctx, evaluate_pattern(ctx, pattern, mode or EngineMode.counting())
 
 
+def vids(table, *names):
+    """Per row, the vertex ids bound to ``names`` (read through the
+    table's slot positions) followed by the row's multiplicity."""
+    slots = [table.slot(name) for name in names]
+    return [
+        tuple(values[slot].vid for slot in slots) + (multiplicity,)
+        for values, multiplicity in table.rows
+    ]
+
+
 class TestSingleEdgeHops:
     def test_binds_edge_variable(self):
         g = builders.sales_graph()
@@ -28,9 +38,10 @@ class TestSingleEdgeHops:
         )
         ctx, table = table_for(g, pattern)
         assert len(table) == 9  # one row per purchase
-        row = table.rows[0]
-        assert row.bindings["b"].type == "Bought"
-        assert row.multiplicity == 1
+        values, multiplicity = table.rows[0]
+        assert table.variables == ["c", "b", "p"]
+        assert values[table.slot("b")].type == "Bought"
+        assert multiplicity == 1
 
     def test_reverse_direction(self):
         g = builders.sales_graph()
@@ -46,10 +57,7 @@ class TestSingleEdgeHops:
         pattern = Pattern([chain("V", "x", hop("K", "V", "y"))])
         _, table = table_for(g, pattern)
         # both orientations of the undirected edge
-        ends = sorted(
-            (r.bindings["x"].vid, r.bindings["y"].vid) for r in table.rows
-        )
-        assert ends == [("a", "b"), ("b", "a")]
+        assert sorted(vids(table, "x", "y")) == [("a", "b", 1), ("b", "a", 1)]
 
     def test_edge_var_on_kleene_rejected(self):
         with pytest.raises(QueryCompileError, match="single-edge"):
@@ -67,10 +75,7 @@ class TestMultiplicities:
         g = builders.diamond_chain(6)
         pattern = Pattern([chain("V", "s", hop("E>*", "V", "t"))])
         _, table = table_for(g, pattern)
-        by_pair = {
-            (r.bindings["s"].vid, r.bindings["t"].vid): r.multiplicity
-            for r in table.rows
-        }
+        by_pair = {(s, t): mult for s, t, mult in vids(table, "s", "t")}
         assert by_pair[("v0", "v6")] == 64
         assert by_pair[("v0", "v3")] == 8
 
@@ -87,14 +92,12 @@ class TestMultiplicities:
             [chain("V", "s", hop("E>*", "V", "m"), hop("E>*", "V", "t"))]
         )
         _, table = table_for(g, pattern)
-        rows = [
-            r
-            for r in table.rows
-            if r.bindings["s"].vid == "v0"
-            and r.bindings["m"].vid == "v2"
-            and r.bindings["t"].vid == "v4"
+        matches = [
+            mult
+            for *smt, mult in vids(table, "s", "m", "t")
+            if smt == ["v0", "v2", "v4"]
         ]
-        assert [r.multiplicity for r in rows] == [16]  # 4 * 4
+        assert matches == [16]  # 4 * 4
 
 
 class TestJoins:
@@ -113,13 +116,8 @@ class TestJoins:
             ]
         )
         _, table = table_for(g, pattern)
-        assert len(table) == 1
-        bindings = table.rows[0].bindings
-        assert (bindings["a"].vid, bindings["b"].vid, bindings["c"].vid) == (
-            "a",
-            "b",
-            "c",
-        )
+        assert table.variables == ["a", "b", "c"]
+        assert vids(table, "a", "b", "c") == [("a", "b", "c", 1)]
 
     def test_repeated_variable_within_chain(self):
         """x -E-> y -E-> x: the returning hop must rebind x identically."""
@@ -134,8 +132,8 @@ class TestJoins:
             [Chain(VertexSpec("V", "x"), [hop("E>", "V", "y"), hop("E>", "V", "x")])]
         )
         _, table = table_for(g, pattern)
-        pairs = sorted((r.bindings["x"].vid, r.bindings["y"].vid) for r in table.rows)
-        assert pairs == [(1, 2), (2, 1)]
+        assert table.variables == ["x", "y"]  # the repeated x keeps its one slot
+        assert sorted(vids(table, "x", "y")) == [(1, 2, 1), (2, 1, 1)]
 
     def test_join_multiplicities_multiply(self):
         g = builders.diamond_chain(3)
@@ -146,10 +144,7 @@ class TestJoins:
             ]
         )
         _, table = table_for(g, pattern)
-        by_pair = {
-            (r.bindings["s"].vid, r.bindings["t"].vid): r.multiplicity
-            for r in table.rows
-        }
+        by_pair = {(s, t): mult for s, t, mult in vids(table, "s", "t")}
         assert by_pair[("v0", "v3")] == 64  # 8 * 8
 
 
@@ -159,14 +154,13 @@ class TestVertexSpecs:
         seed = [g.vertex("c0"), g.vertex("c1")]
         pattern = Pattern([chain("S", "c", hop("Bought>", "Product", "p"))])
         _, table = table_for(g, pattern, vertex_sets={"S": seed})
-        sources = {r.bindings["c"].vid for r in table.rows}
-        assert sources == {"c0", "c1"}
+        assert {c for c, _ in vids(table, "c")} == {"c0", "c1"}
 
     def test_param_pins_source(self):
         g = builders.sales_graph()
         pattern = Pattern([chain("Customer", "c", hop("Bought>", "Product", "p"))])
         _, table = table_for(g, pattern, params={"c": g.vertex("c2")})
-        assert {r.bindings["c"].vid for r in table.rows} == {"c2"}
+        assert {c for c, _ in vids(table, "c")} == {"c2"}
 
     def test_wildcard_source(self):
         g = builders.sales_graph()
@@ -193,16 +187,14 @@ class TestEngineModes:
         g = builders.example9_graph()
         pattern = Pattern([chain("V", "s", hop("E>*", "V", "t"))])
         ctx, counting = table_for(g, pattern, params={"s": g.vertex(1)})
-        c_mult = {
-            r.bindings["t"].vid: r.multiplicity for r in counting.rows
-        }
+        c_mult = dict(vids(counting, "t"))
         _, enumerated = table_for(
             g,
             pattern,
             mode=EngineMode.enumeration(PathSemantics.NO_REPEATED_EDGE),
             params={"s": g.vertex(1)},
         )
-        e_mult = {r.bindings["t"].vid: r.multiplicity for r in enumerated.rows}
+        e_mult = dict(vids(enumerated, "t"))
         assert c_mult[5] == 2
         assert e_mult[5] == 4
 
@@ -211,8 +203,7 @@ class TestEngineModes:
         pattern = Pattern([chain("V", "s", hop("E>*", "V", "t"))])
         ctx = QueryContext(g, {"s": g.vertex(0)})
         table = evaluate_pattern(ctx, pattern, EngineMode.counting(max_length=2))
-        targets = {r.bindings["t"].vid for r in table.rows}
-        assert targets == {0, 1, 2}
+        assert {t for t, _ in vids(table, "t")} == {0, 1, 2}
 
     def test_pattern_has_kleene(self):
         assert Pattern([chain("V", "s", hop("E>*", "V", "t"))]).has_kleene()
@@ -236,12 +227,7 @@ class TestHopKernel:
         monkeypatch.setitem(_FUNCTIONS, "seen", seen)
         return Call("seen", [NameRef(var)]), calls
 
-    @staticmethod
-    def triples(table, *names):
-        return [
-            tuple(r.bindings[n].vid for n in names) + (r.multiplicity,)
-            for r in table.rows
-        ]
+    triples = staticmethod(vids)
 
     def test_target_filter_runs_once_per_distinct_vertex(self, monkeypatch):
         g = builders.sales_graph()
@@ -330,7 +316,8 @@ class TestHopKernel:
         bought = {c: g.outdegree(c, "Bought") for c in ("c0", "c1", "c2", "c3")}
         assert len(calls) == sum(d * d for d in bought.values()) == 21
         assert len(set(calls)) == 9
-        assert table.rows and all(r.bindings["b"]["quantity"] > 1 for r in table.rows)
+        b = table.slot("b")
+        assert table.rows and all(values[b]["quantity"] > 1 for values, _ in table.rows)
 
     def test_raising_filter_surfaces_on_first_encounter(self, monkeypatch):
         g = builders.sales_graph()

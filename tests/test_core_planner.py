@@ -117,7 +117,8 @@ class TestPushdownInEvaluation:
             EngineMode.counting(),
             var_filters={"s": [name_eq("s", "name", "v0")]},
         )
-        assert {r.bindings["s"].vid for r in filtered.rows} == {"v0"}
+        s = filtered.slot("s")
+        assert {values[s].vid for values, _ in filtered.rows} == {"v0"}
 
     def test_edge_filter_applied(self):
         g = builders.sales_graph()
@@ -133,7 +134,8 @@ class TestPushdownInEvaluation:
                 "b": [Binary(">", AttrRef(NameRef("b"), "quantity"), Literal(1))]
             },
         )
-        assert all(r.bindings["b"]["quantity"] > 1 for r in table.rows)
+        b = table.slot("b")
+        assert all(values[b]["quantity"] > 1 for values, _ in table.rows)
 
     def test_reversal_keeps_enumeration_tractable_in_n(self):
         """On the full 30-diamond graph, counting paths to v10 under trail
@@ -154,8 +156,9 @@ class TestPushdownInEvaluation:
                 "t": [name_eq("t", "name", "v10")],
             },
         )
-        rows = [r for r in table.rows if r.bindings["t"].vid == "v10"]
-        assert rows[0].multiplicity == 1024
+        t = table.slot("t")
+        found = [mult for values, mult in table.rows if values[t].vid == "v10"]
+        assert found[0] == 1024
 
     def test_forward_used_when_target_unpinned(self):
         g = builders.diamond_chain(6)
@@ -166,16 +169,14 @@ class TestPushdownInEvaluation:
             ctx, pattern, mode,
             var_filters={"s": [name_eq("s", "name", "v0")]},
         )
-        by_target = {
-            r.bindings["t"].vid: r.multiplicity
-            for r in table.rows
-        }
+        t = table.slot("t")
+        by_target = {values[t].vid: mult for values, mult in table.rows}
         assert by_target["v6"] == 64
 
     def test_pushdown_equivalent_to_post_filter(self):
         """Pushdown must never change results, only cost: pin s to vertex
         1 both ways and compare the full binding tables."""
-        from repro.core.exprs import EvalEnv, Method
+        from repro.core.exprs import EvalEnv, Method, Scope
 
         g = builders.example9_graph()
         pattern = Pattern([chain("V", "s", hop("E>*", "V", "t"))])
@@ -185,12 +186,13 @@ class TestPushdownInEvaluation:
 
         pushed = evaluate_pattern(ctx, pattern, mode, var_filters={"s": [pin]})
         full = evaluate_pattern(ctx, pattern, mode)
-        post = [r for r in full.rows if pin.eval(EvalEnv(ctx, r.bindings))]
+        pinned = pin.closure(Scope(full.variables))[0]
+        post = [row for row in full.rows if pinned(EvalEnv(ctx, row[0]))]
+        s, t = full.slot("s"), full.slot("t")
 
         def pairs(rows):
             return sorted(
-                (r.bindings["s"].vid, r.bindings["t"].vid, r.multiplicity)
-                for r in rows
+                (values[s].vid, values[t].vid, mult) for values, mult in rows
             )
 
         assert pairs(pushed.rows) == pairs(post)

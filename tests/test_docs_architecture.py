@@ -124,6 +124,37 @@ class TestCompilationDocs:
             for gone in ("_passes_filters", "step_over", "VertexSpec.allows"):
                 assert gone not in text, f"{page.name} still mentions {gone!r}"
 
+    def test_docs_describe_slot_rows_and_scopes(self):
+        """Binding rows are slot tuples and names are resolved at
+        lowering: the compilation page says what is decided when, and no
+        page keeps describing dict rows or a per-row environment."""
+        def flat(page):  # needles must survive re-wrapping
+            return " ".join(page.read_text().split())
+
+        compilation = flat(DOCS / "compilation.md")
+        for needle in (
+            "## Slots and scopes",
+            "**Decided at lowering.**",
+            "**Stays dynamic, and why.**",
+            "**The shadowing rule**",
+            "ACCUM-local > pattern variable > parameter > vertex set > table",
+            "**One environment per phase.**",
+            "`values + (target,)`",
+            "level-at-a-time",
+            "tests/test_core_name_resolution.py",
+        ):
+            assert needle in compilation, f"docs/compilation.md lost {needle!r}"
+        architecture = flat(DOCS / "architecture.md")
+        for needle in ("`(values, multiplicity)`", "one slot per pattern variable"):
+            assert needle in architecture, f"docs/architecture.md lost {needle!r}"
+        for page in [REPO / "README.md", *sorted(DOCS.glob("*.md"))]:
+            text = flat(page)
+            for gone in (
+                ".bindings[", "fresh `EvalEnv` per row",
+                "fresh environment per row", "one `BindingRow` per",
+            ):
+                assert gone not in text, f"{page.name} still mentions {gone!r}"
+
     def test_docs_describe_per_context_activation(self):
         """The collector, governor and sanitizer are per-context state in
         one record; only the fault plan is process-wide; thread workers

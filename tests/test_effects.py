@@ -354,7 +354,7 @@ class TestParallelGating:
         pattern = Pattern(
             [chain("Customer", "c", hop("Bought>", "Product", "p"))]
         )
-        rows = evaluate_pattern(ctx, pattern, EngineMode.counting()).rows
+        rows = evaluate_pattern(ctx, pattern, EngineMode.counting())
         statements = [AccumUpdate(AccumTarget("total"), "+=", Literal(1.0))]
         return ctx, rows, statements
 

@@ -49,10 +49,11 @@ def pair_counts(graph, mode, darpe="E>*"):
     ctx = QueryContext(graph)
     pattern = Pattern([chain("V", "s", hop(darpe, "V", "t"))])
     table = evaluate_pattern(ctx, pattern, mode)
+    s, t = table.slot("s"), table.slot("t")
     out = {}
-    for row in table.rows:
-        key = (row.bindings["s"].vid, row.bindings["t"].vid)
-        out[key] = out.get(key, 0) + row.multiplicity
+    for values, multiplicity in table.rows:
+        key = (values[s].vid, values[t].vid)
+        out[key] = out.get(key, 0) + multiplicity
     return out
 
 
@@ -97,10 +98,11 @@ class TestPatternLevelEquivalence:
             table = evaluate_pattern(
                 QueryContext(graph), pattern, mode, var_filters={"t": [keep]}
             )
+            slots = [table.slot(v) for v in ("s", "m", "t")]
             out = {}
-            for row in table.rows:
-                key = tuple(row.bindings[v].vid for v in ("s", "m", "t"))
-                out[key] = out.get(key, 0) + row.multiplicity
+            for values, multiplicity in table.rows:
+                key = tuple(values[slot].vid for slot in slots)
+                out[key] = out.get(key, 0) + multiplicity
             return out
 
         counted = triple_counts(EngineMode.counting())

@@ -288,7 +288,7 @@ class TestParallelWorkerFaults:
         ctx = QueryContext(graph)
         ctx.declare(AccumDecl("total", GLOBAL, lambda: SumAccum(0)))
         pattern = Pattern([chain("V", "s", hop("E>", "V", "t"))])
-        rows = evaluate_pattern(ctx, pattern, EngineMode.counting()).rows
+        rows = evaluate_pattern(ctx, pattern, EngineMode.counting())
         statements = [AccumUpdate(AccumTarget("total"), "+=", Literal(1))]
         return ctx, rows, statements
 
@@ -343,7 +343,7 @@ class TestParallelWorkerFaults:
         gov = ExecutionGovernor(Budget(max_acc_executions=0))
 
         class _AbortingExpr:
-            def closure(self):
+            def closure(self, scope):
                 def run(env):
                     gov.charge_acc_executions(1)
                     return 1

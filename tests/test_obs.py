@@ -200,7 +200,7 @@ class TestAccumCounters:
         assert col.counter("accum.weighted_fallback_combines") == 0
 
     def test_parallel_merge_counter(self):
-        from repro.core.pattern import BindingRow
+        from repro.core.pattern import BindingTable
         from repro.core.stmts import AccumTarget, AccumUpdate
         from repro.core.exprs import Literal
 
@@ -208,7 +208,7 @@ class TestAccumCounters:
         ctx = QueryContext(graph, {})
         ctx.declare(AccumDecl("total", GLOBAL, SumAccum))
         stmt = AccumUpdate(AccumTarget("total"), "+=", Literal(1))
-        rows = [BindingRow({}, 1) for _ in range(8)]
+        rows = BindingTable([], [((), 1)] * 8)
         with collect() as col:
             parallel_accum(ctx, [stmt], rows, partitions=4)
         assert ctx.global_accum("total").value == 8
