@@ -12,8 +12,11 @@ This script enforces both:
    work a worker does, with no service around it) against the full
    service path (``QueryService.submit`` over a 1-thread pool:
    admission + dispatch queue + reply collection + outcome assembly)
-   on the E1 counting workload, and asserts the per-request dispatch
-   overhead stays under an absolute envelope, and
+   and against what ships — a whole loopback HTTP exchange through
+   ``HttpServer`` on port 0 (connect, ``POST /query``, read to EOF, with
+   the end-to-end benchmark's client) —
+   on the E1 counting workload, and asserts each per-request overhead
+   stays under its absolute envelope, and
 2. compares the outcome taxonomy (kind -> HTTP status + retryability),
    the ``server.*`` fault sites, the default budget-class table and the
    exit-code catalog against ``benchmarks/server_baseline.json`` so a
@@ -29,8 +32,8 @@ loosen when the measured query gets slower.
 Exit status 0 = within budget, 1 = overhead / baseline failure.
 Refresh the baseline with ``--write-baseline``.
 
-Usage:  python benchmarks/check_server_overhead.py [--budget-ms 25]
-        [--requests 60] [--write-baseline]
+Usage:  python benchmarks/check_server_overhead.py [--budget-ms 2]
+        [--http-budget-ms 3] [--requests 60] [--write-baseline]
 """
 
 import argparse
@@ -40,11 +43,14 @@ import sys
 import time
 from pathlib import Path
 
+from e2e.harness import http_request  # the end-to-end benchmark's own client
+
 from repro.errors import exit_code_catalog
 from repro.governor.faults import SITES
 from repro.graph import builders
 from repro.server import QueryRequest, QueryService, RetryPolicy, taxonomy
 from repro.server.admission import default_classes
+from repro.server.app import HttpServer
 from repro.server.pool import execute_job
 from repro.server.protocol import Job
 
@@ -84,8 +90,9 @@ def current_surface():
     }
 
 
-def measure_dispatch_overhead(requests):
-    """Median per-request time: bare pipeline vs full service path."""
+def measure_overheads(requests):
+    """Median per-request times: the bare pipeline, ``submit`` and a
+    whole HTTP exchange, interleaved so drift hits all three alike."""
     graphs = {"default": builders.diamond_chain(6)}
     params = {"srcName": "v0", "tgtName": "v5"}
 
@@ -100,6 +107,8 @@ def measure_dispatch_overhead(requests):
         pool_mode="thread",
         retry=RetryPolicy(max_attempts=1),
     )
+    server = HttpServer(service, port=0)
+    server.start()
 
     def served(i):
         doc = service.submit(
@@ -107,22 +116,28 @@ def measure_dispatch_overhead(requests):
         )
         assert doc["outcome"] == "ok", doc
 
+    def exchanged(i):
+        body = json.dumps(
+            {"query": QN, "params": params, "request_id": f"http-{i}"}
+        ).encode("utf-8")
+        reply = http_request(server.port, "POST", "/query", body)
+        assert reply.status == 200, reply
+
+    paths = (bare, served, exchanged)
     try:
-        # Warm both paths (parser caches, pool threads, planner).
+        # Warm every path (parser caches, pool and handler threads, planner).
         for i in range(5):
-            bare(i)
-            served(i)
-        bare_times, served_times = [], []
+            for path in paths:
+                path(i)
+        times = {path: [] for path in paths}
         for i in range(requests):
-            start = time.perf_counter()
-            bare(i)
-            bare_times.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            served(i)
-            served_times.append(time.perf_counter() - start)
+            for path in paths:
+                start = time.perf_counter()
+                path(i)
+                times[path].append(time.perf_counter() - start)
     finally:
-        service.shutdown(grace=5.0)
-    return statistics.median(bare_times), statistics.median(served_times)
+        server.stop(grace=5.0)
+    return [statistics.median(times[path]) for path in paths]
 
 
 def main(argv=None) -> int:
@@ -130,8 +145,15 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--budget-ms",
         type=float,
-        default=25.0,
+        default=2.0,
         help="maximum tolerated per-request dispatch overhead (absolute)",
+    )
+    parser.add_argument(
+        "--http-budget-ms",
+        type=float,
+        default=3.0,
+        help="maximum tolerated per-request overhead of a whole loopback "
+             "HTTP exchange over the bare pipeline (absolute)",
     )
     parser.add_argument("--requests", type=int, default=60)
     parser.add_argument(
@@ -165,9 +187,10 @@ def main(argv=None) -> int:
             )
             failures += 1
 
-    # --- overhead: bare pipeline vs full service path -------------------
-    med_bare, med_served = measure_dispatch_overhead(args.requests)
+    # --- overhead: bare pipeline vs service path vs HTTP exchange --------
+    med_bare, med_served, med_http = measure_overheads(args.requests)
     overhead_ms = (med_served - med_bare) * 1000
+    http_overhead_ms = (med_http - med_bare) * 1000
 
     print(
         f"bare pipeline   : {med_bare * 1000:8.2f} ms/request "
@@ -178,8 +201,16 @@ def main(argv=None) -> int:
         f"(admission + dispatch + outcome)"
     )
     print(
+        f"HTTP exchange   : {med_http * 1000:8.2f} ms/request "
+        f"(connect + request + service path + response + EOF)"
+    )
+    print(
         f"dispatch overhead: {overhead_ms:+7.2f} ms/request "
         f"(budget {args.budget_ms:.0f} ms)"
+    )
+    print(
+        f"HTTP overhead   : {http_overhead_ms:+8.2f} ms/request "
+        f"(budget {args.http_budget_ms:.0f} ms)"
     )
     print(
         f"surface check   : {len(surface['outcomes'])} outcomes, "
@@ -188,20 +219,25 @@ def main(argv=None) -> int:
         f"{len(surface['exit_codes'])} exit codes"
     )
 
-    if overhead_ms > args.budget_ms:
-        print(
-            f"FAIL: dispatch overhead {overhead_ms:.2f} ms exceeds "
-            f"{args.budget_ms:.0f} ms budget",
-            file=sys.stderr,
-        )
-        failures += 1
+    for label, measured, budget in (
+        ("dispatch", overhead_ms, args.budget_ms),
+        ("HTTP", http_overhead_ms, args.http_budget_ms),
+    ):
+        if measured > budget:
+            print(
+                f"FAIL: {label} overhead {measured:.2f} ms exceeds "
+                f"{budget:.0f} ms budget",
+                file=sys.stderr,
+            )
+            failures += 1
 
     if failures:
         print(f"{failures} server guard failure(s)", file=sys.stderr)
         return 1
     print(
         f"OK: dispatch overhead {overhead_ms:+.2f} ms within "
-        f"{args.budget_ms:.0f} ms, surface matches baseline"
+        f"{args.budget_ms:.0f} ms, HTTP overhead {http_overhead_ms:+.2f} ms "
+        f"within {args.http_budget_ms:.0f} ms, surface matches baseline"
     )
     return 0
 

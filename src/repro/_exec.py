@@ -5,7 +5,7 @@ collector, the :mod:`repro.governor` governor, the :mod:`repro.accsan`
 sanitizer — is *per-query* state (Section 4.3: a Map phase, then a
 Reduce, under snapshot semantics, mutate nothing outside the query).
 It lives in one immutable :class:`ExecCtx` held in one
-:class:`contextvars.ContextVar`: every thread and every asyncio task
+:class:`contextvars.ContextVar`: every thread and every event-loop task
 sees only its own value, so two concurrent queries cannot charge each
 other's collector or governor by construction.
 

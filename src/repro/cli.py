@@ -38,7 +38,9 @@ payload adds ``certificates`` and per-query solver summaries to the
 lint shape.
 
 ``serve`` starts the fault-tolerant HTTP query service
-(:mod:`repro.server`): admission control with budget classes, a
+(:mod:`repro.server`): a blocking listener whose handler threads each
+carry one request from accept to close, admission control with budget
+classes, a
 process/thread worker pool with crash detection, and bounded
 deterministic retry.  With ``--wal-dir`` every served graph becomes a
 durable :class:`~repro.graph.mutation.GraphStore` — ``POST /ingest``
@@ -1014,7 +1016,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_p = sub.add_parser(
         "serve",
-        help="run the fault-tolerant HTTP query service (see docs/robustness.md)",
+        help="run the fault-tolerant HTTP query service: blocking listener, "
+             "one handler thread per request in flight, worker pool behind "
+             "admission control (see docs/robustness.md, 'Service layer')",
     )
     serve_p.add_argument(
         "--graph",

@@ -401,7 +401,7 @@ class govern:
     ``None`` leaves execution ungoverned for the extent (useful to
     shield a sub-computation from an outer budget).  The binding is
     per-context (:mod:`repro._exec`): a governed extent in another
-    thread or asyncio task charges its own governor, never this one.
+    thread or event-loop task charges its own governor, never this one.
     """
 
     def __init__(self, governor: Optional[ExecutionGovernor] = None):

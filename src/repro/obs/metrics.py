@@ -175,7 +175,7 @@ class collect:
 
     Nesting is allowed; the inner collector shadows the outer one and the
     outer is restored on exit (exception-safe).  The binding is
-    per-context (:mod:`repro._exec`): another thread or asyncio task
+    per-context (:mod:`repro._exec`): another thread or event-loop task
     activating its own collector neither sees nor disturbs this one.
     """
 

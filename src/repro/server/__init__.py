@@ -12,11 +12,12 @@ The service stack, bottom-up:
   transport) with crash detection, respawn and straggler kill;
 * :mod:`repro.server.service` — :class:`QueryService`, the
   admission -> dispatch -> retry -> outcome request lifecycle;
-* :mod:`repro.server.app` — the stdlib asyncio HTTP front end behind
-  ``repro serve``.
+* :mod:`repro.server.app` — the stdlib blocking HTTP front end behind
+  ``repro serve``: a handler thread carries each request from
+  ``accept()`` through :meth:`QueryService.submit` to ``close()``.
 
-See ``docs/robustness.md`` ("Service layer") for the admission model,
-the shed/abort taxonomy and the retry matrix.
+See ``docs/robustness.md`` ("Service layer") for the threading model,
+the admission model, the shed/abort taxonomy and the retry matrix.
 """
 
 from .admission import AdmissionController, BudgetClass, Ticket, default_classes

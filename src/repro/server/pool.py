@@ -41,7 +41,7 @@ import threading
 import time
 import traceback
 import weakref
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..errors import (
     AccSanViolation,
@@ -311,13 +311,23 @@ def _reset_worker_globals() -> None:
     reset_plan_cache()
 
 
-#: The serving process's end of every worker pipe still open.  A forked
-#: worker inherits all of them — its own and its elder siblings' — and
-#: closes them first thing, or no worker would ever see EOF when the
-#: server dies.  Pipes are made and workers forked under ``_spawn_lock``
-#: so a fork can never capture an end that is not in the set yet.
+#: What only the serving process may hold open: its end of every worker
+#: pipe, and the HTTP listener and connections (:mod:`repro.server.app`).
+#: A forked worker inherits all of them — its own pipe's far end, its
+#: elder siblings', whatever the forking handler thread and its peers
+#: were serving — and closes them first thing, or no worker would ever
+#: see EOF when the server dies and every respawn would leak a
+#: descriptor per open connection.  Pipes are made and workers forked
+#: under ``_spawn_lock`` so a fork can never capture an end that is not
+#: in the set yet.
 _parent_ends: "weakref.WeakSet[Any]" = weakref.WeakSet()
 _spawn_lock = threading.Lock()
+
+
+def close_in_forked_workers(resource) -> None:
+    """Have every worker forked from now on ``close()`` its inherited
+    copy of ``resource`` (held weakly) before it does anything else."""
+    _parent_ends.add(resource)
 
 
 def _process_worker_main(conn, graph_paths: Dict[str, str]) -> None:
@@ -364,7 +374,7 @@ class _ProcessWorker:
         self.name = f"worker-{next(_worker_ids)}"
         with _spawn_lock:
             parent, child = self._ctx.Pipe(duplex=True)
-            _parent_ends.add(parent)
+            close_in_forked_workers(parent)
             self._conn = parent
             self._proc = self._ctx.Process(
                 target=_process_worker_main,

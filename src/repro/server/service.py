@@ -1,9 +1,9 @@
 """The query service: admission -> dispatch -> bounded retry -> outcome.
 
 :class:`QueryService` is the transport-independent core of ``repro
-serve``: the asyncio HTTP layer (:mod:`repro.server.app`) is a thin
-codec around :meth:`QueryService.submit`, and the test/chaos suites
-drive ``submit`` directly — every robustness property is asserted
+serve``: the HTTP layer (:mod:`repro.server.app`) is a thin codec
+around :meth:`QueryService.submit`, called on the thread that accepted
+the connection, and the test/chaos suites drive ``submit`` directly — every robustness property is asserted
 below the socket.
 
 The service owns a private :class:`~repro.obs.metrics.Collector` that is
@@ -42,8 +42,10 @@ from .retry import RetryPolicy
 class QueryService:
     """Fault-tolerant execution of client queries over a worker pool.
 
-    ``submit`` is thread-safe and blocking: the HTTP layer calls it from
-    an executor thread per request.  Construction loads nothing — the
+    ``submit`` is thread-safe and blocking: the HTTP layer calls it on
+    the handler thread that accepted the request's connection — as many
+    at once as there are requests in flight, so admission sees them
+    all.  Construction loads nothing — the
     pool spawns immediately, so build the service once per process.
     """
 

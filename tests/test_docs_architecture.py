@@ -192,6 +192,28 @@ class TestCompilationDocs:
             ):
                 assert gone not in text, f"{page.name} still mentions {gone!r}"
 
+    def test_docs_describe_the_blocking_listener(self):
+        """The HTTP front end is handler threads over a blocking socket:
+        the service-layer page carries the threading model, and neither
+        it nor the README keeps describing an event loop."""
+        robustness = " ".join((DOCS / "robustness.md").read_text().split())
+        for needle in (
+            "### Threading model",
+            "from `accept()` to `close()`",
+            "| step | who does it | what bounds it |",
+            "handler cap",
+            "admission limits",
+            "pool size",
+            "on demand",
+            "holds a *thread* for the 10 s header timeout",
+            "`TCP_DEFER_ACCEPT`",
+        ):
+            assert needle in robustness, f"docs/robustness.md lost {needle!r}"
+        for page in (REPO / "README.md", DOCS / "robustness.md"):
+            text = page.read_text()
+            for gone in ("asyncio", "run_in_executor"):
+                assert gone not in text, f"{page.name} still mentions {gone!r}"
+
     def test_readme_mentions_speed(self):
         text = (REPO / "README.md").read_text()
         assert "How fast is it?" in text
