@@ -33,7 +33,7 @@ Exit status 0 = within budget, 1 = overhead / baseline failure.
 Refresh the baseline with ``--write-baseline``.
 
 Usage:  python benchmarks/check_server_overhead.py [--budget-ms 2]
-        [--http-budget-ms 3] [--requests 60] [--write-baseline]
+        [--requests 60] [--write-baseline]
 """
 
 import argparse
@@ -55,6 +55,7 @@ from repro.server.pool import execute_job
 from repro.server.protocol import Job
 
 BASELINE = Path(__file__).resolve().parent / "server_baseline.json"
+HTTP_BUDGET_MS = 3.0  # a whole loopback exchange over the bare pipeline
 
 QN = """
 CREATE QUERY Qn(string srcName, string tgtName) {
@@ -148,13 +149,6 @@ def main(argv=None) -> int:
         default=2.0,
         help="maximum tolerated per-request dispatch overhead (absolute)",
     )
-    parser.add_argument(
-        "--http-budget-ms",
-        type=float,
-        default=3.0,
-        help="maximum tolerated per-request overhead of a whole loopback "
-             "HTTP exchange over the bare pipeline (absolute)",
-    )
     parser.add_argument("--requests", type=int, default=60)
     parser.add_argument(
         "--write-baseline",
@@ -210,7 +204,7 @@ def main(argv=None) -> int:
     )
     print(
         f"HTTP overhead   : {http_overhead_ms:+8.2f} ms/request "
-        f"(budget {args.http_budget_ms:.0f} ms)"
+        f"(budget {HTTP_BUDGET_MS:.0f} ms)"
     )
     print(
         f"surface check   : {len(surface['outcomes'])} outcomes, "
@@ -221,7 +215,7 @@ def main(argv=None) -> int:
 
     for label, measured, budget in (
         ("dispatch", overhead_ms, args.budget_ms),
-        ("HTTP", http_overhead_ms, args.http_budget_ms),
+        ("HTTP", http_overhead_ms, HTTP_BUDGET_MS),
     ):
         if measured > budget:
             print(
@@ -237,7 +231,7 @@ def main(argv=None) -> int:
     print(
         f"OK: dispatch overhead {overhead_ms:+.2f} ms within "
         f"{args.budget_ms:.0f} ms, HTTP overhead {http_overhead_ms:+.2f} ms "
-        f"within {args.http_budget_ms:.0f} ms, surface matches baseline"
+        f"within {HTTP_BUDGET_MS:.0f} ms, surface matches baseline"
     )
     return 0
 

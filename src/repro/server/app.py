@@ -33,8 +33,8 @@ listener is too: one handler thread carries a request from ``accept()``
 to ``close()`` — reads and bounds it, runs admission and waits for the
 worker inside ``QueryService.submit``, writes the response — with no
 hand-off in between.  Threads are started on demand, so a lone client
-is served by two; a peer that starts a header and stalls holds one
-until the header timeout (``docs/robustness.md``, "Threading model").
+is served by two; a peer that connects and stalls, silent or mid-header,
+holds one until the header timeout (``docs/robustness.md``, "Threading model").
 """
 
 from __future__ import annotations
@@ -287,12 +287,10 @@ class HttpServer:
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
         """Bind, listen and start the first handler thread."""
-        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
+        # One socket, so one family: that of the first address the host has.
+        family = socket.getaddrinfo(self.host or None, self.port, flags=socket.AI_PASSIVE)[0][0]
         self._sock = socket.create_server((self.host, self.port), family=family, backlog=100)
         self.port = self._sock.getsockname()[1]  # resolve port 0
-        if hasattr(socket, "TCP_DEFER_ACCEPT"):
-            # A peer that connects and sends nothing costs no thread.
-            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_DEFER_ACCEPT, 10)
         close_in_forked_workers(self._sock)
         with self._lock:
             self._spawn()
@@ -322,15 +320,15 @@ class HttpServer:
         self.start()
         if on_listening is not None:
             on_listening(self)
-        stop = threading.Event()
-        signals = (signal.SIGINT, signal.SIGTERM)
-        previous = [signal.signal(sig, lambda *_: stop.set()) for sig in signals]
+        stopped = []
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            # Runs on this thread, inside the wait below: it may take no lock.
+            signal.signal(sig, lambda *_: stopped.append(True))
         try:
-            stop.wait()
+            while not stopped:
+                time.sleep(0.1)
         finally:
             self.stop()
-            for sig, handler in zip(signals, previous):
-                signal.signal(sig, handler)
 
 
 def serve(

@@ -318,8 +318,12 @@ def _reset_worker_globals() -> None:
 #: were serving — and closes them first thing, or no worker would ever
 #: see EOF when the server dies and every respawn would leak a
 #: descriptor per open connection.  Pipes are made and workers forked
-#: under ``_spawn_lock`` so a fork can never capture an end that is not
-#: in the set yet.
+#: under ``_spawn_lock`` so a fork can never capture a pipe end that is
+#: not in the set yet.  A connection has no such guarantee — a blocking
+#: ``accept()`` cannot sit under the lock — so a fork between a handler's
+#: ``accept()`` and its ``close_in_forked_workers(conn)`` leaks that one
+#: descriptor into the child; the handler's ``shutdown()`` still ends the
+#: exchange with EOF.
 _parent_ends: "weakref.WeakSet[Any]" = weakref.WeakSet()
 _spawn_lock = threading.Lock()
 

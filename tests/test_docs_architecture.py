@@ -206,7 +206,6 @@ class TestCompilationDocs:
             "pool size",
             "on demand",
             "holds a *thread* for the 10 s header timeout",
-            "`TCP_DEFER_ACCEPT`",
         ):
             assert needle in robustness, f"docs/robustness.md lost {needle!r}"
         for page in (REPO / "README.md", DOCS / "robustness.md"):
