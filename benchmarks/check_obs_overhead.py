@@ -37,16 +37,21 @@ from repro.paths.sdmc import SdmcResult, bucket_expander
 
 
 def reference_sdmc(graph, source, darpe, targets=None, max_length=None):
-    """Verbatim copy of single_source_sdmc — the same per-bucket BFS,
-    through the shipped ``bucket_expander`` (which has no touchpoint of
-    its own) — minus its single ``_exec.current()`` read and every
-    obs/governor/fault touchpoint that read guards: the baseline an
-    ideal zero-cost instrumentation matches.  Returns the
-    results and the number of product states visited."""
+    """Verbatim copy of ``sdmc_search`` plus the result-building return
+    of ``single_source_sdmc`` — the same per-column BFS, through the
+    shipped ``bucket_expander`` (which has no touchpoint of its own).
+    The lines that differ from the shipped kernel: no ``_exec.current()``
+    read; no ``edges_scanned`` / ``peak_frontier`` bookkeeping under
+    ``if col is not None``; no ``gov.charge_product_states`` (start state
+    or per level); no ``_faults.fire("sdmc.level")``; no ``try`` /
+    ``finally`` counter flush.  That is the baseline an ideal zero-cost
+    instrumentation matches.  Returns the results and the number of
+    product states visited."""
     graph.vertex(source)
     dfa = darpe.new_dfa()
     expand = bucket_expander(graph, dfa)
-    results = {}
+    distances = {}
+    counts = {}
     remaining = set(targets) if targets is not None else None
 
     start = (source, dfa.start)
@@ -60,8 +65,9 @@ def reference_sdmc(graph, source, darpe, targets=None, max_length=None):
             if dfa.is_accepting(q):
                 per_vertex[vid] += count
         for vid, count in per_vertex.items():
-            if vid not in results:
-                results[vid] = SdmcResult(level, count)
+            if vid not in counts:
+                distances[vid] = level
+                counts[vid] = count
                 if remaining is not None:
                     remaining.discard(vid)
 
@@ -73,9 +79,9 @@ def reference_sdmc(graph, source, darpe, targets=None, max_length=None):
             break
         next_frontier = defaultdict(int)
         for (vid, q), count in frontier.items():
-            for q2, bucket in expand(vid, q):
-                for step in bucket:
-                    ps = (step.neighbor, q2)
+            for q2, (neighbors, _) in expand(vid, q):
+                for neighbor in neighbors:
+                    ps = (neighbor, q2)
                     if ps in visited:
                         continue
                     next_frontier[ps] += count
@@ -84,8 +90,11 @@ def reference_sdmc(graph, source, darpe, targets=None, max_length=None):
         record_level(next_frontier)
         frontier = next_frontier
 
-    if targets is not None:
-        results = {vid: res for vid, res in results.items() if vid in targets}
+    results = {
+        vid: SdmcResult(distance, counts[vid])
+        for vid, distance in distances.items()
+        if targets is None or vid in targets
+    }
     return results, len(visited)
 
 

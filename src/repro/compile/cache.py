@@ -37,7 +37,6 @@ from collections import OrderedDict
 from typing import Optional, Tuple
 
 from .. import _exec
-from ..core.query import Query
 from .lowering import CompiledQuery, compile_query
 
 #: Default number of cached plans; at ~one lowered statement tree per

@@ -33,7 +33,7 @@ from ..darpe.automaton import CompiledDarpe
 from ..darpe.parser import parse_darpe
 from ..errors import QueryCompileError, QueryRuntimeError
 from ..graph.elements import Vertex
-from ..paths.sdmc import single_source_sdmc
+from ..paths.sdmc import sdmc_search
 from ..paths.semantics import PathSemantics
 from ..enumeration.engine import match_counts
 from .context import QueryContext
@@ -409,10 +409,22 @@ class _Acceptor(dict):
 
     __slots__ = ("_vertex", "_pinned", "_type", "_vset", "_passes")
 
+    def resolver(self) -> Tuple[Callable[[Any], Optional[Vertex]], Optional[str]]:
+        """``(resolve, only_type)`` for running a bucket's neighbour ids
+        through ``map(resolve, ids)``.  With no pin, no vertex set and no
+        pushed-down filter a vertex is admissible exactly when its type
+        is ``only_type`` (None: any), which is cheaper to compare than to
+        memoise: ``resolve`` is then the graph's plain id -> vertex
+        lookup.  Otherwise ``resolve`` is this memo, yielding None for an
+        inadmissible vertex, and ``only_type`` is None."""
+        if self._pinned is None and self._vset is None and self._passes is None:
+            return self._vertex, self._type
+        return self.__getitem__, None
+
     def __init__(
         self, ctx: QueryContext, spec: VertexSpec, filters: Optional[List[Any]]
     ):
-        self._vertex = ctx.graph.vertex
+        self._vertex = ctx.graph.vertex_getter()
         pinned = spec._pinned_vertex(ctx)
         self._pinned = None if pinned is None else pinned.vid
         self._type, self._vset = spec.restriction(ctx)
@@ -441,16 +453,11 @@ def _hop_counts(
     """
     darpe = hop.reversed_darpe if reverse else hop.darpe
     if mode.kind == EngineMode.COUNTING:
-        counts = {
-            vid: res.count
-            for vid, res in single_source_sdmc(
-                graph, source_vid, darpe, max_length=mode.max_length
-            ).items()
-        }
+        _, counts = sdmc_search(graph, source_vid, darpe, max_length=mode.max_length)
         if mode.semantics is PathSemantics.EXISTENCE:
             # SparQL 1.1: reachability with multiplicity 1 (Section 6.1's
             # "tractable but aggregation-unfriendly" flavor).
-            return {vid: 1 for vid in counts}
+            return dict.fromkeys(counts, 1)
         return counts
     return match_counts(
         graph,
@@ -544,11 +551,13 @@ def _evaluate_hop(
     target_var = hop.target.var
     current = layout.index(current_var)
     if hop.is_single_symbol:
-        # One-edge hops read the adjacency bucket(s) of their symbol
+        # One-edge hops read the adjacency column(s) of their symbol
         # directly and can bind an edge variable.
         plan = "adjacency"
         symbol = hop.darpe.ast
         acceptor = _Acceptor(ctx, hop.target, var_filters.get(target_var))
+        resolve, only_type = acceptor.resolver()
+        edge_of = graph.edge
         edge_var = hop.edge_var
         # Edges are per-row bindings: their filters run per crossing.
         edge_passes = (
@@ -560,34 +569,42 @@ def _evaluate_hop(
         rebound = _bind_slot(layout, edge_var) if edge_var is not None else None
         joined = _bind_slot(layout, target_var)
         plain = edge_var is None and joined is None
-        direction, etype = symbol.direction, symbol.edge_type
-        buckets_of = graph.buckets
+        by_type = graph.columns(symbol.direction)
+        # the symbol's one column, or every column for the wildcard
+        if symbol.edge_type is None:
+            columns = list(by_type.values())
+        else:
+            columns = [by_type.get(symbol.edge_type, {})]
         for values, multiplicity in rows:
-            by_type = buckets_of(values[current].vid)[direction]
-            # the symbol's one bucket, or every bucket for the wildcard
-            buckets = by_type.values() if etype is None else (by_type.get(etype, ()),)
-            for bucket in buckets:
+            vid = values[current].vid
+            for column in columns:
+                bucket = column.get(vid)
+                if bucket is None:
+                    continue
+                neighbors, eids = bucket
                 if plain:
-                    for step in bucket:
-                        target = acceptor[step.neighbor]
-                        if target is not None:
+                    for target in map(resolve, neighbors):
+                        if target is not None and (
+                            only_type is None or target.type == only_type
+                        ):
                             append((values + (target,), multiplicity))
                     continue
-                for step in bucket:
-                    target = acceptor[step.neighbor]
-                    if target is None:
+                for target, eid in zip(map(resolve, neighbors), eids):
+                    if target is None or (
+                        only_type is not None and target.type != only_type
+                    ):
                         continue
-                    if edge_passes is not None and not edge_passes(step.edge):
-                        continue
+                    if edge_var is not None:
+                        edge = edge_of(eid)
+                        if edge_passes is not None and not edge_passes(edge):
+                            continue
                     if joined is not None and values[joined].vid != target.vid:
                         continue
                     extended = values
                     if rebound is not None:
-                        extended = (
-                            values[:rebound] + (step.edge,) + values[rebound + 1:]
-                        )
+                        extended = values[:rebound] + (edge,) + values[rebound + 1:]
                     elif edge_var is not None:
-                        extended += (step.edge,)
+                        extended += (edge,)
                     if joined is None:
                         extended += (target,)
                     append((extended, multiplicity))

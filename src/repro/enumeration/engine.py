@@ -155,6 +155,7 @@ def _enumerate_dfs(
     """Backtracking DFS for the unrestricted/simple-path/trail flavors."""
     dfa = darpe.new_dfa()
     expand = bucket_expander(graph, dfa)
+    edge_of = graph.edge
     path: List[Edge] = []
     path_vertices: List[Any] = [source]
     used_edges: Set[int] = set()
@@ -168,24 +169,24 @@ def _enumerate_dfs(
             yield _emit(source, vid, path, path_vertices)
         if max_length is not None and len(path) >= max_length:
             return
-        for next_state, bucket in expand(vid, state):
-            for step in bucket:
-                if forbid_edge and step.edge.eid in used_edges:
+        for next_state, (neighbors, eids) in expand(vid, state):
+            for neighbor, eid in zip(neighbors, eids):
+                if forbid_edge and eid in used_edges:
                     continue
-                if forbid_vertex and step.neighbor in used_vertices:
+                if forbid_vertex and neighbor in used_vertices:
                     continue
-                path.append(step.edge)
-                path_vertices.append(step.neighbor)
-                used_edges.add(step.edge.eid)
-                added_vertex = step.neighbor not in used_vertices
+                path.append(edge_of(eid))
+                path_vertices.append(neighbor)
+                used_edges.add(eid)
+                added_vertex = neighbor not in used_vertices
                 if added_vertex:
-                    used_vertices.add(step.neighbor)
-                yield from dfs(step.neighbor, next_state)
+                    used_vertices.add(neighbor)
+                yield from dfs(neighbor, next_state)
                 path.pop()
                 path_vertices.pop()
-                used_edges.discard(step.edge.eid)
+                used_edges.discard(eid)
                 if added_vertex:
-                    used_vertices.discard(step.neighbor)
+                    used_vertices.discard(neighbor)
 
     yield from dfs(source, dfa.start)
 
@@ -217,6 +218,7 @@ def _enumerate_shortest(
     horizon = max(distances.values())
     dfa = darpe.new_dfa()
     expand = bucket_expander(graph, dfa)
+    edge_of = graph.edge
     path: List[Edge] = []
     path_vertices: List[Any] = [source]
 
@@ -230,11 +232,11 @@ def _enumerate_shortest(
             yield _emit(source, vid, path, path_vertices)
         if len(path) >= horizon:
             return
-        for next_state, bucket in expand(vid, state):
-            for step in bucket:
-                path.append(step.edge)
-                path_vertices.append(step.neighbor)
-                yield from dfs(step.neighbor, next_state)
+        for next_state, (neighbors, eids) in expand(vid, state):
+            for neighbor, eid in zip(neighbors, eids):
+                path.append(edge_of(eid))
+                path_vertices.append(neighbor)
+                yield from dfs(neighbor, next_state)
                 path.pop()
                 path_vertices.pop()
 

@@ -2,7 +2,7 @@
 
 After a crash, "the store recovered" is only meaningful if the rebuilt
 graph is *internally consistent*: every edge indexed from both ends,
-no step pointing at a vertex or edge that no longer exists, degree
+no bucket entry naming a vertex or edge that no longer exists, degree
 arithmetic that re-derives from the edge list, and an epoch that
 matches what the WAL says was committed.  :func:`fsck_graph` checks
 exactly that — it re-derives the adjacency index, the type index and
@@ -36,12 +36,13 @@ CHECKS: Dict[str, str] = {
         "every edge's source and target id resolve to a live vertex"
     ),
     "adjacency-symmetry": (
-        "the adjacency index holds exactly one step per crossable "
+        "the adjacency columns hold exactly one step per crossable "
         "orientation of each edge (directed: forward at the source and "
         "reverse at the target; undirected: one at each distinct "
-        "endpoint) and no step for any other edge, and every step "
-        "points at the very edge object registered under its id (not a "
-        "stale copy left behind by a copy-on-write attribute update)"
+        "endpoint) and no step for any other edge or for a deleted "
+        "vertex; a bucket's neighbour and edge-id sequences have equal "
+        "length, each recorded neighbour is its edge's other endpoint, "
+        "and no empty bucket or column is left behind"
     ),
     "degree-reconciliation": (
         "outdegree/indegree of every vertex re-derived from the edge "
@@ -100,24 +101,38 @@ class FsckReport(NamedTuple):
         }
 
 
-def _expected_steps(graph: Graph) -> Dict[Tuple[Any, str, str], Dict[int, int]]:
-    """Re-derive the adjacency index from the edge map alone:
-    ``(vertex, direction, edge type) -> {eid: multiplicity}``."""
-    expected: Dict[Tuple[Any, str, str], Dict[int, int]] = {}
-
-    def put(vid: Any, direction: str, etype: str, eid: int) -> None:
-        bucket = expected.setdefault((vid, direction, etype), {})
-        bucket[eid] = bucket.get(eid, 0) + 1
-
+def _expected_steps(graph: Graph) -> Dict[Tuple[str, str, Any], Dict[int, Any]]:
+    """Re-derive the adjacency columns from the edge map alone:
+    ``(direction, edge type, vertex) -> {eid: neighbour}`` (an edge
+    crosses one bucket at most once)."""
+    expected: Dict[Tuple[str, str, Any], Dict[int, Any]] = {}
     for edge in graph._edges.values():
         if edge.directed:
-            put(edge.source, FORWARD, edge.type, edge.eid)
-            put(edge.target, REVERSE, edge.type, edge.eid)
+            crossings = [(FORWARD, edge.source, edge.target),
+                         (REVERSE, edge.target, edge.source)]
         else:
-            put(edge.source, UNDIRECTED, edge.type, edge.eid)
+            crossings = [(UNDIRECTED, edge.source, edge.target)]
             if edge.source != edge.target:
-                put(edge.target, UNDIRECTED, edge.type, edge.eid)
+                crossings.append((UNDIRECTED, edge.target, edge.source))
+        for direction, vid, neighbor in crossings:
+            expected.setdefault((direction, edge.type, vid), {})[edge.eid] = neighbor
     return expected
+
+
+def _degrees(
+    buckets: Dict[Tuple[str, str, Any], Any]
+) -> Tuple[Dict[Any, int], Dict[Any, int]]:
+    """Per-vertex (outdegree, indegree) of a ``(direction, edge type,
+    vertex) -> sized bucket`` table: forward and undirected steps leave
+    a vertex, reverse and undirected ones enter it."""
+    outs: Dict[Any, int] = {}
+    ins: Dict[Any, int] = {}
+    for (direction, _etype, vid), bucket in buckets.items():
+        if direction != REVERSE:
+            outs[vid] = outs.get(vid, 0) + len(bucket)
+        if direction != FORWARD:
+            ins[vid] = ins.get(vid, 0) + len(bucket)
+    return outs, ins
 
 
 def fsck_graph(graph: Graph, wal_dir: Optional[PathLike] = None) -> FsckReport:
@@ -129,107 +144,90 @@ def fsck_graph(graph: Graph, wal_dir: Optional[PathLike] = None) -> FsckReport:
     if wal_dir is None:
         checks.remove("wal-epoch")
 
+    def broken(check: str, detail: str) -> None:
+        violations.append(FsckViolation(check, detail))
+
     # dangling-edge ----------------------------------------------------
     for edge in graph._edges.values():
         for role, vid in (("source", edge.source), ("target", edge.target)):
             if vid not in graph._vertices:
-                violations.append(
-                    FsckViolation(
-                        "dangling-edge",
-                        f"edge {edge.eid} ({edge.type}) has a deleted "
-                        f"{role} vertex {vid!r}",
-                    )
+                broken(
+                    "dangling-edge",
+                    f"edge {edge.eid} ({edge.type}) has a deleted "
+                    f"{role} vertex {vid!r}",
                 )
 
     # adjacency-symmetry -----------------------------------------------
+    # One pass over the columns against the table re-derived from the
+    # edge map; the buckets' edge ids are kept for the degree check.
     expected = _expected_steps(graph)
-    actual: Dict[Tuple[Any, str, str], Dict[int, int]] = {}
-    for vid, directions in graph._adjacency.items():
-        if vid not in graph._vertices:
-            violations.append(
-                FsckViolation(
+    actual: Dict[Tuple[str, str, Any], List[int]] = {}
+    for direction, by_type in graph._adjacency.items():
+        for etype, column in by_type.items():
+            if not column:
+                broken(
                     "adjacency-symmetry",
-                    f"adjacency entry for deleted vertex {vid!r}",
+                    f"empty column left behind for {direction}/{etype}",
                 )
-            )
-        for direction, buckets in directions.items():
-            for etype, steps in buckets.items():
-                bucket = actual.setdefault((vid, direction, etype), {})
-                for step in steps:
-                    bucket[step.edge.eid] = bucket.get(step.edge.eid, 0) + 1
-                    registered = graph._edges.get(step.edge.eid)
-                    if registered is None:
-                        violations.append(
-                            FsckViolation(
-                                "adjacency-symmetry",
-                                f"vertex {vid!r} holds a step for deleted "
-                                f"edge {step.edge.eid} ({etype}, {direction})",
-                            )
+            for vid, (neighbors, eids) in column.items():
+                where = f"vertex {vid!r} {direction}/{etype}"
+                actual[direction, etype, vid] = eids
+                if vid not in graph._vertices:
+                    broken(
+                        "adjacency-symmetry",
+                        f"adjacency entry for deleted vertex {vid!r} "
+                        f"({direction}/{etype})",
+                    )
+                if len(neighbors) != len(eids):
+                    broken(
+                        "adjacency-symmetry",
+                        f"{where}: {len(neighbors)} neighbours recorded "
+                        f"against {len(eids)} edge ids",
+                    )
+                elif not eids:
+                    broken("adjacency-symmetry", f"{where}: empty bucket left behind")
+                want = expected.get((direction, etype, vid), {})
+                for neighbor, eid in zip(neighbors, eids):
+                    if eid not in graph._edges:
+                        broken(
+                            "adjacency-symmetry",
+                            f"vertex {vid!r} holds a step for deleted "
+                            f"edge {eid} ({etype}, {direction})",
                         )
-                    elif registered is not step.edge:
-                        violations.append(
-                            FsckViolation(
-                                "adjacency-symmetry",
-                                f"vertex {vid!r} holds a step for a stale "
-                                f"copy of edge {step.edge.eid} ({etype}, "
-                                f"{direction})",
-                            )
+                    elif eid in want and want[eid] != neighbor:
+                        broken(
+                            "adjacency-symmetry",
+                            f"{where}: edge {eid} recorded with neighbour "
+                            f"{neighbor!r}, its other endpoint is {want[eid]!r}",
                         )
-    for vid in graph._vertices:
-        if vid not in graph._adjacency:
-            violations.append(
-                FsckViolation(
-                    "adjacency-symmetry",
-                    f"vertex {vid!r} has no adjacency entry",
-                )
-            )
     for key in sorted(set(expected) | set(actual), key=repr):
         want = expected.get(key, {})
-        have = actual.get(key, {})
-        if want != have:
-            vid, direction, etype = key
-            missing = sorted(eid for eid in want if want[eid] > have.get(eid, 0))
-            extra = sorted(eid for eid in have if have[eid] > want.get(eid, 0))
-            violations.append(
-                FsckViolation(
-                    "adjacency-symmetry",
-                    f"vertex {vid!r} {direction}/{etype}: missing steps for "
-                    f"edges {missing}, unexpected steps for edges {extra}",
-                )
+        have = actual.get(key, [])
+        if sorted(want) != sorted(have):
+            direction, etype, vid = key
+            missing = sorted(eid for eid in want if eid not in have)
+            extra = sorted(eid for eid in have if have.count(eid) > (eid in want))
+            broken(
+                "adjacency-symmetry",
+                f"vertex {vid!r} {direction}/{etype}: missing steps for "
+                f"edges {missing}, unexpected steps for edges {extra}",
             )
 
     # degree-reconciliation --------------------------------------------
-    derived_outs: Dict[Any, int] = {}
-    derived_ins: Dict[Any, int] = {}
-    for (vid, direction, _etype), bucket in expected.items():
-        steps = sum(bucket.values())
-        if direction != REVERSE:
-            derived_outs[vid] = derived_outs.get(vid, 0) + steps
-        if direction != FORWARD:
-            derived_ins[vid] = derived_ins.get(vid, 0) + steps
+    derived_outs, derived_ins = _degrees(expected)
+    outs, ins = _degrees(actual)
     total_out = 0
     total_in = 0
     for vid in graph._vertices:
         derived_out = derived_outs.get(vid, 0)
         derived_in = derived_ins.get(vid, 0)
-        try:
-            out = graph.outdegree(vid)
-            ind = graph.indegree(vid)
-        except Exception as exc:  # pragma: no cover - adjacency missing
-            violations.append(
-                FsckViolation(
-                    "degree-reconciliation",
-                    f"vertex {vid!r}: degree lookup failed ({exc})",
-                )
-            )
-            continue
+        out = outs.get(vid, 0)
+        ind = ins.get(vid, 0)
         if out != derived_out or ind != derived_in:
-            violations.append(
-                FsckViolation(
-                    "degree-reconciliation",
-                    f"vertex {vid!r}: outdegree {out} (derived {derived_out}), "
-                    f"indegree {ind} (derived {derived_in})",
-                )
+            broken(
+                "degree-reconciliation",
+                f"vertex {vid!r}: outdegree {out} (derived {derived_out}), "
+                f"indegree {ind} (derived {derived_in})",
             )
         total_out += derived_out
         total_in += derived_in
@@ -240,13 +238,11 @@ def fsck_graph(graph: Graph, wal_dir: Optional[PathLike] = None) -> FsckReport:
         if not e.directed
     )
     if total_out != directed + undirected_inc or total_in != directed + undirected_inc:
-        violations.append(
-            FsckViolation(
-                "degree-reconciliation",
-                f"degree totals (out={total_out}, in={total_in}) do not "
-                f"reconcile with {directed} directed edges + "
-                f"{undirected_inc} undirected incidences",
-            )
+        broken(
+            "degree-reconciliation",
+            f"degree totals (out={total_out}, in={total_in}) do not "
+            f"reconcile with {directed} directed edges + "
+            f"{undirected_inc} undirected incidences",
         )
 
     # stats-reconciliation ---------------------------------------------
@@ -263,68 +259,54 @@ def fsck_graph(graph: Graph, wal_dir: Optional[PathLike] = None) -> FsckReport:
                     for name, have, want in zip(rebuilt._fields, snapshot, rebuilt)
                     if have != want
                 ]
-                violations.append(
-                    FsckViolation(
-                        "stats-reconciliation",
-                        f"carried {what} differs from a rebuild in "
-                        f"{', '.join(fields)}",
-                    )
+                broken(
+                    "stats-reconciliation",
+                    f"carried {what} differs from a rebuild in "
+                    f"{', '.join(fields)}",
                 )
 
     # type-index -------------------------------------------------------
     seen: Dict[Any, str] = {}
     for vtype, ids in graph._by_type.items():
         if not ids:
-            violations.append(
-                FsckViolation("type-index", f"empty id list for type {vtype!r}")
-            )
+            broken("type-index", f"empty id list for type {vtype!r}")
         for vid in ids:
             if vid in seen:
-                violations.append(
-                    FsckViolation(
-                        "type-index",
-                        f"vertex {vid!r} indexed under both {seen[vid]!r} "
-                        f"and {vtype!r}",
-                    )
+                broken(
+                    "type-index",
+                    f"vertex {vid!r} indexed under both {seen[vid]!r} "
+                    f"and {vtype!r}",
                 )
             seen[vid] = vtype
             vertex = graph._vertices.get(vid)
             if vertex is None:
-                violations.append(
-                    FsckViolation(
-                        "type-index",
-                        f"type index {vtype!r} lists deleted vertex {vid!r}",
-                    )
+                broken(
+                    "type-index",
+                    f"type index {vtype!r} lists deleted vertex {vid!r}",
                 )
             elif vertex.type != vtype:
-                violations.append(
-                    FsckViolation(
-                        "type-index",
-                        f"vertex {vid!r} has type {vertex.type!r} but is "
-                        f"indexed under {vtype!r}",
-                    )
+                broken(
+                    "type-index",
+                    f"vertex {vid!r} has type {vertex.type!r} but is "
+                    f"indexed under {vtype!r}",
                 )
     for vid, vertex in graph._vertices.items():
         if vid not in seen:
-            violations.append(
-                FsckViolation(
-                    "type-index",
-                    f"vertex {vid!r} ({vertex.type}) missing from the type "
-                    f"index",
-                )
+            broken(
+                "type-index",
+                f"vertex {vid!r} ({vertex.type}) missing from the type "
+                f"index",
             )
 
     # wal-epoch --------------------------------------------------------
     if wal_dir is not None:
         scan = scan_wal(wal_dir)
         if graph.epoch != scan.last_epoch:
-            violations.append(
-                FsckViolation(
-                    "wal-epoch",
-                    f"graph epoch {graph.epoch} != last committed WAL epoch "
-                    f"{scan.last_epoch} "
-                    f"({'graph behind log' if graph.epoch < scan.last_epoch else 'graph ahead of log'})",
-                )
+            broken(
+                "wal-epoch",
+                f"graph epoch {graph.epoch} != last committed WAL epoch "
+                f"{scan.last_epoch} "
+                f"({'graph behind log' if graph.epoch < scan.last_epoch else 'graph ahead of log'})",
             )
 
     _count("fsck.runs")

@@ -1,9 +1,9 @@
 """The in-memory property graph.
 
 :class:`Graph` stores typed vertices and typed (directed or undirected)
-edges and maintains an adjacency index keyed by ``(edge type, direction)``
-so that DARPE evaluation can expand a frontier one adorned symbol at a
-time without scanning unrelated edges.
+edges and keeps adjacency *by adorned symbol*: one column per
+``(direction, edge type)``, so that DARPE evaluation expands a frontier
+one symbol at a time, reading only the column that symbol names.
 
 Vertex ids are arbitrary hashable values chosen by the caller; edge ids are
 integers assigned by the graph.
@@ -14,13 +14,13 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
     List,
     Mapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -28,6 +28,15 @@ from typing import (
 from ..errors import GraphError, SchemaError
 from .elements import FORWARD, REVERSE, UNDIRECTED, Edge, Step, Vertex
 from .schema import GraphSchema
+
+#: One vertex's incidences in one column: its neighbour ids and the ids of
+#: the edges leading to them, parallel and in insertion order.
+Bucket = Tuple[List[Any], List[int]]
+#: All incidences of one ``(direction, edge type)``: vertex id -> bucket.
+#: A vertex with no such edge has no entry.
+Column = Dict[Any, Bucket]
+
+_DIRECTIONS = (FORWARD, REVERSE, UNDIRECTED)
 
 
 class _Ownership:
@@ -37,9 +46,10 @@ class _Ownership:
     ``vertices`` / ``edges`` hold the ids this graph has written —
     copied for an attribute update, inserted, or deleted — so they
     double as the change set the mutation layer diffs two versions by.
-    ``adjacency`` holds the vertex ids whose bucket map is private and
-    ``types`` the vertex types whose id list is.  ``copied`` counts the
-    shared elements that had to be copied before a write.
+    ``adjacency`` holds the keys of the private columns, ``(direction,
+    edge type)``, and buckets, ``(direction, edge type, vertex id)``, and
+    ``types`` the vertex types whose id list is private.  ``copied``
+    counts the shared elements that had to be copied before a write.
     """
 
     __slots__ = ("vertices", "edges", "adjacency", "types", "copied")
@@ -77,8 +87,8 @@ class Graph:
         self._vertices: Dict[Any, Vertex] = {}
         self._edges: Dict[int, Edge] = {}
         self._next_eid = 0
-        # vertex id -> direction -> edge type -> list of Steps
-        self._adjacency: Dict[Any, Dict[str, Dict[str, List[Step]]]] = {}
+        # direction -> edge type -> column; edge types in first-seen order
+        self._adjacency: Dict[str, Dict[str, Column]] = {d: {} for d in _DIRECTIONS}
         # vertex type -> list of vertex ids (insertion order)
         self._by_type: Dict[str, List[Any]] = defaultdict(list)
         # edge type -> directedness actually observed (for schema-free mode)
@@ -109,13 +119,7 @@ class Graph:
             self._by_type[vtype].append(vid)
         else:
             own.vertices.add(vid)
-            own.adjacency.add(vid)
             self._writable_type_list(vtype).append(vid)
-        self._adjacency[vid] = {
-            FORWARD: defaultdict(list),
-            REVERSE: defaultdict(list),
-            UNDIRECTED: defaultdict(list),
-        }
         return vertex
 
     def add_edge(
@@ -157,22 +161,12 @@ class Graph:
         edge = Edge(eid, etype, source, target, directed, attrs)
         self._stats = None
         self._edges[eid] = edge
-        own = self._own
-        if own is not None:
-            own.edges.add(eid)
-            self._writable_buckets(source)
-            self._writable_buckets(target)
-        if directed:
-            self._adjacency[source][FORWARD][etype].append(Step(edge, FORWARD, target))
-            self._adjacency[target][REVERSE][etype].append(Step(edge, REVERSE, source))
-        else:
-            self._adjacency[source][UNDIRECTED][etype].append(
-                Step(edge, UNDIRECTED, target)
-            )
-            if source != target:
-                self._adjacency[target][UNDIRECTED][etype].append(
-                    Step(edge, UNDIRECTED, source)
-                )
+        if self._own is not None:
+            self._own.edges.add(eid)
+        for direction, vid, neighbor in _crossings(edge):
+            neighbors, eids = self._writable_bucket(direction, etype, vid)
+            neighbors.append(neighbor)
+            eids.append(eid)
         return edge
 
     # ------------------------------------------------------------------
@@ -248,18 +242,17 @@ class Graph:
         edge = self.edge(eid)
         self._stats = None
         del self._edges[eid]
-        own = self._own
-        if own is not None:
-            own.edges.add(eid)
-            self._writable_buckets(edge.source)
-            self._writable_buckets(edge.target)
-        if edge.directed:
-            self._drop_step(edge.source, FORWARD, edge.type, eid)
-            self._drop_step(edge.target, REVERSE, edge.type, eid)
-        else:
-            self._drop_step(edge.source, UNDIRECTED, edge.type, eid)
-            if edge.source != edge.target:
-                self._drop_step(edge.target, UNDIRECTED, edge.type, eid)
+        if self._own is not None:
+            self._own.edges.add(eid)
+        for direction, vid, _ in _crossings(edge):
+            neighbors, eids = self._writable_bucket(direction, edge.type, vid)
+            at = eids.index(eid)
+            del neighbors[at], eids[at]
+            if not eids:
+                column = self._adjacency[direction][edge.type]
+                del column[vid]
+                if not column:
+                    del self._adjacency[direction][edge.type]
         return edge
 
     def delete_vertex(self, vid: Any) -> List[int]:
@@ -269,11 +262,10 @@ class Graph:
         out, undirected, and self-loops alike.
         """
         vertex = self.vertex(vid)
-        cascaded = sorted({step.edge.eid for step in self.steps(vid)})
+        cascaded = sorted({eid for _, (_, eids) in self._buckets_of(vid) for eid in eids})
         for eid in cascaded:
             self.delete_edge(eid)
         self._stats = None
-        del self._adjacency[vid]
         del self._vertices[vid]
         if self._own is not None:
             self._own.vertices.add(vid)
@@ -283,14 +275,6 @@ class Graph:
             if not ids:
                 del self._by_type[vertex.type]
         return cascaded
-
-    def _drop_step(self, vid: Any, direction: str, etype: str, eid: int) -> None:
-        buckets = self._adjacency[vid][direction]
-        bucket = buckets.get(etype)
-        if bucket is not None:
-            bucket[:] = [step for step in bucket if step.edge.eid != eid]
-            if not bucket:
-                del buckets[etype]
 
     def set_vertex_attr(self, vertex: Vertex, name: str, value: Any) -> None:
         """The query-side attribute write-back (POST_ACCUM ``v.attr =
@@ -313,45 +297,45 @@ class Graph:
         return vertex
 
     def _writable_edge(self, edge: Edge) -> Edge:
-        """The edge's private copy — and, because a :class:`Step` points
-        at its edge, a fresh step in its place in every bucket that
-        crosses it."""
+        """The edge's private copy.  Adjacency holds edge *ids*, so it
+        is not touched."""
         self._stats = None
         own = self._own
-        if own is None or edge.eid in own.edges:
-            return edge
-        own.edges.add(edge.eid)
-        own.copied += 1
-        fresh = Edge(
-            edge.eid, edge.type, edge.source, edge.target, edge.directed, edge.attrs
-        )
-        self._edges[edge.eid] = fresh
-        if edge.directed:
-            crossings = ((edge.source, FORWARD), (edge.target, REVERSE))
-        elif edge.source != edge.target:
-            crossings = ((edge.source, UNDIRECTED), (edge.target, UNDIRECTED))
-        else:
-            crossings = ((edge.source, UNDIRECTED),)
-        for vid, direction in crossings:
-            bucket = self._writable_buckets(vid)[direction][edge.type]
-            for index, step in enumerate(bucket):
-                if step.edge is edge:
-                    bucket[index] = Step(fresh, direction, step.neighbor)
-        return fresh
-
-    def _writable_buckets(self, vid: Any) -> Dict[str, Dict[str, List[Step]]]:
-        buckets = self._adjacency[vid]
-        own = self._own
-        if own is not None and vid not in own.adjacency:
-            own.adjacency.add(vid)
+        if own is not None and edge.eid not in own.edges:
+            own.edges.add(edge.eid)
             own.copied += 1
-            buckets = self._adjacency[vid] = {
-                direction: defaultdict(
-                    list, {etype: list(steps) for etype, steps in by_type.items()}
-                )
-                for direction, by_type in buckets.items()
-            }
-        return buckets
+            edge = Edge(
+                edge.eid, edge.type, edge.source, edge.target, edge.directed, edge.attrs
+            )
+            self._edges[edge.eid] = edge
+        return edge
+
+    def _writable_bucket(self, direction: str, etype: str, vid: Any) -> Bucket:
+        """The bucket of ``vid`` in one column, created empty when the
+        vertex has none, after making the column's map and then the
+        bucket private: each is copied at most once per version, and an
+        unshared graph writes both in place."""
+        by_type = self._adjacency[direction]
+        column = by_type.get(etype)
+        own = self._own
+        if column is None:
+            column = by_type[etype] = {}
+            if own is not None:
+                own.adjacency.add((direction, etype))
+        elif own is not None and (direction, etype) not in own.adjacency:
+            own.adjacency.add((direction, etype))
+            own.copied += 1
+            column = by_type[etype] = column.copy()
+        bucket = column.get(vid)
+        if bucket is None:
+            bucket = column[vid] = ([], [])
+            if own is not None:
+                own.adjacency.add((direction, etype, vid))
+        elif own is not None and (direction, etype, vid) not in own.adjacency:
+            own.adjacency.add((direction, etype, vid))
+            own.copied += 1
+            bucket = column[vid] = (list(bucket[0]), list(bucket[1]))
+        return bucket
 
     def _writable_type_list(self, vtype: str) -> List[Any]:
         own = self._own
@@ -364,14 +348,15 @@ class Graph:
 
     def clone(self) -> "Graph":
         """A new version of this graph that shares every vertex, edge,
-        bucket map and type list with it: only the four top-level id
-        maps are copied (same positions, same edge ids, same epoch,
-        shared schema).  Mutating either graph never perturbs readers of
-        the other — from here on each side copies the one element a
-        mutator is about to write before writing it, tracked by a fresh
-        ownership record on both.  This is the publish step of the
-        mutation layer: a commit costs what its batch touches, not what
-        the graph holds."""
+        adjacency column and type list with it: only the top-level maps
+        are copied — vertices and edges by id, the type index, and per
+        direction the handful of edge type -> column entries (same
+        positions, same edge ids, same epoch, shared schema).  Mutating
+        either graph never perturbs readers of the other — from here on
+        each side copies the one element a mutator is about to write
+        before writing it, tracked by a fresh ownership record on both.
+        This is the publish step of the mutation layer: a commit costs
+        what its batch touches, not what the graph holds."""
         other = Graph.__new__(Graph)
         other.schema = self.schema
         other.name = self.name
@@ -379,7 +364,7 @@ class Graph:
         other._vertices = self._vertices.copy()
         other._edges = self._edges.copy()
         other._next_eid = self._next_eid
-        other._adjacency = self._adjacency.copy()
+        other._adjacency = {d: by_type.copy() for d, by_type in self._adjacency.items()}
         other._by_type = self._by_type.copy()
         other._edge_type_directed = self._edge_type_directed.copy()
         other._stats = None
@@ -446,21 +431,44 @@ class Graph:
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
-    def buckets(self, vid: Any) -> Mapping[str, Mapping[str, Sequence[Step]]]:
-        """The adjacency of ``vid`` as its buckets: crossing direction ->
-        edge type -> the steps of that direction and type, each level in
-        insertion order.
+    def columns(self, direction: str) -> Mapping[str, Column]:
+        """The adjacency crossed in ``direction``: edge type -> column,
+        edge types in the order the graph first saw them; a column maps
+        a vertex id to its bucket ``(neighbour ids, edge ids)`` and has
+        no entry for a vertex without such an edge.
 
-        This is the one seam the engine reads adjacency through — the
-        automaton is stepped once per bucket and the bucket's steps are
-        then a plain loop — so a different storage layout (CSR row
-        slices) only has to answer this call.  The result is a read-only
-        view of live storage; every direction key is present.
+        This is the seam the engine reads adjacency through: one column
+        per adorned symbol, one ``column.get(vid)`` per vertex crossed,
+        then a plain loop over the bucket.  A read-only view of this
+        version's live storage.
         """
-        try:
-            return self._adjacency[vid]
-        except KeyError:
-            raise GraphError(f"unknown vertex id {vid!r}") from None
+        return self._adjacency[direction]
+
+    def vertex_getter(self) -> Callable[[Any], Vertex]:
+        """This version's id -> :class:`Vertex` lookup as a C-level
+        callable, for resolving a bucket's neighbour ids with ``map``
+        (every id a bucket holds is a live vertex)."""
+        return self._vertices.__getitem__
+
+    def _buckets_of(
+        self,
+        vid: Any,
+        directions: Iterable[str] = _DIRECTIONS,
+        etype: Optional[str] = None,
+    ) -> Iterator[Tuple[str, Bucket]]:
+        """``(direction, bucket)`` for every bucket ``vid`` has in the
+        columns of ``directions`` — one edge type's, or all — in traversal
+        order: direction-major, then edge types as the graph first saw
+        them."""
+        if vid not in self._vertices:
+            raise GraphError(f"unknown vertex id {vid!r}")
+        for d in directions:
+            by_type = self._adjacency[d]
+            columns = by_type.values() if etype is None else (by_type.get(etype, {}),)
+            for column in columns:
+                bucket = column.get(vid)
+                if bucket is not None:
+                    yield d, bucket
 
     def steps(
         self,
@@ -475,17 +483,11 @@ class Graph:
         restrictions, every crossable incidence of the vertex is yielded
         (directed edges appear once per crossable orientation).
         """
-        adjacency = self._adjacency.get(vid)
-        if adjacency is None:
-            raise GraphError(f"unknown vertex id {vid!r}")
-        directions = (direction,) if direction else (FORWARD, REVERSE, UNDIRECTED)
-        for d in directions:
-            buckets = adjacency[d]
-            if etype is not None:
-                yield from buckets.get(etype, ())
-            else:
-                for bucket in buckets.values():
-                    yield from bucket
+        edges = self._edges
+        directions = (direction,) if direction else _DIRECTIONS
+        for d, (neighbors, eids) in self._buckets_of(vid, directions, etype):
+            for neighbor, eid in zip(neighbors, eids):
+                yield Step(edges[eid], d, neighbor)
 
     def outdegree(self, vid: Any, etype: Optional[str] = None) -> int:
         """Number of outgoing directed edges (plus undirected incidences).
@@ -494,30 +496,24 @@ class Graph:
         edges a traversal can leave the vertex through in forward or
         undirected fashion.
         """
-        adjacency = self._adjacency.get(vid)
-        if adjacency is None:
-            raise GraphError(f"unknown vertex id {vid!r}")
-        total = 0
-        for d in (FORWARD, UNDIRECTED):
-            buckets = adjacency[d]
-            if etype is not None:
-                total += len(buckets.get(etype, ()))
-            else:
-                total += sum(len(bucket) for bucket in buckets.values())
-        return total
+        return self._degree(vid, (FORWARD, UNDIRECTED), etype)
 
     def indegree(self, vid: Any, etype: Optional[str] = None) -> int:
         """Number of incoming directed edges (plus undirected incidences)."""
-        adjacency = self._adjacency.get(vid)
-        if adjacency is None:
+        return self._degree(vid, (REVERSE, UNDIRECTED), etype)
+
+    def _degree(self, vid: Any, directions: Tuple[str, str], etype: Optional[str]) -> int:
+        # ``v.outdegree()`` runs per row of an ACCUM clause: the same
+        # walk as _buckets_of, without a generator in between
+        if vid not in self._vertices:
             raise GraphError(f"unknown vertex id {vid!r}")
         total = 0
-        for d in (REVERSE, UNDIRECTED):
-            buckets = adjacency[d]
-            if etype is not None:
-                total += len(buckets.get(etype, ()))
-            else:
-                total += sum(len(bucket) for bucket in buckets.values())
+        for d in directions:
+            by_type = self._adjacency[d]
+            for column in by_type.values() if etype is None else (by_type.get(etype, {}),):
+                bucket = column.get(vid)
+                if bucket is not None:
+                    total += len(bucket[1])
         return total
 
     def neighbors(
@@ -528,10 +524,12 @@ class Graph:
     ) -> Iterator[Vertex]:
         """Distinct neighbor vertices reachable in one step."""
         seen = set()
-        for step in self.steps(vid, direction, etype):
-            if step.neighbor not in seen:
-                seen.add(step.neighbor)
-                yield self._vertices[step.neighbor]
+        directions = (direction,) if direction else _DIRECTIONS
+        for _, (neighbors, _) in self._buckets_of(vid, directions, etype):
+            for neighbor in neighbors:
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    yield self._vertices[neighbor]
 
     # ------------------------------------------------------------------
     # Convenience
@@ -548,16 +546,15 @@ class Graph:
         order.  Directed edges match the ``source -> target`` orientation
         only; undirected edges match either endpoint order.  Unknown
         endpoints yield an empty list (upsert-friendly)."""
-        adjacency = self._adjacency.get(source)
-        if adjacency is None:
+        if source not in self._vertices:
             return []
-        found = []
-        for direction in (FORWARD, UNDIRECTED):
-            for step in adjacency[direction].get(etype, ()):
-                if step.neighbor == target:
-                    found.append(step.edge)
-        found.sort(key=lambda e: e.eid)
-        return found
+        found = sorted(
+            eid
+            for _, (neighbors, eids) in self._buckets_of(source, (FORWARD, UNDIRECTED), etype)
+            for neighbor, eid in zip(neighbors, eids)
+            if neighbor == target
+        )
+        return [self._edges[eid] for eid in found]
 
     def degree_histogram(self) -> Dict[int, int]:
         """Map from out-degree to number of vertices with that degree."""
@@ -580,6 +577,19 @@ class Graph:
 
     def __contains__(self, vid: Any) -> bool:
         return vid in self._vertices
+
+
+def _crossings(edge: Edge) -> Iterator[Tuple[str, Any, Any]]:
+    """``(direction, vertex id, neighbour id)`` for every bucket the edge
+    is recorded in: directed, forward at the source and reverse at the
+    target; undirected, once at each distinct endpoint."""
+    if edge.directed:
+        yield FORWARD, edge.source, edge.target
+        yield REVERSE, edge.target, edge.source
+    else:
+        yield UNDIRECTED, edge.source, edge.target
+        if edge.source != edge.target:
+            yield UNDIRECTED, edge.target, edge.source
 
 
 def induced_subgraph(graph: Graph, vertex_ids: Iterable[Any]) -> Graph:

@@ -21,13 +21,14 @@ The product has at most ``|V| * 2^|NFA|`` states, but the DFA part is
 built lazily and in practice stays tiny (it is bounded by the query, not
 the data, giving the polynomial *data* complexity the theorems claim).
 
-The unit of automaton work is the adjacency *bucket*, not the edge: every
-step of one ``(direction, edge type)`` bucket spells the same adorned
-symbol, so :func:`bucket_expander` steps the DFA once per
-``(state, direction, edge type)`` and the searches then run a plain loop
-over the bucket's steps — and never look at a bucket the state cannot
-cross (PathFinder expands the product graph the same way, per automaton
-transition over label-indexed adjacency).
+The unit of automaton work is the adjacency *column*, not the edge: every
+incidence in the column of one ``(direction, edge type)`` spells the same
+adorned symbol, so :func:`bucket_expander` steps the DFA once per
+``(state, direction, edge type)`` — which names the columns the state can
+cross — and the searches then probe each such column once per product
+state and run a plain loop over the bucket found there (PathFinder expands
+the product graph the same way, per automaton transition over
+label-indexed adjacency).
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from typing import (
     List,
     NamedTuple,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -50,8 +50,7 @@ from typing import (
 from .. import _exec
 from ..darpe.automaton import CompiledDarpe, LazyDFA
 from ..governor import faults as _faults
-from ..graph.elements import Step
-from ..graph.graph import Graph
+from ..graph.graph import Bucket, Graph
 
 
 class SdmcResult(NamedTuple):
@@ -64,39 +63,135 @@ class SdmcResult(NamedTuple):
 
 def bucket_expander(
     graph: Graph, dfa: LazyDFA
-) -> Callable[[Any, int], List[Tuple[int, Sequence[Step]]]]:
+) -> Callable[[Any, int], List[Tuple[int, Bucket]]]:
     """``expand(vid, q)``: the product-graph successors of ``(vid, q)`` as
-    ``(q2, steps)`` pairs — one per adjacency bucket of ``vid`` the DFA
-    can cross from ``q``, every step of which leads to state ``q2``.
+    ``(q2, bucket)`` pairs — one per column the DFA can cross from ``q``
+    in which ``vid`` has a bucket ``(neighbour ids, edge ids)``, every
+    incidence of which leads to state ``q2``.
 
     The DFA is stepped once per ``(q, direction, edge type)`` for the
-    lifetime of the expander (one search), and directions ``q`` has no
-    transition in are skipped whole.  Pairs come direction-major in the
-    order ``>``, ``<``, ``-`` with buckets in insertion order: the order
-    :meth:`Graph.steps` yields, minus the dead buckets.
+    lifetime of the expander (one search): the first expansion of ``q``
+    lists the ``(q2, column)`` it can cross, skipping whole the
+    directions it has no transition in, and every later one is a
+    ``column.get(vid)`` per listed column.  Pairs come direction-major in
+    the order ``>``, ``<``, ``-``, then by edge type in the graph's
+    first-seen order: the order :meth:`Graph.steps` yields, minus the
+    dead columns.
     """
-    buckets = graph.buckets
+    columns = graph.columns
     step = dfa.step
     dead = LazyDFA.DEAD
-    # q -> [(direction, {edge type: q2})] for the directions q can cross
-    plans: Dict[int, List[Tuple[str, Dict[str, int]]]] = {}
+    # q -> [(q2, probe of a column q crosses into q2)]
+    plans: Dict[int, List[Tuple[int, Callable[[Any], Optional[Bucket]]]]] = {}
 
-    def expand(vid: Any, q: int) -> List[Tuple[int, Sequence[Step]]]:
+    def expand(vid: Any, q: int) -> List[Tuple[int, Bucket]]:
         plan = plans.get(q)
         if plan is None:
-            plan = plans[q] = [(d, {}) for d in dfa.directions(q)]
+            plan = plans[q] = [
+                (q2, column.get)
+                for direction in dfa.directions(q)
+                for etype, column in columns(direction).items()
+                if (q2 := step(q, (etype, direction))) != dead
+            ]
         live = []
-        by_direction = buckets(vid)
-        for direction, successor in plan:
-            for etype, bucket in by_direction[direction].items():
-                q2 = successor.get(etype)
-                if q2 is None:
-                    q2 = successor[etype] = step(q, (etype, direction))
-                if q2 != dead:
-                    live.append((q2, bucket))
+        for q2, probe in plan:
+            bucket = probe(vid)
+            if bucket is not None:
+                live.append((q2, bucket))
         return live
 
     return expand
+
+
+def sdmc_search(
+    graph: Graph,
+    source: Any,
+    darpe: CompiledDarpe,
+    targets: Optional[Set[Any]] = None,
+    max_length: Optional[int] = None,
+) -> Tuple[Dict[Any, int], Dict[Any, int]]:
+    """The single-source BFS itself: ``(distances, counts)``, two maps
+    over the same vertex ids in the order the search resolved them — the
+    shortest satisfying-path length from ``source`` and the number of
+    such paths.  ``targets`` only stops the search early (once each is
+    resolved); vertices resolved on the way stay in the maps.
+
+    :func:`single_source_sdmc` is the documented entry point; the hop
+    kernel reads ``counts`` directly.
+    """
+    graph.vertex(source)  # validate early, with a clear error
+    dfa = darpe.new_dfa()
+    expand = bucket_expander(graph, dfa)
+    distances: Dict[Any, int] = {}
+    counts: Dict[Any, int] = {}
+    remaining = set(targets) if targets is not None else None
+
+    start = (source, dfa.start)
+    level = 0
+    visited: Set[Tuple[Any, int]] = {start}
+    frontier: Dict[Tuple[Any, int], int] = {start: 1}
+
+    def record_level(states: Dict[Tuple[Any, int], int]) -> None:
+        per_vertex: Dict[Any, int] = defaultdict(int)
+        for (vid, q), count in states.items():
+            if dfa.is_accepting(q):
+                per_vertex[vid] += count
+        for vid, count in per_vertex.items():
+            if vid not in counts:
+                distances[vid] = level
+                counts[vid] = count
+                if remaining is not None:
+                    remaining.discard(vid)
+
+    ec = _exec.current()
+    col = ec.col
+    gov = ec.gov
+    if gov is not None:
+        gov.charge_product_states(1)  # the start state
+    peak_frontier = 1
+    edges_scanned = 0
+    record_level(frontier)
+    try:
+        while frontier:
+            if remaining is not None and not remaining:
+                break
+            if max_length is not None and level >= max_length:
+                break
+            next_frontier: Dict[Tuple[Any, int], int] = defaultdict(int)
+            for (vid, q), count in frontier.items():
+                for q2, (neighbors, _) in expand(vid, q):
+                    if col is not None:
+                        edges_scanned += len(neighbors)
+                    for neighbor in neighbors:
+                        ps = (neighbor, q2)
+                        if ps in visited:
+                            continue
+                        next_frontier[ps] += count
+            level += 1
+            visited.update(next_frontier)
+            record_level(next_frontier)
+            frontier = next_frontier
+            if col is not None and len(frontier) > peak_frontier:
+                peak_frontier = len(frontier)
+            # Governed checkpoint once per BFS level (never per edge):
+            # charge the newly visited product states — the Theorem 6.1
+            # work unit — and check deadline/cancellation.
+            if gov is not None and frontier:
+                gov.charge_product_states(len(frontier))
+            if _faults._PLAN is not None and frontier:
+                _faults.fire("sdmc.level")
+    finally:
+        if col is not None:
+            # Batched per call, never per edge: |visited| product states
+            # is the work bound Theorem 6.1 argues about.  Flushed in a
+            # finally so an aborted call still reports its partial work.
+            col.count("sdmc.calls")
+            col.count("sdmc.product_states", len(visited))
+            col.count("sdmc.bfs_levels", level)
+            col.count("sdmc.edges_scanned", edges_scanned)
+            col.record_max("sdmc.frontier_peak", peak_frontier)
+
+    return distances, counts
 
 
 def single_source_sdmc(
@@ -126,79 +221,12 @@ def single_source_sdmc(
     dict mapping target vertex id to :class:`SdmcResult`.  Targets with no
     satisfying path are absent.
     """
-    graph.vertex(source)  # validate early, with a clear error
-    dfa = darpe.new_dfa()
-    expand = bucket_expander(graph, dfa)
-    results: Dict[Any, SdmcResult] = {}
-    remaining = set(targets) if targets is not None else None
-
-    start = (source, dfa.start)
-    level = 0
-    visited: Set[Tuple[Any, int]] = {start}
-    frontier: Dict[Tuple[Any, int], int] = {start: 1}
-
-    def record_level(states: Dict[Tuple[Any, int], int]) -> None:
-        per_vertex: Dict[Any, int] = defaultdict(int)
-        for (vid, q), count in states.items():
-            if dfa.is_accepting(q):
-                per_vertex[vid] += count
-        for vid, count in per_vertex.items():
-            if vid not in results:
-                results[vid] = SdmcResult(level, count)
-                if remaining is not None:
-                    remaining.discard(vid)
-
-    ec = _exec.current()
-    col = ec.col
-    gov = ec.gov
-    if gov is not None:
-        gov.charge_product_states(1)  # the start state
-    peak_frontier = 1
-    edges_scanned = 0
-    record_level(frontier)
-    try:
-        while frontier:
-            if remaining is not None and not remaining:
-                break
-            if max_length is not None and level >= max_length:
-                break
-            next_frontier: Dict[Tuple[Any, int], int] = defaultdict(int)
-            for (vid, q), count in frontier.items():
-                for q2, bucket in expand(vid, q):
-                    if col is not None:
-                        edges_scanned += len(bucket)
-                    for step in bucket:
-                        ps = (step.neighbor, q2)
-                        if ps in visited:
-                            continue
-                        next_frontier[ps] += count
-            level += 1
-            visited.update(next_frontier)
-            record_level(next_frontier)
-            frontier = next_frontier
-            if col is not None and len(frontier) > peak_frontier:
-                peak_frontier = len(frontier)
-            # Governed checkpoint once per BFS level (never per edge):
-            # charge the newly visited product states — the Theorem 6.1
-            # work unit — and check deadline/cancellation.
-            if gov is not None and frontier:
-                gov.charge_product_states(len(frontier))
-            if _faults._PLAN is not None and frontier:
-                _faults.fire("sdmc.level")
-    finally:
-        if col is not None:
-            # Batched per call, never per edge: |visited| product states
-            # is the work bound Theorem 6.1 argues about.  Flushed in a
-            # finally so an aborted call still reports its partial work.
-            col.count("sdmc.calls")
-            col.count("sdmc.product_states", len(visited))
-            col.count("sdmc.bfs_levels", level)
-            col.count("sdmc.edges_scanned", edges_scanned)
-            col.record_max("sdmc.frontier_peak", peak_frontier)
-
-    if targets is not None:
-        return {vid: res for vid, res in results.items() if vid in targets}
-    return results
+    distances, counts = sdmc_search(graph, source, darpe, targets, max_length)
+    return {
+        vid: SdmcResult(distance, counts[vid])
+        for vid, distance in distances.items()
+        if targets is None or vid in targets
+    }
 
 
 def single_pair_sdmc(
@@ -303,6 +331,7 @@ def shortest_path_dag(
     graph.vertex(source)
     dfa = darpe.new_dfa()
     expand = bucket_expander(graph, dfa)
+    edge_of = graph.edge
     start = (source, dfa.start)
     distances: Dict[Tuple[Any, int], int] = {start: 0}
     parents: Dict[Tuple[Any, int], List[Tuple[Tuple[Any, int], Any]]] = {}
@@ -327,17 +356,17 @@ def shortest_path_dag(
             break
         next_frontier: List[Tuple[Any, int]] = []
         for ps in frontier:
-            for q2, bucket in expand(*ps):
-                for step in bucket:
-                    child = (step.neighbor, q2)
+            for q2, (neighbors, eids) in expand(*ps):
+                for neighbor, eid in zip(neighbors, eids):
+                    child = (neighbor, q2)
                     known = distances.get(child)
                     if known is None:
                         distances[child] = level + 1
-                        parents[child] = [(ps, step.edge)]
+                        parents[child] = [(ps, edge_of(eid))]
                         next_frontier.append(child)
                         note_accepting(child, level + 1)
                     elif known == level + 1:
-                        parents[child].append((ps, step.edge))
+                        parents[child].append((ps, edge_of(eid)))
         level += 1
         frontier = next_frontier
         if gov is not None and frontier:
@@ -367,6 +396,7 @@ def enumerate_shortest_paths(
 __all__ = [
     "SdmcResult",
     "bucket_expander",
+    "sdmc_search",
     "single_source_sdmc",
     "single_pair_sdmc",
     "all_paths_sdmc",

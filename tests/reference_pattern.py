@@ -6,9 +6,10 @@ copying its dict, a repeated variable is found by name, chains are joined
 on the names their dicts share.  Everything that is *not* the row
 representation — the bind stage (``_bind_filters``, ``_Acceptor``), the
 per-hop counting (``_hop_counts``), the obs touchpoints — is the shipped
-code, called at the places the old loops called it, so a difference
-between the two matchers is a difference in how rows are built, ordered
-or joined.
+code, called at the places the old loops called it, and adjacency is read
+through the public ``Graph.steps`` (one :class:`Step` and one acceptor
+probe per crossing, no resolver choice), so a difference between the two
+matchers is a difference in how rows are built, ordered or joined.
 """
 
 from repro import _exec
@@ -78,22 +79,19 @@ def _evaluate_hop(ctx, graph, hop, rows, mode, var_filters, current_var, col):
         direction, etype = symbol.direction, symbol.edge_type
         for bindings, multiplicity in rows:
             joined = bindings.get(target_var)
-            by_type = graph.buckets(bindings[current_var].vid)[direction]
-            buckets = by_type.values() if etype is None else (by_type.get(etype, ()),)
-            for bucket in buckets:
-                for step in bucket:
-                    target = acceptor[step.neighbor]
-                    if target is None:
-                        continue
-                    if edge_passes is not None and not edge_passes(step.edge):
-                        continue
-                    if joined is not None and joined.vid != target.vid:
-                        continue
-                    extended = dict(bindings)
-                    extended[target_var] = target
-                    if edge_var is not None:
-                        extended[edge_var] = step.edge
-                    append((extended, multiplicity))
+            for step in graph.steps(bindings[current_var].vid, direction, etype):
+                target = acceptor[step.neighbor]
+                if target is None:
+                    continue
+                if edge_passes is not None and not edge_passes(step.edge):
+                    continue
+                if joined is not None and joined.vid != target.vid:
+                    continue
+                extended = dict(bindings)
+                extended[target_var] = target
+                if edge_var is not None:
+                    extended[edge_var] = step.edge
+                append((extended, multiplicity))
         return new_rows, plan
 
     reverse_targets = _reverse_targets(

@@ -100,7 +100,7 @@ class TestCompilationDocs:
     def test_docs_name_the_hop_kernel_and_the_bucket_view(self):
         """The FROM clause's lowering is documented where each layer is:
         the hop kernel with what it memoises and why that is sound, the
-        bucket view as the adjacency seam, the unchanged sdmc.* counters."""
+        symbol columns as the adjacency seam, the unchanged sdmc.* counters."""
         compilation = (DOCS / "compilation.md").read_text()
         for needle in (
             "**Hop kernel**",
@@ -112,8 +112,12 @@ class TestCompilationDocs:
         ):
             assert needle in compilation, f"docs/compilation.md lost {needle!r}"
         architecture = (DOCS / "architecture.md").read_text()
-        for needle in ("hop kernel", "`Graph.buckets(vid)`", "`bucket_expander`"):
+        for needle in (
+            "hop kernel", "`Graph.columns(direction)`", "`Graph.vertex_getter()`",
+            "`bucket_expander`", "**Traversal order**",
+        ):
             assert needle in architecture, f"docs/architecture.md lost {needle!r}"
+        assert "**two resolvers**" in compilation
         observability = (DOCS / "observability.md").read_text()
         for needle in ("`sdmc.edges_scanned`", "unchanged in meaning and value"):
             assert needle in observability, (
@@ -121,7 +125,11 @@ class TestCompilationDocs:
             )
         for page in [REPO / "README.md", *sorted(DOCS.glob("*.md"))]:
             text = page.read_text()
-            for gone in ("_passes_filters", "step_over", "VertexSpec.allows"):
+            for gone in (
+                "_passes_filters", "step_over", "VertexSpec.allows",
+                # the per-vertex buckets of Step objects and their seam
+                "Graph.buckets(", "`Step` in its place",
+            ):
                 assert gone not in text, f"{page.name} still mentions {gone!r}"
 
     def test_docs_describe_slot_rows_and_scopes(self):

@@ -9,7 +9,7 @@ the violation is reported under the right check name.
 import time
 
 from repro.graph import Graph
-from repro.graph.elements import FORWARD, REVERSE, Edge
+from repro.graph.elements import FORWARD, REVERSE, UNDIRECTED, Edge
 from repro.graph.fsck import CHECKS, check_catalog, fsck_graph
 from repro.graph.mutation import GraphStore, MutationBatch
 from repro.graph.stats import stats_snapshot
@@ -26,6 +26,11 @@ def small_graph():
     g.add_edge("a", "c", "LivesIn")
     g.add_edge("b", "c", "Visited", directed=False)
     return g
+
+
+def _bucket(g, direction, etype, vid):
+    """The live ``(neighbour ids, edge ids)`` of one vertex in one column."""
+    return g._adjacency[direction][etype][vid]
 
 
 def _checks_hit(report):
@@ -65,7 +70,7 @@ class TestViolationDetection:
 
     def test_adjacency_missing_step(self):
         g = small_graph()
-        g._adjacency["a"][FORWARD]["Knows"].clear()
+        del g._adjacency[FORWARD]["Knows"]
         report = fsck_graph(g)
         assert "adjacency-symmetry" in _checks_hit(report)
         assert any("missing steps" in v.detail for v in report.violations)
@@ -81,7 +86,7 @@ class TestViolationDetection:
     def test_adjacency_entry_for_deleted_vertex(self):
         g = small_graph()
         g.delete_vertex("c")
-        g._adjacency["c"] = {FORWARD: {}, "reverse": {}, "undirected": {}}
+        g._adjacency[UNDIRECTED]["Visited"] = {"c": (["b"], [2])}
         report = fsck_graph(g)
         assert any(
             "adjacency entry for deleted vertex" in v.detail
@@ -89,26 +94,35 @@ class TestViolationDetection:
         )
 
     def test_vertex_without_adjacency_entry(self):
+        # Adjacency is keyed by symbol, not by vertex: a vertex needs no
+        # entry of its own, so "a vertex the index forgot" is not a state
+        # the layout can be in — an isolated vertex is simply absent from
+        # every column, and fsck has nothing to look for.
         g = small_graph()
-        del g._adjacency["c"]
-        report = fsck_graph(g)
-        assert any(
-            "no adjacency entry" in v.detail for v in report.violations
+        g.add_vertex("d", "City")
+        assert all(
+            "d" not in column
+            for by_type in g._adjacency.values()
+            for column in by_type.values()
         )
+        assert list(g.steps("d")) == [] and g.outdegree("d") == 0
+        assert fsck_graph(g).ok
 
     def test_degree_reconciliation(self):
         g = small_graph()
         # Duplicate one step: adjacency degree now over-counts.
-        steps = g._adjacency["a"][FORWARD]["Knows"]
-        steps.append(steps[0])
+        neighbors, eids = _bucket(g, FORWARD, "Knows", "a")
+        neighbors.append(neighbors[0])
+        eids.append(eids[0])
         report = fsck_graph(g)
         assert "degree-reconciliation" in _checks_hit(report)
 
     def test_degree_reconciliation_messages_name_each_vertex(self):
         g = small_graph()
-        steps = g._adjacency["a"][FORWARD]["Knows"]
-        steps.append(steps[0])
-        del g._adjacency["c"][REVERSE]["LivesIn"]
+        neighbors, eids = _bucket(g, FORWARD, "Knows", "a")
+        neighbors.append(neighbors[0])
+        eids.append(eids[0])
+        del g._adjacency[REVERSE]["LivesIn"]
         details = [
             v.detail for v in fsck_graph(g).violations
             if v.check == "degree-reconciliation"
@@ -130,18 +144,48 @@ class TestViolationDetection:
         assert time.perf_counter() - started < 1.0
 
     def test_step_pointing_at_a_stale_copy_of_its_edge(self):
-        # What copy-on-write gets wrong if an edge-attribute upsert
-        # copies the Edge but leaves a Step pointing at the old object:
-        # same id, same endpoints, stale attributes.
+        # A bucket records edge *ids*; the Edge is looked up at the moment
+        # a step is handed out.  Swapping in a fresh copy of an edge — what
+        # a copy-on-write attribute update does — therefore cannot leave
+        # adjacency pointing at the old object: the state is unrepresentable.
         g = small_graph()
         old = g.edge(0)
         g._edges[0] = Edge(old.eid, old.type, old.source, old.target,
                            old.directed, {"since": 1833})
+        assert fsck_graph(g).ok
+        for vid in ("a", "b"):
+            for step in g.steps(vid, etype="Knows"):
+                assert step.edge is g.edge(0) and step.edge["since"] == 1833
+
+    def test_parallel_sequences_of_unequal_length(self):
+        g = small_graph()
+        _bucket(g, FORWARD, "Knows", "a")[0].append("b")  # no edge id
         report = fsck_graph(g)
         assert _checks_hit(report) == {"adjacency-symmetry"}
         assert [v.detail for v in report.violations] == [
-            "vertex 'a' holds a step for a stale copy of edge 0 (Knows, >)",
-            "vertex 'b' holds a step for a stale copy of edge 0 (Knows, <)",
+            "vertex 'a' >/Knows: 2 neighbours recorded against 1 edge ids",
+        ]
+
+    def test_recorded_neighbour_is_not_the_other_endpoint(self):
+        g = small_graph()
+        _bucket(g, FORWARD, "LivesIn", "a")[0][0] = "b"  # edge 1 is a -> c
+        report = fsck_graph(g)
+        assert _checks_hit(report) == {"adjacency-symmetry"}
+        assert [v.detail for v in report.violations] == [
+            "vertex 'a' >/LivesIn: edge 1 recorded with neighbour 'b', "
+            "its other endpoint is 'c'",
+        ]
+
+    def test_empty_bucket_or_column_left_behind(self):
+        g = small_graph()
+        g.add_vertex("d", "City")
+        g._adjacency[FORWARD]["Knows"]["d"] = ([], [])
+        g._adjacency[REVERSE]["Ghost"] = {}
+        report = fsck_graph(g)
+        assert _checks_hit(report) == {"adjacency-symmetry"}
+        assert [v.detail for v in report.violations] == [
+            "vertex 'd' >/Knows: empty bucket left behind",
+            "empty column left behind for </Ghost",
         ]
 
     def test_carried_statistics_that_disagree_with_a_rebuild(self):

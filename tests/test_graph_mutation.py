@@ -6,10 +6,14 @@ readers never observe later commits, and a durable store round-trips
 through its WAL.
 """
 
+import gc
+import time
+
 import pytest
 
 from repro.errors import MutationConflictError, MutationError
 from repro.graph import Graph
+from repro.graph.elements import FORWARD, REVERSE
 from repro.graph.fsck import fsck_graph
 from repro.graph.mutation import (
     GraphStore,
@@ -156,11 +160,17 @@ class TestCopyOnWrite:
                     .upsert_edge("mary", "london", "LivesIn"))
         v1 = store.live
         assert v1.vertex("charles") is v0.vertex("charles")
-        assert v1.buckets("charles") is v0.buckets("charles")
+        # adjacency is shared by the column and, inside a written column,
+        # by the bucket: the batch wrote LivesIn and never touched Knows
+        for direction in (FORWARD, REVERSE):
+            assert v1.columns(direction)["Knows"] is v0.columns(direction)["Knows"]
+            assert v1.columns(direction)["LivesIn"] is not v0.columns(direction)["LivesIn"]
+        assert v1.columns(FORWARD)["LivesIn"]["ada"] is v0.columns(FORWARD)["LivesIn"]["ada"]
+        assert (v1.columns(REVERSE)["LivesIn"]["london"]
+                is not v0.columns(REVERSE)["LivesIn"]["london"])
         assert v1.edge(0) is v0.edge(0)
         assert v1.vertex("ada") is not v0.vertex("ada")
         assert (v0.vertex("ada")["born"], v1.vertex("ada")["born"]) == (1815, 1816)
-        assert v1.buckets("london") is not v0.buckets("london")
         assert v0.indegree("london") == 1 and v1.indegree("london") == 2
         assert list(v0.vertex_ids("Person")) == ["ada", "charles"]
         assert list(v1.vertex_ids("Person")) == ["ada", "charles", "mary"]
@@ -225,10 +235,55 @@ class TestCopyOnWrite:
                 store.apply(ops)
             copied[scale] = col.counters["mutation.copied_elements"]
             assert store.live.num_vertices == graph.num_vertices + 1
-        # The Person id list, three endpoints' bucket maps, two
-        # attribute-upserted vertices, one attribute-upserted edge.
-        assert copied == {0.1: 7, 1.0: 7}
+        # The Person id list, the undirected Knows column's map, the
+        # Knows buckets of the three existing endpoints (pin:a's and
+        # pin:b's are new, not copied), two attribute-upserted vertices,
+        # one attribute-upserted edge — which no longer touches adjacency.
+        assert copied == {0.1: 8, 1.0: 8}
         assert copied[1.0] <= 2 * len(ops)
+
+    def test_a_second_edge_onto_the_same_hub_copies_nothing_more(self):
+        def copied_by(batch):
+            store = GraphStore(people_graph())
+            with collect() as col:
+                store.apply(batch)
+            return col.counters["mutation.copied_elements"]
+
+        one = (MutationBatch()
+               .upsert_vertex("mary", "Person")
+               .upsert_edge("mary", "london", "LivesIn"))
+        two = (MutationBatch()
+               .upsert_vertex("mary", "Person")
+               .upsert_vertex("percy", "Person")
+               .upsert_edge("mary", "london", "LivesIn")
+               .upsert_edge("percy", "london", "LivesIn"))
+        # Person list, both LivesIn columns, london's reverse bucket: each
+        # once per version, however many edges the batch lands on them.
+        assert copied_by(one) == copied_by(two) == 4
+
+    def test_building_a_star_is_linear_in_its_edges(self):
+        # An unshared graph appends to the hub's bucket in place; a layout
+        # that rebuilt the bucket per insert would be quadratic (17.6 s for
+        # 100 000 edges when the bucket was an immutable tuple).
+        def build(spokes):
+            g = Graph(name="star")
+            g.add_vertex("hub", "Hub")
+            started = time.perf_counter()
+            for i in range(spokes):
+                g.add_vertex(i, "Spoke")
+                g.add_edge(i, "hub", "To")
+            assert g.indegree("hub") == spokes
+            return time.perf_counter() - started
+
+        # the collector's full passes over a growing heap are superlinear
+        # on their own and are not what this pins
+        gc.disable()
+        try:
+            build(1_000)  # warm up
+            small = min(build(25_000) for _ in range(2))
+            assert build(50_000) < 3 * small
+        finally:
+            gc.enable()
 
 
 class TestSnapshotIsolation:

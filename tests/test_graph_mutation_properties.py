@@ -32,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MutationConflictError
-from repro.graph import Graph
+from repro.graph import FORWARD, REVERSE, UNDIRECTED, Graph
 from repro.graph.fsck import fsck_graph
 from repro.graph.graph import induced_subgraph
 from repro.graph.mutation import (
@@ -424,19 +424,16 @@ def canonical(graph):
             for e in graph.edges()
         ],
         "types": [(t, list(graph.vertex_ids(t))) for t in graph.vertex_types()],
-        "buckets": [
-            (vid, [
-                (direction, [
-                    (etype, [
-                        (s.edge.eid, s.direction, s.neighbor,
-                         list(s.edge.attrs.items()))
-                        for s in steps
-                    ])
-                    for etype, steps in by_type.items()
+        "columns": [
+            (direction, [
+                (etype, [
+                    (vid, list(neighbors), list(eids),
+                     [list(graph.edge(eid).attrs.items()) for eid in eids])
+                    for vid, (neighbors, eids) in column.items()
                 ])
-                for direction, by_type in graph.buckets(vid).items()
+                for etype, column in graph.columns(direction).items()
             ])
-            for vid in graph.vertex_ids()
+            for direction in (FORWARD, REVERSE, UNDIRECTED)
         ],
     }
 
