@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Guard AccSan's no-op fast path: a disabled sanitizer must be free.
 
-AccSan hooks the ACCUM Map phase at every accumulator write with the
-same pattern the observability layer uses — the kernel's bind stage
-reads the calling context's sanitizer once per block phase
+AccSan hooks every accumulator write of the ACCUM Map phase and of
+POST_ACCUM — one kernel, one hook — with the same pattern the
+observability layer uses: the kernel's bind stage reads the calling
+context's sanitizer once per block phase
 (``repro._exec.current().san``) and each write pays one ``is not None``
 comparison on that closed-over local when no sanitizer is active
 (docs/static_analysis.md, "Effect analysis & AccSan").  This script
@@ -13,7 +14,9 @@ enforces the contract on a Reduce-heavy workload:
    write (``repro.compile.lowering._compile_accum_update`` minus the
    bind stage's context read and the per-write check) in this file,
 2. interleaves timed blocks of the shipped kernel (sanitizer off) with
-   the reference copy over the diamond-chain edge workload,
+   the reference copy over the diamond-chain edge workload — a Map
+   phase, its Reduce, and a POST_ACCUM clause driven by the engine's own
+   ``run_post_accum``,
 3. asserts the median overhead is below the threshold (default 5%), and
 4. cross-checks correctness: sanitizer off and the reference agree on
    every accumulator value, and a run *with* a sanitizer records one
@@ -43,17 +46,19 @@ from repro.core.exprs import EvalEnv, Literal, NameRef, Scope
 from repro.core.pattern import (
     EngineMode, Pattern, chain, evaluate_pattern, hop,
 )
-from repro.core.stmts import AccumTarget, AccumUpdate, InputBuffer, LocalAssign
+from repro.core.stmts import (
+    AccumTarget, AccumUpdate, InputBuffer, LocalAssign, run_post_accum,
+)
 from repro.errors import QueryRuntimeError
 from repro.graph import builders
 from repro.graph.elements import Vertex
 
 
-def shipped_kernel(statements, scope):
-    return compile_accum_clause(statements, {}, CompileStats(), scope)
+def shipped_kernel(statements, scope, post=False):
+    return compile_accum_clause(statements, {}, CompileStats(), scope, post)
 
 
-def reference_kernel(statements, scope):
+def reference_kernel(statements, scope, post=False):
     """The shipped kernel with every accumulator write replaced by
     :func:`_reference_accum_update` — the baseline an ideal zero-cost
     sanitizer hook matches.  Other statement kinds go through the
@@ -63,7 +68,7 @@ def reference_kernel(statements, scope):
     binders = [
         _reference_accum_update(stmt, stats, scope)
         if isinstance(stmt, AccumUpdate)
-        else _compile_acc_statement(stmt, {}, stats, scope)
+        else _compile_acc_statement(stmt, {}, stats, scope, post)
         for stmt in statements
     ]
 
@@ -147,6 +152,22 @@ def build_workload(n):
     return ctx, table, statements
 
 
+#: The POST_ACCUM clause of the workload, one write per distinct ``t``:
+#: the statement shares the Map kernel's lowering, so it shares the hook.
+POST_STATEMENTS = [AccumUpdate(AccumTarget("deg", NameRef("t")), "+=", Literal(1))]
+
+
+def post_clause(kernel, table):
+    """``POST_STATEMENTS`` as ``run_post_accum`` takes a clause: one
+    ``(kernel binder, dependency slots)`` pair per statement, built by
+    ``kernel`` (:func:`shipped_kernel` or :func:`reference_kernel`)."""
+    scope = Scope(table.variables)
+    return [
+        (kernel([stmt], scope, post=True), [table.slot("t")])
+        for stmt in POST_STATEMENTS
+    ]
+
+
 def run_map(bind, ctx, rows):
     """One Map phase the way a SELECT block drives it: bind the kernel
     once, re-point one environment at each row; returns the buffer
@@ -160,8 +181,14 @@ def run_map(bind, ctx, rows):
     return buffer
 
 
-def run_once(bind, ctx, rows):
-    run_map(bind, ctx, rows).flush()
+def run_once(bind, post, ctx, table):
+    """Map, Reduce, then the POST_ACCUM clause over the same rows."""
+    run_map(bind, ctx, table).flush()
+    run_post_accum(post, ctx, table.rows, {})
+
+
+def accum_values(ctx):
+    return ctx.global_accum("total").value, dict(ctx.vertex_accum_values("deg"))
 
 
 def timed_block(fn, calls):
@@ -186,12 +213,14 @@ def main(argv=None) -> int:
     ctx_off, rows, statements = build_workload(args.n)
     scope = Scope(rows.variables)
     shipped = shipped_kernel(statements, scope)
+    shipped_post = post_clause(shipped_kernel, rows)
     reference_bind = reference_kernel(statements, scope)
-    run_once(shipped, ctx_off, rows)
+    reference_post = post_clause(reference_kernel, rows)
+    run_once(shipped, shipped_post, ctx_off, rows)
     ctx_ref, _, _ = build_workload(args.n)
-    run_once(reference_bind, ctx_ref, rows)
-    if ctx_off.global_accum("total").value != ctx_ref.global_accum("total").value:
-        print("FAIL: sanitizer-off Map phase diverges from the reference",
+    run_once(reference_bind, reference_post, ctx_ref, rows)
+    if accum_values(ctx_off) != accum_values(ctx_ref):
+        print("FAIL: sanitizer-off run diverges from the reference",
               file=sys.stderr)
         return 1
 
@@ -204,13 +233,21 @@ def main(argv=None) -> int:
         # do the same (block=None: divergences would be detections).
         san.check_flush(None, buffer)
         buffer.flush()
-    if ctx_on.global_accum("total").value != ctx_ref.global_accum("total").value:
+        run_post_accum(shipped_post, ctx_on, rows.rows, {})
+    if accum_values(ctx_on) != accum_values(ctx_ref):
         print("FAIL: sanitized run changed the result", file=sys.stderr)
         return 1
-    expected_events = 2 * len(rows)  # two AccumUpdates per row
+    # Two AccumUpdates per row, one POST_ACCUM write per distinct ``t``.
+    targets = {values[rows.slot("t")].vid for values, _ in rows.rows}
+    post_events = len(POST_STATEMENTS) * len(targets)
+    expected_events = 2 * len(rows) + post_events
     if len(san.events) != expected_events:
         print(f"FAIL: sanitizer recorded {len(san.events)} events, "
               f"expected {expected_events}", file=sys.stderr)
+        return 1
+    if [e.site for e in san.events[2 * len(rows):]] != ["post_accum"] * post_events:
+        print("FAIL: POST_ACCUM writes were not recorded as post_accum events",
+              file=sys.stderr)
         return 1
     if san.verified < 1 or san.detections:
         print(f"FAIL: commutative workload verified={san.verified} "
@@ -219,8 +256,8 @@ def main(argv=None) -> int:
 
     # --- overhead: interleaved medians, sanitizer off -------------------
     ctx, rows, statements = build_workload(args.n)
-    instrumented = lambda: run_once(shipped, ctx, rows)  # noqa: E731
-    reference = lambda: run_once(reference_bind, ctx, rows)  # noqa: E731
+    instrumented = lambda: run_once(shipped, shipped_post, ctx, rows)  # noqa: E731
+    reference = lambda: run_once(reference_bind, reference_post, ctx, rows)  # noqa: E731
     timed_block(instrumented, args.calls_per_block)  # warm caches
     timed_block(reference, args.calls_per_block)
 
@@ -236,7 +273,7 @@ def main(argv=None) -> int:
         t_on = timed_block(instrumented, args.calls_per_block)
 
     per_call_us = med_ref / args.calls_per_block * 1e6
-    print(f"reference map phase    : {per_call_us:8.1f} us/call (median of "
+    print(f"reference map + post   : {per_call_us:8.1f} us/call (median of "
           f"{args.blocks} x {args.calls_per_block}, {len(rows)} rows)")
     print(f"instrumented, san off  : "
           f"{med_instr / args.calls_per_block * 1e6:8.1f} us/call "

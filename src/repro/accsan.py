@@ -46,6 +46,7 @@ from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 from . import _exec
 from .accum.algebra import digest_value
 from .errors import AccSanViolation
+from .obs import count as _count
 
 
 class AccSanEvent(NamedTuple):
@@ -105,9 +106,7 @@ class Sanitizer:
         self.events.append(
             AccSanEvent(site, spelled, type_name, op, digest_value(value))
         )
-        col = _exec.current().col
-        if col is not None:
-            col.count("accsan.events")
+        _count("accsan.events")
 
     # -- replay --------------------------------------------------------
     def check_flush(self, block: Any, buffer: Any) -> None:
@@ -175,7 +174,7 @@ class Sanitizer:
                 )
                 return
         self.verified += 1
-        self._count("accsan.verified")
+        _count("accsan.verified")
 
     # -- internals -----------------------------------------------------
     def _check_replay(
@@ -196,7 +195,7 @@ class Sanitizer:
                 self._diverged(key, acc, cert, label, schedule, base, observed)
                 return
         self.verified += 1
-        self._count("accsan.verified")
+        _count("accsan.verified")
 
     def _check_sets(self, sets: List[Tuple[Any, Any]], cert, label) -> None:
         """Two plain assignments with different values to one accumulator
@@ -230,7 +229,7 @@ class Sanitizer:
             return snap() if callable(snap) else copy.deepcopy(acc)
         except Exception:
             self.unreplayable += 1
-            self._count("accsan.unreplayable")
+            _count("accsan.unreplayable")
             return None
 
     def _diverged(
@@ -241,7 +240,7 @@ class Sanitizer:
             key, (getattr(type(acc), "type_name", type(acc).__name__), "")
         )
         if cert is not None and cert.commutative:
-            self._count("accsan.violations")
+            _count("accsan.violations")
             raise AccSanViolation(
                 f"AccSan: {label}: {site} of {spelled} diverged on "
                 f"schedule {schedule} ({expected} != {observed}) but the "
@@ -257,7 +256,7 @@ class Sanitizer:
         self.detections.append(
             AccSanDetection(label, spelled, schedule, expected, observed, status)
         )
-        self._count("accsan.detections")
+        _count("accsan.detections")
 
     @staticmethod
     def _block_label(block: Any) -> str:
@@ -265,12 +264,6 @@ class Sanitizer:
             return "<unattributed reduce>"
         pattern = getattr(block, "pattern", None)
         return f"SELECT FROM {pattern!r}" if pattern is not None else repr(block)
-
-    @staticmethod
-    def _count(name: str) -> None:
-        col = _exec.current().col
-        if col is not None:
-            col.count(name)
 
     # -- reporting -----------------------------------------------------
     def report(self) -> str:

@@ -36,18 +36,12 @@ import threading
 from collections import OrderedDict
 from typing import Optional, Tuple
 
-from .. import _exec
+from ..obs import count as _count
 from .lowering import CompiledQuery, compile_query
 
 #: Default number of cached plans; at ~one lowered statement tree per
 #: entry this is a few MB for typical workloads.
 DEFAULT_CAPACITY = 128
-
-
-def _count(name: str, value: int = 1) -> None:
-    col = _exec.current().col
-    if col is not None:
-        col.count(name, value)
 
 
 class PlanCache:

@@ -15,9 +15,10 @@ into a :class:`CompiledQuery` — the one form the engine executes
   POST_ACCUM per-statement dependency slots, and a **fused ACCUM map
   kernel**: a two-stage closure (``bind(ctx, buffer) -> row_fn(env, μ)``)
   whose bind stage resolves accumulator instances and buffer methods
-  once per block execution instead of once per row.  Each phase of an
-  execution runs its closures under one ``EvalEnv`` re-pointed at each
-  row.
+  once per block execution instead of once per row (a POST_ACCUM
+  statement is the same kernel from the same lowering).  Each phase of
+  an execution runs its closures under one ``EvalEnv`` re-pointed at
+  each row.
 
 The original ``Query`` object is left untouched and remains the target
 of static analysis; the lowered statements never alias mutable clause
@@ -34,7 +35,7 @@ from ..core.block import OutputColumn, OutputFragment, SelectBlock
 from ..core.context import QueryContext
 from ..core.exprs import NO_SCOPE, EvalEnv, Expr, Scope, primed_accum_names
 from ..core.pattern import EngineMode, evaluate_pattern
-from ..core.planner import and_all, push_down_filters, select_engine
+from ..core.planner import push_down_filters, select_engine
 from ..core.query import (
     DeclareAccum,
     Foreach,
@@ -55,7 +56,6 @@ from ..core.stmts import (
     AccStatement,
     AccumForeach,
     AccumIf,
-    AccumTarget,
     AccumUpdate,
     AttributeUpdate,
     InputBuffer,
@@ -72,16 +72,20 @@ from .exprc import CompileStats, compile_closure, compile_expr
 
 
 # ----------------------------------------------------------------------
-# ACCUM map kernel
+# Accumulator-clause kernel (ACCUM and POST_ACCUM)
 # ----------------------------------------------------------------------
 # A kernel is built in two stages so per-execution state binds exactly
 # once: ``compile_accum_clause`` runs at compile time and returns a
-# *binder*; the block calls ``binder(ctx, buffer)`` once per execution,
-# which resolves accumulator instances / family factories / buffer
-# methods and returns the per-row function ``run(env, μ)``.  The bind
+# *binder*; the executor calls ``binder(ctx, sink)`` once per clause
+# execution, which resolves accumulator instances / family factories /
+# sink methods and returns the per-row function ``run(env, μ)``.  The bind
 # stage only needs ``global_accum`` / ``vertex_accum_resolver`` from its
-# first argument and ``add`` / ``set`` from its second, which is how
-# ``parallel_accum`` points the same kernel at a worker's private scratch.
+# first argument and ``add`` / ``set`` from its second, so one kernel
+# serves three sinks: the block's ``InputBuffer``, a ``parallel_accum``
+# worker's private scratch, and POST_ACCUM's buffer, whose ``=`` is
+# immediate.  The clause kind (``post``) decides three leaves only:
+# which of ``LocalAssign`` / ``AttributeUpdate`` the clause admits (the
+# other rejects when an execution reaches it) and the AccSan event label.
 
 _Binder = Callable[[QueryContext, InputBuffer], Callable[[EvalEnv, int], None]]
 
@@ -89,7 +93,7 @@ _Binder = Callable[[QueryContext, InputBuffer], Callable[[EvalEnv, int], None]]
 def _clause_scope(scope: Scope, statements: List[AccStatement]) -> Scope:
     """``scope`` plus the names the clause's own statements may bind:
     local assignments and FOREACH variables, at any nesting depth."""
-    names = set()
+    names = set(scope.locals)
     for stmt in walk_acc_statements(statements):
         if isinstance(stmt, LocalAssign):
             names.add(stmt.name)
@@ -103,16 +107,21 @@ def compile_accum_clause(
     decl_types: Dict[str, Any],
     stats: CompileStats,
     scope: Scope,
+    post: bool = False,
 ) -> Optional[_Binder]:
     """The clause's kernel binder, its expressions lowered under
-    ``scope`` (the row layout the kernel's environments will carry)."""
+    ``scope`` (the row layout the kernel's environments will carry).
+    ``post`` is the clause kind: an ACCUM clause, or a POST_ACCUM one
+    (whose kernels do not count in ``stats.kernels``)."""
     if not statements:
         return None
     scope = _clause_scope(scope, statements)
     binders = [
-        _compile_acc_statement(s, decl_types, stats, scope) for s in statements
+        _compile_acc_statement(s, decl_types, stats, scope, post)
+        for s in statements
     ]
-    stats.kernels += 1
+    if not post:
+        stats.kernels += 1
 
     def bind(ctx: QueryContext, buffer: InputBuffer):
         runs = [b(ctx, buffer) for b in binders]
@@ -137,9 +146,9 @@ def compile_accum_clause(
 
 def _compile_acc_statement(
     stmt: AccStatement, decl_types: Dict[str, Any], stats: CompileStats,
-    scope: Scope,
+    scope: Scope, post: bool,
 ) -> _Binder:
-    if isinstance(stmt, LocalAssign):
+    if isinstance(stmt, LocalAssign) and not post:
         name = stmt.name
         value_fn, _ = compile_closure(stmt.expr, stats, scope)
 
@@ -151,14 +160,15 @@ def _compile_acc_statement(
 
         return bind_local
     if isinstance(stmt, AccumUpdate):
-        return _compile_accum_update(stmt, decl_types, stats, scope)
+        return _compile_accum_update(stmt, decl_types, stats, scope, post)
     if isinstance(stmt, AccumIf):
         cond_fn, _ = compile_closure(stmt.cond, stats, scope)
         then_binders = [
-            _compile_acc_statement(s, decl_types, stats, scope) for s in stmt.then
+            _compile_acc_statement(s, decl_types, stats, scope, post)
+            for s in stmt.then
         ]
         else_binders = [
-            _compile_acc_statement(s, decl_types, stats, scope)
+            _compile_acc_statement(s, decl_types, stats, scope, post)
             for s in stmt.otherwise
         ]
 
@@ -177,7 +187,8 @@ def _compile_acc_statement(
         coll_fn, _ = compile_closure(stmt.collection, stats, scope)
         var = stmt.var
         body_binders = [
-            _compile_acc_statement(s, decl_types, stats, scope) for s in stmt.body
+            _compile_acc_statement(s, decl_types, stats, scope, post)
+            for s in stmt.body
         ]
 
         def bind_foreach(ctx, buffer):
@@ -202,13 +213,48 @@ def _compile_acc_statement(
             return run
 
         return bind_foreach
-    if isinstance(stmt, AttributeUpdate):
+    if isinstance(stmt, AttributeUpdate) and post:
+        attr = stmt.attr
+        base_fn, _ = compile_closure(stmt.base, stats, scope)
+        value_fn, _ = compile_closure(stmt.expr, stats, scope)
+
+        def bind_attribute(ctx, buffer):
+            graph = ctx.graph
+            schema = graph.schema
+
+            def run(env: EvalEnv, multiplicity: int) -> None:
+                vertex = base_fn(env)
+                if not isinstance(vertex, Vertex):
+                    raise QueryRuntimeError(
+                        f"attribute assignment needs a vertex, got "
+                        f"{type(vertex).__name__}"
+                    )
+                value = value_fn(env)
+                if schema is not None:
+                    decl = schema.vertex_type(vertex.type).attributes.get(attr)
+                    if decl is None:
+                        raise QueryRuntimeError(
+                            f"vertex type {vertex.type!r} has no attribute "
+                            f"{attr!r}"
+                        )
+                    decl.validate(value)
+                graph.set_vertex_attr(vertex, attr, value)
+
+            return run
+
+        return bind_attribute
+    if isinstance(stmt, LocalAssign):
+        message = (
+            "local variables are not allowed in POST_ACCUM "
+            "(each statement runs per distinct vertex)"
+        )
+    elif isinstance(stmt, AttributeUpdate):
         message = (
             "attribute assignments are only allowed in POST_ACCUM "
             "(in ACCUM, acc-executions for the same vertex would race)"
         )
     else:
-        message = f"unknown ACCUM statement {stmt!r}"
+        message = f"unknown {'POST_ACCUM' if post else 'ACCUM'} statement {stmt!r}"
 
     def bind_reject(ctx, buffer):
         def run(env: EvalEnv, multiplicity: int) -> None:
@@ -221,7 +267,7 @@ def _compile_acc_statement(
 
 def _compile_accum_update(
     stmt: AccumUpdate, decl_types: Dict[str, Any], stats: CompileStats,
-    scope: Scope,
+    scope: Scope, post: bool,
 ) -> _Binder:
     """One ``target += expr`` / ``target = expr`` row function.
 
@@ -229,7 +275,7 @@ def _compile_accum_update(
     here (PR 5's table) — recorded in the kernel catalog and counted as
     a pre-resolved combine; the bind stage then captures the resolved
     accumulator instance (global) or a family resolver closure (vertex)
-    plus the buffer method, so the per-row path is closure calls only.
+    plus the sink's methods, so the per-row path is closure calls only.
     """
     name = stmt.target.name
     op = stmt.op
@@ -238,7 +284,8 @@ def _compile_accum_update(
     algebra = classify(decl_types.get(name))
     if algebra is not None:
         stats.combines_preresolved += 1
-    target = stmt.target  # kept for AccSan event attribution
+    target = stmt.target  # kept, with the clause, for AccSan event attribution
+    phase = "post_accum" if post else "accum"
 
     if stmt.target.is_global:
         def bind_global(ctx, buffer):
@@ -252,7 +299,7 @@ def _compile_accum_update(
                     _cell.append(ctx.global_accum(name))
                 acc = _cell[0]
                 if san is not None:
-                    san.record("accum", target, acc, op, value)
+                    san.record(phase, target, acc, op, value)
                 if is_add:
                     add(acc, value, multiplicity)
                 else:
@@ -280,7 +327,7 @@ def _compile_accum_update(
                 )
             acc = resolve(vertex.vid)
             if san is not None:
-                san.record("accum", target, acc, op, value)
+                san.record(phase, target, acc, op, value)
             if is_add:
                 add(acc, value, multiplicity)
             else:
@@ -289,44 +336,6 @@ def _compile_accum_update(
         return run
 
     return bind_vertex
-
-
-# ----------------------------------------------------------------------
-# POST_ACCUM / clause cloning
-# ----------------------------------------------------------------------
-
-def _clone_acc_statement(
-    stmt: AccStatement, stats: CompileStats, scope: Scope
-) -> AccStatement:
-    """A structural clone with expressions compiled under ``scope`` (same
-    classes, so the POST_ACCUM dispatcher runs it)."""
-
-    def lower(expr: Expr) -> Expr:
-        return compile_expr(expr, stats, scope)
-
-    if isinstance(stmt, LocalAssign):
-        return LocalAssign(stmt.name, lower(stmt.expr), stmt.type_name)
-    if isinstance(stmt, AccumUpdate):
-        base = stmt.target.base
-        tgt = AccumTarget(
-            stmt.target.name, lower(base) if base is not None else None
-        )
-        return AccumUpdate(tgt, stmt.op, lower(stmt.expr))
-    if isinstance(stmt, AttributeUpdate):
-        return AttributeUpdate(lower(stmt.base), stmt.attr, lower(stmt.expr))
-    if isinstance(stmt, AccumIf):
-        return AccumIf(
-            lower(stmt.cond),
-            [_clone_acc_statement(s, stats, scope) for s in stmt.then],
-            [_clone_acc_statement(s, stats, scope) for s in stmt.otherwise],
-        )
-    if isinstance(stmt, AccumForeach):
-        return AccumForeach(
-            stmt.var,
-            lower(stmt.collection),
-            [_clone_acc_statement(s, stats, scope) for s in stmt.body],
-        )
-    return stmt
 
 
 # ----------------------------------------------------------------------
@@ -421,7 +430,7 @@ class CompiledBlock(SelectBlock):
             var: [compile_expr(f, stats, outer.over((var,))) for f in filters]
             for var, filters in var_filters.items()
         }
-        kept: List[Expr] = []
+        kept: List[Callable[[EvalEnv], Any]] = []
         for conjunct in residual_conjuncts:
             fn, const = compile_closure(conjunct, stats, scope)
             if const and fn(None) is True:
@@ -429,11 +438,9 @@ class CompiledBlock(SelectBlock):
                 # drop it from the residual entirely.
                 stats.conjuncts_dropped += 1
                 continue
-            kept.append(compile_expr(conjunct, stats, scope))
-        residual = and_all(kept)
-        self._residual_fn = (
-            residual.closure(scope)[0] if residual is not None else None
-        )
+            stats.exprs += 1
+            kept.append(fn)
+        self._residual_fns = kept
 
         names = collect_primed_names(original.accum) | collect_primed_names(
             original.post_accum
@@ -447,12 +454,15 @@ class CompiledBlock(SelectBlock):
             original.accum, decl_types, stats, scope
         )
 
-        # POST_ACCUM: compiled statement clones with the slots of the
-        # pattern variables each depends on (in variable-name order).
+        # POST_ACCUM runs statement-major: one kernel per top-level
+        # statement, lowered under the whole clause's scope, with the slots
+        # of the pattern variables it depends on (in variable-name order).
         post_scope = _clause_scope(scope, original.post_accum)
-        self._post_stmts: List[Tuple[AccStatement, List[int]]] = [
+        self._post_stmts: List[Tuple[_Binder, List[int]]] = [
             (
-                _clone_acc_statement(stmt, stats, post_scope),
+                compile_accum_clause(
+                    [stmt], decl_types, stats, post_scope, post=True
+                ),
                 [
                     slots[n]
                     for n in sorted(set(stmt.referenced_names()) & set(slots))
@@ -525,14 +535,17 @@ class CompiledBlock(SelectBlock):
             pattern_span.set(rows=len(rows), multiplicity=multiplicity)
             col.count("block.binding_rows", len(rows))
             col.count("block.binding_multiplicity", multiplicity)
-        residual_fn = self._residual_fn
-        if residual_fn is not None:
+        residual_fns = self._residual_fns
+        if residual_fns:
             before = len(rows)
             env = EvalEnv(ctx, None, None, primed)
             kept = []
             for row in rows:
                 env.row = row[0]
-                if residual_fn(env):
+                for fn in residual_fns:
+                    if not fn(env):
+                        break
+                else:
                     kept.append(row)
             rows = kept
             if col is not None:

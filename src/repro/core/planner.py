@@ -82,16 +82,6 @@ def push_down_filters(
     return per_var, residual
 
 
-def and_all(conjuncts: List[Expr]) -> Optional[Expr]:
-    """Re-assemble a conjunct list into one expression (None if empty)."""
-    if not conjuncts:
-        return None
-    expr = conjuncts[0]
-    for part in conjuncts[1:]:
-        expr = Binary("AND", expr, part)
-    return expr
-
-
 def _runtime_status(block, ctx) -> TractabilityStatus:
     """Classify a block by probing live declarations (no certificate).
 
@@ -208,7 +198,6 @@ def reverse_darpe(node: DarpeNode) -> DarpeNode:
 __all__ = [
     "split_conjuncts",
     "push_down_filters",
-    "and_all",
     "reverse_darpe",
     "select_engine",
 ]

@@ -8,21 +8,22 @@ executions finished (the Reduce phase).  This module holds the clause
 AST, the input buffer whose :meth:`~InputBuffer.flush` is the Reduce
 phase (the weighted variant is the Appendix A trick that turns a row
 with multiplicity μ into a single ``combine_weighted(value, μ)`` call)
-and the POST_ACCUM executor; the Map phase is the kernel
-:func:`repro.compile.lowering.compile_accum_clause` builds from the
-clause.
+and the POST_ACCUM driver.  What a statement *does* is described once:
+:func:`repro.compile.lowering.compile_accum_clause` lowers either clause
+to the same kernel, which ACCUM binds to the input buffer and POST_ACCUM
+(:func:`run_post_accum`) to a buffer whose ``=`` takes effect at once.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .. import _exec
 from ..accum.base import Accumulator
 from ..errors import QueryCompileError, QueryRuntimeError
-from ..graph.elements import Vertex
 from .context import QueryContext
 from .exprs import EvalEnv, Expr, primed_accum_names, referenced_names
+from .pattern import _join_key
 
 
 class AccumTarget:
@@ -35,17 +36,6 @@ class AccumTarget:
     @property
     def is_global(self) -> bool:
         return self.base is None
-
-    def resolve(self, env: EvalEnv) -> Accumulator:
-        if self.base is None:
-            return env.ctx.global_accum(self.name)
-        vertex = self.base.eval(env)
-        if not isinstance(vertex, Vertex):
-            raise QueryRuntimeError(
-                f"accumulator @{self.name} addressed through non-vertex "
-                f"{type(vertex).__name__}"
-            )
-        return env.ctx.vertex_accum(self.name, vertex.vid)
 
     def referenced_names(self) -> Iterator[str]:
         if self.base is not None:
@@ -264,109 +254,51 @@ def foreach_items(value: Any) -> List[Any]:
         ) from None
 
 
+class _PostAccumBuffer(InputBuffer):
+    """POST_ACCUM's sink: ``+=`` inputs are buffered for the end of the
+    clause like any other, a plain assignment takes effect at once."""
+
+    def set(self, acc: Accumulator, value: Any) -> None:
+        acc.assign(value)
+
+
 def run_post_accum(
-    statements: List[Tuple[AccStatement, List[int]]],
+    statements: List[Tuple[Callable, List[int]]],
     ctx: QueryContext,
     rows: List,
     primed: Dict[str, Dict[Any, Any]],
 ) -> None:
-    """Execute a POST_ACCUM clause of ``(statement, dependency slots)``
-    pairs — the row slots of the pattern variables each statement
-    references (its expressions are lowered under the block's scope).
+    """Execute a POST_ACCUM clause of ``(kernel binder, dependency
+    slots)`` pairs, one per top-level statement — the row slots of the
+    pattern variables the statement references (its kernel is lowered
+    under the block's scope by ``compile_accum_clause``).
 
     Statement-major, once per *distinct* binding of those variables
     (GSQL's POST-ACCUM is per-vertex, not per-row — multiplicities do
-    not apply).  Plain assignments take effect
-    immediately (so later statements observe them, as PageRank's
-    ``v.@score = ...`` / ``abs(v.@score - v.@score')`` sequence requires);
-    ``+=`` inputs are buffered and folded in after the whole clause, which
-    keeps the phase order-invariant.
+    not apply).  Plain assignments take effect immediately (so later
+    statements observe them, as PageRank's ``v.@score = ...`` /
+    ``abs(v.@score - v.@score')`` sequence requires); ``+=`` inputs are
+    buffered and folded in after the whole clause, which keeps the phase
+    order-invariant.
     """
     ec = _exec.current()
     col = ec.col
-    san = ec.san
-    buffer = InputBuffer()
-    locals_: Dict[str, Any] = {}
-    env = EvalEnv(ctx, None, locals_, primed)
-    for stmt, deps in statements:
+    buffer = _PostAccumBuffer()
+    env = EvalEnv(ctx, None, None, primed)
+    for bind, deps in statements:
         executions = _distinct_projections(rows, deps)
         if col is not None:
             col.count("block.post_accum_executions", len(executions))
+        run = bind(ctx, buffer)  # clears the locals per execution
         for values in executions:
             env.row = values
-            locals_.clear()
-            _run_post_statement(stmt, ctx, env, buffer, san)
-    if san is not None:
+            run(env, 1)
+    if ec.san is not None:
         # No block handle here: divergences become detections, never
         # violations (POST_ACCUM += is per-distinct-vertex, so the
         # permuted replay is still meaningful).
-        san.check_flush(None, buffer)
+        ec.san.check_flush(None, buffer)
     buffer.flush()
-
-
-def _run_post_statement(
-    stmt: AccStatement,
-    ctx: QueryContext,
-    env: EvalEnv,
-    buffer: InputBuffer,
-    san: Any,
-) -> None:
-    """One POST_ACCUM statement for one distinct-vertex execution
-    (``san``: the phase's sanitizer, or None)."""
-    if isinstance(stmt, LocalAssign):
-        raise QueryRuntimeError(
-            "local variables are not allowed in POST_ACCUM "
-            "(each statement runs per distinct vertex)"
-        )
-    if isinstance(stmt, AccumIf):
-        branch = stmt.then if bool(stmt.cond.eval(env)) else stmt.otherwise
-        for inner in branch:
-            _run_post_statement(inner, ctx, env, buffer, san)
-        return
-    if isinstance(stmt, AccumForeach):
-        items = foreach_items(stmt.collection.eval(env))
-        had_prior = stmt.var in env.locals
-        prior = env.locals.get(stmt.var)
-        try:
-            for item in items:
-                env.locals[stmt.var] = item
-                for inner in stmt.body:
-                    _run_post_statement(inner, ctx, env, buffer, san)
-        finally:
-            if had_prior:
-                env.locals[stmt.var] = prior
-            else:
-                env.locals.pop(stmt.var, None)
-        return
-    if isinstance(stmt, AttributeUpdate):
-        vertex = stmt.base.eval(env)
-        if not isinstance(vertex, Vertex):
-            raise QueryRuntimeError(
-                f"attribute assignment needs a vertex, got "
-                f"{type(vertex).__name__}"
-            )
-        value = stmt.expr.eval(env)
-        schema = ctx.graph.schema
-        if schema is not None:
-            decl = schema.vertex_type(vertex.type).attributes.get(stmt.attr)
-            if decl is None:
-                raise QueryRuntimeError(
-                    f"vertex type {vertex.type!r} has no attribute "
-                    f"{stmt.attr!r}"
-                )
-            decl.validate(value)
-        ctx.graph.set_vertex_attr(vertex, stmt.attr, value)
-        return
-    if not isinstance(stmt, AccumUpdate):
-        raise QueryRuntimeError(f"unknown POST_ACCUM statement {stmt!r}")
-    value = stmt.expr.eval(env)
-    acc = stmt.target.resolve(env)
-    if san is not None:
-        san.record("post_accum", stmt.target, acc, stmt.op, value)
-    if stmt.op == "=":
-        acc.assign(value)
-    else:
-        buffer.add(acc, value, 1)
 
 
 def _distinct_projections(rows: List, slots: List[int]) -> List[Tuple[Any, ...]]:
@@ -383,20 +315,14 @@ def _distinct_projections(rows: List, slots: List[int]) -> List[Tuple[Any, ...]]
     only = slots[0] if len(slots) == 1 else None
     for values, _ in rows:
         if only is not None:  # the per-vertex statement: no key tuple
-            key = _identity(values[only])
+            key = _join_key(values[only])
         else:
-            key = tuple([_identity(values[slot]) for slot in slots])
+            key = tuple([_join_key(values[slot]) for slot in slots])
         if key in seen:
             continue
         seen.add(key)
         out.append(values)
     return out
-
-
-def _identity(value: Any) -> Any:
-    if isinstance(value, Vertex):
-        return ("v", value.vid)
-    return value
 
 
 def collect_primed_names(statements: List[AccStatement]) -> set:

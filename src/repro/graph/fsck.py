@@ -22,7 +22,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .. import _exec
+from ..obs import count as _count
 from .elements import FORWARD, REVERSE, UNDIRECTED
 from .graph import Graph
 from .stats import GraphStats
@@ -63,12 +63,6 @@ CHECKS: Dict[str, str] = {
         "(checked only when a WAL directory is given)"
     ),
 }
-
-
-def _count(name: str, value: int = 1) -> None:
-    col = _exec.current().col
-    if col is not None:
-        col.count(name, value)
 
 
 class FsckViolation(NamedTuple):

@@ -50,7 +50,7 @@ import threading
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Union
 
-from .. import _exec
+from ..obs import count as _count
 from ..errors import (
     GraphError,
     MutationConflictError,
@@ -75,12 +75,6 @@ _REQUIRED_FIELDS = {
     "delete_vertex": ("id",),
     "delete_edge": ("source", "target", "type"),
 }
-
-
-def _count(name: str, value: int = 1) -> None:
-    col = _exec.current().col
-    if col is not None:
-        col.count(name, value)
 
 
 class MutationBatch:

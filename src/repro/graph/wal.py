@@ -44,7 +44,7 @@ import zlib
 from pathlib import Path
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .. import _exec
+from ..obs import count as _count
 from ..errors import WalCorruptionError
 from ..governor import faults as _faults
 
@@ -65,12 +65,6 @@ DEFAULT_SEGMENT_MAX_BYTES = 4 * 1024 * 1024
 
 _SEGMENT_PREFIX = "wal-"
 _SEGMENT_SUFFIX = ".log"
-
-
-def _count(name: str, value: int = 1) -> None:
-    col = _exec.current().col
-    if col is not None:
-        col.count(name, value)
 
 
 def _segment_name(index: int) -> str:

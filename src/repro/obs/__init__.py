@@ -8,7 +8,7 @@ the off path is a single global check per engine call — see
 ``docs/observability.md`` for the metrics catalog and span schema.
 """
 
-from .metrics import Collector, Span, active, collect
+from .metrics import Collector, Span, active, collect, count
 from .profile import ProfileReport, profile_query
 
 __all__ = [
@@ -16,6 +16,7 @@ __all__ = [
     "Span",
     "active",
     "collect",
+    "count",
     "ProfileReport",
     "profile_query",
 ]

@@ -164,6 +164,14 @@ def active() -> Optional[Collector]:
     return _exec.current().col
 
 
+def count(name: str, value: int = 1) -> None:
+    """Add ``value`` to counter ``name`` on the calling context's
+    collector; nothing when instrumentation is off."""
+    col = _exec.current().col
+    if col is not None:
+        col.count(name, value)
+
+
 class collect:
     """Context manager activating a collector for the dynamic extent.
 
@@ -191,4 +199,4 @@ class collect:
         _exec.reset(self._token)
 
 
-__all__ = ["Span", "Collector", "active", "collect"]
+__all__ = ["Span", "Collector", "active", "collect", "count"]

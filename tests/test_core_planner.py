@@ -16,7 +16,6 @@ from repro.core import (
 )
 from repro.core.pattern import Pattern
 from repro.core.planner import (
-    and_all,
     push_down_filters,
     reverse_darpe,
     split_conjuncts,
@@ -62,12 +61,6 @@ class TestSplitAndPushdown:
         per_var, residual = push_down_filters(where, {"s"})
         assert per_var == {}
         assert len(residual) == 1
-
-    def test_and_all_roundtrip(self):
-        assert and_all([]) is None
-        parts = [Literal(True), Literal(False)]
-        expr = and_all(parts)
-        assert isinstance(expr, Binary) and expr.op == "AND"
 
 
 class TestReverseDarpe:

@@ -200,6 +200,33 @@ class TestCompilationDocs:
             ):
                 assert gone not in text, f"{page.name} still mentions {gone!r}"
 
+    def test_one_lowering_for_both_accumulator_clauses(self):
+        """ACCUM and POST_ACCUM are lowered by one ladder: the docs say
+        so, and the source keeps no statement interpreter or clone ladder
+        beside it — one ``isinstance(stmt, AccumIf)`` in the executor
+        (the AST's own ``walk_acc_statements`` aside)."""
+        compilation = " ".join((DOCS / "compilation.md").read_text().split())
+        for needle in (
+            "**One accumulator-clause kernel, three sinks.**",
+            "`repro.core.parallel._Partial`",
+            "whose `set` is `acc.assign`",
+            "**What the lowering counters count**",
+            "counts ACCUM kernels only",
+        ):
+            assert needle in compilation, f"docs/compilation.md lost {needle!r}"
+        assert "What the lowering counters count" in (
+            DOCS / "observability.md"
+        ).read_text()
+        ladders = []
+        for path in sorted(SRC.rglob("*.py")):
+            text = path.read_text()
+            for gone in ("_run_post_statement", "_clone_acc_statement"):
+                assert gone not in text, f"{path} still mentions {gone}"
+            if path.parent.name in ("compile", "core"):
+                text = text.split("def walk_acc_statements(")[0]
+                ladders += [path.name] * text.count("isinstance(stmt, AccumIf)")
+        assert ladders == ["lowering.py"]
+
     def test_docs_describe_the_blocking_listener(self):
         """The HTTP front end is handler threads over a blocking socket:
         the service-layer page carries the threading model, and neither
