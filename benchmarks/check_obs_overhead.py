@@ -26,30 +26,31 @@ import argparse
 import statistics
 import sys
 import time
-from collections import defaultdict
 
 from repro.algorithms.traversal import path_count_query
 from repro.darpe.automaton import CompiledDarpe
 from repro.graph import builders
 from repro.obs import Collector, collect, profile_query
 from repro.paths import single_source_sdmc
-from repro.paths.sdmc import SdmcResult, bucket_expander
+from repro.paths.sdmc import SdmcResult, column_plan
 
 
 def reference_sdmc(graph, source, darpe, targets=None, max_length=None):
     """Verbatim copy of ``sdmc_search`` plus the result-building return
-    of ``single_source_sdmc`` — the same per-column BFS, through the
-    shipped ``bucket_expander`` (which has no touchpoint of its own).
-    The lines that differ from the shipped kernel: no ``_exec.current()``
-    read; no ``edges_scanned`` / ``peak_frontier`` bookkeeping under
+    of ``single_source_sdmc`` — the same flat level loop over the shipped
+    ``column_plan`` (which has no touchpoint of its own).  The lines that
+    differ from the shipped kernel: no ``_exec.current()`` read; no
+    ``peak_frontier`` / ``edges_scanned`` initialisation, and no
+    ``edges_scanned += len(neighbors)`` or ``peak_frontier`` update under
     ``if col is not None``; no ``gov.charge_product_states`` (start state
     or per level); no ``_faults.fire("sdmc.level")``; no ``try`` /
-    ``finally`` counter flush.  That is the baseline an ideal zero-cost
-    instrumentation matches.  Returns the results and the number of
-    product states visited."""
+    ``finally`` counter flush; no type annotations.  That is the baseline
+    an ideal zero-cost instrumentation matches.  Returns the results and
+    the number of product states visited."""
     graph.vertex(source)
     dfa = darpe.new_dfa()
-    expand = bucket_expander(graph, dfa)
+    plans = {}
+    accepting = {}
     distances = {}
     counts = {}
     remaining = set(targets) if targets is not None else None
@@ -59,35 +60,42 @@ def reference_sdmc(graph, source, darpe, targets=None, max_length=None):
     visited = {start}
     frontier = {start: 1}
 
-    def record_level(states):
-        per_vertex = defaultdict(int)
-        for (vid, q), count in states.items():
-            if dfa.is_accepting(q):
-                per_vertex[vid] += count
-        for vid, count in per_vertex.items():
+    while frontier:
+        for (vid, q), count in frontier.items():
+            hit = accepting.get(q)
+            if hit is None:
+                hit = accepting[q] = dfa.is_accepting(q)
+            if not hit:
+                continue
             if vid not in counts:
                 distances[vid] = level
                 counts[vid] = count
                 if remaining is not None:
                     remaining.discard(vid)
-
-    record_level(frontier)
-    while frontier:
+            elif distances[vid] == level:
+                counts[vid] += count
         if remaining is not None and not remaining:
             break
         if max_length is not None and level >= max_length:
             break
-        next_frontier = defaultdict(int)
+        next_frontier = {}
+        reached = next_frontier.get
         for (vid, q), count in frontier.items():
-            for q2, (neighbors, _) in expand(vid, q):
+            plan = plans.get(q)
+            if plan is None:
+                plan = plans[q] = column_plan(graph, dfa, q)
+            for q2, probe in plan:
+                bucket = probe(vid)
+                if bucket is None:
+                    continue
+                neighbors = bucket[0]
                 for neighbor in neighbors:
                     ps = (neighbor, q2)
                     if ps in visited:
                         continue
-                    next_frontier[ps] += count
+                    next_frontier[ps] = reached(ps, 0) + count
         level += 1
         visited.update(next_frontier)
-        record_level(next_frontier)
         frontier = next_frontier
 
     results = {

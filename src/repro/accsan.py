@@ -132,11 +132,11 @@ class Sanitizer:
                 groups[key] = (acc, [])
                 order.append(key)
             groups[key][1].append((value, multiplicity))
-        for key in order:
+        for position, key in enumerate(order):
             acc, inputs = groups[key]
             if len(inputs) < 2:
                 continue  # every permutation is the identity
-            self._check_replay(key, acc, inputs, cert, label)
+            self._check_replay(key, acc, inputs, cert, label, position)
 
     def check_merge(
         self, name: str, live: Any, partials: List[Any], cert: Any, label: str
@@ -179,12 +179,14 @@ class Sanitizer:
     # -- internals -----------------------------------------------------
     def _check_replay(
         self, key: int, acc: Any, inputs: List[Tuple[Any, int]],
-        cert: Any, label: str,
+        cert: Any, label: str, position: int,
     ) -> None:
         base = self._replay(acc, inputs)
         if base is None:
             return
-        rng = random.Random(self.seed ^ key % 7919)
+        # Seeded by the group's position in its flush, never by its
+        # address, so one seed replays the same schedules on every run.
+        rng = random.Random(f"{self.seed}/{position}")
         for schedule in range(self.schedules):
             permuted = list(inputs)
             rng.shuffle(permuted)

@@ -68,14 +68,17 @@ class CompiledExpr(Expr):
     for its closure again returns that one, whatever scope is named).
 
     ``walk()`` exposes the *original* subtree so the static helpers keep
-    seeing the real node structure.
+    seeing the real node structure.  ``compare`` is the comparison tag of
+    a pushed-down filter (``repro.compile.lowering.lower_pushed_filter``),
+    None on every other expression.
     """
 
-    __slots__ = ("fn", "original")
+    __slots__ = ("fn", "original", "compare")
 
     def __init__(self, fn: Callable[[EvalEnv], Any], original: Expr):
         self.fn = fn
         self.original = original
+        self.compare: Optional[Tuple[str, str, Callable[[EvalEnv], Any]]] = None
         try:
             self.span = original.span
         except AttributeError:

@@ -33,7 +33,17 @@ from .. import _exec
 from ..accum.algebra import classify
 from ..core.block import OutputColumn, OutputFragment, SelectBlock
 from ..core.context import QueryContext
-from ..core.exprs import NO_SCOPE, EvalEnv, Expr, Scope, primed_accum_names
+from ..core.exprs import (
+    NO_SCOPE,
+    AttrRef,
+    Binary,
+    EvalEnv,
+    Expr,
+    Literal,
+    NameRef,
+    Scope,
+    primed_accum_names,
+)
 from ..core.pattern import EngineMode, evaluate_pattern
 from ..core.planner import push_down_filters, select_engine
 from ..core.query import (
@@ -342,6 +352,31 @@ def _compile_accum_update(
 # Compiled SELECT block
 # ----------------------------------------------------------------------
 
+_COMPARISONS = frozenset(("==", "!=", "<", "<=", ">", ">="))
+
+
+def lower_pushed_filter(
+    expr: Expr, stats: Optional[CompileStats], scope: Scope
+) -> Expr:
+    """A pushed-down conjunct lowered under its variable's one-slot
+    ``scope``, tagged ``compare = (attr, op, operand closure)`` when it is
+    ``var.attr <op> operand`` with a comparison ``op`` and a literal or
+    declared-parameter operand — the shape the hop kernel's bind stage
+    tests inline (``repro.core.pattern._bind_filters``)."""
+    lowered = compile_expr(expr, stats, scope)
+    if not (isinstance(expr, Binary) and expr.op in _COMPARISONS):
+        return lowered
+    attr, operand = expr.left, expr.right
+    bound = isinstance(operand, Literal) or (
+        isinstance(operand, NameRef)
+        and operand.name in scope.params
+        and operand.name not in scope.slots
+    )
+    if bound and isinstance(attr, AttrRef) and scope.slot_of(attr.base) == 0:
+        lowered.compare = (attr.attr, expr.op, operand.closure(scope)[0])
+    return lowered
+
+
 class CompiledBlock(SelectBlock):
     """The executable form of a SELECT block.
 
@@ -422,12 +457,12 @@ class CompiledBlock(SelectBlock):
         # charged per lowering, not per execution).  The per-variable
         # filters keep their closures prebuilt, each under the one-slot
         # scope the hop kernel's bind stage (repro.core.pattern) runs
-        # them in.
+        # them in, and comparisons carry their tag.
         var_filters, residual_conjuncts = push_down_filters(
             original.where, set(variables)
         )
         self._var_filters = {
-            var: [compile_expr(f, stats, outer.over((var,))) for f in filters]
+            var: [lower_pushed_filter(f, stats, outer.over((var,))) for f in filters]
             for var, filters in var_filters.items()
         }
         kept: List[Callable[[EvalEnv], Any]] = []

@@ -259,7 +259,7 @@ class SelectBlock:
         if self.limit is not None:
             env.row = ()
             vertices = vertices[: limit_count(self.limit.eval(env))]
-        return VertexSet(ctx.graph, vertices)
+        return VertexSet.of_distinct(ctx.graph, vertices)
 
     # ------------------------------------------------------------------
     # INTO fragments

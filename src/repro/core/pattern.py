@@ -37,7 +37,7 @@ from ..paths.sdmc import sdmc_search
 from ..paths.semantics import PathSemantics
 from ..enumeration.engine import match_counts
 from .context import QueryContext
-from .exprs import EvalEnv, Scope
+from .exprs import _BINARY_OPS, EvalEnv, Scope
 
 _hidden_counter = itertools.count()
 
@@ -358,10 +358,11 @@ class BindingTable:
 # A hop runs as a two-stage kernel, like the ACCUM map kernel of
 # ``repro.compile.lowering``: everything that cannot change while the hop
 # executes — the pinned vertex, the vertex-set-or-type test, the
-# pushed-down filters' closures and the one ``EvalEnv`` they run under,
-# the slots the hop reads and writes — is resolved once by the bind
-# stage (``_bind_filters``, ``_Acceptor``, ``_bind_slot``); the per-row
-# loops then only look verdicts up and extend rows.
+# pushed-down filters' closures and the one ``EvalEnv`` they run under
+# (or, for tagged comparisons, their operands), the slots the hop reads
+# and writes — is resolved once by the bind stage (``_bind_filters``,
+# ``_Acceptor``, ``_bind_slot``); the per-row loops then only look
+# verdicts up and extend rows.
 
 def _bind_filters(
     ctx: QueryContext, var: str, filters: Optional[List[Any]]
@@ -375,6 +376,14 @@ def _bind_filters(
     taken once (lowered filters carry theirs prebuilt) and all of them
     run under one reused ``EvalEnv`` whose one-slot row is overwritten
     per call.
+
+    When lowering tagged every conjunct as a comparison ``var.attr <op>
+    operand`` (:func:`_bind_comparisons`), ``passes`` compares
+    ``value.attrs[attr]`` with the bound operands inline.  Whatever that
+    test cannot decide cleanly — a missing or None attribute, a
+    ``TypeError``, a binding without ``attrs`` (a table row) — goes to the
+    closures, from the first conjunct: they give the verdict, or raise
+    the error, they would have given alone.
     """
     if not filters:
         return None
@@ -383,14 +392,54 @@ def _bind_filters(
     row = [None]
     env = EvalEnv(ctx, row)
 
-    def passes(value: Any) -> bool:
+    def run_closures(value: Any) -> bool:
         row[0] = value
         for fn in fns:
             if not fn(env):
                 return False
         return True
 
+    tests = _bind_comparisons(env, filters)
+    if tests is None:
+        return run_closures
+
+    def passes(value: Any) -> bool:
+        try:
+            attrs = value.attrs
+            for attr, compare, operand in tests:
+                if not compare(attrs[attr], operand):
+                    return False
+            return True
+        except (AttributeError, KeyError, TypeError):
+            pass
+        return run_closures(value)
+
     return passes
+
+
+def _bind_comparisons(
+    env: EvalEnv, filters: List[Any]
+) -> Optional[List[Tuple[str, Callable[[Any, Any], Any], Any]]]:
+    """``[(attr, operator, operand value)]`` for conjuncts all tagged
+    ``compare = (attr, op, operand closure)`` by lowering
+    (``repro.compile.lowering.lower_pushed_filter``), each operand
+    resolved once the way its closure resolves it; None when a conjunct
+    is untagged or an operand does not resolve to a plain int, float or
+    str (None, bool and everything else keep the closures)."""
+    tests = []
+    for f in filters:
+        tag = getattr(f, "compare", None)
+        if tag is None:
+            return None
+        attr, op, operand_fn = tag
+        try:
+            operand = operand_fn(env)
+        except QueryRuntimeError:
+            return None
+        if type(operand) not in (int, float, str):
+            return None
+        tests.append((attr, _BINARY_OPS[op], operand))
+    return tests
 
 
 class _Acceptor(dict):

@@ -73,6 +73,16 @@ class VertexSet:
         for v in vertices:
             self.add(v)
 
+    @classmethod
+    def of_distinct(cls, graph: Graph, vertices: List[Vertex]) -> "VertexSet":
+        """The set over ``vertices``, a list the caller already made
+        duplicate-free (by vertex id): it is kept as the set's order and
+        its ids are taken in one pass, no per-vertex :meth:`add`."""
+        vset = cls(graph)
+        vset._order = vertices
+        vset._ids = {v.vid for v in vertices}
+        return vset
+
     def add(self, vertex: Vertex) -> None:
         if vertex.vid not in self._ids:
             self._ids.add(vertex.vid)

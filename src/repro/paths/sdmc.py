@@ -23,12 +23,14 @@ the data, giving the polynomial *data* complexity the theorems claim).
 
 The unit of automaton work is the adjacency *column*, not the edge: every
 incidence in the column of one ``(direction, edge type)`` spells the same
-adorned symbol, so :func:`bucket_expander` steps the DFA once per
+adorned symbol, so :func:`column_plan` steps the DFA once per
 ``(state, direction, edge type)`` — which names the columns the state can
 cross — and the searches then probe each such column once per product
 state and run a plain loop over the bucket found there (PathFinder expands
 the product graph the same way, per automaton transition over
-label-indexed adjacency).
+label-indexed adjacency).  :func:`sdmc_search` looks plans up inline in
+its level loop; :func:`bucket_expander` wraps the same plans for the
+searches that expand one product state at a time.
 """
 
 from __future__ import annotations
@@ -61,6 +63,28 @@ class SdmcResult(NamedTuple):
     count: int
 
 
+#: One DFA state's expansion plan: ``(q2, probe)`` per column the state
+#: can cross, ``probe(vid)`` being that column's bucket of ``vid`` (or
+#: None) and ``q2`` the state every incidence in it leads to.
+Plan = List[Tuple[int, Callable[[Any], Optional[Bucket]]]]
+
+
+def column_plan(graph: Graph, dfa: LazyDFA, q: int) -> Plan:
+    """The expansion plan of DFA state ``q``: the DFA is stepped once per
+    ``(direction, edge type)``, skipping whole the directions ``q`` has no
+    transition in.  Pairs come direction-major in the order ``>``, ``<``,
+    ``-``, then by edge type in the graph's first-seen order: the order
+    :meth:`Graph.steps` yields, minus the dead columns."""
+    step = dfa.step
+    dead = LazyDFA.DEAD
+    return [
+        (q2, column.get)
+        for direction in dfa.directions(q)
+        for etype, column in graph.columns(direction).items()
+        if (q2 := step(q, (etype, direction))) != dead
+    ]
+
+
 def bucket_expander(
     graph: Graph, dfa: LazyDFA
 ) -> Callable[[Any, int], List[Tuple[int, Bucket]]]:
@@ -69,30 +93,16 @@ def bucket_expander(
     in which ``vid`` has a bucket ``(neighbour ids, edge ids)``, every
     incidence of which leads to state ``q2``.
 
-    The DFA is stepped once per ``(q, direction, edge type)`` for the
-    lifetime of the expander (one search): the first expansion of ``q``
-    lists the ``(q2, column)`` it can cross, skipping whole the
-    directions it has no transition in, and every later one is a
-    ``column.get(vid)`` per listed column.  Pairs come direction-major in
-    the order ``>``, ``<``, ``-``, then by edge type in the graph's
-    first-seen order: the order :meth:`Graph.steps` yields, minus the
-    dead columns.
+    Each state's :func:`column_plan` is built on its first expansion and
+    kept for the lifetime of the expander (one search); every later
+    expansion is a ``column.get(vid)`` per listed column.
     """
-    columns = graph.columns
-    step = dfa.step
-    dead = LazyDFA.DEAD
-    # q -> [(q2, probe of a column q crosses into q2)]
-    plans: Dict[int, List[Tuple[int, Callable[[Any], Optional[Bucket]]]]] = {}
+    plans: Dict[int, Plan] = {}
 
     def expand(vid: Any, q: int) -> List[Tuple[int, Bucket]]:
         plan = plans.get(q)
         if plan is None:
-            plan = plans[q] = [
-                (q2, column.get)
-                for direction in dfa.directions(q)
-                for etype, column in columns(direction).items()
-                if (q2 := step(q, (etype, direction))) != dead
-            ]
+            plan = plans[q] = column_plan(graph, dfa, q)
         live = []
         for q2, probe in plan:
             bucket = probe(vid)
@@ -118,10 +128,18 @@ def sdmc_search(
 
     :func:`single_source_sdmc` is the documented entry point; the hop
     kernel reads ``counts`` directly.
+
+    One flat loop per level: record the level's accepting states, then
+    expand every product state through its DFA state's
+    :func:`column_plan` (built on first use and kept, like the accepting
+    flag, in a per-search memo) into a plain dict of the next level's
+    counts.  A vertex is resolved at the first level holding any of its
+    accepting states, with the sum of all of them at that level.
     """
     graph.vertex(source)  # validate early, with a clear error
     dfa = darpe.new_dfa()
-    expand = bucket_expander(graph, dfa)
+    plans: Dict[int, Plan] = {}
+    accepting: Dict[int, bool] = {}
     distances: Dict[Any, int] = {}
     counts: Dict[Any, int] = {}
     remaining = set(targets) if targets is not None else None
@@ -131,18 +149,6 @@ def sdmc_search(
     visited: Set[Tuple[Any, int]] = {start}
     frontier: Dict[Tuple[Any, int], int] = {start: 1}
 
-    def record_level(states: Dict[Tuple[Any, int], int]) -> None:
-        per_vertex: Dict[Any, int] = defaultdict(int)
-        for (vid, q), count in states.items():
-            if dfa.is_accepting(q):
-                per_vertex[vid] += count
-        for vid, count in per_vertex.items():
-            if vid not in counts:
-                distances[vid] = level
-                counts[vid] = count
-                if remaining is not None:
-                    remaining.discard(vid)
-
     ec = _exec.current()
     col = ec.col
     gov = ec.gov
@@ -150,26 +156,45 @@ def sdmc_search(
         gov.charge_product_states(1)  # the start state
     peak_frontier = 1
     edges_scanned = 0
-    record_level(frontier)
     try:
         while frontier:
+            for (vid, q), count in frontier.items():
+                hit = accepting.get(q)
+                if hit is None:
+                    hit = accepting[q] = dfa.is_accepting(q)
+                if not hit:
+                    continue
+                if vid not in counts:
+                    distances[vid] = level
+                    counts[vid] = count
+                    if remaining is not None:
+                        remaining.discard(vid)
+                elif distances[vid] == level:
+                    counts[vid] += count
             if remaining is not None and not remaining:
                 break
             if max_length is not None and level >= max_length:
                 break
-            next_frontier: Dict[Tuple[Any, int], int] = defaultdict(int)
+            next_frontier: Dict[Tuple[Any, int], int] = {}
+            reached = next_frontier.get
             for (vid, q), count in frontier.items():
-                for q2, (neighbors, _) in expand(vid, q):
+                plan = plans.get(q)
+                if plan is None:
+                    plan = plans[q] = column_plan(graph, dfa, q)
+                for q2, probe in plan:
+                    bucket = probe(vid)
+                    if bucket is None:
+                        continue
+                    neighbors = bucket[0]
                     if col is not None:
                         edges_scanned += len(neighbors)
                     for neighbor in neighbors:
                         ps = (neighbor, q2)
                         if ps in visited:
                             continue
-                        next_frontier[ps] += count
+                        next_frontier[ps] = reached(ps, 0) + count
             level += 1
             visited.update(next_frontier)
-            record_level(next_frontier)
             frontier = next_frontier
             if col is not None and len(frontier) > peak_frontier:
                 peak_frontier = len(frontier)
@@ -395,6 +420,7 @@ def enumerate_shortest_paths(
 
 __all__ = [
     "SdmcResult",
+    "column_plan",
     "bucket_expander",
     "sdmc_search",
     "single_source_sdmc",

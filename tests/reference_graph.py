@@ -208,16 +208,24 @@ class ReferenceGraph:
         return self._vertices.__getitem__
 
 
-def reference_sdmc(graph, source, darpe, max_length=None):
+def reference_sdmc(graph, source, darpe, targets=None, max_length=None, etype_order=None):
     """The level-synchronised product BFS as it walked per-vertex
     buckets: ``({target: (distance, count)}, counters)`` where the
-    counters are what the shipped search reports as ``sdmc.*``."""
+    counters are what the shipped search reports as ``sdmc.*``.  The
+    result lists targets in the order the search resolved them; with
+    ``targets`` it stops once each is resolved and keeps only those.
+
+    ``etype_order`` maps a direction to the edge types in the order the
+    other graph lists its columns: a vertex's buckets are walked in that
+    order instead of its own first-seen one (which order a graph keeps
+    is a fact of its history, not of what it holds)."""
     graph.vertex(source)
     dfa = darpe.new_dfa()
     start = (source, dfa.start)
     visited = {start}
     frontier = {start: 1}
     results = {}
+    remaining = set(targets) if targets is not None else None
     level = 0
     edges_scanned = 0
     peak = 1
@@ -229,13 +237,23 @@ def reference_sdmc(graph, source, darpe, max_length=None):
                 per_vertex[vid] += count
         for vid, count in per_vertex.items():
             results.setdefault(vid, (level, count))
+            if remaining is not None:
+                remaining.discard(vid)
+
+    def buckets(vid, direction):
+        held = graph.buckets(vid)[direction]
+        if etype_order is None:
+            return held.items()
+        return [(etype, held[etype]) for etype in etype_order[direction] if etype in held]
 
     record(frontier)
     while frontier and (max_length is None or level < max_length):
+        if remaining is not None and not remaining:
+            break
         next_frontier = defaultdict(int)
         for (vid, q), count in frontier.items():
             for direction in dfa.directions(q):
-                for etype, bucket in graph.buckets(vid)[direction].items():
+                for etype, bucket in buckets(vid, direction):
                     q2 = dfa.step(q, (etype, direction))
                     if q2 == LazyDFA.DEAD:
                         continue
@@ -249,6 +267,8 @@ def reference_sdmc(graph, source, darpe, max_length=None):
         record(next_frontier)
         frontier = next_frontier
         peak = max(peak, len(frontier))
+    if targets is not None:
+        results = {vid: found for vid, found in results.items() if vid in targets}
     return results, {
         "sdmc.calls": 1,
         "sdmc.product_states": len(visited),

@@ -3,25 +3,58 @@ slot tuples, kept as the oracle of ``test_core_pattern_differential.py``.
 
 Rows here are ``(bindings dict, multiplicity)``: a hop extends a row by
 copying its dict, a repeated variable is found by name, chains are joined
-on the names their dicts share.  Everything that is *not* the row
-representation — the bind stage (``_bind_filters``, ``_Acceptor``), the
-per-hop counting (``_hop_counts``), the obs touchpoints — is the shipped
-code, called at the places the old loops called it, and adjacency is read
-through the public ``Graph.steps`` (one :class:`Step` and one acceptor
-probe per crossing, no resolver choice), so a difference between the two
-matchers is a difference in how rows are built, ordered or joined.
+on the names their dicts share.  Pushed-down filters always run as their
+closures (:func:`_bind_filters` below, the bind stage before it learned
+to compare tagged conjuncts inline).  Everything else that is *not* the
+row representation — the target acceptor (``_Acceptor``, fed that
+closure-only bind stage), the per-hop counting (``_hop_counts``), the obs
+touchpoints — is the shipped code, called at the places the old loops
+called it, and adjacency is read through the public ``Graph.steps`` (one
+:class:`Step` and one acceptor probe per crossing, no resolver choice),
+so a difference between the two matchers is a difference in how rows are
+built, ordered or joined, or in what a filter decides.
 """
 
 from repro import _exec
+from repro.core.exprs import EvalEnv, Scope
 from repro.core.pattern import (
     EngineMode,
     TableSource,
     _Acceptor,
-    _bind_filters,
     _hop_counts,
     _is_table_conjunct,
     _join_key,
 )
+
+
+def _bind_filters(ctx, var, filters):
+    """Every conjunct's closure, in order, under one reused environment."""
+    if not filters:
+        return None
+    scope = Scope((var,))
+    fns = [f.closure(scope)[0] for f in filters]
+    row = [None]
+    env = EvalEnv(ctx, row)
+
+    def passes(value):
+        row[0] = value
+        for fn in fns:
+            if not fn(env):
+                return False
+        return True
+
+    return passes
+
+
+class _ClosureAcceptor(_Acceptor):
+    """The shipped acceptor with its filter test taken from the
+    closure-only bind stage above."""
+
+    __slots__ = ()
+
+    def __init__(self, ctx, spec, filters):
+        super().__init__(ctx, spec, None)
+        self._passes = _bind_filters(ctx, spec.var, filters)
 
 
 def evaluate_chain(ctx, chain, mode, var_filters=None):
@@ -69,7 +102,7 @@ def _evaluate_hop(ctx, graph, hop, rows, mode, var_filters, current_var, col):
     if hop.is_single_symbol:
         plan = "adjacency"
         symbol = hop.darpe.ast
-        acceptor = _Acceptor(ctx, hop.target, var_filters.get(target_var))
+        acceptor = _ClosureAcceptor(ctx, hop.target, var_filters.get(target_var))
         edge_var = hop.edge_var
         edge_passes = (
             _bind_filters(ctx, edge_var, var_filters.get(edge_var))
@@ -122,7 +155,7 @@ def _evaluate_hop(ctx, graph, hop, rows, mode, var_filters, current_var, col):
     plan = "sdmc-counting" if mode.kind == EngineMode.COUNTING else "enumeration"
     if col is not None:
         col.count("planner.hops_forward")
-    acceptor = _Acceptor(ctx, hop.target, var_filters.get(target_var))
+    acceptor = _ClosureAcceptor(ctx, hop.target, var_filters.get(target_var))
     cache = {}
     for bindings, multiplicity in rows:
         source_vid = bindings[current_var].vid

@@ -292,3 +292,25 @@ class TestCli:
         ])
         assert rc == 3
         assert "AccSan violation" in capsys.readouterr().err
+
+
+def test_one_seed_gives_the_same_findings_on_every_run():
+    """A replay's schedules follow from the seed and the group's place in
+    its flush, not from where its accumulator lives in memory: with one
+    schedule each two-input group is caught or verified by a coin flip,
+    and every run of the same query flips the same coins."""
+    q = parse_query("""
+CREATE QUERY seen() {
+  ListAccum<STRING> @seen;
+  R = SELECT t FROM V:s -(E>)- V:t ACCUM t.@seen += s.name;
+  PRINT R;
+}""")
+    runs, kept = set(), []
+    for _ in range(8):
+        graph = builders.diamond_chain(6)
+        with accsan.sanitize(schedules=1, seed=11) as san:
+            q.run(graph)
+        kept.append((graph, san))  # alive, so no run reuses an address
+        runs.add((san.verified, tuple(san.detections)))
+    [(verified, detections)] = runs
+    assert verified and detections

@@ -6,22 +6,32 @@ Over Hypothesis-built typed graphs and patterns the two must produce the
 same rows *in the same order*, the same multiplicities, the same hop-span
 attributes and the same counters — the row representation is an
 implementation detail of the matcher, visible to nobody.
+
+Pushed-down filters are lowered the way a compiled block lowers them, so
+comparisons carry their tag and the shipped bind stage tests them inline;
+the reference runs every conjunct's closure.  Attributes may be missing,
+None or a string where a number is compared: the two must then raise the
+same ``QueryRuntimeError`` (type and message), or agree on the verdict.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compile.lowering import lower_pushed_filter
 from repro.core import QueryContext
-from repro.core.exprs import AttrRef, Binary, Literal, NameRef
+from repro.core.exprs import AttrRef, Binary, EvalEnv, Literal, NameRef, Scope
 from repro.core.pattern import (
     Chain,
     EngineMode,
     Pattern,
     VertexSpec,
+    _bind_filters,
     evaluate_pattern,
     hop,
 )
 from repro.core.values import Table, VertexSet
+from repro.errors import QueryRuntimeError
 from repro.graph import Graph
 from repro.obs import collect
 from repro.paths import PathSemantics
@@ -43,25 +53,64 @@ MODES = (
     EngineMode.enumeration(PathSemantics.ALL_SHORTEST),
     EngineMode.enumeration(PathSemantics.NO_REPEATED_EDGE),
 )
+OPS = ("==", "!=", "<", "<=", ">", ">=")
+#: Declared parameters a filter may compare against: an int, a float and a
+#: str the bind stage binds, a None and a bool it leaves to the closures.
+PARAMS = {"lo": 1, "mid": 1.5, "word": "s", "nothing": None, "flag": True}
+OPERANDS = (
+    Literal(0), Literal(1), Literal(2), Literal(3), Literal(2.5), Literal("s"),
+    *(NameRef(name) for name in PARAMS),
+)
+#: The attribute a variable's filters read: edges carry ``q``, table rows
+#: ``k``, vertices ``w``.
+ATTR = {"e": "q", "f": "q", "r": "k"}
+#: An attribute value that is not there at all.
+MISSING = object()
+NUMBERS = (0, 1, 2, 3)
+#: Attribute values of a graph with odd ones: None, a string, missing.
+ODD = NUMBERS * 3 + (None, "s", MISSING)
+
+
+def _attrs(name, value):
+    return {} if value is MISSING else {name: value}
 
 
 @st.composite
 def graphs(draw):
     n = draw(st.integers(3, 6))
+    values = st.sampled_from(ODD if draw(st.booleans()) else NUMBERS)
     g = Graph()
     for i in range(n):
-        g.add_vertex(i, draw(st.sampled_from(VERTEX_TYPES)), w=draw(st.integers(0, 3)))
+        g.add_vertex(i, draw(st.sampled_from(VERTEX_TYPES)), **_attrs("w", draw(values)))
     edges = draw(st.lists(
         st.tuples(
             st.integers(0, n - 1), st.integers(0, n - 1),
-            st.sampled_from(("A", "B", "U")), st.integers(0, 3),
+            st.sampled_from(("A", "B", "U")), values,
         ),
         min_size=3, max_size=16,
     ))
     for source, target, etype, q in edges:
         if source != target:
-            g.add_edge(source, target, etype, directed=etype != "U", q=q)
+            g.add_edge(source, target, etype, directed=etype != "U", **_attrs("q", q))
     return g
+
+
+def _lowered(var, conjunct):
+    """``conjunct`` as a compiled block's pushdown lowers it: under the
+    one-slot scope of ``var`` with ``PARAMS`` declared."""
+    return lower_pushed_filter(conjunct, None, Scope((var,), (), PARAMS))
+
+
+@st.composite
+def conjuncts(draw, var):
+    """``var.attr <op> operand`` — the tagged shape — or, now and then,
+    ``operand <op> var.attr``, which keeps its closure."""
+    op = draw(st.sampled_from(OPS))
+    operand = draw(st.sampled_from(OPERANDS))
+    attr = AttrRef(NameRef(var), ATTR.get(var, "w"))
+    if draw(st.integers(0, 4)):
+        return Binary(op, attr, operand)
+    return Binary(op, operand, attr)
 
 
 @st.composite
@@ -101,10 +150,9 @@ def cases(draw):
     for name in pattern.visible_variables():
         if draw(st.integers(0, 2)):
             continue
-        attr = "q" if name in EDGE_VARS else "k" if name == "r" else "w"
-        bound = Literal(draw(st.integers(0, 3)))
-        op = draw(st.sampled_from((">", "<=", "!=")))
-        filters[name] = [Binary(op, AttrRef(NameRef(name), attr), bound)]
+        filters[name] = [
+            _lowered(name, draw(conjuncts(name))) for _ in range(draw(st.integers(1, 2)))
+        ]
 
     vertices = list(graph.vertices())
     members = draw(st.lists(st.sampled_from(vertices), min_size=1, unique=True))
@@ -114,7 +162,7 @@ def cases(draw):
 
 
 def _context(graph, members, params):
-    ctx = QueryContext(graph, params)
+    ctx = QueryContext(graph, {**PARAMS, **params})
     ctx.set_vertex_set("S", VertexSet(graph, members))
     table = Table("T", ["k", "tag"])
     for k in range(3):
@@ -132,17 +180,28 @@ def _observed(col):
     return dict(col.counters), spans
 
 
+def _outcome(matcher, graph, pattern, filters, members, params, mode):
+    """The matcher's result and collector, or the type and message of
+    the ``QueryRuntimeError`` it raised."""
+    with collect() as col:
+        try:
+            result = matcher(_context(graph, members, params), pattern, mode, filters)
+        except QueryRuntimeError as exc:
+            return (type(exc), str(exc)), col
+    return result, col
+
+
 def _assert_same(graph, pattern, filters, members, params, mode):
     """Both matchers on fresh, equal contexts; returns the shipped table
-    and the plans its hops ran."""
-    with collect() as want_col:
-        variables, want_rows = reference_pattern.evaluate_pattern(
-            _context(graph, members, params), pattern, mode, filters
-        )
-    with collect() as got_col:
-        table = evaluate_pattern(
-            _context(graph, members, params), pattern, mode, filters
-        )
+    and the plans its hops ran (None and no plans when both raised)."""
+    case = (graph, pattern, filters, members, params, mode)
+    want, want_col = _outcome(reference_pattern.evaluate_pattern, *case)
+    table, got_col = _outcome(evaluate_pattern, *case)
+    if isinstance(want[0], type) or isinstance(table, tuple):
+        assert table == want
+        assert _observed(got_col) == _observed(want_col)
+        return None, set()
+    variables, want_rows = want
     assert table.variables == variables == pattern.variables()
     assert all(set(bindings) == set(variables) for bindings, _ in want_rows)
     assert table.rows == [
@@ -167,15 +226,19 @@ def test_tuple_rows_match_dict_rows(case):
 
 
 def _w(var, op, bound, attr="w"):
-    return Binary(op, AttrRef(NameRef(var), attr), Literal(bound))
+    """The lowered filter ``var.attr op bound`` (``bound`` a value, or a
+    ``NameRef`` to one of ``PARAMS``)."""
+    operand = bound if isinstance(bound, NameRef) else Literal(bound)
+    return _lowered(var, Binary(op, AttrRef(NameRef(var), attr), operand))
 
 
-def _ring():
+def _ring(w2=2):
     """0 -A> 1 -A> 2 -A> 3 -A> 0 over type P (vertex 3 is a Q), chords
-    0 -B> 2 and 1 -U- 3; ``w`` is the vertex id, ``q`` the edge's rank."""
+    0 -B> 2 and 1 -U- 3; ``w`` is the vertex id (vertex 2's is ``w2``, or
+    absent for ``MISSING``), ``q`` the edge's rank."""
     g = Graph()
     for i in range(4):
-        g.add_vertex(i, "Q" if i == 3 else "P", w=i)
+        g.add_vertex(i, "Q" if i == 3 else "P", **_attrs("w", w2 if i == 2 else i))
     for q, (source, target, etype) in enumerate(
         [(0, 1, "A"), (1, 2, "A"), (2, 3, "A"), (3, 0, "A"), (0, 2, "B"), (1, 3, "U")]
     ):
@@ -272,3 +335,114 @@ def test_named_shapes_are_all_covered():
     assert plans == {
         "adjacency", "sdmc-counting", "enumeration", "enumeration-reversed",
     }
+
+
+# ----------------------------------------------------------------------
+# Bound comparisons: the inline test against the conjuncts' closures
+# ----------------------------------------------------------------------
+
+#: From every P vertex (0, 1, 2) across one A edge: b is 1, 2 or 3.
+ONE_HOP = [Chain(VertexSpec("P", "a"), [hop("A>", "_", "b")])]
+
+#: name -> (vertex 2's ``w``, chains, filters, raises): each is run on
+#: ``_ring(w2)`` by both matchers.
+BOUND_COMPARISONS = {
+    **{
+        f"b.w {op} 2": (2, ONE_HOP, {"b": [_w("b", op, 2)]}, False)
+        for op in OPS
+    },
+    "int parameter": (2, ONE_HOP, {"b": [_w("b", ">=", NameRef("lo"))]}, False),
+    "float parameter": (2, ONE_HOP, {"b": [_w("b", "<", NameRef("mid"))]}, False),
+    "float literal": (2, ONE_HOP, {"b": [_w("b", ">", 1.5)]}, False),
+    "str parameter, equality": (2, ONE_HOP, {"b": [_w("b", "==", NameRef("word"))]}, False),
+    "str parameter, ordering": (2, ONE_HOP, {"b": [_w("b", "<", NameRef("word"))]}, True),
+    "None parameter": (2, ONE_HOP, {"b": [_w("b", "!=", NameRef("nothing"))]}, False),
+    "bool parameter": (2, ONE_HOP, {"b": [_w("b", "==", NameRef("flag"))]}, False),
+    "two conjuncts on one variable": (
+        2, ONE_HOP, {"b": [_w("b", ">=", NameRef("lo")), _w("b", "!=", 3)]}, False,
+    ),
+    "seed filter": (2, ONE_HOP, {"a": [_w("a", "<", 2)]}, False),
+    "Kleene hop target": (
+        2, [Chain(VertexSpec("P", "a"), [hop("A>*", "_", "b")])],
+        {"a": [_w("a", "==", 0)], "b": [_w("b", ">", NameRef("lo"))]}, False,
+    ),
+    "edge variable": (
+        2, [Chain(VertexSpec("P", "a"), [hop("A>", "_", "b", "e")])],
+        {"e": [_w("e", "<=", NameRef("lo"), "q")]}, False,
+    ),
+    "table row": (
+        2, [Chain(VertexSpec("T", "r"), [])], {"r": [_w("r", ">=", NameRef("lo"), "k")]},
+        False,
+    ),
+    "None attribute, ordering": (None, ONE_HOP, {"b": [_w("b", "<", 3)]}, True),
+    "None attribute, equality": (None, ONE_HOP, {"b": [_w("b", "==", 2)]}, False),
+    "None attribute, inequality": (None, ONE_HOP, {"b": [_w("b", "!=", 2)]}, False),
+    "None attribute in the second conjunct": (
+        None, ONE_HOP, {"b": [_w("b", "!=", 0), _w("b", "<", 3)]}, True,
+    ),
+    "None attribute on a Kleene target": (
+        None, [Chain(VertexSpec("P", "a"), [hop("A>*1..2", "_", "b")])],
+        {"a": [_w("a", "==", 0)], "b": [_w("b", ">=", 1)]}, True,
+    ),
+    "string attribute against an int": ("s", ONE_HOP, {"b": [_w("b", ">", 1)]}, True),
+    "string attribute, equality": ("s", ONE_HOP, {"b": [_w("b", "==", 2)]}, False),
+    "missing attribute": (MISSING, ONE_HOP, {"b": [_w("b", ">=", 0)]}, True),
+    "missing attribute on the seed": (MISSING, ONE_HOP, {"a": [_w("a", "<", 9)]}, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_COMPARISONS))
+def test_bound_comparisons_decide_as_their_closures(name):
+    w2, pattern_chains, filters, raises = BOUND_COMPARISONS[name]
+    graph = _ring(w2)
+    members = [graph.vertex(0), graph.vertex(1), graph.vertex(2)]
+    table, _ = _assert_same(graph, Pattern(pattern_chains), filters, members, {}, COUNTING)
+    assert (table is None) == raises
+
+
+def test_lowering_tags_only_the_comparison_shape():
+    b_w = AttrRef(NameRef("b"), "w")
+    tagged = [
+        Binary(op, b_w, operand)
+        for op in OPS for operand in (Literal(2), Literal("s"), NameRef("lo"))
+    ]
+    untagged = [
+        Binary("<", Literal(2), b_w),  # operand on the left
+        Binary("<", b_w, NameRef("undeclared")),
+        Binary("<", b_w, NameRef("b")),  # the variable itself
+        Binary("<", AttrRef(NameRef("c"), "w"), Literal(2)),  # another name
+        Binary("+", b_w, Literal(2)),
+        Binary("IN", b_w, Literal((1, 2))),
+        Binary("<", b_w, Binary("+", Literal(1), Literal(1))),
+    ]
+    env = EvalEnv(QueryContext(Graph(), PARAMS))
+    for conjunct in tagged:
+        attr, op, operand = _lowered("b", conjunct).compare
+        assert (attr, op) == ("w", conjunct.op)
+        assert operand(env) == conjunct.right.eval(env)
+    for conjunct in untagged:
+        assert _lowered("b", conjunct).compare is None, conjunct
+
+
+def test_a_clean_comparison_never_runs_its_closure():
+    """With plain operands the verdict is the inline test's; only what it
+    cannot decide reaches the closure (here: one that raises)."""
+
+    def closure_ran(env):
+        raise AssertionError("closure ran")
+
+    graph = _ring(None)
+    ctx = _context(graph, [], {})
+    for operand in (2, NameRef("lo")):
+        lowered = _w("b", "<", operand)
+        lowered.fn = closure_ran
+        passes = _bind_filters(ctx, "b", [lowered])
+        assert passes(graph.vertex(0)) is True
+        assert passes(graph.vertex(3)) is False
+        with pytest.raises(AssertionError, match="closure ran"):
+            passes(graph.vertex(2))  # w is None
+    # a None operand is not bound: the closure decides every vertex
+    lowered = _w("b", "==", NameRef("nothing"))
+    lowered.fn = closure_ran
+    with pytest.raises(AssertionError, match="closure ran"):
+        _bind_filters(ctx, "b", [lowered])(graph.vertex(0))

@@ -99,8 +99,10 @@ class TestCompilationDocs:
 
     def test_docs_name_the_hop_kernel_and_the_bucket_view(self):
         """The FROM clause's lowering is documented where each layer is:
-        the hop kernel with what it memoises and why that is sound, the
-        symbol columns as the adjacency seam, the unchanged sdmc.* counters."""
+        the hop kernel with what it memoises and why that is sound, its
+        bound comparisons and why their errors are the closures', the
+        symbol columns as the adjacency seam, the SDMC level loop and its
+        one plan builder, the unchanged sdmc.* counters."""
         compilation = (DOCS / "compilation.md").read_text()
         for needle in (
             "**Hop kernel**",
@@ -109,12 +111,16 @@ class TestCompilationDocs:
             "one reused `EvalEnv`",
             "Memoising is sound because",
             "Edge-variable filters are **not** memoised",
+            "**Bound comparisons.**",
+            "`lower_pushed_filter`",
+            "Error parity follows",
         ):
             assert needle in compilation, f"docs/compilation.md lost {needle!r}"
         architecture = (DOCS / "architecture.md").read_text()
         for needle in (
             "hop kernel", "`Graph.columns(direction)`", "`Graph.vertex_getter()`",
-            "`bucket_expander`", "**Traversal order**",
+            "`bucket_expander`", "`column_plan`", "one flat loop per",
+            "**Traversal order**",
         ):
             assert needle in architecture, f"docs/architecture.md lost {needle!r}"
         assert "**two resolvers**" in compilation

@@ -11,7 +11,8 @@ copied first) shows up as *that* version drifting from its oracle.
 
 After every step, for every version still held: each bucket's steps in
 order, degrees, ``find_edges`` and ``neighbors``, a clean fsck, the SDMC
-search with its counters, and the sixteen named pattern shapes of
+search — results in the order it resolved them, under target and length
+bounds — with its counters, and the sixteen named pattern shapes of
 ``test_core_pattern_differential.py`` as row multisets with counters.
 Across edge types the two layouts order steps differently (the graph's
 first-seen order against each vertex's), which is why rows compare as
@@ -21,7 +22,7 @@ multisets; inside one bucket the order is the same and is compared.
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.pattern import Pattern, evaluate_pattern
@@ -30,7 +31,7 @@ from repro.errors import GraphError
 from repro.graph import FORWARD, REVERSE, UNDIRECTED, Graph
 from repro.graph.fsck import fsck_graph
 from repro.obs import collect
-from repro.paths import single_source_sdmc
+from repro.paths import shortest_path_dag, single_source_sdmc
 
 from .reference_graph import ReferenceGraph, reference_sdmc
 from .test_core_pattern_differential import NAMED_SHAPES, _context
@@ -39,7 +40,17 @@ IDS = (0, 1, 2, 3, 4)
 #: vertex 3 is the one ``Q``, as in the named shapes' ring
 VTYPE = {vid: "Q" if vid == 3 else "P" for vid in IDS}
 DIRECTED = {"A": True, "B": True, "U": False}
-DARPES = [CompiledDarpe.parse(text) for text in ("A>*", "(A>|U)*", "(A>|<A)*1..2", "U.B>")]
+#: ``(A>|B>).(U|A>)`` crosses two forward columns from its start state,
+#: and ends in two different accepting DFA states: on the seeded ring it
+#: reaches vertex 3 in both at level 2 (0 -A> 1 -U- 3 and 0 -B> 2 -A> 3),
+#: and the vertex's count is their sum.
+DARPES = [
+    CompiledDarpe.parse(text)
+    for text in ("A>*", "(A>|U)*", "(A>|<A)*1..2", "U.B>", "(A>|B>).(U|A>)")
+]
+#: (targets, max_length) of each search: the whole product graph, an early
+#: stop once the targets are resolved, a length cap, and both.
+SEARCHES = [(None, None), ({1, 3}, None), (None, 1), ({4}, 2)]
 
 _vid = st.sampled_from(IDS)
 #: the value an upsert writes (``w`` on a vertex, ``q`` on an edge), or
@@ -142,13 +153,22 @@ def _assert_same_adjacency(graph, reference):
 
 
 def _assert_same_sdmc(graph, reference):
+    """Results in resolution order (the order hop rows follow), and the
+    counters, for every DARPE, source and search bound."""
+    etype_order = {d: list(graph.columns(d)) for d in (FORWARD, REVERSE, UNDIRECTED)}
     for darpe in DARPES:
         for source in reference.vertex_ids():
-            with collect() as col:
-                got = single_source_sdmc(graph, source, darpe)
-            want, counters = reference_sdmc(reference, source, darpe)
-            assert {vid: tuple(res) for vid, res in got.items()} == want, darpe.text
-            assert col.counters == counters, darpe.text
+            for targets, max_length in SEARCHES:
+                with collect() as col:
+                    got = single_source_sdmc(graph, source, darpe, targets, max_length)
+                want, counters = reference_sdmc(
+                    reference, source, darpe, targets, max_length, etype_order
+                )
+                case = (darpe.text, source, targets, max_length)
+                assert [(vid, tuple(res)) for vid, res in got.items()] == list(
+                    want.items()
+                ), case
+                assert col.counters == counters, case
 
 
 def _row_key(value):
@@ -200,6 +220,9 @@ def _run(steps):
 
 @settings(max_examples=150, deadline=None)
 @given(steps=st.lists(_steps, min_size=1, max_size=12))
+# vertex 0 loses its one A edge and gets it back: its own buckets now list
+# B before A, while the graph's A column never went away
+@example(steps=[("delete_edge", 0, 0, 0, "A", None), ("add_edge", 0, 0, 1, "A", None)])
 def test_columns_match_per_vertex_buckets(steps):
     _run(steps)
 
@@ -211,6 +234,16 @@ def test_every_named_shape_matches_something_on_the_seeded_ring():
         got = _matched(graph, *shape)
         assert got == _matched(reference, *shape), name
         assert got[1], name
+
+
+def test_one_vertex_in_two_accepting_states_is_their_sum():
+    """So the SDMC comparison covers the per-vertex sum of one level."""
+    graph = _seeded(Graph())
+    darpe = DARPES[-1]
+    ends = shortest_path_dag(graph, 0, darpe)._accepting_by_vertex[3]
+    assert len({q for _, q in ends}) == 2
+    assert single_source_sdmc(graph, 0, darpe)[3] == (2, 2)
+    assert reference_sdmc(_seeded(ReferenceGraph()), 0, darpe)[0][3] == (2, 2)
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,8 @@ off their block-entry snapshot and whose POST_ACCUM clause is the thing
 under test.  Both sides lower and run the same block; the reference side
 swaps the interpreter in for the POST_ACCUM phase only.  Everything
 observable must agree: accumulator values, attribute writes, the error
-(type and message) and the state it left behind, the AccSan event list
-and replay count, and every counter.
+(type and message) and the state it left behind, the AccSan event list,
+its verified replays and its detections, and every counter.
 """
 
 import random
@@ -111,20 +111,15 @@ def outcome(post_accum, *, reference, with_schema=True, sanitized=True,
         error = (type(exc), str(exc))
     finally:
         lowering.run_post_accum = shipped
-    # AccSan seeds each replay's shuffle with ``id(acc)``, so *whether* an
-    # order-dependent fold (the ListAccums here) is caught is not
-    # reproducible between two runs; that it was replayed is.
-    counters = dict(col.counters)
-    replays = counters.pop("accsan.verified", 0) + counters.pop("accsan.detections", 0)
-    assert san is None or replays == san.verified + len(san.detections)
     return {
         "error": error,
         "globals": {n: ctx.global_accum(n).value for n in ("g", "mx", "lst")},
         "vertex": {n: dict(ctx.vertex_accum_values(n)) for n in ("cnt", "seen")},
         "attrs": {v.vid: dict(v.attrs) for v in graph.vertices()},
         "events": list(san.events) if san else None,
-        "replays": san.verified + len(san.detections) if san else None,
-        "counters": counters,
+        "verified": san.verified if san else None,
+        "detections": list(san.detections) if san else None,
+        "counters": dict(col.counters),
     }
 
 
