@@ -18,7 +18,8 @@ drift optimistic.
 
 Two modes:
 
-* **structural** (``stats=None``, what the parser stamps): bounds that
+* **structural** (``stats=None``, what a reader without a graph
+  stamps — the parser stamps no cost certificate): bounds that
   depend only on the query shape.  Graph-dependent quantities stay open
   (``hi=None``) and the certificate's confidence is UNBOUNDED (or
   ESTIMATED when loop caps still bound the work).
@@ -43,8 +44,8 @@ Confidence tiers (weakest-wins across blocks):
   executions / accumulator bytes) has no finite upper bound.
 
 The analysis is memoised on the model per stats fingerprint
-(``model._cost``), so parser stamping, ``repro check --cost``, the
-planner, the governor and server admission share one pass; the
+(``model._cost``), so ``repro check --cost``, the planner, the
+governor and the worker's cost screen share one pass; the
 PlanCache additionally persists the certificate across parses keyed by
 the same fingerprint.
 """

@@ -730,12 +730,16 @@ def cached_model(query: Query, schema=None) -> QueryModel:
     Certificate attachment, ``repro validate``/``explain`` and
     ``repro lint``/``repro check`` all want the same model; building it
     once per (query, schema) pair keeps a CLI invocation at one walk
-    instead of three.  ``Query.invalidate_analysis``
-    drops the cache after a recompile.
+    instead of three.  The cache keeps the two most recent schemas, so
+    the schema-free model the parser certifies from (and the worker
+    lints) and the schema-carrying one a plan is lowered under do not
+    evict each other.  ``Query.invalidate_analysis`` drops the cache
+    after a recompile.
     """
-    cache = getattr(query, "_analysis_cache", None)
-    if cache is not None and cache[0] is schema:
-        return cache[1]
+    cache = getattr(query, "_analysis_cache", None) or ()
+    for cached_schema, model in cache:
+        if cached_schema is schema:
+            return model
     col = _exec.current().col
     if col is not None:
         # The plan-cache acceptance contract reads this: a warm cache
@@ -744,7 +748,7 @@ def cached_model(query: Query, schema=None) -> QueryModel:
         col.count("analysis.model_builds")
     model = build_model(query, schema)
     try:
-        query._analysis_cache = (schema, model)
+        query._analysis_cache = ((schema, model),) + cache[:1]
     except AttributeError:
         pass  # exotic Query subclasses with __slots__ stay uncached
     return model

@@ -833,15 +833,18 @@ class CompiledQuery:
 
     @property
     def cost_certificate(self):
-        """The whole-query cost certificate stamped on the source query
-        (consumers re-stamp it with graph statistics; the plan reads
-        through so warm cache hits see the freshest bounds)."""
+        """The whole-query cost certificate stamped on the source query,
+        or None before its first reader (:meth:`cost_for`) stamped one;
+        the plan reads through so warm cache hits see the freshest
+        bounds."""
         return self.query.cost_certificate
 
     def cost_for(self, stats=None):
         """The whole-query cost certificate against ``stats``, estimated
         at most once per statistics fingerprint.
 
+        The parser stamps no cost certificate: the first call stamps one
+        (structural for ``stats=None``, closed-form against a snapshot).
         A warm plan-cache hit whose stamped certificate already carries
         ``stats``' fingerprint returns it without touching the analysis
         layer (zero ``cost.*`` counters — the property the warm-hit test
@@ -852,7 +855,7 @@ class CompiledQuery:
         free as well).
 
         The estimate runs over the schema-free model — the one the
-        parser stamped its structural certificates from and the one
+        parser stamped its certificates from and the one
         ``benchmarks/check_cost_calibration.py`` pins — so a bound does
         not depend on the schema the plan happens to be cached under.
         """

@@ -457,13 +457,14 @@ class Query:
         #: Original GSQL text when the query came from the parser; lets
         #: diagnostics render caret-underlined source excerpts.
         self.source: Optional[str] = None
-        #: (schema, QueryModel) memo filled by
-        #: :func:`repro.analysis.model.cached_model` — one model build
-        #: shared by validate/tractable/lint instead of three.
+        #: ((schema, QueryModel), ...) memo of the two most recent
+        #: schemas, filled by :func:`repro.analysis.model.cached_model` —
+        #: one model build shared by validate/tractable/lint instead of
+        #: three.
         self._analysis_cache: Optional[tuple] = None
         #: Whole-query :class:`~repro.core.tractable.CostCertificate`
         #: stamped by :func:`~repro.core.tractable.
-        #: attach_cost_certificates` (None until stamped).
+        #: attach_cost_certificates` (None until its first reader stamps).
         self.cost_certificate = None
         #: Bumped by :meth:`invalidate_analysis`; compiled plans capture
         #: the epoch at lowering time, so a bump makes every plan built

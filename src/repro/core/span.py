@@ -1,10 +1,12 @@
 """Source spans: where an AST node came from in the query text.
 
-The GSQL lexer stamps every token with line/column/offset information;
-the parser threads those positions onto the AST nodes it builds so that
-diagnostics (``repro.analysis``) can point at the exact source range and
-render caret-underlined excerpts.  Programmatically built queries carry
-no spans — every consumer treats a missing span as "location unknown".
+The GSQL lexer records each token's offsets; the parser turns the
+offsets of a node's first and last token into a span (line and column
+resolved from the text's line table) on every AST node it builds, so
+that diagnostics (``repro.analysis``) can point at the exact source
+range and render caret-underlined excerpts.  Programmatically built
+queries carry no spans — every consumer treats a missing span as
+"location unknown".
 """
 
 from __future__ import annotations
@@ -23,33 +25,6 @@ class Span(NamedTuple):
     end_column: int
     start: int
     end: int
-
-    @classmethod
-    def from_token(cls, token: Any) -> "Span":
-        """The span of one lexer token."""
-        width = max(token.end - token.start, 1)
-        return cls(
-            token.line,
-            token.column,
-            token.line,
-            token.column + width,
-            token.start,
-            token.end,
-        )
-
-    @classmethod
-    def between(cls, first: Any, last: Any) -> "Span":
-        """The span from the start of ``first`` to the end of ``last``
-        (both lexer tokens)."""
-        last_width = max(last.end - last.start, 1)
-        return cls(
-            first.line,
-            first.column,
-            last.line,
-            last.column + last_width,
-            first.start,
-            last.end,
-        )
 
     @classmethod
     def at(cls, line: int, column: int, width: int = 1) -> "Span":

@@ -14,7 +14,8 @@ A query is in the tractable class when:
 The checks themselves are rules GSQL-W012 and GSQL-E013 in
 :mod:`repro.analysis`; this module holds the certificate types the
 analyses stamp on SELECT blocks (tractability, determinism, cost) and
-the ``attach_*`` functions the parser calls to stamp them.  The engine
+the ``attach_*`` functions that stamp them — the parser calls all but
+:func:`attach_cost_certificates`, whose first reader stamps.  The engine
 additionally refuses at runtime the genuinely dangerous combination
 (order-dependent accumulator fed from a Kleene pattern) — see
 :meth:`repro.core.block.SelectBlock._check_tractability`.
@@ -179,10 +180,11 @@ class CostConfidence(enum.Enum):
 
 
 class CostCertificate(NamedTuple):
-    """The third parse-time proof object: predicted cardinality/cost.
+    """The third proof object: predicted cardinality/cost.
 
     Stamped beside the tractability and determinism certificates by
-    :mod:`repro.analysis.cost`.  Each field is an :class:`Interval`
+    :mod:`repro.analysis.cost` — by its first reader, not the parser.
+    Each field is an :class:`Interval`
     bracketing the corresponding runtime obs counter; ``confidence``
     says how the upper bounds were derived (closed form from a
     :class:`~repro.graph.stats.GraphStatsSnapshot`, heuristic estimate,
@@ -276,14 +278,16 @@ def attach_effect_certificates(query: Query, schema=None) -> None:
 def attach_cost_certificates(query: Query, schema=None, stats=None) -> None:
     """Stamp each SELECT block (and the query) with its cost certificate.
 
-    Called by the GSQL parser after compilation with ``stats=None``, so
-    parse-time stamps are purely structural (graph-dependent bounds stay
-    open / UNBOUNDED).  Consumers that hold a
-    :class:`~repro.graph.stats.GraphStatsSnapshot` — ``repro check
-    --cost --graph``, ``repro run --auto-budget``, server admission, the
-    calibration harness — re-stamp with concrete closed-form intervals;
-    the analysis memoises per (model, stats fingerprint), so re-stamping
-    with the same snapshot is free.
+    The parser does not call this: no execution reads a cost bound, so
+    the certificate is stamped by its first reader.  With ``stats=None``
+    the stamp is purely structural (graph-dependent bounds stay open /
+    UNBOUNDED) — what :func:`repro.obs.profile_query` and
+    :meth:`repro.compile.CompiledQuery.cost_for` stamp when nothing has.
+    Consumers that hold a :class:`~repro.graph.stats.GraphStatsSnapshot`
+    — ``repro check --cost --graph``, ``repro run --auto-budget``, the
+    worker's cost screen, the calibration harness — stamp concrete
+    closed-form intervals; the analysis memoises per (model, stats
+    fingerprint), so re-stamping with the same snapshot is free.
     """
     from ..analysis.cost import analyze_cost
     from ..analysis.model import cached_model

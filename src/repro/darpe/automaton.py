@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..errors import DarpeSyntaxError
 from ..graph.elements import FORWARD, REVERSE, UNDIRECTED, Step
-from .ast import Alt, Concat, DarpeNode, Epsilon, Star, Symbol, normalize
+from .ast import Alt, Concat, DarpeNode, Epsilon, Repeat, Star, Symbol, normalize
 from .parser import parse_darpe
 
 #: A concrete adorned symbol: (edge type name, crossing direction).
@@ -228,6 +229,25 @@ class LazyDFA:
         return len(self._sets)
 
 
+#: The most symbol positions a DARPE may unroll to.  Bounded repetition
+#: copies its operand once per count and the automaton's construction
+#: grows faster than linearly in the copies (``E>*1..1000`` takes
+#: seconds), so a pattern past this is refused, not compiled.
+MAX_POSITIONS = 128
+
+
+def unrolled_positions(node: DarpeNode) -> int:
+    """How many symbol positions ``node`` unrolls to when compiled."""
+    if isinstance(node, (Concat, Alt)):
+        return sum(unrolled_positions(part) for part in node.parts)
+    if isinstance(node, Star):
+        return unrolled_positions(node.inner)
+    if isinstance(node, Repeat):
+        copies = max(node.min_count, node.max_count or 0, 1)
+        return unrolled_positions(node.inner) * copies
+    return 1
+
+
 class CompiledDarpe:
     """A parsed and compiled DARPE, ready for matching and counting.
 
@@ -239,6 +259,14 @@ class CompiledDarpe:
     def __init__(self, ast: DarpeNode, text: Optional[str] = None):
         self.ast = ast
         self.text = text if text is not None else repr(ast)
+        positions = unrolled_positions(ast)
+        if positions > MAX_POSITIONS:
+            raise DarpeSyntaxError(
+                f"the pattern unrolls to {positions} edge positions, more "
+                f"than the {MAX_POSITIONS} a DARPE may compile to (use an "
+                f"unbounded * and bound the path in the query instead)",
+                self.text, 0,
+            )
         self.nfa = compile_nfa(ast)
 
     @classmethod

@@ -1,11 +1,17 @@
 """Lexer for the GSQL subset.
 
-Produces a token stream with source positions (so DARPE substrings can be
-recovered verbatim for the DARPE parser, and errors carry line/column).
+Produces a list of ``(kind, value, start, end)`` tuples: ``start`` and
+``end`` are offsets into the source (so DARPE substrings can be
+recovered verbatim for the DARPE parser).  Line and column are not
+stored per token; :class:`Lines` resolves an offset to them when a span
+or an error needs one.
 
 Notable lexing decisions:
 
-* ``@@`` and ``@`` are distinct tokens (global vs vertex accumulators);
+* a token's kind is ``NAME``, ``NUMBER``, ``STRING`` or ``EOF``, or the
+  token itself for everything with one spelling: the keyword in upper
+  case (``SELECT``), the operator (``+=``), the sigils ``@@`` and ``@``
+  (global vs vertex accumulators) and the PRIME ``'``;
 * a single quote is a PRIME token when it immediately follows an
   identifier (``v.@score'`` — Figure 4's previous-iteration read) and a
   string delimiter otherwise (``'Toys'``);
@@ -29,7 +35,8 @@ longer (``ß``) ends where it ends; the loop overshot by the difference.
 from __future__ import annotations
 
 import re
-from typing import List, NamedTuple
+from bisect import bisect_right
+from typing import Dict, List, Tuple
 
 from ..errors import GSQLSyntaxError
 
@@ -42,21 +49,8 @@ KEYWORDS = {
     "UNION", "INTERSECT", "MINUS",
 }
 
-
-class Token(NamedTuple):
-    kind: str       # NAME, KEYWORD, NUMBER, STRING, OP, AT, ATAT, PRIME, EOF
-    value: str
-    line: int
-    column: int
-    start: int      # offset in source
-    end: int
-
-    def is_keyword(self, word: str) -> bool:
-        return self.kind == "KEYWORD" and self.value == word
-
-    def is_op(self, op: str) -> bool:
-        return self.kind == "OP" and self.value == op
-
+#: ``(kind, value, start, end)``.
+Token = Tuple[str, str, int, int]
 
 #: Skipped text, then exactly one token.  Alternatives are ordered so
 #: the first that matches is the one the grammar means: ``POST-ACCUM``
@@ -78,11 +72,9 @@ _TOKEN = re.compile(
       | (?P<NUMBER> \d+ (?: \.\d+ )? (?: [eE][+-]?\d+ )? )
       | (?P<UNCLOSED> /\* )
       | (?P<OP> \+= | == | != | <> | <= | >= | -> | \.\.
-              | [-+*/%=<>(){}\[\],;:.|] )
+              | [-+*/%=<>(){}\[\],;:.|] | @@ | @ )
       | (?P<STRING> "(?: [^"\\\n] | \\. )*" | '(?: [^'\\\n] | \\. )*' )
       | (?P<UNTERMINATED> "(?: [^"\\\n] | \\. )* | '(?: [^'\\\n] | \\. )* )
-      | (?P<ATAT> @@ )
-      | (?P<AT> @ )
       | (?P<EOF> \Z )
       | (?P<BAD> . )
     )
@@ -91,86 +83,127 @@ _TOKEN = re.compile(
 )
 _ESCAPE = re.compile(r"\\(.)", re.S)
 
+#: ``(kind, value)`` of every word seen, so a word is case-folded and
+#: looked up in :data:`KEYWORDS` once, not once per occurrence.  Names
+#: are unbounded (ad-hoc query names never repeat), so the memo is
+#: dropped whole when it fills.
+_WORDS: Dict[str, Tuple[str, str]] = {}
+_WORDS_LIMIT = 4096
 
-def _word(text: str, line: int, column: int, start: int, end: int) -> Token:
-    """The KEYWORD (case-folded) or NAME (case kept) token of one word."""
-    word = text[start:end]
+
+def _fold(word: str) -> Tuple[str, str]:
     upper = word.upper()
-    if upper in KEYWORDS:
-        return Token("KEYWORD", upper, line, column, start, end)
-    return Token("NAME", word, line, column, start, end)
+    folded = (upper, upper) if upper in KEYWORDS else ("NAME", word)
+    if len(_WORDS) >= _WORDS_LIMIT:
+        _WORDS.clear()
+    _WORDS[word] = folded
+    return folded
 
 
-def tokenize(text: str) -> List[Token]:
-    """Tokenize GSQL source; raises :class:`GSQLSyntaxError` on junk."""
+class Lines:
+    """Turns offsets into one source text into 1-based line and column.
+
+    The table of line starts is built on first use.  A newline escaped
+    inside a string literal starts no line: the positions after it keep
+    counting columns on the line the string opened on.
+    """
+
+    __slots__ = ("text", "strings", "_starts")
+
+    def __init__(self, text: str):
+        self.text = text
+        #: ``(start, end)`` of the string literals holding a newline.
+        self.strings: List[Tuple[int, int]] = []
+        self._starts: List[int] = []
+
+    def position(self, offset: int) -> Tuple[int, int]:
+        """``(line, column)`` of ``offset``."""
+        starts = self.starts()
+        line = bisect_right(starts, offset)
+        return line, offset - starts[line - 1] + 1
+
+    def starts(self) -> List[int]:
+        """The offset each line starts at, in order."""
+        if self._starts:
+            return self._starts
+        text = self.text
+        starts = [0]
+        at = text.find("\n")
+        while at >= 0:
+            starts.append(at + 1)
+            at = text.find("\n", at + 1)
+        if self.strings:
+            starts = [s for s in starts
+                      if not any(lo < s <= hi for lo, hi in self.strings)]
+        self._starts = starts
+        return starts
+
+
+def lex(text: str) -> Tuple[List[Token], Lines]:
+    """The tokens of ``text`` and its :class:`Lines`; raises
+    :class:`GSQLSyntaxError` on junk."""
     tokens: List[Token] = []
     append = tokens.append
-    # The newline that ends the current line; a last line without one
-    # ends at ``len(text)``, which the extra newline lets ``find`` say.
-    find = (text + "\n").find
-    next_nl = find("\n")
-    line = 1
-    line_start = 0
-
+    lines = Lines(text)
+    folded = _WORDS.get
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        start = m.start(kind)
-        end = m.end()
-        while start > next_nl:
-            line += 1
-            line_start = next_nl + 1
-            next_nl = find("\n", line_start)
-        column = start - line_start + 1
+        start, end = m.span(kind)
         if kind == "OP":
-            append(Token("OP", text[start:end], line, column, start, end))
+            op = text[start:end]
+            append((op, op, start, end))
         elif kind == "NAME":
-            append(_word(text, line, column, start, end))
+            word = text[start:end]
+            word_kind, value = folded(word) or _fold(word)
+            append((word_kind, value, start, end))
         elif kind == "NUMBER":
-            append(Token("NUMBER", text[start:end], line, column, start, end))
-        elif kind == "AT":
-            append(Token("AT", "@", line, column, start, end))
-        elif kind == "ATAT":
-            append(Token("ATAT", "@@", line, column, start, end))
+            append(("NUMBER", text[start:end], start, end))
         elif kind == "STRING":
             value = text[start + 1 : end - 1]
             if "\\" in value:
                 value = _ESCAPE.sub(r"\1", value)
-                # An escaped newline inside a string has never started
-                # a new line for the positions that follow it.
-                while next_nl < end:
-                    next_nl = find("\n", next_nl + 1)
-            append(Token("STRING", value, line, column, start, end))
+                if "\n" in text[start:end]:
+                    lines.strings.append((start, end))
+            append(("STRING", value, start, end))
         elif kind == "PRIME":
             # The word the prime is the suffix of comes first.
             word_start = m.start("NAME")
             if word_start >= 0:
-                append(_word(text, line, word_start - line_start + 1,
-                             word_start, start))
+                word = text[word_start:start]
+                word_kind, value = folded(word) or _fold(word)
+                append((word_kind, value, word_start, start))
             else:
-                word_start = m.start("POST_ACCUM")
-                append(Token("KEYWORD", "POST_ACCUM", line,
-                             word_start - line_start + 1, word_start, start))
-            append(Token("PRIME", "'", line, column, start, end))
+                append(("POST_ACCUM", "POST_ACCUM", m.start("POST_ACCUM"), start))
+            append(("'", "'", start, end))
         elif kind == "POST_ACCUM":
-            append(Token("KEYWORD", "POST_ACCUM", line, column, start, end))
+            append(("POST_ACCUM", "POST_ACCUM", start, end))
         elif kind == "EOF":
-            append(Token("EOF", "", line, column, start, start))
-            return tokens
+            append(("EOF", "", start, start))
+            return tokens, lines
         elif kind == "UNCLOSED":
-            raise GSQLSyntaxError("unterminated block comment", line, column)
+            raise GSQLSyntaxError(
+                "unterminated block comment", *lines.position(start)
+            )
         elif kind == "UNTERMINATED":
             # It ran into an unescaped newline, or else off the end of
             # the text (where a lone trailing backslash stops the match).
             if end < len(text) and text[end] != "\n":
                 end = len(text)
+            line, column = lines.position(start)
             raise GSQLSyntaxError(
-                "unterminated string literal", line, end - line_start + 1
+                "unterminated string literal", line, column + end - start
             )
         else:
             raise GSQLSyntaxError(
-                f"unexpected character {text[start]!r}", line, column
+                f"unexpected character {text[start]!r}", *lines.position(start)
             )
     raise AssertionError("unreachable: _TOKEN matches EOF")  # pragma: no cover
 
 
-__all__ = ["Token", "tokenize", "KEYWORDS"]
+def tokenize(text: str) -> List[Token]:
+    """The ``(kind, value, start, end)`` tokens of GSQL source; raises
+    :class:`GSQLSyntaxError` on junk."""
+    return lex(text)[0]
+
+
+__all__ = ["Lines", "Token", "lex", "tokenize", "KEYWORDS"]

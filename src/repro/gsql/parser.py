@@ -5,12 +5,19 @@ Parses ``CREATE QUERY`` declarations and compiles them directly to
 paper shows: Figures 1-4, the Qn path-counting family, the Appendix B
 grouping queries, TYPEDEF TUPLE + HeapAccum declarations, multi-output
 SELECT, WHILE/IF control flow, PRINT and RETURN.
+
+Token tests read the lexer's tuples by index; expressions are parsed by
+precedence climbing over :data:`_BINARY`; spans come from token offsets.
+Each query is stamped with the certificates execution reads, not the
+cost certificate (``docs/compilation.md``, "The front end").
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from .. import _exec
 from ..accum import (
     AndAccum,
     ArrayAccum,
@@ -30,7 +37,12 @@ from ..accum import (
 )
 from ..darpe.automaton import CompiledDarpe
 from ..darpe.parser import parse_darpe
-from ..errors import GSQLSyntaxError, QueryCompileError
+from ..errors import (
+    AccumulatorError,
+    DarpeSyntaxError,
+    GSQLSyntaxError,
+    QueryCompileError,
+)
 from ..core.acctypes import AccumTypeInfo
 from ..core.block import OutputColumn, OutputFragment, SelectBlock
 from ..core.context import GLOBAL, VERTEX
@@ -78,7 +90,12 @@ from ..core.stmts import (
     AttributeUpdate,
     LocalAssign,
 )
-from .lexer import Token, tokenize
+from ..core.tractable import (
+    attach_certificates,
+    attach_effect_certificates,
+    attach_governor_caps,
+)
+from .lexer import KEYWORDS, Token, lex
 
 #: Scalar GSQL type names accepted in parameter/local/tuple declarations.
 _SCALAR_TYPES = {
@@ -98,17 +115,59 @@ _PY_ELEMENT_TYPES = {
     "DATE": int,
 }
 
+#: Accumulator types whose class is their zero-argument factory.
+_PLAIN_ACCUMS = {
+    cls.__name__: cls
+    for cls in (MinAccum, MaxAccum, AvgAccum, OrAccum, AndAccum, SetAccum,
+                BagAccum, ListAccum)
+}
 
-#: The furthest any rule looks past the current token (``peek(2)``).
+#: Binary operators by token kind: (precedence, AST operator).  A higher
+#: precedence binds tighter.  Prefix NOT sits at :data:`_NOT`, between
+#: AND and the comparisons, and prefix +/- at :data:`_UNARY`, above ``*``.
+#: Comparisons (``NOT IN`` included) do not chain.
+_BINARY = {
+    "OR": (1, "OR"),
+    "AND": (2, "AND"),
+    "==": (4, "=="), "=": (4, "=="), "!=": (4, "!="), "<>": (4, "<>"),
+    "<": (4, "<"), "<=": (4, "<="), ">": (4, ">"), ">=": (4, ">="),
+    "IN": (4, "IN"),
+    "+": (5, "+"), "-": (5, "-"),
+    "*": (6, "*"), "/": (6, "/"), "%": (6, "%"),
+}
+_NOT, _COMPARISON, _UNARY = 3, 4, 7
+_NOT_IN = (_COMPARISON, "NOT IN")
+
+#: The furthest any rule looks past the current token.
 _LOOKAHEAD = 2
+
+#: ``Span`` built from a ready tuple, without the named-tuple constructor.
+_new_tuple = tuple.__new__
+
+#: Compiled DARPEs by text (see :func:`_compiled_darpe`).
+_DARPES: Dict[str, CompiledDarpe] = {}
+_DARPES_LIMIT = 256
+
+
+def _compiled_darpe(text: str) -> CompiledDarpe:
+    # One CompiledDarpe per distinct DARPE text: it is immutable, and
+    # every evaluation takes its own LazyDFA from it, so hops of any
+    # query may share one.  Dropped whole when full.
+    compiled = _DARPES.get(text)
+    if compiled is None:
+        if len(_DARPES) >= _DARPES_LIMIT:
+            _DARPES.clear()
+        compiled = _DARPES[text] = CompiledDarpe(parse_darpe(text), text)
+    return compiled
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = tokenize(text)
-        # ``advance`` never moves past EOF, so this many more EOFs behind
-        # it are all ``peek`` needs to index without a bounds check.
+        self.tokens, self.lines = lex(text)
+        self.starts = self.lines.starts()
+        # Nothing consumes EOF, so this many more EOFs behind it let any
+        # rule index ahead without a bounds check.
         self.tokens.extend(self.tokens[-1:] * _LOOKAHEAD)
         self.i = 0
         self.tuple_types: Dict[str, TupleType] = {}
@@ -116,65 +175,58 @@ class _Parser:
     # ------------------------------------------------------------------
     # Token helpers
     # ------------------------------------------------------------------
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[self.i + offset]
-
-    def advance(self) -> Token:
-        token = self.tokens[self.i]
-        if token.kind != "EOF":
-            self.i += 1
-        return token
-
     def error(self, message: str, token: Optional[Token] = None) -> GSQLSyntaxError:
-        token = token or self.peek()
+        token = token or self.tokens[self.i]
         return GSQLSyntaxError(
-            f"{message} (found {token.value!r})", token.line, token.column
+            f"{message} (found {token[1]!r})", *self.lines.position(token[2])
         )
 
-    def accept_kw(self, word: str) -> bool:
-        if self.peek().is_keyword(word):
-            self.advance()
-            return True
-        return False
+    def expect(self, kind: str) -> Token:
+        token = self.tokens[self.i]
+        if token[0] != kind:
+            what = "an identifier" if kind == "NAME" else (
+                kind if kind in KEYWORDS else repr(kind)
+            )
+            raise self.error(f"expected {what}")
+        self.i += 1
+        return token
 
-    def expect_kw(self, word: str) -> Token:
-        if not self.peek().is_keyword(word):
-            raise self.error(f"expected {word}")
-        return self.advance()
+    def _comma_list(self, parse_one: Callable[[], Any]) -> List[Any]:
+        # One or more items, comma-separated.
+        items = [parse_one()]
+        while self.tokens[self.i][0] == ",":
+            self.i += 1
+            items.append(parse_one())
+        return items
 
-    def accept_op(self, op: str) -> bool:
-        if self.peek().is_op(op):
-            self.advance()
-            return True
-        return False
+    def _span(self, first: Token, last: Token) -> Span:
+        """The span from the start of ``first`` to the end of ``last``
+        (consumed tokens, so never the empty EOF)."""
+        starts = self.starts
+        start, end = first[2], last[3]
+        line = bisect_right(starts, start)
+        column = start - starts[line - 1] + 1
+        if last is first:
+            return _new_tuple(Span, (
+                line, column, line, column + end - start, start, end,
+            ))
+        last_start = last[2]
+        end_line = bisect_right(starts, last_start)
+        end_column = end - starts[end_line - 1] + 1
+        return _new_tuple(Span, (
+            line, column, end_line, end_column, start, end,
+        ))
 
-    def expect_op(self, op: str) -> Token:
-        if not self.peek().is_op(op):
-            raise self.error(f"expected {op!r}")
-        return self.advance()
+    def _spanned(self, node: Any, first: Token) -> Any:
+        """Stamp ``node`` with the span from ``first`` through the last
+        consumed token."""
+        node.span = self._span(first, self.tokens[self.i - 1])
+        return node
 
-    def expect_name(self) -> str:
-        token = self.peek()
-        if token.kind == "NAME":
-            self.advance()
-            return token.value
-        # Allow non-reserved-sounding keywords as identifiers where
-        # unambiguous (e.g. a table named "Order" would clash; GSQL also
-        # reserves these).
-        raise self.error("expected an identifier")
-
-    # ------------------------------------------------------------------
-    # Span helpers
-    # ------------------------------------------------------------------
-    def _prev(self) -> Token:
-        """The most recently consumed token (end anchor for spans)."""
-        return self.tokens[self.i - 1] if self.i > 0 else self.tokens[0]
-
-    def _close(self, node: Any, start: Token) -> Any:
-        """Stamp ``node`` with the span from ``start`` through the last
-        consumed token, unless a more precise span was already set."""
+    def _close(self, node: Any, first: Token) -> Any:
+        # _spanned, unless a more precise span was already set.
         if getattr(node, "span", None) is None:
-            node.span = Span.between(start, self._prev())
+            node.span = self._span(first, self.tokens[self.i - 1])
         return node
 
     # ------------------------------------------------------------------
@@ -182,111 +234,103 @@ class _Parser:
     # ------------------------------------------------------------------
     def parse_queries(self) -> List[Query]:
         queries = []
-        while not self.peek().kind == "EOF":
-            queries.append(self.parse_query_decl())
+        try:
+            while self.tokens[self.i][0] != "EOF":
+                queries.append(self.parse_query_decl())
+        except RecursionError:
+            raise self.error("expression nested too deeply") from None
         if not queries:
             raise GSQLSyntaxError("no CREATE QUERY found", 1, 1)
-        from ..core.tractable import (
-            attach_certificates,
-            attach_cost_certificates,
-            attach_effect_certificates,
-            attach_governor_caps,
-        )
-
         for query in queries:
             query.source = self.text
-            # Stamp every SELECT block with its static tractability
-            # certificate so the planner's EngineMode.auto() and the
-            # runtime guard never need to re-probe declarations.
-            attach_certificates(query)
-            # Stamp the effect/commutativity certificate next to it —
-            # parallel_accum's licence and AccSan's cross-check target.
-            attach_effect_certificates(query)
-            # Flag E033 (provably non-terminating) WHILE loops so
-            # governed/AUTO execution runs them under a soft iteration
-            # cap instead of rejecting the query (docs/robustness.md).
-            attach_governor_caps(query)
-            # Stamp the structural cost certificate last (it reads the
-            # governed caps above); consumers holding a stats snapshot
-            # re-stamp with concrete closed-form intervals.
-            attach_cost_certificates(query)
         return queries
 
     def parse_query_decl(self) -> Query:
-        self.expect_kw("CREATE")
-        self.expect_kw("QUERY")
-        name = self.expect_name()
-        self.expect_op("(")
+        self.expect("CREATE")
+        self.expect("QUERY")
+        name = self.expect("NAME")[1]
+        self.expect("(")
         params = self.parse_params()
-        self.expect_op(")")
+        self.expect(")")
         graph_name = None
-        if self.accept_kw("FOR"):
-            self.expect_kw("GRAPH")
-            graph_name = self.expect_name()
-        self.expect_op("{")
-        statements = self.parse_statements(terminators=("}",))
-        self.expect_op("}")
+        if self.tokens[self.i][0] == "FOR":
+            self.i += 1
+            self.expect("GRAPH")
+            graph_name = self.expect("NAME")[1]
+        self.expect("{")
+        statements = self.parse_statements(("}",))
+        self.expect("}")
         return Query(name, statements, params, graph_name)
 
     def parse_params(self) -> List[Parameter]:
-        params: List[Parameter] = []
-        if self.peek().is_op(")"):
-            return params
-        while True:
-            type_name = self.parse_param_type()
-            pname = self.expect_name()
-            default = None
-            if self.accept_op("="):
-                default = self.parse_literal_value()
-            params.append(Parameter(pname, type_name, default))
-            if not self.accept_op(","):
-                break
-        return params
+        if self.tokens[self.i][0] == ")":
+            return []
+        return self._comma_list(self.parse_param)
+
+    def parse_param(self) -> Parameter:
+        type_name = self.parse_param_type()
+        name = self.expect("NAME")[1]
+        if self.tokens[self.i][0] != "=":
+            return Parameter(name, type_name, None)
+        self.i += 1
+        return Parameter(name, type_name, self.parse_literal_value())
 
     def parse_param_type(self) -> str:
-        token = self.peek()
-        if token.kind != "NAME":
+        if self.tokens[self.i][0] != "NAME":
             raise self.error("expected a parameter type")
-        self.advance()
-        type_name = token.value
-        if type_name.upper() == "VERTEX" and self.accept_op("<"):
-            inner = self.expect_name()
-            self.expect_op(">")
+        type_name = self.expect("NAME")[1]
+        if type_name.upper() == "VERTEX" and self.tokens[self.i][0] == "<":
+            self.i += 1
+            inner = self.expect("NAME")[1]
+            self.expect(">")
             return f"vertex<{inner}>"
         return type_name
 
     def parse_literal_value(self) -> Any:
-        token = self.peek()
-        if token.kind == "NUMBER":
-            self.advance()
-            return _number(token.value)
-        if token.kind == "STRING":
-            self.advance()
-            return token.value
-        if token.is_keyword("TRUE"):
-            self.advance()
-            return True
-        if token.is_keyword("FALSE"):
-            self.advance()
-            return False
-        if token.is_op("-") and self.peek(1).kind == "NUMBER":
-            self.advance()
-            return -_number(self.advance().value)
+        tokens = self.tokens
+        kind, value = tokens[self.i][:2]
+        if kind == "NUMBER" or kind == "STRING":
+            self.i += 1
+            return self._number(tokens[self.i - 1]) if kind == "NUMBER" else value
+        if kind == "TRUE" or kind == "FALSE":
+            self.i += 1
+            return kind == "TRUE"
+        if kind == "-" and tokens[self.i + 1][0] == "NUMBER":
+            self.i += 2
+            return -self._number(tokens[self.i - 1])
         raise self.error("expected a literal default value")
+
+    def _integer(self) -> int:
+        # Consume the current NUMBER token, which must spell an integer.
+        token = self.tokens[self.i]
+        if not token[1].isdigit():
+            raise self.error("expected an integer")
+        self.i += 1
+        return self._number(token)
+
+    def _number(self, token: Token) -> Any:
+        # The value of a NUMBER token; int() refuses over 4300 digits.
+        text = token[1]
+        try:
+            if "." in text or "e" in text or "E" in text:
+                return float(text)
+            return int(text)
+        except ValueError:
+            raise GSQLSyntaxError(
+                f"a number literal of {len(text)} digits is too long",
+                *self.lines.position(token[2]),
+            ) from None
 
     # ------------------------------------------------------------------
     # Statements
     # ------------------------------------------------------------------
     def parse_statements(self, terminators: Sequence[str]) -> List[Statement]:
         statements: List[Statement] = []
+        tokens = self.tokens
         while True:
-            token = self.peek()
-            if token.kind == "EOF":
-                break
-            if token.kind == "OP" and token.value in terminators:
-                break
-            if token.kind == "KEYWORD" and token.value in terminators:
-                break
+            token = tokens[self.i]
+            if token[0] == "EOF" or token[0] in terminators:
+                return statements
             stmt = self.parse_statement()
             if stmt is not None:
                 self._close(stmt, token)
@@ -294,145 +338,146 @@ class _Parser:
                     for member in stmt.statements:
                         self._close(member, token)
                 statements.append(stmt)
-        return statements
 
     def parse_statement(self) -> Optional[Statement]:
-        token = self.peek()
-        if token.is_keyword("TYPEDEF"):
+        tokens = self.tokens
+        token = tokens[self.i]
+        kind = token[0]
+        if kind == "TYPEDEF":
             self.parse_typedef()
             return None
-        if token.is_keyword("WHILE"):
+        if kind == "WHILE":
             return self.parse_while()
-        if token.is_keyword("FOREACH"):
+        if kind == "FOREACH":
             return self.parse_foreach()
-        if token.is_keyword("IF"):
+        if kind == "IF":
             return self.parse_if()
-        if token.is_keyword("PRINT"):
+        if kind == "@@":
+            stmt = self._global_update(GlobalAccumUpdate)
+        elif kind == "PRINT":
             stmt = self.parse_print()
-            self.expect_op(";")
-            return stmt
-        if token.is_keyword("RETURN"):
-            self.advance()
+        elif kind == "RETURN":
+            self.i += 1
             stmt = Return(self.parse_expr())
-            self.expect_op(";")
-            return stmt
-        if token.is_keyword("SELECT"):
+        elif kind == "SELECT":
             stmt = self.parse_select(assign_to=None)
-            self.expect_op(";")
-            return stmt
-        if token.kind == "ATAT":
-            self.advance()
-            name_tok = self.peek()
-            name = self.expect_name()
-            op = self._expect_assign_op()
-            expr = self.parse_expr()
-            self.expect_op(";")
-            stmt = GlobalAccumUpdate(name, op, expr)
-            stmt.span = Span.between(token, name_tok)
-            return stmt
-        if token.kind == "NAME":
-            nxt = self.peek(1)
-            if nxt.is_op("<") or nxt.kind in ("AT", "ATAT") or (
-                nxt.is_op("(") and token.value.endswith("Accum")
-            ):
-                stmt = self.parse_accum_decl()
-                self.expect_op(";")
-                return stmt
-            if nxt.is_op("="):
-                return self.parse_assignment()
-        raise self.error("expected a statement")
+        elif kind == "NAME" and (
+            tokens[self.i + 1][0] in ("<", "@", "@@")
+            or (tokens[self.i + 1][0] == "(" and token[1].endswith("Accum"))
+        ):
+            stmt = self.parse_accum_decl()
+        elif kind == "NAME" and tokens[self.i + 1][0] == "=":
+            return self.parse_assignment()
+        else:
+            raise self.error("expected a statement")
+        self.expect(";")
+        return stmt
+
+    def _global_update(self, make: Callable[[str, str, Expr], Any]) -> Any:
+        # ``@@name (= | +=) expr`` as ``make(name, op, expr)``, spanned
+        # over ``@@name``.
+        start = self.expect("@@")
+        name_tok = self.expect("NAME")
+        op = self._expect_assign_op()
+        stmt = make(name_tok[1], op, self.parse_expr())
+        stmt.span = self._span(start, name_tok)
+        return stmt
 
     def _expect_assign_op(self) -> str:
-        token = self.peek()
-        if token.is_op("=") or token.is_op("+="):
-            self.advance()
-            return token.value
+        kind = self.tokens[self.i][0]
+        if kind == "=" or kind == "+=":
+            self.i += 1
+            return kind
         raise self.error("expected = or +=")
+
+    def _block_end(self) -> None:
+        # END, optionally followed by ';'.
+        self.expect("END")
+        if self.tokens[self.i][0] == ";":
+            self.i += 1
+
+    def _optional_expr(self, kind: str) -> Optional[Expr]:
+        # The expression after a ``kind`` token, if one comes next.
+        if self.tokens[self.i][0] != kind:
+            return None
+        self.i += 1
+        return self.parse_expr()
 
     # -- TYPEDEF TUPLE --------------------------------------------------
     def parse_typedef(self) -> None:
-        self.expect_kw("TYPEDEF")
-        self.expect_kw("TUPLE")
-        self.expect_op("<")
-        fields: List[Tuple[str, str]] = []
-        while True:
-            ftype = self.expect_name()
-            fname = self.expect_name()
-            fields.append((fname, ftype))
-            if not self.accept_op(","):
-                break
-        self.expect_op(">")
-        name = self.expect_name()
-        self.expect_op(";")
+        self.expect("TYPEDEF")
+        self.expect("TUPLE")
+        self.expect("<")
+        fields = self._comma_list(self._tuple_field)
+        self.expect(">")
+        name = self.expect("NAME")[1]
+        self.expect(";")
         self.tuple_types[name] = TupleType(name, fields)
+
+    def _tuple_field(self) -> Tuple[str, str]:
+        # ``TYPE name``, as (name, type).
+        ftype = self.expect("NAME")[1]
+        return self.expect("NAME")[1], ftype
 
     # -- accumulator declarations -----------------------------------------
     def parse_accum_decl(self) -> Statement:
         factory, type_info = self.parse_accum_type()
-        decls: List[DeclareAccum] = []
-        while True:
-            token = self.peek()
-            if token.kind == "ATAT":
-                scope = GLOBAL
-            elif token.kind == "AT":
-                scope = VERTEX
-            else:
-                raise self.error("expected @name or @@name")
-            self.advance()
-            name_tok = self.peek()
-            name = self.expect_name()
-            initial = None
-            if self.accept_op("="):
-                initial = self.parse_expr()
-            decl = DeclareAccum(name, scope, factory, initial, type_info)
-            decl.span = Span.between(token, name_tok)
-            decls.append(decl)
-            if not self.accept_op(","):
-                break
+        decls = self._comma_list(lambda: self._declarator(factory, type_info))
         if len(decls) == 1:
             return decls[0]
         return _StatementGroup(decls)
 
+    def _declarator(self, factory: Callable, type_info: AccumTypeInfo) -> DeclareAccum:
+        token = self.tokens[self.i]
+        if token[0] == "@@":
+            scope = GLOBAL
+        elif token[0] == "@":
+            scope = VERTEX
+        else:
+            raise self.error("expected @name or @@name")
+        self.i += 1
+        name_tok = self.expect("NAME")
+        initial = self._optional_expr("=")
+        decl = DeclareAccum(name_tok[1], scope, factory, initial, type_info)
+        decl.span = self._span(token, name_tok)
+        return decl
+
     def parse_accum_type(self) -> Tuple[Callable, AccumTypeInfo]:
         """Parse an accumulator type expression into an instance factory
         plus the declared-type descriptor the analyzer consumes."""
-        name = self.expect_name()
+        name = self.expect("NAME")[1]
+        tokens = self.tokens
         args: List[Any] = []
-        if self.accept_op("<"):
-            while True:
-                args.append(self.parse_type_arg())
-                if not self.accept_op(","):
-                    break
-            self.expect_op(">")
+        if tokens[self.i][0] == "<":
+            self.i += 1
+            args = self._comma_list(self.parse_type_arg)
+            self.expect(">")
         ctor_args: List[Any] = []
         if name == "HeapAccum":
             ctor_args = self.parse_heap_args()
-        elif self.peek().is_op("(") and name == "ArrayAccum":
-            self.advance()
-            size_token = self.peek()
-            if size_token.kind != "NUMBER":
+        elif tokens[self.i][0] == "(" and name == "ArrayAccum":
+            self.i += 1
+            if tokens[self.i][0] != "NUMBER":
                 raise self.error("ArrayAccum size must be a number literal")
-            self.advance()
-            ctor_args = [int(size_token.value)]
-            self.expect_op(")")
+            ctor_args = [self._integer()]
+            self.expect(")")
         factory = self._build_factory(name, args, ctor_args)
         return factory, self._type_info(name, args)
 
     def parse_type_arg(self) -> Any:
         """One generic argument: a nested accumulator type, or a scalar
         type optionally followed by a key name (GroupByAccum keys)."""
-        token = self.peek()
-        if token.kind != "NAME":
+        token = self.tokens[self.i]
+        if token[0] != "NAME":
             raise self.error("expected a type name")
-        if token.value.endswith("Accum"):
+        if token[1].endswith("Accum"):
             factory, info = self.parse_accum_type()
             return ("accum", factory, info)
-        self.advance()
-        type_name = token.value
-        if self.peek().kind == "NAME":
-            key_name = self.advance().value
-            return ("keyed", type_name, key_name)
-        return ("scalar", type_name)
+        self.i += 1
+        if self.tokens[self.i][0] == "NAME":
+            self.i += 1
+            return ("keyed", token[1], self.tokens[self.i - 1][1])
+        return ("scalar", token[1])
 
     def _type_info(self, name: str, args: List[Any]) -> AccumTypeInfo:
         """The declared-type descriptor for a parsed accumulator type."""
@@ -459,26 +504,27 @@ class _Parser:
         return AccumTypeInfo(name, element=element)
 
     def parse_heap_args(self) -> List[Any]:
-        self.expect_op("(")
-        capacity_token = self.peek()
-        if capacity_token.kind == "NUMBER":
-            self.advance()
-            capacity: Any = int(capacity_token.value)
-        elif capacity_token.kind == "NAME":
-            self.advance()
-            capacity = NameRef(capacity_token.value)  # a query parameter
+        self.expect("(")
+        tokens = self.tokens
+        capacity: Any
+        if tokens[self.i][0] == "NAME":
+            self.i += 1
+            capacity = NameRef(tokens[self.i - 1][1])  # a query parameter
+        elif tokens[self.i][0] == "NUMBER":
+            capacity = self._integer()
         else:
             raise self.error("expected HeapAccum capacity")
         sort_spec: List[Tuple[str, str]] = []
-        while self.accept_op(","):
-            field = self.expect_name()
-            order = "ASC"
-            if self.accept_kw("ASC"):
+        while tokens[self.i][0] == ",":
+            self.i += 1
+            field = self.expect("NAME")[1]
+            order = tokens[self.i][0]
+            if order == "ASC" or order == "DESC":
+                self.i += 1
+            else:
                 order = "ASC"
-            elif self.accept_kw("DESC"):
-                order = "DESC"
             sort_spec.append((field, order))
-        self.expect_op(")")
+        self.expect(")")
         return [capacity, sort_spec]
 
     def _build_factory(
@@ -488,22 +534,8 @@ class _Parser:
         if name == "SumAccum":
             element = _element_type(args, default=float)
             return lambda: SumAccum(element_type=element)
-        if name == "MinAccum":
-            return MinAccum
-        if name == "MaxAccum":
-            return MaxAccum
-        if name == "AvgAccum":
-            return AvgAccum
-        if name == "OrAccum":
-            return OrAccum
-        if name == "AndAccum":
-            return AndAccum
-        if name == "SetAccum":
-            return SetAccum
-        if name == "BagAccum":
-            return BagAccum
-        if name == "ListAccum":
-            return ListAccum
+        if name in _PLAIN_ACCUMS:
+            return _PLAIN_ACCUMS[name]
         if name == "ArrayAccum":
             nested = _nested_factory(args)
             size = ctor_args[0] if ctor_args else 0
@@ -544,129 +576,121 @@ class _Parser:
                 )
             return lambda: GroupByAccum(key_names, factories)
         # Fall back to the registry for user-defined accumulators.
-        cls = lookup_accumulator(name)
-        return cls
+        return lookup_accumulator(name)
 
     # -- assignments (vertex sets, select-assign) ------------------------
     def parse_assignment(self) -> Statement:
-        name = self.expect_name()
-        self.expect_op("=")
-        token = self.peek()
-        if token.is_keyword("SELECT"):
+        name = self.expect("NAME")[1]
+        self.expect("=")
+        tokens = self.tokens
+        token = tokens[self.i]
+        if token[0] == "SELECT":
             stmt = self.parse_select(assign_to=name)
-            self.expect_op(";")
+            self.expect(";")
             return stmt
-        if token.is_op("{"):
-            self.advance()
-            items: List[str] = []
-            while True:
-                item = self.expect_name()
-                if self.accept_op("."):
-                    self.expect_op("*")
-                    item += ".*"
-                items.append(item)
-                if not self.accept_op(","):
-                    break
-            self.expect_op("}")
-            self.expect_op(";")
+        if token[0] == "{":
+            self.i += 1
+            items = self._comma_list(self._set_item)
+            self.expect("}")
+            self.expect(";")
             return SetAssign(name, items)
-        if token.kind == "NAME" and self.peek(1).is_op(";"):
-            other = self.expect_name()
-            self.expect_op(";")
-            return SetAssign(name, other)
-        if token.kind == "NAME" and self.peek(1).kind == "KEYWORD" and self.peek(1).value in SetOpAssign.OPS:
-            left = self.expect_name()
-            op = self.advance().value
-            right = self.expect_name()
-            self.expect_op(";")
-            return SetOpAssign(name, left, op, right)
+        follow = tokens[self.i + 1][0]
+        if token[0] == "NAME" and follow == ";":
+            self.i += 2
+            return SetAssign(name, token[1])
+        if token[0] == "NAME" and follow in SetOpAssign.OPS:
+            self.i += 2
+            right = self.expect("NAME")[1]
+            self.expect(";")
+            return SetOpAssign(name, token[1], follow, right)
         raise self.error("expected SELECT, '{...}' or a vertex-set name")
+
+    def _set_item(self) -> str:
+        # ``Name`` or ``Type.*`` inside a vertex-set literal.
+        item = self.expect("NAME")[1]
+        if self.tokens[self.i][0] != ".":
+            return item
+        self.i += 1
+        self.expect("*")
+        return item + ".*"
 
     # -- SELECT blocks -----------------------------------------------------
     def parse_select(self, assign_to: Optional[str]) -> Statement:
-        self.expect_kw("SELECT")
-        distinct = self.accept_kw("DISTINCT")
+        self.expect("SELECT")
+        tokens = self.tokens
+        distinct = tokens[self.i][0] == "DISTINCT"
+        self.i += distinct
         fragments: List[OutputFragment] = []
         select_var: Optional[str] = None
         set_aliases: List[Tuple[str, str]] = []  # (set name, variable)
 
         while True:
-            columns = self.parse_output_columns()
-            if self.accept_kw("INTO"):
-                into_tok = self.peek()
-                into = self.expect_name()
-                fragment = OutputFragment(columns, into)
-                fragment.span = Span.from_token(into_tok)
+            columns = self._comma_list(lambda: OutputColumn(*self._aliased_expr()))
+            lone_name = len(columns) == 1 and isinstance(columns[0].expr, NameRef)
+            if tokens[self.i][0] == "INTO":
+                self.i += 1
+                into_tok = self.expect("NAME")
+                fragment = OutputFragment(columns, into_tok[1])
+                fragment.span = self._span(into_tok, into_tok)
                 fragments.append(fragment)
-                if (
-                    len(columns) == 1
-                    and isinstance(columns[0].expr, NameRef)
-                ):
+                if lone_name:
                     # "SELECT DISTINCT o INTO Others" (Figure 3): the table
                     # is also usable as a vertex set in later FROM clauses.
-                    set_aliases.append((into, columns[0].expr.name))
-                if self.accept_op(";"):
+                    set_aliases.append((into_tok[1], columns[0].expr.name))
+                if tokens[self.i][0] == ";":
+                    self.i += 1
                     continue
                 break
             # No INTO: this must be the single-variable form.
-            if len(columns) == 1 and isinstance(columns[0].expr, NameRef):
+            if lone_name:
                 select_var = columns[0].expr.name
                 break
             raise self.error("multi-column SELECT needs INTO <table>")
 
-        self.expect_kw("FROM")
+        self.expect("FROM")
         pattern = self.parse_pattern()
         semantics = None
-        if self.accept_kw("USING"):
+        if tokens[self.i][0] == "USING":
             # USING SEMANTICS 'no-repeated-edge': the per-block matching-
             # semantics override (Section 6.1's planned syntactic sugar).
-            self.expect_kw("SEMANTICS")
-            token = self.peek()
-            if token.kind != "STRING":
+            self.i += 1
+            self.expect("SEMANTICS")
+            token = tokens[self.i]
+            if token[0] != "STRING":
                 raise self.error("expected a semantics name string")
-            self.advance()
+            self.i += 1
             from ..paths.semantics import PathSemantics
 
             try:
-                semantics = PathSemantics(token.value)
+                semantics = PathSemantics(token[1])
             except ValueError:
                 choices = ", ".join(s.value for s in PathSemantics)
                 raise GSQLSyntaxError(
-                    f"unknown semantics {token.value!r}; one of: {choices}",
-                    token.line,
-                    token.column,
+                    f"unknown semantics {token[1]!r}; one of: {choices}",
+                    *self.lines.position(token[2]),
                 ) from None
-        where = self.parse_expr() if self.accept_kw("WHERE") else None
+        where = self._optional_expr("WHERE")
         accum: List[AccStatement] = []
         post_accum: List[AccStatement] = []
-        if self.accept_kw("ACCUM"):
-            accum = self.parse_acc_statements()
-        if self.accept_kw("POST_ACCUM"):
-            post_accum = self.parse_acc_statements()
+        if tokens[self.i][0] == "ACCUM":
+            self.i += 1
+            accum = self._comma_list(self.parse_acc_statement)
+        if tokens[self.i][0] == "POST_ACCUM":
+            self.i += 1
+            post_accum = self._comma_list(self.parse_acc_statement)
         group_by: List[Expr] = []
-        if self.accept_kw("GROUP"):
-            self.expect_kw("BY")
-            group_by.append(self.parse_expr())
-            while self.accept_op(","):
-                group_by.append(self.parse_expr())
-        having = self.parse_expr() if self.accept_kw("HAVING") else None
+        if tokens[self.i][0] == "GROUP":
+            self.i += 1
+            self.expect("BY")
+            group_by = self._comma_list(self.parse_expr)
+        having = self._optional_expr("HAVING")
         order_by: List[Tuple[Expr, bool]] = []
-        if self.accept_kw("ORDER"):
-            self.expect_kw("BY")
-            while True:
-                expr = self.parse_expr()
-                desc = False
-                if self.accept_kw("DESC"):
-                    desc = True
-                elif self.accept_kw("ASC"):
-                    desc = False
-                order_by.append((expr, desc))
-                if not self.accept_op(","):
-                    break
-        limit = self.parse_expr() if self.accept_kw("LIMIT") else None
+        if tokens[self.i][0] == "ORDER":
+            self.i += 1
+            self.expect("BY")
+            order_by = self._comma_list(self._order_key)
+        limit = self._optional_expr("LIMIT")
 
-        if select_var is None and assign_to is not None and set_aliases:
-            select_var = set_aliases[0][1]
         if select_var is None and set_aliases:
             select_var = set_aliases[0][1]
 
@@ -692,129 +716,119 @@ class _Parser:
             return statements[0]
         return _StatementGroup(statements)
 
-    def parse_output_columns(self) -> List[OutputColumn]:
-        columns: List[OutputColumn] = []
-        while True:
-            expr = self.parse_expr()
-            alias = None
-            if self.accept_kw("AS"):
-                alias = self.expect_name()
-            elif isinstance(expr, AttrRef):
-                alias = expr.attr
-            elif isinstance(expr, VertexAccumRef):
-                alias = expr.name
-            elif isinstance(expr, GlobalAccumRef):
-                alias = expr.name
-            elif isinstance(expr, NameRef):
-                alias = expr.name
-            columns.append(OutputColumn(expr, alias))
-            if not self.accept_op(","):
-                break
-        return columns
+    def _order_key(self) -> Tuple[Expr, bool]:
+        # ``expr [ASC|DESC]`` and whether it is descending.
+        expr = self.parse_expr()
+        desc = self.tokens[self.i][0] == "DESC"
+        if desc or self.tokens[self.i][0] == "ASC":
+            self.i += 1
+        return expr, desc
+
+    def _aliased_expr(self) -> Tuple[Expr, Optional[str]]:
+        # ``expr [AS name]`` and its alias (derived when not given).
+        expr = self.parse_expr()
+        if self.tokens[self.i][0] == "AS":
+            self.i += 1
+            return expr, self.expect("NAME")[1]
+        return expr, _derive_alias(expr)
 
     # -- patterns --------------------------------------------------------
     def parse_pattern(self) -> Pattern:
-        chains = [self.parse_chain()]
-        while self.accept_op(","):
-            chains.append(self.parse_chain())
-        return Pattern(chains)
+        return Pattern(self._comma_list(self.parse_chain))
 
     def parse_chain(self) -> Chain:
         source = self.parse_vertex_spec()
         hops: List[Hop] = []
-        while self.peek().is_op("-") and self.peek(1).is_op("("):
-            self.advance()  # '-'
-            self.advance()  # '('
-            darpe_start = self.peek()
+        tokens = self.tokens
+        while tokens[self.i][0] == "-" and tokens[self.i + 1][0] == "(":
+            self.i += 2
+            darpe_start = tokens[self.i]
             darpe_text, edge_var = self.parse_darpe_tokens()
-            self.expect_op("-")
+            self.expect("-")
             target = self.parse_vertex_spec()
-            compiled = CompiledDarpe(parse_darpe(darpe_text), darpe_text)
-            hop = Hop(compiled, target, edge_var)
-            hop.span = Span.between(darpe_start, self._prev())
-            hops.append(hop)
+            try:
+                compiled = _compiled_darpe(darpe_text)
+            except DarpeSyntaxError as exc:
+                reason = str(exc).split("\n", 1)[0]
+                offset = darpe_start[2] + max(exc.position, 0)
+                raise GSQLSyntaxError(
+                    f"bad edge pattern {darpe_text!r}: {reason}",
+                    *self.lines.position(offset),
+                ) from None
+            hops.append(self._spanned(Hop(compiled, target, edge_var), darpe_start))
         return Chain(source, hops)
 
     def parse_vertex_spec(self) -> VertexSpec:
-        start = self.peek()
-        name = self.expect_name()
+        start = self.tokens[self.i]
+        name = self.expect("NAME")[1]
         var = None
-        if self.accept_op(":"):
-            var = self.expect_name()
-        spec = VertexSpec(name, var)
-        spec.span = Span.between(start, self._prev())
-        return spec
+        if self.tokens[self.i][0] == ":":
+            self.i += 1
+            var = self.expect("NAME")[1]
+        return self._spanned(VertexSpec(name, var), start)
 
     def parse_darpe_tokens(self) -> Tuple[str, Optional[str]]:
         """Consume tokens up to the hop's closing ')' and slice the DARPE
         text verbatim from the source; a depth-0 ``:var`` names the edge."""
+        tokens = self.tokens
         depth = 0
-        start_offset = self.peek().start
-        end_offset = start_offset
+        start_offset = end_offset = tokens[self.i][2]
         edge_var: Optional[str] = None
         while True:
-            token = self.peek()
-            if token.kind == "EOF":
+            token = tokens[self.i]
+            kind = token[0]
+            if kind == "EOF":
                 raise self.error("unterminated edge pattern")
-            if token.is_op("(") :
+            if kind == "(":
                 depth += 1
-            elif token.is_op(")"):
+            elif kind == ")":
                 if depth == 0:
-                    self.advance()
+                    self.i += 1
                     break
                 depth -= 1
-            elif token.is_op(":") and depth == 0:
-                self.advance()
-                edge_var = self.expect_name()
+            elif kind == ":" and depth == 0:
+                self.i += 1
+                edge_var = self.expect("NAME")[1]
                 continue
-            end_offset = token.end
-            self.advance()
+            end_offset = token[3]
+            self.i += 1
         darpe_text = self.text[start_offset:end_offset]
         if not darpe_text.strip():
             raise self.error("empty edge pattern")
         return darpe_text, edge_var
 
     # -- ACCUM statements ---------------------------------------------------
-    def parse_acc_statements(self) -> List[AccStatement]:
-        statements = [self.parse_acc_statement()]
-        while self.accept_op(","):
-            statements.append(self.parse_acc_statement())
-        return statements
-
     def parse_acc_statement(self) -> AccStatement:
-        token = self.peek()
+        tokens = self.tokens
+        token = tokens[self.i]
+        kind = token[0]
         # Control flow inside ACCUM/POST_ACCUM bodies.
-        if token.is_keyword("IF"):
+        if kind == "IF":
             return self.parse_acc_if()
-        if token.is_keyword("FOREACH"):
+        if kind == "FOREACH":
             return self.parse_acc_foreach()
-        # Typed local declaration: FLOAT salesPrice = ...
-        if (
-            token.kind == "NAME"
-            and token.value.upper() in _SCALAR_TYPES
-            and self.peek(1).kind == "NAME"
-            and self.peek(2).is_op("=")
-        ):
-            type_name = self.advance().value
-            name = self.expect_name()
-            self.expect_op("=")
-            return self._close(
-                LocalAssign(name, self.parse_expr(), type_name), token
-            )
+        if kind == "NAME":
+            follow = tokens[self.i + 1][0]
+            # Typed local declaration: FLOAT salesPrice = ...
+            if (
+                token[1].upper() in _SCALAR_TYPES
+                and follow == "NAME"
+                and tokens[self.i + 2][0] == "="
+            ):
+                self.i += 3
+                name = tokens[self.i - 2][1]
+                return self._close(
+                    LocalAssign(name, self.parse_expr(), token[1]), token
+                )
+            # Untyped local: name = expr (no '.' before '=').
+            if follow == "=":
+                self.i += 2
+                return self._close(LocalAssign(token[1], self.parse_expr()), token)
         # Global accumulator target.
-        if token.kind == "ATAT":
-            self.advance()
-            name_tok = self.peek()
-            name = self.expect_name()
-            op = self._expect_assign_op()
-            stmt = AccumUpdate(AccumTarget(name), op, self.parse_expr())
-            stmt.span = Span.between(token, name_tok)
-            return stmt
-        # Untyped local: name = expr (no '.' before '=').
-        if token.kind == "NAME" and self.peek(1).is_op("="):
-            name = self.advance().value
-            self.expect_op("=")
-            return self._close(LocalAssign(name, self.parse_expr()), token)
+        if kind == "@@":
+            return self._global_update(
+                lambda name, op, expr: AccumUpdate(AccumTarget(name), op, expr)
+            )
         # Vertex accumulator target: <postfix>.@name op expr.
         expr = self.parse_postfix()
         if isinstance(expr, VertexAccumRef) and not expr.primed:
@@ -822,10 +836,11 @@ class _Parser:
             stmt = AccumUpdate(
                 AccumTarget(expr.name, expr.base), op, self.parse_expr()
             )
-            stmt.span = getattr(expr, "span", None)
-            return self._close(stmt, token)
-        if isinstance(expr, AttrRef) and self.accept_op("="):
+            stmt.span = expr.span
+            return stmt
+        if isinstance(expr, AttrRef) and tokens[self.i][0] == "=":
             # v.attr = expr: attribute write-back (POST_ACCUM only).
+            self.i += 1
             return self._close(
                 AttributeUpdate(expr.base, expr.attr, self.parse_expr()), token
             )
@@ -834,298 +849,223 @@ class _Parser:
     def parse_acc_if(self) -> AccStatement:
         """IF cond THEN stmt, ... [ELSE stmt, ...] END inside an ACCUM or
         POST_ACCUM clause (branch bodies are comma-separated)."""
-        start = self.expect_kw("IF")
+        start = self.expect("IF")
         cond = self.parse_expr()
-        self.expect_kw("THEN")
-        then = self.parse_acc_statements()
+        self.expect("THEN")
+        then = self._comma_list(self.parse_acc_statement)
         otherwise: List[AccStatement] = []
-        if self.accept_kw("ELSE"):
-            otherwise = self.parse_acc_statements()
-        self.expect_kw("END")
+        if self.tokens[self.i][0] == "ELSE":
+            self.i += 1
+            otherwise = self._comma_list(self.parse_acc_statement)
+        self.expect("END")
         return self._close(AccumIf(cond, then, otherwise), start)
 
     def parse_acc_foreach(self) -> AccStatement:
         """FOREACH var IN expr DO stmt, ... END inside an ACCUM or
         POST_ACCUM clause."""
-        start = self.expect_kw("FOREACH")
-        var = self.expect_name()
-        self.expect_kw("IN")
+        start = self.expect("FOREACH")
+        var = self.expect("NAME")[1]
+        self.expect("IN")
         collection = self.parse_expr()
-        self.expect_kw("DO")
-        body = self.parse_acc_statements()
-        self.expect_kw("END")
+        self.expect("DO")
+        body = self._comma_list(self.parse_acc_statement)
+        self.expect("END")
         return self._close(AccumForeach(var, collection, body), start)
 
     # -- control flow -----------------------------------------------------
     def parse_while(self) -> Statement:
-        self.expect_kw("WHILE")
+        self.expect("WHILE")
         cond = self.parse_expr()
-        limit = self.parse_expr() if self.accept_kw("LIMIT") else None
-        self.expect_kw("DO")
-        body = self.parse_statements(terminators=("END",))
-        self.expect_kw("END")
-        self.accept_op(";")
+        limit = self._optional_expr("LIMIT")
+        self.expect("DO")
+        body = self.parse_statements(("END",))
+        self._block_end()
         return While(cond, body, limit)
 
     def parse_foreach(self) -> Statement:
-        self.expect_kw("FOREACH")
-        var = self.expect_name()
-        self.expect_kw("IN")
+        self.expect("FOREACH")
+        var = self.expect("NAME")[1]
+        self.expect("IN")
         collection = self.parse_expr()
-        self.expect_kw("DO")
-        body = self.parse_statements(terminators=("END",))
-        self.expect_kw("END")
-        self.accept_op(";")
+        self.expect("DO")
+        body = self.parse_statements(("END",))
+        self._block_end()
         return Foreach(var, collection, body)
 
     def parse_if(self) -> Statement:
-        self.expect_kw("IF")
+        self.expect("IF")
         cond = self.parse_expr()
-        self.expect_kw("THEN")
-        then = self.parse_statements(terminators=("ELSE", "END"))
+        self.expect("THEN")
+        then = self.parse_statements(("ELSE", "END"))
         otherwise: List[Statement] = []
-        if self.accept_kw("ELSE"):
-            otherwise = self.parse_statements(terminators=("END",))
-        self.expect_kw("END")
-        self.accept_op(";")
+        if self.tokens[self.i][0] == "ELSE":
+            self.i += 1
+            otherwise = self.parse_statements(("END",))
+        self._block_end()
         return If(cond, then, otherwise)
 
     # -- PRINT ----------------------------------------------------------
     def parse_print(self) -> Statement:
-        self.expect_kw("PRINT")
-        items: List[Any] = []
-        while True:
-            token = self.peek()
-            if token.kind == "NAME" and self.peek(1).is_op("["):
-                set_name = self.advance().value
-                self.advance()  # '['
-                columns: List[PrintItem] = []
-                while True:
-                    expr = self.parse_expr()
-                    alias = None
-                    if self.accept_kw("AS"):
-                        alias = self.expect_name()
-                    else:
-                        alias = _derive_alias(expr)
-                    columns.append(PrintItem(expr, alias))
-                    if not self.accept_op(","):
-                        break
-                self.expect_op("]")
-                items.append(PrintSetProjection(set_name, columns))
-            else:
-                expr = self.parse_expr()
-                if self.accept_kw("AS"):
-                    alias = self.expect_name()
-                else:
-                    alias = _derive_alias(expr)
-                items.append(PrintItem(expr, alias))
-            if not self.accept_op(","):
-                break
-        return Print(items)
+        self.expect("PRINT")
+        return Print(self._comma_list(self._print_item))
+
+    def _print_item(self) -> Any:
+        # ``expr [AS name]``, or a projection ``Set[expr [AS name], ...]``.
+        token = self.tokens[self.i]
+        if token[0] != "NAME" or self.tokens[self.i + 1][0] != "[":
+            return PrintItem(*self._aliased_expr())
+        self.i += 2
+        columns = self._comma_list(lambda: PrintItem(*self._aliased_expr()))
+        self.expect("]")
+        return PrintSetProjection(token[1], columns)
 
     # ------------------------------------------------------------------
     # Expressions
     # ------------------------------------------------------------------
-    def parse_expr(self) -> Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> Expr:
-        start = self.peek()
-        left = self.parse_and()
-        while self.accept_kw("OR"):
-            left = self._spanned(Binary("OR", left, self.parse_and()), start)
-        return left
-
-    def parse_and(self) -> Expr:
-        start = self.peek()
-        left = self.parse_not()
-        while self.accept_kw("AND"):
-            left = self._spanned(Binary("AND", left, self.parse_not()), start)
-        return left
-
-    def parse_not(self) -> Expr:
-        start = self.peek()
-        if self.accept_kw("NOT"):
-            if self.peek().is_keyword("IN"):
+    def parse_expr(self, floor: int = 1) -> Expr:
+        """An operand, then every binary operator of precedence at least
+        ``floor``, left-associative; a right operand takes operators that
+        bind tighter than its own."""
+        tokens = self.tokens
+        first = tokens[self.i]
+        kind = first[0]
+        if kind == "NOT" and floor <= _NOT:
+            self.i += 1
+            if tokens[self.i][0] == "IN":
                 raise self.error("NOT IN must follow an expression")
-            return self._spanned(Unary("NOT", self.parse_not()), start)
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> Expr:
-        start = self.peek()
-        left = self.parse_additive()
-        token = self.peek()
-        if token.kind == "OP" and token.value in ("==", "=", "!=", "<>", "<", "<=", ">", ">="):
-            self.advance()
-            op = "==" if token.value == "=" else token.value
-            return self._spanned(Binary(op, left, self.parse_additive()), start)
-        if token.is_keyword("IN"):
-            self.advance()
-            return self._spanned(Binary("IN", left, self.parse_additive()), start)
-        if token.is_keyword("NOT") and self.peek(1).is_keyword("IN"):
-            self.advance()
-            self.advance()
-            return self._spanned(
-                Binary("NOT IN", left, self.parse_additive()), start
+            left = self._spanned(Unary("NOT", self.parse_expr(_NOT)), first)
+            ceiling = _NOT  # only AND and OR may follow it
+        elif kind == "-" or kind == "+":
+            self.i += 1
+            left = self._spanned(Unary(kind, self.parse_expr(_UNARY)), first)
+            ceiling = _UNARY
+        else:
+            left = self.parse_postfix()
+            ceiling = _UNARY
+        while True:
+            kind = tokens[self.i][0]
+            entry = _BINARY.get(kind)
+            width = 1
+            if entry is None:
+                if kind != "NOT" or tokens[self.i + 1][0] != "IN":
+                    return left
+                entry, width = _NOT_IN, 2
+            precedence, op = entry
+            if precedence < floor or precedence >= ceiling:
+                return left
+            self.i += width
+            left = self._spanned(
+                Binary(op, left, self.parse_expr(precedence + 1)), first
             )
-        return left
-
-    def parse_additive(self) -> Expr:
-        start = self.peek()
-        left = self.parse_multiplicative()
-        while True:
-            token = self.peek()
-            if token.is_op("+") or token.is_op("-"):
-                self.advance()
-                left = self._spanned(
-                    Binary(token.value, left, self.parse_multiplicative()), start
-                )
-            else:
-                return left
-
-    def parse_multiplicative(self) -> Expr:
-        start = self.peek()
-        left = self.parse_unary()
-        while True:
-            token = self.peek()
-            if token.kind == "OP" and token.value in ("*", "/", "%"):
-                self.advance()
-                left = self._spanned(
-                    Binary(token.value, left, self.parse_unary()), start
-                )
-            else:
-                return left
-
-    def parse_unary(self) -> Expr:
-        token = self.peek()
-        if token.is_op("-") or token.is_op("+"):
-            self.advance()
-            return self._spanned(Unary(token.value, self.parse_unary()), token)
-        return self.parse_postfix()
-
-    def _spanned(self, expr: Expr, start: Token) -> Expr:
-        """Stamp a freshly built expression node with the span from
-        ``start`` through the last consumed token."""
-        expr.span = Span.between(start, self._prev())
-        return expr
+            if precedence == _COMPARISON:
+                ceiling = _COMPARISON
 
     def parse_postfix(self) -> Expr:
-        start = self.peek()
+        tokens = self.tokens
+        first = tokens[self.i]
         expr = self.parse_primary()
-        while self.accept_op("."):
-            if self.peek().kind == "AT":
-                self.advance()
-                name = self.expect_name()
-                primed = False
-                if self.peek().kind == "PRIME":
-                    self.advance()
-                    primed = True
-                expr = self._spanned(VertexAccumRef(expr, name, primed), start)
-                continue
-            member = self.expect_name()
-            if self.accept_op("("):
-                args = self.parse_call_args()
-                expr = self._spanned(Method(expr, member, args), start)
+        while tokens[self.i][0] == ".":
+            self.i += 1
+            if tokens[self.i][0] == "@":
+                self.i += 1
+                name = self.expect("NAME")[1]
+                primed = tokens[self.i][0] == "'"
+                self.i += primed
+                expr = VertexAccumRef(expr, name, primed)
             else:
-                expr = self._spanned(AttrRef(expr, member), start)
+                member = self.expect("NAME")[1]
+                if tokens[self.i][0] == "(":
+                    self.i += 1
+                    expr = Method(expr, member, self._call_args())
+                else:
+                    expr = AttrRef(expr, member)
+            expr.span = self._span(first, tokens[self.i - 1])
         return expr
 
-    def parse_call_args(self) -> List[Expr]:
-        args: List[Expr] = []
-        if self.accept_op(")"):
-            return args
-        while True:
-            args.append(self.parse_expr())
-            if not self.accept_op(","):
-                break
-        self.expect_op(")")
+    def _call_args(self) -> List[Expr]:
+        # The arguments after a call's '(' through its ')'.
+        if self.tokens[self.i][0] == ")":
+            self.i += 1
+            return []
+        args = self._comma_list(self.parse_expr)
+        self.expect(")")
         return args
 
     def parse_primary(self) -> Expr:
-        token = self.peek()
-        if token.kind == "NUMBER":
-            self.advance()
-            return self._spanned(Literal(_number(token.value)), token)
-        if token.kind == "STRING":
-            self.advance()
-            return self._spanned(Literal(token.value), token)
-        if token.is_keyword("TRUE"):
-            self.advance()
-            return self._spanned(Literal(True), token)
-        if token.is_keyword("FALSE"):
-            self.advance()
-            return self._spanned(Literal(False), token)
-        if token.is_keyword("CASE"):
-            return self.parse_case()
-        if token.kind == "ATAT":
-            self.advance()
-            name = self.expect_name()
-            primed = False
-            if self.peek().kind == "PRIME":
-                self.advance()
-                primed = True
-            return self._spanned(GlobalAccumRef(name, primed), token)
-        if token.kind == "NAME":
-            if self.peek(1).is_op("("):
+        tokens = self.tokens
+        token = tokens[self.i]
+        kind = token[0]
+        if kind == "NAME":
+            if tokens[self.i + 1][0] == "(":
                 return self.parse_call_or_aggregate()
-            self.advance()
-            return self._spanned(NameRef(token.value), token)
-        if token.is_op("("):
+            self.i += 1
+            expr: Expr = NameRef(token[1])
+        elif kind == "NUMBER":
+            self.i += 1
+            expr = Literal(self._number(token))
+        elif kind == "STRING":
+            self.i += 1
+            expr = Literal(token[1])
+        elif kind == "TRUE" or kind == "FALSE":
+            self.i += 1
+            expr = Literal(kind == "TRUE")
+        elif kind == "@@":
+            self.i += 1
+            name = self.expect("NAME")[1]
+            primed = tokens[self.i][0] == "'"
+            self.i += primed
+            expr = GlobalAccumRef(name, primed)
+        elif kind == "(":
             return self.parse_parenthesized()
-        raise self.error("expected an expression")
+        elif kind == "CASE":
+            return self.parse_case()
+        else:
+            raise self.error("expected an expression")
+        expr.span = self._span(token, tokens[self.i - 1])
+        return expr
 
     def parse_call_or_aggregate(self) -> Expr:
-        start = self.peek()
-        name = self.expect_name()
-        self.expect_op("(")
+        tokens = self.tokens
+        start = tokens[self.i]
+        name = start[1]
+        self.i += 2  # the name and '('
         lower = name.lower()
-        if lower == "count" and self.accept_op("*"):
-            self.expect_op(")")
+        if lower == "count" and tokens[self.i][0] == "*":
+            self.i += 1
+            self.expect(")")
             return self._spanned(AggCall("count", None), start)
-        distinct = False
-        if self.peek().is_keyword("DISTINCT"):
-            self.advance()
-            distinct = True
-        args: List[Expr] = []
-        if not self.accept_op(")"):
-            while True:
-                args.append(self.parse_expr())
-                if not self.accept_op(","):
-                    break
-            self.expect_op(")")
-        if lower in ("count", "sum", "avg") and len(args) == 1:
-            return self._spanned(AggCall(lower, args[0], distinct), start)
-        if lower in ("min", "max") and len(args) == 1:
+        distinct = tokens[self.i][0] == "DISTINCT"
+        self.i += distinct
+        args = self._call_args()
+        if lower in ("count", "sum", "avg", "min", "max") and len(args) == 1:
             return self._spanned(AggCall(lower, args[0], distinct), start)
         if distinct:
             raise self.error("DISTINCT is only valid inside aggregates")
         return self._spanned(Call(name, args), start)
 
     def parse_parenthesized(self) -> Expr:
-        start = self.expect_op("(")
-        exprs = [self.parse_expr()]
-        while self.accept_op(","):
-            exprs.append(self.parse_expr())
-        if self.accept_op("->"):
-            values = [self.parse_expr()]
-            while self.accept_op(","):
-                values.append(self.parse_expr())
-            self.expect_op(")")
+        start = self.expect("(")
+        exprs = self._comma_list(self.parse_expr)
+        if self.tokens[self.i][0] == "->":
+            self.i += 1
+            values = self._comma_list(self.parse_expr)
+            self.expect(")")
             return self._spanned(ArrowExpr(exprs, values), start)
-        self.expect_op(")")
+        self.expect(")")
         if len(exprs) == 1:
             return exprs[0]
         return self._spanned(TupleExpr(exprs), start)
 
     def parse_case(self) -> Expr:
-        start = self.expect_kw("CASE")
+        start = self.expect("CASE")
         whens: List[Tuple[Expr, Expr]] = []
-        while self.accept_kw("WHEN"):
+        while self.tokens[self.i][0] == "WHEN":
+            self.i += 1
             cond = self.parse_expr()
-            self.expect_kw("THEN")
+            self.expect("THEN")
             whens.append((cond, self.parse_expr()))
-        default = self.parse_expr() if self.accept_kw("ELSE") else None
-        self.expect_kw("END")
+        default = self._optional_expr("ELSE")
+        self.expect("END")
         if not whens:
             raise self.error("CASE needs at least one WHEN branch")
         return self._spanned(CaseExpr(whens, default), start)
@@ -1166,17 +1106,9 @@ class _AliasVertexSet(Statement):
 def _derive_alias(expr: Expr) -> Optional[str]:
     if isinstance(expr, AttrRef):
         return expr.attr
-    if isinstance(expr, (VertexAccumRef, GlobalAccumRef)):
-        return expr.name
-    if isinstance(expr, NameRef):
+    if isinstance(expr, (VertexAccumRef, GlobalAccumRef, NameRef)):
         return expr.name
     return None
-
-
-def _number(text: str) -> Any:
-    if "." in text or "e" in text or "E" in text:
-        return float(text)
-    return int(text)
 
 
 def _element_type(args: List[Any], default: type) -> type:
@@ -1207,9 +1139,38 @@ def _map_value_factory(arg: Any) -> Callable:
     return lambda: SumAccum(element_type=element)
 
 
+def _parse(text: str) -> List[Query]:
+    # Syntax, then the certificates execution reads; with a collector
+    # bound, a "parse" span around both and a "certify" span around the
+    # second.
+    col = _exec.current().col
+    span = col.span("parse") if col is not None else None
+    try:
+        queries = _Parser(text).parse_queries()
+        certify = col.span("certify") if span is not None else None
+        for query in queries:
+            # Tractability (the planner's EngineMode.auto() and the
+            # runtime guard read it), effects (parallel_accum's licence
+            # and AccSan's cross-check target) and the soft iteration cap
+            # on E033 (provably non-terminating) WHILE loops.
+            attach_certificates(query)
+            attach_effect_certificates(query)
+            attach_governor_caps(query)
+        if certify is not None:
+            col.close(certify)
+    except AccumulatorError as exc:
+        # A declaration the accumulator types refuse (an unknown type, a
+        # tuple with a duplicate field) is the query's compile error.
+        raise QueryCompileError(str(exc)) from None
+    finally:
+        if span is not None:
+            col.close(span)
+    return queries
+
+
 def parse_query(text: str) -> Query:
     """Parse GSQL text containing exactly one ``CREATE QUERY``."""
-    queries = _Parser(text).parse_queries()
+    queries = _parse(text)
     if len(queries) != 1:
         raise QueryCompileError(
             f"expected one query, found {len(queries)}; use parse_queries"
@@ -1220,7 +1181,7 @@ def parse_query(text: str) -> Query:
 def parse_queries(text: str) -> Dict[str, Query]:
     """Parse GSQL text containing any number of ``CREATE QUERY``
     declarations; returns them by name."""
-    return {q.name: q for q in _Parser(text).parse_queries()}
+    return {q.name: q for q in _parse(text)}
 
 
 __all__ = ["parse_query", "parse_queries"]

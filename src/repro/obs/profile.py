@@ -111,10 +111,22 @@ def profile_query(
     the trace.  ``query`` may be a parsed
     :class:`~repro.core.query.Query` or a
     :class:`~repro.compile.CompiledQuery`.
+
+    The report's predicted-vs-observed block compares against the
+    query's cost certificate.  The parser stamps none (its first reader
+    does), so a parsed query that still has none gets the structural one
+    here, before the profiled run and outside its collector.
     """
     from ..errors import QueryAbortedError
     from ..governor import govern
 
+    if (
+        getattr(query, "cost_certificate", None) is None
+        and getattr(query, "source", None) is not None
+    ):
+        from ..core.tractable import attach_cost_certificates
+
+        attach_cost_certificates(getattr(query, "query", query))
     collector = Collector()
     start = time.perf_counter()
     result = None

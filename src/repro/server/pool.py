@@ -34,6 +34,7 @@ straggler-kill and drain machinery deterministically under both modes.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import multiprocessing
 import queue
@@ -155,11 +156,13 @@ def execute_job(job: Job, graphs: Dict[str, Any]) -> Dict[str, Any]:
                     **refusal,
                 )
             if runnable.lint_errors is None:
-                diagnostics = analyze(
-                    runnable.query, schema=None, source=job.query_text
-                )
+                # The reply carries error diagnostics only, so only the
+                # error-severity rules run.
                 runnable.lint_errors = [
-                    d.to_dict() for d in diagnostics if d.is_error
+                    d.to_dict() for d in analyze(
+                        runnable.query, schema=None, source=job.query_text,
+                        rules=_error_rules(),
+                    )
                 ]
             diag_errors = runnable.lint_errors
         except (GSQLSyntaxError, QueryCompileError) as exc:
@@ -252,6 +255,13 @@ def execute_job(job: Job, graphs: Dict[str, Any]) -> Dict[str, Any]:
         return reply(OutcomeKind.OK, dict(col.counters), result=payload)
 
 
+def _error_rules() -> List[Any]:
+    """Fresh instances of every error-severity analysis rule."""
+    from ..analysis import Severity, rule_catalog
+
+    return [cls() for cls in rule_catalog() if cls.severity is Severity.ERROR]
+
+
 def _cost_refusal(job: Job, runnable, graph, col) -> Optional[Dict[str, Any]]:
     """The static cost screen: the ``predicted`` / ``certificate``
     payload refusing a job whose *predicted* cost provably exceeds its
@@ -334,14 +344,35 @@ def close_in_forked_workers(resource) -> None:
     _parent_ends.add(resource)
 
 
-def _process_worker_main(conn, graph_paths: Dict[str, str]) -> None:
-    """Entry point of one pool worker process."""
+def _load_worker_graphs(graph_paths: Dict[str, str]) -> Dict[str, Any]:
+    """A process worker's graphs, loaded and then frozen out of the
+    cyclic garbage collector's reach.
+
+    A worker never frees its graphs, yet every full collection would
+    walk each vertex and edge of them again (tens of milliseconds on SNB
+    SF1, paid by whichever request triggers it).  ``gc.freeze()`` moves
+    everything alive after the load — the graphs and what the worker
+    inherited from the serving process — into the permanent generation.
+    There is no collection first: it would write to the header of every
+    inherited object, copying the pages the fork shares, and add a full
+    collection to each worker's start for garbage a fresh fork hardly
+    has.
+    Process workers only: a thread-mode ``GraphStore`` supersedes its
+    epochs, and a superseded epoch must stay collectable.
+    """
     from ..graph.io import load_graph_json
 
+    graphs = {name: load_graph_json(path) for name, path in graph_paths.items()}
+    gc.freeze()
+    return graphs
+
+
+def _process_worker_main(conn, graph_paths: Dict[str, str]) -> None:
+    """Entry point of one pool worker process."""
     for inherited in list(_parent_ends):
         inherited.close()
     _reset_worker_globals()
-    graphs = {name: load_graph_json(path) for name, path in graph_paths.items()}
+    graphs = _load_worker_graphs(graph_paths)
     while True:
         try:
             job = conn.recv()

@@ -2,7 +2,8 @@
 the oracle of ``test_gsql_lexer_differential.py``.
 
 This is the loop exactly as it shipped (only ``Token`` and ``KEYWORDS``
-are imported from the product): one branch per character class,
+are imported, from the lexer it was replaced by, itself kept in
+``reference_parser.py``): one branch per character class,
 position bookkeeping by hand.  It is slow and, on two exotic inputs,
 wrong (see ``TestKnownDivergences``) — do not fix it; the point of a
 reference is that it does not move.
@@ -13,7 +14,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.errors import GSQLSyntaxError
-from repro.gsql.lexer import KEYWORDS, Token
+from .reference_parser import KEYWORDS, Token
 
 #: Multi-character operators, longest first.
 _OPERATORS = [

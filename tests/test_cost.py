@@ -12,7 +12,7 @@ from repro.analysis.cost import (
     budget_breaches,
 )
 from repro.analysis.model import cached_model
-from repro.compile import compile_query_text, reset_plan_cache
+from repro.compile import compile_query, compile_query_text, reset_plan_cache
 from repro.core.pattern import EngineMode
 from repro.core.planner import select_engine
 from repro.core.tractable import (
@@ -128,12 +128,30 @@ class TestQnStaticPrediction:
             assert interval.bounded
 
     def test_structural_stamp_leaves_graph_bounds_open(self):
-        query = parse_query(QN)  # the parser stamps structurally
-        cert = query.cost_certificate
-        assert cert is not None
+        query = parse_query(QN)
+        assert query.cost_certificate is None  # left to its first reader
+        plan = compile_query(query)
+        cert = plan.cost_for()  # the first reader stamps structurally
+        assert cert is query.cost_certificate is plan.cost_certificate
         assert cert.stats_fingerprint is None
         assert cert.confidence is CostConfidence.UNBOUNDED
         assert cert.frontier.hi is None
+
+    def test_profiling_a_fresh_query_still_predicts(self):
+        from repro.obs import profile_query
+
+        report = profile_query(
+            parse_query(QN), builders.diamond_chain(4),
+            srcName="v0", tgtName="v4",
+        )
+        assert report.cost is not None
+        assert report.cost["confidence"] == "unbounded"
+        assert report.cost["stats_fingerprint"] is None
+        assert report.cost["metrics"]["acc_executions"] == {
+            "predicted": [0, None], "observed": 1, "within": True,
+        }
+        # Stamped before the profiled run, outside its collector.
+        assert "cost.analyses" not in report.collector.counters
 
     def test_predicted_acc_work_is_polynomial_in_n(self):
         # The diamond chain has 3n+1 vertices; the ACCUM bound is the

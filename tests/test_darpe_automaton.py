@@ -129,3 +129,16 @@ class TestLazyDFA:
         for symbol in word:
             state = dfa.step(state, symbol)
         assert dfa.num_materialized_states <= compiled.nfa.num_states + 1
+
+
+def test_unrolling_past_the_position_cap_is_refused():
+    from repro.darpe.automaton import MAX_POSITIONS, unrolled_positions
+    from repro.darpe.parser import parse_darpe
+    from repro.errors import DarpeSyntaxError
+
+    assert unrolled_positions(parse_darpe("(E>.<F|G)*2..3")) == 9
+    assert CompiledDarpe.parse(f"E>*1..{MAX_POSITIONS}").accepts_empty() is False
+    with pytest.raises(DarpeSyntaxError, match="unrolls to 256 edge positions"):
+        CompiledDarpe.parse("(E>*16)*16")
+    # Parsing alone does not compile: the AST of a huge bound is fine.
+    assert repr(parse_darpe("E>*1..100000")) == "E>*1..100000"

@@ -4,24 +4,42 @@
 to one compiled alternation.  The loop lives on, untouched, in
 ``reference_lexer.py``; every input here must come out of both as the
 same ``(kind, value, line, column, start, end)`` tuples, or fail in both
-with the same message at the same line and column.
+with the same message at the same line and column.  The shipped lexer's
+tokens are ``(kind, value, start, end)``, each keyword and operator its
+own kind: they are compared in the loop's shape, kinds folded back to
+its categories and line and column resolved from the source's line
+table.
 """
 
-import importlib.util
-import random
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cli import _gsql_units
 from repro.errors import GSQLSyntaxError
-from repro.gsql.lexer import tokenize
+from repro.gsql.lexer import KEYWORDS, lex, tokenize
 
+from .gsql_corpus import BENCHMARK_TEXTS, REPOSITORY_TEXTS
 from .reference_lexer import tokenize as reference_tokenize
 
-REPO = Path(__file__).resolve().parent.parent
+#: The loop's kind of each token whose kind is its own spelling.
+_SIGILS = {"@": "AT", "@@": "ATAT", "'": "PRIME"}
+
+
+def shipped(text):
+    """``repro.gsql.lexer``'s tokens in the loop's shape."""
+    tokens, lines = lex(text)
+    out = []
+    for kind, value, start, end in tokens:
+        if kind in KEYWORDS:
+            kind = "KEYWORD"
+        elif kind in _SIGILS:
+            kind = _SIGILS[kind]
+        elif kind not in ("NAME", "NUMBER", "STRING", "EOF"):
+            kind = "OP"
+        out.append((kind, value, *lines.position(start), start, end))
+    return out
 
 
 def lexed(lexer, text):
@@ -33,48 +51,12 @@ def lexed(lexer, text):
 
 
 def assert_same(text):
-    assert lexed(tokenize, text) == lexed(reference_tokenize, text)
+    assert lexed(shipped, text) == lexed(reference_tokenize, text)
 
 
 # ----------------------------------------------------------------------
 # Every GSQL text the repository holds
 # ----------------------------------------------------------------------
-def _repository_texts():
-    """The lint corpus (``examples`` and the paper queries), the broken
-    corpus and every other query under ``tests``, the IC / algorithm
-    library under ``src`` and the benchmark templates."""
-    units = []
-    for tree in ("examples", "tests", "src", "benchmarks"):
-        units.extend(_gsql_units(str(REPO / tree)))
-    return units
-
-
-def _benchmark_texts():
-    """Texts as the end-to-end benchmark sends them: Qn, PageRank, the
-    ten warm IC texts and one lap of never-repeating ``frontend_cold``."""
-    spec = importlib.util.spec_from_file_location(
-        "e2e_corpus", REPO / "benchmarks" / "e2e" / "corpus.py"
-    )
-    corpus = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus)
-    texts = [("qn", corpus.QN_TEXT), ("pagerank", corpus.PAGERANK_TEXT)]
-    for kind, hops in corpus.IC_WARM_TEXTS:
-        texts.append((f"{kind}_h{hops}", corpus.ic_text(kind, hops)))
-    rng = random.Random(7)
-    for kind in corpus.IC_KINDS:
-        for serial in range(10):
-            text = corpus.ic_text(
-                kind, 2, name=f"{kind}_{serial}",
-                literal=corpus.draw_literal(kind, rng),
-            )
-            texts.append((f"cold_{kind}_{serial}", text))
-    return texts
-
-
-REPOSITORY_TEXTS = _repository_texts()
-BENCHMARK_TEXTS = _benchmark_texts()
-
-
 def test_the_corpus_is_not_empty():
     assert len(REPOSITORY_TEXTS) > 150
     assert len(BENCHMARK_TEXTS) == 62
@@ -94,7 +76,7 @@ def test_repository_text_lexes_identically(text):
 )
 def test_benchmark_text_lexes_identically(text):
     assert_same(text)
-    assert lexed(tokenize, text)[0] != "error"
+    assert lexed(shipped, text)[0] != "error"
 
 
 # ----------------------------------------------------------------------
@@ -204,7 +186,7 @@ class TestKnownDivergences:
             "NUMBER", "²")
         with pytest.raises(ValueError):
             int("²")
-        assert [t[:2] for t in lexed(tokenize, "x = ²")][2] == ("NAME", "²")
+        assert [t[:2] for t in lexed(shipped, "x = ²")][2] == ("NAME", "²")
         # ... while inside a name both always accepted it.
         assert_same("x²")
 
@@ -214,5 +196,5 @@ class TestKnownDivergences:
         text = '"ßß" POST-ACCUM x'
         assert [t[1] for t in lexed(reference_tokenize, text)] == [
             "ßß", "POST_ACCUM", ""]
-        assert [t[1] for t in lexed(tokenize, text)] == [
+        assert [t[1] for t in lexed(shipped, text)] == [
             "ßß", "POST_ACCUM", "x", ""]

@@ -214,3 +214,34 @@ class TestAccumCounters:
         assert ctx.global_accum("total").value == 8
         assert col.counter("parallel.partitions") == 4
         assert col.counter("accum.merges") == 4
+
+
+class TestFrontEndSpans:
+    def test_a_collected_parse_names_syntax_and_certification(self):
+        from repro.gsql import parse_query
+
+        text = (
+            "CREATE QUERY q() { SumAccum<int> @@n; "
+            "S = SELECT v FROM V:v -(E>*)- V:t ACCUM @@n += 1; PRINT @@n; }"
+        )
+        col = Collector()
+        with collect(col):
+            parse_query(text)
+        [parse] = col.roots
+        assert parse.name == "parse"
+        assert [child.name for child in parse.children] == ["certify"]
+        assert 0 <= parse.children[0].duration <= parse.duration
+        # No collector, no spans: the off path stays one context read.
+        assert parse_query(text).name == "q"
+
+    def test_a_failed_parse_closes_its_span(self):
+        from repro.errors import GSQLSyntaxError
+        from repro.gsql import parse_query
+
+        col = Collector()
+        with collect(col):
+            with pytest.raises(GSQLSyntaxError):
+                parse_query("CREATE QUERY q() { PRINT ; }")
+        [parse] = col.roots
+        assert parse.name == "parse" and parse.children == []
+        assert col._stack == []

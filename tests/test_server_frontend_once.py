@@ -8,6 +8,7 @@ statistics of the version it is about to run.
 
 import json
 import uuid
+from pathlib import Path
 
 import pytest
 
@@ -192,3 +193,90 @@ class TestTheJobSwitch:
         )
         assert reply["outcome"] == OutcomeKind.OK.value
         assert "server.cost.screened" not in reply["counters"]
+
+
+class TestOnlyWhatTheReplyUses:
+    # The worker's front end does only work its reply reads: the parser
+    # stamps no cost certificate (the cost screen, its one reader in the
+    # worker, stamps it against the graph), the lint runs the
+    # error-severity rules only, and the schema-free and schema-carrying
+    # models of one query are built once each.
+
+    GRAPHS = {"default": builders.diamond_chain(6)}
+
+    def _job(self, text, **kw):
+        return Job("r", text, "default", PARAMS, **{"engine": "counting", "budget": {}, **kw})
+
+    def _cost_counters(self, reply):
+        return sorted(name for name in reply["counters"] if name.startswith("cost."))
+
+    def test_a_cold_unscreened_reply_carries_no_cost_counter(self):
+        reply = execute_job(self._job(never_seen_text()), self.GRAPHS)
+        assert reply["outcome"] == OutcomeKind.OK.value
+        assert reply["counters"]["compile.cache.miss"] == 1
+        assert self._cost_counters(reply) == []
+
+    def test_a_screened_reply_prices_once_against_the_graph(self):
+        reply = execute_job(
+            self._job(never_seen_text(), budget={"max_paths": 10**9}, cost_screen=True),
+            self.GRAPHS,
+        )
+        assert reply["outcome"] == OutcomeKind.OK.value
+        assert reply["counters"]["server.cost.screened"] == 1
+        assert reply["counters"]["cost.analyses"] == 1
+
+    def test_models_are_built_once_per_schema(self):
+        # parse (schema-free certificates), lower (under the graph's
+        # schema), lint (schema-free): two builds, not three ...
+        reply = execute_job(self._job(never_seen_text()), self.GRAPHS)
+        assert reply["counters"]["analysis.model_builds"] == 2
+        # ... and lowering and linting the same query again build none.
+        from repro.analysis import analyze
+        from repro.compile import compile_query
+        from repro.gsql import parse_query
+        from repro.obs import Collector, collect
+
+        text = never_seen_text()
+        first, again = Collector(), Collector()
+        with collect(first):
+            query = parse_query(text)
+            compile_query(query, schema=self.GRAPHS["default"].schema)
+            analyze(query, schema=None, source=text)
+        with collect(again):
+            compile_query(query, schema=self.GRAPHS["default"].schema)
+            analyze(query, schema=None, source=text)
+        assert first.counters["analysis.model_builds"] == 2
+        assert "analysis.model_builds" not in again.counters
+
+    def test_broken_corpus_gets_the_same_error_diagnostics(self):
+        # Every text under examples/ and tests/ that parses to one query
+        # with analysis errors: the worker's error-rules-only lint
+        # replies with exactly the errors the full analysis reports.
+        from repro.analysis import analyze
+        from repro.compile import reset_plan_cache
+        from repro.errors import GSQLSyntaxError, QueryCompileError
+        from repro.gsql import parse_queries
+
+        from .gsql_corpus import REPO, REPOSITORY_TEXTS
+
+        reset_plan_cache()
+        checked = 0
+        for label, text in REPOSITORY_TEXTS:
+            if Path(label).relative_to(REPO).parts[0] not in ("examples", "tests"):
+                continue
+            try:
+                queries = parse_queries(text)
+            except (GSQLSyntaxError, QueryCompileError):
+                continue
+            if len(queries) != 1:
+                continue
+            [query] = queries.values()
+            expected = [d.to_dict() for d in analyze(query, source=text) if d.is_error]
+            if not expected:
+                continue
+            reply = execute_job(self._job(text), self.GRAPHS)
+            assert reply["outcome"] == OutcomeKind.LINT_ERROR.value, label
+            assert reply["diagnostics"] == expected, label
+            assert self._cost_counters(reply) == [], label
+            checked += 1
+        assert checked >= 20

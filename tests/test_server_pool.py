@@ -250,3 +250,25 @@ class TestProcessPool:
         # parent's collector.
         assert res.reply["counters"]
         assert "pattern.seed_vertices" not in parent_col.counters
+
+
+def test_process_worker_graphs_are_frozen_out_of_the_collector(tmp_path):
+    # A process worker's graphs live as long as it does: after the load
+    # they sit in the permanent generation, so no full collection walks
+    # them again (a thread pool's graphs are never frozen).
+    import gc
+
+    from repro.graph.io import save_graph_json
+    from repro.server.pool import _load_worker_graphs
+
+    path = tmp_path / "g.json"
+    save_graph_json(builders.diamond_chain(3), path)
+    try:
+        graph = _load_worker_graphs({"default": str(path)})["default"]
+        vertex = next(iter(graph.vertices()))
+        assert gc.is_tracked(graph) and gc.is_tracked(vertex)
+        assert gc.get_freeze_count() > 0
+        collectable = {id(obj) for obj in gc.get_objects()}
+        assert id(graph) not in collectable and id(vertex) not in collectable
+    finally:
+        gc.unfreeze()
