@@ -1,26 +1,24 @@
 #!/usr/bin/env python
-"""Guard AccSan's no-op fast path: a disabled sanitizer must be free.
+"""Guard AccSan's off path: a disabled sanitizer must be free.
 
 AccSan hooks every accumulator write of the ACCUM Map phase and of
-POST_ACCUM — one kernel, one hook — with the same pattern the
-observability layer uses: the kernel's bind stage reads the calling
-context's sanitizer once per block phase
-(``repro._exec.current().san``) and each write pays one ``is not None``
-comparison on that closed-over local when no sanitizer is active
-(docs/static_analysis.md, "Effect analysis & AccSan").  This script
-enforces the contract on a Reduce-heavy workload:
+POST_ACCUM — one kernel, one hook.  The kernel's bind stage reads the
+calling context's sanitizer once per block phase
+(``repro._exec.current().san``) and picks the row function then: with no
+sanitizer bound a write goes straight to the sink's ``add`` / ``set``
+(docs/static_analysis.md, "Effect analysis & AccSan").  On a Reduce-heavy
+workload this script
 
-1. keeps a verbatim *unsanitized* copy of the Map kernel's accumulator
-   write (``repro.compile.lowering._compile_accum_update`` minus the
-   bind stage's context read and the per-write check) in this file,
-2. interleaves timed blocks of the shipped kernel (sanitizer off) with
-   the reference copy over the diamond-chain edge workload — a Map
-   phase, its Reduce, and a POST_ACCUM clause driven by the engine's own
-   ``run_post_accum``,
-3. asserts the median overhead is below the threshold (default 5%), and
-4. cross-checks correctness: sanitizer off and the reference agree on
-   every accumulator value, and a run *with* a sanitizer records one
-   event per write and verifies the commutative Reduce.
+1. asserts that binding with no sanitizer makes the write tail the sink's
+   own method, and with one a recording wrapper around it,
+2. times the shipped kernel bound where the sanitizer is off against the
+   same kernel bound under ``_exec.NULL`` (nothing bound), in interleaved
+   blocks over the diamond-chain edge workload — a Map phase, its Reduce
+   and a POST_ACCUM clause run by the engine's ``run_post_accum`` — and
+   asserts the median overhead is below the threshold (default 5%), and
+3. cross-checks correctness: the two agree on every accumulator value,
+   and a run *with* a sanitizer records one event per write and verifies
+   the commutative Reduce.
 
 Exit status 0 = within budget, 1 = overhead or correctness failure.
 
@@ -33,13 +31,10 @@ import statistics
 import sys
 import time
 
-from repro import accsan
+from repro import _exec, accsan
 from repro.accum import MaxAccum, SumAccum
 from repro.compile import CompileStats
-from repro.compile.exprc import compile_closure
-from repro.compile.lowering import (
-    _clause_scope, _compile_acc_statement, compile_accum_clause,
-)
+from repro.compile.lowering import _writer, compile_accum_clause
 from repro.core import QueryContext
 from repro.core.context import GLOBAL, VERTEX, AccumDecl
 from repro.core.exprs import EvalEnv, Literal, NameRef, Scope
@@ -49,92 +44,7 @@ from repro.core.pattern import (
 from repro.core.stmts import (
     AccumTarget, AccumUpdate, InputBuffer, LocalAssign, run_post_accum,
 )
-from repro.errors import QueryRuntimeError
 from repro.graph import builders
-from repro.graph.elements import Vertex
-
-
-def shipped_kernel(statements, scope, post=False):
-    return compile_accum_clause(statements, {}, CompileStats(), scope, post)
-
-
-def reference_kernel(statements, scope, post=False):
-    """The shipped kernel with every accumulator write replaced by
-    :func:`_reference_accum_update` — the baseline an ideal zero-cost
-    sanitizer hook matches.  Other statement kinds go through the
-    shipped binders, so the copy cannot silently drift."""
-    stats = CompileStats()
-    scope = _clause_scope(scope, statements)
-    binders = [
-        _reference_accum_update(stmt, stats, scope)
-        if isinstance(stmt, AccumUpdate)
-        else _compile_acc_statement(stmt, {}, stats, scope, post)
-        for stmt in statements
-    ]
-
-    def bind(ctx, buffer):
-        runs = [b(ctx, buffer) for b in binders]
-
-        def run_all(env, multiplicity):
-            env.locals.clear()
-            for run in runs:
-                run(env, multiplicity)
-
-        return run_all
-
-    return bind
-
-
-def _reference_accum_update(stmt, stats, scope):
-    """Verbatim copy of ``_compile_accum_update`` minus the bind stage's
-    ``_exec.current()`` read and the per-write sanitizer check."""
-    name = stmt.target.name
-    is_add = stmt.op == "+="
-    value_fn, _ = compile_closure(stmt.expr, stats, scope)
-
-    if stmt.target.is_global:
-        def bind_global(ctx, buffer):
-            add = buffer.add
-            set_ = buffer.set
-
-            def run(env, multiplicity, _cell=[]):
-                value = value_fn(env)
-                if not _cell:
-                    _cell.append(ctx.global_accum(name))
-                acc = _cell[0]
-                if is_add:
-                    add(acc, value, multiplicity)
-                else:
-                    set_(acc, value)
-
-            return run
-
-        return bind_global
-
-    base_fn, _ = compile_closure(stmt.target.base, stats, scope)
-
-    def bind_vertex(ctx, buffer):
-        add = buffer.add
-        set_ = buffer.set
-        resolve = ctx.vertex_accum_resolver(name)
-
-        def run(env, multiplicity):
-            value = value_fn(env)
-            vertex = base_fn(env)
-            if not isinstance(vertex, Vertex):
-                raise QueryRuntimeError(
-                    f"accumulator @{name} addressed through non-vertex "
-                    f"{type(vertex).__name__}"
-                )
-            acc = resolve(vertex.vid)
-            if is_add:
-                add(acc, value, multiplicity)
-            else:
-                set_(acc, value)
-
-        return run
-
-    return bind_vertex
 
 
 def build_workload(n):
@@ -157,15 +67,24 @@ def build_workload(n):
 POST_STATEMENTS = [AccumUpdate(AccumTarget("deg", NameRef("t")), "+=", Literal(1))]
 
 
-def post_clause(kernel, table):
+def post_clause(table):
     """``POST_STATEMENTS`` as ``run_post_accum`` takes a clause: one
-    ``(kernel binder, dependency slots)`` pair per statement, built by
-    ``kernel`` (:func:`shipped_kernel` or :func:`reference_kernel`)."""
+    ``(kernel binder, dependency slots)`` pair per statement."""
     scope = Scope(table.variables)
     return [
-        (kernel([stmt], scope, post=True), [table.slot("t")])
+        (compile_accum_clause([stmt], {}, CompileStats(), scope, post=True),
+         [table.slot("t")])
         for stmt in POST_STATEMENTS
     ]
+
+
+def sink_direct_when_off():
+    """Whether writes go through the sink's own methods with no sanitizer
+    bound, and through a recorder with one."""
+    buffer, target = InputBuffer(), AccumTarget("total")
+    off = [_writer(buffer, None, "accum", target, op) for op in ("+=", "=")]
+    on = _writer(buffer, accsan.Sanitizer(), "accum", target, "+=")
+    return off == [buffer.add, buffer.set] and on != buffer.add
 
 
 def run_map(bind, ctx, rows):
@@ -181,10 +100,15 @@ def run_map(bind, ctx, rows):
     return buffer
 
 
-def run_once(bind, post, ctx, table):
-    """Map, Reduce, then the POST_ACCUM clause over the same rows."""
-    run_map(bind, ctx, table).flush()
-    run_post_accum(post, ctx, table.rows, {})
+def run_once(bind, post, ctx, table, **bound):
+    """Map, Reduce, then the POST_ACCUM clause over the same rows, with
+    ``bound`` bound in the calling context (nothing: ``_exec.NULL``)."""
+    token = _exec.bind(**bound)
+    try:
+        run_map(bind, ctx, table).flush()
+        run_post_accum(post, ctx, table.rows, {})
+    finally:
+        _exec.reset(token)
 
 
 def accum_values(ctx):
@@ -209,16 +133,19 @@ def main(argv=None) -> int:
                         help="diamond-chain size (4n edge rows)")
     args = parser.parse_args(argv)
 
+    if not sink_direct_when_off():
+        print("FAIL: binding with no sanitizer does not write through the sink",
+              file=sys.stderr)
+        return 1
+
     # --- correctness: sanitizer-off == reference ------------------------
     ctx_off, rows, statements = build_workload(args.n)
     scope = Scope(rows.variables)
-    shipped = shipped_kernel(statements, scope)
-    shipped_post = post_clause(shipped_kernel, rows)
-    reference_bind = reference_kernel(statements, scope)
-    reference_post = post_clause(reference_kernel, rows)
-    run_once(shipped, shipped_post, ctx_off, rows)
+    shipped = compile_accum_clause(statements, {}, CompileStats(), scope)
+    shipped_post = post_clause(rows)
+    run_once(shipped, shipped_post, ctx_off, rows, san=None)
     ctx_ref, _, _ = build_workload(args.n)
-    run_once(reference_bind, reference_post, ctx_ref, rows)
+    run_once(shipped, shipped_post, ctx_ref, rows)
     if accum_values(ctx_off) != accum_values(ctx_ref):
         print("FAIL: sanitizer-off run diverges from the reference",
               file=sys.stderr)
@@ -256,8 +183,8 @@ def main(argv=None) -> int:
 
     # --- overhead: interleaved medians, sanitizer off -------------------
     ctx, rows, statements = build_workload(args.n)
-    instrumented = lambda: run_once(shipped, shipped_post, ctx, rows)  # noqa: E731
-    reference = lambda: run_once(reference_bind, reference_post, ctx, rows)  # noqa: E731
+    instrumented = lambda: run_once(shipped, shipped_post, ctx, rows, san=None)  # noqa: E731
+    reference = lambda: run_once(shipped, shipped_post, ctx, rows)  # noqa: E731
     timed_block(instrumented, args.calls_per_block)  # warm caches
     timed_block(reference, args.calls_per_block)
 
@@ -269,8 +196,8 @@ def main(argv=None) -> int:
     med_ref = statistics.median(t_ref)
     overhead = med_instr / med_ref - 1.0
 
-    with accsan.sanitize(schedules=4):
-        t_on = timed_block(instrumented, args.calls_per_block)
+    with accsan.sanitize(schedules=4):  # the reference binds nothing of its own
+        t_on = timed_block(reference, args.calls_per_block)
 
     per_call_us = med_ref / args.calls_per_block * 1e6
     print(f"reference map + post   : {per_call_us:8.1f} us/call (median of "
@@ -281,8 +208,8 @@ def main(argv=None) -> int:
     print(f"instrumented, san on   : "
           f"{t_on / args.calls_per_block * 1e6:8.1f} us/call "
           f"(context, not asserted)")
-    print(f"correctness            : {expected_events} events/run, "
-          f"verified reduces, values agree — all OK")
+    print(f"correctness            : sink-direct when off, {expected_events} "
+          f"events/run, verified reduces, values agree — all OK")
 
     if overhead > args.threshold:
         print(f"FAIL: sanitizer-off overhead {overhead:.1%} exceeds "

@@ -19,13 +19,13 @@ The same check covers the parallel Reduce: ``parallel_accum`` hands the
 sanitizer its per-partition partials, and merge order is permuted the
 same way.
 
-The hook pattern mirrors :mod:`repro.obs.metrics` exactly: the active
-sanitizer is the ``san`` field of the calling context's
-:class:`repro._exec.ExecCtx`, read once per block phase and held as a
-local, plus a guarded no-op fast path at every write site (``if san is
-not None: ...``), so a disabled sanitizer costs one comparison per
-write — measured below 5% end-to-end by
-``benchmarks/check_accsan_overhead.py``.
+The hook follows :mod:`repro.obs.metrics`: the active sanitizer is the
+``san`` field of the calling context's :class:`repro._exec.ExecCtx`,
+read once per block phase when the kernel binds its row functions —
+with no sanitizer a write goes straight to the sink, so a disabled
+sanitizer costs nothing per write (asserted, and timed against the
+kernel bound under ``_exec.NULL``, by
+``benchmarks/check_accsan_overhead.py``).
 
 Usage::
 

@@ -144,9 +144,8 @@ TABLE: Dict[str, OpAlgebra] = {
                   lambda rng: (rng.randrange(5), _half_int(rng)),
                   caveat="holds for order-invariant nested values only"),
         OpAlgebra("HeapAccum", True, True, False, False, True,
-                  lambda: HeapAccum(_HEAP_TUPLE, 3,
-                                    [("score", "DESC"), ("name", "ASC")]),
-                  lambda rng: _HEAP_TUPLE.make(float(rng.randint(0, 100)),
+                  lambda: HeapAccum(_HEAP_TUPLE, 3, [("score", "DESC")]),
+                  lambda rng: _HEAP_TUPLE.make(float(rng.randint(0, 4)),
                                                f"n{rng.randrange(10)}")),
         OpAlgebra("GroupByAccum", True, True, False, False, True,
                   lambda: GroupByAccum(("k",), (lambda: SumAccum(0.0),)),

@@ -5,12 +5,14 @@ keeps the ``capacity`` best tuples under the lexicographic order given by
 the sort fields.  "Best" means *first* under the requested order: with
 ``score DESC`` the heap retains the highest-scoring tuples.
 
-Order-invariant: the retained set depends only on the multiset of inputs
-(ties are broken by the full tuple contents to stay deterministic).
+Order-invariant: ties between sort keys are broken by the full tuple
+(:class:`_Tie`), and a NULL or unordered sort value is refused, so the
+retained set depends only on the multiset of inputs.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
@@ -21,9 +23,14 @@ from .tuples import TupleType, TupleValue, coerce_tuple
 ASC = "ASC"
 DESC = "DESC"
 
+#: The types a sort value may have: they order among themselves.
+_ORDERED = frozenset((bool, int, float, str))
+#: A value's rank in the tie-break: NULL, numbers, strings, the rest (3).
+_RANK = {type(None): 0, bool: 1, int: 1, float: 1, str: 2}
+
 
 class _Reversed:
-    """Inverts comparison, for DESC sort keys inside a min-heap."""
+    """Inverts comparison, for ASC sort keys inside a min-heap."""
 
     __slots__ = ("item",)
 
@@ -35,6 +42,24 @@ class _Reversed:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _Reversed) and self.item == other.item
+
+
+class _Tie(tuple):
+    """A tuple's full values, ranked after its sort key: the smaller tuple
+    first (so, like a heap key, it compares inverted), values by ``_RANK``
+    and then value — or type name and repr — so that any two order."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: "_Tie") -> bool:
+        return _canonical(other) < _canonical(self)
+
+
+def _canonical(values: Sequence[Any]) -> List[Tuple[Any, ...]]:
+    return [
+        (_RANK[type(v)], v) if type(v) in _RANK else (3, type(v).__name__, repr(v))
+        for v in values
+    ]
 
 
 class HeapAccum(Accumulator):
@@ -79,34 +104,51 @@ class HeapAccum(Accumulator):
             (tuple_type.index_of(field), order == ASC)
             for field, order in self.sort_spec
         ]
-        # Min-heap of (inverted sort key, insertion-stable full key).  The
-        # heap root is the *worst* retained tuple, so a full heap evicts it
-        # when a better tuple arrives.
-        self._heap: List[Tuple[Any, Any, TupleValue]] = []
+        self._arity = len(tuple_type.field_names)
+        # Min-heap of (inverted sort key, _Tie(values), tuple): the root is
+        # the *worst* retained tuple, which a full heap evicts for a better.
+        self._heap: List[Tuple[Tuple[Any, ...], _Tie, TupleValue]] = []
 
     # -- ranking helpers -------------------------------------------------
-    def _rank_key(self, item: TupleValue) -> Tuple[Any, ...]:
-        """Key under which *smaller sorts first* in the requested order."""
-        parts: List[Any] = []
-        for field, order in self.sort_spec:
-            val = item.get(field)
-            parts.append(val if order == ASC else _Reversed(val))
-        return tuple(parts)
-
     def _heap_key(self, values: Sequence[Any]) -> Tuple[Any, ...]:
-        """Inverted key of a positional value tuple: the heap root is the
-        worst retained element."""
-        return tuple(
-            [_Reversed(values[i]) if asc else values[i] for i, asc in self._key_spec]
-        )
+        """The inverted sort key of a positional value tuple, refusing a
+        NULL or unordered sort value."""
+        key = []
+        for i, asc in self._key_spec:
+            if type(values[i]) not in _ORDERED:
+                raise self._sort_error(values)
+            key.append(_Reversed(values[i]) if asc else values[i])
+        return tuple(key)
+
+    def _sort_error(self, values: Sequence[Any]) -> AccumulatorError:
+        """Names the sort field whose value is NULL or does not order."""
+        for field, _ in self.sort_spec:
+            value = values[self.tuple_type.index_of(field)]
+            kinds = {type(value)} | {type(e[2].get(field)) for e in self._heap}
+            if value is None or not kinds <= _ORDERED or str in kinds and len(kinds) > 1:
+                held = "NULL" if value is None else "/".join(sorted(k.__name__ for k in kinds))
+                return AccumulatorError(f"HeapAccum sort field {field!r} holds {held}")
+        return AccumulatorError("HeapAccum sort values do not order")
+
+    def rejects(self, item: Any) -> bool:
+        """Whether a full heap drops ``item``, a positional value tuple, on
+        its sort key alone, before the TupleValue it would discard is built
+        (the ACCUM Map kernel asks before it calls :meth:`combine_weighted`)."""
+        heap = self._heap
+        if len(heap) < self.capacity or type(item) is not tuple or len(item) != self._arity:
+            return False
+        key = self._heap_key(item)
+        try:
+            root = heap[0]
+            return not (root[0] < key or root[0] == key and root[1] < _Tie(item))
+        except TypeError:
+            raise self._sort_error(item) from None
 
     # -- Accumulator interface -------------------------------------------
     @property
     def value(self) -> Tuple[TupleValue, ...]:
         """The retained tuples, best first."""
-        items = [entry[2] for entry in self._heap]
-        items.sort(key=self._rank_key)
-        return tuple(items)
+        return tuple([entry[2] for entry in sorted(self._heap, reverse=True)])
 
     def assign(self, value: Iterable[Any]) -> None:
         self._heap = []
@@ -119,32 +161,31 @@ class HeapAccum(Accumulator):
     def combine_weighted(self, item: Any, multiplicity: int) -> None:
         if multiplicity < 0:
             raise AccumulatorError(f"negative multiplicity {multiplicity}")
-        if not multiplicity:
-            return
-        heap = self._heap
-        capacity = self.capacity
-        if (
-            len(heap) >= capacity
-            and type(item) is tuple
-            and len(item) == len(self.tuple_type.field_names)
-            and not heap[0][0] < self._heap_key(item)
-        ):
-            # A positional input that does not beat the worst tuple of a
-            # full heap is dropped on its sort fields alone, before the
-            # TupleValue it would discard is built.
+        if not multiplicity or self.rejects(item):
             return
         tup = coerce_tuple(self.tuple_type, item)
-        entry = (self._heap_key(tup.values), tup.values, tup)
-        # Inserting more copies than the capacity can never change the
-        # outcome, so cap the work — this keeps weighted inputs O(capacity).
-        for _ in range(min(multiplicity, capacity)):
-            if len(heap) < capacity:
-                heapq.heappush(heap, entry)
-            elif heap[0][0] < entry[0]:
-                # Replace the worst retained tuple: the newcomer beats it.
-                heapq.heapreplace(heap, entry)
-            else:
-                break  # nor will any further copy
+        entry = (self._heap_key(tup.values), _Tie(tup.values), tup)
+        heap = self._heap
+        capacity = self.capacity
+        try:
+            # Inserting more copies than the capacity can never change the
+            # outcome, so cap the work — weighted inputs stay O(capacity).
+            for _ in range(min(multiplicity, capacity)):
+                if len(heap) < capacity:
+                    heapq.heappush(heap, entry)
+                elif heap[0] < entry:
+                    # Replace the worst retained tuple: the newcomer beats it.
+                    heapq.heapreplace(heap, entry)
+                else:
+                    break  # nor will any further copy
+        except TypeError:
+            raise self._sort_error(tup.values) from None
+
+    def copy(self) -> "HeapAccum":
+        """An independent snapshot (the entries themselves are immutable)."""
+        clone = copy.copy(self)
+        clone._heap = list(self._heap)
+        return clone
 
     def merge(self, other: Accumulator) -> None:
         if not isinstance(other, HeapAccum):

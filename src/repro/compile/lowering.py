@@ -31,6 +31,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import _exec
 from ..accum.algebra import classify
+from ..accum.heap import HeapAccum
 from ..core.block import OutputColumn, OutputFragment, SelectBlock
 from ..core.context import QueryContext
 from ..core.exprs import (
@@ -88,14 +89,15 @@ from .exprc import CompileStats, compile_closure, compile_expr
 # once: ``compile_accum_clause`` runs at compile time and returns a
 # *binder*; the executor calls ``binder(ctx, sink)`` once per clause
 # execution, which resolves accumulator instances / family factories /
-# sink methods and returns the per-row function ``run(env, μ)``.  The bind
-# stage only needs ``global_accum`` / ``vertex_accum_resolver`` from its
-# first argument and ``add`` / ``set`` from its second, so one kernel
-# serves three sinks: the block's ``InputBuffer``, a ``parallel_accum``
-# worker's private scratch, and POST_ACCUM's buffer, whose ``=`` is
-# immediate.  The clause kind (``post``) decides three leaves only:
-# which of ``LocalAssign`` / ``AttributeUpdate`` the clause admits (the
-# other rejects when an execution reaches it) and the AccSan event label.
+# sink methods and picks the per-row function ``run(env, μ)``.  The bind
+# stage needs ``global_accum`` / ``vertex_accum_resolver`` from its first
+# argument and ``add`` / ``set`` from its second (a plain ``InputBuffer``
+# also folds a top-k heap early), so one kernel serves three sinks: the
+# block's ``InputBuffer``, a ``parallel_accum`` worker's private scratch,
+# and POST_ACCUM's buffer, whose ``=`` is immediate.  The clause kind
+# (``post``) decides three leaves only: which of ``LocalAssign`` /
+# ``AttributeUpdate`` the clause admits (the other rejects when an
+# execution reaches it) and the AccSan event label.
 
 _Binder = Callable[[QueryContext, InputBuffer], Callable[[EvalEnv, int], None]]
 
@@ -125,27 +127,27 @@ def compile_accum_clause(
     (whose kernels do not count in ``stats.kernels``)."""
     if not statements:
         return None
-    scope = _clause_scope(scope, statements)
+    clause_scope = _clause_scope(scope, statements)
+    assigned = frozenset(  # globals it also assigns: the Reduce assigns first
+        s.target.name for s in walk_acc_statements(statements)
+        if isinstance(s, AccumUpdate) and s.op == "=" and s.target.is_global
+    )
     binders = [
-        _compile_acc_statement(s, decl_types, stats, scope, post)
+        _compile_acc_statement(s, decl_types, stats, clause_scope, post, assigned)
         for s in statements
     ]
     if not post:
         stats.kernels += 1
+    binds_locals = clause_scope is not scope
 
     def bind(ctx: QueryContext, buffer: InputBuffer):
         runs = [b(ctx, buffer) for b in binders]
-        if len(runs) == 1:
-            single = runs[0]
-
-            def run_all(env: EvalEnv, multiplicity: int) -> None:
-                env.locals.clear()
-                single(env, multiplicity)
-
-            return run_all
+        if not binds_locals and len(runs) == 1:
+            return runs[0]
 
         def run_all(env: EvalEnv, multiplicity: int) -> None:
-            env.locals.clear()
+            if binds_locals:
+                env.locals.clear()
             for run in runs:
                 run(env, multiplicity)
 
@@ -156,7 +158,7 @@ def compile_accum_clause(
 
 def _compile_acc_statement(
     stmt: AccStatement, decl_types: Dict[str, Any], stats: CompileStats,
-    scope: Scope, post: bool,
+    scope: Scope, post: bool, assigned: frozenset = frozenset(),
 ) -> _Binder:
     if isinstance(stmt, LocalAssign) and not post:
         name = stmt.name
@@ -170,15 +172,15 @@ def _compile_acc_statement(
 
         return bind_local
     if isinstance(stmt, AccumUpdate):
-        return _compile_accum_update(stmt, decl_types, stats, scope, post)
+        return _compile_accum_update(stmt, decl_types, stats, scope, post, assigned)
     if isinstance(stmt, AccumIf):
         cond_fn, _ = compile_closure(stmt.cond, stats, scope)
         then_binders = [
-            _compile_acc_statement(s, decl_types, stats, scope, post)
+            _compile_acc_statement(s, decl_types, stats, scope, post, assigned)
             for s in stmt.then
         ]
         else_binders = [
-            _compile_acc_statement(s, decl_types, stats, scope, post)
+            _compile_acc_statement(s, decl_types, stats, scope, post, assigned)
             for s in stmt.otherwise
         ]
 
@@ -197,7 +199,7 @@ def _compile_acc_statement(
         coll_fn, _ = compile_closure(stmt.collection, stats, scope)
         var = stmt.var
         body_binders = [
-            _compile_acc_statement(s, decl_types, stats, scope, post)
+            _compile_acc_statement(s, decl_types, stats, scope, post, assigned)
             for s in stmt.body
         ]
 
@@ -277,43 +279,62 @@ def _compile_acc_statement(
 
 def _compile_accum_update(
     stmt: AccumUpdate, decl_types: Dict[str, Any], stats: CompileStats,
-    scope: Scope, post: bool,
+    scope: Scope, post: bool, assigned: frozenset = frozenset(),
 ) -> _Binder:
     """One ``target += expr`` / ``target = expr`` row function.
 
     The op-algebra row for the target's declared type is looked up once
     here (PR 5's table) — recorded in the kernel catalog and counted as
-    a pre-resolved combine; the bind stage then captures the resolved
-    accumulator instance (global) or a family resolver closure (vertex)
-    plus the sink's methods, so the per-row path is closure calls only.
+    a pre-resolved combine.  The bind stage then resolves the instance
+    (global) or a family resolver (vertex) and picks the row function, its
+    write the one record-and-sink tail (:func:`_writer`): the per-row path
+    has no branch on the sanitizer, the operator or the instance.
     """
     name = stmt.target.name
     op = stmt.op
-    is_add = op == "+="
     value_fn, _ = compile_closure(stmt.expr, stats, scope)
     algebra = classify(decl_types.get(name))
     if algebra is not None:
         stats.combines_preresolved += 1
     target = stmt.target  # kept, with the clause, for AccSan event attribution
     phase = "post_accum" if post else "accum"
+    early_reject = op == "+=" and name not in assigned
 
     if stmt.target.is_global:
         def bind_global(ctx, buffer):
-            add = buffer.add
-            set_ = buffer.set
             san = _exec.current().san
+            write = _writer(buffer, san, phase, target, op)
+            try:  # a parallel worker's scratch makes its instance on first use
+                acc = ctx.global_accum(name) if isinstance(ctx, QueryContext) else None
+            except QueryRuntimeError:  # undeclared: raises once a row runs
+                acc = None
+            if acc is None:
+                def run(env: EvalEnv, multiplicity: int) -> None:
+                    value = value_fn(env)
+                    write(ctx.global_accum(name), value, multiplicity)
 
-            def run(env: EvalEnv, multiplicity: int, _cell=[]) -> None:
-                value = value_fn(env)
-                if not _cell:
-                    _cell.append(ctx.global_accum(name))
-                acc = _cell[0]
-                if san is not None:
-                    san.record(phase, target, acc, op, value)
-                if is_add:
-                    add(acc, value, multiplicity)
-                else:
-                    set_(acc, value)
+                return run
+            if (
+                early_reject and san is None and type(buffer) is InputBuffer
+                and isinstance(acc, HeapAccum)
+            ):
+                # Fold into a block-private copy at once, in the order the
+                # Reduce would: an input the full copy cannot take leaves no
+                # buffered triple and costs no combine call.
+                heap = buffer.fold_privately(acc)
+                rejects, combine = heap.rejects, heap.combine_weighted
+
+                def run(env: EvalEnv, multiplicity: int) -> None:
+                    value = value_fn(env)
+                    buffer.folded += 1
+                    if multiplicity > 0 and rejects(value):
+                        return
+                    combine(value, multiplicity)
+
+                return run
+
+            def run(env: EvalEnv, multiplicity: int) -> None:
+                write(acc, value_fn(env), multiplicity)
 
             return run
 
@@ -322,10 +343,8 @@ def _compile_accum_update(
     base_fn, _ = compile_closure(stmt.target.base, stats, scope)
 
     def bind_vertex(ctx, buffer):
-        add = buffer.add
-        set_ = buffer.set
+        write = _writer(buffer, _exec.current().san, phase, target, op)
         resolve = ctx.vertex_accum_resolver(name)
-        san = _exec.current().san
 
         def run(env: EvalEnv, multiplicity: int) -> None:
             value = value_fn(env)
@@ -335,17 +354,26 @@ def _compile_accum_update(
                     f"accumulator @{name} addressed through non-vertex "
                     f"{type(vertex).__name__}"
                 )
-            acc = resolve(vertex.vid)
-            if san is not None:
-                san.record(phase, target, acc, op, value)
-            if is_add:
-                add(acc, value, multiplicity)
-            else:
-                set_(acc, value)
+            write(resolve(vertex.vid), value, multiplicity)
 
         return run
 
     return bind_vertex
+
+
+def _writer(buffer: InputBuffer, san: Any, phase: str, target: Any, op: str):
+    """The record-and-sink tail of a write, ``write(acc, value, μ)``: the
+    sink's own ``add`` / ``set``, or with a sanitizer bound a wrapper that
+    records the write first."""
+    sink = buffer.add if op == "+=" else buffer.set
+    if san is None:
+        return sink
+
+    def write(acc: Any, value: Any, multiplicity: int) -> None:
+        san.record(phase, target, acc, op, value)
+        sink(acc, value, multiplicity)
+
+    return write
 
 
 # ----------------------------------------------------------------------

@@ -69,7 +69,7 @@ class _Partial:
         acc.combine_weighted(value, multiplicity)
 
     @staticmethod
-    def set(acc: Accumulator, value: Any) -> None:
+    def set(acc: Accumulator, value: Any, multiplicity: int = 1) -> None:
         raise QueryRuntimeError(
             "parallel ACCUM supports only += statements "
             "(plain assignment is inherently a race)"

@@ -189,10 +189,6 @@ class VertexSpec:
             )
         return ctx.graph.vertices(self.name)
 
-    def candidates(self, ctx: QueryContext) -> List[Vertex]:
-        """All vertices admissible in this position (pins applied)."""
-        return self.seed(ctx)
-
     def __repr__(self) -> str:
         return f"{self.name}:{self.var}"
 
@@ -360,9 +356,9 @@ class BindingTable:
 # executes — the pinned vertex, the vertex-set-or-type test, the
 # pushed-down filters' closures and the one ``EvalEnv`` they run under
 # (or, for tagged comparisons, their operands), the slots the hop reads
-# and writes — is resolved once by the bind stage (``_bind_filters``,
-# ``_Acceptor``, ``_bind_slot``); the per-row loops then only look
-# verdicts up and extend rows.
+# and writes — is resolved once by the bind stage (``_admission``,
+# ``_bind_filters``, ``_bind_slot``); the per-row loops then only read
+# verdicts, decide first sights, and extend rows.
 
 def _bind_filters(
     ctx: QueryContext, var: str, filters: Optional[List[Any]]
@@ -442,54 +438,80 @@ def _bind_comparisons(
     return tests
 
 
-class _Acceptor(dict):
-    """Bind stage of a hop's target position: ``acceptor[vid]`` is the
-    target :class:`Vertex` when it is admissible — the pin, the
-    vertex-set-or-type test and the pushed-down filters all hold — and
-    None otherwise, decided once per distinct vertex of one hop execution.
+def _admission(
+    ctx: QueryContext, spec: VertexSpec, filters: Optional[List[Any]], lookup
+) -> Tuple[Callable[[Any], Any], Any, Optional[str]]:
+    """Bind stage of a vertex position's admission (``lookup`` resolves a
+    vertex id): ``(resolve, admit, only_type)`` for the loop of
+    :func:`_admitted`.  With no pin, vertex set or filter a memo would only
+    miss: ``resolve`` is ``lookup``, ``only_type`` the one test.  Otherwise
+    ``resolve`` reads a plain dict of verdicts (vertex, or False) and
+    ``admit(vid, bucket)``, the one admission routine, decides every
+    first-seen id of the bucket in its loop — type, pin, vertex set, bound
+    comparisons on ``value.attrs``, then what they cannot decide cleanly by
+    ``passes`` — and returns ``vid``'s.  A filter that raises stores no
+    verdict and ends the walk; the caller meets its error at that vertex,
+    after the per-element work (an edge filter) before it."""
+    pin = spec._pinned_vertex(ctx)
+    pinned = None if pin is None else pin.vid
+    vtype, vset = spec.restriction(ctx)
+    if not filters and pinned is None and vset is None:
+        return lookup, None, vtype
+    passes = _bind_filters(ctx, spec.var, filters)
+    tests = filters and _bind_comparisons(EvalEnv(ctx, [None]), filters)
+    verdicts: Dict[Any, Any] = {}
+    seen = verdicts.get
+    raised: List[Exception] = []  # the error that ended a walk
 
-    Memoising is sound because a pushed-down conjunct reads only its own
-    variable plus state that is fixed while the pattern is evaluated
-    (attributes, parameters, accumulator values as of block entry), and
-    pushdown already made *how often* a filter runs unobservable.  A
-    filter that raises stores nothing: the error surfaces on the first
-    encounter of its vertex.
-    """
+    def admit(first: Any, ids: Iterable[Any]) -> Any:
+        for vid in () if raised else ids:
+            if seen(vid) is not None:
+                continue
+            value = lookup(vid)
+            if (
+                (vtype is not None and value.type != vtype)
+                or (pinned is not None and vid != pinned)
+                or (vset is not None and value not in vset)
+            ):
+                value = False
+            elif passes is not None:
+                decided = False
+                if tests is not None:
+                    try:
+                        attrs = value.attrs
+                        for attr, compare, operand in tests:
+                            if not compare(attrs[attr], operand):
+                                value = False
+                                break
+                        decided = True
+                    except (AttributeError, KeyError, TypeError):
+                        pass
+                if not decided:
+                    try:
+                        if not passes(value):
+                            value = False
+                    except Exception as exc:
+                        raised.append(exc)
+                        break
+            verdicts[vid] = value
+        verdict = seen(first)
+        if verdict is None:
+            raise raised[0]
+        return verdict
 
-    __slots__ = ("_vertex", "_pinned", "_type", "_vset", "_passes")
+    return seen, admit, None
 
-    def resolver(self) -> Tuple[Callable[[Any], Optional[Vertex]], Optional[str]]:
-        """``(resolve, only_type)`` for running a bucket's neighbour ids
-        through ``map(resolve, ids)``.  With no pin, no vertex set and no
-        pushed-down filter a vertex is admissible exactly when its type
-        is ``only_type`` (None: any), which is cheaper to compare than to
-        memoise: ``resolve`` is then the graph's plain id -> vertex
-        lookup.  Otherwise ``resolve`` is this memo, yielding None for an
-        inadmissible vertex, and ``only_type`` is None."""
-        if self._pinned is None and self._vset is None and self._passes is None:
-            return self._vertex, self._type
-        return self.__getitem__, None
 
-    def __init__(
-        self, ctx: QueryContext, spec: VertexSpec, filters: Optional[List[Any]]
-    ):
-        self._vertex = ctx.graph.vertex_getter()
-        pinned = spec._pinned_vertex(ctx)
-        self._pinned = None if pinned is None else pinned.vid
-        self._type, self._vset = spec.restriction(ctx)
-        self._passes = _bind_filters(ctx, spec.var, filters)
-
-    def __missing__(self, vid: Any) -> Optional[Vertex]:
-        vertex: Optional[Vertex] = self._vertex(vid)
-        if (
-            (self._type is not None and vertex.type != self._type)
-            or (self._pinned is not None and vid != self._pinned)
-            or (self._vset is not None and vertex not in self._vset)
-            or (self._passes is not None and not self._passes(vertex))
-        ):
-            vertex = None
-        self[vid] = vertex
-        return vertex
+def _admitted(ids: Iterable[Any], resolve, admit, only_type) -> List[Vertex]:
+    """The admissible vertices among ``ids``, in order (hops inline this)."""
+    out = []
+    for vid in ids:
+        target = resolve(vid)
+        if target is None:
+            target = admit(vid, ids)
+        if target is not False and (only_type is None or target.type == only_type):
+            out.append(target)
+    return out
 
 
 def _hop_counts(
@@ -604,8 +626,9 @@ def _evaluate_hop(
         # directly and can bind an edge variable.
         plan = "adjacency"
         symbol = hop.darpe.ast
-        acceptor = _Acceptor(ctx, hop.target, var_filters.get(target_var))
-        resolve, only_type = acceptor.resolver()
+        resolve, admit, only_type = _admission(
+            ctx, hop.target, var_filters.get(target_var), graph.vertex_getter()
+        )
         edge_of = graph.edge
         edge_var = hop.edge_var
         # Edges are per-row bindings: their filters run per crossing.
@@ -619,44 +642,48 @@ def _evaluate_hop(
         joined = _bind_slot(layout, target_var)
         plain = edge_var is None and joined is None
         by_type = graph.columns(symbol.direction)
-        # the symbol's one column, or every column for the wildcard
-        if symbol.edge_type is None:
+        if symbol.edge_type is None:  # the wildcard: every column, per row
             columns = list(by_type.values())
-        else:
-            columns = [by_type.get(symbol.edge_type, {})]
-        for values, multiplicity in rows:
-            vid = values[current].vid
-            for column in columns:
-                bucket = column.get(vid)
-                if bucket is None:
-                    continue
-                neighbors, eids = bucket
-                if plain:
-                    for target in map(resolve, neighbors):
-                        if target is not None and (
-                            only_type is None or target.type == only_type
-                        ):
-                            append((values + (target,), multiplicity))
-                    continue
-                for target, eid in zip(map(resolve, neighbors), eids):
-                    if target is None or (
-                        only_type is not None and target.type != only_type
+            crossed = [(row, c.get(row[0][current].vid)) for row in rows for c in columns]
+        else:  # the symbol's one column
+            get = by_type.get(symbol.edge_type, {}).get
+            crossed = zip(rows, map(get, [values[current].vid for values, _ in rows]))
+        for (values, multiplicity), bucket in crossed:
+            if bucket is None:
+                continue
+            neighbors, eids = bucket
+            if plain:
+                for vid in neighbors:
+                    target = resolve(vid)
+                    if target is None:
+                        target = admit(vid, neighbors)
+                    if target is not False and (
+                        only_type is None or target.type == only_type
                     ):
+                        append((values + (target,), multiplicity))
+                continue
+            for vid, eid in zip(neighbors, eids):
+                target = resolve(vid)
+                if target is None:
+                    target = admit(vid, neighbors)
+                if target is False or (
+                    only_type is not None and target.type != only_type
+                ):
+                    continue
+                if edge_var is not None:
+                    edge = edge_of(eid)
+                    if edge_passes is not None and not edge_passes(edge):
                         continue
-                    if edge_var is not None:
-                        edge = edge_of(eid)
-                        if edge_passes is not None and not edge_passes(edge):
-                            continue
-                    if joined is not None and values[joined].vid != target.vid:
-                        continue
-                    extended = values
-                    if rebound is not None:
-                        extended = values[:rebound] + (edge,) + values[rebound + 1:]
-                    elif edge_var is not None:
-                        extended += (edge,)
-                    if joined is None:
-                        extended += (target,)
-                    append((extended, multiplicity))
+                if joined is not None and values[joined].vid != target.vid:
+                    continue
+                extended = values
+                if rebound is not None:
+                    extended = values[:rebound] + (edge,) + values[rebound + 1:]
+                elif edge_var is not None:
+                    extended += (edge,)
+                if joined is None:
+                    extended += (target,)
+                append((extended, multiplicity))
         return new_rows, plan
 
     reverse_targets = _reverse_targets(
@@ -691,7 +718,9 @@ def _evaluate_hop(
     plan = "sdmc-counting" if mode.kind == EngineMode.COUNTING else "enumeration"
     if col is not None:
         col.count("planner.hops_forward")
-    acceptor = _Acceptor(ctx, hop.target, var_filters.get(target_var))
+    resolve, admit, only_type = _admission(
+        ctx, hop.target, var_filters.get(target_var), graph.vertex_getter()
+    )
     cache: Dict[Any, List[Tuple[Vertex, int]]] = {}
     for values, multiplicity in rows:
         source_vid = values[current].vid
@@ -699,9 +728,8 @@ def _evaluate_hop(
         if admitted is None:
             counts = _hop_counts(graph, source_vid, hop, mode)
             admitted = cache[source_vid] = [
-                (target, mult)
-                for vid, mult in counts.items()
-                if (target := acceptor[vid]) is not None
+                (target, counts[target.vid])
+                for target in _admitted(counts, resolve, admit, only_type)
             ]
         for target, mult in admitted:
             if joined is None:
@@ -730,10 +758,11 @@ def _reverse_targets(
     """
     if mode.kind != EngineMode.ENUMERATION:
         return None
-    passes = _bind_filters(ctx, hop.target.var, var_filters.get(hop.target.var))
-    if passes is None or not rows:
+    filters = var_filters.get(hop.target.var)
+    if not filters or not rows:
         return None
-    targets = [v for v in hop.target.candidates(ctx) if passes(v)]
+    admission = _admission(ctx, hop.target, filters, ctx.graph.vertex_getter())
+    targets = _admitted([v.vid for v in hop.target.seed(ctx)], *admission)
     distinct_sources = {values[current].vid for values, _ in rows}
     if len(targets) <= len(distinct_sources):
         return targets

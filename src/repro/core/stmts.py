@@ -192,25 +192,37 @@ class InputBuffer:
     ``adds`` pairs each accumulator instance with (value, multiplicity)
     inputs; ``sets`` records plain assignments.  :meth:`flush` is the
     Reduce phase: assignments first (deterministically, in generation
-    order), then weighted combines.
+    order), then weighted combines, then the private copies the Map
+    kernel folded inputs into early (:meth:`fold_privately`) replace their
+    live accumulators; ``folded`` counts those inputs.
     """
 
     def __init__(self) -> None:
         self._adds: List[Tuple[Accumulator, Any, int]] = []
         self._sets: List[Tuple[Accumulator, Any]] = []
+        self._private: Dict[int, Tuple[Accumulator, Accumulator]] = {}
+        self.folded = 0
 
     def add(self, acc: Accumulator, value: Any, multiplicity: int) -> None:
         self._adds.append((acc, value, multiplicity))
 
-    def set(self, acc: Accumulator, value: Any) -> None:
-        self._sets.append((acc, value))
+    def set(self, acc: Accumulator, value: Any, multiplicity: int = 1) -> None:
+        self._sets.append((acc, value))  # μ copies of an assignment are one
+
+    def fold_privately(self, acc: Accumulator) -> Accumulator:
+        """The private copy of ``acc`` (taken once) the Map kernel folds
+        ``+=`` inputs into at once; never for one the block assigns."""
+        entry = self._private.get(id(acc))
+        if entry is None:
+            entry = self._private[id(acc)] = (acc, acc.copy())
+        return entry[1]
 
     def flush(self) -> None:
         col = _exec.current().col
-        if col is not None and (self._sets or self._adds):
+        if col is not None and (self._sets or self._adds or self.folded):
             # Batched: one count per Reduce phase, not per input.
             col.count("accum.assigns", len(self._sets))
-            col.count("accum.combine_weighted", len(self._adds))
+            col.count("accum.combine_weighted", len(self._adds) + self.folded)
         for acc, value in self._sets:
             acc.assign(value)
         # The bound method is fetched once per run of consecutive inputs
@@ -223,8 +235,9 @@ class InputBuffer:
                 combine = acc.combine_weighted
                 last_acc = acc
             combine(value, multiplicity)
-        self._adds.clear()
-        self._sets.clear()
+        for live, private in self._private.values():
+            vars(live).update(vars(private))  # publish the private state
+        self.clear()
 
     def clear(self) -> None:
         """Discard all buffered inputs without applying them.
@@ -236,9 +249,11 @@ class InputBuffer:
         """
         self._adds.clear()
         self._sets.clear()
+        self._private.clear()
+        self.folded = 0
 
     def __len__(self) -> int:
-        return len(self._adds) + len(self._sets)
+        return len(self._adds) + len(self._sets) + self.folded
 
 
 def foreach_items(value: Any) -> List[Any]:
@@ -258,7 +273,7 @@ class _PostAccumBuffer(InputBuffer):
     """POST_ACCUM's sink: ``+=`` inputs are buffered for the end of the
     clause like any other, a plain assignment takes effect at once."""
 
-    def set(self, acc: Accumulator, value: Any) -> None:
+    def set(self, acc: Accumulator, value: Any, multiplicity: int = 1) -> None:
         acc.assign(value)
 
 

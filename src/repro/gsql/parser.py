@@ -957,8 +957,9 @@ class _Parser:
             left = self._spanned(
                 Binary(op, left, self.parse_expr(precedence + 1)), first
             )
-            if precedence == _COMPARISON:
-                ceiling = _COMPARISON
+            # What binds tighter went into the right operand, so only looser
+            # operators may follow (and no second comparison: not chained).
+            ceiling = precedence + (precedence != _COMPARISON)
 
     def parse_postfix(self) -> Expr:
         tokens = self.tokens

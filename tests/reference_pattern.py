@@ -5,14 +5,15 @@ Rows here are ``(bindings dict, multiplicity)``: a hop extends a row by
 copying its dict, a repeated variable is found by name, chains are joined
 on the names their dicts share.  Pushed-down filters always run as their
 closures (:func:`_bind_filters` below, the bind stage before it learned
-to compare tagged conjuncts inline).  Everything else that is *not* the
-row representation — the target acceptor (``_Acceptor``, fed that
-closure-only bind stage), the per-hop counting (``_hop_counts``), the obs
-touchpoints — is the shipped code, called at the places the old loops
-called it, and adjacency is read through the public ``Graph.steps`` (one
-:class:`Step` and one acceptor probe per crossing, no resolver choice),
-so a difference between the two matchers is a difference in how rows are
-built, ordered or joined, or in what a filter decides.
+to compare tagged conjuncts inline), and hop targets are admitted by the
+memoising acceptor the shipped admission loop replaced
+(``_ClosureAcceptor``, fed that closure-only bind stage).  Everything
+else that is *not* the row representation — the per-hop counting
+(``_hop_counts``), the obs touchpoints — is the shipped code, called at
+the places the old loops called it, and adjacency is read through the
+public ``Graph.steps`` (one :class:`Step` and one acceptor probe per
+crossing), so a difference between the two matchers is a difference in
+how rows are built, ordered or joined, or in what a filter decides.
 """
 
 from repro import _exec
@@ -20,7 +21,6 @@ from repro.core.exprs import EvalEnv, Scope
 from repro.core.pattern import (
     EngineMode,
     TableSource,
-    _Acceptor,
     _hop_counts,
     _is_table_conjunct,
     _join_key,
@@ -46,15 +46,31 @@ def _bind_filters(ctx, var, filters):
     return passes
 
 
-class _ClosureAcceptor(_Acceptor):
-    """The shipped acceptor with its filter test taken from the
-    closure-only bind stage above."""
-
-    __slots__ = ()
+class _ClosureAcceptor(dict):
+    """The memoising target acceptor the engine ran before admission was
+    decided inline, with its filter test taken from the closure-only bind
+    stage above: ``acceptor[vid]`` is the admissible target or None,
+    decided once per distinct vertex, nothing stored when a filter
+    raises."""
 
     def __init__(self, ctx, spec, filters):
-        super().__init__(ctx, spec, None)
+        self._vertex = ctx.graph.vertex
+        pinned = spec._pinned_vertex(ctx)
+        self._pinned = None if pinned is None else pinned.vid
+        self._type, self._vset = spec.restriction(ctx)
         self._passes = _bind_filters(ctx, spec.var, filters)
+
+    def __missing__(self, vid):
+        vertex = self._vertex(vid)
+        if (
+            (self._type is not None and vertex.type != self._type)
+            or (self._pinned is not None and vid != self._pinned)
+            or (self._vset is not None and vertex not in self._vset)
+            or (self._passes is not None and not self._passes(vertex))
+        ):
+            vertex = None
+        self[vid] = vertex
+        return vertex
 
 
 def evaluate_chain(ctx, chain, mode, var_filters=None):
@@ -183,7 +199,7 @@ def _reverse_targets(ctx, hop, rows, mode, var_filters, current_var):
     passes = _bind_filters(ctx, hop.target.var, var_filters.get(hop.target.var))
     if passes is None or not rows:
         return None
-    targets = [v for v in hop.target.candidates(ctx) if passes(v)]
+    targets = [v for v in hop.target.seed(ctx) if passes(v)]
     distinct_sources = {bindings[current_var].vid for bindings, _ in rows}
     if len(targets) <= len(distinct_sources):
         return targets

@@ -446,3 +446,114 @@ def test_a_clean_comparison_never_runs_its_closure():
     lowered.fn = closure_ran
     with pytest.raises(AssertionError, match="closure ran"):
         _bind_filters(ctx, "b", [lowered])(graph.vertex(0))
+
+
+# ----------------------------------------------------------------------
+# The admission loop: every first sight decided inline, as the closures
+# ----------------------------------------------------------------------
+
+def _edge_q(graph, source, value):
+    """``graph`` with the A edge leaving ``source`` given ``q = value``."""
+    edge = next(e for e in graph.edges("A") if e.source == source)
+    edge.attrs["q"] = value
+    return graph
+
+
+def _fan():
+    """0 -A> 1 (``q`` None) and 0 -A> 2 (vertex 2's ``w`` None): one bucket
+    whose first crossing fails its edge filter, its second its target's."""
+    g = Graph()
+    for i, w in enumerate((0, 1, None)):
+        g.add_vertex(i, "P", w=w)
+    g.add_edge(0, 1, "A", q=None)
+    g.add_edge(0, 2, "A", q=1)
+    return g
+
+
+#: name -> (graph factory, chains, filters, pinned params, raises).
+ADMISSION = {
+    "ic5 shape: <HasMember:e ... e.joinDate > n": (
+        _ring, [Chain(VertexSpec("P", "a"), [hop("<A", "_", "b", "e")])],
+        {"e": [_w("e", ">", NameRef("lo"), "q")]}, {}, False,
+    ),
+    "ic11 shape: WorkAt>:w ... w.workFrom < n": (
+        _ring, [Chain(VertexSpec("_", "a"), [hop("A>", "P", "b", "w")])],
+        {"w": [_w("w", "<", 3, "q")], "b": [_w("b", ">=", NameRef("lo"))]}, {}, False,
+    ),
+    "bound edge comparison meets a None attribute": (
+        lambda: _edge_q(_ring(), 1, None),
+        [Chain(VertexSpec("P", "a"), [hop("A>", "_", "b", "w")])],
+        {"w": [_w("w", "<", 3, "q")]}, {}, True,
+    ),
+    "edge error before a later target's error in one bucket": (
+        _fan, [Chain(VertexSpec("_", "a"), [hop("A>", "_", "b", "e")])],
+        {"e": [_w("e", ">=", 0, "q")], "b": [_w("b", "<", 3)]}, {}, True,
+    ),
+    "repeat target behind a raising filter": (
+        lambda: _ring(None), [Chain(VertexSpec("_", "a"), [hop("_>", "_", "b")])],
+        {"b": [_w("b", "<", 3)]}, {}, True,
+    ),
+    "pinned target with a filter": (
+        _ring, [Chain(VertexSpec("P", "a"), [hop("A>", "_", "b")])],
+        {"b": [_w("b", ">=", NameRef("lo"))]}, {"b": 2}, False,
+    ),
+    "vertex-set target with a filter": (
+        _ring, [Chain(VertexSpec("_", "a"), [hop("A>", "S", "b")])],
+        {"b": [_w("b", "!=", 1)]}, {}, False,
+    ),
+    "wildcard hop over several columns": (
+        _ring, [Chain(VertexSpec("P", "a"), [hop("_>", "_", "b"), hop("U", "_", "c")])],
+        {"b": [_w("b", ">", 0)], "c": [_w("c", "<=", 3)]}, {}, False,
+    ),
+    "pinned seed with a filter": (
+        _ring, ONE_HOP, {"a": [_w("a", ">", 0)]}, {"a": 1}, False,
+    ),
+    "vertex-set seed with a raising filter": (
+        lambda: _ring(None), [Chain(VertexSpec("S", "a"), [hop("A>", "_", "b")])],
+        {"a": [_w("a", "<", 3)]}, {}, True,
+    ),
+    "seed and Kleene target, both filtered": (
+        _ring, [Chain(VertexSpec("P", "a"), [hop("(A>|U)*", "_", "b")])],
+        {"a": [_w("a", "<=", 1)], "b": [_w("b", "!=", NameRef("lo"))]}, {}, False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADMISSION))
+def test_admission_decides_as_the_closures(name):
+    make, pattern_chains, filters, pinned, raises = ADMISSION[name]
+    graph = make()
+    members = [graph.vertex(0), graph.vertex(1), graph.vertex(2)]
+    params = {var: graph.vertex(vid) for var, vid in pinned.items()}
+    table, _ = _assert_same(graph, Pattern(pattern_chains), filters, members, params, COUNTING)
+    assert (table is None) == raises
+
+
+def test_a_raising_filter_runs_as_often_as_the_closures(monkeypatch):
+    """Vertex 2 is a target of two rows and its filter raises: both
+    matchers call the filter on the same vertices, in the same order, and
+    stop at the first encounter of 2 — nothing is remembered for it, so a
+    second evaluation calls it again."""
+    from repro.core.exprs import _FUNCTIONS, Call
+
+    calls = []
+
+    def seen(vertex):
+        calls.append(vertex.vid)
+        if vertex.vid == 2:
+            raise QueryRuntimeError("no verdict for 2")
+        return True
+
+    monkeypatch.setitem(_FUNCTIONS, "seen", seen)
+    graph = _ring()
+    pattern = Pattern([Chain(VertexSpec("_", "a"), [hop("_>", "_", "b")])])
+    filters = {"b": [_lowered("b", Call("seen", [NameRef("b")]))]}
+    logs = []
+    for matcher in (reference_pattern.evaluate_pattern, evaluate_pattern):
+        del calls[:]
+        for _ in range(2):
+            with pytest.raises(QueryRuntimeError, match="no verdict for 2"):
+                matcher(_context(graph, [], {}), pattern, COUNTING, filters)
+        logs.append(list(calls))
+    assert logs[0] == logs[1]
+    assert logs[1].count(2) == 2 and logs[1][-1] == 2

@@ -123,7 +123,8 @@ class TestCompilationDocs:
             "**Traversal order**",
         ):
             assert needle in architecture, f"docs/architecture.md lost {needle!r}"
-        assert "**two resolvers**" in compilation
+        assert "**one admission routine**" in compilation
+        assert "two resolvers" not in compilation
         observability = (DOCS / "observability.md").read_text()
         for needle in ("`sdmc.edges_scanned`", "unchanged in meaning and value"):
             assert needle in observability, (

@@ -167,6 +167,7 @@ TEMPLATE = """CREATE QUERY g(int n) {{
 @example("-a * b + c % d - e / f")
 @example("NOT a == b AND c NOT IN d OR NOT NOT e")
 @example("a == b == c")
+@example("v OR v == v == v")
 @example("a < NOT b")
 @example("NOT IN x")
 @example("-(a, b).@acc' IN (c -> d, e)")
