@@ -14,8 +14,9 @@ public surface against a committed baseline:
 1. reuses the verbatim *uninstrumented* SDMC product-BFS reference kernel
    from ``check_obs_overhead.py`` (the hot loop of the counting engine),
 2. interleaves timed blocks of the governed kernel (governor off) with
-   the reference copy over the 30-diamond chain and asserts the median
-   overhead is below the threshold (default 5% — the same bar
+   the reference copy over the 30-diamond chain and asserts the overhead
+   — the median over rounds of the ratio of one round's adjacent blocks —
+   is below the threshold (default 5% — the same bar
    ``check_obs_overhead.py`` holds the collector-off path to),
 3. repeats the comparison with an ``ExecutionGovernor`` carrying an
    unlimited ``Budget`` installed — the "budgeted but generous" case —
@@ -64,16 +65,29 @@ def timed_block(fn, calls):
     return time.perf_counter() - start
 
 
-def interleaved_medians(variants, blocks, calls):
-    """Round-robin the timed variants so slow machine-level drift (thermal,
-    scheduler) lands on all of them equally; return per-variant medians."""
+def interleaved_ratios(variants, blocks, calls):
+    """Time one block of each variant per round and return, for each pair
+    of neighbours in ``variants``, the median over rounds of the ratio of
+    that round's two blocks (later over earlier), plus each variant's
+    median block time.
+
+    Each round reverses the order of the last, so the two blocks of a
+    compared pair always run back to back and each runs first in half the
+    rounds: machine-level drift (thermal, scheduler, a neighbour's load)
+    lands on both sides of a ratio instead of on one variant's median."""
     for fn in variants:  # warm caches (DFA construction, adjacency)
         timed_block(fn, calls)
     times = [[] for _ in variants]
+    order = list(range(len(variants)))
     for _ in range(blocks):
-        for slot, fn in zip(times, variants):
-            slot.append(timed_block(fn, calls))
-    return [statistics.median(slot) for slot in times]
+        for slot in order:
+            times[slot].append(timed_block(variants[slot], calls))
+        order.reverse()
+    ratios = [
+        statistics.median(b / a for a, b in zip(times[i], times[i + 1]))
+        for i in range(len(variants) - 1)
+    ]
+    return ratios, [statistics.median(slot) for slot in times]
 
 
 def qn_downgrade_counters(n):
@@ -183,11 +197,11 @@ def main(argv=None) -> int:
         with govern(timing_gov):
             single_source_sdmc(graph, "v0", darpe)
 
-    med_ref, med_off, med_on = interleaved_medians(
+    (off_ratio, on_ratio), (med_ref, med_off, med_on) = interleaved_ratios(
         [reference, instrumented, governed],
         args.blocks, args.calls_per_block)
-    off_overhead = med_off / med_ref - 1.0
-    on_overhead = med_on / med_off - 1.0
+    off_overhead = off_ratio - 1.0
+    on_overhead = on_ratio - 1.0
 
     per_call_us = med_ref / args.calls_per_block * 1e6
     print(f"reference kernel        : {per_call_us:8.1f} us/call (median of "

@@ -34,6 +34,8 @@ class TupleType:
 
     def make(self, *args: Any, **kwargs: Any) -> "TupleValue":
         """Construct a value positionally and/or by keyword."""
+        if not kwargs and len(args) == len(self.field_names):
+            return TupleValue(self, args)
         values = list(args)
         if len(values) > len(self.field_names):
             raise AccumulatorError(

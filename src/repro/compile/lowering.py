@@ -320,16 +320,19 @@ def _compile_accum_update(
             ):
                 # Fold into a block-private copy at once, in the order the
                 # Reduce would: an input the full copy cannot take leaves no
-                # buffered triple and costs no combine call.
+                # buffered triple and costs no combine call — most are
+                # dropped on one raw comparison of their first sort field.
                 heap = buffer.fold_privately(acc)
-                rejects, combine = heap.rejects, heap.combine_weighted
+                rejects, insert = heap.rejects, heap.insert
+                combine = heap.combine_weighted
 
                 def run(env: EvalEnv, multiplicity: int) -> None:
                     value = value_fn(env)
                     buffer.folded += 1
-                    if multiplicity > 0 and rejects(value):
-                        return
-                    combine(value, multiplicity)
+                    if multiplicity <= 0:
+                        combine(value, multiplicity)  # nothing, or its error
+                    elif not rejects(value):
+                        insert(value, multiplicity)
 
                 return run
 
@@ -410,9 +413,9 @@ class CompiledBlock(SelectBlock):
 
     One execution runs, in order: governor tick, AUTO resolution,
     degradation ladder, tractability check, primed capture, pattern
-    span, residual filter, acc-execution charge, per-row fault site,
+    span, residual WHERE span, acc-execution charge, per-row fault site,
     Map/Reduce spans, AccSan replay, POST_ACCUM, memory check,
-    fragments, vertex-set result.  The planning that does not depend on
+    fragments, vertex-set span.  The planning that does not depend on
     the execution (pushdown split, primed-name collection, POST_ACCUM
     dependency analysis, the slot of every pattern variable) happens
     here, once, at lowering time.  ``outer`` is the scope around the
@@ -601,17 +604,24 @@ class CompiledBlock(SelectBlock):
         residual_fns = self._residual_fns
         if residual_fns:
             before = len(rows)
-            env = EvalEnv(ctx, None, None, primed)
-            kept = []
-            for row in rows:
-                env.row = row[0]
-                for fn in residual_fns:
-                    if not fn(env):
-                        break
-                else:
-                    kept.append(row)
+            if col is not None:
+                where_span = col.span("where", rows_in=before)
+            try:
+                env = EvalEnv(ctx, None, None, primed)
+                kept = []
+                for row in rows:
+                    env.row = row[0]
+                    for fn in residual_fns:
+                        if not fn(env):
+                            break
+                    else:
+                        kept.append(row)
+            finally:
+                if col is not None:
+                    col.close(where_span)
             rows = kept
             if col is not None:
+                where_span.set(rows_out=len(rows))
                 col.count("block.rows_filtered_residual", before - len(rows))
 
         if self._map_bind is not None:
@@ -682,11 +692,20 @@ class CompiledBlock(SelectBlock):
         for fragment in self.fragments:
             self._emit_fragment(ctx, fragment, rows, primed)
 
-        if self.select_var is not None:
-            return self._vertex_set_result(
+        if self.select_var is None:
+            return None
+        if col is not None:
+            set_span = col.span("vertex_set")
+        try:
+            result = self._vertex_set_result(
                 ctx, rows, primed, self._select_slot, self._set_order_by
             )
-        return None
+        finally:
+            if col is not None:
+                col.close(set_span)
+        if col is not None:
+            set_span.set(vertices=len(result))
+        return result
 
 
 # ----------------------------------------------------------------------
@@ -998,22 +1017,15 @@ def compile_query(
 ) -> CompiledQuery:
     """Lower an analyzed query into a :class:`CompiledQuery`.
 
-    Builds (or reuses) the PR 3 analysis model first, so a compiled
-    plan's warm executions never re-enter the analysis layer — the
-    ``analysis.model_builds`` counter is charged here, at compile time.
+    Lowering builds no analysis model: it consumes the certificates the
+    parser stamped on the blocks, and the plan's readers (``cost_for``,
+    the worker's lint) use the schema-free model the parser built.
+    ``schema`` names the graph schema the plan is cached under; lowering
+    itself reads nothing from it.
     """
     col = _exec.current().col
     span = col.span("compile", label=f"COMPILE {query.name}") if col else None
     try:
-        try:
-            from ..analysis.model import cached_model
-
-            cached_model(query, schema)
-        except Exception:
-            # Lowering must not fail because the model builder cannot
-            # digest an exotic programmatic query; certificates on the
-            # blocks (stamped at parse time) are what lowering consumes.
-            pass
         stats = CompileStats()
         decl_types = _collect_decl_types(query.statements)
         scope = Scope(params=[param.name for param in query.params])

@@ -680,10 +680,16 @@ class TupleExpr(Expr):
         yield from self.items
 
     def closure(self, scope):
-        built = tuple(item.closure(scope) for item in self.items)
-        item_fns = tuple(fn for fn, _ in built)
+        # A triple — the shape of a top-k heap input such as IC9's
+        # (creationDate, length, lastName) — is built in one display that
+        # calls the item closures directly, left to right.
+        built = [item.closure(scope) for item in self.items]
+        fns = [fn for fn, _ in built]
         const = all(c for _, c in built)
-        return (lambda env: tuple([fn(env) for fn in item_fns])), const
+        if len(fns) == 3:
+            a, b, c = fns
+            return (lambda env: (a(env), b(env), c(env))), const
+        return (lambda env: tuple([fn(env) for fn in fns])), const
 
     def __repr__(self) -> str:
         return f"({', '.join(map(repr, self.items))})"

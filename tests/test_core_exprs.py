@@ -3,6 +3,8 @@
 import pytest
 
 from repro.accum import SumAccum
+from repro.compile import CompileStats
+from repro.compile.exprc import compile_closure
 from repro.core import (
     AggCall,
     ArrowExpr,
@@ -23,6 +25,7 @@ from repro.core import (
 )
 from repro.core.context import GLOBAL, VERTEX, AccumDecl
 from repro.core.exprs import (
+    Scope,
     contains_aggregate,
     primed_accum_names,
     referenced_names,
@@ -221,6 +224,73 @@ class TestCompositeExprs:
 
     def test_case_no_default_is_none(self, env):
         assert CaseExpr([(Literal(False), Literal(1))], None).eval(env) is None
+
+
+class TestTupleExpr:
+    """A tuple literal's closure builds a triple in one display and any
+    other arity in a loop; either way its items run once each, left to
+    right, and the first item that raises is the error."""
+
+    @staticmethod
+    def _lowered(ctx, expr, stats=None):
+        fn, const = compile_closure(expr, stats, Scope(["v"]))
+        env = EvalEnv(ctx)
+        env.row = (ctx.graph.vertex(1),)
+        return fn, const, env
+
+    @staticmethod
+    def _probe(seen):
+        register_function("_tuple_probe", lambda i: seen.append(i) or i)
+        return lambda i: Call("_tuple_probe", [Literal(i)])
+
+    @pytest.mark.parametrize("arity", range(6))
+    def test_items_run_once_each_left_to_right(self, ctx, arity):
+        seen = []
+        probe = self._probe(seen)
+        fn, const, env = self._lowered(ctx, TupleExpr([probe(i) for i in range(arity)]))
+        assert fn(env) == tuple(range(arity))
+        assert seen == list(range(arity))
+        assert const is (arity == 0)
+
+    @pytest.mark.parametrize("arity", range(1, 6))
+    def test_the_first_raising_item_is_the_error(self, ctx, arity):
+        for bad in range(arity):
+            seen = []
+            probe = self._probe(seen)
+            items = [probe(i) for i in range(arity)]
+            items[bad] = AttrRef(NameRef("v"), f"missing{bad}")
+            if bad + 1 < arity:
+                items[bad + 1] = AttrRef(NameRef("v"), "later")
+            fn, _, env = self._lowered(ctx, TupleExpr(items))
+            with pytest.raises(QueryRuntimeError, match=f"'missing{bad}'"):
+                fn(env)
+            assert seen == list(range(bad))
+
+    def test_nested_tuples(self, ctx):
+        expr = TupleExpr([
+            AttrRef(NameRef("v"), "name"),
+            TupleExpr([Literal(1), TupleExpr([NameRef("v")])]),
+            Literal(2.5),
+        ])
+        fn, const, env = self._lowered(ctx, expr)
+        assert fn(env) == ("one", (1, (ctx.graph.vertex(1),)), 2.5)
+        assert not const
+
+    @pytest.mark.parametrize("arity", [1, 3, 5])
+    def test_constant_tuples_fold_once(self, ctx, arity):
+        stats = CompileStats()
+        items = [TupleExpr([Literal(i), Literal("x")]) for i in range(arity)]
+        fn, const, env = self._lowered(ctx, TupleExpr(items), stats)
+        assert const and stats.constants_folded == 1
+        assert fn(env) == tuple((i, "x") for i in range(arity))
+
+    def test_a_constant_tuple_that_raises_is_not_folded(self, ctx):
+        stats = CompileStats()
+        expr = TupleExpr([Literal(1), Binary("/", Literal(1), Literal(0)), Literal(2)])
+        fn, const, env = self._lowered(ctx, expr, stats)
+        assert not const and stats.constants_folded == 0
+        with pytest.raises(QueryRuntimeError, match="division by zero"):
+            fn(env)
 
 
 class TestAggCall:

@@ -245,3 +245,38 @@ class TestFrontEndSpans:
         [parse] = col.roots
         assert parse.name == "parse" and parse.children == []
         assert col._stack == []
+
+
+class TestBlockPhaseSpans:
+    QUERY = (
+        "CREATE QUERY q() { SumAccum<int> @@n; "
+        "S = SELECT t FROM V:s -(E>)- V:t WHERE s.name < t.name ACCUM @@n += 1; "
+        "PRINT S.size(); }"
+    )
+
+    def test_residual_where_and_vertex_set_have_spans(self):
+        from repro.gsql import parse_query
+
+        graph = builders.diamond_chain(3)
+        query = parse_query(self.QUERY)
+        col = Collector()
+        with collect(col):
+            result = query.run(graph)
+        [block] = [s for s in col.spans() if s.name == "select_block"]
+        names = [child.name for child in block.children]
+        assert names == ["pattern", "where", "accum_map", "accum_reduce", "vertex_set"]
+        where, vertex_set = block.children[1], block.children[4]
+        rows_in = col.counter("block.binding_rows")
+        assert where.attrs == {
+            "rows_in": rows_in,
+            "rows_out": rows_in - col.counter("block.rows_filtered_residual"),
+        }
+        assert 0 < where.attrs["rows_out"] < rows_in
+        assert vertex_set.attrs == {"vertices": result.printed[0]["S.size()"]}
+
+    def test_a_block_without_residual_conjuncts_has_no_where_span(self):
+        col = Collector()
+        with collect(col):
+            path_count_query().run(builders.diamond_chain(2), srcName="v0", tgtName="v2")
+        assert "where" not in [s.name for s in col.spans()]
+        assert "vertex_set" in [s.name for s in col.spans()]

@@ -199,8 +199,8 @@ class TestOnlyWhatTheReplyUses:
     # The worker's front end does only work its reply reads: the parser
     # stamps no cost certificate (the cost screen, its one reader in the
     # worker, stamps it against the graph), the lint runs the
-    # error-severity rules only, and the schema-free and schema-carrying
-    # models of one query are built once each.
+    # error-severity rules only, and one query's analysis model is built
+    # once, schema-free, by the parse (lowering builds none).
 
     GRAPHS = {"default": builders.diamond_chain(6)}
 
@@ -226,10 +226,10 @@ class TestOnlyWhatTheReplyUses:
         assert reply["counters"]["cost.analyses"] == 1
 
     def test_models_are_built_once_per_schema(self):
-        # parse (schema-free certificates), lower (under the graph's
-        # schema), lint (schema-free): two builds, not three ...
+        # parse (schema-free certificates) builds the one model; lowering
+        # (under the graph's schema) builds none and the lint reuses it ...
         reply = execute_job(self._job(never_seen_text()), self.GRAPHS)
-        assert reply["counters"]["analysis.model_builds"] == 2
+        assert reply["counters"]["analysis.model_builds"] == 1
         # ... and lowering and linting the same query again build none.
         from repro.analysis import analyze
         from repro.compile import compile_query
@@ -245,7 +245,7 @@ class TestOnlyWhatTheReplyUses:
         with collect(again):
             compile_query(query, schema=self.GRAPHS["default"].schema)
             analyze(query, schema=None, source=text)
-        assert first.counters["analysis.model_builds"] == 2
+        assert first.counters["analysis.model_builds"] == 1
         assert "analysis.model_builds" not in again.counters
 
     def test_broken_corpus_gets_the_same_error_diagnostics(self):
