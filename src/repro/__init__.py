@@ -17,28 +17,14 @@ Graph Analytics in TigerGraph* (Deutsch, Xu, Wu, Lee — SIGMOD 2020):
   fault injection (:mod:`repro.governor`);
 * compiled execution: closure-lowered plans behind an LRU plan cache
   (:mod:`repro.compile`).
+
+Every name below is resolved on first use (see :mod:`repro._lazy`), so
+``import repro`` imports none of the subpackages.
 """
 
-__version__ = "1.0.0"
+from ._lazy import exports as _exports
 
-from . import accum, algorithms, bench, compile, core, darpe, enumeration, governor, graph, gsql, ldbc, paths, sqlstyle
-from .compile import CompiledQuery, compile_query, compile_query_text, plan_cache
-from .errors import (
-    AccumulatorError,
-    DarpeSyntaxError,
-    EvaluationBudgetExceeded,
-    GraphError,
-    GSQLSyntaxError,
-    InjectedFault,
-    QueryAbortedError,
-    QueryCompileError,
-    QueryRuntimeError,
-    ReproError,
-    SchemaError,
-    TractabilityError,
-)
-from .graph import Graph, GraphSchema
-from .paths import PathSemantics
+__version__ = "1.0.0"
 
 __all__ = [
     "__version__",
@@ -75,3 +61,17 @@ __all__ = [
     "EvaluationBudgetExceeded",
     "InjectedFault",
 ]
+
+__getattr__, __dir__ = _exports(__name__, {
+    ".compile": (
+        "CompiledQuery", "compile_query", "compile_query_text", "plan_cache",
+    ),
+    ".errors": (
+        "AccumulatorError", "DarpeSyntaxError", "EvaluationBudgetExceeded",
+        "GraphError", "GSQLSyntaxError", "InjectedFault", "QueryAbortedError",
+        "QueryCompileError", "QueryRuntimeError", "ReproError", "SchemaError",
+        "TractabilityError",
+    ),
+    ".graph": ("Graph", "GraphSchema"),
+    ".paths": ("PathSemantics",),
+})

@@ -4,22 +4,7 @@ All built-in accumulator types, the tuple machinery used by Heap/GroupBy
 accumulators, and the extensibility registry.
 """
 
-from .algebra import TABLE as OP_ALGEBRA_TABLE
-from .algebra import OpAlgebra, algebra_for, classify, digest_value
-from .base import Accumulator
-from .collections_ import ArrayAccum, BagAccum, ListAccum, SetAccum
-from .groupby import GroupByAccum
-from .heap import ASC, DESC, HeapAccum
-from .logical import AndAccum, BitwiseAndAccum, BitwiseOrAccum, OrAccum
-from .mapaccum import MapAccum
-from .numeric import AvgAccum, MaxAccum, MinAccum, SumAccum
-from .registry import (
-    accumulator_from_combiner,
-    lookup_accumulator,
-    register_accumulator,
-    unregister_accumulator,
-)
-from .tuples import TupleType, TupleValue, coerce_tuple
+from .._lazy import exports as _exports
 
 __all__ = [
     "Accumulator",
@@ -53,3 +38,22 @@ __all__ = [
     "classify",
     "digest_value",
 ]
+
+__getattr__, __dir__ = _exports(__name__, {
+    ".algebra": (
+        "OP_ALGEBRA_TABLE", "OpAlgebra", "algebra_for", "classify",
+        "digest_value",
+    ),
+    ".base": ("Accumulator",),
+    ".collections_": ("ArrayAccum", "BagAccum", "ListAccum", "SetAccum"),
+    ".groupby": ("GroupByAccum",),
+    ".heap": ("ASC", "DESC", "HeapAccum"),
+    ".logical": ("AndAccum", "BitwiseAndAccum", "BitwiseOrAccum", "OrAccum"),
+    ".mapaccum": ("MapAccum",),
+    ".numeric": ("AvgAccum", "MaxAccum", "MinAccum", "SumAccum"),
+    ".registry": (
+        "accumulator_from_combiner", "lookup_accumulator",
+        "register_accumulator", "unregister_accumulator",
+    ),
+    ".tuples": ("TupleType", "TupleValue", "coerce_tuple"),
+})

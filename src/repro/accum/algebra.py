@@ -153,6 +153,8 @@ TABLE: Dict[str, OpAlgebra] = {
                   caveat="holds for order-invariant aggregate columns only"),
     ]
 }
+#: :data:`TABLE` under the name :mod:`repro.accum` exports it as.
+OP_ALGEBRA_TABLE = TABLE
 
 
 def algebra_for(kind: str, element: Optional[str] = None) -> Optional[OpAlgebra]:

@@ -1,22 +1,7 @@
 """Graph algorithms written against the query engine (Section 5: the
 iterative-analytics class GSQL's accumulators + control flow cover)."""
 
-from .centrality import closeness_centrality, degree_centrality, harmonic_centrality
-from .communities import community_sizes, label_propagation
-from .components import component_sizes, wcc_query, weakly_connected_components
-from .gsql_library import (
-    common_neighbor_counts,
-    degree_histogram,
-    k_hop_reach,
-    wcc_labels_gsql,
-)
-from .kcore import core_numbers, k_core
-from .shortest_weighted import shortest_path_lengths, sssp_query
-from .similarity import cosine_similarity, jaccard_similarity, log_cosine_similarity
-from .pagerank import pagerank, pagerank_query
-from .recommender import recommend, topk_query
-from .traversal import bfs_levels, hop_distances_reference, path_count, path_count_query
-from .triangles import triangle_count, triangle_query
+from .._lazy import exports as _exports
 
 __all__ = [
     "closeness_centrality",
@@ -49,3 +34,29 @@ __all__ = [
     "triangle_count",
     "triangle_query",
 ]
+
+__getattr__, __dir__ = _exports(__name__, {
+    ".centrality": (
+        "closeness_centrality", "degree_centrality", "harmonic_centrality",
+    ),
+    ".communities": ("community_sizes", "label_propagation"),
+    ".components": (
+        "component_sizes", "wcc_query", "weakly_connected_components",
+    ),
+    ".gsql_library": (
+        "common_neighbor_counts", "degree_histogram", "k_hop_reach",
+        "wcc_labels_gsql",
+    ),
+    ".kcore": ("core_numbers", "k_core"),
+    ".shortest_weighted": ("shortest_path_lengths", "sssp_query"),
+    ".similarity": (
+        "cosine_similarity", "jaccard_similarity", "log_cosine_similarity",
+    ),
+    ".pagerank": ("pagerank", "pagerank_query"),
+    ".recommender": ("recommend", "topk_query"),
+    ".traversal": (
+        "bfs_levels", "hop_distances_reference", "path_count",
+        "path_count_query",
+    ),
+    ".triangles": ("triangle_count", "triangle_query"),
+})

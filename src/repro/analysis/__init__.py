@@ -12,32 +12,7 @@ This package imports only from :mod:`repro.core` (never from
 descriptors without an import cycle.
 """
 
-from .analyzer import analyze, error_count, run_rules
-from .cfg import CFG, CFGNode, build_cfg
-from .dataflow import DataflowResult, analyze_dataflow, block_certificates
-from .effects import (
-    AccumEffect,
-    EffectsResult,
-    EffectSummary,
-    ReadEffect,
-    analyze_effects,
-    block_effects,
-)
-from .diagnostics import (
-    Diagnostic,
-    Severity,
-    apply_suppressions,
-    caret_excerpt,
-)
-from .model import QueryModel, build_model, cached_model
-from .rules import (
-    Rule,
-    all_rules,
-    catalog_codes,
-    register,
-    rule_catalog,
-)
-from .types import TypeEnv, infer_type
+from .._lazy import exports as _exports
 
 __all__ = [
     "analyze",
@@ -70,3 +45,21 @@ __all__ = [
     "TypeEnv",
     "infer_type",
 ]
+
+__getattr__, __dir__ = _exports(__name__, {
+    ".analyzer": ("analyze", "error_count", "run_rules"),
+    ".cfg": ("CFG", "CFGNode", "build_cfg"),
+    ".dataflow": ("DataflowResult", "analyze_dataflow", "block_certificates"),
+    ".effects": (
+        "AccumEffect", "EffectsResult", "EffectSummary", "ReadEffect",
+        "analyze_effects", "block_effects",
+    ),
+    ".diagnostics": (
+        "Diagnostic", "Severity", "apply_suppressions", "caret_excerpt",
+    ),
+    ".model": ("QueryModel", "build_model", "cached_model"),
+    ".rules": (
+        "Rule", "all_rules", "catalog_codes", "register", "rule_catalog",
+    ),
+    ".types": ("TypeEnv", "infer_type"),
+})

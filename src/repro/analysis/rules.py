@@ -44,6 +44,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple, Type
 
 from ..core.exprs import NameRef
 from .diagnostics import Diagnostic, Severity
+from .effects import analyze_effects
 from .model import (
     AccumReadFact,
     AccumWriteFact,
@@ -697,8 +698,6 @@ class ParallelUnsafeUpdateRule(Rule):
     )
 
     def check(self, model: QueryModel) -> Iterator[Diagnostic]:
-        from .effects import analyze_effects
-
         for write in analyze_effects(model).unsafe_writes:
             yield self.diag(
                 f"@@{write.name} = … inside ACCUM is last-write-wins over "
@@ -727,7 +726,6 @@ class OrderDependentBlockRule(Rule):
 
     def check(self, model: QueryModel) -> Iterator[Diagnostic]:
         from ..core.tractable import DeterminismStatus
-        from .effects import analyze_effects
 
         for block_fact, _summary, cert in analyze_effects(model).blocks:
             if cert.status is not DeterminismStatus.ORDER_DEPENDENT:
@@ -760,8 +758,6 @@ class CrossAccumInterferenceRule(Rule):
     )
 
     def check(self, model: QueryModel) -> Iterator[Diagnostic]:
-        from .effects import analyze_effects
-
         for finding in analyze_effects(model).interference:
             via = finding.read_var or "?"
             writers = ", ".join(

@@ -70,24 +70,14 @@ import re
 import sys
 from typing import Any, List, Optional, Tuple
 
-from .core.explain import explain_query
-from .core.pattern import EngineMode
-from .core.values import Table
-from .darpe.automaton import CompiledDarpe
-from .enumeration import match_counts
 from .errors import EXIT_ABORT, EXIT_ACCSAN, EXIT_OK, EXIT_USAGE
-from .graph.io import load_graph_json, save_graph_json
-from .gsql import parse_query
-from .ldbc import generate_snb_graph
-from .paths import PathSemantics, single_source_sdmc
 
-_ENGINES = {
-    "counting": lambda: EngineMode.counting(),
-    "auto": lambda: EngineMode.auto(),
-    "nre": lambda: EngineMode.enumeration(PathSemantics.NO_REPEATED_EDGE),
-    "nrv": lambda: EngineMode.enumeration(PathSemantics.NO_REPEATED_VERTEX),
-    "asp-enum": lambda: EngineMode.enumeration(PathSemantics.ALL_SHORTEST),
-}
+# Each subcommand imports what it runs inside its handler: ``import
+# repro.cli`` and ``--help`` compile no engine module, and ``repro serve``
+# none of the algorithm library, generator or baselines.
+
+#: ``--engine`` choices (:data:`repro.core.pattern.EngineMode.NAMES`).
+_ENGINES = ("asp-enum", "auto", "counting", "nre", "nrv")
 
 
 def _parse_param(text: str) -> tuple:
@@ -120,6 +110,8 @@ def _read_source(path: str) -> str:
 
 def _load_query(path: str):
     """Read and parse a ``CREATE QUERY`` file via :func:`_read_source`."""
+    from .gsql.parser import parse_query
+
     return parse_query(_read_source(path))
 
 
@@ -131,6 +123,7 @@ def _load_graph(path: str):
     path/line already in the message, so this just routes it to stderr.
     """
     from .errors import GraphError
+    from .graph.io import load_graph_json
 
     try:
         return load_graph_json(path)
@@ -160,6 +153,8 @@ def _recover_graph_or_exit(wal_dir: str, base: Any):
 
 
 def _print_value(value: Any) -> str:
+    from .core.values import Table
+
     if isinstance(value, Table):
         lines = ["  " + " | ".join(value.columns)]
         for row in value:
@@ -224,6 +219,7 @@ def _print_abort(exc) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     import contextlib
 
+    from .core.pattern import EngineMode
     from .errors import AccSanViolation, QueryAbortedError
     from .governor import govern
 
@@ -231,7 +227,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.wal_dir:
         graph = _recover_graph_or_exit(args.wal_dir, graph)
     query = _load_query(args.query_file)
-    mode = _ENGINES[args.engine]()
+    mode = EngineMode.named(args.engine)
     params = dict(args.param or [])
     governor = _build_governor(args, graph=graph, query=query)
     sanitizer_scope: Any = contextlib.nullcontext(None)
@@ -270,6 +266,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_explain(args: argparse.Namespace) -> int:
     from .analysis.cost import analyze_cost
     from .analysis.model import cached_model
+    from .core.explain import explain_query
 
     schema, stats = _load_lint_schema(
         getattr(args, "graph", None), with_stats=True
@@ -296,11 +293,12 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    from .core.pattern import EngineMode
     from .obs import profile_query
 
     graph = _load_graph(args.graph)
     query = _load_query(args.query_file)
-    mode = _ENGINES[args.engine]()
+    mode = EngineMode.named(args.engine)
     params = dict(args.param or [])
     governor = _build_governor(args, graph=graph, query=query)
     # Stamp closed-form cost certificates so the report's predicted-vs-
@@ -684,6 +682,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_generate_snb(args: argparse.Namespace) -> int:
+    from .graph.io import save_graph_json
+    from .ldbc.generator import generate_snb_graph
+
     graph = generate_snb_graph(scale_factor=args.scale, seed=args.seed)
     save_graph_json(graph, args.output)
     summary = graph.summary()
@@ -745,6 +746,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_semantics(args: argparse.Namespace) -> int:
+    from .darpe.automaton import CompiledDarpe
+    from .enumeration.engine import match_counts
+    from .paths.sdmc import single_source_sdmc
+    from .paths.semantics import PathSemantics
+
     graph = _load_graph(args.graph)
     darpe = CompiledDarpe.parse(args.darpe)
     source: Any = args.source
@@ -777,6 +783,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         MutationError,
         WalCorruptionError,
     )
+    from .graph.io import save_graph_json
     from .graph.mutation import GraphStore, MutationBatch
 
     if not args.graph and not args.wal_dir:
@@ -860,6 +867,8 @@ def cmd_fsck(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .paths.semantics import PathSemantics
+
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -915,7 +924,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay this write-ahead log over the graph before running "
              "(read-only: a torn tail is skipped, not healed)",
     )
-    run_p.add_argument("--engine", choices=sorted(_ENGINES), default="counting")
+    run_p.add_argument("--engine", choices=_ENGINES, default="counting")
     run_p.add_argument(
         "--param", action="append", type=_parse_param, metavar="NAME=VALUE"
     )
@@ -947,7 +956,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile_p.add_argument("query_file")
     profile_p.add_argument("--graph", required=True)
-    profile_p.add_argument("--engine", choices=sorted(_ENGINES), default="counting")
+    profile_p.add_argument("--engine", choices=_ENGINES, default="counting")
     profile_p.add_argument(
         "--param", action="append", type=_parse_param, metavar="NAME=VALUE"
     )

@@ -12,20 +12,7 @@ See ``docs/compilation.md`` for the pipeline, cache keying rules and
 the kernel catalog.
 """
 
-from .cache import (
-    DEFAULT_CAPACITY,
-    PlanCache,
-    compile_query_text,
-    plan_cache,
-    reset_plan_cache,
-)
-from .exprc import CompiledExpr, CompileStats, compile_expr
-from .lowering import (
-    CompiledBlock,
-    CompiledQuery,
-    compile_block,
-    compile_query,
-)
+from .._lazy import exports as _exports
 
 __all__ = [
     "CompileStats",
@@ -41,3 +28,14 @@ __all__ = [
     "plan_cache",
     "reset_plan_cache",
 ]
+
+__getattr__, __dir__ = _exports(__name__, {
+    ".cache": (
+        "DEFAULT_CAPACITY", "PlanCache", "compile_query_text", "plan_cache",
+        "reset_plan_cache",
+    ),
+    ".exprc": ("CompiledExpr", "CompileStats", "compile_expr"),
+    ".lowering": (
+        "CompiledBlock", "CompiledQuery", "compile_block", "compile_query",
+    ),
+})

@@ -36,6 +36,7 @@ import threading
 from collections import OrderedDict
 from typing import Optional, Tuple
 
+from ..gsql.parser import parse_query
 from ..obs import count as _count
 from .lowering import CompiledQuery, compile_query
 
@@ -117,8 +118,6 @@ class PlanCache:
         plan = self.lookup(text, schema, flags)
         if plan is not None:
             return plan
-        from ..gsql import parse_query
-
         query = parse_query(text)
         plan = compile_query(query, schema=schema, flags=flags)
         plan.cache_status = "miss"

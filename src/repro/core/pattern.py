@@ -127,6 +127,29 @@ class EngineMode:
         """
         return cls(cls.AUTO, semantics, budget=budget, max_length=max_length)
 
+    #: The engine names ``repro run --engine`` and a service request's
+    #: ``"engine"`` accept, resolved by :meth:`named`.
+    NAMES = ("asp-enum", "auto", "counting", "nre", "nrv")
+
+    @classmethod
+    def named(cls, name: str) -> "EngineMode":
+        """The mode one of :data:`NAMES` stands for; ``ValueError``
+        for any other name."""
+        if name == "counting":
+            return cls.counting()
+        if name == "auto":
+            return cls.auto()
+        semantics = {
+            "nre": PathSemantics.NO_REPEATED_EDGE,
+            "nrv": PathSemantics.NO_REPEATED_VERTEX,
+            "asp-enum": PathSemantics.ALL_SHORTEST,
+        }.get(name)
+        if semantics is None:
+            raise ValueError(
+                f"unknown engine {name!r}; known: {', '.join(cls.NAMES)}"
+            )
+        return cls.enumeration(semantics)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"EngineMode({self.kind}, {self.semantics.value})"
 

@@ -5,22 +5,7 @@ fixed-unique-length detection) and compilation to automata
 (:class:`CompiledDarpe`), per Section 2 of the paper.
 """
 
-from .ast import (
-    Alt,
-    Concat,
-    DarpeNode,
-    Epsilon,
-    Repeat,
-    Star,
-    Symbol,
-    contains_kleene,
-    fixed_unique_length,
-    length_range,
-    normalize,
-    symbols,
-)
-from .automaton import NFA, AdornedSymbol, CompiledDarpe, LazyDFA, compile_nfa
-from .parser import parse_darpe
+from .._lazy import exports as _exports
 
 __all__ = [
     "Alt",
@@ -42,3 +27,15 @@ __all__ = [
     "compile_nfa",
     "parse_darpe",
 ]
+
+__getattr__, __dir__ = _exports(__name__, {
+    ".ast": (
+        "Alt", "Concat", "DarpeNode", "Epsilon", "Repeat", "Star", "Symbol",
+        "contains_kleene", "fixed_unique_length", "length_range", "normalize",
+        "symbols",
+    ),
+    ".automaton": (
+        "NFA", "AdornedSymbol", "CompiledDarpe", "LazyDFA", "compile_nfa",
+    ),
+    ".parser": ("parse_darpe",),
+})

@@ -15,15 +15,7 @@ soft-stop).  See ``docs/robustness.md``.
 harness used by the chaos suite.
 """
 
-from . import faults
-from .budget import AbortReason, Budget
-from .governor import (
-    CancelToken,
-    ExecutionGovernor,
-    active,
-    estimate_accum_bytes,
-    govern,
-)
+from .._lazy import exports as _exports
 
 __all__ = [
     "AbortReason",
@@ -35,3 +27,11 @@ __all__ = [
     "govern",
     "faults",
 ]
+
+__getattr__, __dir__ = _exports(__name__, {
+    ".budget": ("AbortReason", "Budget"),
+    ".governor": (
+        "CancelToken", "ExecutionGovernor", "active", "estimate_accum_bytes",
+        "govern",
+    ),
+})

@@ -1,18 +1,7 @@
 """Property-graph substrate: schemas, graphs, example-graph builders,
 and the durable mutation layer (WAL, epoch snapshots, fsck)."""
 
-from .elements import FORWARD, REVERSE, UNDIRECTED, Edge, Step, Vertex, adorn
-from .graph import Graph, induced_subgraph
-from .schema import AttributeDecl, EdgeType, GraphSchema, VertexType
-from .mutation import (
-    GraphStore,
-    MutationBatch,
-    RecoveryReport,
-    recover_graph,
-)
-from .fsck import FsckReport, fsck_graph
-from .wal import WriteAheadLog, scan_wal
-from . import builders, fsck, io, mutation, stats, wal
+from .._lazy import exports as _exports
 
 __all__ = [
     "FORWARD",
@@ -43,3 +32,16 @@ __all__ = [
     "stats",
     "wal",
 ]
+
+__getattr__, __dir__ = _exports(__name__, {
+    ".elements": (
+        "FORWARD", "REVERSE", "UNDIRECTED", "Edge", "Step", "Vertex", "adorn",
+    ),
+    ".graph": ("Graph", "induced_subgraph"),
+    ".schema": ("AttributeDecl", "EdgeType", "GraphSchema", "VertexType"),
+    ".mutation": (
+        "GraphStore", "MutationBatch", "RecoveryReport", "recover_graph",
+    ),
+    ".fsck": ("FsckReport", "fsck_graph"),
+    ".wal": ("WriteAheadLog", "scan_wal"),
+})

@@ -106,6 +106,11 @@ class Graph:
     # ------------------------------------------------------------------
     def add_vertex(self, vid: Any, vtype: str, **attrs: Any) -> Vertex:
         """Insert a vertex; raises :class:`GraphError` on duplicate id."""
+        return self._insert_vertex(vid, vtype, attrs)
+
+    def _insert_vertex(self, vid: Any, vtype: str, attrs: Dict[str, Any]) -> Vertex:
+        # The one vertex insertion: add_vertex and the JSON loader, which
+        # passes each parsed attribute object as it is (no ** repacking).
         if vid in self._vertices:
             raise GraphError(f"vertex id {vid!r} already exists")
         if self.schema is not None:
@@ -135,6 +140,17 @@ class Graph:
         ``directed`` defaults to the schema's declaration when a schema is
         present, and to ``True`` otherwise.
         """
+        return self._insert_edge(source, target, etype, directed, attrs)
+
+    def _insert_edge(
+        self,
+        source: Any,
+        target: Any,
+        etype: str,
+        directed: Optional[bool],
+        attrs: Dict[str, Any],
+    ) -> Edge:
+        # The one edge insertion, shared like _insert_vertex.
         src = self.vertex(source)
         tgt = self.vertex(target)
         if self.schema is not None:

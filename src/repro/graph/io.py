@@ -8,7 +8,9 @@ including its schema-free/schema'd status.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import gc
 import json
 import os
 import tempfile
@@ -18,6 +20,7 @@ from typing import Any, Dict, List, Optional, Union
 from ..errors import GraphError, ReproError
 from .graph import Graph
 from .schema import GraphSchema
+from .wal import fsync_directory
 
 PathLike = Union[str, Path]
 
@@ -26,20 +29,22 @@ class _atomic_write:
     """Context manager writing ``path`` atomically: the body writes to a
     temp file in the *same directory* (so the final rename never crosses
     filesystems), which is fsynced and ``os.replace``d into place only on
-    clean exit.  An exception mid-write leaves any existing file at
-    ``path`` untouched — a crash during save can no longer produce a
-    truncated, unloadable graph."""
+    clean exit, and then the directory is fsynced so the rename itself
+    survives a power failure.  An exception mid-write leaves any
+    existing file at ``path`` untouched — a crash during save can no
+    longer produce a truncated, unloadable graph."""
 
     def __init__(self, path: PathLike, newline: Optional[str] = None):
         self.path = os.fspath(path)
+        self.directory = os.path.dirname(self.path) or "."
         self.newline = newline
         self._tmp_path: Optional[str] = None
         self._fh = None
 
     def __enter__(self):
-        directory = os.path.dirname(self.path) or "."
         fd, self._tmp_path = tempfile.mkstemp(
-            prefix=os.path.basename(self.path) + ".", suffix=".tmp", dir=directory
+            prefix=os.path.basename(self.path) + ".", suffix=".tmp",
+            dir=self.directory,
         )
         self._fh = os.fdopen(fd, "w", newline=self.newline)
         return self._fh
@@ -51,6 +56,7 @@ class _atomic_write:
             os.fsync(fh.fileno())
             fh.close()
             os.replace(tmp_path, self.path)
+            fsync_directory(self.directory)
         else:
             fh.close()
             try:
@@ -213,16 +219,14 @@ def graph_from_dict(data: Dict[str, Any], schema: Optional[GraphSchema] = None) 
     epoch = data.get("epoch", 0)
     if not isinstance(epoch, int) or epoch < 0:
         raise GraphError(f"graph epoch must be a non-negative integer, got {epoch!r}")
+    insert_vertex, insert_edge = graph._insert_vertex, graph._insert_edge
     try:
         for v in data.get("vertices", ()):
-            graph.add_vertex(v["id"], v["type"], **v.get("attrs", {}))
+            insert_vertex(v["id"], v["type"], _row_attrs(v))
         for e in data.get("edges", ()):
-            graph.add_edge(
-                e["source"],
-                e["target"],
-                e["type"],
-                directed=e.get("directed", True),
-                **e.get("attrs", {}),
+            insert_edge(
+                e["source"], e["target"], e["type"], e.get("directed", True),
+                _row_attrs(e),
             )
     except ReproError:
         raise
@@ -232,24 +236,62 @@ def graph_from_dict(data: Dict[str, Any], schema: Optional[GraphSchema] = None) 
     return graph
 
 
+def _row_attrs(row: Dict[str, Any]) -> Dict[str, Any]:
+    """A vertex or edge row's attribute object as it is (``{}`` when the
+    row has none); anything but an object is a malformed document."""
+    attrs = row["attrs"] if "attrs" in row else {}
+    if not isinstance(attrs, dict):
+        raise GraphError(
+            f"invalid graph document: attrs must be an object, "
+            f"got {type(attrs).__name__}"
+        )
+    return attrs
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic collector around a step that only allocates —
+    building a graph or its document — which it would otherwise re-walk,
+    with the rest of the heap, at every threshold and find nothing to
+    free.  Resumed afterwards (if it was running), however the step
+    ends."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def save_graph_json(graph: Graph, path: PathLike) -> None:
     """Write the JSON representation atomically (temp file +
-    ``os.replace``): an interrupted save leaves the old file intact."""
+    ``os.replace``): an interrupted save leaves the old file intact.
+
+    The document is encoded whole by ``json.dumps`` — CPython's C
+    encoder; ``json.dump`` streams through the pure-Python one, several
+    times slower, for the same bytes — before the temp file is created,
+    so an unencodable attribute leaves no file behind."""
+    with _collector_paused():
+        text = json.dumps(graph_to_dict(graph))
     with _atomic_write(path) as fh:
-        json.dump(graph_to_dict(graph), fh)
+        fh.write(text)
 
 
 def load_graph_json(path: PathLike, schema: Optional[GraphSchema] = None) -> Graph:
     """Load a graph from JSON; malformed content raises
     :class:`GraphError` with a one-line reason (missing/unreadable files
     raise the usual ``OSError``), so CLIs can print a clean diagnostic
-    instead of a traceback."""
+    instead of a traceback.  Decoding and building run with the cyclic
+    collector paused."""
     with open(path) as fh:
+        text = fh.read()
+    with _collector_paused():
         try:
-            data = json.load(fh)
+            data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise GraphError(f"not valid JSON ({exc})") from exc
-    return graph_from_dict(data, schema=schema)
+        return graph_from_dict(data, schema=schema)
 
 
 def save_graph_csv(graph: Graph, vertices_path: PathLike, edges_path: PathLike) -> None:

@@ -17,8 +17,9 @@ A WAL is a directory of **segments** named ``wal-00000001.log``,
 The payload is ``{"epoch": N, "ops": [...]}`` — the epoch the record
 produces plus the normalized operation documents of the batch.  Appends
 go to the newest segment; when a record would push a segment past
-``segment_max_bytes`` the log rotates to a fresh one.  ``commit`` is
-append + flush + ``os.fsync`` — a returned commit is on disk.
+``segment_max_bytes`` the log rotates to a fresh one, whose directory
+entry is fsynced before a record lands in it.  ``commit`` is append +
+flush + ``os.fsync`` — a returned commit is on disk.
 
 Reading back (:func:`scan_wal`) verifies length and checksum record by
 record.  A scan that fails **at the tail of the final segment** is the
@@ -65,6 +66,17 @@ DEFAULT_SEGMENT_MAX_BYTES = 4 * 1024 * 1024
 
 _SEGMENT_PREFIX = "wal-"
 _SEGMENT_SUFFIX = ".log"
+
+
+def fsync_directory(directory: PathLike) -> None:
+    """Make the entries of ``directory`` durable: a file created or
+    renamed into it is on disk only once the directory itself is
+    synced (``fsync`` of the file covers its bytes, not its name)."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _segment_name(index: int) -> str:
@@ -235,6 +247,10 @@ class WriteAheadLog:
             fh.flush()
             if self.fsync:
                 os.fsync(fh.fileno())
+        if self.fsync:
+            # Without this a power failure can drop the new segment's
+            # directory entry, and with it every commit made into it.
+            fsync_directory(self.dir)
         return fh
 
     def _rotate(self) -> None:
@@ -323,6 +339,7 @@ __all__ = [
     "DEFAULT_SEGMENT_MAX_BYTES",
     "WalScan",
     "WriteAheadLog",
+    "fsync_directory",
     "list_segments",
     "scan_wal",
 ]

@@ -8,8 +8,7 @@ the off path is a single global check per engine call — see
 ``docs/observability.md`` for the metrics catalog and span schema.
 """
 
-from .metrics import Collector, Span, active, collect, count
-from .profile import ProfileReport, profile_query
+from .._lazy import exports as _exports
 
 __all__ = [
     "Collector",
@@ -20,3 +19,8 @@ __all__ = [
     "ProfileReport",
     "profile_query",
 ]
+
+__getattr__, __dir__ = _exports(__name__, {
+    ".metrics": ("Collector", "Span", "active", "collect", "count"),
+    ".profile": ("ProfileReport", "profile_query"),
+})

@@ -20,22 +20,7 @@ See ``docs/robustness.md`` ("Service layer") for the threading model,
 the admission model, the shed/abort taxonomy and the retry matrix.
 """
 
-from .admission import AdmissionController, BudgetClass, Ticket, default_classes
-from .pool import WorkerPool, execute_job
-from .protocol import (
-    HTTP_STATUS,
-    IngestRequest,
-    Job,
-    OutcomeKind,
-    QueryRequest,
-    RETRYABLE_ABORT_REASONS,
-    RETRYABLE_OUTCOMES,
-    is_retryable,
-    outcome,
-    taxonomy,
-)
-from .retry import RetryPolicy
-from .service import QueryService
+from .._lazy import exports as _exports
 
 __all__ = [
     "AdmissionController",
@@ -57,3 +42,17 @@ __all__ = [
     "RetryPolicy",
     "QueryService",
 ]
+
+__getattr__, __dir__ = _exports(__name__, {
+    ".admission": (
+        "AdmissionController", "BudgetClass", "Ticket", "default_classes",
+    ),
+    ".pool": ("WorkerPool", "execute_job"),
+    ".protocol": (
+        "HTTP_STATUS", "IngestRequest", "Job", "OutcomeKind", "QueryRequest",
+        "RETRYABLE_ABORT_REASONS", "RETRYABLE_OUTCOMES", "is_retryable",
+        "outcome", "taxonomy",
+    ),
+    ".retry": ("RetryPolicy",),
+    ".service": ("QueryService",),
+})

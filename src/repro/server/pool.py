@@ -44,10 +44,22 @@ import traceback
 import weakref
 from typing import Any, Dict, List, Optional
 
+# Everything a job can reach is imported here, at the top: the serving
+# process compiles it once before it forks, and every worker — first
+# spawn or respawn — inherits it instead of compiling it again at its
+# first request.
+from .. import _exec
+from ..analysis.analyzer import analyze
+from ..analysis.cost import budget_breaches
+from ..analysis.diagnostics import Severity
+from ..analysis.rules import rule_catalog
+from ..compile.cache import plan_cache, reset_plan_cache
+from ..core.pattern import EngineMode
 from ..errors import (
     AccSanViolation,
     GSQLSyntaxError,
     InjectedFault,
+    MutationError,
     ParallelSafetyError,
     QueryAbortedError,
     QueryCompileError,
@@ -57,26 +69,12 @@ from ..errors import (
 )
 from ..governor import faults as _faults
 from ..governor.budget import Budget
+from ..governor.governor import ExecutionGovernor, govern
+from ..graph.io import load_graph_json
+from ..graph.mutation import GraphStore
+from ..graph.stats import stats_snapshot
+from ..obs.metrics import collect
 from .protocol import Job, OutcomeKind, jsonify
-
-#: Engine modes a job may request, resolved lazily (mirrors the CLI).
-def _engine_mode(name: str):
-    from ..core.pattern import EngineMode
-    from ..paths import PathSemantics
-
-    table = {
-        "counting": EngineMode.counting,
-        "auto": EngineMode.auto,
-        "nre": lambda: EngineMode.enumeration(PathSemantics.NO_REPEATED_EDGE),
-        "nrv": lambda: EngineMode.enumeration(PathSemantics.NO_REPEATED_VERTEX),
-        "asp-enum": lambda: EngineMode.enumeration(PathSemantics.ALL_SHORTEST),
-    }
-    try:
-        return table[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {name!r}; known: {', '.join(sorted(table))}"
-        )
 
 
 def execute_job(job: Job, graphs: Dict[str, Any]) -> Dict[str, Any]:
@@ -86,9 +84,6 @@ def execute_job(job: Job, graphs: Dict[str, Any]) -> Dict[str, Any]:
     :class:`~repro.server.protocol.OutcomeKind` value string), a
     kind-specific payload, the query's obs counters and elapsed time.
     """
-    from ..analysis import analyze
-    from ..obs.metrics import collect
-
     started = time.perf_counter()
 
     def reply(kind: OutcomeKind, counters: Dict[str, int], **payload: Any):
@@ -110,15 +105,11 @@ def execute_job(job: Job, graphs: Dict[str, Any]) -> Dict[str, Any]:
                            f"known: {', '.join(sorted(graphs))}"
             },
         )
-    from ..graph.mutation import GraphStore
-
     if isinstance(graph, GraphStore):
         # The service pinned job.graph_epoch at admission: resolve to
         # that exact version so a batch committing mid-query never
         # changes this query's result.  The pin is held until the
         # request's terminal outcome, so the version is retained.
-        from ..errors import MutationError
-
         try:
             graph = graph.view(job.graph_epoch)
         except MutationError as exc:
@@ -126,11 +117,9 @@ def execute_job(job: Job, graphs: Dict[str, Any]) -> Dict[str, Any]:
                 OutcomeKind.INTERNAL, {}, error={"message": str(exc)}
             )
     try:
-        mode = _engine_mode(job.engine)
+        mode = EngineMode.named(job.engine)
     except ValueError as exc:
         return reply(OutcomeKind.BAD_REQUEST, {}, error={"message": str(exc)})
-
-    from ..governor import ExecutionGovernor, govern
 
     governor = ExecutionGovernor(Budget(**job.budget)) if job.budget else None
     # The collector opens before the parse/analyze/compile stage so the
@@ -143,8 +132,6 @@ def execute_job(job: Job, graphs: Dict[str, Any]) -> Dict[str, Any]:
         # stages run through the plan cache: a warm hit skips them
         # entirely, reusing the stashed analysis verdict.
         try:
-            from ..compile import plan_cache
-
             runnable = plan_cache().get_or_compile(
                 job.query_text, schema=getattr(graph, "schema", None)
             )
@@ -257,8 +244,6 @@ def execute_job(job: Job, graphs: Dict[str, Any]) -> Dict[str, Any]:
 
 def _error_rules() -> List[Any]:
     """Fresh instances of every error-severity analysis rule."""
-    from ..analysis import Severity, rule_catalog
-
     return [cls() for cls in rule_catalog() if cls.severity is Severity.ERROR]
 
 
@@ -279,9 +264,6 @@ def _cost_refusal(job: Job, runnable, graph, col) -> Optional[Dict[str, Any]]:
         cap != "deadline_seconds" for cap in job.budget
     ):
         return None
-    from ..analysis.cost import budget_breaches
-    from ..graph.stats import stats_snapshot
-
     try:
         cert = runnable.cost_for(stats_snapshot(graph))
     except Exception:  # noqa: BLE001 - the screen is best-effort
@@ -313,9 +295,6 @@ def _reset_worker_globals() -> None:
     owner thread that does not exist here, and the parent's plan cache
     (with its lock, possibly held mid-fork by a dispatcher thread).
     """
-    from .. import _exec
-    from ..compile import reset_plan_cache
-
     _exec.clear()
     _faults.disarm()
     reset_plan_cache()
@@ -360,8 +339,6 @@ def _load_worker_graphs(graph_paths: Dict[str, str]) -> Dict[str, Any]:
     Process workers only: a thread-mode ``GraphStore`` supersedes its
     epochs, and a superseded epoch must stay collectable.
     """
-    from ..graph.io import load_graph_json
-
     graphs = {name: load_graph_json(path) for name, path in graph_paths.items()}
     gc.freeze()
     return graphs

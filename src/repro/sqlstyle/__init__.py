@@ -1,16 +1,6 @@
 """Conventional SQL-style aggregation baseline (Section 8)."""
 
-from .engine import materialize_match_table
-from .relational import (
-    Aggregate,
-    MatchTable,
-    Row,
-    cube,
-    group_by,
-    grouping_sets,
-    rollup,
-    split_grouping_result,
-)
+from .._lazy import exports as _exports
 
 __all__ = [
     "materialize_match_table",
@@ -23,3 +13,11 @@ __all__ = [
     "rollup",
     "split_grouping_result",
 ]
+
+__getattr__, __dir__ = _exports(__name__, {
+    ".engine": ("materialize_match_table",),
+    ".relational": (
+        "Aggregate", "MatchTable", "Row", "cube", "group_by", "grouping_sets",
+        "rollup", "split_grouping_result",
+    ),
+})

@@ -84,6 +84,17 @@ class TestRun:
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_param("oops")
 
+    def test_engine_choices_are_the_engine_names(self):
+        # the CLI lists them without importing the engine
+        from repro.cli import _ENGINES
+        from repro.core.pattern import EngineMode
+
+        assert _ENGINES == EngineMode.NAMES
+        for name in _ENGINES:
+            assert isinstance(EngineMode.named(name), EngineMode)
+        with pytest.raises(ValueError, match="unknown engine 'warp'"):
+            EngineMode.named("warp")
+
 
 class TestExplain:
     def test_explain_mentions_plan(self, capsys, qn_file):

@@ -1,9 +1,14 @@
 """Tests for CSV/JSON graph loading and saving."""
 
+import gc
+import json
+
 import pytest
 
 from repro.errors import GraphError
 from repro.graph import Graph, GraphSchema, builders
+from repro.graph.elements import FORWARD, REVERSE, UNDIRECTED
+from repro.ldbc import generate_snb_graph
 from repro.graph.io import (
     graph_from_dict,
     graph_to_dict,
@@ -214,3 +219,147 @@ class TestLoadDiagnostics:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_graph_json(tmp_path / "absent.json")
+
+
+def _snb_sf01():
+    return generate_snb_graph(0.1, seed=42)
+
+
+def _unicode_float_none_graph():
+    g = Graph(name="mixed ✓")
+    g.add_vertex("ü", "Person", name="Zoë 🙂", score=0.1 + 0.2, tiny=1e-300,
+                 big=1e300, missing=None, flag=True, n=-7, nested={"k": [1.5, None]})
+    g.add_vertex(2, "Person", name="\u2028\"quoted\"\\", score=-0.0)
+    g.add_edge("ü", 2, "Knows", directed=False, weight=float("inf"), note=None)
+    g.add_edge(2, 2, "Self", ratio=float("nan"))
+    return g
+
+
+class TestJsonCodec:
+    """``save_graph_json`` encodes through ``json.dumps`` (the C encoder)
+    and ``load_graph_json`` builds through the graph's one insertion
+    routine with the collector paused: same bytes, same graph."""
+
+    @pytest.mark.parametrize("build", [
+        _snb_sf01,
+        lambda: builders.diamond_chain(30),
+        _unicode_float_none_graph,
+    ], ids=["snb-sf0.1", "diamond-30", "unicode-float-none"])
+    def test_saves_the_bytes_json_dump_wrote(self, tmp_path, build):
+        graph = build()
+        path = tmp_path / "g.json"
+        save_graph_json(graph, path)
+        with open(tmp_path / "reference.json", "w") as fh:
+            json.dump(graph_to_dict(graph), fh)
+        assert path.read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+    def test_unencodable_edge_attribute_leaves_no_trace(self, tmp_path):
+        path = tmp_path / "g.json"
+        save_graph_json(builders.likes_graph(), path)
+        before = path.read_bytes()
+        g = builders.diamond_chain(2)
+        next(g.edges()).attrs["bad"] = {1, 2}
+        with pytest.raises(TypeError):
+            save_graph_json(g, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+
+    @pytest.mark.parametrize("build", [
+        _snb_sf01,
+        builders.mixed_kind_graph,
+        _unicode_float_none_graph,
+    ], ids=["snb-sf0.1", "mixed-kind", "unicode-float-none"])
+    def test_load_equals_an_insertion_replay(self, tmp_path, build):
+        path = tmp_path / "g.json"
+        save_graph_json(build(), path)
+        loaded = load_graph_json(path)
+        doc = json.loads(path.read_text())
+        replay = Graph(name=doc["name"])
+        for v in doc["vertices"]:
+            replay.add_vertex(v["id"], v["type"], **v["attrs"])
+        for e in doc["edges"]:
+            replay.add_edge(e["source"], e["target"], e["type"],
+                            directed=e["directed"], **e["attrs"])
+        replay.epoch = doc["epoch"]
+
+        def shape(g):
+            return (
+                g.name, g.epoch, g._next_eid, list(g._edge_type_directed.items()),
+                [(t, list(ids)) for t, ids in g._by_type.items()],
+                [(v.vid, v.type, v.attrs) for v in g.vertices()],
+                [(e.eid, e.type, e.source, e.target, e.directed, e.attrs)
+                 for e in g.edges()],
+                [(d, t, [(vid, list(b[0]), list(b[1])) for vid, b in column.items()])
+                 for d in (FORWARD, REVERSE, UNDIRECTED)
+                 for t, column in g.columns(d).items()],
+            )
+
+        assert repr(shape(loaded)) == repr(shape(replay))
+
+    @pytest.mark.parametrize("doc, reason", [
+        ({"vertices": [{"id": 1, "type": "V", "attrs": []}]}, "attrs"),
+        ({"vertices": [{"id": 1, "type": "V", "attrs": "x"}]}, "attrs"),
+        ({"vertices": [{"id": 1, "type": "V", "attrs": None}]}, "attrs"),
+        ({"vertices": [{"id": 1, "type": "V"}, {"id": 2, "type": "V"}],
+          "edges": [{"source": 1, "target": 2, "type": "E", "attrs": None}]},
+         "attrs"),
+        ({"vertices": [{"id": 1, "type": "V"}, {"id": 1, "type": "W"}]},
+         "already exists"),
+        ({"vertices": [{"id": 1, "type": "V"}],
+          "edges": [{"source": 1, "target": 9, "type": "E"}]}, "unknown vertex"),
+        ({"vertices": [{"id": 1, "type": "V"}, {"id": 2, "type": "V"}],
+          "edges": [{"source": 1, "target": 2, "type": "E", "directed": True},
+                    {"source": 2, "target": 1, "type": "E", "directed": False}]},
+         "directedness"),
+        ({"vertices": [{"id": [1], "type": "V"}]}, "invalid graph document"),
+        ({"vertices": [{"type": "V"}]}, "invalid graph document"),
+        ({"vertices": ["v1"]}, "invalid graph document"),
+        ({"vertices": [None]}, "invalid graph document"),
+        ({"epoch": -1}, "epoch"),
+        ({"epoch": "3"}, "epoch"),
+        ({"epoch": 1.5}, "epoch"),
+    ])
+    def test_malformed_documents_are_graph_errors(self, tmp_path, doc, reason):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GraphError, match=reason):
+            load_graph_json(path)
+
+    @pytest.mark.parametrize("text", [
+        json.dumps({"vertices": [{"id": 1, "type": "V", "attrs": {"a": 1}}]}),
+        json.dumps({"vertices": [{"id": 1, "type": "V", "attrs": None}]}),
+        "{not json",
+    ], ids=["loaded-saved", "malformed-unencodable", "undecodable-unencodable"])
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_the_collector_is_restored(self, tmp_path, text, collecting):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            try:
+                graph = load_graph_json(path)
+            except GraphError:
+                graph = Graph()
+                graph.add_vertex("a", "V", payload=object())  # unencodable
+            assert gc.isenabled() is collecting
+            try:
+                save_graph_json(graph, tmp_path / "saved.json")
+            except TypeError:
+                pass
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+
+
+class TestSaveDurability:
+    """The rename that publishes a save is durable only once the
+    directory holding it is synced."""
+
+    def test_json_save_syncs_the_directory_after_the_file(self, tmp_path, fsyncs):
+        save_graph_json(builders.likes_graph(), tmp_path / "g.json")
+        assert fsyncs == ["file", "dir"]
+
+    def test_csv_save_syncs_the_directory_per_file(self, tmp_path, fsyncs):
+        save_graph_csv(builders.sales_graph(), tmp_path / "v.csv", tmp_path / "e.csv")
+        assert fsyncs == ["file", "dir", "file", "dir"]

@@ -645,27 +645,79 @@ class TestEofAfterRespawn:
         assert proc.returncode == 0
 
 
+def _help(subcommand):
+    return (
+        "import repro.cli, contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        f"        repro.cli.main([{subcommand!r}, '--help'])\n"
+        "    except SystemExit:\n"
+        "        pass"
+    )
+
+
+#: Every package whose ``__all__`` the namespace test resolves.
+PACKAGES = (
+    "repro", "repro.accum", "repro.algorithms", "repro.analysis",
+    "repro.bench", "repro.compile", "repro.core", "repro.darpe",
+    "repro.enumeration", "repro.governor", "repro.graph", "repro.gsql",
+    "repro.ldbc", "repro.obs", "repro.paths", "repro.server",
+    "repro.sqlstyle",
+)
+
+
 class TestImportHygiene:
     @pytest.mark.parametrize(
         "statement",
-        [
-            "import repro.server.app",
-            "import repro.cli, contextlib, io\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    try:\n"
-            "        repro.cli.main(['serve', '--help'])\n"
-            "    except SystemExit:\n"
-            "        pass",
-        ],
-        ids=["server.app", "serve --help"],
+        ["import repro.server.app", _help("serve"), "import repro", _help("run")],
+        ids=["server.app", "serve --help", "import repro", "run --help"],
     )
     def test_the_server_does_not_import_asyncio(self, statement):
-        # ~30 ms and ~3 MiB per process — the server and every worker
-        # forked from it — for an event loop nothing here runs.
+        # An entry point imports only what it runs.  asyncio: ~30 ms and
+        # ~3 MiB per process — the server and every worker forked from
+        # it — for an event loop nothing here runs.  The algorithm
+        # library, the SNB generator, the SQL-style baseline and the
+        # bench harness: source compiled at every start, never executed.
         src = Path(__file__).resolve().parent.parent / "src"
         code = (
             f"import sys\nsys.path.insert(0, {str(src)!r})\n{statement}\n"
-            "sys.exit('asyncio imported' if 'asyncio' in sys.modules else 0)"
+            "unwanted = ('asyncio', 'repro.algorithms', 'repro.ldbc',\n"
+            "            'repro.sqlstyle', 'repro.bench')\n"
+            "found = [m for m in sys.modules if m.startswith(unwanted)]\n"
+            "sys.exit(f'imported {found}' if found else 0)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_every_public_name_resolves(self):
+        # The package namespaces are lazy (PEP 562): a name's submodule is
+        # imported on first access, so each listed name must resolve,
+        # show in dir() and bind under a star import.
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            f"import importlib, sys\nsys.path.insert(0, {str(src)!r})\n"
+            f"for name in {PACKAGES!r}:\n"
+            "    package = importlib.import_module(name)\n"
+            "    missing = set(package.__all__) - set(dir(package))\n"
+            "    assert not missing, (name, 'dir() lacks', missing)\n"
+            "    star = {}\n"
+            "    exec(f'from {name} import *', star)\n"
+            "    for attr in package.__all__:\n"
+            "        assert star[attr] is getattr(package, attr), (name, attr)\n"
+            "import repro, repro.graph.io\n"
+            "assert repro.graph.io is sys.modules['repro.graph.io']\n"
+            "assert repro.Graph is repro.graph.graph.Graph\n"
+            "import repro.algorithms\n"
+            "assert repro.algorithms.pagerank.__module__ == 'repro.algorithms.pagerank'\n"
+            "try:\n"
+            "    repro.graph.no_such_name\n"
+            "except AttributeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    sys.exit('an unknown name resolved')\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,

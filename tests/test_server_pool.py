@@ -1,5 +1,9 @@
 """Worker pool: pipeline outcomes, crash detection, straggler kill."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.governor.faults import FaultPlan, inject_faults
@@ -272,3 +276,47 @@ def test_process_worker_graphs_are_frozen_out_of_the_collector(tmp_path):
         assert id(graph) not in collectable and id(vertex) not in collectable
     finally:
         gc.unfreeze()
+
+
+def test_the_serving_process_imports_the_engine_before_it_forks():
+    # A process worker is forked from the serving process: whatever
+    # repro.server.pool has imported by then, every worker (and every
+    # respawn) inherits compiled.  A job must therefore reach no module
+    # the pool did not import — a cold text under the cost screen, a
+    # lint error and a warm plan-cache hit alike.
+    bad = """
+CREATE QUERY bad() {
+  SumAccum<int> @@total;
+  R = SELECT s FROM V:s
+      WHERE s.@undeclared > 0;
+  PRINT R;
+}
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = f"""
+import sys
+sys.path.insert(0, {str(src)!r})
+from repro.graph import builders
+from repro.server.pool import execute_job
+from repro.server.protocol import Job
+
+graphs = {{"default": builders.diamond_chain(6)}}
+before = set(sys.modules)
+params = {{"srcName": "v0", "tgtName": "v5"}}
+outcomes = [
+    execute_job(
+        Job("j", text, "default", dict(args), "counting", {{"max_paths": 10**9}},
+            cost_screen=True),
+        graphs,
+    )["outcome"]
+    for text, args in (({QN!r}, params), ({bad!r}, {{}}), ({QN!r}, params))
+]
+assert outcomes == ["ok", "lint-error", "ok"], outcomes
+late = sorted(m for m in set(sys.modules) - before if m.startswith("repro"))
+sys.exit(f"imported after the fork point: {{late}}" if late else 0)
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

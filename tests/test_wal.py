@@ -91,6 +91,31 @@ class TestRotation:
         assert len(scan.segments) in (n_before, n_before + 1)
 
 
+class TestDirectoryDurability:
+    """A new segment is durable only once its directory entry is: after
+    a power failure an unsynced directory can lose the file, and with it
+    commits already acknowledged as durable."""
+
+    def test_creating_a_segment_syncs_the_directory(self, tmp_path, fsyncs):
+        with WriteAheadLog(tmp_path):
+            assert fsyncs == ["file", "dir"]
+
+    def test_rotating_syncs_the_directory(self, tmp_path, fsyncs):
+        with WriteAheadLog(tmp_path, segment_max_bytes=64) as wal:
+            for rec in _records(3):
+                wal.commit(rec)
+            assert len(wal.segments()) == 3
+        # the first segment: its header, then the directory; then per
+        # commit the record, after a rotation's header and directory sync
+        assert fsyncs == ["file", "dir", "file"] + ["file", "dir", "file"] * 2
+
+    def test_no_fsync_means_no_directory_sync(self, tmp_path, fsyncs):
+        with WriteAheadLog(tmp_path, segment_max_bytes=64, fsync=False) as wal:
+            for rec in _records(3):
+                wal.commit(rec)
+        assert fsyncs == []
+
+
 class TestTornTail:
     def _torn_log(self, tmp_path, cut):
         with WriteAheadLog(tmp_path, fsync=False) as wal:
