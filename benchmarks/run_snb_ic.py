@@ -22,9 +22,10 @@ import argparse
 import sys
 import time
 
-from repro.bench import TimeoutBudget, format_seconds, profile_call, render_table
+from repro.bench import TimeoutBudget, format_seconds, render_table
 from repro.core.pattern import EngineMode
 from repro.ldbc import IC_QUERIES, default_parameters, generate_snb_graph
+from repro.obs import collect
 from repro.paths import PathSemantics
 
 QUERIES = ["ic3", "ic5", "ic6", "ic9", "ic11"]
@@ -72,9 +73,8 @@ def counter_table(graphs, mode):
                 attach_cost_certificates(query, stats=stats)
                 predicted = query.cost_certificate.acc_executions.hi
                 params = default_parameters(graph, name)
-                _, col = profile_call(
-                    lambda q=query, p=params: q.run(graph, mode=mode, **p)
-                )
+                with collect() as col:
+                    query.run(graph, mode=mode, **params)
                 observed = col.counter("block.acc_executions")
                 bound = "inf" if predicted is None else predicted
                 cells.append(f"{observed}<={bound}")

@@ -30,10 +30,10 @@ import time
 
 from repro.algorithms import path_count
 from repro.algorithms.traversal import path_count_query
-from repro.bench import TimeoutBudget, doubling_ratios, fit_exponent, format_seconds, profile_call, render_table
+from repro.bench import TimeoutBudget, doubling_ratios, fit_exponent, format_seconds, render_table
 from repro.core.pattern import EngineMode
 from repro.graph import builders
-from repro.obs import profile_query
+from repro.obs import collect, profile_query
 from repro.paths import PathSemantics
 
 
@@ -74,9 +74,8 @@ def main(argv=None) -> int:
         assert count == 2 ** n, f"count mismatch at n={n}"
 
         # Second, instrumented run: engine-work counters for this point.
-        _, col = profile_call(
-            lambda target=target: path_count(graph, "v0", target)
-        )
+        with collect() as col:
+            path_count(graph, "v0", target)
         acc_execs = col.counter("block.acc_executions")
         product_states = col.counter("sdmc.product_states")
 

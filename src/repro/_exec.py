@@ -15,7 +15,7 @@ engine sites call :func:`current` once per instrumented *call* — never
 per row, edge or product state — and hold the fields they need as
 locals.  With nothing bound, :data:`NULL` is returned and every field
 is ``None``: one context read and an identity check is the whole
-off-path cost (``benchmarks/check_*_overhead.py`` hold it under 5%).
+off-path cost (``benchmarks/check_overhead.py`` holds it under 5%).
 
 A new thread starts at :data:`NULL`; code that fans a query's work out
 to threads hands each one the caller's context with

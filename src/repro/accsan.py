@@ -23,9 +23,8 @@ The hook follows :mod:`repro.obs.metrics`: the active sanitizer is the
 ``san`` field of the calling context's :class:`repro._exec.ExecCtx`,
 read once per block phase when the kernel binds its row functions —
 with no sanitizer a write goes straight to the sink, so a disabled
-sanitizer costs nothing per write (asserted, and timed against the
-kernel bound under ``_exec.NULL``, by
-``benchmarks/check_accsan_overhead.py``).
+sanitizer costs nothing per write (``tests/test_accsan.py`` asserts
+that the write tail is then the sink's own method).
 
 Usage::
 

@@ -11,10 +11,10 @@ The abstract domain is :class:`~repro.core.tractable.Interval`:
 ``[lo, hi]`` with ``hi=None`` meaning +inf.  Soundness contract: every
 interval **brackets** the corresponding runtime obs counter
 (``block.acc_executions``, ``sdmc.product_states``,
-``enum.paths_emitted``, governor byte estimates) — the calibration
-harness ``benchmarks/check_cost_calibration.py`` enforces this against
-the committed ``cost_baseline.json``, so the estimator cannot silently
-drift optimistic.
+``enum.paths_emitted``, governor byte estimates) — ``tests/test_golden.py``
+enforces this and pins every bound against the golden
+``tests/golden/cost.json``, so the estimator cannot silently drift
+optimistic.
 
 Two modes:
 

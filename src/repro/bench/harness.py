@@ -1,74 +1,16 @@
-"""Benchmark harness: timing, series collection, growth-rate analysis.
+"""Benchmark harness: per-point timeouts, growth-rate analysis, tables.
 
-Used by both the pytest-benchmark suites and the standalone ``run_*.py``
-harness scripts in ``benchmarks/`` that print the paper's tables.
+Used by the standalone ``run_*.py`` harness scripts in ``benchmarks/``
+that print the paper's tables.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 import time
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..errors import EvaluationBudgetExceeded
-
-
-class Measurement:
-    """One benchmark point: a label, a parameter value, and timings."""
-
-    def __init__(self, label: str, param: Any, seconds: List[float], extra: Any = None):
-        self.label = label
-        self.param = param
-        self.seconds = seconds
-        self.extra = extra
-
-    @property
-    def median(self) -> float:
-        return statistics.median(self.seconds)
-
-    @property
-    def best(self) -> float:
-        return min(self.seconds)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Measurement({self.label}, {self.param}: {self.median * 1000:.2f}ms)"
-
-
-def time_call(
-    fn: Callable[[], Any],
-    repeat: int = 3,
-    warmup: int = 1,
-) -> Tuple[List[float], Any]:
-    """Run ``fn`` ``warmup + repeat`` times; return (timings, last result).
-
-    Warm-cache timing, as the paper reports ("the warm-cache running times
-    observed after the initial loading").
-    """
-    result = None
-    for _ in range(warmup):
-        result = fn()
-    timings = []
-    for _ in range(repeat):
-        start = time.perf_counter()
-        result = fn()
-        timings.append(time.perf_counter() - start)
-    return timings, result
-
-
-def profile_call(fn: Callable[[], Any]) -> Tuple[Any, Any]:
-    """Run ``fn`` once under a fresh :mod:`repro.obs` collector.
-
-    Returns ``(result, collector)`` — the collector's counters let the
-    harness scripts report engine work (acc-executions, product states)
-    alongside wall-clock columns.
-    """
-    from ..obs import Collector, collect
-
-    collector = Collector()
-    with collect(collector):
-        result = fn()
-    return result, collector
 
 
 class TimeoutBudget:
@@ -97,36 +39,6 @@ class TimeoutBudget:
         if elapsed > self.limit_seconds:
             self.tripped = True
         return elapsed, result
-
-
-def sweep(
-    label: str,
-    params: Sequence[Any],
-    make_fn: Callable[[Any], Callable[[], Any]],
-    repeat: int = 3,
-    timeout_seconds: Optional[float] = None,
-) -> List[Measurement]:
-    """Measure ``make_fn(param)()`` for each parameter value.
-
-    With a timeout, a point that exceeds it stops the sweep (entries for
-    remaining params are omitted), mirroring the paper's dash entries.
-    """
-    budget = TimeoutBudget(timeout_seconds) if timeout_seconds else None
-    out: List[Measurement] = []
-    for param in params:
-        fn = make_fn(param)
-        if budget is not None:
-            shot = budget.run(fn)
-            if shot is None:
-                break
-            elapsed, result = shot
-            out.append(Measurement(label, param, [elapsed], extra=result))
-            if budget.tripped:
-                break
-        else:
-            timings, result = time_call(fn, repeat=repeat)
-            out.append(Measurement(label, param, timings, extra=result))
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -164,26 +76,23 @@ def fit_exponent(series: Sequence[Tuple[float, float]]) -> float:
     return (n * sxy - sx * sy) / denom
 
 
-def fit_power(series: Sequence[Tuple[float, float]]) -> float:
-    """Least-squares slope of log(time) against log(parameter): the
-    polynomial degree for times ~ C * n**d."""
-    return fit_exponent([(math.log(x), t) for x, t in series if x > 0])
-
-
 # ----------------------------------------------------------------------
 # Table rendering
 # ----------------------------------------------------------------------
 
 def format_seconds(seconds: Optional[float]) -> str:
-    """Paper-style duration formatting: ms / s / XmYs / '-' for timeout."""
+    """Paper-style duration formatting: ms / s / XmYs / '-' for timeout.
+
+    The value is rounded to a unit's precision before that unit is chosen,
+    so ``0.9996`` renders as ``1.00s`` and ``119.6`` as ``2m0s``."""
     if seconds is None:
         return "-"
-    if seconds < 1.0:
+    if round(seconds * 1000) < 1000:
         return f"{seconds * 1000:.0f}ms"
-    if seconds < 60.0:
+    if round(seconds, 2) < 60:
         return f"{seconds:.2f}s"
-    minutes = int(seconds // 60)
-    return f"{minutes}m{seconds - 60 * minutes:.0f}s"
+    minutes, rest = divmod(round(seconds), 60)
+    return f"{minutes}m{rest}s"
 
 
 def render_table(
@@ -206,14 +115,9 @@ def render_table(
 
 
 __all__ = [
-    "Measurement",
-    "time_call",
-    "profile_call",
     "TimeoutBudget",
-    "sweep",
     "doubling_ratios",
     "fit_exponent",
-    "fit_power",
     "format_seconds",
     "render_table",
 ]

@@ -504,8 +504,8 @@ def check_units(
 
     Returns ``(payload, rendered_diagnostics, dot_graphs)`` where
     ``payload`` is the JSON document ``repro check --format json``
-    prints; the CI baseline guard (``benchmarks/check_dataflow_baseline``)
-    imports this directly.  ``stats`` (a
+    prints; the corpus goldens (``tests/test_golden.py``) import this
+    directly.  ``stats`` (a
     :class:`~repro.graph.stats.GraphStatsSnapshot`) turns the payload's
     ``cost`` certificates from structural bounds into closed-form ones.
     """

@@ -902,8 +902,8 @@ class CompiledQuery:
         free as well).
 
         The estimate runs over the schema-free model — the one the
-        parser stamped its certificates from and the one
-        ``benchmarks/check_cost_calibration.py`` pins — so a bound does
+        parser stamped its certificates from and the one the golden
+        ``tests/golden/cost.json`` pins — so a bound does
         not depend on the schema the plan happens to be cached under.
         """
         fingerprint = None if stats is None else stats.fingerprint

@@ -328,8 +328,8 @@ def disarm() -> None:
 
 
 def catalog() -> List[Tuple[str, str]]:
-    """The (site, description) catalog, sorted — docs and the baseline
-    guard (``benchmarks/check_governor_overhead.py``) read this."""
+    """The (site, description) catalog, sorted — docs and the golden
+    tests (``tests/test_golden.py``) read this."""
     return sorted(SITES.items())
 
 

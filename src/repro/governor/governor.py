@@ -13,9 +13,10 @@ The design mirrors :mod:`repro.obs.metrics` deliberately: the active
 governor is the ``gov`` field of the calling context's
 :class:`repro._exec.ExecCtx`, and one read of that record per engine
 call (never per row/edge/product state) is the entire cost when no
-governor is installed — guarded by
-``benchmarks/check_governor_overhead.py`` with the same <5% bar as the
-observability layer.
+governor is installed.  ``benchmarks/check_overhead.py`` holds the
+SDMC kernel with nothing bound within 5% of a touchpoint-free copy, and
+under an unlimited governor within 10% of the kernel with nothing
+bound.
 
 Budget breaches raise :class:`~repro.errors.QueryAbortedError` carrying
 the reason, the breached limit, the partial obs counters and elapsed

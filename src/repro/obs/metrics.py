@@ -18,7 +18,7 @@ Design constraints, in priority order:
    state) and skips all bookkeeping when the field is ``None``.
    Hot loops compute their tallies from state they maintain anyway
    (``len(visited)``, ``len(rows)``) and report them in one batched
-   ``count`` after the loop — guarded by `benchmarks/check_obs_overhead.py`.
+   ``count`` after the loop — guarded by `benchmarks/check_overhead.py`.
 2. **Zero dependencies.**  Plain dicts, lists and ``time.perf_counter``.
 3. **Structured export.**  :meth:`Collector.to_dict` emits a stable
    JSON-serializable document (see ``docs/observability.md`` for the

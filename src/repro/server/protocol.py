@@ -9,8 +9,8 @@ The **outcome taxonomy** is the service's abort contract: every request
 terminates in exactly one :class:`OutcomeKind`, each kind maps to one
 HTTP status (:data:`HTTP_STATUS`) and one retryability verdict
 (:func:`is_retryable`).  ``docs/robustness.md`` carries the same table;
-``benchmarks/check_server_overhead.py`` pins it against the committed
-baseline so it cannot drift silently.
+``tests/test_golden.py`` pins it against the golden
+``tests/golden/server.json`` so it cannot drift silently.
 """
 
 from __future__ import annotations
@@ -235,7 +235,7 @@ def jsonify(value: Any) -> Any:
 
 def taxonomy() -> Dict[str, Dict[str, Any]]:
     """The full outcome surface (kind -> status/retryable), sorted —
-    docs and ``benchmarks/check_server_overhead.py`` pin this."""
+    docs and ``tests/test_golden.py`` pin this."""
     return {
         kind.value: {
             "http_status": HTTP_STATUS[kind],

@@ -13,8 +13,17 @@ import pathlib
 import pytest
 
 from repro import _exec, accsan
-from repro.accum import SumAccum
+from repro.accum import MaxAccum, SumAccum
 from repro.cli import main
+from repro.compile import CompileStats
+from repro.compile.lowering import _writer, compile_accum_clause
+from repro.core import QueryContext
+from repro.core.context import GLOBAL, VERTEX, AccumDecl
+from repro.core.exprs import EvalEnv, Literal, NameRef, Scope
+from repro.core.pattern import EngineMode, Pattern, chain, evaluate_pattern, hop
+from repro.core.stmts import (
+    AccumTarget, AccumUpdate, InputBuffer, LocalAssign, run_post_accum,
+)
 from repro.core.tractable import DeterminismCertificate, DeterminismStatus
 from repro.errors import AccSanViolation
 from repro.graph import builders
@@ -314,3 +323,59 @@ CREATE QUERY seen() {
         runs.add((san.verified, tuple(san.detections)))
     [(verified, detections)] = runs
     assert verified and detections
+
+
+def test_the_write_tail_is_the_sink_unless_a_sanitizer_is_bound():
+    buffer, target = InputBuffer(), AccumTarget("total")
+    assert _writer(buffer, None, "accum", target, "+=") == buffer.add
+    assert _writer(buffer, None, "accum", target, "=") == buffer.set
+    san = accsan.Sanitizer()
+    recorder = _writer(buffer, san, "accum", target, "+=")
+    assert recorder != buffer.add
+    recorder(SumAccum(0), 1, 1)
+    assert [e.site for e in san.events] == ["accum"]
+
+
+def run_edge_clauses(san=None):
+    """ACCUM ``w = 1.0, @@total += w, t.@deg += 1`` over the diamond
+    chain's edge rows, its Reduce, then POST_ACCUM ``t.@deg += 1``, driven
+    the way a SELECT block drives the lowered kernels.  Returns the
+    binding table and the accumulator values."""
+    ctx = QueryContext(builders.diamond_chain(12))
+    ctx.declare(AccumDecl("total", GLOBAL, lambda: SumAccum(0.0)))
+    ctx.declare(AccumDecl("deg", VERTEX, MaxAccum))
+    table = evaluate_pattern(
+        ctx, Pattern([chain("V", "s", hop("E>", "V", "t"))]), EngineMode.counting()
+    )
+    scope = Scope(table.variables)
+    bump = AccumUpdate(AccumTarget("deg", NameRef("t")), "+=", Literal(1))
+    accum = compile_accum_clause(
+        [LocalAssign("w", Literal(1.0)),
+         AccumUpdate(AccumTarget("total"), "+=", NameRef("w")), bump],
+        {}, CompileStats(), scope,
+    )
+    post = [(compile_accum_clause([bump], {}, CompileStats(), scope, post=True),
+             [table.slot("t")])]
+    buffer = InputBuffer()
+    kernel, env = accum(ctx, buffer), EvalEnv(ctx)
+    for values, multiplicity in table.rows:
+        env.row = values
+        kernel(env, multiplicity)
+    if san is not None:
+        san.check_flush(None, buffer)  # what the block executor does
+    buffer.flush()
+    run_post_accum(post, ctx, table.rows, {})
+    return table, (ctx.global_accum("total").value, dict(ctx.vertex_accum_values("deg")))
+
+
+def test_a_sanitized_run_records_every_write_and_changes_nothing():
+    _, plain = run_edge_clauses()
+    with accsan.sanitize(schedules=4) as san:
+        table, sanitized = run_edge_clauses(san)
+    assert sanitized == plain
+    # Two ACCUM writes per row, then one POST_ACCUM write per distinct t.
+    targets = {values[table.slot("t")].vid for values, _ in table.rows}
+    accum_writes = 2 * len(table.rows)
+    assert len(san.events) == accum_writes + len(targets)
+    assert [e.site for e in san.events[accum_writes:]] == ["post_accum"] * len(targets)
+    assert san.verified >= 1 and not san.detections

@@ -1,37 +1,17 @@
 """Tests for the benchmark harness utilities."""
 
 import math
-import time
 
 import pytest
 
 from repro.bench import (
-    Measurement,
     TimeoutBudget,
     doubling_ratios,
     fit_exponent,
-    fit_power,
     format_seconds,
     render_table,
-    sweep,
-    time_call,
 )
 from repro.errors import EvaluationBudgetExceeded
-
-
-class TestTimeCall:
-    def test_returns_timings_and_result(self):
-        timings, result = time_call(lambda: 42, repeat=3, warmup=1)
-        assert len(timings) == 3
-        assert result == 42
-        assert all(t >= 0 for t in timings)
-
-
-class TestMeasurement:
-    def test_median_and_best(self):
-        m = Measurement("x", 1, [0.3, 0.1, 0.2])
-        assert m.median == 0.2
-        assert m.best == 0.1
 
 
 class TestTimeoutBudget:
@@ -50,34 +30,11 @@ class TestTimeoutBudget:
         assert budget.tripped
 
 
-class TestSweep:
-    def test_without_timeout_measures_all(self):
-        points = sweep("lbl", [1, 2, 3], lambda p: (lambda: p * 2), repeat=2)
-        assert [m.param for m in points] == [1, 2, 3]
-        assert [m.extra for m in points] == [2, 4, 6]
-
-    def test_timeout_truncates(self):
-        def make(p):
-            def fn():
-                if p >= 2:
-                    time.sleep(0.03)
-                return p
-
-            return fn
-
-        points = sweep("lbl", [1, 2, 3, 4], make, timeout_seconds=0.01)
-        assert [m.param for m in points] == [1, 2]
-
-
 class TestGrowthFits:
     def test_exponential_series_slope(self):
         series = [(n, 0.001 * (2 ** n)) for n in range(5, 15)]
         slope = fit_exponent(series)
         assert slope == pytest.approx(math.log(2), rel=1e-6)
-
-    def test_polynomial_series_power(self):
-        series = [(n, 0.001 * n ** 2) for n in range(5, 50, 5)]
-        assert fit_power(series) == pytest.approx(2.0, rel=1e-6)
 
     def test_doubling_ratios(self):
         ratios = doubling_ratios([(1, 1.0), (2, 2.0), (3, 4.0)])
@@ -94,6 +51,12 @@ class TestFormatting:
         assert format_seconds(0.002) == "2ms"
         assert format_seconds(1.5) == "1.50s"
         assert format_seconds(125) == "2m5s"
+
+    def test_format_seconds_rounds_before_choosing_the_unit(self):
+        assert format_seconds(0.9996) == "1.00s"
+        assert format_seconds(59.996) == "1m0s"
+        assert format_seconds(119.6) == "2m0s"
+        assert format_seconds(3599.7) == "60m0s"
 
     def test_render_table(self):
         text = render_table(["a", "bb"], [[1, 22], [333, 4]], title="T")

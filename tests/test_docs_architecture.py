@@ -304,7 +304,7 @@ class TestDurabilityDocs:
         section = self._section()
         for needle in (
             "CRC32", "epoch", "fsync", "recover_graph",
-            "check_wal_overhead.py", "wal_baseline.json",
+            "test_golden.py", "tests/golden/wal.json",
         ):
             assert needle in section, (
                 f"docs/robustness.md durability section lost {needle!r}"

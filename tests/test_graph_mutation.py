@@ -298,6 +298,7 @@ class TestSnapshotIsolation:
             assert pin.graph.has_vertex("london")
             assert not pin.graph.has_vertex("mary")
             assert store.view(pin.epoch) is pin.graph
+            assert type(store.view(pin.epoch)) is Graph  # no proxy
         assert store.epoch == 2
 
     def test_released_epoch_is_dropped(self):
