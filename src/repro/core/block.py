@@ -343,17 +343,17 @@ class SelectBlock:
 
 
 def limit_count(value: Any) -> int:
-    """A LIMIT clause's value as a row count."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise QueryRuntimeError(
-            f"LIMIT needs an integer, got {value!r}"
-        ) from None
+    """A LIMIT clause's value as a row count: an int >= 0 (not a bool)."""
+    if type(value) is not int or value < 0:
+        raise QueryRuntimeError(f"LIMIT needs an integer >= 0, got {value!r}")
+    return value
 
 
 class _OrderKey:
-    """Sort key wrapper handling DESC and None-last ordering."""
+    """Sort key wrapper handling DESC and None-last ordering.
+
+    None and NaN — the values that order with nothing — sort after every
+    other value under ASC and DESC alike, and tie with each other."""
 
     __slots__ = ("value", "desc")
 
@@ -363,16 +363,19 @@ class _OrderKey:
 
     def __lt__(self, other: "_OrderKey") -> bool:
         a, b = self.value, other.value
-        if a is None:
+        if a is None or a != a:
             return False
-        if b is None:
+        if b is None or b != b:
             return True
         if self.desc:
             return b < a
         return a < b
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, _OrderKey) and self.value == other.value
+        if not isinstance(other, _OrderKey):
+            return False
+        a, b = self.value, other.value
+        return a == b or ((a is None or a != a) and (b is None or b != b))
 
 
 __all__ = ["OutputColumn", "OutputFragment", "SelectBlock"]

@@ -13,11 +13,14 @@ from typing import List
 
 from ..darpe.ast import contains_kleene, fixed_unique_length, length_range
 from .block import SelectBlock
+from .exprs import Scope
+from .pattern import _semijoin_hop
 from .planner import push_down_filters
 from .query import (
     DeclareAccum,
     GlobalAccumUpdate,
     If,
+    Parameter,
     Print,
     Query,
     Return,
@@ -54,11 +57,13 @@ def explain_query(query: Query) -> str:
             lines.append(f"    - {v.rule_name}: {v.message}")
     else:
         lines.append("  tractability: tractable (polynomial counting evaluation)")
-    _explain_statements(query.statements, lines, indent=1)
+    _explain_statements(query.statements, lines, indent=1, params=query.params)
     return "\n".join(lines)
 
 
-def _explain_statements(statements: List[Statement], lines: List[str], indent: int) -> None:
+def _explain_statements(
+    statements: List[Statement], lines: List[str], indent: int, params: List[Parameter]
+) -> None:
     pad = "  " * indent
     for stmt in statements:
         if isinstance(stmt, DeclareAccum):
@@ -78,25 +83,25 @@ def _explain_statements(statements: List[Statement], lines: List[str], indent: i
         elif isinstance(stmt, SetAssign):
             if isinstance(stmt.source, SelectBlock):
                 lines.append(f"{pad}{stmt.name} = SELECT ...")
-                _explain_block(stmt.source, lines, indent + 1)
+                _explain_block(stmt.source, lines, indent + 1, params)
             else:
                 lines.append(f"{pad}{stmt.name} = {stmt.source}")
         elif isinstance(stmt, RunBlock):
             head = f"{stmt.assign_to} = SELECT" if stmt.assign_to else "SELECT"
             lines.append(f"{pad}{head} ...")
-            _explain_block(stmt.block, lines, indent + 1)
+            _explain_block(stmt.block, lines, indent + 1, params)
         elif isinstance(stmt, GlobalAccumUpdate):
             lines.append(f"{pad}@@{stmt.name} {stmt.op} {stmt.expr!r}")
         elif isinstance(stmt, While):
             limit = f" LIMIT {stmt.limit!r}" if stmt.limit is not None else ""
             lines.append(f"{pad}WHILE {stmt.cond!r}{limit}")
-            _explain_statements(stmt.body, lines, indent + 1)
+            _explain_statements(stmt.body, lines, indent + 1, params)
         elif isinstance(stmt, If):
             lines.append(f"{pad}IF {stmt.cond!r}")
-            _explain_statements(stmt.then, lines, indent + 1)
+            _explain_statements(stmt.then, lines, indent + 1, params)
             if stmt.otherwise:
                 lines.append(f"{pad}ELSE")
-                _explain_statements(stmt.otherwise, lines, indent + 1)
+                _explain_statements(stmt.otherwise, lines, indent + 1, params)
         elif isinstance(stmt, Print):
             lines.append(f"{pad}PRINT ({len(stmt.items)} items)")
         elif isinstance(stmt, Return):
@@ -105,12 +110,14 @@ def _explain_statements(statements: List[Statement], lines: List[str], indent: i
             # statement groups and extension statements
             inner = getattr(stmt, "statements", None)
             if inner is not None:
-                _explain_statements(inner, lines, indent)
+                _explain_statements(inner, lines, indent, params)
             else:
                 lines.append(f"{pad}{type(stmt).__name__}")
 
 
-def _explain_block(block: SelectBlock, lines: List[str], indent: int) -> None:
+def _explain_block(
+    block: SelectBlock, lines: List[str], indent: int, params: List[Parameter]
+) -> None:
     pad = "  " * indent
     cert = getattr(block, "certificate", None)
     if cert is not None:
@@ -130,8 +137,9 @@ def _explain_block(block: SelectBlock, lines: List[str], indent: int) -> None:
         hops = getattr(chain, "hops", [])
         source = getattr(chain, "source", chain)
         lines.append(f"{pad}FROM {source!r}")
-        for hop in hops:
-            lines.append(f"{pad}  {_describe_hop(hop)}")
+        for k, hop in enumerate(hops, 1):
+            far = _semijoin_far_end(hops, k, var_filters, params)
+            lines.append(f"{pad}  {_describe_hop(hop, far)}")
     for var, filters in sorted(var_filters.items()):
         for f in filters:
             lines.append(f"{pad}PUSHDOWN [{var}] {f!r}")
@@ -157,11 +165,36 @@ def _explain_block(block: SelectBlock, lines: List[str], indent: int) -> None:
         lines.append(f"{pad}=> vertex set of {block.select_var!r}")
 
 
-def _describe_hop(hop) -> str:
+def _semijoin_far_end(hops, k: int, var_filters, params: List[Parameter]):
+    """The far-end variable of the ``repro.core.pattern._semijoin_hop``
+    after hop ``k`` (1-based) when the hop kernel may prune hop ``k``
+    toward it: its far end is pinned to a vertex parameter or filtered
+    by bound comparisons only.  A vertex-set far end and the candidate
+    count are known at run time only."""
+    far_hop = _semijoin_hop(hops, k, var_filters)
+    if far_hop is None:
+        return None
+    far = far_hop.target.var
+    filters = var_filters.get(far, [])
+    pinned = any(p.name == far and p.vertex_type is not None for p in params)
+    if not (filters or pinned):
+        return None
+    # Imported lazily: repro.compile imports core submodules.
+    from ..compile.lowering import lower_pushed_filter
+
+    scope = Scope((far,), (), [p.name for p in params])
+    if all(lower_pushed_filter(f, None, scope).compare for f in filters):
+        return far
+    return None
+
+
+def _describe_hop(hop, semijoin=None) -> str:
     ast = hop.darpe.ast
     lo, hi = length_range(ast)
     if hop.is_single_symbol:
         plan = "adjacency expansion"
+        if semijoin is not None:
+            plan += f", semi-join toward {semijoin}"
     elif contains_kleene(ast):
         plan = "path engine (Kleene: SDMC counting / enumeration)"
     else:

@@ -32,7 +32,7 @@ from ..darpe.ast import Symbol, contains_kleene
 from ..darpe.automaton import CompiledDarpe
 from ..darpe.parser import parse_darpe
 from ..errors import QueryCompileError, QueryRuntimeError
-from ..graph.elements import Vertex
+from ..graph.elements import FORWARD, REVERSE, UNDIRECTED, Vertex
 from ..paths.sdmc import sdmc_search
 from ..paths.semantics import PathSemantics
 from ..enumeration.engine import match_counts
@@ -587,7 +587,8 @@ def evaluate_chain(
         # Seed width after pushdown: the Qn query of Section 7.1 seeds
         # from 1 vertex instead of all 91 thanks to the planner.
         col.count("pattern.seed_vertices", len(rows))
-    for hop in chain.hops:
+    for k, hop in enumerate(chain.hops, 1):
+        far_hop = _semijoin_hop(chain.hops, k, var_filters)
         if col is not None:
             hop_span = col.span(
                 "hop",
@@ -595,8 +596,9 @@ def evaluate_chain(
                 rows_in=len(rows),
             )
         try:
-            new_rows, plan = _evaluate_hop(
-                ctx, graph, hop, rows, mode, var_filters, layout, current_var, col
+            new_rows, plan, pruned = _evaluate_hop(
+                ctx, graph, hop, rows, mode, var_filters, layout, current_var, col,
+                far_hop,
             )
         finally:
             if col is not None:
@@ -606,6 +608,8 @@ def evaluate_chain(
             hop_span.set(
                 plan=plan, rows_out=len(new_rows), multiplicity_out=multiplicity
             )
+            if pruned:
+                hop_span.set(semijoin=far_hop.target.var)
         rows = new_rows
         current_var = hop.target.var
     return BindingTable(layout, rows, multiplicity)
@@ -630,15 +634,22 @@ def _evaluate_hop(
     layout: List[str],
     current_var: str,
     col,
-) -> Tuple[List[BindingRow], str]:
+    far_hop: Optional[Hop] = None,
+) -> Tuple[List[BindingRow], str, bool]:
     """Expand one hop over rows laid out as ``layout`` (advanced in
-    place); returns (new rows, plan label for observability).
+    place); returns (new rows, plan label for observability, whether a
+    semi-join toward ``far_hop`` pruned them).
 
     Every plan extends a row the same way: a new variable's value is
     appended to the row's values (edge before target,
     ``Chain.variables()`` order), and a target variable the row already
     binds acts as a join condition — the new binding must be that same
     vertex, in the slot it already has, or the extension is dropped.
+
+    An adjacency hop followed by the adjacency hop ``far_hop`` keeps
+    only the rows ``far_hop`` extends (:func:`_semijoin`): the dropped
+    rows are exactly those it would extend to nothing, so the rows after
+    ``far_hop`` — their order, multiplicities and errors — are the same.
     """
     new_rows: List[BindingRow] = []
     append = new_rows.append
@@ -663,7 +674,19 @@ def _evaluate_hop(
         # An edge variable some earlier hop bound is re-bound in place.
         rebound = _bind_slot(layout, edge_var) if edge_var is not None else None
         joined = _bind_slot(layout, target_var)
-        plain = edge_var is None and joined is None
+        allowed = far = None
+        if far_hop is not None:
+            semijoin = _semijoin(ctx, graph, far_hop, len(rows), var_filters, layout)
+            if semijoin is not None:
+                allowed, far = semijoin
+                if col is not None:
+                    col.count("planner.hops_semijoin")
+        plain = edge_var is None and joined is None and far is None
+        prefilter = None
+        if plain and allowed is not None and not var_filters.get(target_var):
+            # No filter can raise on a target: drop a bucket's pruned
+            # neighbours before admission meets them.
+            prefilter, allowed = allowed.__contains__, None
         by_type = graph.columns(symbol.direction)
         if symbol.edge_type is None:  # the wildcard: every column, per row
             columns = list(by_type.values())
@@ -676,13 +699,15 @@ def _evaluate_hop(
                 continue
             neighbors, eids = bucket
             if plain:
+                if prefilter is not None:
+                    neighbors = [*filter(prefilter, neighbors)]
                 for vid in neighbors:
                     target = resolve(vid)
                     if target is None:
                         target = admit(vid, neighbors)
                     if target is not False and (
                         only_type is None or target.type == only_type
-                    ):
+                    ) and (allowed is None or vid in allowed):
                         append((values + (target,), multiplicity))
                 continue
             for vid, eid in zip(neighbors, eids):
@@ -699,6 +724,11 @@ def _evaluate_hop(
                         continue
                 if joined is not None and values[joined].vid != target.vid:
                     continue
+                if allowed is not None and (
+                    vid if far is None
+                    else (vid, values[far].vid if far < len(values) else vid)
+                ) not in allowed:
+                    continue
                 extended = values
                 if rebound is not None:
                     extended = values[:rebound] + (edge,) + values[rebound + 1:]
@@ -707,7 +737,7 @@ def _evaluate_hop(
                 if joined is None:
                     extended += (target,)
                 append((extended, multiplicity))
-        return new_rows, plan
+        return new_rows, plan, allowed is not None or prefilter is not None
 
     reverse_targets = _reverse_targets(
         ctx, hop, rows, mode, var_filters, current
@@ -734,7 +764,7 @@ def _evaluate_hop(
                     append((values + (target,), multiplicity * mult))
                 elif values[joined].vid == target.vid:
                     append((values, multiplicity * mult))
-        return new_rows, plan
+        return new_rows, plan, False
 
     # Forward expansion; the per-source result — already restricted to
     # admissible targets — is cached since many rows share a source.
@@ -759,7 +789,114 @@ def _evaluate_hop(
                 append((values + (target,), multiplicity * mult))
             elif values[joined].vid == target.vid:
                 append((values, multiplicity * mult))
-    return new_rows, plan
+    return new_rows, plan, False
+
+
+def _semijoin_hop(
+    hops: List[Hop], k: int, var_filters: Dict[str, List[Any]]
+) -> Optional[Hop]:
+    """``hops[k]`` when a semi-join may prune adjacency hop ``hops[k - 1]``
+    toward it: it is an adjacency hop too, its far end a vertex variable
+    (not one the chain binds to an edge) and its edge, if it binds one,
+    unfiltered.  Whether the far end is selective is :func:`_semijoin`'s
+    to decide, per execution."""
+    if k >= len(hops) or not hops[k - 1].is_single_symbol:
+        return None
+    far_hop = hops[k]
+    if not far_hop.is_single_symbol or far_hop.target.var in {h.edge_var for h in hops}:
+        return None
+    if far_hop.edge_var is not None and var_filters.get(far_hop.edge_var):
+        return None
+    return far_hop
+
+
+def _semijoin(
+    ctx: QueryContext,
+    graph,
+    hop: Hop,
+    rows_in: int,
+    var_filters: Dict[str, List[Any]],
+    layout: List[str],
+) -> Optional[Tuple[set, Optional[int]]]:
+    """Bind stage of the semi-join that prunes the adjacency hop before
+    ``hop``, an adjacency hop itself, to the rows ``hop`` extends:
+    ``(allowed, far)``, or None when it does not apply.
+
+    It applies to a :func:`_semijoin_hop` whose far end is selective —
+    pinned, a vertex set, or filtered by conjuncts that are all bound
+    comparisons (:func:`_bind_comparisons`) — with no more candidates
+    (1, the set's size, or the type's vertex count) than the ``rows_in``
+    rows entering the pruned hop.  Each candidate is admitted once, as
+    ``_admission`` would (restriction, then the inline comparisons); a
+    candidate they cannot decide cleanly abandons the semi-join, so the
+    forward plan meets that vertex as before.  No closure runs and no
+    statistic is read.
+
+    ``allowed`` holds the neighbours of the admitted far ends over
+    ``hop``'s reversed column(s): the targets ``hop`` can extend.  When
+    ``layout`` already binds the far-end variable (slot ``far``), the
+    extension must reach that vertex, so ``allowed`` holds
+    ``(target id, far-end id)`` pairs instead.
+    """
+    spec = hop.target
+    filters = var_filters.get(spec.var)
+    pin = spec._pinned_vertex(ctx)
+    vtype, vset = spec.restriction(ctx)
+    if pin is not None:
+        candidates, count = (pin,), 1
+    elif vset is not None:
+        candidates, count = vset, len(vset)
+    elif filters:
+        candidates, count = graph.vertices(vtype), graph.count_vertices(vtype)
+    else:
+        return None
+    if not rows_in or count > rows_in:
+        return None
+    tests = _bind_comparisons(EvalEnv(ctx, [None]), filters) if filters else ()
+    if tests is None:
+        return None
+    lookup = graph.vertex_getter()
+    admitted = []
+    for candidate in candidates:
+        vid = candidate.vid
+        if not graph.has_vertex(vid):
+            continue
+        value = lookup(vid)  # this version's vertex, as admission reads it
+        if (vtype is not None and value.type != vtype) or (
+            vset is not None and value not in vset
+        ):
+            continue
+        try:
+            attrs = value.attrs
+            for attr, compare, operand in tests:
+                if not compare(attrs[attr], operand):
+                    break
+            else:
+                admitted.append(vid)
+        except (AttributeError, KeyError, TypeError):
+            return None
+    symbol = hop.darpe.ast
+    by_type = graph.columns(_REVERSED[symbol.direction])
+    if symbol.edge_type is None:
+        columns = list(by_type.values())
+    else:
+        columns = [by_type.get(symbol.edge_type, {})]
+    far = layout.index(spec.var) if spec.var in layout else None
+    allowed: set = set()
+    for vid in admitted:
+        for column in columns:
+            bucket = column.get(vid)
+            if bucket is None:
+                continue
+            if far is None:
+                allowed.update(bucket[0])
+            else:
+                allowed.update([(target, vid) for target in bucket[0]])
+    return allowed, far
+
+
+#: The direction a symbol's adjacency is read back in.
+_REVERSED = {FORWARD: REVERSE, REVERSE: FORWARD, UNDIRECTED: UNDIRECTED}
 
 
 def _reverse_targets(

@@ -414,6 +414,12 @@ class Graph:
             for vid in self._by_type.get(vtype, ()):
                 yield self._vertices[vid]
 
+    def count_vertices(self, vtype: Optional[str] = None) -> int:
+        """How many vertices (of one type) this version holds."""
+        if vtype is None:
+            return len(self._vertices)
+        return len(self._by_type.get(vtype, ()))
+
     def vertex_ids(self, vtype: Optional[str] = None) -> Iterator[Any]:
         if vtype is None:
             yield from self._vertices

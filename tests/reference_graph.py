@@ -147,6 +147,9 @@ class ReferenceGraph:
     def vertex_ids(self):
         return iter(self._vertices)
 
+    def count_vertices(self, vtype=None):
+        return sum(1 for _ in self.vertices(vtype))
+
     def edges(self):
         return iter(self._edges.values())
 

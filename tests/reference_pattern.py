@@ -7,7 +7,11 @@ on the names their dicts share.  Pushed-down filters always run as their
 closures (:func:`_bind_filters` below, the bind stage before it learned
 to compare tagged conjuncts inline), and hop targets are admitted by the
 memoising acceptor the shipped admission loop replaced
-(``_ClosureAcceptor``, fed that closure-only bind stage).  Everything
+(``_ClosureAcceptor``, fed that closure-only bind stage).  A hop the
+shipped matcher prunes by a semi-join toward the next hop
+(:func:`_semijoin_applies` picks the same hops) is expanded in full
+here, then keeps the rows that next hop extends — found by running the
+next hop on each row alone.  Everything
 else that is *not* the row representation — the per-hop counting
 (``_hop_counts``), the obs touchpoints — is the shipped code, called at
 the places the old loops called it, and adjacency is read through the
@@ -17,7 +21,7 @@ how rows are built, ordered or joined, or in what a filter decides.
 """
 
 from repro import _exec
-from repro.core.exprs import EvalEnv, Scope
+from repro.core.exprs import _BINARY_OPS, EvalEnv, Scope
 from repro.core.pattern import (
     EngineMode,
     TableSource,
@@ -25,6 +29,7 @@ from repro.core.pattern import (
     _is_table_conjunct,
     _join_key,
 )
+from repro.errors import QueryRuntimeError
 
 
 def _bind_filters(ctx, var, filters):
@@ -86,7 +91,11 @@ def evaluate_chain(ctx, chain, mode, var_filters=None):
     ]
     if col is not None:
         col.count("pattern.seed_vertices", len(rows))
-    for hop in chain.hops:
+    for k, hop in enumerate(chain.hops, 1):
+        far_hop = chain.hops[k] if k < len(chain.hops) else None
+        pruned = far_hop is not None and _semijoin_applies(
+            ctx, chain, hop, far_hop, rows, var_filters
+        )
         if col is not None:
             hop_span = col.span(
                 "hop",
@@ -94,9 +103,19 @@ def evaluate_chain(ctx, chain, mode, var_filters=None):
                 rows_in=len(rows),
             )
         try:
+            if pruned and col is not None:
+                col.count("planner.hops_semijoin")
             new_rows, plan = _evaluate_hop(
                 ctx, graph, hop, rows, mode, var_filters, current_var, col
             )
+            if pruned:
+                new_rows = [
+                    row for row in new_rows
+                    if _evaluate_hop(
+                        ctx, graph, far_hop, [row], mode, var_filters,
+                        hop.target.var, None,
+                    )[0]
+                ]
         finally:
             if col is not None:
                 col.close(hop_span)
@@ -106,6 +125,8 @@ def evaluate_chain(ctx, chain, mode, var_filters=None):
                 rows_out=len(new_rows),
                 multiplicity_out=sum(m for _, m in new_rows),
             )
+            if pruned:
+                hop_span.set(semijoin=far_hop.target.var)
         rows = new_rows
         current_var = hop.target.var
     return rows
@@ -204,6 +225,66 @@ def _reverse_targets(ctx, hop, rows, mode, var_filters, current_var):
     if len(targets) <= len(distinct_sources):
         return targets
     return None
+
+
+def _semijoin_applies(ctx, chain, hop, far_hop, rows, var_filters):
+    """Whether the shipped matcher prunes adjacency hop ``hop`` toward the
+    adjacency hop ``far_hop`` after it: ``far_hop``'s edge carries no
+    filter, its far end is a vertex variable restricted by a pin, a
+    vertex set or bound comparisons only, it has no more candidates than
+    ``rows``, and the comparisons decide every candidate without a
+    missing attribute or a ``TypeError``."""
+    if not (hop.is_single_symbol and far_hop.is_single_symbol):
+        return False
+    if far_hop.target.var in {h.edge_var for h in chain.hops}:
+        return False
+    if far_hop.edge_var is not None and var_filters.get(far_hop.edge_var):
+        return False
+    spec = far_hop.target
+    filters = var_filters.get(spec.var) or []
+    pinned = spec._pinned_vertex(ctx)
+    vtype, vset = spec.restriction(ctx)
+    if pinned is not None:
+        candidates = [pinned]
+    elif vset is not None:
+        candidates = list(vset)
+    elif filters:
+        candidates = list(ctx.graph.vertices(vtype))
+    else:
+        return False
+    if not rows or len(candidates) > len(rows):
+        return False
+    env = EvalEnv(ctx, [None])
+    tests = []
+    for f in filters:
+        tag = getattr(f, "compare", None)
+        if tag is None:
+            return False
+        attr, op, operand_fn = tag
+        try:
+            operand = operand_fn(env)
+        except QueryRuntimeError:
+            return False
+        if type(operand) not in (int, float, str):
+            return False
+        tests.append((attr, _BINARY_OPS[op], operand))
+    for candidate in candidates:
+        if candidate.vid not in ctx.graph:
+            continue
+        vertex = ctx.graph.vertex(candidate.vid)
+        if (vtype is not None and vertex.type != vtype) or (
+            vset is not None and vertex not in vset
+        ):
+            continue
+        for attr, compare, operand in tests:
+            if attr not in vertex.attrs:
+                return False
+            try:
+                if not compare(vertex.attrs[attr], operand):
+                    break
+            except TypeError:
+                return False
+    return True
 
 
 def _join(left, right):

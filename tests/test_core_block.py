@@ -339,6 +339,53 @@ class TestOutputs:
         block.execute(ctx, EngineMode.counting())
         assert ctx.table("Products").column("name") == ["puzzle", "kite", "doll"]
 
+    #: name -> w, in insertion order; NaN orders with nothing.
+    NAN_WEIGHTS = {
+        "a": 3.0, "n1": float("nan"), "b": 1.0, "c": 2.0, "d": 0.5, "n2": float("nan"),
+    }
+
+    @pytest.mark.parametrize("desc,expected", [
+        (False, ["d", "b", "c", "a", "n1", "n2"]),
+        (True, ["a", "c", "b", "d", "n1", "n2"]),
+    ])
+    def test_order_by_puts_nan_last(self, desc, expected):
+        """NaN keys sort last under ASC and DESC, like None, and tie with
+        each other in their input order — on both result kinds."""
+        from repro.graph import Graph
+
+        g = Graph()
+        for name, w in self.NAN_WEIGHTS.items():
+            g.add_vertex(name, "S", name=name, w=w)
+        block = SelectBlock(
+            pattern=Pattern([chain("S", "s")]),
+            select_var="s",
+            fragments=[
+                OutputFragment([OutputColumn(AttrRef(NameRef("s"), "name"), "name")], "T")
+            ],
+            order_by=[(AttrRef(NameRef("s"), "w"), desc)],
+        )
+        ctx = QueryContext(g)
+        result = block.execute(ctx, EngineMode.counting())
+        assert [v.vid for v in result] == expected
+        assert ctx.table("T").column("name") == expected
+
+    def test_nan_ties_fall_through_to_the_next_key(self):
+        from repro.graph import Graph
+
+        g = Graph()
+        for name, w in self.NAN_WEIGHTS.items():
+            g.add_vertex(name, "S", name=name, w=w)
+        block = SelectBlock(
+            pattern=Pattern([chain("S", "s")]),
+            select_var="s",
+            order_by=[
+                (AttrRef(NameRef("s"), "w"), False),
+                (AttrRef(NameRef("s"), "name"), True),
+            ],
+        )
+        result = block.execute(QueryContext(g), EngineMode.counting())
+        assert [v.vid for v in result] == ["d", "b", "c", "a", "n2", "n1"]
+
 
 class TestTractabilityGuard:
     def test_order_dependent_accum_from_kleene_rejected(self):

@@ -309,3 +309,22 @@ CREATE QUERY q() {
   S = SELECT t FROM V:s -(A>.(B>|D>)._>.A>)- V:t;
 }""")
         assert "fixed-unique-length 4" in explain_query(q)
+
+    def test_explain_marks_a_semijoin_toward_a_selective_far_end(self):
+        q = parse_query("""
+CREATE QUERY q(vertex<V> pin, string key) {
+  A = SELECT s FROM V:s -(E>)- V:m -(F>)- V:t WHERE t.name == key;
+  B = SELECT s FROM V:s -(E>)- V:m -(F>)- V:pin;
+  C = SELECT s FROM V:s -(E>)- V:m -(F>)- V:t WHERE t.name == s.name;
+  D = SELECT s FROM V:s -(E>*)- V:m -(F>)- V:t WHERE t.name == key;
+}""")
+        marked = [
+            line.strip().split("   ")[0]
+            for line in explain_query(q).splitlines()
+            if "semi-join" in line
+        ]
+        # C's far-end filter reads another variable (a residual conjunct),
+        # D's first hop is a path-engine hop.
+        assert marked == ["-(E>)- V:m", "-(E>)- V:m"]
+        assert explain_query(q).count("semi-join toward t") == 1
+        assert explain_query(q).count("semi-join toward pin") == 1

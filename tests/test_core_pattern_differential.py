@@ -193,14 +193,16 @@ def _outcome(matcher, graph, pattern, filters, members, params, mode):
 
 def _assert_same(graph, pattern, filters, members, params, mode):
     """Both matchers on fresh, equal contexts; returns the shipped table
-    and the plans its hops ran (None and no plans when both raised)."""
+    and the plans its hops ran, plus ``"semijoin"`` when a semi-join
+    pruned a hop (None, and no hop plans, when both raised)."""
     case = (graph, pattern, filters, members, params, mode)
     want, want_col = _outcome(reference_pattern.evaluate_pattern, *case)
     table, got_col = _outcome(evaluate_pattern, *case)
+    pruned = {"semijoin"} if got_col.counter("planner.hops_semijoin") else set()
     if isinstance(want[0], type) or isinstance(table, tuple):
         assert table == want
         assert _observed(got_col) == _observed(want_col)
-        return None, set()
+        return None, pruned
     variables, want_rows = want
     assert table.variables == variables == pattern.variables()
     assert all(set(bindings) == set(variables) for bindings, _ in want_rows)
@@ -216,12 +218,48 @@ def _assert_same(graph, pattern, filters, members, params, mode):
         for span in root.walk()
         if span.name == "hop"
     }
-    return table, plans
+    return table, plans | pruned
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=cases())
 def test_tuple_rows_match_dict_rows(case):
+    _assert_same(*case)
+
+
+@st.composite
+def semijoin_cases(draw):
+    """Chains of two or three adjacency hops whose last far end is
+    pinned, a vertex set or filtered — the shape a semi-join prunes —
+    from a wide seed, so the far end is often the smaller side."""
+    graph = draw(graphs())
+    source = VertexSpec(draw(st.sampled_from(("_", "P"))), "a")
+    count = draw(st.integers(2, 3))
+    hops = []
+    for i in range(count):
+        # the far end is a named variable, so it can be filtered or pinned
+        names = st.sampled_from(VERTEX_VARS)
+        target_var = draw(names if i == count - 1 else st.none() | names)
+        edge_var = draw(st.none() | st.sampled_from(EDGE_VARS))
+        hops.append(hop(
+            draw(st.sampled_from(SINGLE)), draw(st.sampled_from(SPEC_NAMES)),
+            target_var, edge_var,
+        ))
+    pattern = Pattern([Chain(source, hops)])
+    far = hops[-1].target.var
+    filters = {}
+    for name in pattern.visible_variables():
+        if name == far or not draw(st.integers(0, 3)):
+            filters[name] = [_lowered(name, draw(conjuncts(name)))]
+    vertices = list(graph.vertices())
+    members = draw(st.lists(st.sampled_from(vertices), min_size=1, unique=True))
+    params = {far: draw(st.sampled_from(vertices))} if draw(st.booleans()) else {}
+    return graph, pattern, filters, members, params, COUNTING
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=semijoin_cases())
+def test_semijoin_pruned_rows_match_dict_rows(case):
     _assert_same(*case)
 
 
@@ -318,22 +356,96 @@ NAMED_SHAPES = {
         [Chain(VertexSpec("T", "r"), []), Chain(VertexSpec("T", "r"), [])],
         {}, {}, COUNTING,
     ),
+    # A semi-join prunes the first hop to the b the second hop extends.
+    "semi-join: filtered far end": (
+        [Chain(VertexSpec("_", "a"), [hop("A>", "_", "b"), hop("A>", "P", "c")])],
+        {"c": [_w("c", "==", 2)]}, {}, COUNTING,
+    ),
+    "semi-join: filtered far end behind a filtered target (the ic6 shape)": (
+        [Chain(VertexSpec("_", "a"), [hop("A>", "_", "b"), hop("A>", "P", "c")])],
+        {"b": [_w("b", ">=", 0)], "c": [_w("c", "==", 2)]}, {}, COUNTING,
+    ),
+    "semi-join: filtered far end behind an edge variable (the ic11 shape)": (
+        [Chain(VertexSpec("_", "a"), [hop("A>", "_", "b", "e"), hop("A>", "P", "c")])],
+        {"e": [_w("e", "<", 3, "q")], "c": [_w("c", ">", NameRef("lo"))]}, {}, COUNTING,
+    ),
+    "semi-join: pinned far end": (
+        [Chain(VertexSpec("_", "a"), [hop("A>", "_", "b"), hop("A>", "_", "c")])],
+        {}, {"c": 3}, COUNTING,
+    ),
+    "semi-join: vertex-set far end": (
+        [Chain(VertexSpec("_", "a"), [hop("A>", "_", "b"), hop("A>", "S", "c")])],
+        {}, {}, COUNTING,
+    ),
+    "semi-join: joined far end": (
+        [Chain(VertexSpec("_", "a"), [hop("_>", "_", "b"), hop("<A", "S", "a")])],
+        {}, {}, COUNTING,
+    ),
+    "semi-join: undirected far hop": (
+        [Chain(VertexSpec("_", "a"), [hop("A>", "_", "b"), hop("U", "_", "c")])],
+        {"c": [_w("c", "==", 3)]}, {}, COUNTING,
+    ),
+    "semi-join abandoned: undecidable far end the hop never reaches": (
+        [Chain(VertexSpec("_", "a"), [hop("A>", "_", "b"), hop("U", "P", "c")])],
+        {"c": [_w("c", "<", 3)]}, {}, COUNTING,
+    ),
+    "semi-join abandoned: undecidable far end the hop reaches": (
+        [Chain(VertexSpec("_", "a"), [hop("A>", "_", "b"), hop("A>", "P", "c")])],
+        {"c": [_w("c", "<", 3)]}, {}, COUNTING,
+    ),
+    "semi-join: edge filter raises on a row it would drop": (
+        [Chain(VertexSpec("_", "a"), [hop("A>", "_", "b", "e"), hop("A>", "P", "c")])],
+        {"e": [_w("e", "<", 3, "q")], "c": [_w("c", "==", 2)]}, {}, COUNTING,
+    ),
+    "semi-join: target filter raises on a row it would drop": (
+        [Chain(VertexSpec("_", "a"), [hop("A>", "_", "b"), hop("A>", "_", "c")])],
+        {"b": [_w("b", "<", 3)], "c": [_w("c", "==", 1)]}, {}, COUNTING,
+    ),
+}
+
+#: Named shapes run on another graph than ``_ring()``: vertex 2's ``w``
+#: is None, or the A edge leaving vertex 2 has ``q`` None.
+SHAPE_GRAPHS = {
+    "semi-join: target filter raises on a row it would drop": lambda: _ring(None),
+    "semi-join abandoned: undecidable far end the hop never reaches": lambda: _ring(None),
+    "semi-join abandoned: undecidable far end the hop reaches": lambda: _ring(None),
+    "semi-join: edge filter raises on a row it would drop": (
+        lambda: _edge_q(_ring(), 2, None)
+    ),
+}
+
+#: Named shapes whose evaluation raises (the same error in both matchers).
+RAISING_SHAPES = {
+    "semi-join: target filter raises on a row it would drop",
+    "semi-join abandoned: undecidable far end the hop reaches",
+    "semi-join: edge filter raises on a row it would drop",
 }
 
 
 def test_named_shapes_are_all_covered():
-    graph = _ring()
-    members = [graph.vertex(0), graph.vertex(1), graph.vertex(2)]
     plans = set()
+    pruned = set()
     for name, (pattern_chains, filters, pinned, mode) in NAMED_SHAPES.items():
+        graph = SHAPE_GRAPHS.get(name, _ring)()
+        members = [graph.vertex(0), graph.vertex(1), graph.vertex(2)]
         params = {var: graph.vertex(vid) for var, vid in pinned.items()}
         table, ran = _assert_same(
             graph, Pattern(pattern_chains), filters, members, params, mode
         )
-        assert table.rows, name
+        if name in RAISING_SHAPES:
+            assert table is None, name
+        else:
+            assert table.rows, name
+        if "semijoin" in ran:
+            pruned.add(name)
         plans |= ran
     assert plans == {
         "adjacency", "sdmc-counting", "enumeration", "enumeration-reversed",
+        "semijoin",
+    }
+    assert pruned == {
+        name for name in NAMED_SHAPES
+        if name.startswith("semi-join:")
     }
 
 

@@ -78,6 +78,13 @@ CREATE QUERY q() {
   WHILE @@m < 5 LIMIT 3 DO @@m += 1; END;
 }""")
 
+    def test_limit_zero_is_legal(self):
+        result = run(
+            "CREATE QUERY q() { S = SELECT c FROM Customer:c -(Bought>)- Product:p"
+            " LIMIT 0; PRINT S.size() AS n; }"
+        )
+        assert result.printed == [{"n": 0}]
+
     def test_heap_input_arity(self):
         with pytest.raises(ReproError):
             run("""
@@ -113,6 +120,25 @@ CREATE QUERY q() {
 CREATE QUERY q() {
   S = SELECT c FROM Customer:c -(Bought>)- Product:p LIMIT "x";
 }""", "LIMIT needs an integer"),
+    # One-line texts: the lexer differential numbers a file's
+    # triple-quoted strings, so new ones go after the existing ones.
+    "limit_negative": (
+        "CREATE QUERY q() { S = SELECT c FROM Customer:c -(Bought>)- Product:p LIMIT -1; }",
+        "LIMIT needs an integer >= 0, got -1",
+    ),
+    "limit_fractional": (
+        "CREATE QUERY q() { SELECT c.name AS n INTO T"
+        " FROM Customer:c -(Bought>)- Product:p LIMIT 2.5; }",
+        "LIMIT needs an integer >= 0, got 2.5",
+    ),
+    "limit_boolean": (
+        "CREATE QUERY q() { SumAccum<int> @@n; WHILE @@n < 5 LIMIT TRUE DO @@n += 1; END; }",
+        "LIMIT needs an integer >= 0, got True",
+    ),
+    "limit_numeric_string": (
+        "CREATE QUERY q() { S = SELECT c FROM Customer:c -(Bought>)- Product:p LIMIT \"3\"; }",
+        "LIMIT needs an integer >= 0, got '3'",
+    ),
     "outdegree_two_arguments": ("""
 CREATE QUERY q() {
   SumAccum<int> @@d;
