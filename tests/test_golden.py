@@ -17,7 +17,9 @@ its test.  The goldens pin:
 - ``server``: the outcome taxonomy, the service fault sites, the default
   budget classes and the exit codes;
 - ``wal``: the write-path fault sites, the fsck checks, the op kinds, the
-  ``conflict`` outcome and the counters of a recovery smoke.
+  ``conflict`` outcome and the counters of a recovery smoke;
+- ``emission``: what SELECT outputs, PRINT and RETURN emit, in order, for
+  the ``ic_warm`` texts and one block case per output clause.
 
 What a golden cannot say stays an explicit assert: the worked examples'
 certificates, solver convergence, certificates bracketing the observed
@@ -25,6 +27,7 @@ counters, Theorem 7.1's growth separation in the predicted bounds, Qn30's
 downgrade and the recovery smoke's replay.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -42,12 +45,13 @@ from repro.graph.fsck import check_catalog, fsck_graph
 from repro.graph.mutation import OP_KINDS, GraphStore, MutationBatch, recover_graph
 from repro.graph.stats import stats_snapshot
 from repro.graph.wal import list_segments
+from repro.gsql import parse_query
 from repro.ldbc import IC_QUERIES, default_parameters, generate_snb_graph
 from repro.obs import collect
 from repro.paths import PathSemantics
 from repro.server import taxonomy
 from repro.server.admission import default_classes
-from repro.server.protocol import HTTP_STATUS, RETRYABLE_OUTCOMES, OutcomeKind
+from repro.server.protocol import HTTP_STATUS, RETRYABLE_OUTCOMES, OutcomeKind, jsonify
 
 from .test_cost import qn_certificate
 
@@ -326,3 +330,124 @@ def test_wal_surface_and_recovery_smoke(tmp_path):
             if k.split(".")[0] in ("wal", "mutation", "fsck")
         },
     })
+
+
+# ======================================================================
+# Output emission: INTO tables, vertex-set results, PRINT and RETURN
+# ======================================================================
+def emitted(result):
+    """Everything a run emitted, as JSON, every order intact."""
+    return {
+        "tables": {name: jsonify(table) for name, table in result.tables.items()},
+        "vertex_sets": {
+            name: [v.vid for v in vset] for name, vset in result.vertex_sets.items()
+        },
+        "printed": jsonify(result.printed),
+        "returned": jsonify(result.returned),
+    }
+
+
+def _e2e_corpus():
+    spec = importlib.util.spec_from_file_location(
+        "e2e_corpus", REPO / "benchmarks" / "e2e" / "corpus.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_emission():
+    """The ten ``ic_warm`` texts from three persons of low, middle and
+    high Knows degree on an SF 0.3 graph, and block cases for each
+    output clause on the SalesGraph: GROUP BY + HAVING over aggregates,
+    DISTINCT aggregates, a vertex-set ORDER BY + LIMIT, a PRINT set
+    projection, None and NaN sort keys (last under ASC and DESC) and
+    LIMIT cuts inside a tie group."""
+    corpus = _e2e_corpus()
+    graph = generate_snb_graph(scale_factor=0.3, seed=42)
+    degree = {v.vid: 0 for v in graph.vertices("Person")}
+    for edge in graph.edges("Knows"):
+        degree[edge.source] += 1
+        degree[edge.target] += 1
+    ordered = sorted(degree, key=lambda vid: (degree[vid], vid))
+    persons = [ordered[len(ordered) * i // 6] for i in (1, 3, 5)]
+    golden = {}
+    for kind, hops in corpus.IC_WARM_TEXTS:
+        query = parse_query(corpus.ic_text(kind, hops))
+        for person in persons:
+            result = query.run(graph, **corpus.ic_params(kind, person))
+            golden[f"{kind}_h{hops}/{person}"] = emitted(result)
+    for text in EMISSION_CASES:
+        query = parse_query(text)
+        result = query.run(builders.sales_graph(), **EMISSION_PARAMS.get(query.name, {}))
+        golden[query.name] = emitted(result)
+    assert_golden("emission", golden)
+
+
+EMISSION_PARAMS = {"print_projection": {"k": 2}}
+
+EMISSION_CASES = [
+    """
+CREATE QUERY group_having() FOR GRAPH SalesGraph {
+  SELECT p.category AS cat, count(*) AS n, sum(e.quantity * p.price) AS revenue,
+         avg(p.price) AS mean, min(c.name) AS first, max(e.discount) AS top INTO T
+  FROM Customer:c -(Bought>:e)- Product:p
+  GROUP BY p.category
+  HAVING count(*) > 1
+  ORDER BY sum(e.quantity * p.price) DESC;
+}""",
+    """
+CREATE QUERY distinct_aggregate() FOR GRAPH SalesGraph {
+  SELECT c.name AS name, count(DISTINCT p.category) AS cats, count(p) AS n,
+         sum(DISTINCT e.quantity) AS qty INTO T
+  FROM Customer:c -(Bought>:e)- Product:p
+  GROUP BY c.name
+  ORDER BY c.name ASC;
+}""",
+    """
+CREATE QUERY vertex_set_order_limit() FOR GRAPH SalesGraph {
+  SumAccum<int> @units;
+  S = SELECT p FROM Customer:c -(Bought>:e)- Product:p
+      ACCUM p.@units += e.quantity
+      ORDER BY p.@units DESC, p.name ASC
+      LIMIT 3;
+  PRINT S[S.name, S.@units, S.price];
+}""",
+    """
+CREATE QUERY none_nan_keys() FOR GRAPH SalesGraph {
+  SELECT p.name AS name,
+         CASE WHEN p.price > 30 THEN p.price END AS hi,
+         CASE WHEN p.price < 16 THEN float("nan") ELSE p.price END AS lo INTO A
+  FROM Customer:c -(Bought>)- Product:p
+  ORDER BY CASE WHEN p.price > 30 THEN p.price END ASC, p.name DESC;
+  SELECT p.name AS name INTO B
+  FROM Customer:c -(Bought>)- Product:p
+  ORDER BY CASE WHEN p.price < 16 THEN float("nan") ELSE p.price END DESC, p.name ASC;
+  S = SELECT p FROM Customer:c -(Bought>)- Product:p
+      ORDER BY CASE WHEN p.price < 30 THEN p.price END DESC
+      LIMIT 4;
+  PRINT S[S.name];
+}""",
+    """
+CREATE QUERY limit_tie() FOR GRAPH SalesGraph {
+  SELECT c.name AS name, p.category AS cat INTO T
+  FROM Customer:c -(Bought>)- Product:p
+  ORDER BY p.category ASC
+  LIMIT 4;
+  SELECT p.category AS cat, c.name AS name, count(*) AS n INTO G
+  FROM Customer:c -(Bought>)- Product:p
+  GROUP BY p.category, c.name
+  ORDER BY count(*) DESC
+  LIMIT 2;
+  RETURN T;
+}""",
+    """
+CREATE QUERY print_projection(int k) FOR GRAPH SalesGraph {
+  SumAccum<float> @spent;
+  SumAccum<int> @@total;
+  C = SELECT c FROM Customer:c -(Bought>:e)- Product:p
+      ACCUM c.@spent += e.quantity * p.price, @@total += e.quantity;
+  PRINT C[C.name, C.@spent, C.@spent > 50 AS big], @@total, k + 1 AS next;
+  RETURN @@total;
+}""",
+]
