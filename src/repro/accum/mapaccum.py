@@ -1,10 +1,11 @@
 """MapAccum: a map whose values are themselves accumulators.
 
 ``MapAccum<K, V>`` stores a map from keys to values; when ``V`` is an
-accumulator type, inputs ``(k, i)`` fold ``i`` into the nested accumulator
-at key ``k`` — this is how GSQL expresses per-key aggregation without a
-GROUP BY.  Order invariance and multiplicity sensitivity are inherited
-recursively from the nested accumulator type (Section 4.3).
+accumulator type, inputs ``(k, i)`` or ``(k -> i)`` fold ``i`` into the
+nested accumulator at key ``k`` — this is how GSQL expresses per-key
+aggregation without a GROUP BY.  Order invariance and multiplicity
+sensitivity are inherited recursively from the nested accumulator type
+(Section 4.3).
 """
 
 from __future__ import annotations
@@ -14,6 +15,14 @@ from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 from ..errors import AccumulatorError
 from .base import Accumulator
 from .numeric import SumAccum
+
+
+class Arrow(tuple):
+    """The value of the GSQL arrow form ``(k1, k2 -> a1, a2)``: the pair
+    ``(keys, values)`` of two tuples, typed so a consumer can tell it from
+    a plain ``(key, value)`` tuple whose parts happen to be tuples."""
+
+    __slots__ = ()
 
 
 class MapAccum(Accumulator):
@@ -59,6 +68,15 @@ class MapAccum(Accumulator):
             self._entries[key] = cell
 
     def _check_input(self, item: Any) -> Tuple[Any, Any]:
+        if type(item) is Arrow:
+            keys, values = item
+            if len(keys) != 1 or len(values) != 1:
+                raise AccumulatorError(
+                    f"MapAccum input must be a one-key, one-value arrow "
+                    f"(key -> value), got {len(keys)} key(s) and "
+                    f"{len(values)} value(s)"
+                )
+            return keys[0], values[0]
         if not (isinstance(item, tuple) and len(item) == 2):
             raise AccumulatorError("MapAccum input must be a (key, value) pair")
         return item
@@ -113,4 +131,4 @@ class MapAccum(Accumulator):
         return len(self._entries)
 
 
-__all__ = ["MapAccum"]
+__all__ = ["Arrow", "MapAccum"]

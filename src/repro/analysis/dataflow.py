@@ -483,7 +483,7 @@ def block_certificates(
     """One :class:`TractabilityCertificate` per SELECT block.
 
     The classification mirrors the runtime guard in
-    ``SelectBlock._check_tractability``: only ACCUM-clause writes see
+    ``CompiledBlock._check_tractability``: only ACCUM-clause writes see
     per-path multiplicities, so only they can make a Kleene-starred
     pattern intractable (POST_ACCUM runs once per distinct vertex).
     """

@@ -3,12 +3,12 @@
 Each :class:`~repro.core.exprs.Expr` node defines its semantics as a
 closure builder (:meth:`Expr.closure`).  This module builds a tree's
 closure **once** per plan under the :class:`~repro.core.exprs.Scope` of
-the clause it sits in (so names are resolved here, not per row), folds
-constant subtrees, and wraps the result in :class:`CompiledExpr` — an
-``Expr`` whose ``eval`` invokes the prebuilt closure, so everything that
-consumes expressions through ``.eval(env)`` (ORDER BY keys, PRINT items,
-control-flow conditions) runs it unchanged, under an environment whose
-row has that scope's layout.
+the clause it sits in (so names are resolved here, not per row) and
+folds constant subtrees.  That closure is the only way an expression is
+evaluated: :func:`compile_closure` returns it bare, and
+:func:`compile_expr` wraps it in :class:`CompiledExpr`, whose ``fn`` the
+lowered statements call (``expr.fn(env)``, under an environment whose
+row has that scope's layout).
 
 ``CompiledExpr.walk()`` yields the original subtree, so
 ``referenced_names`` / ``primed_accum_names`` / ``contains_aggregate``
@@ -86,9 +86,6 @@ class CompiledExpr(Expr):
 
     def closure(self, scope):
         return self.fn, False
-
-    def eval(self, env: EvalEnv) -> Any:
-        return self.fn(env)
 
     def children(self):
         return self.original.children()

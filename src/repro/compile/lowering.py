@@ -10,10 +10,11 @@ into a :class:`CompiledQuery` — the one form the engine executes
   a fixed slot of the binding row (``pattern.variables()`` order), an
   ACCUM-local or a declared parameter is known as such, and only the
   rest is looked up by name when a row evaluates it;
-* every SELECT block is a :class:`CompiledBlock` that precomputes, once,
-  the filter-pushdown split, the primed-snapshot name set, the
-  POST_ACCUM per-statement dependency slots, and a **fused ACCUM map
-  kernel**: a two-stage closure (``bind(ctx, buffer) -> row_fn(env, μ)``)
+* every SELECT block is a :class:`CompiledBlock` — the block executor,
+  output emission included — that precomputes, once, the
+  filter-pushdown split, the primed-snapshot name set, the POST_ACCUM
+  per-statement dependency slots, the output closures, and a **fused
+  ACCUM map kernel**: a two-stage closure (``bind(ctx, buffer) -> row_fn(env, μ)``)
   whose bind stage resolves accumulator instances and buffer methods
   once per block execution instead of once per row (a POST_ACCUM
   statement is the same kernel from the same lowering).  Each phase of
@@ -21,8 +22,8 @@ into a :class:`CompiledQuery` — the one form the engine executes
   each row.
 
 The original ``Query`` object is left untouched and remains the target
-of static analysis; the lowered statements never alias mutable clause
-lists with it.
+of static analysis; a lowered block reads its source block's clauses
+and certificates and never writes them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from .. import _exec
 from ..accum.algebra import classify
 from ..accum.heap import HeapAccum
-from ..core.block import OutputColumn, OutputFragment, SelectBlock
+from ..core.block import SelectBlock
 from ..core.context import QueryContext
 from ..core.exprs import (
     NO_SCOPE,
@@ -45,7 +46,7 @@ from ..core.exprs import (
     Scope,
     primed_accum_names,
 )
-from ..core.pattern import EngineMode, evaluate_pattern
+from ..core.pattern import BindingRow, EngineMode, evaluate_pattern
 from ..core.planner import push_down_filters, select_engine
 from ..core.query import (
     DeclareAccum,
@@ -62,6 +63,7 @@ from ..core.query import (
     SetAssign,
     Statement,
     While,
+    limit_count,
 )
 from ..core.stmts import (
     AccStatement,
@@ -76,9 +78,12 @@ from ..core.stmts import (
     run_post_accum,
     walk_acc_statements,
 )
-from ..errors import QueryRuntimeError
+from ..core.tractable import TractabilityStatus
+from ..core.values import Table, VertexSet
+from ..errors import QueryRuntimeError, TractabilityError
 from ..governor import faults as _faults
 from ..graph.elements import Vertex
+from ..paths.semantics import PathSemantics
 from .exprc import CompileStats, compile_closure, compile_expr
 
 
@@ -408,8 +413,8 @@ def lower_pushed_filter(
     return lowered
 
 
-class CompiledBlock(SelectBlock):
-    """The executable form of a SELECT block.
+class CompiledBlock:
+    """The executable form of a SELECT block: the one block executor.
 
     One execution runs, in order: governor tick, AUTO resolution,
     degradation ladder, tractability check, primed capture, pattern
@@ -417,71 +422,57 @@ class CompiledBlock(SelectBlock):
     Map/Reduce spans, AccSan replay, POST_ACCUM, memory check,
     fragments, vertex-set span.  The planning that does not depend on
     the execution (pushdown split, primed-name collection, POST_ACCUM
-    dependency analysis, the slot of every pattern variable) happens
-    here, once, at lowering time.  ``outer`` is the scope around the
-    block — the query's declared parameters; WHERE, ACCUM, POST_ACCUM and
-    the outputs are lowered under it extended with the pattern's slots,
-    a pushed-down filter and the vertex-set ORDER BY under a scope whose
-    one slot is their variable, LIMIT under ``outer`` itself.
+    dependency analysis, the slot of every pattern variable, one closure
+    per output column, GROUP BY key, HAVING, ORDER BY key and LIMIT)
+    happens here, once, at lowering time.  ``block`` is the source
+    :class:`~repro.core.block.SelectBlock`: the planner, AccSan and the
+    error messages read its clauses and certificates.  ``outer`` is the
+    scope around the block — the query's declared parameters; WHERE,
+    ACCUM, POST_ACCUM and the outputs are lowered under it extended with
+    the pattern's slots, a pushed-down filter and the vertex-set ORDER BY
+    under a scope whose one slot is their variable, LIMIT under ``outer``
+    itself.
     """
 
-    def __init__(self, original: SelectBlock, decl_types: Dict[str, Any],
+    def __init__(self, block: SelectBlock, decl_types: Dict[str, Any],
                  stats: CompileStats, outer: Scope = NO_SCOPE):
-        variables = original.pattern.variables()
+        self.block = block
+        variables = block.pattern.variables()
         scope = outer.over(variables)
-        fragments = [
-            OutputFragment(
-                [
-                    OutputColumn(compile_expr(c.expr, stats, scope), c.alias)
-                    for c in fragment.columns
-                ],
+
+        def lower(expr: Expr, under: Scope = scope) -> Callable[[EvalEnv], Any]:
+            return compile_expr(expr, stats, under).fn
+
+        # Per INTO fragment: its table name, column aliases, one closure
+        # per column, and whether it aggregates (GROUP BY or an aggregate
+        # call) or projects each row.
+        self._fragments = [
+            (
                 fragment.into,
+                tuple(col.alias for col in fragment.columns),
+                [lower(col.expr) for col in fragment.columns],
+                fragment.has_aggregates() or bool(block.group_by),
             )
-            for fragment in original.fragments
+            for fragment in block.fragments
         ]
-        order_by = [
-            (compile_expr(expr, stats, scope), desc)
-            for expr, desc in original.order_by
-        ]
-        group_by = [compile_expr(expr, stats, scope) for expr in original.group_by]
-        SelectBlock.__init__(
-            self,
-            original.pattern,
-            select_var=original.select_var,
-            fragments=fragments,
-            distinct=original.distinct,
-            where=original.where,
-            accum=original.accum,
-            post_accum=original.post_accum,
-            group_by=group_by,
-            having=(
-                compile_expr(original.having, stats, scope)
-                if original.having is not None
-                else None
-            ),
-            order_by=order_by,
-            limit=(
-                compile_expr(original.limit, stats, outer)
-                if original.limit is not None
-                else None
-            ),
-            semantics=original.semantics,
+        self._order_by = [(lower(expr), desc) for expr, desc in block.order_by]
+        self._group_by = [lower(expr) for expr in block.group_by]
+        self._having = lower(block.having) if block.having is not None else None
+        self._limit = (
+            lower(block.limit, outer) if block.limit is not None else None
         )
-        self.certificate = original.certificate
-        self.effect_certificate = original.effect_certificate
-        self.cost_certificate = original.cost_certificate
 
         slots = scope.slots
-        self._select_slot = slots.get(original.select_var)
+        self._select_slot = slots.get(block.select_var)
         # The vertex-set result sorts its distinct vertices, not rows:
         # its keys see the SELECT variable alone (not counted in the
         # lowering statistics — the clause was, just above).
-        self._set_order_by: List[Tuple[Expr, bool]] = []
-        if original.select_var is not None and original.order_by:
-            select_scope = outer.over((original.select_var,))
+        self._set_order_by: List[Tuple[Callable[[EvalEnv], Any], bool]] = []
+        if block.select_var is not None and block.order_by:
+            select_scope = outer.over((block.select_var,))
             self._set_order_by = [
-                (compile_expr(expr, None, select_scope), desc)
-                for expr, desc in original.order_by
+                (compile_expr(expr, None, select_scope).fn, desc)
+                for expr, desc in block.order_by
             ]
 
         # Pushdown split, once (so the planner.pushdown_* counters are
@@ -490,7 +481,7 @@ class CompiledBlock(SelectBlock):
         # scope the hop kernel's bind stage (repro.core.pattern) runs
         # them in, and comparisons carry their tag.
         var_filters, residual_conjuncts = push_down_filters(
-            original.where, set(variables)
+            block.where, set(variables)
         )
         self._var_filters = {
             var: [lower_pushed_filter(f, stats, outer.over((var,))) for f in filters]
@@ -508,22 +499,22 @@ class CompiledBlock(SelectBlock):
             kept.append(fn)
         self._residual_fns = kept
 
-        names = collect_primed_names(original.accum) | collect_primed_names(
-            original.post_accum
+        names = collect_primed_names(block.accum) | collect_primed_names(
+            block.post_accum
         )
-        for expr in original._all_output_exprs():
+        for expr in block._all_output_exprs():
             names.update(primed_accum_names(expr))
         self._primed_names = frozenset(names)
 
         # The fused Map kernel.
         self._map_bind = compile_accum_clause(
-            original.accum, decl_types, stats, scope
+            block.accum, decl_types, stats, scope
         )
 
         # POST_ACCUM runs statement-major: one kernel per top-level
         # statement, lowered under the whole clause's scope, with the slots
         # of the pattern variables it depends on (in variable-name order).
-        post_scope = _clause_scope(scope, original.post_accum)
+        post_scope = _clause_scope(scope, block.post_accum)
         self._post_stmts: List[Tuple[_Binder, List[int]]] = [
             (
                 compile_accum_clause(
@@ -534,12 +525,12 @@ class CompiledBlock(SelectBlock):
                     for n in sorted(set(stmt.referenced_names()) & set(slots))
                 ],
             )
-            for stmt in original.post_accum
+            for stmt in block.post_accum
         ]
 
         stats.blocks += 1
         stats.catalog.append({
-            "pattern": repr(original.pattern),
+            "pattern": repr(block.pattern),
             "pushdown_vars": sorted(self._var_filters),
             "residual_conjuncts": len(kept),
             "folded_conjuncts": len(residual_conjuncts) - len(kept),
@@ -563,7 +554,7 @@ class CompiledBlock(SelectBlock):
         if col is None:
             return self._execute(ctx, mode, ec)
         span = col.span(
-            "select_block", label=f"SELECT  FROM {self.pattern!r}"
+            "select_block", label=f"SELECT  FROM {self.block.pattern!r}"
         )
         try:
             return self._execute(ctx, mode, ec)
@@ -571,14 +562,15 @@ class CompiledBlock(SelectBlock):
             col.close(span)
 
     def _execute(self, ctx: QueryContext, mode: EngineMode, ec):
+        block = self.block
         col = ec.col
         gov = ec.gov
         if gov is not None:
             gov.tick()
-        if self.semantics is not None:
-            mode = mode.for_semantics(self.semantics)
+        if block.semantics is not None:
+            mode = mode.for_semantics(block.semantics)
         if mode.kind == EngineMode.AUTO:
-            mode = select_engine(self, ctx, mode)
+            mode = select_engine(block, ctx, mode)
             if col is not None:
                 col.count(f"block.engine.{mode.kind}")
         if gov is not None:
@@ -589,7 +581,7 @@ class CompiledBlock(SelectBlock):
         if col is not None:
             pattern_span = col.span("pattern")
         try:
-            table = evaluate_pattern(ctx, self.pattern, mode, self._var_filters)
+            table = evaluate_pattern(ctx, block.pattern, mode, self._var_filters)
         finally:
             if col is not None:
                 col.close(pattern_span)
@@ -630,7 +622,7 @@ class CompiledBlock(SelectBlock):
                 # so a breached cap aborts before any Map work runs.
                 gov.charge_acc_executions(len(rows))
             if col is not None:
-                map_span = col.span("accum_map", statements=len(self.accum))
+                map_span = col.span("accum_map", statements=len(block.accum))
             buffer = InputBuffer()
             env = EvalEnv(ctx, None, None, primed)
             kernel = self._map_bind(ctx, buffer)
@@ -661,7 +653,7 @@ class CompiledBlock(SelectBlock):
                         # Replay the buffered inputs under permuted
                         # schedules *before* the real flush mutates the
                         # live accumulators.
-                        ec.san.check_flush(self, buffer)
+                        ec.san.check_flush(block, buffer)
                     buffer.flush()
                 finally:
                     if col is not None:
@@ -678,7 +670,7 @@ class CompiledBlock(SelectBlock):
                 _faults.fire("block.post_accum")
             if col is not None:
                 post_span = col.span(
-                    "post_accum", statements=len(self.post_accum)
+                    "post_accum", statements=len(block.post_accum)
                 )
             try:
                 run_post_accum(self._post_stmts, ctx, rows, primed)
@@ -689,23 +681,242 @@ class CompiledBlock(SelectBlock):
         if gov is not None:
             gov.check_memory(ctx)
 
-        for fragment in self.fragments:
+        for fragment in self._fragments:
             self._emit_fragment(ctx, fragment, rows, primed)
 
-        if self.select_var is None:
+        if block.select_var is None:
             return None
         if col is not None:
             set_span = col.span("vertex_set")
         try:
-            result = self._vertex_set_result(
-                ctx, rows, primed, self._select_slot, self._set_order_by
-            )
+            result = self._vertex_set_result(ctx, rows, primed)
         finally:
             if col is not None:
                 col.close(set_span)
         if col is not None:
             set_span.set(vertices=len(result))
         return result
+
+    def _maybe_downgrade(self, mode: EngineMode, gov, col) -> EngineMode:
+        """Degradation ladder, first rung: enumeration → counting.
+
+        When the active governor caps materialized paths and this block
+        carries a conclusive TRACTABLE certificate, enumeration under a
+        counting-compatible semantics is *provably* replaceable by the
+        polynomial engine (Theorems 6.1/7.1): same aggregate answer, no
+        path materialization.  The governor downgrades pre-emptively —
+        before the first path is materialized — instead of letting the
+        query burn its budget and die.  Uncertified blocks are left to
+        enumerate (and abort on breach): without the certificate the
+        engines are not guaranteed to agree.
+        """
+        if (
+            mode.kind != EngineMode.ENUMERATION
+            or gov.budget.max_paths is None
+            or mode.semantics
+            not in (PathSemantics.ALL_SHORTEST, PathSemantics.EXISTENCE)
+        ):
+            return mode
+        cert = self.block.certificate
+        if cert is None or cert.status is not TractabilityStatus.TRACTABLE:
+            return mode
+        gov.note_downgrade(
+            f"SELECT FROM {self.block.pattern!r}: enumeration downgraded to "
+            f"counting (certified tractable, max_paths="
+            f"{gov.budget.max_paths})"
+        )
+        if col is not None:
+            col.count("planner.governor_downgrade")
+        return EngineMode.counting(
+            max_length=mode.max_length, semantics=mode.semantics
+        )
+
+    def _check_tractability(self, ctx: QueryContext, mode: EngineMode) -> None:
+        """Reject order-dependent accumulation from Kleene patterns.
+
+        Such queries fall outside the tractable class of Section 7: a
+        binding with multiplicity μ would have to deposit μ list entries,
+        re-creating the exponential blow-up the compressed binding table
+        avoids.  (The enumeration engine materializes paths anyway, so the
+        combination is permitted there.)
+        """
+        block = self.block
+        if mode.kind != EngineMode.COUNTING or not block.pattern.has_kleene():
+            return
+        cert = block.certificate
+        if cert is not None:
+            if cert.status is TractabilityStatus.TRACTABLE:
+                return  # statically proven: skip the declaration probe
+            if cert.status is TractabilityStatus.ENUMERATION_REQUIRED:
+                raise TractabilityError(
+                    "this SELECT block is outside the tractable class "
+                    "(Section 7): " + "; ".join(cert.witnesses) +
+                    " — evaluate it with the enumeration engine "
+                    "(or EngineMode.auto() / --engine auto)"
+                )
+            # UNKNOWN: fall through to the runtime probe below.
+        for stmt in block.accum:
+            target = getattr(stmt, "target", None)
+            if target is None:
+                continue
+            if not ctx.has_accum(target.name):
+                continue
+            decl = ctx.declaration(target.name)
+            if not decl.order_invariant:
+                raise TractabilityError(
+                    f"accumulator @{target.name} ({type(decl.factory()).type_name}) "
+                    f"is order-dependent and the FROM pattern contains a Kleene "
+                    f"star: this query is outside the tractable class "
+                    f"(Section 7); evaluate it with the enumeration engine "
+                    f"or drop the order-dependent accumulator"
+                )
+
+    # -- outputs (step 7 of the block semantics) -----------------------
+    def _vertex_set_result(
+        self, ctx: QueryContext, rows: List[BindingRow],
+        primed: Dict[str, Dict[Any, Any]],
+    ) -> VertexSet:
+        """The distinct bindings of the SELECT variable, ordered by the
+        ORDER BY keys lowered under a scope whose only slot is that
+        variable, cut at LIMIT."""
+        slot = self._select_slot
+        if slot is None and rows:
+            raise QueryRuntimeError(
+                f"SELECT variable {self.block.select_var!r} is not bound by "
+                f"the FROM pattern"
+            )
+        seen = set()
+        vertices: List[Vertex] = []
+        for values, _ in rows:
+            vertex = values[slot]
+            if not isinstance(vertex, Vertex):
+                raise QueryRuntimeError(
+                    f"SELECT variable {self.block.select_var!r} binds to a "
+                    f"non-vertex; vertex-set results need a vertex variable"
+                )
+            if vertex.vid not in seen:
+                seen.add(vertex.vid)
+                vertices.append(vertex)
+        env = EvalEnv(ctx, None, None, primed)
+        order_by = self._set_order_by
+        if order_by:
+            def sort_key(v: Vertex):
+                env.row = (v,)
+                return tuple(_OrderKey(fn(env), desc) for fn, desc in order_by)
+
+            vertices.sort(key=sort_key)
+        if self._limit is not None:
+            env.row = ()
+            vertices = vertices[: limit_count(self._limit(env))]
+        return VertexSet.of_distinct(ctx.graph, vertices)
+
+    def _emit_fragment(
+        self, ctx: QueryContext, fragment: Tuple, rows: List[BindingRow],
+        primed: Dict[str, Dict[Any, Any]],
+    ) -> None:
+        into, aliases, columns, grouped = fragment
+        out = Table(into, aliases)
+        if grouped:
+            keyed_rows = self._aggregate_rows(ctx, columns, rows, primed)
+        else:
+            keyed_rows = self._plain_rows(ctx, columns, rows, primed)
+        if self._order_by:
+            keyed_rows.sort(key=lambda pair: pair[0])
+        for _, row in keyed_rows:
+            out.append(row)
+        if self._limit is not None:
+            env = EvalEnv(ctx, (), None, primed)
+            out.truncate(limit_count(self._limit(env)))
+        ctx.tables[into] = out
+
+    def _plain_rows(self, ctx, columns, rows, primed):
+        """Project per binding row, collapsing duplicate output tuples.
+
+        GSQL SELECT fragments materialize each distinct projected tuple
+        once: duplicates would only reflect path multiplicities, which the
+        accumulators already aggregate.
+        """
+        order_by = self._order_by
+        seen = set()
+        out = []
+        env = EvalEnv(ctx, None, None, primed)
+        for values, _ in rows:
+            env.row = values
+            projected = tuple(fn(env) for fn in columns)
+            try:
+                key = projected
+                dup = key in seen
+            except TypeError:
+                dup = False  # unhashable values are kept as-is
+                key = None
+            if dup:
+                continue
+            if key is not None:
+                seen.add(key)
+            sort_key = tuple(_OrderKey(fn(env), desc) for fn, desc in order_by)
+            out.append((sort_key, projected))
+        return out
+
+    def _aggregate_rows(self, ctx, columns, rows, primed):
+        """SQL-style grouped aggregation over the (weighted) binding table.
+
+        Each group evaluates HAVING / the output columns / ORDER BY in an
+        environment carrying the group's rows: aggregate calls fold over
+        them, everything else reads the first row as the representative
+        (well-defined for group keys, which are constant within a group).
+        """
+        group_by, having, order_by = self._group_by, self._having, self._order_by
+        groups: Dict[Tuple, List[BindingRow]] = {}
+        env = EvalEnv(ctx, None, None, primed)
+        for row in rows:
+            env.row = row[0]
+            key = tuple(fn(env) for fn in group_by)
+            groups.setdefault(key, []).append(row)
+        out = []
+        for group in groups.values():
+            env.row = group[0][0]
+            env.group = group
+            if having is not None and not having(env):
+                continue
+            projected = tuple(fn(env) for fn in columns)
+            sort_key = tuple(_OrderKey(fn(env), desc) for fn, desc in order_by)
+            out.append((sort_key, projected))
+        return out
+
+
+class _OrderKey:
+    """Sort key wrapper handling DESC and None-last ordering.
+
+    None and NaN — the values that order with nothing — sort after every
+    other value under ASC and DESC alike, and tie with each other."""
+
+    __slots__ = ("value", "desc")
+
+    def __init__(self, value: Any, desc: bool):
+        self.value = value
+        self.desc = desc
+
+    def __lt__(self, other: "_OrderKey") -> bool:
+        a, b = self.value, other.value
+        if a is None or a != a:
+            return False
+        if b is None or b != b:
+            return True
+        try:
+            if self.desc:
+                return b < a
+            return a < b
+        except TypeError as exc:
+            lo, hi = (b, a) if self.desc else (a, b)
+            raise QueryRuntimeError(
+                f"type error in ORDER BY: {lo!r} < {hi!r}: {exc}"
+            ) from None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _OrderKey):
+            return False
+        a, b = self.value, other.value
+        return a == b or ((a is None or a != a) and (b is None or b != b))
 
 
 # ----------------------------------------------------------------------

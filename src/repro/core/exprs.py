@@ -8,9 +8,10 @@ programmatic query-builder API.
 Each node defines its semantics exactly once, in :meth:`Expr.closure`:
 a plain ``fn(env) -> value`` built over its children's closures, with
 operators, guards, branch lists and *names* resolved when the closure is
-built.  Lowering (:mod:`repro.compile`) builds every closure once per
-plan; :meth:`Expr.eval` is the convenience one-shot over the same
-builder.
+built.  The tree only describes: an expression is evaluated through the
+closure lowering (:mod:`repro.compile`) built for it once per plan,
+under an :class:`EvalEnv` whose row has the layout of the closure's
+:class:`Scope`.
 
 Name resolution follows GSQL's scoping — ACCUM-local variables shadow
 pattern variables, which shadow query parameters, which shadow
@@ -27,6 +28,7 @@ import math
 import operator
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from ..accum.mapaccum import Arrow
 from ..accum.tuples import TupleValue
 from ..errors import QueryRuntimeError
 from ..graph.elements import Edge, Vertex
@@ -88,12 +90,10 @@ class EvalEnv:
     representative.
 
     An executor builds one environment per phase and re-points ``row``
-    for each binding row.  ``scope`` only serves the one-shot
-    :meth:`Expr.eval` of an expression that was never lowered: passing
-    ``row`` as a ``{name: value}`` mapping names the slots on the spot.
+    for each binding row.
     """
 
-    __slots__ = ("ctx", "row", "locals", "primed", "group", "scope")
+    __slots__ = ("ctx", "row", "locals", "primed", "group")
 
     def __init__(
         self,
@@ -103,13 +103,8 @@ class EvalEnv:
         primed: Optional[Dict[str, Dict[Any, Any]]] = None,
         group: Optional[List[Any]] = None,
     ):
-        named = isinstance(row, dict)
-        if named or locals_:
-            self.scope = Scope(row if named else (), locals_ or ())
-        else:
-            self.scope = NO_SCOPE
         self.ctx = ctx
-        self.row = tuple(row.values()) if named else row
+        self.row = row
         self.locals = locals_ if locals_ is not None else {}
         self.primed = primed or {}
         self.group = group
@@ -132,9 +127,6 @@ class Expr:
         layout.  ``is_const`` marks subtrees whose value cannot depend
         on the environment (lowering folds those)."""
         raise NotImplementedError
-
-    def eval(self, env: EvalEnv) -> Any:
-        return self.closure(env.scope)[0](env)
 
     def children(self) -> Iterator["Expr"]:
         return iter(())
@@ -696,7 +688,9 @@ class TupleExpr(Expr):
 
 
 class ArrowExpr(Expr):
-    """The GroupByAccum input form ``(k1, k2 -> a1, a2)`` (Example 12)."""
+    """The GroupByAccum input form ``(k1, k2 -> a1, a2)`` (Example 12),
+    evaluating to an :class:`~repro.accum.mapaccum.Arrow`; a MapAccum
+    takes the one-key, one-value form ``(k -> v)``."""
 
     __slots__ = ("keys", "values")
 
@@ -712,10 +706,10 @@ class ArrowExpr(Expr):
         key_fns = tuple(k.closure(scope)[0] for k in self.keys)
         value_fns = tuple(v.closure(scope)[0] for v in self.values)
         return (
-            lambda env: (
+            lambda env: Arrow((
                 tuple(fn(env) for fn in key_fns),
                 tuple(fn(env) for fn in value_fns),
-            ),
+            )),
             False,
         )
 
@@ -830,15 +824,32 @@ class AggCall(Expr):
         values = [(v, m) for v, m in weighted_values if v is not None]
         if not values:
             return None
-        if self.func == "sum":
-            return sum(v * m for v, m in values)
-        if self.func == "min":
-            return min(v for v, _ in values)
-        if self.func == "max":
-            return max(v for v, _ in values)
-        total = sum(v * m for v, m in values)
-        count = sum(m for _, m in values)
-        return total / count
+        try:
+            if self.func == "sum":
+                return sum(v * m for v, m in values)
+            if self.func == "min":
+                return min(v for v, _ in values)
+            if self.func == "max":
+                return max(v for v, _ in values)
+            total = sum(v * m for v, m in values)
+            count = sum(m for _, m in values)
+            return total / count
+        except TypeError as exc:
+            raise QueryRuntimeError(
+                f"type error in {self!r}: {self._failed_step(values)}{exc}"
+            ) from None
+
+    def _failed_step(self, values: List[Tuple[Any, int]]) -> str:
+        """``"a and b: "``: the first two values the fold, replayed one
+        step at a time, cannot add or compare."""
+        fold = {"min": min, "max": max}.get(self.func)
+        acc = values[0][0] if fold else 0
+        for value, multiplicity in values:
+            try:
+                acc = fold(acc, value) if fold else acc + value * multiplicity
+            except TypeError:
+                return f"{acc!r} and {value!r}: "
+        return ""
 
     def __repr__(self) -> str:
         inner = "*" if self.arg is None else repr(self.arg)
@@ -855,12 +866,6 @@ def referenced_names(expr: Expr) -> Iterator[str]:
     for node in expr.walk():
         if isinstance(node, NameRef):
             yield node.name
-
-
-def referenced_vertex_vars(expr: Expr, pattern_vars: set) -> set:
-    """Pattern variables an expression depends on (drives POST_ACCUM's
-    once-per-distinct-vertex execution)."""
-    return {name for name in referenced_names(expr) if name in pattern_vars}
 
 
 def primed_accum_names(expr: Expr) -> Iterator[str]:
@@ -927,7 +932,6 @@ __all__ = [
     "CaseExpr",
     "AggCall",
     "referenced_names",
-    "referenced_vertex_vars",
     "primed_accum_names",
     "contains_aggregate",
     "register_function",

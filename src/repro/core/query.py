@@ -17,7 +17,7 @@ from ..errors import QueryCompileError, QueryRuntimeError
 from ..governor import faults as _faults
 from ..graph.elements import Vertex
 from ..graph.graph import Graph
-from .block import SelectBlock, limit_count
+from .block import SelectBlock
 from .context import AccumDecl, QueryContext
 from .exprs import EvalEnv, Expr
 from .pattern import EngineMode
@@ -36,11 +36,21 @@ DEFAULT_WHILE_CEILING = 10_000
 GOVERNED_WHILE_CAP = 1_000
 
 
+def limit_count(value: Any) -> int:
+    """A LIMIT clause's value as a row count: an int >= 0 (not a bool)."""
+    if type(value) is not int or value < 0:
+        raise QueryRuntimeError(f"LIMIT needs an integer >= 0, got {value!r}")
+    return value
+
+
 class Statement:
     """Base class for query-body statements.
 
     ``span`` carries the statement's source range when the statement was
     parsed from GSQL text (None for programmatically built queries).
+    :meth:`execute` runs a *lowered* statement (``repro.compile``): its
+    expressions are :class:`~repro.compile.exprc.CompiledExpr` closures,
+    called as ``expr.fn(env)``.
     """
 
     span = None
@@ -81,7 +91,7 @@ class DeclareAccum(Statement):
             # (e.g. HeapAccum<T>(k, ...) with k a query parameter).
             factory = factory(ctx)
         if self.initial is not None:
-            init_value = self.initial.eval(EvalEnv(ctx))
+            init_value = self.initial.fn(EvalEnv(ctx))
             base = factory
 
             def factory() -> Accumulator:
@@ -101,7 +111,7 @@ class SetAssign(Statement):
         self.source = source
 
     def execute(self, ctx: QueryContext, mode: EngineMode) -> None:
-        if isinstance(self.source, SelectBlock):
+        if not isinstance(self.source, (str, list, tuple)):  # a lowered SELECT
             result = self.source.execute(ctx, mode)
             if result is None:
                 raise QueryCompileError(
@@ -198,7 +208,7 @@ class GlobalAccumUpdate(Statement):
         self.expr = expr
 
     def execute(self, ctx: QueryContext, mode: EngineMode) -> None:
-        value = self.expr.eval(EvalEnv(ctx))
+        value = self.expr.fn(EvalEnv(ctx))
         acc = ctx.global_accum(self.name)
         if self.op == "=":
             acc.assign(value)
@@ -223,8 +233,9 @@ class While(Statement):
 
     def execute(self, ctx: QueryContext, mode: EngineMode) -> None:
         gov = _exec.current().gov
+        env = EvalEnv(ctx)
         if self.limit is not None:
-            ceiling = limit_count(self.limit.eval(EvalEnv(ctx)))
+            ceiling = limit_count(self.limit.fn(env))
         else:
             ceiling = DEFAULT_WHILE_CEILING
         # Degradation ladder, second rung: a soft iteration cap stops the
@@ -239,7 +250,8 @@ class While(Statement):
         ):
             soft_cap = GOVERNED_WHILE_CAP
         iterations = 0
-        while bool(self.cond.eval(EvalEnv(ctx))):
+        cond = self.cond.fn
+        while bool(cond(env)):
             if soft_cap is not None and iterations >= soft_cap:
                 self._soft_stop(gov, soft_cap)
                 break
@@ -289,7 +301,7 @@ class Foreach(Statement):
         self.body = body
 
     def execute(self, ctx: QueryContext, mode: EngineMode) -> None:
-        items = foreach_items(self.collection.eval(EvalEnv(ctx)))
+        items = foreach_items(self.collection.fn(EvalEnv(ctx)))
         had_prior = self.var in ctx.params
         prior = ctx.params.get(self.var)
         gov = _exec.current().gov
@@ -321,7 +333,7 @@ class If(Statement):
         self.otherwise = otherwise or []
 
     def execute(self, ctx: QueryContext, mode: EngineMode) -> None:
-        branch = self.then if bool(self.cond.eval(EvalEnv(ctx))) else self.otherwise
+        branch = self.then if bool(self.cond.fn(EvalEnv(ctx))) else self.otherwise
         for stmt in branch:
             stmt.execute(ctx, mode)
 
@@ -350,21 +362,21 @@ class Print(Statement):
 
     def execute(self, ctx: QueryContext, mode: EngineMode) -> None:
         record: Dict[str, Any] = {}
+        env = EvalEnv(ctx)
         for item in self.items:
             if isinstance(item, PrintSetProjection):
                 vset = ctx.vertex_set(item.set_name)
                 rows = []
-                # One environment whose one slot — the set name — is
-                # re-pointed at each vertex.
-                env = EvalEnv(ctx, {item.set_name: None})
+                # The columns were lowered under a scope whose one slot
+                # is the set name: the row is each vertex in turn.
                 for vertex in vset:
                     env.row = (vertex,)
                     rows.append(
-                        {col.alias: col.expr.eval(env) for col in item.columns}
+                        {col.alias: col.expr.fn(env) for col in item.columns}
                     )
                 record[item.set_name] = rows
             else:
-                record[item.alias] = item.expr.eval(EvalEnv(ctx))
+                record[item.alias] = item.expr.fn(env)
         ctx.printed.append(record)
 
 
@@ -375,7 +387,7 @@ class Return(Statement):
         self.expr = expr
 
     def execute(self, ctx: QueryContext, mode: EngineMode) -> None:
-        ctx.returned = self.expr.eval(EvalEnv(ctx))
+        ctx.returned = self.expr.fn(EvalEnv(ctx))
 
 
 class Parameter:
@@ -523,4 +535,5 @@ __all__ = [
     "QueryResult",
     "DEFAULT_WHILE_CEILING",
     "GOVERNED_WHILE_CAP",
+    "limit_count",
 ]

@@ -18,7 +18,7 @@ the ``attach_*`` functions that stamp them — the parser calls all but
 :func:`attach_cost_certificates`, whose first reader stamps.  The engine
 additionally refuses at runtime the genuinely dangerous combination
 (order-dependent accumulator fed from a Kleene pattern) — see
-:meth:`repro.core.block.SelectBlock._check_tractability`.
+:meth:`repro.compile.lowering.CompiledBlock._check_tractability`.
 """
 
 from __future__ import annotations
@@ -247,7 +247,7 @@ def attach_certificates(query: Query, schema=None) -> None:
     """Stamp each SELECT block with its static certificate.
 
     Called by the GSQL parser after compilation, so by the time a query
-    runs, :meth:`SelectBlock._check_tractability` and the AUTO engine
+    runs, :meth:`CompiledBlock._check_tractability` and the AUTO engine
     planner can read ``block.certificate`` instead of re-probing
     accumulator declarations on every execution.
     """

@@ -125,6 +125,8 @@ class GSQLSyntaxError(ReproError):
     def __init__(self, message: str, line: int = -1, column: int = -1):
         self.line = line
         self.column = column
+        #: The message without its ``line L, col C:`` prefix.
+        self.detail = message
         if line >= 0:
             message = f"line {line}, col {column}: {message}"
         super().__init__(message)

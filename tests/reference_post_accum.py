@@ -7,8 +7,8 @@ was lowered onto the ACCUM kernel, kept as the oracle of
 the ``AccStatement`` tree, immediate ``=``, buffered ``+=``.  Two things
 differ from the code that was deleted, because what they leaned on is
 gone too: the statements are the block's *un-lowered* clause (the tree
-walks ``Expr.eval`` under a scope naming the row's slots, where the old
-code ran a clone with prebuilt closures), and ``AccumTarget.resolve`` is
+builds each expression's closure per call, under a scope naming the
+row's slots, where the old code ran a clone with prebuilt closures), and ``AccumTarget.resolve`` is
 the local ``_resolve``.  The dependency slots of a statement and the
 distinct projections it runs over are computed here as they were then
 (``_identity``, not the join's key), so the differential also checks that
@@ -31,6 +31,18 @@ from repro.errors import QueryRuntimeError
 from repro.graph.elements import Vertex
 
 
+class _ScopedEnv(EvalEnv):
+    """An environment carrying the scope that names its row's slots."""
+
+    __slots__ = ("scope",)
+
+
+def _eval(expr, env):
+    """Build ``expr``'s closure under the environment's scope and run it
+    (a fresh closure per call, independent of lowering)."""
+    return expr.closure(env.scope)[0](env)
+
+
 def run_post_accum(clause, variables, ctx, rows, primed):
     """Execute the un-lowered POST_ACCUM ``clause`` of a block whose
     binding rows are laid out over ``variables``."""
@@ -51,7 +63,7 @@ def run_post_accum(clause, variables, ctx, rows, primed):
     san = ec.san
     buffer = InputBuffer()
     locals_ = {}
-    env = EvalEnv(ctx, None, locals_, primed)
+    env = _ScopedEnv(ctx, None, locals_, primed)
     env.scope = Scope(variables, names)
     for stmt, deps in statements:
         executions = _distinct_projections(rows, deps)
@@ -75,12 +87,12 @@ def _run_post_statement(stmt, ctx, env, buffer, san):
             "(each statement runs per distinct vertex)"
         )
     if isinstance(stmt, AccumIf):
-        branch = stmt.then if bool(stmt.cond.eval(env)) else stmt.otherwise
+        branch = stmt.then if bool(_eval(stmt.cond, env)) else stmt.otherwise
         for inner in branch:
             _run_post_statement(inner, ctx, env, buffer, san)
         return
     if isinstance(stmt, AccumForeach):
-        items = foreach_items(stmt.collection.eval(env))
+        items = foreach_items(_eval(stmt.collection, env))
         had_prior = stmt.var in env.locals
         prior = env.locals.get(stmt.var)
         try:
@@ -95,13 +107,13 @@ def _run_post_statement(stmt, ctx, env, buffer, san):
                 env.locals.pop(stmt.var, None)
         return
     if isinstance(stmt, AttributeUpdate):
-        vertex = stmt.base.eval(env)
+        vertex = _eval(stmt.base, env)
         if not isinstance(vertex, Vertex):
             raise QueryRuntimeError(
                 f"attribute assignment needs a vertex, got "
                 f"{type(vertex).__name__}"
             )
-        value = stmt.expr.eval(env)
+        value = _eval(stmt.expr, env)
         schema = ctx.graph.schema
         if schema is not None:
             decl = schema.vertex_type(vertex.type).attributes.get(stmt.attr)
@@ -115,7 +127,7 @@ def _run_post_statement(stmt, ctx, env, buffer, san):
         return
     if not isinstance(stmt, AccumUpdate):
         raise QueryRuntimeError(f"unknown POST_ACCUM statement {stmt!r}")
-    value = stmt.expr.eval(env)
+    value = _eval(stmt.expr, env)
     acc = _resolve(stmt.target, env)
     if san is not None:
         san.record("post_accum", stmt.target, acc, stmt.op, value)
@@ -128,7 +140,7 @@ def _run_post_statement(stmt, ctx, env, buffer, san):
 def _resolve(target, env):
     if target.base is None:
         return env.ctx.global_accum(target.name)
-    vertex = target.base.eval(env)
+    vertex = _eval(target.base, env)
     if not isinstance(vertex, Vertex):
         raise QueryRuntimeError(
             f"accumulator @{target.name} addressed through non-vertex "

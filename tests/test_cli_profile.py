@@ -112,3 +112,35 @@ class TestMissingFileErrors:
 
     def test_validate_missing_file(self, capsys):
         self.check(capsys, ["validate", "/nonexistent/query.gsql"])
+
+
+class TestQueryErrors:
+    """A GSQL syntax or compile error exits 1 with one
+    ``path:line:col: message`` line — no traceback."""
+
+    SYNTAX = "CREATE QUERY q() {\n  SELECT FROM;\n}\n"
+    COMPILE = "CREATE QUERY q() {\n  MapAccum<int> @@m;\n  PRINT @@m;\n}\n"
+
+    def check(self, capsys, tmp_path, argv, text, want):
+        path = tmp_path / "q.gsql"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as excinfo:
+            main([argv[0], str(path)] + argv[1:])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"{path}{want}\n"
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["run", "explain", "profile", "validate"])
+    def test_syntax_error(self, capsys, tmp_path, diamond_json, command):
+        argv = [command] + (["--graph", diamond_json] if command in ("run", "profile") else [])
+        self.check(
+            capsys, tmp_path, argv, self.SYNTAX,
+            ":2:10: expected an expression (found 'FROM')",
+        )
+
+    def test_compile_error(self, capsys, tmp_path, diamond_json):
+        self.check(
+            capsys, tmp_path, ["run", "--graph", diamond_json], self.COMPILE,
+            ": MapAccum takes <KeyType, ValueType>",
+        )

@@ -13,7 +13,7 @@ from repro.compile import (
 )
 from repro.compile.exprc import CompiledExpr
 from repro.core.context import QueryContext
-from repro.core.exprs import EvalEnv, Literal
+from repro.core.exprs import NO_SCOPE, EvalEnv, Literal
 from repro.core.pattern import EngineMode
 from repro.errors import QueryAbortedError, QueryRuntimeError
 from repro.governor import Budget, ExecutionGovernor, govern
@@ -96,15 +96,15 @@ class TestExprCompile:
     def test_constant_values(self, text, expected):
         expr = _expr(text)
         env = EvalEnv(QueryContext(builders.diamond_chain(2)))
-        assert compile_expr(expr).eval(env) == expected
-        assert expr.eval(env) == expected  # the one-shot over the same builder
+        assert compile_expr(expr).fn(env) == expected
+        assert expr.closure(NO_SCOPE)[0](env) == expected  # the unfolded builder
 
     def test_constant_folding_counted(self):
         stats = CompileStats()
         compiled = compile_expr(_expr("1 + 2 * 3"), stats)
         assert stats.constants_folded >= 1
         # A folded expression still evaluates without an environment.
-        assert compiled.eval(None) == 7
+        assert compiled.fn(None) == 7
 
     def test_non_constant_not_folded(self):
         stats = CompileStats()
@@ -124,7 +124,7 @@ class TestExprCompile:
 
     def test_literal_needs_no_environment(self):
         compiled = compile_expr(Literal(42))
-        assert compiled.eval(None) == 42
+        assert compiled.fn(None) == 42
 
     def test_already_compiled_passthrough(self):
         compiled = compile_expr(_expr("x + 1"))
@@ -135,12 +135,12 @@ class TestExprCompile:
         env = EvalEnv(QueryContext(builders.diamond_chain(2)))
         compiled = compile_expr(expr)  # lowering succeeds: names are runtime state
         with pytest.raises(QueryRuntimeError, match="unknown name 'nosuch'"):
-            compiled.eval(env)
+            compiled.fn(env)
 
     def test_aggregate_outside_a_group_raises(self):
         env = EvalEnv(QueryContext(builders.diamond_chain(2)))
         with pytest.raises(QueryRuntimeError, match="outside a SELECT output"):
-            compile_expr(_expr("count(*) + 1")).eval(env)
+            compile_expr(_expr("count(*) + 1")).fn(env)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the expression AST and evaluator."""
+"""Tests for the expression AST and its closures."""
 
 import pytest
 
@@ -34,6 +34,20 @@ from repro.errors import QueryRuntimeError
 from repro.graph import Graph
 
 
+class Named:
+    """An environment whose row slots are named by ``row``'s keys:
+    :meth:`ev` lowers an expression under the scope naming them (and
+    ``locals_``) and runs the closure once on that environment."""
+
+    def __init__(self, ctx, row=None, locals_=None, primed=None):
+        row = row or {}
+        self.scope = Scope(row, locals_ or ())
+        self.env = EvalEnv(ctx, tuple(row.values()), locals_, primed)
+
+    def ev(self, expr):
+        return compile_closure(expr, None, self.scope)[0](self.env)
+
+
 @pytest.fixture
 def ctx():
     g = Graph()
@@ -48,182 +62,182 @@ def ctx():
 
 @pytest.fixture
 def env(ctx):
-    return EvalEnv(ctx, row={"v": ctx.graph.vertex(1)}, locals_={"x": 5})
+    return Named(ctx, row={"v": ctx.graph.vertex(1)}, locals_={"x": 5})
 
 
 class TestNameResolution:
     def test_local_wins(self, ctx):
-        env = EvalEnv(ctx, row={"x": ctx.graph.vertex(1)}, locals_={"x": 99})
-        assert NameRef("x").eval(env) == 99
+        env = Named(ctx, row={"x": ctx.graph.vertex(1)}, locals_={"x": 99})
+        assert env.ev(NameRef("x")) == 99
 
     def test_row_var(self, env, ctx):
-        assert NameRef("v").eval(env) is ctx.graph.vertex(1)
+        assert env.ev(NameRef("v")) is ctx.graph.vertex(1)
 
     def test_param(self, env):
-        assert NameRef("k").eval(env) == 10
+        assert env.ev(NameRef("k")) == 10
 
     def test_unknown(self, env):
         with pytest.raises(QueryRuntimeError, match="unknown name"):
-            NameRef("nope").eval(env)
+            env.ev(NameRef("nope"))
 
 
 class TestAttrAndAccumRefs:
     def test_vertex_attr(self, env):
-        assert AttrRef(NameRef("v"), "name").eval(env) == "one"
+        assert env.ev(AttrRef(NameRef("v"), "name")) == "one"
 
     def test_missing_attr(self, env):
         with pytest.raises(QueryRuntimeError):
-            AttrRef(NameRef("v"), "nope").eval(env)
+            env.ev(AttrRef(NameRef("v"), "nope"))
 
     def test_attr_on_scalar_rejected(self, env):
         with pytest.raises(QueryRuntimeError):
-            AttrRef(Literal(5), "x").eval(env)
+            env.ev(AttrRef(Literal(5), "x"))
 
     def test_global_accum(self, ctx):
         ctx.global_accum("total").combine(4.0)
-        assert GlobalAccumRef("total").eval(EvalEnv(ctx)) == 4.0
+        assert Named(ctx).ev(GlobalAccumRef("total")) == 4.0
 
     def test_vertex_accum_default(self, env):
-        assert VertexAccumRef(NameRef("v"), "score").eval(env) == 0.0
+        assert env.ev(VertexAccumRef(NameRef("v"), "score")) == 0.0
 
     def test_vertex_accum_value(self, ctx, env):
         ctx.vertex_accum("score", 1).combine(7.0)
-        assert VertexAccumRef(NameRef("v"), "score").eval(env) == 7.0
+        assert env.ev(VertexAccumRef(NameRef("v"), "score")) == 7.0
 
     def test_vertex_accum_through_non_vertex(self, env):
         with pytest.raises(QueryRuntimeError):
-            VertexAccumRef(Literal(3), "score").eval(env)
+            env.ev(VertexAccumRef(Literal(3), "score"))
 
     def test_primed_read_uses_snapshot(self, ctx):
         ctx.vertex_accum("score", 1).combine(5.0)
         snap = {"score": ctx.snapshot_vertex_accum("score")}
         ctx.vertex_accum("score", 1).combine(100.0)
-        env = EvalEnv(ctx, row={"v": ctx.graph.vertex(1)}, primed=snap)
-        assert VertexAccumRef(NameRef("v"), "score", primed=True).eval(env) == 5.0
-        assert VertexAccumRef(NameRef("v"), "score").eval(env) == 105.0
+        env = Named(ctx, row={"v": ctx.graph.vertex(1)}, primed=snap)
+        assert env.ev(VertexAccumRef(NameRef("v"), "score", primed=True)) == 5.0
+        assert env.ev(VertexAccumRef(NameRef("v"), "score")) == 105.0
 
     def test_primed_read_default_for_untouched_vertex(self, ctx):
         snap = {"score": ctx.snapshot_vertex_accum("score")}
-        env = EvalEnv(ctx, row={"v": ctx.graph.vertex(2)}, primed=snap)
-        assert VertexAccumRef(NameRef("v"), "score", primed=True).eval(env) == 0.0
+        env = Named(ctx, row={"v": ctx.graph.vertex(2)}, primed=snap)
+        assert env.ev(VertexAccumRef(NameRef("v"), "score", primed=True)) == 0.0
 
     def test_primed_without_snapshot_raises(self, env):
         with pytest.raises(QueryRuntimeError, match="snapshot"):
-            VertexAccumRef(NameRef("v"), "score", primed=True).eval(env)
+            env.ev(VertexAccumRef(NameRef("v"), "score", primed=True))
 
 
 class TestOperators:
     def test_arithmetic(self, env):
         expr = Binary("+", Binary("*", Literal(2), Literal(3)), Literal(1))
-        assert expr.eval(env) == 7
+        assert env.ev(expr) == 7
 
     def test_comparison_aliases(self, env):
-        assert Binary("<>", Literal(1), Literal(2)).eval(env) is True
-        assert Binary("!=", Literal(1), Literal(1)).eval(env) is False
+        assert env.ev(Binary("<>", Literal(1), Literal(2))) is True
+        assert env.ev(Binary("!=", Literal(1), Literal(1))) is False
 
     def test_and_short_circuits(self, env):
         boom = Call("log", [Literal(-1)])  # would raise if evaluated
-        assert Binary("AND", Literal(False), boom).eval(env) is False
+        assert env.ev(Binary("AND", Literal(False), boom)) is False
 
     def test_or_short_circuits(self, env):
         boom = Call("log", [Literal(-1)])
-        assert Binary("OR", Literal(True), boom).eval(env) is True
+        assert env.ev(Binary("OR", Literal(True), boom)) is True
 
     def test_null_arithmetic_raises(self, env):
         with pytest.raises(QueryRuntimeError, match="NULL"):
-            Binary("+", Literal(None), Literal(1)).eval(env)
+            env.ev(Binary("+", Literal(None), Literal(1)))
 
     def test_division_by_zero(self, env):
         with pytest.raises(QueryRuntimeError, match="division by zero"):
-            Binary("/", Literal(1), Literal(0)).eval(env)
+            env.ev(Binary("/", Literal(1), Literal(0)))
 
     def test_in_operator(self, env):
-        assert Binary("IN", Literal(2), Literal((1, 2, 3))).eval(env) is True
-        assert Binary("NOT IN", Literal(5), Literal((1, 2))).eval(env) is True
+        assert env.ev(Binary("IN", Literal(2), Literal((1, 2, 3)))) is True
+        assert env.ev(Binary("NOT IN", Literal(5), Literal((1, 2)))) is True
 
     def test_in_vertex_set(self, ctx):
         from repro.core.values import VertexSet
 
         vset = VertexSet(ctx.graph, [ctx.graph.vertex(1)])
         ctx.set_vertex_set("S", vset)
-        env = EvalEnv(ctx, row={"v": ctx.graph.vertex(1)})
-        assert Binary("IN", NameRef("v"), NameRef("S")).eval(env) is True
+        env = Named(ctx, row={"v": ctx.graph.vertex(1)})
+        assert env.ev(Binary("IN", NameRef("v"), NameRef("S"))) is True
 
     def test_unary(self, env):
-        assert Unary("-", Literal(3)).eval(env) == -3
-        assert Unary("NOT", Literal(False)).eval(env) is True
+        assert env.ev(Unary("-", Literal(3))) == -3
+        assert env.ev(Unary("NOT", Literal(False))) is True
 
     def test_vertex_equality(self, ctx):
         v1, v2 = ctx.graph.vertex(1), ctx.graph.vertex(2)
-        env = EvalEnv(ctx, row={"a": v1, "b": v2, "c": v1})
-        assert Binary("==", NameRef("a"), NameRef("c")).eval(env) is True
-        assert Binary("!=", NameRef("a"), NameRef("b")).eval(env) is True
+        env = Named(ctx, row={"a": v1, "b": v2, "c": v1})
+        assert env.ev(Binary("==", NameRef("a"), NameRef("c"))) is True
+        assert env.ev(Binary("!=", NameRef("a"), NameRef("b"))) is True
 
 
 class TestCallsAndMethods:
     def test_log(self, env):
-        assert Call("log", [Literal(1)]).eval(env) == 0.0
+        assert env.ev(Call("log", [Literal(1)])) == 0.0
 
     def test_unknown_function(self, env):
         with pytest.raises(QueryRuntimeError, match="unknown function"):
-            Call("frobnicate", []).eval(env)
+            env.ev(Call("frobnicate", []))
 
     def test_bad_arguments_wrapped(self, env):
         with pytest.raises(QueryRuntimeError, match="error in"):
-            Call("log", [Literal("x")]).eval(env)
+            env.ev(Call("log", [Literal("x")]))
 
     def test_date_helpers(self, env):
-        assert Call("year", [Literal(20110305)]).eval(env) == 2011
-        assert Call("month", [Literal(20110305)]).eval(env) == 3
-        assert Call("day", [Literal(20110305)]).eval(env) == 5
+        assert env.ev(Call("year", [Literal(20110305)])) == 2011
+        assert env.ev(Call("month", [Literal(20110305)])) == 3
+        assert env.ev(Call("day", [Literal(20110305)])) == 5
 
     def test_outdegree_method(self, env):
-        assert Method(NameRef("v"), "outdegree", []).eval(env) == 1
+        assert env.ev(Method(NameRef("v"), "outdegree", [])) == 1
 
     def test_outdegree_with_type(self, env):
-        assert Method(NameRef("v"), "outdegree", [Literal("E")]).eval(env) == 1
-        assert Method(NameRef("v"), "outdegree", [Literal("F")]).eval(env) == 0
+        assert env.ev(Method(NameRef("v"), "outdegree", [Literal("E")])) == 1
+        assert env.ev(Method(NameRef("v"), "outdegree", [Literal("F")])) == 0
 
     def test_id_and_type(self, env):
-        assert Method(NameRef("v"), "id", []).eval(env) == 1
-        assert Method(NameRef("v"), "type", []).eval(env) == "V"
+        assert env.ev(Method(NameRef("v"), "id", [])) == 1
+        assert env.ev(Method(NameRef("v"), "type", [])) == "V"
 
     def test_unknown_vertex_method(self, env):
         with pytest.raises(QueryRuntimeError):
-            Method(NameRef("v"), "fly", []).eval(env)
+            env.ev(Method(NameRef("v"), "fly", []))
 
     def test_size_on_collection(self, env):
-        assert Method(Literal((1, 2, 3)), "size", []).eval(env) == 3
+        assert env.ev(Method(Literal((1, 2, 3)), "size", [])) == 3
 
     def test_contains(self, env):
-        assert Method(Literal({1, 2}), "contains", [Literal(1)]).eval(env) is True
+        assert env.ev(Method(Literal({1, 2}), "contains", [Literal(1)])) is True
 
     def test_register_function(self, env):
         register_function("triple", lambda x: 3 * x)
-        assert Call("triple", [Literal(4)]).eval(env) == 12
+        assert env.ev(Call("triple", [Literal(4)])) == 12
 
 
 class TestCompositeExprs:
     def test_tuple(self, env):
-        assert TupleExpr([Literal(1), Literal("a")]).eval(env) == (1, "a")
+        assert env.ev(TupleExpr([Literal(1), Literal("a")])) == (1, "a")
 
     def test_arrow(self, env):
         expr = ArrowExpr([Literal("k")], [Literal(1), Literal(2)])
-        assert expr.eval(env) == (("k",), (1, 2))
+        assert env.ev(expr) == (("k",), (1, 2))
 
     def test_case(self, env):
         expr = CaseExpr(
             [(Literal(False), Literal("no")), (Literal(True), Literal("yes"))],
             Literal("default"),
         )
-        assert expr.eval(env) == "yes"
+        assert env.ev(expr) == "yes"
 
     def test_case_default(self, env):
         expr = CaseExpr([(Literal(False), Literal(1))], Literal(9))
-        assert expr.eval(env) == 9
+        assert env.ev(expr) == 9
 
     def test_case_no_default_is_none(self, env):
-        assert CaseExpr([(Literal(False), Literal(1))], None).eval(env) is None
+        assert env.ev(CaseExpr([(Literal(False), Literal(1))], None)) is None
 
 
 class TestTupleExpr:
@@ -296,7 +310,7 @@ class TestTupleExpr:
 class TestAggCall:
     def test_direct_eval_rejected(self, env):
         with pytest.raises(QueryRuntimeError, match="outside"):
-            AggCall("count", None).eval(env)
+            env.ev(AggCall("count", None))
 
     def test_apply_count_weighted(self):
         assert AggCall("count", None).apply([(1, 3), (1, 4)]) == 7
@@ -365,4 +379,4 @@ class TestStringFunctions:
     )
     def test_string_builtin(self, ctx, name, args, expected):
         expr = Call(name, [Literal(a) for a in args])
-        assert expr.eval(EvalEnv(ctx)) == expected
+        assert Named(ctx).ev(expr) == expected

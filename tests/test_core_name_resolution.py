@@ -8,6 +8,7 @@ when) a row evaluates it.
 import pytest
 
 from repro.compile import compile_query
+from repro.compile.exprc import compile_closure
 from repro.core import QueryContext
 from repro.core.exprs import EvalEnv, NameRef, Scope
 from repro.core.values import Table, VertexSet
@@ -66,15 +67,14 @@ class TestPrecedence:
 
     @pytest.mark.parametrize("strongest", range(len(LEVELS)))
     def test_one_shot_eval_resolves_the_same(self, graph, strongest):
-        """``Expr.eval`` on an environment built from named bindings."""
+        """A closure lowered once under the scope that names the given
+        bindings (a row slot, a local), run on their environment."""
         present = LEVELS[strongest:]
         ctx, _, _ = _world(graph, present)
-        env = EvalEnv(
-            ctx,
-            {"x": "pattern variable"} if "pattern variable" in present else None,
-            {"x": "local"} if "local" in present else None,
-        )
-        value = NameRef("x").eval(env)
+        row = {"x": "pattern variable"} if "pattern variable" in present else {}
+        locals_ = {"x": "local"} if "local" in present else {}
+        env = EvalEnv(ctx, tuple(row.values()), locals_)
+        value = compile_closure(NameRef("x"), None, Scope(row, locals_))[0](env)
         want = LEVELS[strongest]
         if want in ("vertex set", "table"):
             assert value is (ctx.vertex_sets if want == "vertex set" else ctx.tables)["x"]

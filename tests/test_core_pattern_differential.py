@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.compile.lowering import lower_pushed_filter
 from repro.core import QueryContext
-from repro.core.exprs import AttrRef, Binary, EvalEnv, Literal, NameRef, Scope
+from repro.core.exprs import NO_SCOPE, AttrRef, Binary, EvalEnv, Literal, NameRef, Scope
 from repro.core.pattern import (
     Chain,
     EngineMode,
@@ -531,7 +531,7 @@ def test_lowering_tags_only_the_comparison_shape():
     for conjunct in tagged:
         attr, op, operand = _lowered("b", conjunct).compare
         assert (attr, op) == ("w", conjunct.op)
-        assert operand(env) == conjunct.right.eval(env)
+        assert operand(env) == conjunct.right.closure(NO_SCOPE)[0](env)
     for conjunct in untagged:
         assert _lowered("b", conjunct).compare is None, conjunct
 

@@ -124,6 +124,14 @@ class TestQueryContext:
             ctx.param("k")
 
 
+def lowered(stmt):
+    """``stmt`` as the plan of a one-statement query runs it: lowered."""
+    from repro.compile import compile_query
+    from repro.core.query import Query
+
+    return compile_query(Query("q", [stmt])).statements[0]
+
+
 class TestForeachStatement:
     def test_iterates_vertex_set(self, ctx):
         from repro.core.exprs import NameRef
@@ -131,11 +139,11 @@ class TestForeachStatement:
         from repro.core.pattern import EngineMode
 
         ctx.set_vertex_set("S", VertexSet(ctx.graph, ctx.graph.vertices("Customer")))
-        stmt = Foreach(
+        stmt = lowered(Foreach(
             "x",
             NameRef("S"),
             [GlobalAccumUpdate("g", "+=", __import__("repro").core.Literal(1.0))],
-        )
+        ))
         stmt.execute(ctx, EngineMode.counting())
         assert ctx.global_accum("g").value == 4.0
 
@@ -144,7 +152,7 @@ class TestForeachStatement:
         from repro.core.pattern import EngineMode
 
         ctx.params["x"] = "original"
-        stmt = Foreach("x", Literal((1, 2, 3)), [])
+        stmt = lowered(Foreach("x", Literal((1, 2, 3)), []))
         stmt.execute(ctx, EngineMode.counting())
         assert ctx.params["x"] == "original"
 
@@ -152,6 +160,6 @@ class TestForeachStatement:
         from repro.core.exprs import Literal
         from repro.core.pattern import EngineMode
 
-        stmt = Foreach("x", Literal(42), [])
+        stmt = lowered(Foreach("x", Literal(42), []))
         with pytest.raises(QueryRuntimeError, match="iterable"):
             stmt.execute(ctx, EngineMode.counting())

@@ -236,3 +236,97 @@ CREATE QUERY q() {
   PRINT @@n AS n;
 }""")
         assert result.printed == [{"n": 0}]
+
+
+class TestEmissionTypeErrors:
+    """Mixed-type ORDER BY keys, and SQL aggregates over values they
+    cannot add or compare, raise a QueryRuntimeError naming the clause and
+    the two values — not a bare TypeError."""
+
+    def test_mixed_order_by_keys_into_a_table(self):
+        with pytest.raises(QueryRuntimeError, match=r"type error in ORDER BY: 1 < 'a'"):
+            run("""
+CREATE QUERY q() FOR GRAPH SalesGraph {
+  SELECT p.name AS n INTO T FROM Customer:c -(Bought>)- Product:p
+  ORDER BY (CASE WHEN p.price > 30 THEN "a" ELSE 1 END);
+}""")
+
+    def test_mixed_order_by_keys_of_a_vertex_set(self):
+        with pytest.raises(QueryRuntimeError, match=r"type error in ORDER BY: 'a' < 1"):
+            run("""
+CREATE QUERY q() FOR GRAPH SalesGraph {
+  S = SELECT p FROM Customer:c -(Bought>)- Product:p
+      ORDER BY (CASE WHEN p.price > 30 THEN "a" ELSE 1 END) DESC;
+}""")
+
+    def test_min_over_mixed_values(self):
+        with pytest.raises(
+            QueryRuntimeError,
+            match=r"type error in min\(CASE .* END\): 'a' and 1",
+        ):
+            run("""
+CREATE QUERY q() FOR GRAPH SalesGraph {
+  SELECT c.name AS n, min(CASE WHEN p.price > 30 THEN "a" ELSE 1 END) AS m INTO T
+  FROM Customer:c -(Bought>)- Product:p
+  GROUP BY c.name;
+}""")
+
+    def test_sum_over_strings(self):
+        with pytest.raises(QueryRuntimeError, match=r"type error in sum\(c\.name\): 0 and 'alice'"):
+            run("""
+CREATE QUERY q() FOR GRAPH SalesGraph {
+  SELECT sum(c.name) AS s INTO T FROM Customer:c -(Bought>)- Product:p;
+}""")
+
+    def test_avg_over_strings(self):
+        with pytest.raises(QueryRuntimeError, match=r"type error in avg\(c\.name\): 0 and 'alice'"):
+            run("""
+CREATE QUERY q() FOR GRAPH SalesGraph {
+  SELECT c.name AS n, avg(c.name) AS a INTO T
+  FROM Customer:c -(Bought>)- Product:p
+  GROUP BY c.name;
+}""")
+
+
+class TestMapAccumArrowInput:
+    """A MapAccum takes the one-key, one-value arrow ``(k -> v)`` the
+    analyzer's E102 message asks for, in ACCUM and at statement level."""
+
+    def test_statement_level_arrow(self):
+        from repro.accum import ListAccum, MapAccum
+
+        result = run("""
+CREATE QUERY q() FOR GRAPH SalesGraph {
+  MapAccum<string, SumAccum<float>> @@rev;
+  @@rev += ("x" -> 1.5);
+  @@rev += ("x" -> 2.0);
+  PRINT @@rev;
+}""")
+        assert result.printed == [{"rev": {"x": 3.5}}]
+        # A plain (key, value) tuple whose parts are 1-tuples keeps its
+        # meaning: only the arrow itself unwraps.
+        acc = MapAccum(ListAccum)
+        acc.combine((("k",), (1,)))
+        assert acc.value == {("k",): ((1,),)}
+
+    def test_accum_arrow_matches_the_pair_form(self):
+        result = run("""
+CREATE QUERY q() FOR GRAPH SalesGraph {
+  MapAccum<string, SumAccum<float>> @@arrow, @@pair;
+  S = SELECT p FROM Customer:c -(Bought>:e)- Product:p
+      ACCUM @@arrow += (p.category -> e.quantity * p.price),
+            @@pair += (p.category, e.quantity * p.price);
+  PRINT @@arrow, @@pair;
+}""")
+        [record] = result.printed
+        assert record["arrow"] == record["pair"] == {"toy": 265.0, "kitchen": 240.0}
+
+    def test_multi_key_arrow_is_a_structured_error(self):
+        with pytest.raises(
+            ReproError, match=r"one-key, one-value arrow .* got 2 key\(s\) and 1 value\(s\)"
+        ):
+            run("""
+CREATE QUERY q() FOR GRAPH SalesGraph {
+  MapAccum<string, SumAccum<float>> @@rev;
+  @@rev += ("x", "y" -> 1.5);
+}""")
