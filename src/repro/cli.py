@@ -70,7 +70,12 @@ import re
 import sys
 from typing import Any, List, Optional, Tuple
 
-from .errors import EXIT_ABORT, EXIT_ACCSAN, EXIT_OK, EXIT_USAGE
+from .errors import EXIT_ABORT, EXIT_ACCSAN, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE
+
+# ``run`` and ``profile`` also exit 4 (query-runtime-error), printing one
+# ``path: message`` line, for an error the query raised while it ran.
+# (The module docstring above, a GSQL corpus text, stays as it is: the
+# parser differential's test id hashes it.)
 
 # Each subcommand imports what it runs inside its handler: ``import
 # repro.cli`` and ``--help`` compile no engine module, and ``repro serve``
@@ -232,7 +237,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     import contextlib
 
     from .core.pattern import EngineMode
-    from .errors import AccSanViolation, QueryAbortedError
+    from .errors import AccSanViolation, QueryAbortedError, ReproError
     from .governor import govern
 
     graph = _load_graph(args.graph)
@@ -256,6 +261,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     except AccSanViolation as exc:
         print(f"AccSan violation: {exc}", file=sys.stderr)
         return EXIT_ACCSAN
+    except ReproError as exc:
+        print(f"{args.query_file}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     if sanitizer is not None:
         print(sanitizer.report(), file=sys.stderr)
     for record in result.printed:
@@ -306,6 +314,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     from .core.pattern import EngineMode
+    from .errors import ReproError
     from .obs import profile_query
 
     graph = _load_graph(args.graph)
@@ -322,7 +331,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
         query, schema=getattr(graph, "schema", None),
         stats=stats_snapshot(graph),
     )
-    report = profile_query(query, graph, mode=mode, governor=governor, **params)
+    try:
+        report = profile_query(query, graph, mode=mode, governor=governor, **params)
+    except ReproError as exc:
+        print(f"{args.query_file}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     if args.output:
         with open(args.output, "w") as fh:
             json.dump(report.to_dict(), fh, indent=2)

@@ -14,7 +14,8 @@ into a :class:`CompiledQuery` — the one form the engine executes
   output emission included — that precomputes, once, the
   filter-pushdown split, the primed-snapshot name set, the POST_ACCUM
   per-statement dependency slots, the output closures, and a **fused
-  ACCUM map kernel**: a two-stage closure (``bind(ctx, buffer) -> row_fn(env, μ)``)
+  ACCUM map kernel**: a two-stage closure (``bind(ctx, buffer) -> row_fn(env, μ)``,
+  or with ``table=True`` one table-level entry per block)
   whose bind stage resolves accumulator instances and buffer methods
   once per block execution instead of once per row (a POST_ACCUM
   statement is the same kernel from the same lowering).  Each phase of
@@ -32,7 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import _exec
 from ..accum.algebra import classify
-from ..accum.heap import HeapAccum
+from ..accum.heap import _ORDERED, HeapAccum
 from ..core.block import SelectBlock
 from ..core.context import QueryContext
 from ..core.exprs import (
@@ -94,7 +95,9 @@ from .exprc import CompileStats, compile_closure, compile_expr
 # once: ``compile_accum_clause`` runs at compile time and returns a
 # *binder*; the executor calls ``binder(ctx, sink)`` once per clause
 # execution, which resolves accumulator instances / family factories /
-# sink methods and picks the per-row function ``run(env, μ)``.  The bind
+# sink methods and picks the per-row function ``run(env, μ)`` — or, with
+# ``table=True``, the clause's table-level entry ``run_rows(env, rows)``,
+# which the block executor calls once per block.  The bind
 # stage needs ``global_accum`` / ``vertex_accum_resolver`` from its first
 # argument and ``add`` / ``set`` from its second (a plain ``InputBuffer``
 # also folds a top-k heap early), so one kernel serves three sinks: the
@@ -144,21 +147,40 @@ def compile_accum_clause(
     if not post:
         stats.kernels += 1
     binds_locals = clause_scope is not scope
+    # A lone global update binds its own table-level entry: for ``+=``
+    # into a heap on the early-reject path, the heap fold.
+    lone_global = (
+        not binds_locals and len(statements) == 1
+        and isinstance(statements[0], AccumUpdate) and statements[0].target.is_global
+    )
 
-    def bind(ctx: QueryContext, buffer: InputBuffer):
+    def bind(ctx: QueryContext, buffer: InputBuffer, table: bool = False):
+        if table and lone_global:
+            return binders[0](ctx, buffer, table=True)
         runs = [b(ctx, buffer) for b in binders]
         if not binds_locals and len(runs) == 1:
-            return runs[0]
+            run_all = runs[0]
+        else:
+            def run_all(env: EvalEnv, multiplicity: int) -> None:
+                if binds_locals:
+                    env.locals.clear()
+                for run in runs:
+                    run(env, multiplicity)
 
-        def run_all(env: EvalEnv, multiplicity: int) -> None:
-            if binds_locals:
-                env.locals.clear()
-            for run in runs:
-                run(env, multiplicity)
-
-        return run_all
+        return _over_rows(run_all) if table else run_all
 
     return bind
+
+
+def _over_rows(run: Callable[[EvalEnv, int], None]):
+    """The table-level entry over a row function: ``run_rows(env, rows)``
+    re-points ``env`` at each binding row and runs it."""
+    def run_rows(env: EvalEnv, rows: List[BindingRow]) -> None:
+        for values, multiplicity in rows:
+            env.row = values
+            run(env, multiplicity)
+
+    return run_rows
 
 
 def _compile_acc_statement(
@@ -306,7 +328,7 @@ def _compile_accum_update(
     early_reject = op == "+=" and name not in assigned
 
     if stmt.target.is_global:
-        def bind_global(ctx, buffer):
+        def bind_global(ctx, buffer, table=False):
             san = _exec.current().san
             write = _writer(buffer, san, phase, target, op)
             try:  # a parallel worker's scratch makes its instance on first use
@@ -318,8 +340,7 @@ def _compile_accum_update(
                     value = value_fn(env)
                     write(ctx.global_accum(name), value, multiplicity)
 
-                return run
-            if (
+            elif (
                 early_reject and san is None and type(buffer) is InputBuffer
                 and isinstance(acc, HeapAccum)
             ):
@@ -327,24 +348,18 @@ def _compile_accum_update(
                 # Reduce would: an input the full copy cannot take leaves no
                 # buffered triple and costs no combine call — most are
                 # dropped on one raw comparison of their first sort field.
-                heap = buffer.fold_privately(acc)
-                rejects, insert = heap.rejects, heap.insert
-                combine = heap.combine_weighted
+                fold = _heap_fold(buffer.fold_privately(acc), value_fn, buffer)
+                if table:
+                    return fold
 
                 def run(env: EvalEnv, multiplicity: int) -> None:
-                    value = value_fn(env)
-                    buffer.folded += 1
-                    if multiplicity <= 0:
-                        combine(value, multiplicity)  # nothing, or its error
-                    elif not rejects(value):
-                        insert(value, multiplicity)
+                    fold(env, ((env.row, multiplicity),))
 
-                return run
+            else:
+                def run(env: EvalEnv, multiplicity: int) -> None:
+                    write(acc, value_fn(env), multiplicity)
 
-            def run(env: EvalEnv, multiplicity: int) -> None:
-                write(acc, value_fn(env), multiplicity)
-
-            return run
+            return _over_rows(run) if table else run
 
         return bind_global
 
@@ -367,6 +382,53 @@ def _compile_accum_update(
         return run
 
     return bind_vertex
+
+
+def _heap_fold(heap: HeapAccum, value_fn: Callable[[EvalEnv], Any], buffer: InputBuffer):
+    """The heap statement's table-level entry, ``run_rows(env, rows)``:
+    one loop that folds each row's input into ``heap``, the block-private
+    copy, in row order, and adds the rows to ``buffer.folded`` once.  The
+    test that drops most inputs — :meth:`HeapAccum.rejects`' comparison
+    of the first sort field against a full heap's worst tuple, with every
+    sort value ordered — is inlined; any other input goes to ``rejects``
+    and ``insert``, which decide it or raise.  A multiplicity of 0 or
+    less goes to ``combine_weighted``: nothing, or its error."""
+    rejects, insert = heap.rejects, heap.insert
+    combine = heap.combine_weighted
+    entries, capacity = heap._heap, heap.capacity  # inserts push in place
+    (first, asc), fields, arity = heap._key_spec[0], heap._fields, heap._arity
+
+    def run_rows(env: EvalEnv, rows: List[BindingRow]) -> None:
+        # Only an insert changes the heap: its fullness and worst first
+        # field are read again after one, not per row.
+        full = len(entries) == capacity
+        worst = entries[0][1][first] if full else None
+        for values, multiplicity in rows:
+            env.row = values
+            value = value_fn(env)
+            if multiplicity <= 0:
+                combine(value, multiplicity)  # nothing, or its error
+                continue
+            if full and type(value) is tuple and len(value) == arity:
+                key = value[first]
+                try:
+                    worse = (worst < key) if asc else (key < worst)
+                except TypeError:
+                    worse = False
+                if worse:
+                    for i in fields:
+                        v = value[i]
+                        if type(v) not in _ORDERED or v != v:
+                            break
+                    else:
+                        continue  # dropped: strictly worse on the first field
+            if not rejects(value):
+                insert(value, multiplicity)
+                full = len(entries) == capacity
+                worst = entries[0][1][first] if full else None
+        buffer.folded += len(rows)
+
+    return run_rows
 
 
 def _writer(buffer: InputBuffer, san: Any, phase: str, target: Any, op: str):
@@ -411,6 +473,22 @@ def lower_pushed_filter(
     if bound and isinstance(attr, AttrRef) and scope.slot_of(attr.base) == 0:
         lowered.compare = (attr.attr, expr.op, operand.closure(scope)[0])
     return lowered
+
+
+def _vertex_variables(pattern) -> set:
+    """The pattern variables only a vertex can bind: hop targets and the
+    sources of chains with hops, less any variable a hop binds to an edge
+    or a hop-free chain binds (which may scan a relational table)."""
+    vertices, others = set(), set()
+    for chain in pattern.chains:
+        if not chain.hops:
+            others.update(chain.variables())
+            continue
+        vertices.add(chain.source.var)
+        for hop in chain.hops:
+            vertices.add(hop.target.var)
+            others.add(hop.edge_var)
+    return vertices - others
 
 
 class CompiledBlock:
@@ -464,6 +542,7 @@ class CompiledBlock:
 
         slots = scope.slots
         self._select_slot = slots.get(block.select_var)
+        self._select_vertex = block.select_var in _vertex_variables(block.pattern)
         # The vertex-set result sorts its distinct vertices, not rows:
         # its keys see the SELECT variable alone (not counted in the
         # lowering statistics — the clause was, just above).
@@ -625,13 +704,12 @@ class CompiledBlock:
                 map_span = col.span("accum_map", statements=len(block.accum))
             buffer = InputBuffer()
             env = EvalEnv(ctx, None, None, primed)
-            kernel = self._map_bind(ctx, buffer)
+            # A fault plan fires once per row: the row function then.
+            kernel = self._map_bind(ctx, buffer, table=_faults._PLAN is None)
             try:
                 try:
                     if _faults._PLAN is None:
-                        for values, multiplicity in rows:
-                            env.row = values
-                            kernel(env, multiplicity)
+                        kernel(env, rows)  # the clause's table-level entry
                     else:
                         for values, multiplicity in rows:
                             _faults.fire("block.accum_map")
@@ -787,9 +865,10 @@ class CompiledBlock:
             )
         seen = set()
         vertices: List[Vertex] = []
+        check = not self._select_vertex  # a vertex position binds vertices only
         for values, _ in rows:
             vertex = values[slot]
-            if not isinstance(vertex, Vertex):
+            if check and not isinstance(vertex, Vertex):
                 raise QueryRuntimeError(
                     f"SELECT variable {self.block.select_var!r} binds to a "
                     f"non-vertex; vertex-set results need a vertex variable"
@@ -807,8 +886,10 @@ class CompiledBlock:
             vertices.sort(key=sort_key)
         if self._limit is not None:
             env.row = ()
-            vertices = vertices[: limit_count(self._limit(env))]
-        return VertexSet.of_distinct(ctx.graph, vertices)
+            kept = vertices[: limit_count(self._limit(env))]
+            if len(kept) < len(vertices):
+                return VertexSet.of_distinct(ctx.graph, kept)
+        return VertexSet.of_distinct(ctx.graph, vertices, seen)
 
     def _emit_fragment(
         self, ctx: QueryContext, fragment: Tuple, rows: List[BindingRow],

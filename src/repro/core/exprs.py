@@ -674,14 +674,49 @@ class TupleExpr(Expr):
     def closure(self, scope):
         # A triple — the shape of a top-k heap input such as IC9's
         # (creationDate, length, lastName) — is built in one display that
-        # calls the item closures directly, left to right.
+        # calls the item closures directly, left to right; a display of
+        # attribute reads of pattern variables reads the row itself.
         built = [item.closure(scope) for item in self.items]
         fns = [fn for fn, _ in built]
         const = all(c for _, c in built)
         if len(fns) == 3:
             a, b, c = fns
-            return (lambda env: (a(env), b(env), c(env))), const
-        return (lambda env: tuple([fn(env) for fn in fns])), const
+
+            def display(env: EvalEnv) -> Any:
+                return (a(env), b(env), c(env))
+        else:
+            def display(env: EvalEnv) -> Any:
+                return tuple([fn(env) for fn in fns])
+
+        reads = [
+            (scope.slot_of(item.base), item.attr) if isinstance(item, AttrRef)
+            else (None, None)
+            for item in self.items
+        ]
+        if not reads or any(slot is None for slot, _ in reads):
+            return display, const
+        # Every item is ``var.attr`` over a slot: read the attributes
+        # straight off the row's vertices or edges.  What that cannot read
+        # (a missing attribute, a table row) goes through the item
+        # closures, which return or raise what they would alone.
+        if len(reads) == 3:
+            (s0, a0), (s1, a1), (s2, a2) = reads
+
+            def fused(env: EvalEnv) -> Any:
+                row = env.row
+                try:
+                    return (row[s0].attrs[a0], row[s1].attrs[a1], row[s2].attrs[a2])
+                except (AttributeError, KeyError):
+                    return display(env)
+        else:
+            def fused(env: EvalEnv) -> Any:
+                row = env.row
+                try:
+                    return tuple([row[s].attrs[a] for s, a in reads])
+                except (AttributeError, KeyError):
+                    return display(env)
+
+        return fused, const
 
     def __repr__(self) -> str:
         return f"({', '.join(map(repr, self.items))})"

@@ -380,8 +380,9 @@ class BindingTable:
 # pushed-down filters' closures and the one ``EvalEnv`` they run under
 # (or, for tagged comparisons, their operands), the slots the hop reads
 # and writes — is resolved once by the bind stage (``_admission``,
-# ``_bind_filters``, ``_bind_slot``); the per-row loops then only read
-# verdicts, decide first sights, and extend rows.
+# ``_inline_admission``, ``_bind_filters``, ``_bind_slot``); the per-row
+# loops then only read verdicts, decide first sights, and extend rows, or
+# (``_extend_plain``) test each target inline in one pass.
 
 def _bind_filters(
     ctx: QueryContext, var: str, filters: Optional[List[Any]]
@@ -537,6 +538,102 @@ def _admitted(ids: Iterable[Any], resolve, admit, only_type) -> List[Vertex]:
     return out
 
 
+def _inline_admission(
+    ctx: QueryContext, spec: VertexSpec, filters: Optional[List[Any]]
+) -> Optional[Tuple[Optional[str], List[Tuple[str, Callable[[Any, Any], Any], Any]]]]:
+    """``(vertex type, bound comparisons)`` when a target position's
+    admission is the type test plus :func:`_bind_comparisons`' tests
+    alone — no pin, no vertex set, no filter they leave untagged — else
+    None."""
+    if spec._pinned_vertex(ctx) is not None:
+        return None
+    vtype, vset = spec.restriction(ctx)
+    if vset is not None:
+        return None
+    if not filters:
+        return vtype, []
+    tests = _bind_comparisons(EvalEnv(ctx, [None]), filters)
+    return None if tests is None else (vtype, tests)
+
+
+def _targets_repeat(crossed: List[Tuple[BindingRow, Any]]) -> bool:
+    """Whether the buckets a hop crosses repeat a target id within their
+    first :data:`_REPEAT_WINDOW` incidences (a bucket at a time), which
+    is where a verdict memo that pays for itself starts hitting: targets
+    shared widely — a country per comment, a tag per post — repeat
+    within a few buckets, and a hop whose first few dozen targets are
+    all distinct would seldom hit.  Reading every bucket would cost a
+    to-one hop as much as the memo it avoids."""
+    seen: set = set()
+    for _, bucket in crossed:
+        if bucket is not None:
+            ids = bucket[0]
+            before = len(seen)
+            seen.update(ids)
+            if len(seen) - before != len(ids):
+                return True
+            if len(seen) >= _REPEAT_WINDOW:
+                break
+    return False
+
+
+#: How many of a hop's first target incidences :func:`_targets_repeat`
+#: reads.
+_REPEAT_WINDOW = 64
+
+
+def _extend_plain(
+    crossed: List[Tuple[BindingRow, Any]],
+    lookup: Callable[[Any], Vertex],
+    vtype: Optional[str],
+    tests: List[Tuple[str, Callable[[Any, Any], Any], Any]],
+    prefilter: Optional[Callable[[Any], bool]],
+    allowed: Optional[set],
+) -> List[BindingRow]:
+    """The rows a plain adjacency hop (no edge variable, no join, no pair
+    semi-join) extends its ``(row, bucket)`` pairs to, in one pass: each
+    target is tested inline — the type, the bound comparisons on its
+    ``attrs``, then the semi-join's ``allowed`` ids — as the memoised
+    loop decides it.  A target the comparisons cannot decide cleanly
+    raises ``AttributeError``, ``KeyError`` or ``TypeError`` out of the
+    pass; the caller then reruns the hop through :func:`_admission`."""
+    if not tests:
+        return [
+            (values + (t,), multiplicity)
+            for (values, multiplicity), bucket in crossed if bucket is not None
+            for t in map(
+                lookup, bucket[0] if prefilter is None else filter(prefilter, bucket[0])
+            )
+            if (vtype is None or t.type == vtype)
+            and (allowed is None or t.vid in allowed)
+        ]
+    if len(tests) == 1:
+        ((attr, compare, operand),) = tests
+        return [
+            (values + (t,), multiplicity)
+            for (values, multiplicity), bucket in crossed if bucket is not None
+            for t in map(lookup, bucket[0])
+            if (vtype is None or t.type == vtype)
+            and compare(t.attrs[attr], operand)
+            and (allowed is None or t.vid in allowed)
+        ]
+
+    def passes(attrs: Dict[str, Any]) -> bool:
+        for attr, compare, operand in tests:
+            if not compare(attrs[attr], operand):
+                return False
+        return True
+
+    return [
+        (values + (t,), multiplicity)
+        for (values, multiplicity), bucket in crossed if bucket is not None
+        for t in map(lookup, bucket[0])
+        if (vtype is None or t.type == vtype)
+        and passes(t.attrs)
+        and (allowed is None or t.vid in allowed)
+    ]
+
+
 def _hop_counts(
     graph, source_vid: Any, hop: Hop, mode: EngineMode, reverse: bool = False
 ) -> Dict[Any, int]:
@@ -660,9 +757,8 @@ def _evaluate_hop(
         # directly and can bind an edge variable.
         plan = "adjacency"
         symbol = hop.darpe.ast
-        resolve, admit, only_type = _admission(
-            ctx, hop.target, var_filters.get(target_var), graph.vertex_getter()
-        )
+        filters = var_filters.get(target_var)
+        lookup = graph.vertex_getter()
         edge_of = graph.edge
         edge_var = hop.edge_var
         # Edges are per-row bindings: their filters run per crossing.
@@ -683,10 +779,11 @@ def _evaluate_hop(
                     col.count("planner.hops_semijoin")
         plain = edge_var is None and joined is None and far is None
         prefilter = None
-        if plain and allowed is not None and not var_filters.get(target_var):
+        if plain and allowed is not None and not filters:
             # No filter can raise on a target: drop a bucket's pruned
             # neighbours before admission meets them.
             prefilter, allowed = allowed.__contains__, None
+        pruned = allowed is not None or prefilter is not None
         by_type = graph.columns(symbol.direction)
         if symbol.edge_type is None:  # the wildcard: every column, per row
             columns = list(by_type.values())
@@ -694,6 +791,20 @@ def _evaluate_hop(
         else:  # the symbol's one column
             get = by_type.get(symbol.edge_type, {}).get
             crossed = zip(rows, map(get, [values[current].vid for values, _ in rows]))
+        inline = _inline_admission(ctx, hop.target, filters) if plain else None
+        if inline is not None:
+            crossed = [*crossed]  # a fallback crosses the buckets again
+            if not inline[1] or not _targets_repeat(crossed):
+                # Targets do not repeat (or admission has no verdict
+                # worth keeping): test each inline, memoise nothing.
+                try:
+                    return (
+                        _extend_plain(crossed, lookup, *inline, prefilter, allowed),
+                        plan, pruned,
+                    )
+                except (AttributeError, KeyError, TypeError):
+                    pass  # the memoised loop meets the same error at the same target
+        resolve, admit, only_type = _admission(ctx, hop.target, filters, lookup)
         for (values, multiplicity), bucket in crossed:
             if bucket is None:
                 continue
@@ -737,7 +848,7 @@ def _evaluate_hop(
                 if joined is None:
                     extended += (target,)
                 append((extended, multiplicity))
-        return new_rows, plan, allowed is not None or prefilter is not None
+        return new_rows, plan, pruned
 
     reverse_targets = _reverse_targets(
         ctx, hop, rows, mode, var_filters, current

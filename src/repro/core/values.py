@@ -74,13 +74,17 @@ class VertexSet:
             self.add(v)
 
     @classmethod
-    def of_distinct(cls, graph: Graph, vertices: List[Vertex]) -> "VertexSet":
+    def of_distinct(
+        cls, graph: Graph, vertices: List[Vertex], ids: Optional[set] = None
+    ) -> "VertexSet":
         """The set over ``vertices``, a list the caller already made
-        duplicate-free (by vertex id): it is kept as the set's order and
-        its ids are taken in one pass, no per-vertex :meth:`add`."""
+        duplicate-free (by vertex id): it is kept as the set's order, and
+        ``ids`` — the set of exactly their ids, when the caller has it —
+        as the set's ids; otherwise they are taken in one pass.  No
+        per-vertex :meth:`add` either way."""
         vset = cls(graph)
         vset._order = vertices
-        vset._ids = {v.vid for v in vertices}
+        vset._ids = {v.vid for v in vertices} if ids is None else ids
         return vset
 
     def add(self, vertex: Vertex) -> None:

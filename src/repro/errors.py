@@ -341,6 +341,10 @@ EXIT_ABORT = 2
 #: The accumulator sanitizer found a certificate violation
 #: (:class:`AccSanViolation`).
 EXIT_ACCSAN = 3
+#: The query failed while it ran: any other :class:`ReproError` its
+#: execution raised (a :class:`QueryRuntimeError` such as a missing
+#: attribute, an :class:`AccumulatorError`, ...).
+EXIT_RUNTIME = 4
 
 #: code -> (name, meaning).  Insertion order is display order.
 EXIT_CODES = {
@@ -348,6 +352,7 @@ EXIT_CODES = {
     EXIT_USAGE: ("usage-or-lint", "usage, I/O, parse or lint/analysis error"),
     EXIT_ABORT: ("governor-abort", "execution governor aborted the query"),
     EXIT_ACCSAN: ("accsan-violation", "sanitizer caught a certificate violation"),
+    EXIT_RUNTIME: ("query-runtime-error", "the query raised an error while it ran"),
 }
 
 

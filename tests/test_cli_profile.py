@@ -144,3 +144,41 @@ class TestQueryErrors:
             capsys, tmp_path, ["run", "--graph", diamond_json], self.COMPILE,
             ": MapAccum takes <KeyType, ValueType>",
         )
+
+    RUNTIME = (
+        "CREATE QUERY q() {\n"
+        "  S = SELECT p FROM Customer:c -(Bought>)- Product:p WHERE p.weight < 3;\n"
+        "  PRINT S;\n"
+        "}\n"
+    )
+    ACCUMULATOR = (
+        "CREATE QUERY q() {\n"
+        "  MapAccum<int, int> @@m;\n"
+        "  S = SELECT c FROM Customer:c ACCUM @@m += (1, 2 -> 3);\n"
+        "  PRINT @@m;\n"
+        "}\n"
+    )
+
+    @pytest.fixture
+    def sales_json(self, tmp_path):
+        path = tmp_path / "sales.json"
+        save_graph_json(builders.sales_graph(), path)
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["run", "profile"])
+    @pytest.mark.parametrize("text, message", [
+        (RUNTIME, "Vertex(Product:p0) has no attribute 'weight'"),
+        (ACCUMULATOR, "MapAccum input must be a one-key, one-value arrow "
+                      "(key -> value), got 2 key(s) and 1 value(s)"),
+    ], ids=["missing-attribute", "accumulator-input"])
+    def test_runtime_error(self, capsys, tmp_path, sales_json, command, text, message):
+        """An error the query raises while it runs exits 4
+        (query-runtime-error) with one ``path: message`` line."""
+        path = tmp_path / "q.gsql"
+        path.write_text(text)
+        code = main([command, str(path), "--graph", sales_json])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err == f"{path}: {message}\n"
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

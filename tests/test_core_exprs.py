@@ -306,6 +306,33 @@ class TestTupleExpr:
         with pytest.raises(QueryRuntimeError, match="division by zero"):
             fn(env)
 
+    #: ``var.attr`` items over three slots: a vertex, an edge and a
+    #: relational-table row, with an attribute each of them lacks.
+    READS = [("v", "name"), ("e", "w"), ("v", "weight"), ("v", "missing"),
+             ("e", "missing"), ("r", "name"), ("r", "k"), ("r", "missing")]
+
+    @pytest.mark.parametrize("arity", range(1, 6))
+    def test_attribute_reads_of_slots_match_their_item_closures(self, ctx, arity):
+        """A display whose items all read an attribute of a pattern
+        variable reads the row directly; it returns what its item closures
+        return, and raises what the first of them that raises raises — a
+        missing attribute on a vertex or an edge, a table-row slot and a
+        NULL included."""
+        graph = ctx.graph
+        row = {"v": graph.vertex(1), "e": next(graph.edges("E")), "r": {"name": "t", "k": None}}
+        named = Named(ctx, row=row)
+        for start in range(len(self.READS)):
+            items = [AttrRef(NameRef(var), attr)
+                     for var, attr in (self.READS * 2)[start:start + arity]]
+            try:
+                expected = tuple(named.ev(item) for item in items)
+            except QueryRuntimeError as exc:
+                with pytest.raises(QueryRuntimeError) as raised:
+                    named.ev(TupleExpr(items))
+                assert str(raised.value) == str(exc)
+            else:
+                assert named.ev(TupleExpr(items)) == expected
+
 
 class TestAggCall:
     def test_direct_eval_rejected(self, env):

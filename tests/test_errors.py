@@ -199,19 +199,23 @@ class TestExitCodeTaxonomy:
             EXIT_ABORT,
             EXIT_ACCSAN,
             EXIT_OK,
+            EXIT_RUNTIME,
             EXIT_USAGE,
             exit_code_catalog,
         )
 
         catalog = exit_code_catalog()
-        assert [code for code, _, _ in catalog] == [0, 1, 2, 3]
-        assert (EXIT_OK, EXIT_USAGE, EXIT_ABORT, EXIT_ACCSAN) == (0, 1, 2, 3)
+        assert [code for code, _, _ in catalog] == [0, 1, 2, 3, 4]
+        assert (EXIT_OK, EXIT_USAGE, EXIT_ABORT, EXIT_ACCSAN, EXIT_RUNTIME) == (
+            0, 1, 2, 3, 4,
+        )
         names = {code: name for code, name, _ in catalog}
         assert names == {
             0: "ok",
             1: "usage-or-lint",
             2: "governor-abort",
             3: "accsan-violation",
+            4: "query-runtime-error",
         }
 
     @pytest.mark.parametrize("doc", ["README.md", "docs/robustness.md"])

@@ -330,3 +330,52 @@ CREATE QUERY q() FOR GRAPH SalesGraph {
   MapAccum<string, SumAccum<float>> @@rev;
   @@rev += ("x", "y" -> 1.5);
 }""")
+
+
+class TestVertexSetResult:
+    """A vertex-set result skips the per-row vertex check only where the
+    SELECT variable is statically a vertex position; an edge variable
+    and a relational-table conjunct still raise, and the result's ids
+    are exactly its vertices' ids, LIMIT cut included."""
+
+    def test_an_edge_variable_is_not_a_vertex_set(self):
+        with pytest.raises(QueryRuntimeError, match="'e' binds to a non-vertex"):
+            run("""
+CREATE QUERY q() {
+  S = SELECT e FROM Customer:c -(Bought>:e)- Product:p;
+  PRINT S;
+}""")
+
+    def test_a_table_conjunct_is_not_a_vertex_set(self):
+        from repro.core.values import Table
+
+        table = Table("T", ["k"])
+        table.append((1,))
+        with pytest.raises(QueryRuntimeError, match="'r' binds to a non-vertex"):
+            run("""
+CREATE QUERY q() {
+  S = SELECT r FROM T:r;
+  PRINT S;
+}""", tables={"T": table})
+
+    @pytest.mark.parametrize("limit", [None, 2, 9])
+    def test_ids_are_the_kept_vertices(self, limit):
+        if limit is None:
+            result = run("""
+CREATE QUERY q() {
+  S = SELECT p FROM Customer:c -(Bought>)- Product:p;
+  PRINT S;
+}""")
+        else:
+            result = run("""
+CREATE QUERY q(int k) {
+  S = SELECT p FROM Customer:c -(Bought>)- Product:p ORDER BY p.price DESC LIMIT k;
+  PRINT S;
+}""", k=limit)
+        [record] = result.printed
+        vertices = list(record["S"])
+        graph = builders.sales_graph()
+        products = [v for v in graph.vertices("Product") if graph.indegree(v.vid, "Bought")]
+        assert len(vertices) == min(len(products), limit or len(products))
+        for product in products:
+            assert (product.vid in record["S"]) == (product.vid in {v.vid for v in vertices})
